@@ -22,6 +22,7 @@ import numpy as np
 import scipy
 
 from . import __version__
+from .expressions import ExprError
 from .oracle import (
     BudgetError,
     SynthesisError,
@@ -30,13 +31,7 @@ from .oracle import (
     synthesize_epsilon_optimal,
 )
 from .regions import contour2d, extract_doa, save_contours, save_mask
-from .solver import (
-    SolverSettings,
-    interpolate,
-    kruzhkov_update,
-    solve_hjbe,
-    solve_zubov,
-)
+from .solver import SolverSettings, solve_hjbe, solve_zubov
 from .systems import (
     ConfigError,
     Grid,
@@ -47,10 +42,11 @@ from .systems import (
     load_system,
     save_field,
 )
-from .trajectories import ControlSchedule, rk4_step
+from .trajectories import ControlSchedule, TrajectoryError
 from .verify import (
     VerificationReport,
     check_boundary_blowup,
+    check_fixed_point,
     check_lyapunov_decrease,
     residual_stats,
 )
@@ -73,7 +69,7 @@ _DEFAULTS = {
     "rho": 0.05,
     "budget": 2_000_000,
     "seed": 0,
-    "threads": 0,        # 0: every available core
+    "threads": 0,        # accepted and recorded; sweeps are single-threaded
     "out": ".",
     "epsilon": 0.01,
     "checks": list(_CHECKS),
@@ -100,27 +96,15 @@ class _Parser(argparse.ArgumentParser):
 
 # --- configuration -----------------------------------------------------------
 
-def _ints(val, what):
+def _numbers(val, what, kind):
     if isinstance(val, str):
         val = [tok for tok in val.split(",") if tok.strip()]
     try:
-        out = [int(tok) for tok in val]
+        out = [kind(tok) for tok in val]
     except (TypeError, ValueError):
-        raise ConfigError("%s wants comma-separated integers, got %r"
-                          % (what, val))
-    if not out:
-        raise ConfigError("%s names no values" % what)
-    return out
-
-
-def _floats(val, what):
-    if isinstance(val, str):
-        val = [tok for tok in val.split(",") if tok.strip()]
-    try:
-        out = [float(tok) for tok in val]
-    except (TypeError, ValueError):
-        raise ConfigError("%s wants comma-separated reals, got %r"
-                          % (what, val))
+        raise ConfigError("%s wants comma-separated %s, got %r"
+                          % (what, "integers" if kind is int else "reals",
+                             val))
     if not out:
         raise ConfigError("%s names no values" % what)
     return out
@@ -154,9 +138,9 @@ def _resolve(args):
             cfg[key] = val
 
     if cfg["nodes"] is not None:
-        cfg["nodes"] = _ints(cfg["nodes"], "--nodes")
+        cfg["nodes"] = _numbers(cfg["nodes"], "--nodes", int)
     if cfg["box"] is not None:
-        cfg["box"] = _floats(cfg["box"], "--box")
+        cfg["box"] = _numbers(cfg["box"], "--box", float)
     if cfg["builtin"] is not None and cfg["system"] is not None:
         raise ConfigError("give a builtin name or an inline system, not both")
     for key in ("dt", "tol", "switch_dt", "rho", "epsilon"):
@@ -216,16 +200,11 @@ def _make_grid(cfg, system):
     return Grid(lo, hi, nodes)
 
 
-def _threads(cfg):
-    return cfg["threads"] if cfg["threads"] >= 1 else (os.cpu_count() or 1)
-
-
 def _settings(cfg):
     return SolverSettings(dt=cfg["dt"], tol=cfg["tol"],
                           max_iters=cfg["max_iters"],
                           exterior_value=cfg["exterior"],
-                          rk4_feet=bool(cfg["rk4_feet"]),
-                          threads=_threads(cfg))
+                          rk4_feet=bool(cfg["rk4_feet"]))
 
 
 # --- artifacts ---------------------------------------------------------------
@@ -308,6 +287,8 @@ def _run_solver(cfg, raw):
         "converged": bool(meta["converged"]),
         "iterations": int(meta["iterations"]),
         "final_change": float(meta["final_change"]),
+        "operator_nnz": meta["operator_nnz"],
+        "phase_seconds": meta["phase_seconds"],
         "seconds": round(elapsed, 3),
         "field": "field.csv",
     }
@@ -392,55 +373,6 @@ def _cmd_oracle(cfg, args):
 
 # --- verify ------------------------------------------------------------------
 
-def _fixed_point_defect(system, field, dt, exterior, rk4):
-    """Re-apply one value-iteration sweep through the public interpolator.
-
-    A converged field moves by less than its tolerance under its own
-    operator, so any edited or swapped node sticks out by roughly the size
-    of the edit — a deterministic corruption detector that robust residual
-    statistics and random trajectory sampling both miss.
-    """
-    grid = field.grid
-    nodes = grid.node_coords().reshape(-1, grid.n_axes)
-    best = None
-    for a in system.control.points:
-        if rk4:
-            z = np.concatenate([nodes, np.zeros((nodes.shape[0], 3))], axis=1)
-            z1 = rk4_step(system, z, a, dt)
-            feet = z1[:, :grid.n_axes]
-            g_step = z1[:, grid.n_axes + 1]
-        else:
-            feet = nodes + dt * np.asarray(system.f(nodes, a), dtype=float)
-            g_step = dt * np.asarray(system.g(nodes, a), dtype=float)
-        beta = np.exp(-np.maximum(g_step, 0.0))
-        cand = kruzhkov_update(beta, interpolate(field, feet, exterior))
-        best = cand if best is None else np.maximum(best, cand)
-    best[np.ravel_multi_index(grid.origin_index, grid.counts)] = 0.0
-    return np.abs(best - field.values.reshape(-1))
-
-
-def _check_fixed_point(system, field, cfg):
-    meta = field.metadata
-    dt = float(meta.get("dt", cfg["dt"]))
-    tol = float(meta.get("tol", cfg["tol"]))
-    rk4 = bool(meta.get("rk4_feet", cfg["rk4_feet"]))
-    exterior = float(meta.get("exterior_value", 1.0))
-    defect = _fixed_point_defect(system, field, dt, exterior, rk4)
-    threshold = 10.0 * tol
-    worst = int(np.argmax(defect))
-    stats = {"max_defect": float(defect[worst]), "threshold": threshold,
-             "dt": dt}
-    passed = defect[worst] <= threshold
-    witnesses = ()
-    if not passed:
-        node = np.unravel_index(worst, field.grid.counts)
-        witnesses = ({"node": tuple(int(i) for i in node),
-                      "x": field.grid.node_coords()[node],
-                      "value": float(field.values[node]),
-                      "defect": float(defect[worst])},)
-    return VerificationReport("fixed_point", bool(passed), stats, witnesses)
-
-
 def _cmd_verify(cfg, args):
     system = _make_system(cfg)
     grid = _make_grid(cfg, system)
@@ -461,7 +393,8 @@ def _cmd_verify(cfg, args):
                 "invariants", not problems, {"problems": len(problems)},
                 tuple({"problem": p} for p in problems)))
         elif name == "fixed_point":
-            reports.append(_check_fixed_point(system, field, cfg))
+            reports.append(check_fixed_point(
+                system, field, cfg["dt"], cfg["tol"], bool(cfg["rk4_feet"])))
         elif name == "residual":
             reports.append(residual_stats(system, field))
         elif name == "decrease":
@@ -536,7 +469,7 @@ def _cmd_synthesize(cfg, args):
         meta = dict(field.metadata)
         meta["converged"] = True
         field = field.with_values(field.values, metadata=meta)
-    x0 = np.array(_floats(args.x0, "x0"))
+    x0 = np.array(_numbers(args.x0, "x0", float))
     schedule, report = synthesize_epsilon_optimal(
         system, field, x0, cfg["epsilon"], args.m,
         switch_dt=cfg["switch_dt"])
@@ -587,9 +520,7 @@ def _cmd_demo(cfg, args):
         system = builtin(name)
         n = system.n_state
         grid = Grid([-half] * n, [half] * n, [nodes] * n)
-        field = solve_zubov(system, grid,
-                            SolverSettings(dt=0.05, tol=1e-6, max_iters=2000,
-                                           threads=_threads(cfg)))
+        field = solve_zubov(system, grid)  # dt 0.05, tol 1e-6: the defaults
         err = _closed_form_gap(field, name, 0.8)
         good = bool(field.metadata["converged"]) and err <= bound
         all_ok &= good
@@ -646,7 +577,8 @@ def _build_parser():
     g.add_argument("--rho", type=float, help="oracle tail-certificate radius")
     g.add_argument("--seed", type=int, help="sampling seed for verify")
     g.add_argument("--threads", type=int,
-                   help="worker threads; 0 = every available core")
+                   help="accepted for compatibility; the solver runs on "
+                        "one thread and its results never depend on this")
     g.add_argument("--out", metavar="DIR", help="output directory")
     g.add_argument("--epsilon", type=float,
                    help="doa level gap / synthesis tolerance")
@@ -706,6 +638,12 @@ def main(argv=None):
     except SynthesisError as exc:
         print("synthesis failed: %s" % exc, file=sys.stderr)
         return 4
+    except ExprError as exc:
+        print("expression error: %s" % exc, file=sys.stderr)
+        return 1
+    except TrajectoryError as exc:
+        print("trajectory error: %s" % exc, file=sys.stderr)
+        return 1
     except (ConfigError, ValidationError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 1

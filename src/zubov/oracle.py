@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .expressions import EvalDomainError
 from .solver import interpolate
 from .systems import ConfigError
 from .trajectories import ControlSchedule, TrajectoryError, integrate, rk4_step
@@ -281,8 +282,8 @@ def falsify_quasistability(system, region, budget=256, *, seed=7,
                                  for i in picks])
         try:
             rec = integrate(system, x0, sched, dt)
-        except TrajectoryError:
-            continue
+        except (TrajectoryError, EvalDomainError):
+            continue  # the state escaped; an expression may say so first
         final = float(np.linalg.norm(rec.final_state))
         if rec.total_cost < 1e-3 and final >= 1e-2:
             return Counterexample(x0, sched, rec.total_cost, final,

@@ -14,18 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .systems import ConfigError, Grid
-
-
-def _shell(counts):
-    ring = np.zeros(counts, dtype=bool)
-    for k in range(len(counts)):
-        sl = [slice(None)] * len(counts)
-        sl[k] = 0
-        ring[tuple(sl)] = True
-        sl[k] = -1
-        ring[tuple(sl)] = True
-    return ring
+from .systems import ConfigError, Grid, _grid_header, _read_grid_csv
 
 
 @dataclass(frozen=True)
@@ -68,7 +57,7 @@ def extract_doa(field, epsilon=0.01):
                           "epsilon" % field.origin_value())
     labels, _ = ndimage.label(field.values < 1.0 - epsilon)
     inside = labels == labels[grid.origin_index]
-    touches = bool(np.any(inside & _shell(tuple(grid.counts))))
+    touches = bool(np.any(inside & ~grid.interior()))
     return DoaMask(grid, inside, float(epsilon), touches)
 
 
@@ -210,11 +199,7 @@ def region_distance(mask, reference):
 def save_mask(mask, path):
     """Header (n, counts, lo, hi, epsilon), then node rows i1..iN, 0/1."""
     grid = mask.grid
-    head = [str(grid.n_axes)]
-    head += [str(int(c)) for c in grid.counts]
-    head += ["%.17g" % x for x in grid.lo]
-    head += ["%.17g" % x for x in grid.hi]
-    head += ["%.17g" % mask.epsilon]
+    head = _grid_header(grid) + ["%.17g" % mask.epsilon]
     idx = np.indices(tuple(grid.counts)).reshape(grid.n_axes, -1).T
     flags = mask.inside.reshape(-1)
     with open(path, "w") as fh:
@@ -224,25 +209,10 @@ def save_mask(mask, path):
 
 
 def load_mask(path):
-    with open(path) as fh:
-        head = fh.readline().strip().split(",")
-        try:
-            n = int(head[0])
-            counts = [int(c) for c in head[1:1 + n]]
-            lo = [float(x) for x in head[1 + n:1 + 2 * n]]
-            hi = [float(x) for x in head[1 + 2 * n:1 + 3 * n]]
-            epsilon = float(head[1 + 3 * n])
-        except (ValueError, IndexError):
-            raise ConfigError("unreadable mask header in %s" % path) from None
-        grid = Grid(lo, hi, counts)
-        inside = np.zeros(tuple(counts), dtype=bool)
-        for line in fh:
-            parts = line.strip().split(",")
-            if len(parts) != n + 1:
-                raise ConfigError("mask row wants %d fields, got %d"
-                                  % (n + 1, len(parts)))
-            inside[tuple(int(p) for p in parts[:n])] = parts[n] == "1"
-    touches = bool(np.any(inside & _shell(tuple(grid.counts))))
+    grid, epsilon, rows = _read_grid_csv(path, "mask", lambda n: n + 1,
+                                         float)
+    inside = (rows[:, -1] == 1.0).reshape(tuple(grid.counts))
+    touches = bool(np.any(inside & ~grid.interior()))
     return DoaMask(grid, inside, epsilon, touches)
 
 

@@ -1,33 +1,43 @@
 """Semi-Lagrangian value iteration for the grid dynamic-programming fixed point.
 
-Two flavours share one sweep skeleton:
+For each fixed control the Bellman operator is linear in the field, so it is
+built once per solve as a BellmanOperator: one stacked CSR matrix C of shape
+K*N x N (K controls, N nodes) plus an offset vector c.  Row k*N + i holds
+control k's multilinear stencil at the foot of node i, scaled by that row's
+discount; a foot outside the box leaves its row empty and the offset carries
+the exterior term.  A sweep is one sparse product and one reduction over
+controls, opt_k(c_k + C_k x).
 
-  * solve_zubov — Kružkov-transformed maximal cost.  Update at node x_i:
-        v <- max_a 1 - beta * max(1 - I[v](y_a), 0),
+  * solve_zubov — Kružkov-transformed maximal cost.  The update
+        v <- max_a 1 - beta * (1 - I[v](y_a))
+    is iterated on the complement u = 1 - v, starting from u ≡ 1:
+        u <- min(1, min_a beta * I[u](y_a)),
     with y_a the foot of the characteristic from x_i under control a and
-    beta = exp(-int g) along it.  By default y_a and int g come from one
+    beta = exp(-int g) along it; an exterior foot contributes
+    beta * (1 - exterior_value).  By default y_a and int g come from one
     RK4 step of length dt; `rk4_feet=False` selects Euler feet
     y_a = x_i + dt f(x_i,a) with beta = exp(-dt g(x_i,a)).  Values live in
-    [0, 1] exactly: beta lies in (0, 1], and capping 1 - I[v] at 0 absorbs
-    the ulp by which the multilinear interpolant can overshoot 1.  Points
-    whose foot leaves the box read `exterior_value` (default 1: "outside
-    the robust domain").
+    [0, 1] exactly: every term of u is nonnegative, and the cap at 1
+    absorbs the ulp by which the multilinear weights can sum above 1.
+    `exterior_value` defaults to 1: "outside the robust domain".
 
   * solve_hjbe — raw running cost with discount rate h:
         v <- opt_a dt*ell*exp(-dt h/2) + exp(-dt h) * I[v](foot),
     opt = min or max per the system's mode.
 
 Sweeps are Jacobi (double-buffered): every node reads the previous buffer,
-so results are bitwise reproducible no matter how the sweep is scheduled.
-Iteration starts from v ≡ 0 and, in Kružkov mode, increases monotonically.
+so results are bitwise reproducible.  Iteration starts from v ≡ 0 and, in
+Kružkov mode, increases monotonically.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import time
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -43,7 +53,10 @@ class SolverSettings:
     exterior_value: float | None = None  # None: 1 in Kružkov mode, else 0
     pin_origin: bool = True
     rk4_feet: bool = True  # RK4 feet + integrated step costs; False: Euler
-    threads: int = 1  # accepted for interface compat; sweeps are vectorized
+    # accepted and ignored: a sweep is one single-threaded sparse product
+    # (row-blocked threads gained nothing measurable), so results never
+    # depend on it
+    threads: int = 1
 
     def __post_init__(self):
         if not self.dt > 0.0:
@@ -54,17 +67,6 @@ class SolverSettings:
             raise ConfigError("max_iters must be at least 1")
         if self.threads < 1:
             raise ConfigError("threads must be at least 1")
-
-
-class _FootTable:
-    """Per-control interpolation stencil: which nodes each foot point reads."""
-
-    __slots__ = ("inside", "idx", "w")
-
-    def __init__(self, inside, idx, w):
-        self.inside = inside
-        self.idx = idx
-        self.w = w
 
 
 def _foot_points(system, nodes, a, dt, rk4_feet):
@@ -83,12 +85,16 @@ def _foot_points(system, nodes, a, dt, rk4_feet):
     return z1[..., : system.n_state], z1[..., system.n_state:]
 
 
-def _stencil(grid, feet):
-    """Multilinear weights/indices of each foot point; exterior feet flagged."""
+def _stencil(grid, feet, idx=None, w=None):
+    """Multilinear stencil of each foot point: ``(inside, idx, w)``.
+
+    Row i of ``idx``/``w`` (shape (len(feet), 2**n)) lists the flat node
+    indices and weights foot i reads; exterior feet are flagged, not
+    dropped.  Pass preallocated ``idx``/``w`` to have them filled in place.
+    """
     n = grid.n_axes
     inside = np.ones(feet.shape[0], dtype=bool)
-    base = []
-    frac = []
+    base, frac = [], []
     for k in range(n):
         ax = feet[:, k]
         inside &= (ax >= grid.lo[k]) & (ax <= grid.hi[k])
@@ -96,12 +102,11 @@ def _stencil(grid, feet):
         cell = np.clip(np.floor(u).astype(np.int64), 0, grid.counts[k] - 2)
         base.append(cell)
         frac.append(np.clip(u - cell, 0.0, 1.0))
-    strides = np.ones(n, dtype=np.int64)
-    for k in range(n - 2, -1, -1):
-        strides[k] = strides[k + 1] * grid.counts[k + 1]
+    strides = np.cumprod([1, *grid.counts[:0:-1]])[::-1]
     corners = list(itertools.product((0, 1), repeat=n))
-    idx = np.empty((feet.shape[0], len(corners)), dtype=np.int64)
-    w = np.empty((feet.shape[0], len(corners)))
+    if idx is None:
+        idx = np.empty((feet.shape[0], len(corners)), dtype=np.int64)
+        w = np.empty((feet.shape[0], len(corners)))
     for j, corner in enumerate(corners):
         flat = np.zeros(feet.shape[0], dtype=np.int64)
         weight = np.ones(feet.shape[0])
@@ -110,39 +115,128 @@ def _stencil(grid, feet):
             weight = weight * (frac[k] if bit else 1.0 - frac[k])
         idx[:, j] = flat
         w[:, j] = weight
-    return _FootTable(inside, idx, w)
+    return inside, idx, w
 
 
-def _apply(table, v_flat, exterior):
-    vals = np.einsum("ij,ij->i", v_flat[table.idx], table.w)
-    return np.where(table.inside, vals, exterior)
+class BellmanOperator:
+    """x -> opt_k(c_k + C_k x), optionally capped, for K stacked controls.
 
-
-def kruzhkov_update(beta, interpolated):
-    """One control's Kružkov candidate 1 - beta * max(1 - I[v], 0).
-
-    Equal to (1 - beta) + beta * I[v] in exact arithmetic, but never above 1
-    in floating point, even where the interpolant overshoots 1 by an ulp.
+    ``matrix`` is the K*N x N CSR matrix C, ``offset`` the length-K*N
+    vector c; ``opt`` is np.minimum or np.maximum.
     """
-    return 1.0 - beta * np.maximum(1.0 - interpolated, 0.0)
+
+    def __init__(self, matrix, offset, opt, cap=None):
+        self.matrix = matrix
+        self.offset = offset
+        self.opt = opt
+        self.cap = cap
+        self.n_nodes = matrix.shape[1]
+
+    def __call__(self, x):
+        y = self.matrix @ x
+        y += self.offset
+        out = self.opt.reduce(y.reshape(-1, self.n_nodes), axis=0)
+        if self.cap is not None:
+            np.minimum(out, self.cap, out=out)
+        return out
 
 
-def _origin_flat(grid):
-    return int(np.ravel_multi_index(grid.origin_index, tuple(grid.counts)))
+def _assemble(system, grid, rows, x_exterior, opt, cap=None):
+    """Stack the controls' rows into one BellmanOperator.
+
+    ``rows(a, nodes)`` returns ``(feet, scale, cost)`` for control a: row i
+    reads ``cost[i] + scale[i] * I[x](feet[i])``, where I[x] is
+    ``x_exterior`` at a foot outside the box.
+    """
+    if grid.n_axes != system.n_state:
+        raise ConfigError("grid dimension %d, system wants %d"
+                          % (grid.n_axes, system.n_state))
+    nodes = grid.node_coords().reshape(-1, grid.n_axes)
+    n_nodes, width = nodes.shape[0], 2 ** grid.n_axes
+    n_rows = system.control.size * n_nodes
+    itype = np.int32 if n_rows * width < 2 ** 31 else np.int64
+    # sized for every foot inside; the pages exterior rows leave unused are
+    # never touched, so they cost address space only
+    data = np.empty(n_rows * width)
+    indices = np.empty(n_rows * width, dtype=itype)
+    row_nnz = np.empty(n_rows, dtype=itype)
+    offset = np.empty(n_rows)
+    idx = np.empty((n_nodes, width), dtype=itype)
+    w = np.empty((n_nodes, width))
+    nnz = 0
+    for k, a in enumerate(system.control.points):
+        feet, scale, cost = rows(a, nodes)
+        scale = np.broadcast_to(scale, (n_nodes,))
+        inside, _, _ = _stencil(grid, feet, idx, w)
+        w *= scale[:, None]
+        span = slice(k * n_nodes, (k + 1) * n_nodes)
+        row_nnz[span] = np.where(inside, width, 0)
+        offset[span] = cost + np.where(inside, 0.0, scale * x_exterior)
+        end = nnz + width * int(np.count_nonzero(inside))
+        indices[nnz:end] = idx[inside].reshape(-1)
+        data[nnz:end] = w[inside].reshape(-1)
+        nnz = end
+    from scipy import sparse  # loaded by the first solve, not on import
+
+    indptr = np.zeros(n_rows + 1, dtype=itype)
+    np.cumsum(row_nnz, out=indptr[1:])
+    matrix = sparse.csr_array((data[:nnz], indices[:nnz], indptr),
+                              shape=(n_rows, n_nodes))
+    return BellmanOperator(matrix, offset, opt, cap)
 
 
-def _sweep_loop(grid, update, settings, v0):
-    v = v0
-    origin = _origin_flat(grid)
+def zubov_operator(system, grid, dt, rk4_feet, exterior):
+    """The Kružkov operator on the complement u = 1 - v (module docstring)."""
+    if not 0.0 <= exterior <= 1.0:
+        raise ConfigError("exterior_value must lie in [0,1] in Kružkov mode")
+
+    def rows(a, nodes):
+        gv = np.asarray(system.g(nodes, a), dtype=float)
+        if gv.min() < -1e-9:
+            raise ConfigError("g < 0 on the grid (min %.3g); the maximal-cost "
+                              "route needs g >= 0" % gv.min())
+        feet, slots = _foot_points(system, nodes, a, dt, rk4_feet)
+        g_step = dt * gv if slots is None else slots[:, 1]
+        return feet, np.exp(-np.maximum(g_step, 0.0)), 0.0
+
+    return _assemble(system, grid, rows, 1.0 - exterior, np.minimum, cap=1.0)
+
+
+def hjbe_operator(system, grid, dt, rk4_feet, exterior):
+    """The raw discounted-cost operator on v; opt follows system.mode."""
+    ell = system.ell if system.ell is not None else system.g
+
+    def rows(a, nodes):
+        feet, slots = _foot_points(system, nodes, a, dt, rk4_feet)
+        if slots is not None:
+            return feet, np.exp(-slots[:, 2]), slots[:, 0]
+        lv = np.asarray(ell(nodes, a), dtype=float)
+        hv = (np.asarray(system.h(nodes, a), dtype=float)
+              if system.h is not None else np.zeros(nodes.shape[0]))
+        # midpoint discount weight on the one-point stage cost
+        return feet, np.exp(-dt * hv), dt * lv * np.exp(-0.5 * dt * hv)
+
+    pick = np.minimum if system.mode == "minimize" else np.maximum
+    return _assemble(system, grid, rows, exterior, pick)
+
+
+def _iterate(build, grid, settings, start, scheme, exterior):
+    """Build the operator and sweep it from x ≡ start (the origin pinned
+    there) to tolerance; returns x and the field metadata."""
+    started = time.perf_counter()
+    op = build()
+    built = time.perf_counter()
+    x = np.full(grid.n_nodes, start)
+    origin = int(np.ravel_multi_index(grid.origin_index, tuple(grid.counts)))
     converged = False
     change = math.inf
     it = 0
     for it in range(1, settings.max_iters + 1):
-        nxt = update(v)
+        nxt = op(x)
         if settings.pin_origin:
-            nxt[origin] = 0.0
-        change = float(np.max(np.abs(nxt - v)))
-        v = nxt
+            nxt[origin] = start
+        change = float(np.max(np.abs(nxt - x)))
+        x = nxt
         if change < settings.tol:
             converged = True
             break
@@ -150,22 +244,14 @@ def _sweep_loop(grid, update, settings, v0):
         warnings.warn("value iteration hit max_iters=%d with sup-change "
                       "%.3e >= tol %.3e" % (settings.max_iters, change,
                                             settings.tol))
-    return v, it, change, converged
-
-
-def _field_metadata(settings, scheme, exterior, iterations, change, converged):
-    return {
-        "scheme": scheme,
-        "dt": settings.dt,
-        "tol": settings.tol,
-        "max_iters": settings.max_iters,
-        "exterior_value": exterior,
-        "pin_origin": settings.pin_origin,
-        "rk4_feet": settings.rk4_feet,
-        "iterations": iterations,
-        "final_change": change,
-        "converged": converged,
-    }
+    meta = asdict(settings)
+    del meta["threads"]  # accepted, but nothing depends on it
+    meta.update(scheme=scheme, exterior_value=exterior, iterations=it,
+                final_change=change, converged=converged,
+                operator_nnz=int(op.matrix.nnz),
+                phase_seconds={"build": built - started,
+                               "sweeps": time.perf_counter() - built})
+    return x, meta
 
 
 def solve_zubov(system, grid, settings=None):
@@ -174,36 +260,13 @@ def solve_zubov(system, grid, settings=None):
     if system.mode != "maximize":
         raise ConfigError("solve_zubov wants a maximize-mode system; "
                           "use solve_hjbe for least-cost problems")
-    if grid.n_axes != system.n_state:
-        raise ConfigError("grid dimension %d, system wants %d"
-                          % (grid.n_axes, system.n_state))
-    exterior = 1.0 if settings.exterior_value is None else settings.exterior_value
-    if not 0.0 <= exterior <= 1.0:
-        raise ConfigError("exterior_value must lie in [0,1] in Kružkov mode")
-    dt = settings.dt
-    nodes = grid.node_coords().reshape(-1, grid.n_axes)
-    tables = []
-    for a in system.control.points:
-        gv = np.asarray(system.g(nodes, a), dtype=float)
-        if gv.min() < -1e-9:
-            raise ConfigError("g < 0 on the grid (min %.3g); the maximal-cost "
-                              "route needs g >= 0" % gv.min())
-        feet, slots = _foot_points(system, nodes, a, dt, settings.rk4_feet)
-        g_step = dt * gv if slots is None else slots[:, 1]
-        beta = np.exp(-np.maximum(g_step, 0.0))
-        tables.append((beta, _stencil(grid, feet)))
-
-    def update(v):
-        best = None
-        for beta, table in tables:
-            cand = kruzhkov_update(beta, _apply(table, v, exterior))
-            best = cand if best is None else np.maximum(best, cand)
-        return best
-
-    v, it, change, ok = _sweep_loop(grid, update, settings,
-                                    np.zeros(nodes.shape[0]))
-    meta = _field_metadata(settings, "zubov", exterior, it, change, ok)
-    return ValueField(grid, v.reshape(tuple(grid.counts)), "kruzhkov", meta)
+    exterior = 1.0 if settings.exterior_value is None \
+        else settings.exterior_value
+    build = functools.partial(zubov_operator, system, grid, settings.dt,
+                              settings.rk4_feet, exterior)
+    u, meta = _iterate(build, grid, settings, 1.0, "zubov", exterior)
+    return ValueField(grid, (1.0 - u).reshape(tuple(grid.counts)),
+                      "kruzhkov", meta)
 
 
 def solve_hjbe(system, grid, settings=None):
@@ -212,38 +275,11 @@ def solve_hjbe(system, grid, settings=None):
     if system.guard is None:
         raise ConfigError("solve_hjbe needs a declared convergence guard "
                           "(nonneg_ell / nonpos_ell / case_a / case_b)")
-    if grid.n_axes != system.n_state:
-        raise ConfigError("grid dimension %d, system wants %d"
-                          % (grid.n_axes, system.n_state))
-    exterior = 0.0 if settings.exterior_value is None else settings.exterior_value
-    dt = settings.dt
-    nodes = grid.node_coords().reshape(-1, grid.n_axes)
-    ell = system.ell if system.ell is not None else system.g
-    tables = []
-    for a in system.control.points:
-        feet, slots = _foot_points(system, nodes, a, dt, settings.rk4_feet)
-        if slots is None:
-            lv = np.asarray(ell(nodes, a), dtype=float)
-            hv = (np.asarray(system.h(nodes, a), dtype=float)
-                  if system.h is not None else np.zeros(nodes.shape[0]))
-            cost = dt * lv * np.exp(-0.5 * dt * hv)  # midpoint discount weight
-            gamma = np.exp(-dt * hv)
-        else:
-            cost = slots[:, 0]
-            gamma = np.exp(-slots[:, 2])
-        tables.append((cost, gamma, _stencil(grid, feet)))
-    pick = np.minimum if system.mode == "minimize" else np.maximum
-
-    def update(v):
-        best = None
-        for cost, gamma, table in tables:
-            cand = cost + gamma * _apply(table, v, exterior)
-            best = cand if best is None else pick(best, cand)
-        return best
-
-    v, it, change, ok = _sweep_loop(grid, update, settings,
-                                    np.zeros(nodes.shape[0]))
-    meta = _field_metadata(settings, "hjbe", exterior, it, change, ok)
+    exterior = 0.0 if settings.exterior_value is None \
+        else settings.exterior_value
+    build = functools.partial(hjbe_operator, system, grid, settings.dt,
+                              settings.rk4_feet, exterior)
+    v, meta = _iterate(build, grid, settings, 0.0, "hjbe", exterior)
     return ValueField(grid, v.reshape(tuple(grid.counts)), "raw", meta)
 
 
@@ -281,6 +317,7 @@ def interpolate(field, x, exterior=None):
     if pts.shape[-1] != field.grid.n_axes:
         raise ConfigError("point dimension %d, grid wants %d"
                           % (pts.shape[-1], field.grid.n_axes))
-    table = _stencil(field.grid, pts)
-    out = _apply(table, field.values.reshape(-1), exterior)
+    inside, idx, w = _stencil(field.grid, pts)
+    vals = np.einsum("ij,ij->i", field.values.reshape(-1)[idx], w)
+    out = np.where(inside, vals, exterior)
     return float(out[0]) if np.ndim(x) == 1 else out

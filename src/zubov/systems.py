@@ -16,6 +16,7 @@ third needs a smooth cutoff, none of which the expression grammar covers).
 from __future__ import annotations
 
 import itertools
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,6 +185,12 @@ class Grid:
         mesh = np.meshgrid(*self.axes, indexing="ij")
         return np.stack(mesh, axis=-1)
 
+    def interior(self, cells=1):
+        """Mask of the nodes at least `cells` nodes from every box face."""
+        keep = np.zeros(tuple(self.counts), dtype=bool)
+        keep[tuple(slice(cells, c - cells) for c in self.counts)] = True
+        return keep
+
     def same_layout(self, other):
         return (self.n_axes == other.n_axes
                 and np.array_equal(self.counts, other.counts)
@@ -238,15 +245,60 @@ class ValueField:
                           metadata if metadata is not None else self.metadata)
 
 
+def _grid_header(grid):
+    """Header tokens n, counts, lo, hi shared by the field and mask CSVs."""
+    return ([str(grid.n_axes)] + [str(int(c)) for c in grid.counts]
+            + ["%.17g" % v for v in grid.lo] + ["%.17g" % v for v in grid.hi])
+
+
+def _read_grid_csv(path, what, width, read_tail=str):
+    """Parse a grid CSV: the grid, the header token after it (read by
+    ``read_tail``) and the body rows in flat node order.  Every row must have
+    ``width(n)`` columns and every node must appear exactly once, or
+    ConfigError says what is off."""
+    with open(path) as fh:
+        head = fh.readline().strip().split(",")
+        try:
+            n = int(head[0])
+            grid = Grid([float(v) for v in head[1 + n:1 + 2 * n]],
+                        [float(v) for v in head[1 + 2 * n:1 + 3 * n]],
+                        [int(c) for c in head[1:1 + n]])
+            tail = read_tail(head[1 + 3 * n])
+        except (IndexError, ValueError) as err:
+            raise ConfigError("malformed %s header: %s" % (what, err)) from None
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # an empty body warns
+                rows = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as err:
+            raise ConfigError("malformed %s row: %s" % (what, err)) from None
+    if rows.shape[0] != grid.n_nodes:
+        raise ConfigError("%s file has %d rows for %d nodes"
+                          % (what, rows.shape[0], grid.n_nodes))
+    if rows.shape[1] != width(n):
+        raise ConfigError("%s rows have %d columns, %d axes want %d"
+                          % (what, rows.shape[1], n, width(n)))
+    ijk = rows[:, :n]
+    if np.any(ijk != np.rint(ijk)) or np.any(ijk < 0) \
+            or np.any(ijk >= grid.counts):
+        raise ConfigError("%s file names a node index that is not an "
+                          "integer inside the grid's counts" % what)
+    flat = np.ravel_multi_index(tuple(ijk.T.astype(np.intp)),
+                                tuple(grid.counts))
+    seen = np.bincount(flat, minlength=grid.n_nodes)
+    if np.any(seen != 1):
+        raise ConfigError("%s file has %d node(s) duplicated and as many "
+                          "missing" % (what, np.count_nonzero(seen == 0)))
+    ordered = np.empty_like(rows)
+    ordered[flat] = rows
+    return grid, tail, ordered
+
+
 def save_field(field, path):
     """CSV: header (n_axes, counts, lo, hi, transform), then one node row
     i1..iN, x1..xN, value with 17 significant digits (bit-exact reload)."""
     grid = field.grid
-    head = [str(grid.n_axes)]
-    head += [str(int(c)) for c in grid.counts]
-    head += ["%.17g" % v for v in grid.lo]
-    head += ["%.17g" % v for v in grid.hi]
-    head += [field.transform]
+    head = _grid_header(grid) + [field.transform]
     idx = np.indices(tuple(grid.counts)).reshape(grid.n_axes, -1).T
     coords = field.grid.node_coords().reshape(-1, grid.n_axes)
     vals = field.values.reshape(-1)
@@ -259,28 +311,17 @@ def save_field(field, path):
 
 
 def load_field(path):
-    with open(path) as fh:
-        head = fh.readline().strip().split(",")
-        try:
-            n = int(head[0])
-            counts = [int(c) for c in head[1:1 + n]]
-            lo = [float(v) for v in head[1 + n:1 + 2 * n]]
-            hi = [float(v) for v in head[1 + 2 * n:1 + 3 * n]]
-            transform = head[1 + 3 * n]
-        except (IndexError, ValueError) as err:
-            raise ConfigError("malformed field header: %s" % err) from None
-        grid = Grid(lo, hi, counts)
-        values = np.empty(tuple(counts))
-        count = 0
-        for line in fh:
-            parts = line.split(",")
-            ijk = tuple(int(p) for p in parts[:n])
-            values[ijk] = float(parts[2 * n])
-            count += 1
-        if count != grid.n_nodes:
-            raise ConfigError("field file has %d rows, grid wants %d"
-                              % (count, grid.n_nodes))
-    return ValueField(grid, values, transform)
+    """Read a save_field CSV; a row whose coordinates are off the node its
+    index names is rejected like a missing or duplicated one."""
+    grid, transform, rows = _read_grid_csv(path, "field",
+                                           lambda n: 2 * n + 1)
+    n = grid.n_axes
+    nodes = grid.node_coords().reshape(-1, n)
+    if np.any(np.abs(rows[:, n:2 * n] - nodes) > 1e-3 * grid.dx):
+        raise ConfigError("field file has coordinates off the grid node "
+                          "their index names")
+    return ValueField(grid, rows[:, 2 * n].reshape(tuple(grid.counts)),
+                      transform)
 
 
 # --- system definition ------------------------------------------------------

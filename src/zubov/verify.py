@@ -7,6 +7,8 @@ route the solver itself never uses: PDE residuals by central differences,
 one-shot DPP consistency against RK4 trajectories, monotone decrease along
 random integrated schedules, one-sided comparison against constructed
 sub/super candidates, growth toward the domain boundary, and slope probes.
+The fixed-point re-check is the one exception: it applies the solver's own
+operator once, so it measures the distance to the discrete fixed point.
 
 Every check returns a VerificationReport; failures carry replayable
 witnesses (node indices, sample points and the exact schedule used), never
@@ -24,7 +26,7 @@ import numpy as np
 from scipy import ndimage
 
 from .oracle import _check_budget, _enumerate
-from .solver import interpolate
+from .solver import interpolate, zubov_operator
 from .systems import ConfigError, closed_form_value
 from .trajectories import ControlSchedule, integrate
 
@@ -53,27 +55,36 @@ def _as_mask(mask, grid):
     return arr
 
 
-def _interior(grid):
-    keep = np.ones(tuple(grid.counts), dtype=bool)
-    for k in range(grid.n_axes):
-        sl = [slice(None)] * grid.n_axes
-        sl[k] = 0
-        keep[tuple(sl)] = False
-        sl[k] = -1
-        keep[tuple(sl)] = False
-    return keep
-
-
-def _deep_interior(grid, cells):
-    """Nodes at least `cells` nodes away from the grid box faces."""
-    keep = np.ones(tuple(grid.counts), dtype=bool)
-    for k in range(grid.n_axes):
-        sl = [slice(None)] * grid.n_axes
-        sl[k] = slice(0, cells)
-        keep[tuple(sl)] = False
-        sl[k] = slice(-cells, None)
-        keep[tuple(sl)] = False
-    return keep
+def check_fixed_point(system, field, dt=0.05, tol=1e-6, rk4_feet=True):
+    """Apply the field's own Bellman operator once; fail where |T v - v|
+    exceeds 10 tol.  An edited or swapped node sticks out by about the size
+    of the edit, which residual statistics and sampled trajectories miss.
+    dt, tol, feet mode and exterior value come from the field's metadata;
+    the arguments stand in for what it does not record.
+    """
+    if field.transform != "kruzhkov":
+        raise ConfigError("fixed-point check wants a kruzhkov field")
+    meta, grid = field.metadata, field.grid
+    dt = float(meta.get("dt", dt))
+    threshold = 10.0 * float(meta.get("tol", tol))
+    u = 1.0 - field.values.reshape(-1)  # the operator acts on 1 - v
+    moved = zubov_operator(system, grid, dt,
+                           bool(meta.get("rk4_feet", rk4_feet)),
+                           float(meta.get("exterior_value", 1.0)))(u)
+    moved[np.ravel_multi_index(grid.origin_index, grid.counts)] = 1.0
+    defect = np.abs(moved - u)
+    worst = int(np.argmax(defect))
+    stats = {"max_defect": float(defect[worst]), "threshold": threshold,
+             "dt": dt}
+    passed = defect[worst] <= threshold
+    witnesses = ()
+    if not passed:
+        node = np.unravel_index(worst, grid.counts)
+        witnesses = ({"node": tuple(int(i) for i in node),
+                      "x": grid.node_coords()[node],
+                      "value": float(field.values[node]),
+                      "defect": float(defect[worst])},)
+    return VerificationReport("fixed_point", bool(passed), stats, witnesses)
 
 
 def _inf_residual(system, field):
@@ -122,7 +133,7 @@ def residual_stats(system, field, mask=None, *, eps0=0.01,
                           % (field.grid.n_axes, system.n_state))
     grid = field.grid
     residual = _inf_residual(system, field)
-    keep = _interior(grid)
+    keep = grid.interior()
     keep &= ~_level_band(field.values, 1.0 - eps0, _KINK_CELLS)
     if mask is not None:
         keep &= ndimage.binary_erosion(_as_mask(mask, grid),
@@ -269,7 +280,7 @@ def sandwich_check(system, reference, candidate, role, tol):
     if reference.transform != "kruzhkov" or candidate.transform != "kruzhkov":
         raise ConfigError("sandwich_check wants kruzhkov fields")
     grid = reference.grid
-    boundary = ~_interior(grid)
+    boundary = ~grid.interior()
     edge = candidate.values[boundary]
     if role == "sub":
         if np.max(np.abs(edge - 1.0)) > 1e-9:
@@ -277,14 +288,14 @@ def sandwich_check(system, reference, candidate, role, tol):
     elif np.min(edge) < 1.0 - 1e-9:
         raise ConfigError("sup candidate must be >= 1 on the boundary")
 
-    inner = _interior(grid)
+    inner = grid.interior()
     diff = candidate.values - reference.values
     value_bad = (diff > tol) if role == "sub" else (diff < -tol)
     value_bad &= inner
 
     saturated = np.isin(candidate.values, (0.0, 1.0)) \
         | np.isin(reference.values, (0.0, 1.0))
-    zone = _deep_interior(grid, 2) & ~ndimage.binary_dilation(
+    zone = grid.interior(2) & ~ndimage.binary_dilation(
         saturated, iterations=_KINK_CELLS)
     delta_res = (_inf_residual(system, candidate)
                  - _inf_residual(system, reference))
@@ -324,7 +335,7 @@ def check_boundary_blowup(system, field, mask, cap=10.0):
     inside = _as_mask(mask, grid)
     if not inside[grid.origin_index]:
         raise ConfigError("mask must contain the origin")
-    if np.any(inside & ~_interior(grid)):
+    if np.any(inside & ~grid.interior()):
         note = ("mask touches the grid box; the box does not contain the "
                 "domain boundary, check skipped")
         warnings.warn(note)

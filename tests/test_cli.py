@@ -52,6 +52,13 @@ class TestSolve:
         assert rc == 2
         assert read_meta(tmp_path)["result"]["converged"] is False
 
+    def test_operator_trace_goes_under_result(self, run_dir):
+        meta = read_meta(run_dir)
+        assert meta["result"]["operator_nnz"] > 0
+        assert sorted(meta["result"]["phase_seconds"]) == ["build", "sweeps"]
+        assert "operator_nnz" not in meta["config"]
+        assert "phase_seconds" not in meta["config"]
+
     def test_missing_config_exits_1(self, tmp_path):
         rc = main(["solve", "--config", str(tmp_path / "missing.json")])
         assert rc == 1
@@ -212,6 +219,24 @@ class TestOracle:
             outs.append((out / "bounds.csv").read_bytes())
         assert outs[0] == outs[1]
 
+    def test_expression_error_exits_1(self, tmp_path, capsys):
+        # lift2d written as expressions: from (1.5, 1.5) the state escapes
+        # to overflow and the compiled f raises before any bracket exists
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"system": {
+            "name": "lift2d-json", "n": 2,
+            "f": ["-x1 + a1*x1^2", "-x2 + a1*x2^2"], "g": "x1^2 + x2^2",
+            "control": {"box": {"lo": [-1.0], "hi": [1.0], "counts": [3]}},
+            "ules": {"C": 1.0, "sigma": 0.5, "r": 0.5},
+            "growth": {"C_tilde": 1.0, "lambda": 2.0}}}))
+        pts = tmp_path / "pts.csv"
+        pts.write_text("1.5,1.5\n")
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main(["oracle", "--config", str(cfg),
+                       "--out", str(tmp_path / "out"), str(pts)])
+        assert rc == 1
+        assert "non-finite" in capsys.readouterr().err
+
     def test_malformed_points_exit_1(self, tmp_path):
         pts = tmp_path / "pts.csv"
         pts.write_text("0.5,abc\n")
@@ -318,6 +343,16 @@ class TestDoa:
         assert first == last  # closed
         extent = max(max(abs(float(r[2])), abs(float(r[3]))) for r in rows)
         assert 0.85 <= extent <= 1.1  # hugs the unit square
+
+    def test_corrupted_field_exits_1(self, run_dir, tmp_path, capsys):
+        rows = (run_dir / "field.csv").read_text().splitlines()
+        rows[4] = rows[3]  # a duplicated node hides a missing one
+        bad = tmp_path / "field.csv"
+        bad.write_text("\n".join(rows) + "\n")
+        rc = main(["doa", "--builtin", "lift2d", "--out",
+                   str(tmp_path / "doa"), str(bad)])
+        assert rc == 1
+        assert "config error" in capsys.readouterr().err
 
     def test_epsilon_flag_shrinks_mask(self, run_dir, tmp_path):
         counts = {}

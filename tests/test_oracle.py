@@ -240,6 +240,17 @@ class TestFalsifier:
         rec = integrate(flat, ce.x0, ce.schedule, 0.05)
         assert rec.total_cost == pytest.approx(ce.total_cost, abs=1e-6)
 
+    def test_json_system_escape_is_skipped(self):
+        # outside (-1,1)^2 a schedule can blow up; the compiled expressions
+        # raise EvalDomainError before integrate's finiteness check does
+        lift = load_system({
+            "name": "lift2d-json", "n": 2,
+            "f": ["-x1 + a1*x1^2", "-x2 + a1*x2^2"], "g": "x1^2 + x2^2",
+            "control": {"box": {"lo": [-1.0], "hi": [1.0], "counts": [3]}}})
+        region = Grid([-1.2, -1.2], [1.2, 1.2], [41, 41])
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert falsify_quasistability(lift, region, budget=16) is None
+
     def test_region_dimension_check(self):
         with pytest.raises(ConfigError, match="dimension"):
             falsify_quasistability(builtin("ex1"),

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from zubov.solver import (
     solve_zubov,
 )
 from zubov.systems import ConfigError, Grid, ValueField, builtin, load_system
+from zubov.trajectories import rk4_step
 
 
 def scalar_decay(**patch):
@@ -24,6 +26,121 @@ def scalar_decay(**patch):
     }
     doc.update(patch)
     return load_system(doc)
+
+
+ARCTAN_MIN = {
+    "n": 1, "f": ["-x1"], "g": "abs(x1)/(1 + x1^2)",
+    "ell": "abs(x1)/(1 + x1^2)", "mode": "minimize", "guard": "nonneg_ell",
+}
+
+
+# --- reference sweep ---------------------------------------------------------
+# Per-control gather + einsum value iteration, the scheme the solver ran
+# before it assembled one sparse operator.  It shares no code with
+# zubov.solver, so the operator's fields can be checked against it.
+
+def _ref_stencil(grid, feet):
+    n = grid.n_axes
+    inside = np.ones(feet.shape[0], dtype=bool)
+    base, frac = [], []
+    for k in range(n):
+        ax = feet[:, k]
+        inside &= (ax >= grid.lo[k]) & (ax <= grid.hi[k])
+        u = (ax - grid.lo[k]) / grid.dx[k]
+        cell = np.clip(np.floor(u).astype(np.int64), 0, grid.counts[k] - 2)
+        base.append(cell)
+        frac.append(np.clip(u - cell, 0.0, 1.0))
+    strides = [int(np.prod(grid.counts[k + 1:])) for k in range(n)]
+    idx, w = [], []
+    for corner in itertools.product((0, 1), repeat=n):
+        flat = np.zeros(feet.shape[0], dtype=np.int64)
+        weight = np.ones(feet.shape[0])
+        for k, bit in enumerate(corner):
+            flat += (base[k] + bit) * strides[k]
+            weight = weight * (frac[k] if bit else 1.0 - frac[k])
+        idx.append(flat)
+        w.append(weight)
+    return inside, np.stack(idx, axis=1), np.stack(w, axis=1)
+
+
+def reference_solve(system, grid, settings, raw):
+    """(values, sweeps) of the Kružkov (raw=False) or raw iteration."""
+    nodes = grid.node_coords().reshape(-1, grid.n_axes)
+    n, dt = grid.n_axes, settings.dt
+    exterior = settings.exterior_value
+    if exterior is None:
+        exterior = 0.0 if raw else 1.0
+    ell = system.ell if system.ell is not None else system.g
+    tables = []
+    for a in system.control.points:
+        if settings.rk4_feet:
+            z = rk4_step(system, np.hstack([nodes, np.zeros((len(nodes), 3))]),
+                         a, dt)
+            feet, cost, q, p = z[:, :n], z[:, n], z[:, n + 1], z[:, n + 2]
+        else:
+            feet = nodes + dt * np.asarray(system.f(nodes, a), dtype=float)
+            q = dt * np.asarray(system.g(nodes, a), dtype=float)
+            p = (dt * np.asarray(system.h(nodes, a), dtype=float)
+                 if system.h is not None else np.zeros(len(nodes)))
+            cost = dt * np.asarray(ell(nodes, a), dtype=float) \
+                * np.exp(-0.5 * p)
+        scale = np.exp(-p) if raw else np.exp(-np.maximum(q, 0.0))
+        tables.append((scale, cost, _ref_stencil(grid, feet)))
+    pick = np.minimum if raw and system.mode == "minimize" else np.maximum
+    origin = np.ravel_multi_index(grid.origin_index, tuple(grid.counts))
+    v = np.zeros(len(nodes))
+    for sweep in range(1, settings.max_iters + 1):
+        best = None
+        for scale, cost, (inside, idx, w) in tables:
+            iv = np.where(inside, np.einsum("ij,ij->i", v[idx], w), exterior)
+            cand = (cost + scale * iv if raw
+                    else 1.0 - scale * np.maximum(1.0 - iv, 0.0))
+            best = cand if best is None else pick(best, cand)
+        best[origin] = 0.0
+        change = np.max(np.abs(best - v))
+        v = best
+        if change < settings.tol:
+            break
+    return v.reshape(tuple(grid.counts)), sweep
+
+
+LIFT41 = Grid([-1.2, -1.2], [1.2, 1.2], [41, 41])
+REFERENCE_CASES = {
+    "lift2d-rk4": ("lift2d", LIFT41, {}),
+    "lift2d-euler": ("lift2d", LIFT41, {"rk4_feet": False}),
+    "lift2d-exterior": ("lift2d", LIFT41, {"exterior_value": 0.3}),
+    "ex1-rk4": ("ex1", Grid([-2.0], [2.0], [401]), {}),
+    "ex1-euler": ("ex1", Grid([-2.0], [2.0], [401]), {"rk4_feet": False}),
+    "fuller-rk4": ("fuller", LIFT41, {"dt": 0.02}),
+    "fuller-euler": ("fuller", LIFT41, {"dt": 0.02, "rk4_feet": False}),
+    "fuller-exterior": ("fuller", LIFT41, {"exterior_value": 0.3}),
+    "arctan-json-rk4": (ARCTAN_MIN, Grid([-3.0], [3.0], [601]),
+                        {"dt": 0.01}),
+    "arctan-json-euler": (ARCTAN_MIN, Grid([-3.0], [3.0], [601]),
+                          {"dt": 0.01, "rk4_feet": False}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_operator_matches_reference_sweep(case):
+    name, grid, patch = REFERENCE_CASES[case]
+    system = builtin(name) if isinstance(name, str) else load_system(name)
+    settings = SolverSettings(**patch)
+    raw = system.mode == "minimize"
+    field = (solve_hjbe if raw else solve_zubov)(system, grid, settings)
+    ref, sweeps = reference_solve(system, grid, settings, raw)
+    assert field.metadata["converged"]
+    assert field.metadata["iterations"] == sweeps
+    assert np.abs(field.values - ref).max() <= 1e-12
+
+
+def test_metadata_records_operator_size_and_phases():
+    # every foot of f = -x lands inside the box: two entries per row
+    field = solve_zubov(scalar_decay(), Grid([-1.0], [1.0], [21]))
+    assert field.metadata["operator_nnz"] == 2 * 21
+    phases = field.metadata["phase_seconds"]
+    assert sorted(phases) == ["build", "sweeps"]
+    assert all(t >= 0.0 for t in phases.values())
 
 
 class TestSettings:
@@ -78,6 +195,21 @@ class TestSolveZubov:
             assert field.values.max() <= 1.0
             assert np.all(field.values >= prev - 1e-15)
             prev = field.values
+
+    @pytest.mark.parametrize("name,rk4", [("lift2d", False),
+                                          ("ex1", False), ("ex1", True)])
+    def test_iterates_monotone_in_unit_interval(self, name, rk4):
+        # the iteration on 1 - v starts from v = 0 and may only climb
+        grid = (Grid([-2.0], [2.0], [201]) if name == "ex1"
+                else Grid([-1.2, -1.2], [1.2, 1.2], [41, 41]))
+        prev = np.zeros(tuple(grid.counts))
+        for k in (1, 2, 3, 5, 8, 13):
+            with pytest.warns(UserWarning):
+                v = solve_zubov(builtin(name), grid, SolverSettings(
+                    dt=0.1, max_iters=k, rk4_feet=rk4)).values
+            assert v.min() >= 0.0 and v.max() <= 1.0
+            assert np.all(v >= prev)
+            prev = v
 
     def test_bitwise_determinism(self):
         sys = builtin("lift2d")

@@ -141,6 +141,41 @@ class TestValueField:
         # row: index, coordinate, value
         assert lines[1].split(",") == ["0", "-1", "0"]
 
+    def test_resave_is_byte_identical(self, tmp_path):
+        g = Grid([-1.2, -0.6], [1.2, 0.6], [5, 3])
+        f = ValueField(g, np.random.default_rng(3).random((5, 3)), "kruzhkov")
+        first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+        save_field(f, first)
+        save_field(load_field(first), second)
+        assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize("edit,match", [
+        # a row cut short
+        (lambda rows: rows.__setitem__(4, "1,1,0"), "row"),
+        # every row one column too wide
+        (lambda rows: rows.__setitem__(
+            slice(1, None), [r + ",0" for r in rows[1:]]), "columns"),
+        # an index past the grid's counts
+        (lambda rows: rows.__setitem__(9, "3,2,1,1,0.5"), "index"),
+        # an index that is not an integer
+        (lambda rows: rows.__setitem__(9, "2,1.5,1,1,0.5"), "index"),
+        # node (1,2) written over node (1,1): one duplicate, one missing
+        (lambda rows: rows.__setitem__(5, rows[6]), "1 node.*duplicated"),
+        # coordinates that do not belong to the index
+        (lambda rows: rows.__setitem__(5, "1,1,0.5,0,0.5"), "off the grid"),
+        # no rows at all
+        (lambda rows: rows.__delitem__(slice(1, None)), "0 rows"),
+    ])
+    def test_malformed_rows_rejected(self, tmp_path, edit, match):
+        g = Grid([-1.0, -1.0], [1.0, 1.0], [3, 3])
+        path = tmp_path / "f.csv"
+        save_field(ValueField(g, np.full((3, 3), 0.5), "kruzhkov"), path)
+        rows = path.read_text().splitlines()
+        edit(rows)
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(ConfigError, match=match):
+            load_field(path)
+
     def test_truncated_file_rejected(self, tmp_path):
         f = ValueField(Grid([-1.0], [1.0], [3]), np.zeros(3), "raw")
         path = tmp_path / "f.csv"

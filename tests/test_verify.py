@@ -16,8 +16,9 @@ from zubov.solver import SolverSettings, interpolate, solve_zubov
 from zubov.systems import ConfigError, Grid, builtin, closed_form_value
 from zubov.trajectories import integrate
 from zubov.verify import (VerificationReport, check_boundary_blowup,
-                          check_lyapunov_decrease, dpp_defect,
-                          lipschitz_probe, residual_stats, sandwich_check)
+                          check_fixed_point, check_lyapunov_decrease,
+                          dpp_defect, lipschitz_probe, residual_stats,
+                          sandwich_check)
 from zubov.oracle import BudgetError
 
 
@@ -68,6 +69,33 @@ class TestReportType:
         rep = VerificationReport("x", True, {"n": 1})
         assert rep.note == ""
         assert rep.witnesses == ()
+
+
+class TestFixedPoint:
+    def test_converged_field_passes(self, lift2d_system, lift2d_field):
+        rep = check_fixed_point(lift2d_system, lift2d_field)
+        assert rep.passed and rep.name == "fixed_point"
+        assert rep.stats["max_defect"] <= lift2d_field.metadata["tol"]
+        assert rep.stats["threshold"] == pytest.approx(1e-5)
+
+    def test_edited_node_is_the_witness(self, lift2d_system, lift2d_field):
+        vals = lift2d_field.values.copy()
+        vals[120, 80] -= 0.01
+        rep = check_fixed_point(lift2d_system,
+                                lift2d_field.with_values(vals))
+        assert not rep.passed
+        assert rep.witnesses[0]["node"] == (120, 80)
+        assert rep.stats["max_defect"] == pytest.approx(0.01, rel=0.1)
+
+    def test_metadata_beats_arguments(self, lift2d_system, lift2d_field):
+        # the field records dt 0.05; a wrong fallback must not be used
+        rep = check_fixed_point(lift2d_system, lift2d_field, dt=0.2)
+        assert rep.passed and rep.stats["dt"] == 0.05
+
+    def test_raw_field_rejected(self, lift2d_system, lift2d_field):
+        with pytest.raises(ConfigError, match="kruzhkov"):
+            check_fixed_point(lift2d_system, lift2d_field.with_values(
+                lift2d_field.values, transform="raw"))
 
 
 class TestResidualStats:

@@ -2,10 +2,11 @@
 
 Everything here works at a single point: enumerate every piecewise-constant
 schedule built from `depth` segments of length `switch_dt` over the system's
-control menu, integrate each one with the same RK4 stepper the trajectory
-engine uses, and turn the best accumulated cost into a bracket.  Once the
-best trajectory sits inside the ball B_rho, the declared exponential
-envelope caps everything it can still collect:
+control menu, advance them all at once through the batched RK4 engine
+`trajectories.advance` (which also serves `integrate`, the falsifier below
+and the sampled decrease check), and turn the best accumulated cost into a
+bracket.  Once the best trajectory sits inside the ball B_rho, the declared
+exponential envelope caps everything it can still collect:
 
     tail = c_tilde * (c * rho)**lam / (lam * sigma)
 
@@ -26,10 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expressions import EvalDomainError
 from .solver import interpolate
 from .systems import ConfigError
-from .trajectories import ControlSchedule, TrajectoryError, integrate, rk4_step
+from .trajectories import (ControlSchedule, TrajectoryError, _check_point,
+                           advance, integrate)
 
 _DEFAULT_BUDGET = 2_000_000
 _MIN_FINAL_NORM = 1e-3  # a "witness" that ends at the origin is no witness
@@ -115,50 +116,35 @@ def _tail_bound(system, rho):
     return gr.c_tilde * (u.c * rho) ** gr.lam / (gr.lam * u.sigma)
 
 
-def _check_budget(n_controls, depth, budget):
-    work = depth * n_controls ** depth
-    if work > budget:
-        raise BudgetError("enumerating %d controls to depth %d needs %d "
-                          "segment integrations; budget is %d"
-                          % (n_controls, depth, work, budget))
-
-
-def _check_point(system, x):
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.size != system.n_state:
-        raise ConfigError("point has dimension %d, system wants %d"
-                          % (x.size, system.n_state))
-    return x
-
-
-def _enumerate(system, x, switch_dt, depth, rho, int_dt):
+def _enumerate(system, x, switch_dt, depth, rho, int_dt, budget):
     """Advance all |A_d|^depth schedules; returns (aug_states, entered).
 
     The batch grows one control choice per segment (prefixes are shared),
     so row r encodes the schedule whose j-th segment uses control index
     ``(r // |A_d|**(depth-1-j)) % |A_d|``.  `entered` marks rows whose
-    trajectory touched B_rho at some sub-step sample.
+    trajectory touched B_rho at some sub-step sample.  BudgetError when the
+    enumeration would exceed `budget` segment integrations.
     """
     pts = system.control.points
     k = pts.shape[0]
+    if depth * k ** depth > budget:
+        raise BudgetError("enumerating %d controls to depth %d needs %d "
+                          "segment integrations; budget is %d"
+                          % (k, depth, depth * k ** depth, budget))
     n = system.n_state
-    steps = max(1, int(math.ceil(switch_dt / int_dt - 1e-9)))
-    h = switch_dt / steps
-    z = np.concatenate([x.reshape(1, n), np.zeros((1, 3))], axis=1)
+    z = np.concatenate([x, np.zeros(3)])[None]
     entered = np.array([np.linalg.norm(x) <= rho])
+
+    def touch(zb, live):
+        entered[:] |= np.linalg.norm(zb[:, :n], axis=1) <= rho
+
     for seg in range(depth):
         z = np.repeat(z, k, axis=0)
         entered = np.repeat(entered, k)
-        for c in range(k):
-            zc = z[c::k]
-            hit = entered[c::k]
-            for _ in range(steps):
-                zc = rk4_step(system, zc, pts[c], h)
-                hit |= np.linalg.norm(zc[:, :n], axis=1) <= rho
-            z[c::k] = zc
-            entered[c::k] = hit
-        if not np.all(np.isfinite(z)):
-            raise TrajectoryError("a schedule left the representable range "
+        z, live = advance(system, z, np.tile(pts, (z.shape[0] // k, 1)),
+                          switch_dt, int_dt, watch=touch)
+        if not live.all():
+            raise TrajectoryError("a schedule reached a non-finite state "
                                   "during segment %d" % (seg + 1))
     return z, entered
 
@@ -179,8 +165,7 @@ def maximal_cost(system, x, switch_dt=0.25, depth=8, rho=0.05, *,
     if not np.any(x):
         # stationary at the origin, zero cost
         return ValueBounds(0.0, 0.0, horizon, depth, 0.0, False)
-    _check_budget(system.control.size, depth, budget)
-    z, entered = _enumerate(system, x, switch_dt, depth, rho, int_dt)
+    z, entered = _enumerate(system, x, switch_dt, depth, rho, int_dt, budget)
     best = int(np.argmax(z[:, system.n_state + 1]))
     lower = float(z[best, system.n_state + 1])
     return ValueBounds(lower, lower + tail, horizon, depth, tail,
@@ -222,8 +207,7 @@ def min_value(system, x, switch_dt=0.25, depth=8, rho=0.05, *,
     horizon = depth * switch_dt
     if not np.any(x):
         return ValueBounds(0.0, 0.0, horizon, depth, 0.0, False)
-    _check_budget(system.control.size, depth, budget)
-    z, entered = _enumerate(system, x, switch_dt, depth, rho, int_dt)
+    z, entered = _enumerate(system, x, switch_dt, depth, rho, int_dt, budget)
     best = int(np.argmin(z[:, system.n_state]))
     est = float(z[best, system.n_state])
     certifiable = (system.ules is not None and system.growth is not None
@@ -275,18 +259,21 @@ def falsify_quasistability(system, region, budget=256, *, seed=7,
 
     rng = np.random.default_rng(seed)
     pts = system.control.points
-    for _ in range(budget):
-        x0 = rng.uniform(region.lo, region.hi)
-        picks = rng.integers(0, pts.shape[0], size=segments)
-        sched = ControlSchedule([(horizon / segments, pts[i])
-                                 for i in picks])
-        try:
-            rec = integrate(system, x0, sched, dt)
-        except (TrajectoryError, EvalDomainError):
-            continue  # the state escaped; an expression may say so first
-        final = float(np.linalg.norm(rec.final_state))
-        if rec.total_cost < 1e-3 and final >= 1e-2:
-            return Counterexample(x0, sched, rec.total_cost, final,
+    n = system.n_state
+    x0s, picks = np.empty((budget, n)), np.empty((budget, segments), int)
+    for i in range(budget):  # draws interleaved as one schedule at a time
+        x0s[i] = rng.uniform(region.lo, region.hi)
+        picks[i] = rng.integers(0, pts.shape[0], size=segments)
+    z, live = np.hstack([x0s, np.zeros((budget, 3))]), np.ones(budget, bool)
+    for j in range(segments):  # a row that escapes retires
+        z, live = advance(system, z, pts[picks[:, j]], horizon / segments,
+                          dt, live)
+    for i in np.flatnonzero(live & (z[:, n] < 1e-3)):
+        final = float(np.linalg.norm(z[i, :n]))
+        if final >= 1e-2:
+            sched = ControlSchedule([(horizon / segments, pts[p])
+                                     for p in picks[i]])
+            return Counterexample(x0s[i], sched, float(z[i, n]), final,
                                   "searched")
     return None
 
@@ -337,8 +324,6 @@ def synthesize_epsilon_optimal(system, field, x0, eps, m, *,
     pts = system.control.points
     k = pts.shape[0]
     n = system.n_state
-    steps = max(1, int(math.ceil(switch_dt / int_dt - 1e-9)))
-    h = switch_dt / steps
     maximizing = field.transform == "kruzhkov" or system.mode == "maximize"
 
     def continuation(z):
@@ -359,9 +344,11 @@ def synthesize_epsilon_optimal(system, field, x0, eps, m, *,
         w_start = interpolate(field, x_cur)
         z = np.concatenate([x_cur, np.zeros(3)])[None]
         for _ in range(n_sub):
-            cand = np.repeat(z, k, axis=0)
-            for _ in range(steps):
-                cand = rk4_step(system, cand, pts, h)
+            cand, live = advance(system, np.repeat(z, k, axis=0), pts,
+                                 switch_dt, int_dt)
+            if not live.all():
+                raise TrajectoryError("a candidate control reached a "
+                                      "non-finite state")
             scores = continuation(cand)
             best = int(np.argmax(scores) if maximizing
                        else np.argmin(scores))

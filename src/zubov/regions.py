@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .systems import ConfigError, Grid, _grid_header, _read_grid_csv
+from .systems import (ConfigError, Grid, _grid_header, _read_grid_csv,
+                      _write_csv)
 
 
 @dataclass(frozen=True)
@@ -199,13 +200,9 @@ def region_distance(mask, reference):
 def save_mask(mask, path):
     """Header (n, counts, lo, hi, epsilon), then node rows i1..iN, 0/1."""
     grid = mask.grid
-    head = _grid_header(grid) + ["%.17g" % mask.epsilon]
-    idx = np.indices(tuple(grid.counts)).reshape(grid.n_axes, -1).T
-    flags = mask.inside.reshape(-1)
-    with open(path, "w") as fh:
-        fh.write(",".join(head) + "\n")
-        for row, flag in zip(idx, flags):
-            fh.write(",".join(str(i) for i in row) + ",%d\n" % flag)
+    _write_csv(path, _grid_header(grid) + ["%.17g" % mask.epsilon],
+               [*np.indices(tuple(grid.counts)).reshape(grid.n_axes, -1),
+                mask.inside.reshape(-1)], ["%d"] * (grid.n_axes + 1))
 
 
 def load_mask(path):
@@ -217,8 +214,7 @@ def load_mask(path):
 
 
 def save_contours(polylines, path):
-    with open(path, "w") as fh:
-        fh.write("polyline_id,vertex_index,x,y\n")
-        for pid, line in enumerate(polylines):
-            for k, (x, y) in enumerate(line):
-                fh.write("%d,%d,%.17g,%.17g\n" % (pid, k, x, y))
+    rows = [(pid, k, x, y) for pid, line in enumerate(polylines)
+            for k, (x, y) in enumerate(line)]
+    _write_csv(path, ["polyline_id", "vertex_index", "x", "y"],
+               np.reshape(rows, (-1, 4)).T, ["%d", "%d", "%.17g", "%.17g"])

@@ -251,6 +251,18 @@ def _grid_header(grid):
             + ["%.17g" % v for v in grid.lo] + ["%.17g" % v for v in grid.hi])
 
 
+def _write_csv(path, head, columns, formats):
+    """Write the header tokens, then row i of the columns, the k-th entry in
+    %-format formats[k], a bounded chunk of rows at a time: the body never
+    exists as one string or as one Python float per value."""
+    row, chunk = ",".join(formats) + "\n", 4096
+    with open(path, "w") as fh:
+        fh.write(",".join(head) + "\n")
+        for start in range(0, len(columns[0]), chunk):
+            part = np.column_stack([c[start:start + chunk] for c in columns])
+            fh.write((row * len(part)) % tuple(part.ravel().tolist()))
+
+
 def _read_grid_csv(path, what, width, read_tail=str):
     """Parse a grid CSV: the grid, the header token after it (read by
     ``read_tail``) and the body rows in flat node order.  Every row must have
@@ -298,16 +310,11 @@ def save_field(field, path):
     """CSV: header (n_axes, counts, lo, hi, transform), then one node row
     i1..iN, x1..xN, value with 17 significant digits (bit-exact reload)."""
     grid = field.grid
-    head = _grid_header(grid) + [field.transform]
-    idx = np.indices(tuple(grid.counts)).reshape(grid.n_axes, -1).T
-    coords = field.grid.node_coords().reshape(-1, grid.n_axes)
-    vals = field.values.reshape(-1)
-    with open(path, "w") as fh:
-        fh.write(",".join(head) + "\n")
-        for row_i, row_x, v in zip(idx, coords, vals):
-            fh.write(",".join(str(i) for i in row_i) + ","
-                     + ",".join("%.17g" % x for x in row_x)
-                     + ",%.17g\n" % v)
+    n = grid.n_axes
+    _write_csv(path, _grid_header(grid) + [field.transform],
+               [*np.indices(tuple(grid.counts)).reshape(n, -1),
+                *grid.node_coords().reshape(-1, n).T,
+                field.values.reshape(-1)], ["%d"] * n + ["%.17g"] * (n + 1))
 
 
 def load_field(path):

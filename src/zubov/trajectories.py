@@ -14,7 +14,8 @@ import math
 
 import numpy as np
 
-from .systems import ConfigError
+from .expressions import EvalDomainError
+from .systems import ConfigError, _write_csv
 
 
 class TrajectoryError(RuntimeError):
@@ -161,16 +162,14 @@ def _aug_rhs(system, z, a):
     x = z[..., :n]
     p = z[..., n + 2]
     batch = x.shape[:-1]
+
+    def rate(fn):
+        return np.broadcast_to(np.asarray(fn(x, a), dtype=float), batch)
+
     fx = np.asarray(system.f(x, a), dtype=float)
-    gv = np.broadcast_to(np.asarray(system.g(x, a), dtype=float), batch)
-    if system.ell is not None:
-        lv = np.broadcast_to(np.asarray(system.ell(x, a), dtype=float), batch)
-    else:
-        lv = gv
-    if system.h is not None:
-        hv = np.broadcast_to(np.asarray(system.h(x, a), dtype=float), batch)
-    else:
-        hv = np.zeros(batch)
+    gv = rate(system.g)
+    lv = gv if system.ell is None else rate(system.ell)
+    hv = np.zeros(batch) if system.h is None else rate(system.h)
     dj = lv * np.exp(-p)
     return np.concatenate([fx, np.stack([dj, gv, hv], axis=-1)], axis=-1)
 
@@ -188,6 +187,52 @@ def _substeps(duration, dt):
     return max(1, int(math.ceil(duration / dt - 1e-9)))
 
 
+def _check_point(system, x):
+    x = np.asarray(x, dtype=float).reshape(-1)
+    if x.size != system.n_state:
+        raise ConfigError("point has dimension %d, system wants %d"
+                          % (x.size, system.n_state))
+    return x
+
+
+def advance(system, z, a, duration, dt, live=None, watch=None):
+    """Advance a batch of augmented states z (B, N+3) through one segment.
+
+    `a` is one control (m,) or one per row (B, m), frozen for the segment,
+    which runs in _substeps(duration, dt) equal RK4 sub-steps.  A row whose
+    sub-step comes out non-finite, or whose evaluation raises
+    EvalDomainError, retires: it stays at its last finite state, its `live`
+    flag drops and the other rows carry on.  A group of rows that raises is
+    halved until the rows that raise stand alone.  Rows retired on entry
+    stay put.  `watch(z, live)` sees the batch after every sub-step and may
+    clear a row's flag to stop it there.  Returns (z, live).
+    """
+    steps = _substeps(duration, dt)
+    z = np.array(z, dtype=float)
+    live = np.ones(len(z), bool) if live is None else np.array(live, bool)
+    a = np.broadcast_to(np.asarray(a, dtype=float), (len(z), system.control.m))
+    for _ in range(steps):
+        if not live.any():
+            break
+        groups = [np.flatnonzero(live)]
+        while groups:
+            rows = groups.pop()
+            try:
+                with np.errstate(all="ignore"):  # overflow: non-finite rows
+                    new = rk4_step(system, z[rows], a[rows], duration / steps)
+            except EvalDomainError:
+                if rows.size == 1:
+                    live[rows] = False
+                else:
+                    groups += np.array_split(rows, 2)
+                continue
+            ok = np.all(np.isfinite(new), axis=1)
+            z[rows[ok]], live[rows[~ok]] = new[ok], False
+        if watch is not None:
+            watch(z, live)
+    return z, live
+
+
 def integrate(system, x0, schedule, dt, box=None):
     """Integrate from x0 under a piecewise-constant schedule.
 
@@ -197,10 +242,7 @@ def integrate(system, x0, schedule, dt, box=None):
     """
     if not dt > 0.0:
         raise ConfigError("dt must be positive")
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    if x0.size != system.n_state:
-        raise ConfigError("x0 has dimension %d, system wants %d"
-                          % (x0.size, system.n_state))
+    x0 = _check_point(system, x0)
     if schedule.m != system.control.m:
         raise ConfigError("schedule control dimension %d, system wants %d"
                           % (schedule.m, system.control.m))
@@ -211,36 +253,30 @@ def integrate(system, x0, schedule, dt, box=None):
             raise ConfigError("schedule control %s outside the control box"
                               % a.tolist())
 
-    lo = hi = None
-    if box is not None:
-        lo, hi = box.lo, box.hi
-        if np.any(x0 < lo) or np.any(x0 > hi):
-            return TrajectoryRecord([0.0], [x0], [0.0], [0.0], [0.0], True)
+    def outside(x):
+        return box is not None and bool(np.any(x < box.lo)
+                                        or np.any(x > box.hi))
 
     n = system.n_state
-    z = np.concatenate([x0, [0.0, 0.0, 0.0]])
-    t = 0.0
-    times, rows = [0.0], [z]
-    exit_flag = False
+    z = np.concatenate([x0, np.zeros(3)])[None]
+    live = np.array([not outside(x0)])  # a start outside the box exits at 0
+    times, rows = [0.0], [z[0]]
+
+    def record(zb, lv):  # h: the current segment's sub-step
+        if lv[0] and outside(zb[0, :n]):
+            lv[0] = False  # the first sample outside the box ends the run
+        elif lv[0]:
+            times.append(times[-1] + h)
+            rows.append(zb[0].copy())
+
     for duration, a in schedule.segments:
-        steps = _substeps(duration, dt)
-        h = duration / steps
-        for _ in range(steps):
-            z_new = rk4_step(system, z, a, h)
-            if not np.all(np.isfinite(z_new)):
-                raise TrajectoryError(
-                    "state left the representable range near t=%.6g "
-                    "(last finite state %s)" % (t, z[:n].tolist()))
-            if lo is not None and (np.any(z_new[:n] < lo)
-                                   or np.any(z_new[:n] > hi)):
-                exit_flag = True
-                break
-            t += h
-            z = z_new
-            times.append(t)
-            rows.append(z)
-        if exit_flag:
-            break
+        h = duration / _substeps(duration, dt)
+        z, live = advance(system, z, a, duration, dt, live, record)
+    exit_flag = outside(z[0, :n])
+    if not live[0] and not exit_flag:
+        raise TrajectoryError(
+            "state left the representable range near t=%.6g "
+            "(last finite state %s)" % (times[-1], rows[-1][:n].tolist()))
     rows = np.array(rows)
     return TrajectoryRecord(times, rows[:, :n], rows[:, n], rows[:, n + 1],
                             rows[:, n + 2], exit_flag)
@@ -269,11 +305,6 @@ def time_to_ball(record, rho):
 def save_trajectory(record, path):
     """CSV export: columns t, x1..xN, J, G."""
     n = record.states.shape[1]
-    header = ["t"] + ["x%d" % (i + 1) for i in range(n)] + ["J", "G"]
-    disc = record.discount
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for k in range(record.times.size):
-            row = [record.times[k], *record.states[k],
-                   record.running_cost[k], disc[k]]
-            fh.write(",".join("%.17g" % v for v in row) + "\n")
+    _write_csv(path, ["t"] + ["x%d" % (i + 1) for i in range(n)] + ["J", "G"],
+               [record.times, *record.states.T, record.running_cost,
+                record.discount], ["%.17g"] * (n + 3))

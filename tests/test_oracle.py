@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 from zubov import (ConfigError, ControlSpace, Grid, Growth, SystemDef, Ules,
                    builtin, closed_form_value, load_system)
 from zubov.oracle import (BudgetError, Counterexample, SynthesisError,
-                          ValueBounds, defect_allowances,
+                          ValueBounds, _enumerate, defect_allowances,
                           falsify_quasistability, kruzhkov_value,
                           maximal_cost, min_value,
                           synthesize_epsilon_optimal)
 from zubov.solver import SolverSettings, solve_hjbe, solve_zubov
-from zubov.trajectories import integrate
+from zubov.trajectories import integrate, rk4_step
 
 
 def decay_1d(ules=Ules(1.0, 1.0, 1.0), growth=Growth(1.0, 2.0)):
@@ -35,6 +35,54 @@ def case_b_1d():
         "mode": "minimize", "guard": "case_b",
         "ules": {"C": 1.0, "sigma": 1.0, "r": 1.0},
         "growth": {"C_tilde": 1.0, "lambda": 1.0}})
+
+
+# --- reference enumeration ---------------------------------------------------
+# The strided loop _enumerate ran before trajectories.advance batched it: the
+# batch is cut into one slice per control, and each slice is stepped with
+# rk4_step on its own.  It shares only rk4_step with advance.
+
+def reference_enumerate(system, x, switch_dt, depth, rho, int_dt):
+    pts = system.control.points
+    k = pts.shape[0]
+    n = system.n_state
+    steps = max(1, int(math.ceil(switch_dt / int_dt - 1e-9)))
+    h = switch_dt / steps
+    z = np.concatenate([x.reshape(1, n), np.zeros((1, 3))], axis=1)
+    entered = np.array([np.linalg.norm(x) <= rho])
+    for _ in range(depth):
+        z = np.repeat(z, k, axis=0)
+        entered = np.repeat(entered, k)
+        for c in range(k):
+            zc = z[c::k]
+            hit = entered[c::k]
+            for _ in range(steps):
+                zc = rk4_step(system, zc, pts[c], h)
+                hit |= np.linalg.norm(zc[:, :n], axis=1) <= rho
+            z[c::k] = zc
+            entered[c::k] = hit
+    return z, entered
+
+
+LIFT2D_JSON = {
+    "name": "lift2d-json", "n": 2,
+    "f": ["-x1 + a1*x1^2", "-x2 + a1*x2^2"], "g": "x1^2 + x2^2",
+    "control": {"box": {"lo": [-1.0], "hi": [1.0], "counts": [3]}}}
+
+
+@pytest.mark.parametrize("system, x, switch_dt, rho", [
+    (builtin("lift2d", controls=3), [0.5, 0.5], 0.25, 0.15),
+    (load_system(LIFT2D_JSON), [-0.3, 0.55], 0.25, 0.15),
+    (builtin("ex1", controls=3), [0.9], 0.25, 0.2),
+], ids=["lift2d", "lift2d-json", "ex1"])
+def test_enumeration_matches_the_strided_reference(system, x, switch_dt, rho):
+    x = np.array(x)
+    z, entered = _enumerate(system, x, switch_dt, 6, rho, 0.01, 10**6)
+    z_ref, entered_ref = reference_enumerate(system, x, switch_dt, 6, rho,
+                                             0.01)
+    assert np.array_equal(z, z_ref)
+    assert np.array_equal(entered, entered_ref)
+    assert entered.any() and not entered.all()
 
 
 class TestValueBoundsType:
@@ -240,16 +288,17 @@ class TestFalsifier:
         rec = integrate(flat, ce.x0, ce.schedule, 0.05)
         assert rec.total_cost == pytest.approx(ce.total_cost, abs=1e-6)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_json_system_escape_is_skipped(self):
         # outside (-1,1)^2 a schedule can blow up; the compiled expressions
-        # raise EvalDomainError before integrate's finiteness check does
+        # raise EvalDomainError before the state turns non-finite, and the
+        # batch step retires the row without letting the overflow warn
         lift = load_system({
             "name": "lift2d-json", "n": 2,
             "f": ["-x1 + a1*x1^2", "-x2 + a1*x2^2"], "g": "x1^2 + x2^2",
             "control": {"box": {"lo": [-1.0], "hi": [1.0], "counts": [3]}}})
         region = Grid([-1.2, -1.2], [1.2, 1.2], [41, 41])
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert falsify_quasistability(lift, region, budget=16) is None
+        assert falsify_quasistability(lift, region, budget=256) is None
 
     def test_region_dimension_check(self):
         with pytest.raises(ConfigError, match="dimension"):

@@ -11,9 +11,11 @@ from zubov.trajectories import (
     RelaxedSchedule,
     TrajectoryError,
     TrajectoryRecord,
+    advance,
     chatter,
     discount_factor,
     integrate,
+    rk4_step,
     save_trajectory,
     time_to_ball,
 )
@@ -175,6 +177,100 @@ class TestBoxAndBlowUp:
                            "f": ["x1^2"], "g": "x1^2"})
         with pytest.raises((TrajectoryError, EvalDomainError)):
             constant_run(sys, [5.0], [0.0], 1.0, 0.01)
+
+
+# --- batched stepping (advance) ----------------------------------------------
+# The per-row loop integrate ran before it became advance's single-row
+# view: plain rk4_step sub-steps on one 1-D state, stopping at the first
+# non-finite state or expression domain error.  It shares only rk4_step with
+# advance.
+
+def reference_final_state(system, x0, schedule, dt):
+    """(final augmented state, escaped); an escaped trajectory ends at its
+    last finite state."""
+    z = np.concatenate([np.asarray(x0, dtype=float), np.zeros(3)])
+    for duration, a in schedule.segments:
+        steps = max(1, int(math.ceil(duration / dt - 1e-9)))
+        for _ in range(steps):
+            try:
+                with np.errstate(all="ignore"):
+                    z_new = rk4_step(system, z, a, duration / steps)
+            except EvalDomainError:
+                return z, True
+            if not np.all(np.isfinite(z_new)):
+                return z, True
+            z = z_new
+    return z, False
+
+
+def blow_up_1d():
+    """x' = x^2, g = x^2: finite-time blow-up to inf, no expression guard."""
+    return SystemDef("quad", 1, ControlSpace.none(),
+                     lambda x, a: np.asarray(x, dtype=float) ** 2,
+                     lambda x, a: np.asarray(x, dtype=float)[..., 0] ** 2)
+
+
+JSON_LIFT2D = {
+    "name": "lift2d-json", "n": 2,
+    "f": ["-x1 + a1*x1^2", "-x2 + a1*x2^2"], "g": "x1^2 + x2^2",
+    "control": {"box": {"lo": [-1.0], "hi": [1.0], "counts": [3]}}}
+
+# (system, starts, rows that escape); an escaping row runs the last control
+BATCH_CASES = {
+    "lift2d": (lambda: builtin("lift2d", controls=3),
+               [[0.5, 0.5], [-0.9, 0.3], [1.4, -1.1], [0.0, 0.0]], []),
+    "ex1": (lambda: builtin("ex1", controls=3),
+            [[0.5], [-1.5], [1.2], [0.05]], []),
+    # from (1.5, 1.5) under a = 1 the state reaches inf near t = ln 3 and
+    # the compiled expressions raise first
+    "lift2d-json": (lambda: load_system(JSON_LIFT2D),
+                    [[0.5, 0.5], [-0.9, 0.3], [1.5, 1.5], [1.1, -0.2]], [2]),
+    # from 5 the state reaches inf at t = 0.2 with no expression to say so
+    "blow-up": (blow_up_1d, [[0.1], [5.0], [-0.5]], [1]),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # overflow is contained
+@pytest.mark.parametrize("case", sorted(BATCH_CASES))
+def test_batched_rows_match_per_row_integration(case):
+    make, starts, escaping = BATCH_CASES[case]
+    system = make()
+    n, pts = system.n_state, system.control.points
+    durations = (0.3, 0.25, 0.71, 0.45, 0.3)  # some are not whole sub-steps
+    picks = np.random.default_rng(5).integers(0, len(pts),
+                                              size=(len(starts), 5))
+    picks[escaping] = len(pts) - 1
+    z = np.hstack([np.array(starts, dtype=float),
+                   np.zeros((len(starts), 3))])
+    live = np.ones(len(starts), dtype=bool)
+    for j, duration in enumerate(durations):
+        z, live = advance(system, z, pts[picks[:, j]], duration, 0.02, live)
+    assert np.flatnonzero(~live).tolist() == escaping
+    for i, x0 in enumerate(starts):
+        sched = ControlSchedule([(d, pts[p])
+                                 for d, p in zip(durations, picks[i])])
+        ref, escaped = reference_final_state(system, x0, sched, 0.02)
+        assert np.array_equal(z[i], ref)
+        assert live[i] != escaped
+        if escaped:
+            with pytest.raises(TrajectoryError, match="t="):
+                integrate(system, x0, sched, 0.02)
+        else:
+            rec = integrate(system, x0, sched, 0.02)
+            assert np.array_equal(rec.final_state, ref[:n])
+            assert rec.total_cost == ref[n]
+
+
+def test_advance_leaves_retired_rows_and_watches_every_substep():
+    system = builtin("lift2d", controls=3)
+    z = np.array([[0.5, 0.5, 0.0, 0.0, 0.0], [0.2, -0.4, 0.1, 0.2, 0.0]])
+    seen = []
+    out, live = advance(system, z, [1.0], 0.25, 0.02,
+                        live=[True, False],
+                        watch=lambda zb, lv: seen.append(zb.copy()))
+    assert len(seen) == 13 and np.array_equal(seen[-1], out)
+    assert np.array_equal(out[1], z[1]) and live.tolist() == [True, False]
+    assert not np.array_equal(out[0], z[0])
 
 
 # --- discounting -------------------------------------------------------------

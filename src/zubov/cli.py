@@ -69,7 +69,7 @@ _DEFAULTS = {
     "rho": 0.05,
     "budget": 2_000_000,
     "seed": 0,
-    "threads": 0,        # accepted and recorded; sweeps are single-threaded
+    "threads": 0,        # most sweep threads; 0: the usable cores
     "out": ".",
     "epsilon": 0.01,
     "checks": list(_CHECKS),
@@ -204,7 +204,8 @@ def _settings(cfg):
     return SolverSettings(dt=cfg["dt"], tol=cfg["tol"],
                           max_iters=cfg["max_iters"],
                           exterior_value=cfg["exterior"],
-                          rk4_feet=bool(cfg["rk4_feet"]))
+                          rk4_feet=bool(cfg["rk4_feet"]),
+                          threads=cfg["threads"] or None)
 
 
 # --- artifacts ---------------------------------------------------------------
@@ -288,6 +289,7 @@ def _run_solver(cfg, raw):
         "iterations": int(meta["iterations"]),
         "final_change": float(meta["final_change"]),
         "operator_nnz": meta["operator_nnz"],
+        "sweep_workers": meta["sweep_workers"],
         "phase_seconds": meta["phase_seconds"],
         "seconds": round(elapsed, 3),
         "field": "field.csv",
@@ -477,11 +479,11 @@ def _cmd_synthesize(cfg, args):
     os.makedirs(cfg["out"], exist_ok=True)
     out_csv = os.path.join(cfg["out"], "schedule.csv")
     with open(out_csv, "w", encoding="utf-8") as fh:
-        fh.write("duration," + ",".join("a%d" % (j + 1)
-                                        for j in range(schedule.m)) + "\n")
+        fh.write(",".join(["duration"] + ["a%d" % (j + 1)
+                                          for j in range(schedule.m)]) + "\n")
         for duration, control in schedule.segments:
-            fh.write("%.17g," % duration
-                     + ",".join("%.17g" % c for c in control) + "\n")
+            fh.write(",".join("%.17g" % c for c in (duration, *control))
+                     + "\n")
     result = {"schedule": "schedule.csv",
               "segments": len(schedule.segments),
               "residual": report["residual"],
@@ -577,8 +579,10 @@ def _build_parser():
     g.add_argument("--rho", type=float, help="oracle tail-certificate radius")
     g.add_argument("--seed", type=int, help="sampling seed for verify")
     g.add_argument("--threads", type=int,
-                   help="accepted for compatibility; the solver runs on "
-                        "one thread and its results never depend on this")
+                   help="most threads a solver sweep may use (default 0: "
+                        "the usable cores); operators under 2**21 nonzeros "
+                        "sweep on one thread, and results never depend on "
+                        "this")
     g.add_argument("--out", metavar="DIR", help="output directory")
     g.add_argument("--epsilon", type=float,
                    help="doa level gap / synthesis tolerance")

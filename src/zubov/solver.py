@@ -5,8 +5,19 @@ built once per solve as a BellmanOperator: one stacked CSR matrix C of shape
 K*N x N (K controls, N nodes) plus an offset vector c.  Row k*N + i holds
 control k's multilinear stencil at the foot of node i, scaled by that row's
 discount; a foot outside the box leaves its row empty and the offset carries
-the exterior term.  A sweep is one sparse product and one reduction over
-controls, opt_k(c_k + C_k x).
+the exterior term.  A sweep computes opt_k(c_k + C_k x), the sparse product
+taken a few controls at a time (as many as fit 2**17 rows), so the rows
+being reduced stay in cache.
+
+A large operator sweeps on several threads.  The controls are split into
+contiguous blocks, one per worker: each worker computes c_k + C_k x for its
+controls and reduces over them into a buffer of its own, and the calling
+thread combines those partial results.  The worker count is
+min(threads, usable cores, K, nnz // 2**20), so it depends on the settings,
+the machine and the operator's size, never on which problem is solved; an
+operator under 2**21 nonzeros sweeps on the calling thread alone.  Results
+do not depend on the thread count: min and max are exact, and every row's
+dot product is the same kernel call on the same data as in A @ x.
 
   * solve_zubov — Kružkov-transformed maximal cost.  The update
         v <- max_a 1 - beta * (1 - I[v](y_a))
@@ -35,8 +46,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import os
 import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -53,10 +66,9 @@ class SolverSettings:
     exterior_value: float | None = None  # None: 1 in Kružkov mode, else 0
     pin_origin: bool = True
     rk4_feet: bool = True  # RK4 feet + integrated step costs; False: Euler
-    # accepted and ignored: a sweep is one single-threaded sparse product
-    # (row-blocked threads gained nothing measurable), so results never
-    # depend on it
-    threads: int = 1
+    # most threads a sweep may use (None: the usable cores); operators under
+    # 2**21 nonzeros always sweep on one, and results never depend on it
+    threads: int | None = None
 
     def __post_init__(self):
         if not self.dt > 0.0:
@@ -65,8 +77,29 @@ class SolverSettings:
             raise ConfigError("solver tol must be positive")
         if self.max_iters < 1:
             raise ConfigError("max_iters must be at least 1")
-        if self.threads < 1:
+        if self.threads is not None and self.threads < 1:
             raise ConfigError("threads must be at least 1")
+
+
+_NNZ_PER_WORKER = 2 ** 20  # a sweep worker gets at least this many nonzeros
+_CHUNK_ROWS = 2 ** 17  # rows a sweep computes per kernel call: 1 MB
+
+
+def usable_cores():
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+def sweep_workers(threads, n_controls, nnz):
+    """Threads a sweep of an operator with K = n_controls and nnz nonzeros
+    uses: min(threads, usable cores, K, nnz // 2**20), at least 1; threads
+    None means the usable cores."""
+    cores = usable_cores()
+    limit = cores if threads is None else threads
+    return max(1, min(limit, cores, n_controls, nnz // _NNZ_PER_WORKER))
 
 
 def _foot_points(system, nodes, a, dt, rk4_feet):
@@ -122,26 +155,84 @@ class BellmanOperator:
     """x -> opt_k(c_k + C_k x), optionally capped, for K stacked controls.
 
     ``matrix`` is the K*N x N CSR matrix C, ``offset`` the length-K*N
-    vector c; ``opt`` is np.minimum or np.maximum.
+    vector c; ``opt`` is np.minimum or np.maximum.  ``blocks`` splits the
+    controls into ``workers`` contiguous ranges (first, stop), whose rows
+    are consecutive in C.  Block 0 runs on the calling thread and every
+    other block on a worker thread of its own; close(), or leaving a
+    ``with`` block, stops the workers.
     """
 
-    def __init__(self, matrix, offset, opt, cap=None):
+    def __init__(self, matrix, offset, opt, cap=None, workers=1):
+        from scipy.sparse import _sparsetools
+
         self.matrix = matrix
         self.offset = offset
         self.opt = opt
         self.cap = cap
-        self.n_nodes = matrix.shape[1]
+        self.n_nodes = n = matrix.shape[1]
+        self.blocks = [(int(ks[0]), int(ks[-1]) + 1) for ks in
+                       np.array_split(np.arange(matrix.shape[0] // n),
+                                      workers)]
+        self._matvec = _sparsetools.csr_matvec  # the kernel behind A @ x
+        # controls per kernel call, so that their rows stay in cache
+        self._chunk = max(1, _CHUNK_ROWS // n)
+        # every buffer a sweep writes is allocated here, on the calling
+        # thread: a worker that allocates gets a malloc arena of its own,
+        # which raises the peak RSS
+        self._rows = [np.empty(min(self._chunk, stop - first) * n)
+                      for first, stop in self.blocks]
+        self._partial = np.empty((workers, n))
+        self._pool = ThreadPoolExecutor(workers - 1) if workers > 1 else None
+
+    def _sweep_block(self, b, x):
+        """partial[b] = opt over block b's controls k of c_k + C_k x."""
+        n, m = self.n_nodes, self.matrix
+        first, stop = self.blocks[b]
+        partial = self._partial[b]
+        for k in range(first, stop, self._chunk):
+            lo, hi = k * n, min(k + self._chunk, stop) * n
+            rows = self._rows[b][: hi - lo]
+            rows.fill(0.0)  # as A @ x does: each row sums up from +0
+            self._matvec(hi - lo, n, m.indptr[lo:hi + 1], m.indices, m.data,
+                         x, rows)
+            rows += self.offset[lo:hi]
+            if k == first:
+                self.opt.reduce(rows.reshape(-1, n), axis=0, out=partial)
+            else:
+                for row in rows.reshape(-1, n):
+                    self.opt(partial, row, out=partial)
 
     def __call__(self, x):
-        y = self.matrix @ x
-        y += self.offset
-        out = self.opt.reduce(y.reshape(-1, self.n_nodes), axis=0)
+        x = np.ascontiguousarray(x, dtype=float)
+        if x.shape != (self.n_nodes,):  # the kernel does not check
+            raise ValueError("operator wants %d node values, got shape %s"
+                             % (self.n_nodes, x.shape))
+        pending = (self._pool.map(self._sweep_block,
+                                  range(1, len(self.blocks)),
+                                  itertools.repeat(x))
+                   if self._pool is not None else ())
+        self._sweep_block(0, x)
+        for _ in pending:  # re-raises a worker's exception
+            pass
+        # min and max are exact, so the order of the blocks cannot matter
+        out = self.opt.reduce(self._partial, axis=0)
         if self.cap is not None:
             np.minimum(out, self.cap, out=out)
         return out
 
+    def close(self):
+        if self._pool is not None:
+            self._pool.shutdown()
+            self._pool = None
 
-def _assemble(system, grid, rows, x_exterior, opt, cap=None):
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+
+def _assemble(system, grid, rows, x_exterior, opt, cap=None, threads=None):
     """Stack the controls' rows into one BellmanOperator.
 
     ``rows(a, nodes)`` returns ``(feet, scale, cost)`` for control a: row i
@@ -182,10 +273,11 @@ def _assemble(system, grid, rows, x_exterior, opt, cap=None):
     np.cumsum(row_nnz, out=indptr[1:])
     matrix = sparse.csr_array((data[:nnz], indices[:nnz], indptr),
                               shape=(n_rows, n_nodes))
-    return BellmanOperator(matrix, offset, opt, cap)
+    return BellmanOperator(matrix, offset, opt, cap, sweep_workers(
+        threads, system.control.size, nnz))
 
 
-def zubov_operator(system, grid, dt, rk4_feet, exterior):
+def zubov_operator(system, grid, dt, rk4_feet, exterior, threads=None):
     """The Kružkov operator on the complement u = 1 - v (module docstring)."""
     if not 0.0 <= exterior <= 1.0:
         raise ConfigError("exterior_value must lie in [0,1] in Kružkov mode")
@@ -199,10 +291,11 @@ def zubov_operator(system, grid, dt, rk4_feet, exterior):
         g_step = dt * gv if slots is None else slots[:, 1]
         return feet, np.exp(-np.maximum(g_step, 0.0)), 0.0
 
-    return _assemble(system, grid, rows, 1.0 - exterior, np.minimum, cap=1.0)
+    return _assemble(system, grid, rows, 1.0 - exterior, np.minimum, cap=1.0,
+                     threads=threads)
 
 
-def hjbe_operator(system, grid, dt, rk4_feet, exterior):
+def hjbe_operator(system, grid, dt, rk4_feet, exterior, threads=None):
     """The raw discounted-cost operator on v; opt follows system.mode."""
     ell = system.ell if system.ell is not None else system.g
 
@@ -217,38 +310,38 @@ def hjbe_operator(system, grid, dt, rk4_feet, exterior):
         return feet, np.exp(-dt * hv), dt * lv * np.exp(-0.5 * dt * hv)
 
     pick = np.minimum if system.mode == "minimize" else np.maximum
-    return _assemble(system, grid, rows, exterior, pick)
+    return _assemble(system, grid, rows, exterior, pick, threads=threads)
 
 
 def _iterate(build, grid, settings, start, scheme, exterior):
     """Build the operator and sweep it from x ≡ start (the origin pinned
     there) to tolerance; returns x and the field metadata."""
     started = time.perf_counter()
-    op = build()
-    built = time.perf_counter()
     x = np.full(grid.n_nodes, start)
     origin = int(np.ravel_multi_index(grid.origin_index, tuple(grid.counts)))
     converged = False
     change = math.inf
     it = 0
-    for it in range(1, settings.max_iters + 1):
-        nxt = op(x)
-        if settings.pin_origin:
-            nxt[origin] = start
-        change = float(np.max(np.abs(nxt - x)))
-        x = nxt
-        if change < settings.tol:
-            converged = True
-            break
+    with build() as op:
+        built = time.perf_counter()
+        for it in range(1, settings.max_iters + 1):
+            nxt = op(x)
+            if settings.pin_origin:
+                nxt[origin] = start
+            change = float(np.max(np.abs(nxt - x)))
+            x = nxt
+            if change < settings.tol:
+                converged = True
+                break
     if not converged:
         warnings.warn("value iteration hit max_iters=%d with sup-change "
                       "%.3e >= tol %.3e" % (settings.max_iters, change,
                                             settings.tol))
     meta = asdict(settings)
-    del meta["threads"]  # accepted, but nothing depends on it
+    del meta["threads"]  # results never depend on it
     meta.update(scheme=scheme, exterior_value=exterior, iterations=it,
                 final_change=change, converged=converged,
-                operator_nnz=int(op.matrix.nnz),
+                operator_nnz=int(op.matrix.nnz), sweep_workers=len(op.blocks),
                 phase_seconds={"build": built - started,
                                "sweeps": time.perf_counter() - built})
     return x, meta
@@ -263,7 +356,7 @@ def solve_zubov(system, grid, settings=None):
     exterior = 1.0 if settings.exterior_value is None \
         else settings.exterior_value
     build = functools.partial(zubov_operator, system, grid, settings.dt,
-                              settings.rk4_feet, exterior)
+                              settings.rk4_feet, exterior, settings.threads)
     u, meta = _iterate(build, grid, settings, 1.0, "zubov", exterior)
     return ValueField(grid, (1.0 - u).reshape(tuple(grid.counts)),
                       "kruzhkov", meta)
@@ -278,7 +371,7 @@ def solve_hjbe(system, grid, settings=None):
     exterior = 0.0 if settings.exterior_value is None \
         else settings.exterior_value
     build = functools.partial(hjbe_operator, system, grid, settings.dt,
-                              settings.rk4_feet, exterior)
+                              settings.rk4_feet, exterior, settings.threads)
     v, meta = _iterate(build, grid, settings, 0.0, "hjbe", exterior)
     return ValueField(grid, v.reshape(tuple(grid.counts)), "raw", meta)
 

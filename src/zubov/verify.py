@@ -68,9 +68,10 @@ def check_fixed_point(system, field, dt=0.05, tol=1e-6, rk4_feet=True):
     dt = float(meta.get("dt", dt))
     threshold = 10.0 * float(meta.get("tol", tol))
     u = 1.0 - field.values.reshape(-1)  # the operator acts on 1 - v
-    moved = zubov_operator(system, grid, dt,
-                           bool(meta.get("rk4_feet", rk4_feet)),
-                           float(meta.get("exterior_value", 1.0)))(u)
+    with zubov_operator(system, grid, dt,
+                        bool(meta.get("rk4_feet", rk4_feet)),
+                        float(meta.get("exterior_value", 1.0))) as op:
+        moved = op(u)
     moved[np.ravel_multi_index(grid.origin_index, grid.counts)] = 1.0
     defect = np.abs(moved - u)
     worst = int(np.argmax(defect))
@@ -186,6 +187,8 @@ def dpp_defect(system, field, x, t, switch_dt, *, int_dt=0.01,
                           % (x.size, field.grid.n_axes))
     if np.any(x < field.grid.lo) or np.any(x > field.grid.hi):
         raise ConfigError("x must be a grid-interior point")
+    if not (math.isfinite(switch_dt) and switch_dt > 0.0):
+        raise ConfigError("switch_dt must be positive and finite")
     depth = int(round(t / switch_dt))
     if depth < 1 or abs(depth * switch_dt - t) > 1e-9:
         raise ConfigError("t must be a positive multiple of switch_dt")

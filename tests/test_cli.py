@@ -88,6 +88,29 @@ class TestSolve:
             outs.append((out / "field.csv").read_bytes())
         assert outs[0] == outs[1]
 
+    def test_split_sweeps_write_the_same_bytes(self, tmp_path, monkeypatch):
+        from zubov import solver
+
+        # a 201² lift2d operator has 3.4M nonzeros: two workers given two
+        # cores, whatever this machine has
+        monkeypatch.setattr(solver, "usable_cores", lambda: 2)
+        outs = []
+        for threads in (1, 2):
+            out = tmp_path / str(threads)
+            rc = main(["solve", "--builtin", "lift2d", "--nodes", "201",
+                       "--threads", str(threads), "--out", str(out)])
+            assert rc == 0
+            meta = read_meta(out)
+            assert meta["result"]["sweep_workers"] == threads
+            assert meta["config"]["threads"] == threads
+            outs.append((out / "field.csv").read_bytes())
+        assert outs[0] == outs[1]
+
+    def test_sweep_workers_goes_under_result(self, run_dir):
+        meta = read_meta(run_dir)
+        assert meta["result"]["sweep_workers"] == 1  # 101²: 0.9M nonzeros
+        assert "sweep_workers" not in meta["config"]
+
     def test_flag_beats_config_beats_default(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(
@@ -379,6 +402,24 @@ class TestSynthesize:
         assert lines[0] == "duration,a1"
         assert len(lines) == 1 + 16  # 4 intervals x 4 switch slots
         assert all(float(ln.split(",")[0]) == 0.25 for ln in lines[1:])
+
+    def test_schedule_without_controls(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "system": {"n": 1, "f": ["-x1"], "g": "x1^2",
+                       "mode": "maximize", "control": None},
+            "nodes": [201], "box": [-2.0, 2.0]}))
+        solved = tmp_path / "solve"
+        assert main(["solve", "--config", str(cfg),
+                     "--out", str(solved)]) == 0
+        out = tmp_path / "synth"
+        assert main(["synthesize", "--config", str(cfg), "--epsilon", "0.05",
+                     "--out", str(out), str(solved / "field.csv"),
+                     "0.5", "2"]) == 0
+        lines = (out / "schedule.csv").read_text().splitlines()
+        assert lines[0] == "duration"
+        assert len(lines) == 1 + 8  # 2 intervals x 4 switch slots
+        assert all(ln == "0.25" for ln in lines[1:])
 
     def test_unreachable_tolerance_exits_4(self, run_dir, tmp_path):
         rc = main(["synthesize", "--builtin", "lift2d",

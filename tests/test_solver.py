@@ -4,13 +4,17 @@ import math
 import numpy as np
 import pytest
 
+from zubov import solver
 from zubov.solver import (
     SolverSettings,
+    hjbe_operator,
     interpolate,
     inverse_transform,
     kruzhkov_transform,
     solve_hjbe,
     solve_zubov,
+    sweep_workers,
+    zubov_operator,
 )
 from zubov.systems import ConfigError, Grid, ValueField, builtin, load_system
 from zubov.trajectories import rk4_step
@@ -141,6 +145,125 @@ def test_metadata_records_operator_size_and_phases():
     phases = field.metadata["phase_seconds"]
     assert sorted(phases) == ["build", "sweeps"]
     assert all(t >= 0.0 for t in phases.values())
+
+
+# --- parallel sweeps ---------------------------------------------------------
+
+def single_product(op, x):
+    """The sweep as one sparse product and one reduction over all controls."""
+    y = op.matrix @ x + op.offset
+    out = op.opt.reduce(y.reshape(-1, op.n_nodes), axis=0)
+    return out if op.cap is None else np.minimum(out, op.cap)
+
+
+@pytest.fixture
+def cores(monkeypatch):
+    """Pretend to have `cores` usable cores, so a sweep splits anywhere."""
+    def pretend(count):
+        monkeypatch.setattr(solver, "usable_cores", lambda: count)
+    return pretend
+
+
+class TestParallelSweeps:
+    def test_kernel_matches_sparse_product(self):
+        from scipy import sparse
+        from scipy.sparse import _sparsetools
+
+        rng = np.random.default_rng(3)
+        dense = rng.standard_normal((300, 200))
+        a = sparse.csr_array(np.where(rng.random((300, 200)) < 0.05,
+                                      dense, 0.0))
+        x = rng.standard_normal(200)
+        y = np.zeros(300)
+        _sparsetools.csr_matvec(300, 200, a.indptr, a.indices, a.data, x, y)
+        assert np.array_equal(y, a @ x)
+
+    def test_wrong_length_is_rejected_before_the_kernel(self):
+        grid = Grid([-1.0], [1.0], [21])
+        with zubov_operator(scalar_decay(), grid, 0.05, True, 1.0) as op:
+            for bad in (np.zeros(20), np.zeros(22), np.zeros((21, 1))):
+                with pytest.raises(ValueError, match="21 node values"):
+                    op(bad)
+
+    def test_lift2d_201_bitwise_at_any_thread_count(self, cores):
+        cores(4)
+        grid = Grid([-1.2, -1.2], [1.2, 1.2], [201, 201])
+        x = np.random.default_rng(0).random(grid.n_nodes)
+        outs = []
+        for threads in (1, 2, 4):
+            with zubov_operator(builtin("lift2d"), grid, 0.05, True, 1.0,
+                                threads) as op:
+                # 3.4M nonzeros: room for three workers, not four
+                assert len(op.blocks) == min(threads, 3)
+                outs.append(op(x))
+        assert np.array_equal(outs[0], single_product(op, x))
+        assert all(np.array_equal(outs[0], out) for out in outs[1:])
+
+    @pytest.mark.parametrize("name", ["fuller", "lift2d"])  # min / max
+    @pytest.mark.parametrize("chunk_controls", [1, 2, 64])
+    def test_raw_operator_split_into_blocks(self, cores, monkeypatch, name,
+                                            chunk_controls):
+        cores(8)
+        monkeypatch.setattr(solver, "_NNZ_PER_WORKER", 1)
+        grid = Grid([-1.0, -1.0], [1.0, 1.0], [41, 41])
+        monkeypatch.setattr(solver, "_CHUNK_ROWS",
+                            chunk_controls * grid.n_nodes)
+        x = np.random.default_rng(1).uniform(-1.0, 1.0, grid.n_nodes)
+        system = builtin(name)
+        for threads in (2, 3):
+            with hjbe_operator(system, grid, 0.05, True, 0.0,
+                               threads) as op:
+                assert len(op.blocks) == threads
+                assert op.blocks[0][0] == 0
+                assert op.blocks[-1][1] == system.control.size
+                assert np.array_equal(op(x), single_product(op, x))
+
+    def test_sweep_allocates_only_its_output(self, cores, monkeypatch):
+        import tracemalloc
+
+        cores(2)
+        monkeypatch.setattr(solver, "_NNZ_PER_WORKER", 1)
+        grid = Grid([-1.2, -1.2], [1.2, 1.2], [101, 101])
+        x = np.random.default_rng(2).random(grid.n_nodes)
+        with zubov_operator(builtin("lift2d"), grid, 0.05, True, 1.0,
+                            2) as op:
+            op(x)  # starts the worker thread
+            tracemalloc.start()
+            try:
+                out = op(x)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # one block's rows alone are ten times this
+        assert peak <= out.nbytes + 64 * 1024
+
+    def test_worker_count_formula(self, cores):
+        cores(2)
+        assert sweep_workers(10 ** 6, 21, 10 ** 9) == 2
+        assert sweep_workers(None, 21, 10 ** 9) == 2
+        assert sweep_workers(1, 21, 10 ** 9) == 1
+        assert sweep_workers(None, 21, 2 ** 21 - 1) == 1
+        assert sweep_workers(None, 21, 140_000) == 1
+        cores(64)
+        assert sweep_workers(10 ** 6, 21, 10 ** 9) == 21
+        assert sweep_workers(10 ** 6, 3, 10 ** 9) == 3
+        assert sweep_workers(10 ** 6, 21, 13_500_000) == 12
+        assert sweep_workers(5, 21, 13_500_000) == 5
+
+    def test_sweep_workers_in_metadata(self, cores, lift2d_field):
+        # the session field solved with the default: every usable core
+        assert lift2d_field.metadata["sweep_workers"] == min(
+            solver.usable_cores(), 3)
+        cores(2)
+        grid = Grid([-1.2, -1.2], [1.2, 1.2], [41, 41])
+        field = solve_zubov(builtin("lift2d"), grid)
+        assert field.metadata["sweep_workers"] == 1
+        assert "threads" not in field.metadata
+        grid = Grid([-1.2, -1.2], [1.2, 1.2], [201, 201])
+        with pytest.warns(UserWarning, match="max_iters"):
+            field = solve_zubov(builtin("lift2d"), grid,
+                                SolverSettings(threads=2, max_iters=2))
+        assert field.metadata["sweep_workers"] == 2
 
 
 class TestSettings:

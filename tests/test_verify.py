@@ -188,6 +188,13 @@ class TestDppDefect:
         with pytest.raises(ConfigError, match="multiple"):
             dpp_defect(lift2d_system, lift2d_field, np.zeros(2), 0.5, 0.3)
 
+    @pytest.mark.parametrize("switch_dt", [0.0, -0.25, math.inf, math.nan])
+    def test_switch_dt_must_be_positive_and_finite(self, lift2d_system,
+                                                   lift2d_field, switch_dt):
+        with pytest.raises(ConfigError, match="switch_dt must be positive"):
+            dpp_defect(lift2d_system, lift2d_field, np.zeros(2), 1.0,
+                       switch_dt)
+
     def test_rejects_minimize_mode(self, lift2d_field):
         fuller = builtin("fuller", gamma=2.0)
         with pytest.raises(ConfigError, match="mode"):

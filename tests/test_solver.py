@@ -218,6 +218,26 @@ class TestParallelSweeps:
                 assert op.blocks[-1][1] == system.control.size
                 assert np.array_equal(op(x), single_product(op, x))
 
+    def test_many_more_workers_than_cores(self, cores, monkeypatch):
+        import sys
+
+        cores(16)
+        monkeypatch.setattr(solver, "_NNZ_PER_WORKER", 1)
+        grid = Grid([-1.2, -1.2], [1.2, 1.2], [41, 41])
+        monkeypatch.setattr(solver, "_CHUNK_ROWS", grid.n_nodes)
+        rng = np.random.default_rng(4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with zubov_operator(builtin("lift2d"), grid, 0.05, True, 1.0,
+                                16) as op:
+                assert len(op.blocks) == 16
+                for _ in range(50):
+                    x = rng.random(grid.n_nodes)
+                    assert np.array_equal(op(x), single_product(op, x))
+        finally:
+            sys.setswitchinterval(interval)
+
     def test_sweep_allocates_only_its_output(self, cores, monkeypatch):
         import tracemalloc
 

@@ -243,34 +243,6 @@ def _write_metadata(cfg, command, result):
     return path
 
 
-def _load_cli_field(path):
-    """Load a field CSV, recovering run facts from a sibling metadata.json.
-
-    The CSV format carries no solver record, so dt / tolerance / convergence
-    are read back from the metadata file the producing run left next to it
-    (when present).
-    """
-    field = load_field(path)
-    sibling = os.path.join(os.path.dirname(os.path.abspath(path)),
-                           "metadata.json")
-    if not os.path.exists(sibling):
-        return field
-    with open(sibling, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    run_cfg = doc.get("config") or {}
-    result = doc.get("result") or {}
-    meta = dict(field.metadata)
-    for key in ("dt", "tol", "rk4_feet"):
-        if key in run_cfg:
-            meta[key] = run_cfg[key]
-    if run_cfg.get("exterior") is not None:
-        meta["exterior_value"] = run_cfg["exterior"]
-    for key in ("converged", "iterations", "final_change"):
-        if key in result:
-            meta[key] = result[key]
-    return field.with_values(field.values, metadata=meta)
-
-
 # --- solve / hjbe ------------------------------------------------------------
 
 def _run_solver(cfg, raw):
@@ -378,7 +350,7 @@ def _cmd_oracle(cfg, args):
 def _cmd_verify(cfg, args):
     system = _make_system(cfg)
     grid = _make_grid(cfg, system)
-    field = _load_cli_field(args.field)
+    field = load_field(args.field)
     if not field.grid.same_layout(grid):
         raise ConfigError("field grid %s does not match the configured "
                           "grid %s" % ("x".join(map(str, field.grid.counts)),
@@ -396,7 +368,8 @@ def _cmd_verify(cfg, args):
                 tuple({"problem": p} for p in problems)))
         elif name == "fixed_point":
             reports.append(check_fixed_point(
-                system, field, cfg["dt"], cfg["tol"], bool(cfg["rk4_feet"])))
+                system, field, cfg["dt"], cfg["tol"], bool(cfg["rk4_feet"]),
+                threads=cfg["threads"] or None))
         elif name == "residual":
             reports.append(residual_stats(system, field))
         elif name == "decrease":
@@ -443,7 +416,7 @@ def _cmd_verify(cfg, args):
 # --- doa / synthesize / demo -------------------------------------------------
 
 def _cmd_doa(cfg, args):
-    field = _load_cli_field(args.field)
+    field = load_field(args.field)
     mask = extract_doa(field, cfg["epsilon"])
     os.makedirs(cfg["out"], exist_ok=True)
     save_mask(mask, os.path.join(cfg["out"], "mask.csv"))
@@ -465,12 +438,7 @@ def _cmd_doa(cfg, args):
 
 def _cmd_synthesize(cfg, args):
     system = _make_system(cfg)
-    field = _load_cli_field(args.field)
-    if "converged" not in field.metadata:
-        # a bare CSV carries no run record; loading one asserts it is final
-        meta = dict(field.metadata)
-        meta["converged"] = True
-        field = field.with_values(field.values, metadata=meta)
+    field = load_field(args.field)
     x0 = np.array(_numbers(args.x0, "x0", float))
     schedule, report = synthesize_epsilon_optimal(
         system, field, x0, cfg["epsilon"], args.m,

@@ -304,8 +304,8 @@ def synthesize_epsilon_optimal(system, field, x0, eps, m, *,
     relative to the field.
     """
     if not field.metadata.get("converged", False):
-        raise ConfigError("synthesis needs a converged field (metadata says "
-                          "the iteration stopped on max_iters)")
+        raise ConfigError("synthesis needs a converged field (its run "
+                          "record does not say converged)")
     if field.grid.n_axes != system.n_state:
         raise ConfigError("field dimension %d, system wants %d"
                           % (field.grid.n_axes, system.n_state))

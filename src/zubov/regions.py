@@ -206,8 +206,11 @@ def save_mask(mask, path):
 
 
 def load_mask(path):
-    grid, epsilon, rows = _read_grid_csv(path, "mask", lambda n: n + 1,
-                                         float)
+    grid, tail, rows = _read_grid_csv(path, "mask", lambda n: n + 1)
+    try:
+        (epsilon,) = [float(token) for token in tail]
+    except ValueError as err:
+        raise ConfigError("malformed mask header: %s" % err) from None
     inside = (rows[:, -1] == 1.0).reshape(tuple(grid.counts))
     touches = bool(np.any(inside & ~grid.interior()))
     return DoaMask(grid, inside, epsilon, touches)

@@ -263,11 +263,10 @@ def _write_csv(path, head, columns, formats):
             fh.write((row * len(part)) % tuple(part.ravel().tolist()))
 
 
-def _read_grid_csv(path, what, width, read_tail=str):
-    """Parse a grid CSV: the grid, the header token after it (read by
-    ``read_tail``) and the body rows in flat node order.  Every row must have
-    ``width(n)`` columns and every node must appear exactly once, or
-    ConfigError says what is off."""
+def _read_grid_csv(path, what, width):
+    """Parse a grid CSV: the grid, the header tokens after it and the body
+    rows in flat node order.  Every row must have ``width(n)`` columns and
+    every node must appear exactly once, or ConfigError says what is off."""
     with open(path) as fh:
         head = fh.readline().strip().split(",")
         try:
@@ -275,7 +274,6 @@ def _read_grid_csv(path, what, width, read_tail=str):
             grid = Grid([float(v) for v in head[1 + n:1 + 2 * n]],
                         [float(v) for v in head[1 + 2 * n:1 + 3 * n]],
                         [int(c) for c in head[1:1 + n]])
-            tail = read_tail(head[1 + 3 * n])
         except (IndexError, ValueError) as err:
             raise ConfigError("malformed %s header: %s" % (what, err)) from None
         try:
@@ -303,32 +301,53 @@ def _read_grid_csv(path, what, width, read_tail=str):
                           "missing" % (what, np.count_nonzero(seen == 0)))
     ordered = np.empty_like(rows)
     ordered[flat] = rows
-    return grid, tail, ordered
+    return grid, head[1 + 3 * n:], ordered
+
+
+# the run record a field CSV header carries (dt, tol, feet mode, exterior
+# value, convergence), key -> parser; flags are written 0/1, floats like the
+# grid tokens
+_FLAG = {"0": False, "1": True}.__getitem__
+_RECORD = {"dt": float, "tol": float, "rk4_feet": _FLAG,
+           "exterior_value": float, "converged": _FLAG}
 
 
 def save_field(field, path):
-    """CSV: header (n_axes, counts, lo, hi, transform), then one node row
-    i1..iN, x1..xN, value with 17 significant digits (bit-exact reload)."""
+    """CSV: header (n_axes, counts, lo, hi, transform, then key=value for the
+    _RECORD keys the metadata holds), then one node row i1..iN, x1..xN, value
+    with 17 significant digits (bit-exact reload)."""
     grid = field.grid
     n = grid.n_axes
-    _write_csv(path, _grid_header(grid) + [field.transform],
+    record = ["%s=%s" % (key, ("%d" if kind is _FLAG else "%.17g")
+                         % field.metadata[key])
+              for key, kind in _RECORD.items() if key in field.metadata]
+    _write_csv(path, _grid_header(grid) + [field.transform] + record,
                [*np.indices(tuple(grid.counts)).reshape(n, -1),
                 *grid.node_coords().reshape(-1, n).T,
                 field.values.reshape(-1)], ["%d"] * n + ["%.17g"] * (n + 1))
 
 
 def load_field(path):
-    """Read a save_field CSV; a row whose coordinates are off the node its
-    index names is rejected like a missing or duplicated one."""
-    grid, transform, rows = _read_grid_csv(path, "field",
-                                           lambda n: 2 * n + 1)
+    """Read a save_field CSV, its run record into the metadata; a row whose
+    coordinates are off the node its index names is rejected like a missing
+    or duplicated one."""
+    grid, tail, rows = _read_grid_csv(path, "field", lambda n: 2 * n + 1)
+    try:
+        transform, *record = tail
+        metadata = {key: _RECORD[key](value) for key, value in
+                    (token.split("=", 1) for token in record)}
+        if len(metadata) != len(record):
+            raise ValueError("a key repeats")
+    except (KeyError, ValueError) as err:
+        raise ConfigError("malformed field header %s: %s"
+                          % (",".join(tail), err)) from None
     n = grid.n_axes
     nodes = grid.node_coords().reshape(-1, n)
     if np.any(np.abs(rows[:, n:2 * n] - nodes) > 1e-3 * grid.dx):
         raise ConfigError("field file has coordinates off the grid node "
                           "their index names")
     return ValueField(grid, rows[:, 2 * n].reshape(tuple(grid.counts)),
-                      transform)
+                      transform, metadata)
 
 
 # --- system definition ------------------------------------------------------

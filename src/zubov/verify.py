@@ -55,12 +55,14 @@ def _as_mask(mask, grid):
     return arr
 
 
-def check_fixed_point(system, field, dt=0.05, tol=1e-6, rk4_feet=True):
+def check_fixed_point(system, field, dt=0.05, tol=1e-6, rk4_feet=True,
+                      threads=None):
     """Apply the field's own Bellman operator once; fail where |T v - v|
     exceeds 10 tol.  An edited or swapped node sticks out by about the size
     of the edit, which residual statistics and sampled trajectories miss.
-    dt, tol, feet mode and exterior value come from the field's metadata;
-    the arguments stand in for what it does not record.
+    dt, tol, feet mode and exterior value (else 1) come from the field's run
+    record, which load_field reads from the CSV header; the arguments stand
+    in for what it does not record.  threads bounds the product's threads.
     """
     if field.transform != "kruzhkov":
         raise ConfigError("fixed-point check wants a kruzhkov field")
@@ -70,7 +72,8 @@ def check_fixed_point(system, field, dt=0.05, tol=1e-6, rk4_feet=True):
     u = 1.0 - field.values.reshape(-1)  # the operator acts on 1 - v
     with zubov_operator(system, grid, dt,
                         bool(meta.get("rk4_feet", rk4_feet)),
-                        float(meta.get("exterior_value", 1.0))) as op:
+                        float(meta.get("exterior_value", 1.0)),
+                        threads=threads) as op:
         moved = op(u)
     moved[np.ravel_multi_index(grid.origin_index, grid.counts)] = 1.0
     defect = np.abs(moved - u)
@@ -189,6 +192,8 @@ def dpp_defect(system, field, x, t, switch_dt, *, int_dt=0.01,
         raise ConfigError("x must be a grid-interior point")
     if not (math.isfinite(switch_dt) and switch_dt > 0.0):
         raise ConfigError("switch_dt must be positive and finite")
+    if not (math.isfinite(t) and t > 0.0):
+        raise ConfigError("t must be positive and finite")
     depth = int(round(t / switch_dt))
     if depth < 1 or abs(depth * switch_dt - t) > 1e-9:
         raise ConfigError("t must be a positive multiple of switch_dt")

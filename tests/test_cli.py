@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from zubov import verify
 from zubov.cli import main
 from zubov.regions import load_mask
 from zubov.systems import load_field, save_field
@@ -346,6 +347,77 @@ class TestVerify:
                    "--nodes", "101", "--out", str(tmp_path),
                    str(run_dir / "field.csv")])
         assert rc == 1
+
+
+class TestRunRecord:
+    """field.csv carries dt, tol, feet mode, exterior value and convergence,
+    so a field checks the same wherever it is copied."""
+
+    @staticmethod
+    def fixed_point_only(tmp_path):
+        cfg = tmp_path / "checks.json"
+        cfg.write_text(json.dumps({"checks": ["fixed_point"]}))
+        return str(cfg)
+
+    def test_bare_euler_field_passes_fixed_point(self, tmp_path):
+        cfg = tmp_path / "euler.json"
+        cfg.write_text(json.dumps({"rk4_feet": False}))
+        solved, bare = tmp_path / "solve", tmp_path / "bare"
+        assert main(["solve", "--config", str(cfg), "--builtin", "lift2d",
+                     "--nodes", "101", "--dt", "0.1",
+                     "--out", str(solved)]) == 0
+        bare.mkdir()
+        (bare / "field.csv").write_bytes((solved / "field.csv").read_bytes())
+        report = tmp_path / "report.json"
+        # neither --dt nor rk4_feet: only the field's record says them
+        rc = main(["verify", "--config", self.fixed_point_only(tmp_path),
+                   "--builtin", "lift2d", "--nodes", "101",
+                   "--report-json", str(report), "--out",
+                   str(tmp_path / "check"), str(bare / "field.csv")])
+        assert rc == 0
+        fixed = json.loads(report.read_text())["checks"][0]
+        assert fixed["passed"] and fixed["stats"]["dt"] == 0.1
+
+    def test_bare_field_verifies_and_synthesizes(self, run_dir, tmp_path):
+        bare = tmp_path / "bare"
+        bare.mkdir()
+        (bare / "field.csv").write_bytes((run_dir / "field.csv").read_bytes())
+        assert main(["verify", "--builtin", "lift2d", "--nodes", "101",
+                     "--out", str(tmp_path / "check"),
+                     str(bare / "field.csv")]) == 0
+        assert main(["synthesize", "--builtin", "lift2d", "--epsilon", "0.05",
+                     "--out", str(tmp_path / "syn"), str(bare / "field.csv"),
+                     "0.5,0.5", "4"]) == 0
+
+    @pytest.mark.filterwarnings("ignore:value iteration")
+    def test_unconverged_field_stays_unconverged(self, tmp_path, capsys):
+        run = tmp_path / "run"
+        assert main(["solve", "--builtin", "lift2d", "--nodes", "101",
+                     "--dt", "0.1", "--max-iters", "5",
+                     "--out", str(run)]) == 2
+        # verify writes its own metadata.json over the solve's
+        main(["verify", "--config", self.fixed_point_only(tmp_path),
+              "--builtin", "lift2d", "--nodes", "101", "--dt", "0.1",
+              "--out", str(run), str(run / "field.csv")])
+        assert read_meta(run)["command"] == "verify"
+        capsys.readouterr()
+        rc = main(["synthesize", "--builtin", "lift2d", "--epsilon", "0.05",
+                   "--out", str(tmp_path / "syn"), str(run / "field.csv"),
+                   "0.5,0.5", "4"])
+        assert rc == 1
+        assert "converged" in capsys.readouterr().err
+
+    def test_verify_passes_threads_on(self, run_dir, tmp_path, monkeypatch):
+        seen = []
+        real = verify.zubov_operator
+        monkeypatch.setattr(verify, "zubov_operator", lambda *a, threads:
+                            seen.append(threads) or real(*a, threads=threads))
+        for threads in ("3", "0"):
+            assert main(["verify", "--config", self.fixed_point_only(tmp_path),
+                         "--builtin", "lift2d", "--nodes", "101",
+                         "--threads", threads, "--out", str(tmp_path),
+                         str(run_dir / "field.csv")]) == 0
+        assert seen == [3, None]  # 0 means the usable cores
 
 
 class TestDoa:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
+from zubov.solver import SolverSettings, interpolate, solve_zubov
 from zubov.systems import (
     ConfigError,
     ControlSpace,
@@ -165,6 +166,15 @@ class TestValueField:
         (lambda rows: rows.__setitem__(5, "1,1,0.5,0,0.5"), "off the grid"),
         # no rows at all
         (lambda rows: rows.__delitem__(slice(1, None)), "0 rows"),
+        # run-record tokens: a value that does not parse, no value, an
+        # unknown key, a flag other than 0/1, a repeated key
+        (lambda rows: rows.__setitem__(0, rows[0] + ",dt=abc"), "header"),
+        (lambda rows: rows.__setitem__(0, rows[0] + ",dt"), "header"),
+        (lambda rows: rows.__setitem__(0, rows[0] + ",bogus=1"), "header"),
+        (lambda rows: rows.__setitem__(0, rows[0] + ",converged=2"),
+         "header"),
+        (lambda rows: rows.__setitem__(0, rows[0] + ",tol=1,tol=1"),
+         "header"),
     ])
     def test_malformed_rows_rejected(self, tmp_path, edit, match):
         g = Grid([-1.0, -1.0], [1.0, 1.0], [3, 3])
@@ -175,6 +185,31 @@ class TestValueField:
         path.write_text("\n".join(rows) + "\n")
         with pytest.raises(ConfigError, match=match):
             load_field(path)
+
+    def test_run_record_round_trips(self, tmp_path):
+        grid = Grid([-1.2, -1.2], [1.2, 1.2], [21, 21])
+        field = solve_zubov(builtin("lift2d"), grid, SolverSettings(
+            dt=0.1, rk4_feet=False, exterior_value=0.3))
+        path = tmp_path / "f.csv"
+        save_field(field, path)
+        back = load_field(path)
+        record = ("dt", "tol", "rk4_feet", "exterior_value", "converged")
+        assert back.metadata == {k: field.metadata[k] for k in record}
+        assert back.metadata["converged"] is True
+        assert back.metadata["rk4_feet"] is False
+        assert interpolate(back, [2.0, 2.0]) == 0.3
+        # the header holds the record and nothing else of the metadata
+        head = path.read_text().splitlines()[0].split(",")
+        assert head[head.index("kruzhkov") + 1:] == [
+            "dt=0.10000000000000001", "tol=9.9999999999999995e-07",
+            "rk4_feet=0", "exterior_value=0.29999999999999999", "converged=1"]
+
+    def test_header_without_record_loads_empty_metadata(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text("1,3,-1,1,kruzhkov\n0,-1,1\n1,0,0\n2,1,1\n")
+        back = load_field(path)
+        assert back.metadata == {}
+        assert back.values.tolist() == [1.0, 0.0, 1.0]
 
     def test_truncated_file_rejected(self, tmp_path):
         f = ValueField(Grid([-1.0], [1.0], [3]), np.zeros(3), "raw")

@@ -195,6 +195,12 @@ class TestDppDefect:
             dpp_defect(lift2d_system, lift2d_field, np.zeros(2), 1.0,
                        switch_dt)
 
+    @pytest.mark.parametrize("t", [0.0, -0.5, math.inf, math.nan])
+    def test_t_must_be_positive_and_finite(self, lift2d_system,
+                                           lift2d_field, t):
+        with pytest.raises(ConfigError, match="t must be positive"):
+            dpp_defect(lift2d_system, lift2d_field, np.zeros(2), t, 0.25)
+
     def test_rejects_minimize_mode(self, lift2d_field):
         fuller = builtin("fuller", gamma=2.0)
         with pytest.raises(ConfigError, match="mode"):

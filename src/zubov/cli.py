@@ -260,7 +260,10 @@ def _run_solver(cfg, raw):
         "converged": bool(meta["converged"]),
         "iterations": int(meta["iterations"]),
         "final_change": float(meta["final_change"]),
+        "sweep_changes": meta["sweep_changes"],
+        "bellman_residual": meta["bellman_residual"],
         "operator_nnz": meta["operator_nnz"],
+        "operator_bytes": meta["operator_bytes"],
         "sweep_workers": meta["sweep_workers"],
         "phase_seconds": meta["phase_seconds"],
         "seconds": round(elapsed, 3),

@@ -5,15 +5,18 @@ schedule built from `depth` segments of length `switch_dt` over the system's
 control menu, advance them all at once through the batched RK4 engine
 `trajectories.advance` (which also serves `integrate`, the falsifier below
 and the sampled decrease check), and turn the best accumulated cost into a
-bracket.  Once the best trajectory sits inside the ball B_rho, the declared
+bracket.  Once a trajectory sits inside the ball B_rho, the declared
 exponential envelope caps everything it can still collect:
 
     tail = c_tilde * (c * rho)**lam / (lam * sigma)
 
 (integrate the growth bound ``cost <= c_tilde ||x||**lam`` along
-``||x(t)|| <= c rho exp(-sigma t)``).  The bracket deliberately shares no
-code with the solver's update rule: a bug would have to show up in two
-unrelated discretizations to slip through the cross-checks.
+``||x(t)|| <= c rho exp(-sigma t)``).  The tail bounds the continuation of
+a trajectory only once it has entered B_rho, so a bracket is certified only
+when every enumerated trajectory has: one that has not may still end above
+``upper``.  The bracket deliberately shares no code with the solver's update
+rule: a bug would have to show up in two unrelated discretizations to slip
+through the cross-checks.
 
 Also here: the quasi-stability falsifier (cheap-trajectory search for
 finite-cost escapes) and the greedy eps-optimal schedule construction with
@@ -57,8 +60,8 @@ class ValueBounds:
 
     `lower` is the best cost any enumerated schedule accumulates by the
     horizon; `upper` adds the envelope tail.  When `truncated` is set the
-    best trajectory never certified the tail (it stayed outside B_rho, or
-    the system declares no envelope), so the pair is a point estimate of
+    tail is not certified (some enumerated trajectory stayed outside B_rho,
+    or the system declares no envelope), so the pair is a point estimate of
     the enumerated family rather than a closed bracket.
     """
 
@@ -152,7 +155,8 @@ def _enumerate(system, x, switch_dt, depth, rho, int_dt, budget):
 def maximal_cost(system, x, switch_dt=0.25, depth=8, rho=0.05, *,
                  int_dt=0.01, budget=_DEFAULT_BUDGET):
     """Bracket the worst-case accumulated cost sup over schedules of
-    the undiscounted integral of g, by exhaustive enumeration."""
+    the undiscounted integral of g, by exhaustive enumeration; `truncated`
+    unless every enumerated trajectory entered B_rho."""
     if system.mode != "maximize":
         raise ConfigError("maximal_cost wants a maximize-mode system")
     if not switch_dt > 0.0:
@@ -169,7 +173,7 @@ def maximal_cost(system, x, switch_dt=0.25, depth=8, rho=0.05, *,
     best = int(np.argmax(z[:, system.n_state + 1]))
     lower = float(z[best, system.n_state + 1])
     return ValueBounds(lower, lower + tail, horizon, depth, tail,
-                       not bool(entered[best]))
+                       not bool(entered.all()))
 
 
 def kruzhkov_value(system, x, switch_dt=0.25, depth=8, rho=0.05, *,
@@ -189,10 +193,11 @@ def min_value(system, x, switch_dt=0.25, depth=8, rho=0.05, *,
 
     The enumerated best is an over-estimate of the true infimum (the menu
     is finite), so the bracket is honest only about the enumerated family:
-    with a declared envelope and a trajectory that reaches B_rho, the tail
-    closes that family's horizon gap — one-sided for ell >= 0, symmetric
-    for the signed-ell guards.  Without an envelope the result is the bare
-    horizon cost, flagged `truncated`.
+    with a declared envelope and every enumerated trajectory entering B_rho
+    within the horizon, the tail closes that family's horizon gap —
+    one-sided for ell >= 0, symmetric for the signed-ell guards.  Without
+    an envelope, or with a trajectory that never reached B_rho, the result
+    is the bare horizon cost, flagged `truncated`.
     """
     if system.mode != "minimize":
         raise ConfigError("min_value wants a minimize-mode system")
@@ -211,7 +216,7 @@ def min_value(system, x, switch_dt=0.25, depth=8, rho=0.05, *,
     best = int(np.argmin(z[:, system.n_state]))
     est = float(z[best, system.n_state])
     certifiable = (system.ules is not None and system.growth is not None
-                   and rho <= system.ules.r and bool(entered[best]))
+                   and rho <= system.ules.r and bool(entered.all()))
     if not certifiable:
         return ValueBounds(est, est, horizon, depth, 0.0, True)
     tail = _tail_bound(system, rho)

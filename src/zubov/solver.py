@@ -9,6 +9,13 @@ the exterior term.  A sweep computes opt_k(c_k + C_k x), the sparse product
 taken a few controls at a time (as many as fit 2**17 rows), so the rows
 being reduced stay in cache.
 
+The build streams: for each control it computes feet and stencils for
+2**14 nodes at a time and appends their rows, so its temporaries stay a
+few MB at any grid size.  The offset is allocated zeroed and only chunks
+with a nonzero entry are written, so an all-zero offset (every Kružkov
+row at the default exterior value 1) never becomes resident, and a sweep
+skips adding it.  Neither changes a bit of any field.
+
 A large operator sweeps on several threads.  The controls are split into
 contiguous blocks, one per worker: each worker computes c_k + C_k x for its
 controls and reduces over them into a buffer of its own, and the calling
@@ -83,6 +90,7 @@ class SolverSettings:
 
 _NNZ_PER_WORKER = 2 ** 20  # a sweep worker gets at least this many nonzeros
 _CHUNK_ROWS = 2 ** 17  # rows a sweep computes per kernel call: 1 MB
+_FEET_CHUNK = 2 ** 14  # nodes whose feet and stencils a build holds at once
 
 
 def usable_cores():
@@ -118,12 +126,12 @@ def _foot_points(system, nodes, a, dt, rk4_feet):
     return z1[..., : system.n_state], z1[..., system.n_state:]
 
 
-def _stencil(grid, feet, idx=None, w=None):
+def _stencil(grid, feet):
     """Multilinear stencil of each foot point: ``(inside, idx, w)``.
 
     Row i of ``idx``/``w`` (shape (len(feet), 2**n)) lists the flat node
     indices and weights foot i reads; exterior feet are flagged, not
-    dropped.  Pass preallocated ``idx``/``w`` to have them filled in place.
+    dropped.
     """
     n = grid.n_axes
     inside = np.ones(feet.shape[0], dtype=bool)
@@ -137,9 +145,8 @@ def _stencil(grid, feet, idx=None, w=None):
         frac.append(np.clip(u - cell, 0.0, 1.0))
     strides = np.cumprod([1, *grid.counts[:0:-1]])[::-1]
     corners = list(itertools.product((0, 1), repeat=n))
-    if idx is None:
-        idx = np.empty((feet.shape[0], len(corners)), dtype=np.int64)
-        w = np.empty((feet.shape[0], len(corners)))
+    idx = np.empty((feet.shape[0], len(corners)), dtype=np.int64)
+    w = np.empty((feet.shape[0], len(corners)))
     for j, corner in enumerate(corners):
         flat = np.zeros(feet.shape[0], dtype=np.int64)
         weight = np.ones(feet.shape[0])
@@ -167,6 +174,9 @@ class BellmanOperator:
 
         self.matrix = matrix
         self.offset = offset
+        # an all-zero offset is never added: rows sum up from +0, so adding
+        # 0 changes no bit
+        self._add_offset = bool(offset.any())
         self.opt = opt
         self.cap = cap
         self.n_nodes = n = matrix.shape[1]
@@ -195,7 +205,8 @@ class BellmanOperator:
             rows.fill(0.0)  # as A @ x does: each row sums up from +0
             self._matvec(hi - lo, n, m.indptr[lo:hi + 1], m.indices, m.data,
                          x, rows)
-            rows += self.offset[lo:hi]
+            if self._add_offset:
+                rows += self.offset[lo:hi]
             if k == first:
                 self.opt.reduce(rows.reshape(-1, n), axis=0, out=partial)
             else:
@@ -220,6 +231,14 @@ class BellmanOperator:
             np.minimum(out, self.cap, out=out)
         return out
 
+    @property
+    def nbytes(self):
+        """Bytes the operator keeps resident: C's three arrays, plus c when
+        a sweep reads it."""
+        m = self.matrix
+        return (m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
+                + (self.offset.nbytes if self._add_offset else 0))
+
     def close(self):
         if self._pool is not None:
             self._pool.shutdown()
@@ -237,40 +256,45 @@ def _assemble(system, grid, rows, x_exterior, opt, cap=None, threads=None):
 
     ``rows(a, nodes)`` returns ``(feet, scale, cost)`` for control a: row i
     reads ``cost[i] + scale[i] * I[x](feet[i])``, where I[x] is
-    ``x_exterior`` at a foot outside the box.
+    ``x_exterior`` at a foot outside the box.  It is called on
+    ``_FEET_CHUNK`` nodes at a time, in row order, so the build's
+    temporaries do not grow with the grid.
     """
     if grid.n_axes != system.n_state:
         raise ConfigError("grid dimension %d, system wants %d"
                           % (grid.n_axes, system.n_state))
-    nodes = grid.node_coords().reshape(-1, grid.n_axes)
-    n_nodes, width = nodes.shape[0], 2 ** grid.n_axes
+    n_nodes, width = grid.n_nodes, 2 ** grid.n_axes
     n_rows = system.control.size * n_nodes
     itype = np.int32 if n_rows * width < 2 ** 31 else np.int64
     # sized for every foot inside; the pages exterior rows leave unused are
-    # never touched, so they cost address space only
+    # never touched, so they cost address space only.  The same holds for
+    # the offset's all-zero chunks, which are never written.
     data = np.empty(n_rows * width)
     indices = np.empty(n_rows * width, dtype=itype)
-    row_nnz = np.empty(n_rows, dtype=itype)
-    offset = np.empty(n_rows)
-    idx = np.empty((n_nodes, width), dtype=itype)
-    w = np.empty((n_nodes, width))
+    indptr = np.zeros(n_rows + 1, dtype=itype)  # row lengths, then sums
+    offset = np.zeros(n_rows)
     nnz = 0
     for k, a in enumerate(system.control.points):
-        feet, scale, cost = rows(a, nodes)
-        scale = np.broadcast_to(scale, (n_nodes,))
-        inside, _, _ = _stencil(grid, feet, idx, w)
-        w *= scale[:, None]
-        span = slice(k * n_nodes, (k + 1) * n_nodes)
-        row_nnz[span] = np.where(inside, width, 0)
-        offset[span] = cost + np.where(inside, 0.0, scale * x_exterior)
-        end = nnz + width * int(np.count_nonzero(inside))
-        indices[nnz:end] = idx[inside].reshape(-1)
-        data[nnz:end] = w[inside].reshape(-1)
-        nnz = end
+        for lo in range(0, n_nodes, _FEET_CHUNK):
+            hi = min(lo + _FEET_CHUNK, n_nodes)
+            at = np.unravel_index(np.arange(lo, hi), tuple(grid.counts))
+            nodes = np.stack([ax[i] for ax, i in zip(grid.axes, at)], axis=-1)
+            feet, scale, cost = rows(a, nodes)
+            scale = np.broadcast_to(scale, (hi - lo,))
+            inside, idx, w = _stencil(grid, feet)
+            w *= scale[:, None]
+            row = k * n_nodes + lo
+            indptr[row + 1:row + 1 + hi - lo] = np.where(inside, width, 0)
+            off = cost + np.where(inside, 0.0, scale * x_exterior)
+            if off.any():
+                offset[row:row + hi - lo] = off
+            end = nnz + width * int(np.count_nonzero(inside))
+            indices[nnz:end] = idx[inside].reshape(-1)
+            data[nnz:end] = w[inside].reshape(-1)
+            nnz = end
     from scipy import sparse  # loaded by the first solve, not on import
 
-    indptr = np.zeros(n_rows + 1, dtype=itype)
-    np.cumsum(row_nnz, out=indptr[1:])
+    np.cumsum(indptr, out=indptr)
     matrix = sparse.csr_array((data[:nnz], indices[:nnz], indptr),
                               shape=(n_rows, n_nodes))
     return BellmanOperator(matrix, offset, opt, cap, sweep_workers(
@@ -315,33 +339,41 @@ def hjbe_operator(system, grid, dt, rk4_feet, exterior, threads=None):
 
 def _iterate(build, grid, settings, start, scheme, exterior):
     """Build the operator and sweep it from x ≡ start (the origin pinned
-    there) to tolerance; returns x and the field metadata."""
+    there) to tolerance; returns x and the field metadata, which records
+    every sweep's sup-change and the Bellman residual sup |T x - x| of the
+    returned x (one more product, the origin pinned as in a sweep)."""
     started = time.perf_counter()
     x = np.full(grid.n_nodes, start)
     origin = int(np.ravel_multi_index(grid.origin_index, tuple(grid.counts)))
+
+    def sweep(x):
+        nxt = op(x)
+        if settings.pin_origin:
+            nxt[origin] = start
+        return nxt, float(np.max(np.abs(nxt - x)))
+
     converged = False
-    change = math.inf
-    it = 0
+    changes = []
     with build() as op:
         built = time.perf_counter()
-        for it in range(1, settings.max_iters + 1):
-            nxt = op(x)
-            if settings.pin_origin:
-                nxt[origin] = start
-            change = float(np.max(np.abs(nxt - x)))
-            x = nxt
+        for _ in range(settings.max_iters):
+            x, change = sweep(x)
+            changes.append(change)
             if change < settings.tol:
                 converged = True
                 break
+        residual = sweep(x)[1]
     if not converged:
         warnings.warn("value iteration hit max_iters=%d with sup-change "
                       "%.3e >= tol %.3e" % (settings.max_iters, change,
                                             settings.tol))
     meta = asdict(settings)
     del meta["threads"]  # results never depend on it
-    meta.update(scheme=scheme, exterior_value=exterior, iterations=it,
-                final_change=change, converged=converged,
-                operator_nnz=int(op.matrix.nnz), sweep_workers=len(op.blocks),
+    meta.update(scheme=scheme, exterior_value=exterior,
+                iterations=len(changes), final_change=change,
+                converged=converged, sweep_changes=changes,
+                bellman_residual=residual, operator_nnz=int(op.matrix.nnz),
+                operator_bytes=op.nbytes, sweep_workers=len(op.blocks),
                 phase_seconds={"build": built - started,
                                "sweeps": time.perf_counter() - built})
     return x, meta

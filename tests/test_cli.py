@@ -8,7 +8,7 @@ import pytest
 from zubov import verify
 from zubov.cli import main
 from zubov.regions import load_mask
-from zubov.systems import load_field, save_field
+from zubov.systems import builtin, load_field, save_field
 
 LIFT_CLOSED = 0.3862943611198906  # exact worst-case cost at (0.5, 0.5)
 
@@ -59,6 +59,20 @@ class TestSolve:
         assert sorted(meta["result"]["phase_seconds"]) == ["build", "sweeps"]
         assert "operator_nnz" not in meta["config"]
         assert "phase_seconds" not in meta["config"]
+
+    def test_solver_trace_goes_under_result(self, run_dir):
+        meta = read_meta(run_dir)
+        result = meta["result"]
+        assert len(result["sweep_changes"]) == result["iterations"]
+        assert result["sweep_changes"][-1] == result["final_change"]
+        assert 0.0 <= result["bellman_residual"] <= result["final_change"]
+        # the default exterior value 1 leaves no offset to keep: 8-byte
+        # data and 4-byte indices per entry, a 4-byte indptr entry per row
+        rows = builtin("lift2d").control.size * 101 * 101
+        assert result["operator_bytes"] == 12 * result["operator_nnz"] \
+            + 4 * (rows + 1)
+        for key in ("sweep_changes", "bellman_residual", "operator_bytes"):
+            assert key not in meta["config"]
 
     def test_missing_config_exits_1(self, tmp_path):
         rc = main(["solve", "--config", str(tmp_path / "missing.json")])

@@ -64,6 +64,28 @@ def reference_enumerate(system, x, switch_dt, depth, rho, int_dt):
     return z, entered
 
 
+def stay_or_decay(mode):
+    """x' = -a x for a in {0, 1}: a = 1 decays into every ball, a = 0 stays.
+
+    The best schedule decays throughout and enters B_rho, while the
+    all-stay row never does: maximizing, only decaying accrues cost
+    (10 a x^2); minimizing, staying costs ten times more ((10 - 9a) x^2).
+    """
+    def f(x, a):
+        return -a[..., 0:1] * np.asarray(x, dtype=float)
+
+    def cost(x, a):
+        x2 = np.asarray(x, dtype=float)[..., 0] ** 2
+        return (10.0 * a[..., 0] if mode == "maximize"
+                else 10.0 - 9.0 * a[..., 0]) * x2
+
+    return SystemDef("stay-or-decay", 1,
+                     ControlSpace.from_points([[0.0], [1.0]]), f, cost,
+                     ell=cost if mode == "minimize" else None, mode=mode,
+                     guard="nonneg_ell" if mode == "minimize" else None,
+                     ules=Ules(1.0, 1.0, 1.0), growth=Growth(10.0, 2.0))
+
+
 LIFT2D_JSON = {
     "name": "lift2d-json", "n": 2,
     "f": ["-x1 + a1*x1^2", "-x2 + a1*x2^2"], "g": "x1^2 + x2^2",
@@ -157,6 +179,21 @@ class TestMaximalCost:
             assert vb.lower - 0.03 <= truth <= vb.upper + 0.03
             assert vb.lower <= truth + 1e-6  # schedules never beat the sup
 
+    def test_unentered_row_truncates(self):
+        system = stay_or_decay("maximize")
+        z, entered = _enumerate(system, np.array([0.5]), 0.5, 6, 0.05, 0.01,
+                                10 ** 6)
+        best = int(np.argmax(z[:, 2]))
+        assert entered[best] and not entered.all()
+        vb = maximal_cost(system, [0.5], switch_dt=0.5, depth=6, rho=0.05)
+        assert vb.lower == pytest.approx(float(z[best, 2]))
+        assert vb.truncated
+        # with only the decaying control every row enters: certified
+        decay = SystemDef("decay", 1, ControlSpace.from_points([[1.0]]),
+                          system.f, system.g, mode="maximize",
+                          ules=system.ules, growth=system.growth)
+        assert not maximal_cost(decay, [0.5], 0.5, 6, 0.05).truncated
+
     def test_depth_monotonicity(self):
         sys3 = builtin("lift2d", controls=3)
         lowers = [maximal_cost(sys3, [0.5, 0.5], 0.25, d, 0.05).lower
@@ -235,6 +272,16 @@ class TestMinValue:
         # mirrored control menu => mirrored trajectories, identical costs
         assert plus.upper == pytest.approx(minus.upper, rel=1e-12)
         assert abs(plus.upper - minus.upper) <= 0.02 * plus.upper
+
+    def test_unentered_row_truncates(self):
+        system = stay_or_decay("minimize")
+        z, entered = _enumerate(system, np.array([0.5]), 0.5, 6, 0.05, 0.01,
+                                10 ** 6)
+        best = int(np.argmin(z[:, 1]))
+        assert entered[best] and not entered.all()
+        vb = min_value(system, [0.5], switch_dt=0.5, depth=6, rho=0.05)
+        assert vb.lower == vb.upper == pytest.approx(float(z[best, 1]))
+        assert vb.truncated and vb.tail_bound == 0.0
 
     def test_guard_required(self):
         loose = load_system({

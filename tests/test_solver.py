@@ -113,6 +113,8 @@ REFERENCE_CASES = {
     "lift2d-rk4": ("lift2d", LIFT41, {}),
     "lift2d-euler": ("lift2d", LIFT41, {"rk4_feet": False}),
     "lift2d-exterior": ("lift2d", LIFT41, {"exterior_value": 0.3}),
+    "lift2d-euler-exterior": ("lift2d", LIFT41, {"rk4_feet": False,
+                                                 "exterior_value": 0.3}),
     "ex1-rk4": ("ex1", Grid([-2.0], [2.0], [401]), {}),
     "ex1-euler": ("ex1", Grid([-2.0], [2.0], [401]), {"rk4_feet": False}),
     "fuller-rk4": ("fuller", LIFT41, {"dt": 0.02}),
@@ -145,6 +147,75 @@ def test_metadata_records_operator_size_and_phases():
     phases = field.metadata["phase_seconds"]
     assert sorted(phases) == ["build", "sweeps"]
     assert all(t >= 0.0 for t in phases.values())
+
+
+def test_metadata_records_sweep_history_and_residual():
+    grid = Grid([-1.0], [1.0], [21])
+    meta = solve_zubov(scalar_decay(), grid).metadata
+    changes = meta["sweep_changes"]
+    assert len(changes) == meta["iterations"]
+    assert changes[-1] == meta["final_change"] < meta["tol"]
+    # one more sweep moves the field by at most the last sweep's change
+    assert 0.0 <= meta["bellman_residual"] <= meta["final_change"]
+    # f = -x: every foot inside, so no offset is kept; 42 entries, 22 rows
+    assert meta["operator_bytes"] == 42 * 8 + 42 * 4 + 22 * 4
+
+
+def test_bellman_residual_is_one_more_pinned_sweep():
+    system, settings = builtin("lift2d"), SolverSettings(max_iters=30)
+    with pytest.warns(UserWarning, match="max_iters"):
+        field = solve_zubov(system, LIFT41, settings)
+    u = 1.0 - field.values.reshape(-1)
+    with zubov_operator(system, LIFT41, settings.dt, True, 1.0) as op:
+        nxt = op(u)
+    nxt[np.ravel_multi_index(LIFT41.origin_index, tuple(LIFT41.counts))] = 1.0
+    assert field.metadata["bellman_residual"] == pytest.approx(
+        np.abs(nxt - u).max(), abs=1e-15)
+    assert len(field.metadata["sweep_changes"]) == 30
+
+
+# --- streamed build ----------------------------------------------------------
+
+@pytest.mark.parametrize("chunk", [7, 1000])
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_chunk_boundaries_are_invisible(monkeypatch, case, chunk):
+    name, grid, patch = REFERENCE_CASES[case]
+    system = builtin(name) if isinstance(name, str) else load_system(name)
+    settings = SolverSettings(**patch)
+    raw = system.mode == "minimize"
+    exterior = settings.exterior_value
+    if exterior is None:
+        exterior = 0.0 if raw else 1.0
+    arrays = []
+    for size in (grid.n_nodes, chunk):  # one chunk, then many
+        monkeypatch.setattr(solver, "_FEET_CHUNK", size)
+        with (hjbe_operator if raw else zubov_operator)(
+                system, grid, settings.dt, settings.rk4_feet, exterior) as op:
+            m = op.matrix
+            arrays.append((m.data, m.indices, m.indptr, op.offset))
+    for whole, chunked in zip(*arrays):
+        assert whole.dtype == chunked.dtype
+        assert np.array_equal(whole, chunked)
+
+
+def test_build_transients_do_not_grow_with_the_grid(monkeypatch):
+    import tracemalloc
+
+    monkeypatch.setattr(solver, "_FEET_CHUNK", 2 ** 12)
+    system = builtin("lift2d")
+    zubov_operator(system, LIFT41, 0.05, True, 1.0).close()  # warm caches
+    beyond = []
+    for n in (101, 201):
+        grid = Grid([-1.2, -1.2], [1.2, 1.2], [n, n])
+        tracemalloc.start()
+        try:
+            with zubov_operator(system, grid, 0.05, True, 1.0):
+                kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        beyond.append(peak - kept)
+    # feet for every node of a control at once would need 4x at 201²
+    assert beyond[1] <= 1.25 * beyond[0]
 
 
 # --- parallel sweeps ---------------------------------------------------------
@@ -217,6 +288,28 @@ class TestParallelSweeps:
                 assert op.blocks[0][0] == 0
                 assert op.blocks[-1][1] == system.control.size
                 assert np.array_equal(op(x), single_product(op, x))
+
+    @pytest.mark.parametrize("exterior", [1.0, 0.3])
+    def test_offset_is_added_only_when_nonzero(self, cores, monkeypatch,
+                                               exterior):
+        cores(2)
+        monkeypatch.setattr(solver, "_NNZ_PER_WORKER", 1)
+        x = np.random.default_rng(5).random(LIFT41.n_nodes)
+        for threads in (1, 2):
+            with zubov_operator(builtin("lift2d"), LIFT41, 0.05, True,
+                                exterior, threads) as op:
+                assert len(op.blocks) == threads
+                assert np.array_equal(op(x), single_product(op, x))
+                m = op.matrix
+                exterior_rows = np.diff(m.indptr) == 0
+                assert exterior_rows.any()
+                # Kružkov rows carry an offset only outside, and only when
+                # the exterior value is below 1
+                assert np.array_equal(op.offset != 0.0,
+                                      exterior_rows & (exterior < 1.0))
+                kept = m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
+                assert op.nbytes == kept + (op.offset.nbytes
+                                            if exterior < 1.0 else 0)
 
     def test_many_more_workers_than_cores(self, cores, monkeypatch):
         import sys
@@ -309,6 +402,10 @@ class TestSolveZubov:
         grid = Grid([-1.0, -1.0], [1.0, 1.0], [5, 5])
         with pytest.raises(ConfigError, match="maximize"):
             solve_zubov(builtin("fuller"), grid)
+
+    def test_negative_g_is_rejected(self):
+        with pytest.raises(ConfigError, match="g < 0"):
+            solve_zubov(scalar_decay(g="x1"), Grid([-1.0], [1.0], [21]))
 
     def test_zero_cost_fixed_point(self):
         field = solve_zubov(scalar_decay(g="0.0"), Grid([-1.0], [1.0], [21]))

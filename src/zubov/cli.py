@@ -99,6 +99,8 @@ class _Parser(argparse.ArgumentParser):
 def _numbers(val, what, kind):
     if isinstance(val, str):
         val = [tok for tok in val.split(",") if tok.strip()]
+    elif isinstance(val, (int, float)) and not isinstance(val, bool):
+        val = [val]  # a bare number in a config file reads like --nodes 41
     try:
         out = [kind(tok) for tok in val]
     except (TypeError, ValueError):
@@ -130,17 +132,19 @@ def _resolve(args):
         cfg.update(_load_config(args.config))
     if getattr(args, "builtin", None) is not None:
         cfg["system"] = None  # the flag replaces any inline table wholesale
+    flagged = set()
     for key in ("builtin", "nodes", "box", "dt", "tol", "max_iters",
                 "controls", "switch_dt", "depth", "rho", "seed", "threads",
                 "out", "epsilon", "report_json"):
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
+            flagged.add(key)
 
-    if cfg["nodes"] is not None:
-        cfg["nodes"] = _numbers(cfg["nodes"], "--nodes", int)
-    if cfg["box"] is not None:
-        cfg["box"] = _numbers(cfg["box"], "--box", float)
+    for key, kind in (("nodes", int), ("box", float)):
+        if cfg[key] is not None:  # name where a bad value came from
+            what = "--" + key if key in flagged else "config key %r" % key
+            cfg[key] = _numbers(cfg[key], what, kind)
     if cfg["builtin"] is not None and cfg["system"] is not None:
         raise ConfigError("give a builtin name or an inline system, not both")
     for key in ("dt", "tol", "switch_dt", "rho", "epsilon"):
@@ -181,7 +185,7 @@ def _make_grid(cfg, system):
     elif len(nodes) == 1:
         nodes = nodes * n
     if len(nodes) != n:
-        raise ConfigError("--nodes names %d axes, system has %d"
+        raise ConfigError("nodes names %d axes, system has %d"
                           % (len(nodes), n))
     box = cfg["box"]
     if box is None:
@@ -194,7 +198,7 @@ def _make_grid(cfg, system):
     elif len(box) == 2 * n:
         lo, hi = list(box[0::2]), list(box[1::2])
     else:
-        raise ConfigError("--box wants LO,HI (broadcast) or one LO,HI pair "
+        raise ConfigError("box wants LO,HI (broadcast) or one LO,HI pair "
                           "per axis; got %d values for %d axes"
                           % (len(box), n))
     return Grid(lo, hi, nodes)

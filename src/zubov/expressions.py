@@ -275,12 +275,17 @@ def _eval(node, state, control):
         if node.op == "/":
             _domain(b == 0, "division by zero")
             return a / b
-        # power: fractional exponents demand nonnegative bases
-        b_arr = np.asarray(b)
-        integral = b_arr == np.floor(b_arr)
-        _domain((np.asarray(a) < 0) & ~integral,
-                "negative base with non-integer exponent")
-        _domain((np.asarray(a) == 0) & (b_arr < 0), "zero to a negative power")
+        # power: fractional exponents demand nonnegative bases; a constant
+        # nonnegative integer exponent (x1^2) can violate neither rule
+        right = node.right
+        if not (isinstance(right, Num) and right.value >= 0
+                and float(right.value).is_integer()):
+            b_arr = np.asarray(b)
+            integral = b_arr == np.floor(b_arr)
+            _domain((np.asarray(a) < 0) & ~integral,
+                    "negative base with non-integer exponent")
+            _domain((np.asarray(a) == 0) & (b_arr < 0),
+                    "zero to a negative power")
         return np.power(a, b)
     if isinstance(node, Call):
         args = [_eval(arg, state, control) for arg in node.args]

@@ -119,8 +119,11 @@ def _tail_bound(system, rho):
     return gr.c_tilde * (u.c * rho) ** gr.lam / (gr.lam * u.sigma)
 
 
-def _enumerate(system, x, switch_dt, depth, rho, int_dt, budget):
+def _enumerate(system, x, switch_dt, depth, rho, int_dt, budget, slots=3):
     """Advance all |A_d|^depth schedules; returns (aug_states, entered).
+
+    The augmented states carry ``slots`` integrals after x: 3 for
+    (J, int g, int h), 1 for int g alone (trajectories module docstring).
 
     The batch grows one control choice per segment (prefixes are shared),
     so row r encodes the schedule whose j-th segment uses control index
@@ -135,7 +138,7 @@ def _enumerate(system, x, switch_dt, depth, rho, int_dt, budget):
                           "segment integrations; budget is %d"
                           % (k, depth, depth * k ** depth, budget))
     n = system.n_state
-    z = np.concatenate([x, np.zeros(3)])[None]
+    z = np.concatenate([x, np.zeros(slots)])[None]
     entered = np.array([np.linalg.norm(x) <= rho])
 
     def touch(zb, live):
@@ -169,9 +172,9 @@ def maximal_cost(system, x, switch_dt=0.25, depth=8, rho=0.05, *,
     if not np.any(x):
         # stationary at the origin, zero cost
         return ValueBounds(0.0, 0.0, horizon, depth, 0.0, False)
-    z, entered = _enumerate(system, x, switch_dt, depth, rho, int_dt, budget)
-    best = int(np.argmax(z[:, system.n_state + 1]))
-    lower = float(z[best, system.n_state + 1])
+    z, entered = _enumerate(system, x, switch_dt, depth, rho, int_dt, budget,
+                            slots=1)
+    lower = float(np.max(z[:, system.n_state]))
     return ValueBounds(lower, lower + tail, horizon, depth, tail,
                        not bool(entered.all()))
 
@@ -329,12 +332,13 @@ def synthesize_epsilon_optimal(system, field, x0, eps, m, *,
     pts = system.control.points
     k = pts.shape[0]
     n = system.n_state
-    maximizing = field.transform == "kruzhkov" or system.mode == "maximize"
+    kruzhkov = field.transform == "kruzhkov"
+    maximizing = kruzhkov or system.mode == "maximize"
 
     def continuation(z):
         w = interpolate(field, z[:, :n])
-        if field.transform == "kruzhkov":
-            disc = np.exp(-z[:, n + 1])  # accumulated g-integral
+        if kruzhkov:  # z is (x, int g)
+            disc = np.exp(-z[:, n])
             return (1.0 - disc) + disc * w
         return z[:, n] + np.exp(-z[:, n + 2]) * w
 
@@ -347,7 +351,7 @@ def synthesize_epsilon_optimal(system, field, x0, eps, m, *,
     w0 = interpolate(field, x0)
     for i in range(m):
         w_start = interpolate(field, x_cur)
-        z = np.concatenate([x_cur, np.zeros(3)])[None]
+        z = np.concatenate([x_cur, np.zeros(1 if kruzhkov else 3)])[None]
         for _ in range(n_sub):
             cand, live = advance(system, np.repeat(z, k, axis=0), pts,
                                  switch_dt, int_dt)
@@ -364,13 +368,15 @@ def synthesize_epsilon_optimal(system, field, x0, eps, m, *,
         defects.append(defect)
         if defect > allowances[i]:
             raise SynthesisError(i + 1, defect, allowances[i])
-        total_j += math.exp(-total_p) * float(z[0, n])
-        total_q += float(z[0, n + 1])
-        total_p += float(z[0, n + 2])
+        if kruzhkov:
+            total_q += float(z[0, n])
+        else:
+            total_j += math.exp(-total_p) * float(z[0, n])
+            total_p += float(z[0, n + 2])
         x_cur = z[0, :n].copy()
 
     w_end = interpolate(field, x_cur)
-    if field.transform == "kruzhkov":
+    if kruzhkov:
         disc = math.exp(-total_q)
         achieved_total = (1.0 - disc) + disc * w_end
     else:

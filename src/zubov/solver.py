@@ -110,18 +110,20 @@ def sweep_workers(threads, n_controls, nnz):
     return max(1, min(limit, cores, n_controls, nnz // _NNZ_PER_WORKER))
 
 
-def _foot_points(system, nodes, a, dt, rk4_feet):
+def _foot_points(system, nodes, a, dt, rk4_feet, slots=3):
     """Feet plus, in RK4 mode, the accumulated step integrals.
 
-    Returns ``(feet, slots)``.  Euler mode leaves ``slots = None`` (callers
-    fall back to one-point quadrature at the node); RK4 mode rides the
-    augmented integrator, so ``slots[:, 0] = int ell*exp(-int h)``,
-    ``slots[:, 1] = int g`` and ``slots[:, 2] = int h`` over the step —
-    the discount and stage cost then match the foot trajectory itself.
+    Returns ``(feet, integrals)``.  Euler mode leaves ``integrals = None``
+    (callers fall back to one-point quadrature at the node); RK4 mode rides
+    the augmented integrator with ``slots`` extra columns, so the discount
+    and stage cost match the foot trajectory itself.  ``slots=1`` carries
+    ``int g`` alone; ``slots=3`` carries ``int ell*exp(-int h)``, ``int g``
+    and ``int h`` over the step.
     """
     if not rk4_feet:
         return nodes + dt * np.asarray(system.f(nodes, a), dtype=float), None
-    z = np.concatenate([nodes, np.zeros(nodes.shape[:-1] + (3,))], axis=-1)
+    z = np.concatenate([nodes, np.zeros(nodes.shape[:-1] + (slots,))],
+                       axis=-1)
     z1 = rk4_step(system, z, a, dt)
     return z1[..., : system.n_state], z1[..., system.n_state:]
 
@@ -273,25 +275,35 @@ def _assemble(system, grid, rows, x_exterior, opt, cap=None, threads=None):
     indices = np.empty(n_rows * width, dtype=itype)
     indptr = np.zeros(n_rows + 1, dtype=itype)  # row lengths, then sums
     offset = np.zeros(n_rows)
+
+    def append(row, a, lo, hi, nnz):
+        """Write the rows of nodes lo..hi-1 under control a from `row` and
+        the entries from `nnz` on; returns the new nnz.  The chunk's
+        temporaries die on return, before the operator's buffers exist."""
+        at = np.unravel_index(np.arange(lo, hi), tuple(grid.counts))
+        nodes = np.stack([ax[i] for ax, i in zip(grid.axes, at)], axis=-1)
+        feet, scale, cost = rows(a, nodes)
+        scale = np.broadcast_to(scale, (hi - lo,))
+        inside, idx, w = _stencil(grid, feet)
+        w *= scale[:, None]
+        indptr[row + 1:row + 1 + hi - lo] = np.where(inside, width, 0)
+        off = cost + np.where(inside, 0.0, scale * x_exterior)
+        if off.any():
+            offset[row:row + hi - lo] = off
+        end = nnz + width * int(np.count_nonzero(inside))
+        if end - nnz == idx.size:  # every foot inside: skip the mask
+            indices[nnz:end] = idx.reshape(-1)
+            data[nnz:end] = w.reshape(-1)
+        else:
+            indices[nnz:end] = idx[inside].reshape(-1)
+            data[nnz:end] = w[inside].reshape(-1)
+        return end
+
     nnz = 0
     for k, a in enumerate(system.control.points):
         for lo in range(0, n_nodes, _FEET_CHUNK):
-            hi = min(lo + _FEET_CHUNK, n_nodes)
-            at = np.unravel_index(np.arange(lo, hi), tuple(grid.counts))
-            nodes = np.stack([ax[i] for ax, i in zip(grid.axes, at)], axis=-1)
-            feet, scale, cost = rows(a, nodes)
-            scale = np.broadcast_to(scale, (hi - lo,))
-            inside, idx, w = _stencil(grid, feet)
-            w *= scale[:, None]
-            row = k * n_nodes + lo
-            indptr[row + 1:row + 1 + hi - lo] = np.where(inside, width, 0)
-            off = cost + np.where(inside, 0.0, scale * x_exterior)
-            if off.any():
-                offset[row:row + hi - lo] = off
-            end = nnz + width * int(np.count_nonzero(inside))
-            indices[nnz:end] = idx[inside].reshape(-1)
-            data[nnz:end] = w[inside].reshape(-1)
-            nnz = end
+            nnz = append(k * n_nodes + lo, a, lo,
+                         min(lo + _FEET_CHUNK, n_nodes), nnz)
     from scipy import sparse  # loaded by the first solve, not on import
 
     np.cumsum(indptr, out=indptr)
@@ -311,8 +323,8 @@ def zubov_operator(system, grid, dt, rk4_feet, exterior, threads=None):
         if gv.min() < -1e-9:
             raise ConfigError("g < 0 on the grid (min %.3g); the maximal-cost "
                               "route needs g >= 0" % gv.min())
-        feet, slots = _foot_points(system, nodes, a, dt, rk4_feet)
-        g_step = dt * gv if slots is None else slots[:, 1]
+        feet, integrals = _foot_points(system, nodes, a, dt, rk4_feet, 1)
+        g_step = dt * gv if integrals is None else integrals[:, 0]
         return feet, np.exp(-np.maximum(g_step, 0.0)), 0.0
 
     return _assemble(system, grid, rows, 1.0 - exterior, np.minimum, cap=1.0,
@@ -324,9 +336,9 @@ def hjbe_operator(system, grid, dt, rk4_feet, exterior, threads=None):
     ell = system.ell if system.ell is not None else system.g
 
     def rows(a, nodes):
-        feet, slots = _foot_points(system, nodes, a, dt, rk4_feet)
-        if slots is not None:
-            return feet, np.exp(-slots[:, 2]), slots[:, 0]
+        feet, integrals = _foot_points(system, nodes, a, dt, rk4_feet)
+        if integrals is not None:
+            return feet, np.exp(-integrals[:, 2]), integrals[:, 0]
         lv = np.asarray(ell(nodes, a), dtype=float)
         hv = (np.asarray(system.h(nodes, a), dtype=float)
               if system.h is not None else np.zeros(nodes.shape[0]))

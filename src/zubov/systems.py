@@ -572,7 +572,10 @@ def load_system(config):
 
 def _smooth_cut(u):
     # 1 on |u|<=1.5, 0 on |u|>=2, C^1 cubic ramp between
-    t = np.clip((np.abs(u) - 1.5) / 0.5, 0.0, 1.0)
+    r = np.abs(u)
+    if np.all(r <= 1.5):  # the ramp's t is 0 throughout: exactly 1
+        return np.ones(np.shape(u))
+    t = np.clip((r - 1.5) / 0.5, 0.0, 1.0)
     return 1.0 - t * t * (3.0 - 2.0 * t)
 
 

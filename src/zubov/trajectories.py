@@ -5,7 +5,20 @@ as extra components of the integrated state, so trajectory and costs share
 the integrator's order of accuracy.  Controls are piecewise constant and
 frozen across each RK4 sub-step, which makes the switching structure exact.
 
-Augmented state layout: (x[0..N-1], J, ∫g, ∫h).
+The augmented state comes in two widths, told apart by its last axis:
+
+  * N+3, (x[0..N-1], J, ∫g, ∫h): the full record.  `integrate` and its
+    TrajectoryRecord, the minimize-mode oracle `min_value`, the falsifier
+    (it reads J), the raw operator's RK4 feet and synthesis against a raw
+    field use it.
+  * N+1, (x[0..N-1], ∫g): what a Kružkov consumer reads.  The maximal-cost
+    oracle, the Kružkov operator's RK4 feet, `dpp_defect`, the sampled
+    decrease check and synthesis against a Kružkov field use it.  Only f
+    and g are evaluated, so ell and h (and the exp(-∫h) weight) cost
+    nothing there, and neither can retire a row.
+
+The x and ∫g columns come out bit for bit the same at either width: every
+RK4 stage combines the columns elementwise.
 """
 
 from __future__ import annotations
@@ -157,25 +170,32 @@ class TrajectoryRecord:
 
 
 def _aug_rhs(system, z, a):
-    """Right-hand side of the augmented dynamics; z is (..., N+3)."""
+    """Right-hand side of the augmented dynamics; z is (..., N+1) holding
+    (x, ∫g) or (..., N+3) holding (x, J, ∫g, ∫h)."""
     n = system.n_state
+    width = z.shape[-1]
+    if width not in (n + 1, n + 3):
+        raise ValueError("augmented state has %d columns; a system with %d "
+                         "states wants %d or %d" % (width, n, n + 1, n + 3))
     x = z[..., :n]
-    p = z[..., n + 2]
-    batch = x.shape[:-1]
-
-    def rate(fn):
-        return np.broadcast_to(np.asarray(fn(x, a), dtype=float), batch)
-
-    fx = np.asarray(system.f(x, a), dtype=float)
-    gv = rate(system.g)
-    lv = gv if system.ell is None else rate(system.ell)
-    hv = np.zeros(batch) if system.h is None else rate(system.h)
-    dj = lv * np.exp(-p)
-    return np.concatenate([fx, np.stack([dj, gv, hv], axis=-1)], axis=-1)
+    out = np.empty(z.shape)  # each rate is cast to float as it is stored
+    out[..., :n] = system.f(x, a)
+    gv = system.g(x, a)
+    if width == n + 1:
+        out[..., n] = gv
+        return out
+    lv = gv if system.ell is None else system.ell(x, a)
+    out[..., n] = lv * np.exp(-z[..., n + 2])
+    out[..., n + 1] = gv
+    out[..., n + 2] = 0.0 if system.h is None else system.h(x, a)
+    return out
 
 
 def rk4_step(system, z, a, h):
-    """One classical RK4 step of the augmented dynamics, control frozen."""
+    """One classical RK4 step of the augmented dynamics, control frozen.
+
+    z is (..., N+1) or (..., N+3), see the module docstring; the narrow
+    state evaluates f and g only."""
     k1 = _aug_rhs(system, z, a)
     k2 = _aug_rhs(system, z + 0.5 * h * k1, a)
     k3 = _aug_rhs(system, z + 0.5 * h * k2, a)
@@ -196,7 +216,10 @@ def _check_point(system, x):
 
 
 def advance(system, z, a, duration, dt, live=None, watch=None):
-    """Advance a batch of augmented states z (B, N+3) through one segment.
+    """Advance a batch of augmented states z through one segment.
+
+    z is (B, N+1) holding (x, ∫g) or (B, N+3) holding (x, J, ∫g, ∫h); the
+    narrow one evaluates f and g only (module docstring).
 
     `a` is one control (m,) or one per row (B, m), frozen for the segment,
     which runs in _substeps(duration, dt) equal RK4 sub-steps.  A row whose

@@ -197,8 +197,9 @@ def dpp_defect(system, field, x, t, switch_dt, *, int_dt=0.01,
     depth = int(round(t / switch_dt))
     if depth < 1 or abs(depth * switch_dt - t) > 1e-9:
         raise ConfigError("t must be a positive multiple of switch_dt")
-    z, _ = _enumerate(system, x, switch_dt, depth, 0.0, int_dt, budget)
-    disc = np.exp(-z[:, system.n_state + 1])
+    z, _ = _enumerate(system, x, switch_dt, depth, 0.0, int_dt, budget,
+                      slots=1)
+    disc = np.exp(-z[:, system.n_state])
     cont = (1.0 - disc) + disc * interpolate(field, z[:, :system.n_state])
     return float(interpolate(field, x) - np.max(cont))
 
@@ -244,14 +245,15 @@ def check_lyapunov_decrease(system, field, samples=200, t=0.5, seed=0, *,
     x0 = np.array(kept)
     picks = np.array([rng.integers(0, pts.shape[0], size=n_segments)
                       for _ in kept])
-    z, live = np.hstack([x0, np.zeros((samples, 3))]), np.ones(samples, bool)
+    # (x, int g): the check reads no other integral
+    z, live = np.hstack([x0, np.zeros((samples, 1))]), np.ones(samples, bool)
     for j in range(n_segments):
         z, live = advance(system, z, pts[picks[:, j]], t / n_segments, dt,
                           live)
     if not live.all():
         raise TrajectoryError("a sampled schedule reached a non-finite state")
     v0, v1 = interpolate(field, x0), interpolate(field, z[:, :n])
-    cost = z[:, n + 1]
+    cost = z[:, n]
     grad = np.stack([interpolate(field, x0 + step)
                      - interpolate(field, x0 - step)
                      for step in np.diag(grid.dx)], axis=1) / (2.0 * grid.dx)

@@ -141,6 +141,33 @@ class TestSolve:
         assert meta["config"]["dt"] == 0.05
         assert meta["config"]["tol"] == 1e-6  # untouched default
 
+    def test_bare_config_nodes_broadcast_like_the_flag(self, tmp_path):
+        metas = []
+        for nodes in (41, [41]):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"builtin": "lift2d", "nodes": nodes,
+                                       "box": [-1.0, 1.0], "dt": 0.1}))
+            out = tmp_path / str(len(metas))
+            assert main(["solve", "--config", str(cfg),
+                         "--out", str(out)]) == 0
+            metas.append(read_meta(out))
+            assert metas[-1]["result"]["grid"]["counts"] == [41, 41]
+        assert (metas[0]["result"]["iterations"]
+                == metas[1]["result"]["iterations"])
+        assert ((tmp_path / "0" / "field.csv").read_bytes()
+                == (tmp_path / "1" / "field.csv").read_bytes())
+
+    @pytest.mark.parametrize("key, value", [("nodes", "x"), ("nodes", True),
+                                            ("box", "1,y"), ("box", 1.2)])
+    def test_bad_config_grid_value_names_the_key(self, tmp_path, capsys,
+                                                 key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"builtin": "lift2d", key: value}))
+        assert main(["solve", "--config", str(cfg),
+                     "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and key in err and "--" not in err
+
     def test_box_broadcast_and_per_axis(self, tmp_path):
         out = tmp_path / "bc"
         assert main(["solve", "--builtin", "lift2d", "--nodes", "21,41",

@@ -178,6 +178,22 @@ def test_integer_powers_of_negative_base_are_fine():
     assert ev("x1^0", (-2.0,)) == 1.0
 
 
+def test_constant_integer_power_is_np_power():
+    # x1^2 skips the domain masks; the value must be np.power's, bitwise
+    x = np.array([-3.5, -1.0, -0.0, 0.0, 1e-200, 0.7, 2.0, 1e160])
+    for k in (0, 1, 2, 3):
+        out = evaluate(parse("x1^%d" % k, 1), (x[:-1],))
+        assert out.tobytes() == np.power(x[:-1], float(k)).tobytes()
+    with pytest.raises(EvalDomainError, match="non-finite"):
+        evaluate(parse("x1^2", 1), (x,))  # overflow is still caught
+    # a fractional constant, and Neg(Num(1)), which is not a Num, keep the
+    # masks
+    with pytest.raises(EvalDomainError, match="non-integer exponent"):
+        ev("(-x1)^0.5", (2.0,))
+    with pytest.raises(EvalDomainError, match="zero to a negative power"):
+        ev("x1^-1", (0.0,))
+
+
 # --- free variables ---------------------------------------------------------
 
 def test_free_variables():

@@ -107,6 +107,28 @@ def test_enumeration_matches_the_strided_reference(system, x, switch_dt, rho):
     assert entered.any() and not entered.all()
 
 
+@pytest.mark.parametrize("system, points, switch_dt, rho", [
+    (builtin("lift2d", controls=3), [[0.5, 0.5], [-0.55, -0.25]], 0.25, 0.05),
+    (load_system(dict(LIFT2D_JSON, ules={"C": 1.0, "sigma": 0.5, "r": 0.5},
+                      growth={"C_tilde": 1.0, "lambda": 2.0})),
+     [[0.5, 0.5], [-0.3, 0.55]], 0.25, 0.05),
+    (builtin("ex1", controls=3), [[-0.75], [0.25]], 0.5, 0.06),
+], ids=["lift2d", "lift2d-json", "ex1"])
+def test_brackets_equal_the_wide_enumeration(system, points, switch_dt, rho):
+    # the brackets enumerate (x, int g) only; the full (x, J, int g, int h)
+    # enumeration must give the same numbers
+    for x in map(np.array, points):
+        z, entered = _enumerate(system, x, switch_dt, 8, rho, 0.01, 10**6,
+                                slots=3)
+        lower = float(np.max(z[:, system.n_state + 1]))
+        vb = maximal_cost(system, x, switch_dt, 8, rho)
+        assert (vb.lower, vb.truncated) == (lower, not entered.all())
+        assert vb.upper == lower + vb.tail_bound
+        kv = kruzhkov_value(system, x, switch_dt, 8, rho)
+        assert (kv.lower, kv.upper, kv.truncated) == (
+            1.0 - math.exp(-lower), 1.0 - math.exp(-vb.upper), vb.truncated)
+
+
 class TestValueBoundsType:
     def test_lower_above_upper_rejected(self):
         with pytest.raises(ValueError, match="exceeds"):

@@ -218,6 +218,34 @@ def test_build_transients_do_not_grow_with_the_grid(monkeypatch):
     assert beyond[1] <= 1.25 * beyond[0]
 
 
+def test_build_chunk_transients_stay_flat(monkeypatch):
+    # the build's own peak, read just before the operator allocates its
+    # sweep buffers (which grow with the grid and would hide it)
+    import tracemalloc
+
+    monkeypatch.setattr(solver, "_FEET_CHUNK", 2 ** 12)
+    init, beyond = solver.BellmanOperator.__init__, []
+
+    def spy(self, *args, **kwargs):
+        current, peak = tracemalloc.get_traced_memory()
+        beyond.append(peak - current)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(solver.BellmanOperator, "__init__", spy)
+    system = builtin("lift2d")
+    zubov_operator(system, LIFT41, 0.05, True, 1.0).close()  # warm caches
+    beyond.clear()
+    for n in (101, 201):
+        tracemalloc.start()
+        try:
+            zubov_operator(system, Grid([-1.2, -1.2], [1.2, 1.2], [n, n]),
+                           0.05, True, 1.0).close()
+        finally:
+            tracemalloc.stop()
+    # one chunk's feet and stencils, not the grid's: 4x more nodes at 201²
+    assert 0 < beyond[1] <= 1.25 * beyond[0]
+
+
 # --- parallel sweeps ---------------------------------------------------------
 
 def single_product(op, x):
@@ -406,6 +434,15 @@ class TestSolveZubov:
     def test_negative_g_is_rejected(self):
         with pytest.raises(ConfigError, match="g < 0"):
             solve_zubov(scalar_decay(g="x1"), Grid([-1.0], [1.0], [21]))
+
+    def test_ell_and_h_are_never_evaluated(self):
+        # sqrt(x1) is undefined on half the grid; the Kružkov route reads g
+        # only, so declaring ell changes no bit of the field
+        grid = Grid([-1.0], [1.0], [21])
+        field = solve_zubov(scalar_decay(ell="sqrt(x1)", h="sqrt(x1 + 0.5)"), grid)
+        assert field.metadata["converged"]
+        assert field.values.tobytes() == solve_zubov(
+            scalar_decay(), grid).values.tobytes()
 
     def test_zero_cost_fixed_point(self):
         field = solve_zubov(scalar_decay(g="0.0"), Grid([-1.0], [1.0], [21]))

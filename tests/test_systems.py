@@ -342,6 +342,22 @@ class TestBuiltins:
         assert sys.control.points[-1, 0] == 1.0
         assert builtin("lift2d", controls=3).control.size == 3
 
+    @pytest.mark.parametrize("u", [
+        np.linspace(-1.5, 1.5, 13),            # all inside: the shortcut
+        np.linspace(-1.7, 1.9, 37),            # straddles 1.5
+        np.array([1.0, -1.51]),                # just past it
+        np.array([[-2.5, 3.0], [2.0, -7.0]]),  # beyond 2
+        0.3, -1.5, 1.75, 2.4,                  # scalars
+    ])
+    def test_smooth_cut_is_the_ramp_bit_for_bit(self, u):
+        from zubov.systems import _smooth_cut
+        t = np.clip((np.abs(u) - 1.5) / 0.5, 0.0, 1.0)
+        ramp = 1.0 - t * t * (3.0 - 2.0 * t)
+        cut = _smooth_cut(u)
+        assert np.shape(cut) == np.shape(u)
+        assert np.asarray(cut, dtype=float).tobytes() == np.asarray(
+            ramp, dtype=float).tobytes()
+
     def test_lift2d_dynamics_inside_working_box(self):
         sys = builtin("lift2d")
         a = np.array([1.0])

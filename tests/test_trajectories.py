@@ -261,6 +261,55 @@ def test_batched_rows_match_per_row_integration(case):
             assert rec.total_cost == ref[n]
 
 
+# a maximize system that declares ell and h, which the narrow state skips
+JSON_ELL_H = {
+    "name": "ell-h", "n": 2,
+    "f": ["-x1 + a1*x1^2", "-x2"], "g": "x1^2 + x2^2",
+    "ell": "sqrt(x1^2 + x2^2)", "h": "abs(x1) + 0.5",
+    "control": {"box": {"lo": [-1.0], "hi": [1.0], "counts": [3]}}}
+
+
+@pytest.mark.parametrize("make", [
+    lambda: builtin("lift2d", controls=3), lambda: builtin("ex1", controls=3),
+    lambda: load_system(JSON_LIFT2D), lambda: load_system(JSON_ELL_H)],
+    ids=["lift2d", "ex1", "lift2d-json", "ell-h-json"])
+def test_narrow_state_is_the_wide_states_x_and_g_columns(make):
+    system = make()
+    n, pts = system.n_state, system.control.points
+    rng = np.random.default_rng(3)
+    x = rng.uniform(-1.0, 1.0, size=(12, n))
+    a = pts[rng.integers(0, len(pts), size=12)]
+    wide = np.hstack([x, np.zeros((12, 3))])
+    narrow = np.hstack([x, np.zeros((12, 1))])
+    keep = list(range(n)) + [n + 1]
+    for _ in range(5):
+        wide = rk4_step(system, wide, a, 0.05)
+        narrow = rk4_step(system, narrow, a, 0.05)
+        assert narrow.tobytes() == wide[:, keep].tobytes()
+    assert np.all(wide[:, n] > 0.0)  # J moved: ell and h were evaluated
+    wide, _ = advance(system, wide, a, 0.3, 0.02)
+    narrow, _ = advance(system, narrow, a, 0.3, 0.02)
+    assert narrow.tobytes() == wide[:, keep].tobytes()
+
+
+@pytest.mark.parametrize("width", [2, 4, 6])
+def test_other_state_widths_are_rejected(width):
+    system = builtin("lift2d", controls=3)  # n = 2: widths 3 and 5 only
+    with pytest.raises(ValueError, match="wants 3 or 5"):
+        rk4_step(system, np.zeros((2, width)), system.control.points[0], 0.05)
+
+
+def test_narrow_state_never_evaluates_ell():
+    # ell = sqrt(x1) is undefined for x1 < 0: the wide row retires there,
+    # the narrow row, which never reads ell, carries on
+    system = load_system({"n": 1, "control": None, "f": ["-x1"],
+                          "g": "abs(x1)", "ell": "sqrt(x1)"})
+    z, live = advance(system, [[-0.5, 0.0, 0.0, 0.0]], NO_CONTROL, 0.5, 0.05)
+    assert not live[0] and z[0, 0] == -0.5
+    z, live = advance(system, [[-0.5, 0.0]], NO_CONTROL, 0.5, 0.05)
+    assert live[0] and -0.5 < z[0, 0] < 0.0 and z[0, 1] > 0.0
+
+
 def test_advance_leaves_retired_rows_and_watches_every_substep():
     system = builtin("lift2d", controls=3)
     z = np.array([[0.5, 0.5, 0.0, 0.0, 0.0], [0.2, -0.4, 0.1, 0.2, 0.0]])

@@ -33,6 +33,7 @@ from .oracle import (
 from .regions import contour2d, extract_doa, save_contours, save_mask
 from .solver import SolverSettings, solve_hjbe, solve_zubov
 from .systems import (
+    _BUILTIN_NAMES,
     ConfigError,
     Grid,
     ValidationError,
@@ -40,6 +41,7 @@ from .systems import (
     closed_form_value,
     load_field,
     load_system,
+    _write_csv,
     save_field,
 )
 from .trajectories import ControlSchedule, TrajectoryError
@@ -53,28 +55,43 @@ from .verify import (
 
 _CHECKS = ("invariants", "fixed_point", "residual", "decrease", "blowup")
 
-_DEFAULTS = {
-    "builtin": None,
-    "system": None,      # inline definition table (load_system schema)
-    "nodes": None,
-    "box": None,
-    "controls": None,
-    "dt": 0.05,
-    "tol": 1e-6,
-    "max_iters": 2000,
-    "exterior": None,    # None: solver picks 1 (kruzhkov) / 0 (raw)
-    "rk4_feet": True,
-    "switch_dt": 0.25,
-    "depth": 8,
-    "rho": 0.05,
-    "budget": 2_000_000,
-    "seed": 0,
-    "threads": 0,        # most sweep threads; 0: the usable cores
-    "out": ".",
-    "epsilon": 0.01,
-    "checks": list(_CHECKS),
-    "report_json": None,
+# every run option: key -> (default, kind, flag help or None for a
+# config-only key).  The flag is --key with dashes for underscores, and
+# _coerce checks flag text and config values alike against the kind.
+_OPTIONS = {
+    "builtin": (None, "name",
+                "registered problem: " + ", ".join(_BUILTIN_NAMES)),
+    "system": (None, "table", None),  # inline definition (load_system schema)
+    "nodes": (None, "ints", "grid nodes per axis (a single value broadcasts)"),
+    "box": (None, "reals", "grid box, one LO,HI pair per axis or one to "
+                           "broadcast (write --box=-1.2,1.2)"),
+    "dt": (0.05, "real", "semi-Lagrangian step"),
+    "tol": (1e-6, "real", "sup-norm convergence threshold"),
+    "max_iters": (2000, "int", "most sweeps before the solver stops (exit 2)"),
+    "controls": (None, "int", "control samples per axis for builtins"),
+    "exterior": (None, "real", None),  # None: 1 (kruzhkov) / 0 (raw)
+    "rk4_feet": (True, "bool", None),
+    "switch_dt": (0.25, "real", "oracle/synthesis switching interval"),
+    "depth": (8, "int", "oracle enumeration depth"),
+    "rho": (0.05, "real", "oracle tail-certificate radius"),
+    "budget": (2_000_000, "int", None),
+    "seed": (0, "int", "sampling seed for verify"),
+    "threads": (0, "int", "most threads a solver sweep may use (default 0: "
+                          "the usable cores); operators under 2**21 "
+                          "nonzeros sweep on one thread, and results never "
+                          "depend on this"),
+    "out": (".", "dir", "output directory"),
+    "epsilon": (0.01, "real", "doa level gap / synthesis tolerance"),
+    "checks": (list(_CHECKS), "checks", None),
+    "report_json": (None, "path", "also write the verify report as JSON"),
 }
+
+_WANTS = {"int": "an integer", "real": "a finite number",
+          "bool": "true or false", "name": "a string", "dir": "a string",
+          "path": "a string",
+          "checks": "a list of check names from " + ", ".join(_CHECKS)}
+_METAVARS = {"ints": "K[,K...]", "reals": "LO,HI[,...]", "name": "NAME",
+             "dir": "DIR", "path": "PATH"}
 
 # default grids for the registered problems; inline systems must spell theirs out
 _BUILTIN_BOX = {"lift2d": 1.2, "lift2d-psi-sqrt": 1.2, "lift2d-psi-abs": 1.2,
@@ -96,20 +113,45 @@ class _Parser(argparse.ArgumentParser):
 
 # --- configuration -----------------------------------------------------------
 
-def _numbers(val, what, kind):
-    if isinstance(val, str):
-        val = [tok for tok in val.split(",") if tok.strip()]
-    elif isinstance(val, (int, float)) and not isinstance(val, bool):
-        val = [val]  # a bare number in a config file reads like --nodes 41
-    try:
-        out = [kind(tok) for tok in val]
-    except (TypeError, ValueError):
-        raise ConfigError("%s wants comma-separated %s, got %r"
-                          % (what, "integers" if kind is int else "reals",
-                             val))
-    if not out:
-        raise ConfigError("%s names no values" % what)
-    return out
+def _flag(key):
+    return "--" + key.replace("_", "-")
+
+
+def _coerce(value, kind, what):
+    """Return `value` (flag text or a config value) as its kind wants it, or
+    raise ConfigError naming `what`: integers must be integral, a bool is
+    never a number, and nothing is truncated or reinterpreted."""
+    if kind in ("ints", "reals"):
+        if isinstance(value, str):
+            value = [tok for tok in value.split(",") if tok.strip()]
+        elif not isinstance(value, list):
+            value = [value]  # a bare config number reads like --nodes 41
+        if not value:
+            raise ConfigError("%s names no values" % what)
+        return [_coerce(v, kind[:-1], what) for v in value]
+    if kind == "table":
+        return value  # load_system checks the definition
+    if kind in ("int", "real") and isinstance(value, str):
+        for parse in (int, float):  # int first: long integer text stays exact
+            try:
+                value = parse(value)
+                break
+            except ValueError:
+                pass
+    if (kind == "bool" and isinstance(value, bool)
+            or kind in ("name", "dir", "path") and isinstance(value, str)):
+        return value
+    if kind == "checks" and isinstance(value, list) \
+            and all(isinstance(v, str) and v in _CHECKS for v in value):
+        return list(value)
+    if not isinstance(value, bool):
+        if kind == "int" and (isinstance(value, int) or isinstance(
+                value, float) and value.is_integer()):
+            return int(value)
+        if kind == "real" and isinstance(value, (int, float)) \
+                and abs(value) <= sys.float_info.max:  # NaN fails it too
+            return float(value)
+    raise ConfigError("%s wants %s, got %r" % (what, _WANTS[kind], value))
 
 
 def _load_config(path):
@@ -119,47 +161,28 @@ def _load_config(path):
         raise ConfigError("config root must be a JSON object")
     if "command" in doc and isinstance(doc.get("config"), dict):
         doc = doc["config"]  # a metadata.json from an earlier run
-    unknown = sorted(set(doc) - set(_DEFAULTS))
+    unknown = sorted(set(doc) - set(_OPTIONS))
     if unknown:
         raise ConfigError("unknown config keys: %s" % ", ".join(unknown))
     return doc
 
 
 def _resolve(args):
-    """Merge defaults < config file < flags into one plain dict."""
-    cfg = dict(_DEFAULTS)
+    """Merge defaults < config file < flags into one plain dict, each value
+    checked against its kind (null only where the default is null)."""
+    cfg = {key: default for key, (default, _, _) in _OPTIONS.items()}
     if getattr(args, "config", None):
         cfg.update(_load_config(args.config))
     if getattr(args, "builtin", None) is not None:
         cfg["system"] = None  # the flag replaces any inline table wholesale
-    flagged = set()
-    for key in ("builtin", "nodes", "box", "dt", "tol", "max_iters",
-                "controls", "switch_dt", "depth", "rho", "seed", "threads",
-                "out", "epsilon", "report_json"):
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
-            flagged.add(key)
-
-    for key, kind in (("nodes", int), ("box", float)):
-        if cfg[key] is not None:  # name where a bad value came from
-            what = "--" + key if key in flagged else "config key %r" % key
-            cfg[key] = _numbers(cfg[key], what, kind)
+    for key, (default, kind, flag_help) in _OPTIONS.items():
+        what = "config key %r" % key
+        if flag_help is not None and getattr(args, key, None) is not None:
+            cfg[key], what = getattr(args, key), _flag(key)
+        if cfg[key] is not None or default is not None:
+            cfg[key] = _coerce(cfg[key], kind, what)
     if cfg["builtin"] is not None and cfg["system"] is not None:
         raise ConfigError("give a builtin name or an inline system, not both")
-    for key in ("dt", "tol", "switch_dt", "rho", "epsilon"):
-        cfg[key] = float(cfg[key])
-    for key in ("max_iters", "depth", "budget", "seed", "threads"):
-        cfg[key] = int(cfg[key])
-    if cfg["controls"] is not None:
-        cfg["controls"] = int(cfg["controls"])
-    if not isinstance(cfg["checks"], (list, tuple)):
-        raise ConfigError("config key 'checks' must be a list of check names")
-    cfg["checks"] = list(cfg["checks"])
-    unknown = sorted(set(cfg["checks"]) - set(_CHECKS))
-    if unknown:
-        raise ConfigError("unknown checks: %s (have: %s)"
-                          % (", ".join(unknown), ", ".join(_CHECKS)))
     return cfg
 
 
@@ -208,7 +231,7 @@ def _settings(cfg):
     return SolverSettings(dt=cfg["dt"], tol=cfg["tol"],
                           max_iters=cfg["max_iters"],
                           exterior_value=cfg["exterior"],
-                          rk4_feet=bool(cfg["rk4_feet"]),
+                          rk4_feet=cfg["rk4_feet"],
                           threads=cfg["threads"] or None)
 
 
@@ -330,19 +353,17 @@ def _cmd_oracle(cfg, args):
 
     os.makedirs(cfg["out"], exist_ok=True)
     out_csv = os.path.join(cfg["out"], "bounds.csv")
-    with open(out_csv, "w", encoding="utf-8") as fh:
-        coords = ",".join("x%d" % (i + 1) for i in range(system.n_state))
-        fh.write(coords + ",lower,upper,tail_bound,depth,horizon,"
-                 "truncated,status\n")
-        for x, vb in rows:
-            head = ",".join("%.17g" % c for c in x)
-            if vb is None:
-                fh.write("%s,nan,nan,nan,%d,nan,0,budget\n"
-                         % (head, cfg["depth"]))
-            else:
-                fh.write("%s,%.17g,%.17g,%.17g,%d,%.17g,%d,ok\n"
-                         % (head, vb.lower, vb.upper, vb.tail_bound,
-                            vb.depth, vb.horizon, int(vb.truncated)))
+    n, nan = system.n_state, float("nan")
+    # dtype object: the status text would turn a numeric array into strings
+    table = [(*x, nan, nan, nan, cfg["depth"], nan, 0, "budget")
+             if vb is None else
+             (*x, vb.lower, vb.upper, vb.tail_bound, vb.depth, vb.horizon,
+              int(vb.truncated), "ok") for x, vb in rows]
+    _write_csv(out_csv, ["x%d" % (i + 1) for i in range(n)]
+               + ["lower", "upper", "tail_bound", "depth", "horizon",
+                  "truncated", "status"],
+               np.array(table, dtype=object).T,
+               ["%.17g"] * (n + 3) + ["%d", "%.17g", "%d", "%s"])
     result = {"points": len(rows), "budget_exceeded": over_budget,
               "bounds": "bounds.csv"}
     _write_metadata(cfg, "oracle", result)
@@ -375,7 +396,7 @@ def _cmd_verify(cfg, args):
                 tuple({"problem": p} for p in problems)))
         elif name == "fixed_point":
             reports.append(check_fixed_point(
-                system, field, cfg["dt"], cfg["tol"], bool(cfg["rk4_feet"]),
+                system, field, cfg["dt"], cfg["tol"], cfg["rk4_feet"],
                 threads=cfg["threads"] or None))
         elif name == "residual":
             reports.append(residual_stats(system, field))
@@ -446,19 +467,16 @@ def _cmd_doa(cfg, args):
 def _cmd_synthesize(cfg, args):
     system = _make_system(cfg)
     field = load_field(args.field)
-    x0 = np.array(_numbers(args.x0, "x0", float))
+    x0 = np.array(_coerce(args.x0, "reals", "x0"))
     schedule, report = synthesize_epsilon_optimal(
         system, field, x0, cfg["epsilon"], args.m,
         switch_dt=cfg["switch_dt"])
 
     os.makedirs(cfg["out"], exist_ok=True)
-    out_csv = os.path.join(cfg["out"], "schedule.csv")
-    with open(out_csv, "w", encoding="utf-8") as fh:
-        fh.write(",".join(["duration"] + ["a%d" % (j + 1)
-                                          for j in range(schedule.m)]) + "\n")
-        for duration, control in schedule.segments:
-            fh.write(",".join("%.17g" % c for c in (duration, *control))
-                     + "\n")
+    _write_csv(os.path.join(cfg["out"], "schedule.csv"),
+               ["duration"] + ["a%d" % (j + 1) for j in range(schedule.m)],
+               np.array([(d, *c) for d, c in schedule.segments]).T,
+               ["%.17g"] * (1 + schedule.m))
     result = {"schedule": "schedule.csv",
               "segments": len(schedule.segments),
               "residual": report["residual"],
@@ -490,19 +508,18 @@ def _closed_form_gap(field, name, half):
 
 
 def _cmd_demo(cfg, args):
-    jobs = (("lift2d", 201, 1.2), ("arctan1d", 601, 3.0), ("ex1", 801, 2.0))
     bound = 0.02
     rows, all_ok = [], True
-    for name, nodes, half in jobs:
+    for name in ("lift2d", "arctan1d", "ex1"):
         system = builtin(name)
-        n = system.n_state
-        grid = Grid([-half] * n, [half] * n, [nodes] * n)
+        grid = _make_grid({"builtin": name, "nodes": None, "box": None},
+                          system)  # the builtin's default grid
         field = solve_zubov(system, grid)  # dt 0.05, tol 1e-6: the defaults
         err = _closed_form_gap(field, name, 0.8)
         good = bool(field.metadata["converged"]) and err <= bound
         all_ok &= good
         rows.append({"system": name,
-                     "nodes": "x".join([str(nodes)] * n),
+                     "nodes": "x".join(str(int(c)) for c in grid.counts),
                      "sweeps": int(field.metadata["iterations"]),
                      "sup_error": err, "bound": bound,
                      "status": "ok" if good else "FAIL"})
@@ -535,34 +552,10 @@ def _build_parser():
     g = shared.add_argument_group("run configuration")
     g.add_argument("--config", metavar="PATH",
                    help="JSON config file; flags override its keys")
-    g.add_argument("--builtin", metavar="NAME",
-                   help="registered problem: lift2d, lift2d-psi-sqrt, "
-                        "lift2d-psi-abs, ex1, arctan1d, hav1d, fuller")
-    g.add_argument("--nodes", metavar="K[,K...]",
-                   help="grid nodes per axis (a single value broadcasts)")
-    g.add_argument("--box", metavar="LO,HI[,...]",
-                   help="grid box, one LO,HI pair per axis or one to "
-                        "broadcast (write --box=-1.2,1.2)")
-    g.add_argument("--dt", type=float, help="semi-Lagrangian step")
-    g.add_argument("--tol", type=float, help="sup-norm convergence threshold")
-    g.add_argument("--max-iters", type=int, dest="max_iters")
-    g.add_argument("--controls", type=int,
-                   help="control samples per axis for builtins")
-    g.add_argument("--switch-dt", type=float, dest="switch_dt",
-                   help="oracle/synthesis switching interval")
-    g.add_argument("--depth", type=int, help="oracle enumeration depth")
-    g.add_argument("--rho", type=float, help="oracle tail-certificate radius")
-    g.add_argument("--seed", type=int, help="sampling seed for verify")
-    g.add_argument("--threads", type=int,
-                   help="most threads a solver sweep may use (default 0: "
-                        "the usable cores); operators under 2**21 nonzeros "
-                        "sweep on one thread, and results never depend on "
-                        "this")
-    g.add_argument("--out", metavar="DIR", help="output directory")
-    g.add_argument("--epsilon", type=float,
-                   help="doa level gap / synthesis tolerance")
-    g.add_argument("--report-json", metavar="PATH", dest="report_json",
-                   help="also write the verify report as JSON")
+    for key, (_, kind, flag_help) in _OPTIONS.items():
+        if flag_help is not None:
+            g.add_argument(_flag(key), dest=key, metavar=_METAVARS.get(kind),
+                           help=flag_help)
 
     parser = _Parser(
         prog="zubov",

@@ -71,7 +71,6 @@ class SolverSettings:
     tol: float = 1e-6
     max_iters: int = 2000
     exterior_value: float | None = None  # None: 1 in Kružkov mode, else 0
-    pin_origin: bool = True
     rk4_feet: bool = True  # RK4 feet + integrated step costs; False: Euler
     # most threads a sweep may use (None: the usable cores); operators under
     # 2**21 nonzeros always sweep on one, and results never depend on it
@@ -360,8 +359,7 @@ def _iterate(build, grid, settings, start, scheme, exterior):
 
     def sweep(x):
         nxt = op(x)
-        if settings.pin_origin:
-            nxt[origin] = start
+        nxt[origin] = start
         return nxt, float(np.max(np.abs(nxt - x)))
 
     converged = False

@@ -158,7 +158,14 @@ class TestSolve:
                 == (tmp_path / "1" / "field.csv").read_bytes())
 
     @pytest.mark.parametrize("key, value", [("nodes", "x"), ("nodes", True),
-                                            ("box", "1,y"), ("box", 1.2)])
+                                            ("box", "1,y"), ("box", 1.2),
+                                            ("nodes", [21.7]),
+                                            ("max_iters", 2.9),
+                                            ("controls", 3.5),
+                                            ("depth", 8.9), ("seed", True),
+                                            ("rk4_feet", "false"),
+                                            ("exterior", "high"),
+                                            ("dt", "abc")])
     def test_bad_config_grid_value_names_the_key(self, tmp_path, capsys,
                                                  key, value):
         cfg = tmp_path / "cfg.json"

@@ -89,15 +89,15 @@ _OPTIONS = {
 _WANTS = {"int": "an integer", "real": "a finite number",
           "bool": "true or false", "name": "a string", "dir": "a string",
           "path": "a string",
-          "checks": "a list of check names from " + ", ".join(_CHECKS)}
+          "checks": "check names from " + ", ".join(_CHECKS)}
 _METAVARS = {"ints": "K[,K...]", "reals": "LO,HI[,...]", "name": "NAME",
              "dir": "DIR", "path": "PATH"}
 
-# default grids for the registered problems; inline systems must spell theirs out
-_BUILTIN_BOX = {"lift2d": 1.2, "lift2d-psi-sqrt": 1.2, "lift2d-psi-abs": 1.2,
-                "ex1": 2.0, "arctan1d": 3.0, "hav1d": 1.0, "fuller": 1.0}
-_BUILTIN_NODES = {"lift2d": 201, "lift2d-psi-sqrt": 201, "lift2d-psi-abs": 201,
-                  "ex1": 801, "arctan1d": 601, "hav1d": 401, "fuller": 101}
+# (box half-width, nodes per axis) by builtin; inline systems give theirs
+_BUILTIN_GRID = {"lift2d": (1.2, 201), "lift2d-psi-sqrt": (1.2, 201),
+                 "lift2d-psi-abs": (1.2, 201), "ex1": (2.0, 801),
+                 "arctan1d": (3.0, 601), "hav1d": (1.0, 401),
+                 "fuller": (1.0, 101)}
 
 
 class _UsageError(Exception):
@@ -141,7 +141,7 @@ def _coerce(value, kind, what):
     if (kind == "bool" and isinstance(value, bool)
             or kind in ("name", "dir", "path") and isinstance(value, str)):
         return value
-    if kind == "checks" and isinstance(value, list) \
+    if kind == "checks" and isinstance(value, list) and value \
             and all(isinstance(v, str) and v in _CHECKS for v in value):
         return list(value)
     if not isinstance(value, bool):
@@ -200,23 +200,18 @@ def _make_system(cfg):
 
 def _make_grid(cfg, system):
     n = system.n_state
-    nodes = cfg["nodes"]
-    if nodes is None:
-        if cfg["builtin"] is None or system.name not in _BUILTIN_NODES:
-            raise ConfigError("inline systems need an explicit --nodes")
-        nodes = [_BUILTIN_NODES[system.name]] * n
-    elif len(nodes) == 1:
+    nodes, box = cfg["nodes"], cfg["box"]
+    if cfg["builtin"] is not None:
+        half, count = _BUILTIN_GRID[system.name]
+        nodes, box = nodes or [count], box or [-half, half]
+    elif nodes is None or box is None:
+        raise ConfigError("inline systems need an explicit --nodes and --box")
+    if len(nodes) == 1:
         nodes = nodes * n
     if len(nodes) != n:
         raise ConfigError("nodes names %d axes, system has %d"
                           % (len(nodes), n))
-    box = cfg["box"]
-    if box is None:
-        if cfg["builtin"] is None or system.name not in _BUILTIN_BOX:
-            raise ConfigError("inline systems need an explicit --box")
-        half = _BUILTIN_BOX[system.name]
-        lo, hi = [-half] * n, [half] * n
-    elif len(box) == 2:
+    if len(box) == 2:
         lo, hi = [box[0]] * n, [box[1]] * n
     elif len(box) == 2 * n:
         lo, hi = list(box[0::2]), list(box[1::2])
@@ -508,6 +503,12 @@ def _closed_form_gap(field, name, half):
 
 
 def _cmd_demo(cfg, args):
+    # demo solves each builtin on its defaults: refuse what it would ignore
+    ignored = [key for key, (default, _, _) in _OPTIONS.items()
+               if key != "out" and cfg[key] != default]
+    if ignored:
+        raise ConfigError("demo runs fixed reference solves and takes only "
+                          "--out; drop %s" % ", ".join(ignored))
     bound = 0.02
     rows, all_ok = [], True
     for name in ("lift2d", "arctan1d", "ex1"):

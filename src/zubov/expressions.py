@@ -130,7 +130,6 @@ def _tokenize(source):
 
 class _Parser:
     def __init__(self, source, n_state, n_control):
-        self.source = source
         self.tokens = _tokenize(source)
         self.pos = 0
         self.n_state = n_state

@@ -356,8 +356,7 @@ class SystemDef:
     """One problem instance; immutable after construction."""
 
     def __init__(self, name, n_state, control, f, g, ell=None, h=None,
-                 mode="maximize", ules=None, growth=None, guard=None,
-                 closed_form=None):
+                 mode="maximize", ules=None, growth=None, guard=None):
         if mode not in ("maximize", "minimize"):
             raise ConfigError("mode must be 'maximize' or 'minimize'")
         if guard not in (None, "nonneg_ell", "nonpos_ell", "case_a", "case_b"):
@@ -379,7 +378,6 @@ class SystemDef:
         self.ules = ules
         self.growth = growth
         self.guard = guard
-        self.closed_form = closed_form
         problems = self._validate()
         if problems:
             raise ValidationError(problems)
@@ -445,7 +443,7 @@ class SystemDef:
 
 # --- JSON config loading ----------------------------------------------------
 
-def _compile_component(source, n, m, what):
+def _compile_component(source, n, m):
     tree = ex.parse(source, n, m)
 
     def fn(x, a, _tree=tree, _n=n, _m=m):
@@ -462,8 +460,6 @@ def _compile_component(source, n, m, what):
             out = np.broadcast_to(out, shape)
         return out
 
-    fn.source = source
-    fn.label = what
     return fn
 
 
@@ -522,10 +518,10 @@ def load_system(config):
 
     def compiled(src, what):
         try:
-            return _compile_component(src, n, m, what)
+            return _compile_component(src, n, m)
         except ex.ParseError as err:
             problems.append("%s: %s" % (what, err))
-            return _compile_component("0.0", n, m, what)
+            return _compile_component("0.0", n, m)
 
     f_fns = []
     for i, src in enumerate(f_src):
@@ -733,16 +729,14 @@ def builtin(name, **overrides):
         return SystemDef(
             name, 2, ControlSpace.from_box([-1.0], [1.0], [k]),
             _lift_f, g, mode="maximize",
-            ules=Ules(1.0, 0.5, 0.5), growth=Growth(c_tilde, 2.0),
-            closed_form="lift2d" if name == "lift2d" else None)
+            ules=Ules(1.0, 0.5, 0.5), growth=Growth(c_tilde, 2.0))
 
     if name == "ex1":
         k = int(overrides.get("controls", 21))
         return SystemDef(
             name, 1, ControlSpace.from_box([-1.0], [1.0], [k]),
             _ex1_f, _ex1_g, mode="maximize",
-            ules=Ules(1.0, 0.5, 0.5), growth=Growth(np.pi, 1.0),
-            closed_form="ex1")
+            ules=Ules(1.0, 0.5, 0.5), growth=Growth(np.pi, 1.0))
 
     if name == "arctan1d":
         if "controls" in overrides:
@@ -750,7 +744,7 @@ def builtin(name, **overrides):
         return SystemDef(
             name, 1, ControlSpace.none(), _arctan_f, _arctan_g,
             mode="maximize", ules=Ules(1.0, 1.0, 1.0),
-            growth=Growth(1.0, 1.0), closed_form="arctan1d")
+            growth=Growth(1.0, 1.0))
 
     if name == "hav1d":
         if "controls" in overrides:
@@ -758,7 +752,7 @@ def builtin(name, **overrides):
         return SystemDef(
             name, 1, ControlSpace.none(), _hav_f, _hav_g,
             mode="maximize", ules=Ules(1.0, _HAV_SLOPE, 0.9),
-            growth=Growth(1.0, 7.0), closed_form="hav1d")
+            growth=Growth(1.0, 7.0))
 
     # fuller: double integrator with |x1|^gamma running cost, min mode
     gamma = float(overrides.get("gamma", 2.0))

@@ -3,9 +3,10 @@
 A field that iterated to numerical convergence can still be wrong — wrong
 dynamics, wrong cost, a solver bug.  The checks here test the behaviour
 that the unique bounded solution must actually exhibit, each through a
-route the solver itself never uses: PDE residuals by central differences,
-one-shot DPP consistency against RK4 trajectories, monotone decrease along
-random integrated schedules, one-sided comparison against constructed
+route the solver itself never uses: PDE residuals by central differences
+where the field is smooth (told from f, g and the field, never a system's
+name), one-shot DPP consistency against RK4 trajectories, monotone decrease
+along random integrated schedules, one-sided comparison against constructed
 sub/super candidates, growth toward the domain boundary, and slope probes.
 The fixed-point re-check is the one exception: it applies the solver's own
 operator once, so it measures the distance to the discrete fixed point.
@@ -26,11 +27,13 @@ import numpy as np
 from scipy import ndimage
 
 from .oracle import _enumerate
-from .solver import interpolate, zubov_operator
+from .solver import interpolate, inverse_transform, zubov_operator
 from .systems import ConfigError, closed_form_value
-from .trajectories import ControlSchedule, TrajectoryError, advance
+from .trajectories import (ControlSchedule, TrajectoryError, _check_point,
+                           advance)
 
 _KINK_CELLS = 2  # exclusion margin around level-set / clamp kinks
+_TIE_SPREAD = 1e-9  # control tie margin: np.gradient of a flat field is ~1e-16
 
 
 @dataclass(frozen=True)
@@ -55,6 +58,14 @@ def _as_mask(mask, grid):
     return arr
 
 
+def _check_kruzhkov(system, field, what):
+    if field.transform != "kruzhkov":
+        raise ConfigError("%s wants a kruzhkov field" % what)
+    if field.grid.n_axes != system.n_state:
+        raise ConfigError("field dimension %d, system wants %d"
+                          % (field.grid.n_axes, system.n_state))
+
+
 def check_fixed_point(system, field, dt=0.05, tol=1e-6, rk4_feet=True,
                       threads=None):
     """Apply the field's own Bellman operator once; fail where |T v - v|
@@ -64,8 +75,7 @@ def check_fixed_point(system, field, dt=0.05, tol=1e-6, rk4_feet=True,
     record, which load_field reads from the CSV header; the arguments stand
     in for what it does not record.  threads bounds the product's threads.
     """
-    if field.transform != "kruzhkov":
-        raise ConfigError("fixed-point check wants a kruzhkov field")
+    _check_kruzhkov(system, field, "fixed-point check")
     meta, grid = field.metadata, field.grid
     dt = float(meta.get("dt", dt))
     threshold = 10.0 * float(meta.get("tol", tol))
@@ -92,7 +102,8 @@ def check_fixed_point(system, field, dt=0.05, tol=1e-6, rk4_feet=True,
 
 
 def _inf_residual(system, field):
-    """inf over controls of  -Dv.f - g (1 - v)  at every node.
+    """inf over controls of  -Dv.f - g (1 - v)  at every node, with the
+    index of the control that attains it and the spread up to the worst one.
 
     Dv comes from np.gradient (central differences inside, one-sided on the
     faces — callers mask the faces off).  Zero for the exact solution at
@@ -106,15 +117,18 @@ def _inf_residual(system, field):
     flat_grads = [gr.reshape(-1) for gr in grads]
     nodes = grid.node_coords().reshape(-1, grid.n_axes)
     one_minus_v = 1.0 - v.reshape(-1)
-    best = None
-    for a in system.control.points:
+    best, choice = np.full(len(nodes), np.inf), np.zeros(len(nodes), int)
+    worst = -best
+    for j, a in enumerate(system.control.points):
         fv = np.asarray(system.f(nodes, a), dtype=float)
         gv = np.broadcast_to(np.asarray(system.g(nodes, a), dtype=float),
                              (nodes.shape[0],))
         drift = sum(flat_grads[k] * fv[:, k] for k in range(grid.n_axes))
         cand = -drift - gv * one_minus_v
-        best = cand if best is None else np.minimum(best, cand)
-    return best.reshape(tuple(grid.counts))
+        choice[cand < best] = j
+        np.minimum(best, cand, out=best)
+        np.maximum(worst, cand, out=worst)
+    return tuple(r.reshape(grid.counts) for r in (best, choice, worst - best))
 
 
 def _level_band(values, level, cells):
@@ -129,24 +143,27 @@ def _level_band(values, level, cells):
 
 def residual_stats(system, field, mask=None, *, eps0=0.01,
                    median_tol=0.02, p95_tol=0.05):
-    """|PDE residual| statistics over the smooth part of the field."""
-    if field.transform != "kruzhkov":
-        raise ConfigError("residual_stats wants a kruzhkov field")
-    if field.grid.n_axes != system.n_state:
-        raise ConfigError("field dimension %d, system wants %d"
-                          % (field.grid.n_axes, system.n_state))
+    """|PDE residual| statistics over the smooth part of the field.
+
+    Carved out: the grid faces, nodes within _KINK_CELLS of the 1 - eps0
+    level set, the mask's rim (eroded by _KINK_CELLS), and nodes within
+    _KINK_CELLS of nodes whose minimizing controls differ.  A node's control
+    counts only where the best and worst controls differ by > _TIE_SPREAD.
+    """
+    _check_kruzhkov(system, field, "residual_stats")
     grid = field.grid
-    residual = _inf_residual(system, field)
+    residual, choice, spread = _inf_residual(system, field)
     keep = grid.interior()
     keep &= ~_level_band(field.values, 1.0 - eps0, _KINK_CELLS)
     if mask is not None:
         keep &= ndimage.binary_erosion(_as_mask(mask, grid),
                                        iterations=_KINK_CELLS)
-    if system.name.startswith("lift2d"):
-        # the optimal control flips across x1 = -x2; the value folds there
-        coords = grid.node_coords()
-        seam = np.abs(coords[..., 0] + coords[..., 1])
-        keep &= seam > _KINK_CELLS * float(np.max(grid.dx))
+    # the value folds where the optimal control switches
+    decided = spread > _TIE_SPREAD
+    near = [ndimage.binary_dilation(decided & (choice == k),
+                                    iterations=_KINK_CELLS)
+            for k in np.unique(choice[decided])]
+    keep &= np.sum(near, axis=0) < 2
     picked = np.abs(residual[keep])
     if picked.size == 0:
         return VerificationReport("residual_stats", False,
@@ -179,15 +196,11 @@ def dpp_defect(system, field, x, t, switch_dt, *, int_dt=0.01,
     discretization error; large positive ones mean the field claims more
     than any schedule achieves.
     """
-    if field.transform != "kruzhkov":
-        raise ConfigError("dpp_defect wants a kruzhkov field")
+    _check_kruzhkov(system, field, "dpp_defect")
     if system.mode != "maximize":
         raise ConfigError("dpp_defect checks the worst-case route; "
                           "system mode is %r" % system.mode)
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.size != field.grid.n_axes:
-        raise ConfigError("point dimension %d, grid wants %d"
-                          % (x.size, field.grid.n_axes))
+    x = _check_point(system, x)
     if np.any(x < field.grid.lo) or np.any(x > field.grid.hi):
         raise ConfigError("x must be a grid-interior point")
     if not (math.isfinite(switch_dt) and switch_dt > 0.0):
@@ -218,12 +231,8 @@ def check_lyapunov_decrease(system, field, samples=200, t=0.5, seed=0, *,
     zero-cost trajectories (they exist; that is the point of the
     quasi-stability examples) legitimately hold the value flat.
     """
-    if field.transform != "kruzhkov":
-        raise ConfigError("decrease check wants a kruzhkov field")
+    _check_kruzhkov(system, field, "decrease check")
     grid = field.grid
-    if grid.n_axes != system.n_state:
-        raise ConfigError("field dimension %d, system wants %d"
-                          % (grid.n_axes, system.n_state))
     rng = np.random.default_rng(seed)
     pts = system.control.points
     cell = float(np.linalg.norm(grid.dx))
@@ -292,15 +301,14 @@ def sandwich_check(system, reference, candidate, role, tol):
     if reference.transform != "kruzhkov" or candidate.transform != "kruzhkov":
         raise ConfigError("sandwich_check wants kruzhkov fields")
     grid = reference.grid
-    boundary = ~grid.interior()
-    edge = candidate.values[boundary]
+    inner = grid.interior()
+    edge = candidate.values[~inner]
     if role == "sub":
         if np.max(np.abs(edge - 1.0)) > 1e-9:
             raise ConfigError("sub candidate must equal 1 on the boundary")
     elif np.min(edge) < 1.0 - 1e-9:
         raise ConfigError("sup candidate must be >= 1 on the boundary")
 
-    inner = grid.interior()
     diff = candidate.values - reference.values
     value_bad = (diff > tol) if role == "sub" else (diff < -tol)
     value_bad &= inner
@@ -309,8 +317,8 @@ def sandwich_check(system, reference, candidate, role, tol):
         | np.isin(reference.values, (0.0, 1.0))
     zone = grid.interior(2) & ~ndimage.binary_dilation(
         saturated, iterations=_KINK_CELLS)
-    delta_res = (_inf_residual(system, candidate)
-                 - _inf_residual(system, reference))
+    delta_res = (_inf_residual(system, candidate)[0]
+                 - _inf_residual(system, reference)[0])
     res_bad = (delta_res > tol) if role == "sub" else (delta_res < -tol)
     res_bad &= zone
 
@@ -339,10 +347,8 @@ def check_boundary_blowup(system, field, mask, cap=10.0):
     Skipped (with a note) when the mask leaks onto the grid faces — then
     the box shows no domain boundary to blow up at.
     """
-    if field.transform != "kruzhkov":
-        raise ConfigError("blow-up check wants a kruzhkov field")
-    if not cap > 0.0:
-        raise ConfigError("cap must be positive")
+    _check_kruzhkov(system, field, "blow-up check")
+    w = inverse_transform(field, cap).values  # checks cap
     grid = field.grid
     inside = _as_mask(mask, grid)
     if not inside[grid.origin_index]:
@@ -353,7 +359,6 @@ def check_boundary_blowup(system, field, mask, cap=10.0):
         warnings.warn(note)
         return VerificationReport("boundary_blowup", True, {"rays": 0}, (),
                                   note=note)
-    w = -np.log(np.maximum(1.0 - field.values, math.exp(-cap)))
     counts = tuple(grid.counts)
     origin = grid.origin_index
     ratios = []

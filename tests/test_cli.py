@@ -396,6 +396,17 @@ class TestVerify:
                    str(run_dir / "field.csv")])
         assert rc == 1
 
+    def test_empty_check_list_exits_1(self, run_dir, tmp_path, capsys):
+        # a run that checks nothing must not pass
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"checks": []}))
+        rc = main(["verify", "--config", str(cfg), "--builtin", "lift2d",
+                   "--nodes", "101", "--out", str(tmp_path),
+                   str(run_dir / "field.csv")])
+        assert rc == 1
+        assert "'checks'" in capsys.readouterr().err
+        assert not (tmp_path / "metadata.json").exists()
+
 
 class TestRunRecord:
     """field.csv carries dt, tol, feet mode, exterior value and convergence,
@@ -567,3 +578,25 @@ class TestDemo:
         table = (tmp_path / "demo.csv").read_text().splitlines()
         assert table[0] == "system,nodes,sweeps,sup_error,bound,status"
         assert len(table) == 4 and all(r.endswith(",ok") for r in table[1:])
+
+    def test_ignored_settings_exit_1(self, tmp_path, capsys):
+        rc = main(["demo", "--nodes", "41", "--dt", "0.2",
+                   "--out", str(tmp_path / "flags")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "nodes" in err and "dt" in err
+        assert not (tmp_path / "flags").exists()
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 3}))
+        rc = main(["demo", "--config", str(cfg),
+                   "--out", str(tmp_path / "key")])
+        assert rc == 1
+        assert "seed" in capsys.readouterr().err
+
+    def test_metadata_rerun_is_bitwise(self, tmp_path):
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert main(["demo", "--out", str(first)]) == 0
+        assert main(["demo", "--config", str(first / "metadata.json"),
+                     "--out", str(again)]) == 0
+        assert (first / "demo.csv").read_bytes() == \
+            (again / "demo.csv").read_bytes()

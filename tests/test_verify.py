@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from zubov.solver import SolverSettings, interpolate, solve_zubov
-from zubov.systems import ConfigError, Grid, builtin, closed_form_value
+from zubov.systems import (ConfigError, Grid, builtin, closed_form_value,
+                           load_system)
 from zubov.trajectories import integrate
 from zubov.verify import (VerificationReport, check_boundary_blowup,
                           check_fixed_point, check_lyapunov_decrease,
@@ -154,6 +155,42 @@ class TestResidualStats:
         with pytest.raises(ConfigError, match="mask"):
             residual_stats(lift2d_system, lift2d_field,
                            np.ones((3, 3), dtype=bool))
+
+    # lift2d written out as expressions; on |x| <= 1.2 the builtin's taper
+    # is exactly 1, so f and g agree bit for bit
+    LIFT2D_INLINE = {
+        "n": 2, "f": ["-x1 + a1*x1^2", "-x2 + a1*x2^2"], "g": "x1^2 + x2^2",
+        "control": {"box": {"lo": [-1.0], "hi": [1.0], "counts": [21]}}}
+
+    def test_inline_system_matches_builtin(self, lift2d_system, lift2d_field):
+        inline = load_system(dict(self.LIFT2D_INLINE, name="inline"))
+        nodes = lift2d_field.grid.node_coords().reshape(-1, 2)
+        for a in lift2d_system.control.points:
+            assert np.array_equal(inline.f(nodes, a),
+                                  lift2d_system.f(nodes, a))
+            assert np.array_equal(inline.g(nodes, a),
+                                  lift2d_system.g(nodes, a))
+        rep = residual_stats(inline, lift2d_field)
+        assert rep.passed
+        assert rep.stats == residual_stats(lift2d_system, lift2d_field).stats
+
+    def test_name_does_not_matter(self, lift2d_field):
+        reps = [residual_stats(load_system(dict(self.LIFT2D_INLINE,
+                                                name=name)), lift2d_field)
+                for name in ("lift2d-x", "other")]
+        assert reps[0].stats == reps[1].stats
+        assert reps[0].passed and reps[1].passed
+
+    def test_psi_abs_control_switch_carved_out(self):
+        # the value of lift2d-psi-abs folds where the optimal control flips;
+        # away from the fold the residual stays small everywhere
+        system = builtin("lift2d-psi-abs")
+        field = solve_zubov(system, Grid([-1.2, -1.2], [1.2, 1.2],
+                                         [101, 101]),
+                            SolverSettings(dt=0.1, tol=1e-6))
+        rep = residual_stats(system, field)
+        assert rep.passed
+        assert rep.stats["max"] <= 0.1
 
 
 def node_point(grid, offsets):

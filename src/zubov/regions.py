@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .systems import (ConfigError, Grid, _grid_header, _read_grid_csv,
                       _write_csv)
@@ -35,6 +34,8 @@ class DoaMask:
         object.__setattr__(self, "inside", inside)
         if not inside[self.grid.origin_index]:
             raise ConfigError("mask must contain the origin node")
+        from scipy import ndimage  # loaded on first use, not on import
+
         # ndimage.label's default structure is exactly face adjacency
         _, parts = ndimage.label(inside)
         if parts != 1:
@@ -56,6 +57,8 @@ def extract_doa(field, epsilon=0.01):
     if field.origin_value() >= 1.0 - epsilon:
         raise ConfigError("degenerate field: origin node has v=%.3g >= 1 - "
                           "epsilon" % field.origin_value())
+    from scipy import ndimage
+
     labels, _ = ndimage.label(field.values < 1.0 - epsilon)
     inside = labels == labels[grid.origin_index]
     touches = bool(np.any(inside & ~grid.interior()))
@@ -174,6 +177,8 @@ def _directed_cells(src, dst):
         return 0.0
     if not dst.any():
         return math.inf
+    from scipy import ndimage
+
     reach = ndimage.distance_transform_cdt(~dst, metric="chessboard")
     return float(reach[src].max())
 

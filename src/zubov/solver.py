@@ -1,30 +1,48 @@
-"""Semi-Lagrangian value iteration for the grid dynamic-programming fixed point.
+"""Semi-Lagrangian value and policy iteration for the grid dynamic-programming
+fixed point.
 
 For each fixed control the Bellman operator is linear in the field, so it is
 built once per solve as a BellmanOperator: one stacked CSR matrix C of shape
 K*N x N (K controls, N nodes) plus an offset vector c.  Row k*N + i holds
 control k's multilinear stencil at the foot of node i, scaled by that row's
 discount; a foot outside the box leaves its row empty and the offset carries
-the exterior term.  A sweep computes opt_k(c_k + C_k x), the sparse product
-taken a few controls at a time (as many as fit 2**17 rows), so the rows
-being reduced stay in cache.
+the exterior term.  A full sweep computes opt_k(c_k + C_k x), the sparse
+product taken a few controls at a time (as many as fit 2**17 rows), so the
+rows being reduced stay in cache.
+
+The Kružkov solve runs modified policy iteration (Puterman & Shin, 1978).
+A full sweep there also returns, per node, the lowest control index
+attaining the minimum.  Those N rows of C are gathered into a matrix of
+their own, and policy sweeps x <- c_pi + C_pi x, at about 1/K of a full
+sweep's cost, run until one moves less than tol/10; then the next full
+sweep picks a new policy.  Capped nodes (min >= 1) and the pinned origin
+keep their value through the policy sweeps.  The iterates on u = 1 - v
+still only fall: C_pi has nonnegative weights and a fixed summation
+order, so a policy sweep is monotone in floating point, and its first
+application reproduces the full sweep bit for bit.  Only a full sweep can
+converge (move less than tol); iterations, max_iters and the sweep
+history count sweeps of both kinds.  A one-control system has no policy
+to pick, and solve_hjbe keeps plain full sweeps too: its minimize-mode
+systems start below their fixed point, where a greedy policy's sweeps can
+overshoot it, or diverge on an undiscounted system.
 
 The build streams: for each control it computes feet and stencils for
 2**14 nodes at a time and appends their rows, so its temporaries stay a
-few MB at any grid size.  The offset is allocated zeroed and only chunks
-with a nonzero entry are written, so an all-zero offset (every Kružkov
-row at the default exterior value 1) never becomes resident, and a sweep
-skips adding it.  Neither changes a bit of any field.
+few MB at any grid size.  The offset is allocated by the first chunk
+with a nonzero entry, so an all-zero offset (every Kružkov row at the
+default exterior value 1) is a zero-stride view that takes no memory,
+and a sweep skips adding it.  Neither changes a bit of any field.
 
-A large operator sweeps on several threads.  The controls are split into
-contiguous blocks, one per worker: each worker computes c_k + C_k x for its
-controls and reduces over them into a buffer of its own, and the calling
-thread combines those partial results.  The worker count is
-min(threads, usable cores, K, nnz // 2**20), so it depends on the settings,
-the machine and the operator's size, never on which problem is solved; an
-operator under 2**21 nonzeros sweeps on the calling thread alone.  Results
-do not depend on the thread count: min and max are exact, and every row's
-dot product is the same kernel call on the same data as in A @ x.
+A large operator's full sweep runs on several threads.  The controls are
+split into contiguous blocks, one per worker: each worker computes
+c_k + C_k x for its controls and reduces over them into a buffer of its
+own, and the calling thread combines those partial results.  The worker
+count is min(threads, usable cores, K, nnz // 2**20), so it depends on the
+settings, the machine and the operator's size, never on which problem is
+solved; an operator under 2**21 nonzeros sweeps on the calling thread
+alone.  Results do not depend on the thread count: min and max are exact,
+ties go to the lower control, and every row's dot product is the same
+kernel call on the same data as in A @ x.
 
   * solve_zubov — Kružkov-transformed maximal cost.  The update
         v <- max_a 1 - beta * (1 - I[v](y_a))
@@ -43,9 +61,9 @@ dot product is the same kernel call on the same data as in A @ x.
         v <- opt_a dt*ell*exp(-dt h/2) + exp(-dt h) * I[v](foot),
     opt = min or max per the system's mode.
 
-Sweeps are Jacobi (double-buffered): every node reads the previous buffer,
-so results are bitwise reproducible.  Iteration starts from v ≡ 0 and, in
-Kružkov mode, increases monotonically.
+Sweeps of both kinds are Jacobi (double-buffered): every node reads the
+previous buffer, so results are bitwise reproducible.  Iteration starts
+from v ≡ 0 and, in Kružkov mode, increases monotonically.
 """
 
 from __future__ import annotations
@@ -69,7 +87,7 @@ from .trajectories import rk4_step
 class SolverSettings:
     dt: float = 0.05
     tol: float = 1e-6
-    max_iters: int = 2000
+    max_iters: int = 2000  # full and policy sweeps together
     exterior_value: float | None = None  # None: 1 in Kružkov mode, else 0
     rk4_feet: bool = True  # RK4 feet + integrated step costs; False: Euler
     # most threads a sweep may use (None: the usable cores); operators under
@@ -179,24 +197,29 @@ class BellmanOperator:
         # 0 changes no bit
         self._add_offset = bool(offset.any())
         self.opt = opt
+        self._better = np.less if opt is np.minimum else np.greater
         self.cap = cap
         self.n_nodes = n = matrix.shape[1]
+        self.n_controls = matrix.shape[0] // n
         self.blocks = [(int(ks[0]), int(ks[-1]) + 1) for ks in
-                       np.array_split(np.arange(matrix.shape[0] // n),
-                                      workers)]
+                       np.array_split(np.arange(self.n_controls), workers)]
         self._matvec = _sparsetools.csr_matvec  # the kernel behind A @ x
+        self._gather = _sparsetools.csr_row_index  # and the one behind A[i]
         # controls per kernel call, so that their rows stay in cache
         self._chunk = max(1, _CHUNK_ROWS // n)
-        # every buffer a sweep writes is allocated here, on the calling
-        # thread: a worker that allocates gets a malloc arena of its own,
-        # which raises the peak RSS
+        # every buffer a sweep writes is allocated here, or by the first
+        # sweep that asks for the choice, on the calling thread: a worker
+        # that allocates gets a malloc arena of its own, which raises the
+        # peak RSS
         self._rows = [np.empty(min(self._chunk, stop - first) * n)
                       for first, stop in self.blocks]
         self._partial = np.empty((workers, n))
+        self._choice = self._wins = None
         self._pool = ThreadPoolExecutor(workers - 1) if workers > 1 else None
 
-    def _sweep_block(self, b, x):
-        """partial[b] = opt over block b's controls k of c_k + C_k x."""
+    def _sweep_block(self, b, x, track):
+        """partial[b] = opt over block b's controls k of c_k + C_k x; with
+        ``track``, choice[b] = the lowest such k attaining it."""
         n, m = self.n_nodes, self.matrix
         first, stop = self.blocks[b]
         partial = self._partial[b]
@@ -208,29 +231,84 @@ class BellmanOperator:
                          x, rows)
             if self._add_offset:
                 rows += self.offset[lo:hi]
-            if k == first:
-                self.opt.reduce(rows.reshape(-1, n), axis=0, out=partial)
-            else:
-                for row in rows.reshape(-1, n):
-                    self.opt(partial, row, out=partial)
+            for j, row in enumerate(rows.reshape(-1, n), k):
+                if j == first:
+                    partial[:] = row
+                    if track:
+                        self._choice[b].fill(j)
+                    continue
+                if track:  # strictly better: ties keep the lower control
+                    self._better(row, partial, out=self._wins[b])
+                    np.copyto(self._choice[b], j, where=self._wins[b])
+                self.opt(partial, row, out=partial)
 
-    def __call__(self, x):
+    def __call__(self, x, choice=False):
+        """The swept values; with ``choice``, also each node's lowest
+        control index attaining them (before the cap)."""
         x = np.ascontiguousarray(x, dtype=float)
         if x.shape != (self.n_nodes,):  # the kernel does not check
             raise ValueError("operator wants %d node values, got shape %s"
                              % (self.n_nodes, x.shape))
+        if choice and self._choice is None:
+            shape = (len(self.blocks), self.n_nodes)
+            self._choice = np.empty(shape, np.min_scalar_type(
+                self.n_controls - 1))
+            self._wins = np.empty(shape, dtype=bool)
         pending = (self._pool.map(self._sweep_block,
                                   range(1, len(self.blocks)),
-                                  itertools.repeat(x))
+                                  itertools.repeat(x),
+                                  itertools.repeat(choice))
                    if self._pool is not None else ())
-        self._sweep_block(0, x)
+        self._sweep_block(0, x, choice)
         for _ in pending:  # re-raises a worker's exception
             pass
-        # min and max are exact, so the order of the blocks cannot matter
-        out = self.opt.reduce(self._partial, axis=0)
+        # blocks combine in control order, so a tie keeps the lower block;
+        # min and max are exact, so the values cannot depend on the order
+        out = self._partial[0].copy()
+        picked = self._choice[0].copy() if choice else None
+        for b in range(1, len(self.blocks)):
+            if choice:
+                self._better(self._partial[b], out, out=self._wins[0])
+                np.copyto(picked, self._choice[b], where=self._wins[0])
+            self.opt(out, self._partial[b], out=out)
         if self.cap is not None:
             np.minimum(out, self.cap, out=out)
-        return out
+        return (out, picked) if choice else out
+
+    def policy(self, choice, fixed):
+        """The sweep (x, out) -> c_choice + C_choice x, written to out, of
+        the policy ``choice``, as a function.
+
+        Row i of its N x N matrix is row choice[i]*N + i of C, with that
+        row's offset, except at the nodes of the boolean mask ``fixed``,
+        which keep the value they have in x.  The rows are gathered by the
+        kernel behind A[rows], with no temporary longer than N, and swept
+        by the kernel behind A @ x.
+        """
+        n, m = self.n_nodes, self.matrix
+        rows = choice.astype(m.indptr.dtype)
+        rows *= n
+        rows += np.arange(n, dtype=rows.dtype)
+        offset = self.offset[rows] if self._add_offset else None
+        indptr = np.zeros(n + 1, dtype=rows.dtype)
+        indptr[1:] = m.indptr[rows + 1] - m.indptr[rows]
+        indptr[1:][fixed] = 0
+        np.cumsum(indptr, out=indptr)
+        rows = rows[~fixed]
+        indices = np.empty(int(indptr[-1]), dtype=m.indices.dtype)
+        data = np.empty(int(indptr[-1]))
+        self._gather(rows.size, rows, m.indptr, m.indices, m.data, indices,
+                     data)
+
+        def sweep(x, out):
+            out.fill(0.0)  # as A @ x does: each row sums up from +0
+            self._matvec(n, n, indptr, indices, data, x, out)
+            if offset is not None:
+                out += offset
+            np.copyto(out, x, where=fixed)
+            return out
+
+        return sweep
 
     @property
     def nbytes(self):
@@ -268,17 +346,19 @@ def _assemble(system, grid, rows, x_exterior, opt, cap=None, threads=None):
     n_rows = system.control.size * n_nodes
     itype = np.int32 if n_rows * width < 2 ** 31 else np.int64
     # sized for every foot inside; the pages exterior rows leave unused are
-    # never touched, so they cost address space only.  The same holds for
-    # the offset's all-zero chunks, which are never written.
+    # never touched, so they cost address space only
     data = np.empty(n_rows * width)
     indices = np.empty(n_rows * width, dtype=itype)
     indptr = np.zeros(n_rows + 1, dtype=itype)  # row lengths, then sums
-    offset = np.zeros(n_rows)
+    # allocated by the first nonzero chunk: calloc can hand back pages an
+    # earlier solve freed, which it must then zero, and so make resident
+    offset = None
 
     def append(row, a, lo, hi, nnz):
         """Write the rows of nodes lo..hi-1 under control a from `row` and
         the entries from `nnz` on; returns the new nnz.  The chunk's
         temporaries die on return, before the operator's buffers exist."""
+        nonlocal offset
         at = np.unravel_index(np.arange(lo, hi), tuple(grid.counts))
         nodes = np.stack([ax[i] for ax, i in zip(grid.axes, at)], axis=-1)
         feet, scale, cost = rows(a, nodes)
@@ -288,6 +368,8 @@ def _assemble(system, grid, rows, x_exterior, opt, cap=None, threads=None):
         indptr[row + 1:row + 1 + hi - lo] = np.where(inside, width, 0)
         off = cost + np.where(inside, 0.0, scale * x_exterior)
         if off.any():
+            if offset is None:
+                offset = np.zeros(n_rows)
             offset[row:row + hi - lo] = off
         end = nnz + width * int(np.count_nonzero(inside))
         if end - nnz == idx.size:  # every foot inside: skip the mask
@@ -308,6 +390,8 @@ def _assemble(system, grid, rows, x_exterior, opt, cap=None, threads=None):
     np.cumsum(indptr, out=indptr)
     matrix = sparse.csr_array((data[:nnz], indices[:nnz], indptr),
                               shape=(n_rows, n_nodes))
+    if offset is None:
+        offset = np.broadcast_to(0.0, (n_rows,))
     return BellmanOperator(matrix, offset, opt, cap, sweep_workers(
         threads, system.control.size, nnz))
 
@@ -348,31 +432,58 @@ def hjbe_operator(system, grid, dt, rk4_feet, exterior, threads=None):
     return _assemble(system, grid, rows, exterior, pick, threads=threads)
 
 
-def _iterate(build, grid, settings, start, scheme, exterior):
+def _iterate(build, grid, settings, start, scheme, exterior, policy=False):
     """Build the operator and sweep it from x ≡ start (the origin pinned
     there) to tolerance; returns x and the field metadata, which records
     every sweep's sup-change and the Bellman residual sup |T x - x| of the
-    returned x (one more product, the origin pinned as in a sweep)."""
+    returned x (one more full sweep, the origin pinned as in a sweep).
+
+    With ``policy`` and more than one control, every full sweep that does
+    not converge is followed by policy sweeps (module docstring) until one
+    moves less than tol/10.  Converged means a full sweep moved less than
+    tol; max_iters bounds the sweeps of both kinds together.
+    """
     started = time.perf_counter()
     x = np.full(grid.n_nodes, start)
     origin = int(np.ravel_multi_index(grid.origin_index, tuple(grid.counts)))
-
-    def sweep(x):
-        nxt = op(x)
-        nxt[origin] = start
-        return nxt, float(np.max(np.abs(nxt - x)))
-
-    converged = False
     changes = []
+
+    def step(x, nxt):
+        """Pin the origin in nxt, a sweep's output from x; returns the
+        sweep's sup-change, computed in x's buffer."""
+        nxt[origin] = start
+        np.subtract(nxt, x, out=x)
+        return float(np.abs(x, out=x).max())
+
+    converged, policy_sweeps, policy_seconds = False, 0, 0.0
     with build() as op:
         built = time.perf_counter()
-        for _ in range(settings.max_iters):
-            x, change = sweep(x)
-            changes.append(change)
-            if change < settings.tol:
+        policy = policy and op.n_controls > 1
+        spare = np.empty_like(x) if policy else None
+        while len(changes) < settings.max_iters:
+            nxt, picked = op(x, choice=True) if policy else (op(x), None)
+            changes.append(step(x, nxt))
+            x = nxt
+            if changes[-1] < settings.tol:
                 converged = True
                 break
-        residual = sweep(x)[1]
+            if not policy:
+                continue
+            tic = time.perf_counter()
+            fixed = x >= op.cap  # capped nodes stay at the cap
+            fixed[origin] = True
+            greedy = op.policy(picked, fixed)
+            while len(changes) < settings.max_iters:
+                nxt = greedy(x, spare)
+                changes.append(step(x, nxt))
+                x, spare = nxt, x
+                policy_sweeps += 1
+                if changes[-1] < settings.tol / 10:
+                    break
+            del greedy  # its rows, before the next full sweep
+            policy_seconds += time.perf_counter() - tic
+        residual = step(x.copy(), op(x))
+    change = changes[-1]
     if not converged:
         warnings.warn("value iteration hit max_iters=%d with sup-change "
                       "%.3e >= tol %.3e" % (settings.max_iters, change,
@@ -380,12 +491,15 @@ def _iterate(build, grid, settings, start, scheme, exterior):
     meta = asdict(settings)
     del meta["threads"]  # results never depend on it
     meta.update(scheme=scheme, exterior_value=exterior,
-                iterations=len(changes), final_change=change,
-                converged=converged, sweep_changes=changes,
-                bellman_residual=residual, operator_nnz=int(op.matrix.nnz),
-                operator_bytes=op.nbytes, sweep_workers=len(op.blocks),
+                iterations=len(changes), policy_sweeps=policy_sweeps,
+                final_change=change, converged=converged,
+                sweep_changes=np.array(changes), bellman_residual=residual,
+                operator_nnz=int(op.matrix.nnz), operator_bytes=op.nbytes,
+                sweep_workers=len(op.blocks),
                 phase_seconds={"build": built - started,
-                               "sweeps": time.perf_counter() - built})
+                               "sweeps": time.perf_counter() - built
+                               - policy_seconds,
+                               "policy": policy_seconds})
     return x, meta
 
 
@@ -399,7 +513,8 @@ def solve_zubov(system, grid, settings=None):
         else settings.exterior_value
     build = functools.partial(zubov_operator, system, grid, settings.dt,
                               settings.rk4_feet, exterior, settings.threads)
-    u, meta = _iterate(build, grid, settings, 1.0, "zubov", exterior)
+    u, meta = _iterate(build, grid, settings, 1.0, "zubov", exterior,
+                       policy=True)
     return ValueField(grid, (1.0 - u).reshape(tuple(grid.counts)),
                       "kruzhkov", meta)
 

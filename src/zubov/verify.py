@@ -24,7 +24,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .oracle import _enumerate
 from .solver import interpolate, inverse_transform, zubov_operator
@@ -133,6 +132,8 @@ def _inf_residual(system, field):
 
 def _level_band(values, level, cells):
     """Nodes within `cells` of the {values < level} boundary contour."""
+    from scipy import ndimage  # loaded on first use, not on import
+
     sub = values < level
     if sub.all() or not sub.any():
         return np.zeros(values.shape, dtype=bool)
@@ -150,6 +151,8 @@ def residual_stats(system, field, mask=None, *, eps0=0.01,
     _KINK_CELLS of nodes whose minimizing controls differ.  A node's control
     counts only where the best and worst controls differ by > _TIE_SPREAD.
     """
+    from scipy import ndimage
+
     _check_kruzhkov(system, field, "residual_stats")
     grid = field.grid
     residual, choice, spread = _inf_residual(system, field)
@@ -308,6 +311,8 @@ def sandwich_check(system, reference, candidate, role, tol):
             raise ConfigError("sub candidate must equal 1 on the boundary")
     elif np.min(edge) < 1.0 - 1e-9:
         raise ConfigError("sup candidate must be >= 1 on the boundary")
+
+    from scipy import ndimage
 
     diff = candidate.values - reference.values
     value_bad = (diff > tol) if role == "sub" else (diff < -tol)

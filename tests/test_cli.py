@@ -56,7 +56,8 @@ class TestSolve:
     def test_operator_trace_goes_under_result(self, run_dir):
         meta = read_meta(run_dir)
         assert meta["result"]["operator_nnz"] > 0
-        assert sorted(meta["result"]["phase_seconds"]) == ["build", "sweeps"]
+        assert sorted(meta["result"]["phase_seconds"]) == ["build", "policy",
+                                                            "sweeps"]
         assert "operator_nnz" not in meta["config"]
         assert "phase_seconds" not in meta["config"]
 
@@ -206,6 +207,16 @@ class TestSolve:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert "zubov" in proc.stdout
+
+    def test_import_defers_scipy_ndimage_and_sparse(self):
+        # a CLI call pays for scipy.ndimage (~0.4 s) and scipy.sparse only
+        # when a command uses them
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, zubov.cli; print(sorted("
+             "{'scipy.ndimage', 'scipy.sparse'} & set(sys.modules)))"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert proc.stdout.strip() == "[]"
 
 
 class TestHjbe:
@@ -361,6 +372,24 @@ class TestVerify:
         fixed = {c["name"]: c for c in doc["checks"]}["fixed_point"]
         assert not fixed["passed"]
         assert fixed["witnesses"][0]["node"] == [70, 30]
+
+    def test_skipped_blowup_prints_no_python_warning(self, tmp_path):
+        # hav1d's mask reaches the grid faces, so the blow-up check is
+        # skipped: its report line says so, and stderr stays clean
+        run = tmp_path / "run"
+        assert main(["solve", "--builtin", "hav1d", "--nodes", "101",
+                     "--out", str(run)]) == 0
+        config = tmp_path / "verify.json"
+        config.write_text(json.dumps({"builtin": "hav1d", "nodes": [101],
+                                      "checks": ["blowup"]}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "zubov.cli", "verify", "--config",
+             str(config), "--out", str(tmp_path / "chk"),
+             str(run / "field.csv")], capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert "mask touches the grid box" in proc.stdout
+        assert "UserWarning" not in proc.stderr
+        assert proc.stderr == ""
 
     def test_mismatched_grid_exits_1(self, run_dir, tmp_path):
         rc = main(["verify", "--builtin", "lift2d", "--nodes", "51",

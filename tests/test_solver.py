@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -133,11 +134,25 @@ def test_operator_matches_reference_sweep(case):
     system = builtin(name) if isinstance(name, str) else load_system(name)
     settings = SolverSettings(**patch)
     raw = system.mode == "minimize"
-    field = (solve_hjbe if raw else solve_zubov)(system, grid, settings)
-    ref, sweeps = reference_solve(system, grid, settings, raw)
+    if raw:  # plain sweeps: the same iterates, stopped at the same sweep
+        field = solve_hjbe(system, grid, settings)
+        ref, sweeps = reference_solve(system, grid, settings, raw)
+        assert field.metadata["converged"]
+        assert field.metadata["iterations"] == sweeps
+        assert np.abs(field.values - ref).max() <= 1e-12
+        return
+    # policy sweeps take another path to the same fixed point: the first
+    # full sweep is the reference's first sweep, and both reach one field
+    one = dataclasses.replace(settings, max_iters=1)
+    with pytest.warns(UserWarning, match="max_iters"):
+        field = solve_zubov(system, grid, one)
+    assert np.abs(field.values - reference_solve(system, grid, one, raw)[0]
+                  ).max() <= 1e-12
+    tight = dataclasses.replace(settings, tol=1e-13, max_iters=100_000)
+    field = solve_zubov(system, grid, tight)
     assert field.metadata["converged"]
-    assert field.metadata["iterations"] == sweeps
-    assert np.abs(field.values - ref).max() <= 1e-12
+    assert np.abs(field.values - reference_solve(system, grid, tight, raw)[0]
+                  ).max() <= 1e-10
 
 
 def test_metadata_records_operator_size_and_phases():
@@ -145,7 +160,7 @@ def test_metadata_records_operator_size_and_phases():
     field = solve_zubov(scalar_decay(), Grid([-1.0], [1.0], [21]))
     assert field.metadata["operator_nnz"] == 2 * 21
     phases = field.metadata["phase_seconds"]
-    assert sorted(phases) == ["build", "sweeps"]
+    assert sorted(phases) == ["build", "policy", "sweeps"]
     assert all(t >= 0.0 for t in phases.values())
 
 
@@ -172,6 +187,97 @@ def test_bellman_residual_is_one_more_pinned_sweep():
     assert field.metadata["bellman_residual"] == pytest.approx(
         np.abs(nxt - u).max(), abs=1e-15)
     assert len(field.metadata["sweep_changes"]) == 30
+
+
+# --- policy sweeps -----------------------------------------------------------
+
+def record_sweeps(monkeypatch):
+    """Log ("full" | "policy", input) for every sweep a solve runs; the last
+    full sweep is the Bellman residual's, which no iteration counts."""
+    log = []
+    full, policy = solver.BellmanOperator.__call__, \
+        solver.BellmanOperator.policy
+
+    def full_sweep(self, x, choice=False):
+        log.append(("full", np.array(x, dtype=float)))
+        return full(self, x, choice)
+
+    def policy_sweep(self, choice, fixed):
+        sweep = policy(self, choice, fixed)
+
+        def logged(x, out):
+            log.append(("policy", x.copy()))
+            return sweep(x, out)
+        return logged
+
+    monkeypatch.setattr(solver.BellmanOperator, "__call__", full_sweep)
+    monkeypatch.setattr(solver.BellmanOperator, "policy", policy_sweep)
+    return log
+
+
+def test_policy_sweeps_run_between_full_sweeps(monkeypatch):
+    log = record_sweeps(monkeypatch)
+    meta = solve_zubov(builtin("lift2d"), LIFT41).metadata
+    assert log.pop()[0] == "full"  # the residual's
+    kinds = [kind for kind, _ in log]
+    assert kinds[0] == "full" and kinds[-1] == "full"  # converged on one
+    assert meta["policy_sweeps"] == kinds.count("policy") > 0
+    assert meta["iterations"] == kinds.count("full") + kinds.count("policy")
+    assert meta["converged"] and meta["final_change"] < meta["tol"]
+    assert meta["phase_seconds"]["policy"] > 0.0
+
+
+@pytest.mark.parametrize("rk4", [False, True])
+def test_iterates_never_rise_across_sweep_kinds(monkeypatch, rk4):
+    # ex1 has stationary feet where g = 0 (|x| >= 1): after the first full
+    # sweep 93 of its 201 nodes sit at the cap, fixed in each policy phase
+    log = record_sweeps(monkeypatch)
+    field = solve_zubov(builtin("ex1"), Grid([-2.0], [2.0], [201]),
+                        SolverSettings(rk4_feet=rk4))
+    assert field.metadata["converged"]
+    kinds = [kind for kind, _ in log]
+    switches = [k for k in range(1, len(log)) if kinds[k] != kinds[k - 1]]
+    assert len(switches) >= 4  # full -> policy -> full, at least twice
+    # u = 1 - v starts at 1 and may only fall, whichever sweep made it
+    for (_, before), (_, after) in zip(log, log[1:]):
+        assert np.all(after <= before)
+    assert np.array_equal(1.0 - log[-1][1], field.values)
+
+
+def test_policy_rows_are_gathered_without_grid_sized_temporaries():
+    import tracemalloc
+
+    system = builtin("lift2d")
+    for n in (101, 201):
+        grid = Grid([-1.2, -1.2], [1.2, 1.2], [n, n])
+        nodes = grid.n_nodes
+        with zubov_operator(system, grid, 0.05, True, 1.0, 1) as op:
+            u, picked = op(np.ones(nodes), choice=True)
+            fixed = u >= 1.0
+            op.policy(picked, fixed)  # warm caches
+            tracemalloc.start()
+            try:
+                sweep = op.policy(picked, fixed)
+                kept, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            # from the same iterate, the greedy rows give the full sweep
+            assert np.array_equal(sweep(np.ones(nodes), np.empty(nodes)), u)
+        # kept: the N rows (4 entries of 12 bytes each) and their indptr
+        assert kept <= 52 * nodes + 4096
+        # one int32 index per node at most; a copy of the 21 controls'
+        # row pointers alone would be 84 bytes per node
+        assert peak - kept <= 8 * nodes
+
+
+def test_solve_hjbe_and_one_control_solves_run_no_policy_sweeps():
+    grid = Grid([-1.0, -1.0], [1.0, 1.0], [41, 41])
+    meta = solve_hjbe(builtin("fuller"), grid,
+                      SolverSettings(dt=0.02)).metadata
+    assert meta["policy_sweeps"] == 0
+    assert meta["phase_seconds"]["policy"] == 0.0
+    meta = solve_zubov(scalar_decay(), Grid([-1.0], [1.0], [21])).metadata
+    assert meta["policy_sweeps"] == 0
 
 
 # --- streamed build ----------------------------------------------------------

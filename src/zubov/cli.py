@@ -77,10 +77,8 @@ _OPTIONS = {
     "rho": (0.05, "real", "oracle tail-certificate radius"),
     "budget": (2_000_000, "int", None),
     "seed": (0, "int", "sampling seed for verify"),
-    "threads": (0, "int", "most threads a solver sweep may use (default 0: "
-                          "the usable cores); operators under 2**21 "
-                          "nonzeros sweep on one thread, and results never "
-                          "depend on this"),
+    "threads": (0, "int", "accepted for old configs and ignored: every "
+                          "solve runs on the calling thread"),
     "out": (".", "dir", "output directory"),
     "epsilon": (0.01, "real", "doa level gap / synthesis tolerance"),
     "checks": (list(_CHECKS), "checks", None),
@@ -288,7 +286,6 @@ def _run_solver(cfg, raw):
         "bellman_residual": meta["bellman_residual"],
         "operator_nnz": meta["operator_nnz"],
         "operator_bytes": meta["operator_bytes"],
-        "sweep_workers": meta["sweep_workers"],
         "phase_seconds": meta["phase_seconds"],
         "seconds": round(elapsed, 3),
         "field": "field.csv",
@@ -393,8 +390,7 @@ def _cmd_verify(cfg, args):
                 tuple({"problem": p} for p in problems)))
         elif name == "fixed_point":
             reports.append(check_fixed_point(
-                system, field, cfg["dt"], cfg["tol"], cfg["rk4_feet"],
-                threads=cfg["threads"] or None))
+                system, field, cfg["dt"], cfg["tol"], cfg["rk4_feet"]))
         elif name == "residual":
             reports.append(residual_stats(system, field))
         elif name == "decrease":

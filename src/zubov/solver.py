@@ -33,17 +33,6 @@ with a nonzero entry, so an all-zero offset (every Kružkov row at the
 default exterior value 1) is a zero-stride view that takes no memory,
 and a sweep skips adding it.  Neither changes a bit of any field.
 
-A large operator's full sweep runs on several threads.  The controls are
-split into contiguous blocks, one per worker: each worker computes
-c_k + C_k x for its controls and reduces over them into a buffer of its
-own, and the calling thread combines those partial results.  The worker
-count is min(threads, usable cores, K, nnz // 2**20), so it depends on the
-settings, the machine and the operator's size, never on which problem is
-solved; an operator under 2**21 nonzeros sweeps on the calling thread
-alone.  Results do not depend on the thread count: min and max are exact,
-ties go to the lower control, and every row's dot product is the same
-kernel call on the same data as in A @ x.
-
   * solve_zubov — Kružkov-transformed maximal cost.  The update
         v <- max_a 1 - beta * (1 - I[v](y_a))
     is iterated on the complement u = 1 - v, starting from u ≡ 1:
@@ -71,10 +60,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import os
+import numbers
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -90,41 +78,32 @@ class SolverSettings:
     max_iters: int = 2000  # full and policy sweeps together
     exterior_value: float | None = None  # None: 1 in Kružkov mode, else 0
     rk4_feet: bool = True  # RK4 feet + integrated step costs; False: Euler
-    # most threads a sweep may use (None: the usable cores); operators under
-    # 2**21 nonzeros always sweep on one, and results never depend on it
+    # accepted so that old configs replay, and ignored: every sweep runs on
+    # the calling thread
     threads: int | None = None
 
     def __post_init__(self):
-        if not self.dt > 0.0:
-            raise ConfigError("solver dt must be positive")
-        if not self.tol > 0.0:
-            raise ConfigError("solver tol must be positive")
-        if self.max_iters < 1:
-            raise ConfigError("max_iters must be at least 1")
-        if self.threads is not None and self.threads < 1:
-            raise ConfigError("threads must be at least 1")
+        if not (math.isfinite(self.dt) and self.dt > 0.0):
+            raise ConfigError("solver dt must be positive and finite")
+        if not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise ConfigError("solver tol must be positive and finite")
+        if not _is_int(self.max_iters) or self.max_iters < 1:
+            raise ConfigError("max_iters must be an integer of at least 1")
+        if not (self.exterior_value is None
+                or math.isfinite(self.exterior_value)):
+            raise ConfigError("exterior_value must be finite")
+        if self.threads is not None and not (_is_int(self.threads)
+                                             and self.threads >= 1):
+            raise ConfigError("threads must be None or an integer of at "
+                              "least 1")
 
 
-_NNZ_PER_WORKER = 2 ** 20  # a sweep worker gets at least this many nonzeros
+def _is_int(value):
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 _CHUNK_ROWS = 2 ** 17  # rows a sweep computes per kernel call: 1 MB
 _FEET_CHUNK = 2 ** 14  # nodes whose feet and stencils a build holds at once
-
-
-def usable_cores():
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity masks on this platform
-        return os.cpu_count() or 1
-
-
-def sweep_workers(threads, n_controls, nnz):
-    """Threads a sweep of an operator with K = n_controls and nnz nonzeros
-    uses: min(threads, usable cores, K, nnz // 2**20), at least 1; threads
-    None means the usable cores."""
-    cores = usable_cores()
-    limit = cores if threads is None else threads
-    return max(1, min(limit, cores, n_controls, nnz // _NNZ_PER_WORKER))
 
 
 def _foot_points(system, nodes, a, dt, rk4_feet, slots=3):
@@ -181,14 +160,10 @@ class BellmanOperator:
     """x -> opt_k(c_k + C_k x), optionally capped, for K stacked controls.
 
     ``matrix`` is the K*N x N CSR matrix C, ``offset`` the length-K*N
-    vector c; ``opt`` is np.minimum or np.maximum.  ``blocks`` splits the
-    controls into ``workers`` contiguous ranges (first, stop), whose rows
-    are consecutive in C.  Block 0 runs on the calling thread and every
-    other block on a worker thread of its own; close(), or leaving a
-    ``with`` block, stops the workers.
+    vector c; ``opt`` is np.minimum or np.maximum.
     """
 
-    def __init__(self, matrix, offset, opt, cap=None, workers=1):
+    def __init__(self, matrix, offset, opt, cap=None):
         from scipy.sparse import _sparsetools
 
         self.matrix = matrix
@@ -201,46 +176,12 @@ class BellmanOperator:
         self.cap = cap
         self.n_nodes = n = matrix.shape[1]
         self.n_controls = matrix.shape[0] // n
-        self.blocks = [(int(ks[0]), int(ks[-1]) + 1) for ks in
-                       np.array_split(np.arange(self.n_controls), workers)]
         self._matvec = _sparsetools.csr_matvec  # the kernel behind A @ x
         self._gather = _sparsetools.csr_row_index  # and the one behind A[i]
-        # controls per kernel call, so that their rows stay in cache
+        # controls per kernel call, so that their rows stay in cache; every
+        # call writes this one buffer
         self._chunk = max(1, _CHUNK_ROWS // n)
-        # every buffer a sweep writes is allocated here, or by the first
-        # sweep that asks for the choice, on the calling thread: a worker
-        # that allocates gets a malloc arena of its own, which raises the
-        # peak RSS
-        self._rows = [np.empty(min(self._chunk, stop - first) * n)
-                      for first, stop in self.blocks]
-        self._partial = np.empty((workers, n))
-        self._choice = self._wins = None
-        self._pool = ThreadPoolExecutor(workers - 1) if workers > 1 else None
-
-    def _sweep_block(self, b, x, track):
-        """partial[b] = opt over block b's controls k of c_k + C_k x; with
-        ``track``, choice[b] = the lowest such k attaining it."""
-        n, m = self.n_nodes, self.matrix
-        first, stop = self.blocks[b]
-        partial = self._partial[b]
-        for k in range(first, stop, self._chunk):
-            lo, hi = k * n, min(k + self._chunk, stop) * n
-            rows = self._rows[b][: hi - lo]
-            rows.fill(0.0)  # as A @ x does: each row sums up from +0
-            self._matvec(hi - lo, n, m.indptr[lo:hi + 1], m.indices, m.data,
-                         x, rows)
-            if self._add_offset:
-                rows += self.offset[lo:hi]
-            for j, row in enumerate(rows.reshape(-1, n), k):
-                if j == first:
-                    partial[:] = row
-                    if track:
-                        self._choice[b].fill(j)
-                    continue
-                if track:  # strictly better: ties keep the lower control
-                    self._better(row, partial, out=self._wins[b])
-                    np.copyto(self._choice[b], j, where=self._wins[b])
-                self.opt(partial, row, out=partial)
+        self._rows = np.empty(min(self._chunk, self.n_controls) * n)
 
     def __call__(self, x, choice=False):
         """The swept values; with ``choice``, also each node's lowest
@@ -249,28 +190,27 @@ class BellmanOperator:
         if x.shape != (self.n_nodes,):  # the kernel does not check
             raise ValueError("operator wants %d node values, got shape %s"
                              % (self.n_nodes, x.shape))
-        if choice and self._choice is None:
-            shape = (len(self.blocks), self.n_nodes)
-            self._choice = np.empty(shape, np.min_scalar_type(
-                self.n_controls - 1))
-            self._wins = np.empty(shape, dtype=bool)
-        pending = (self._pool.map(self._sweep_block,
-                                  range(1, len(self.blocks)),
-                                  itertools.repeat(x),
-                                  itertools.repeat(choice))
-                   if self._pool is not None else ())
-        self._sweep_block(0, x, choice)
-        for _ in pending:  # re-raises a worker's exception
-            pass
-        # blocks combine in control order, so a tie keeps the lower block;
-        # min and max are exact, so the values cannot depend on the order
-        out = self._partial[0].copy()
-        picked = self._choice[0].copy() if choice else None
-        for b in range(1, len(self.blocks)):
-            if choice:
-                self._better(self._partial[b], out, out=self._wins[0])
-                np.copyto(picked, self._choice[b], where=self._wins[0])
-            self.opt(out, self._partial[b], out=out)
+        n, m = self.n_nodes, self.matrix
+        out = np.empty(n)
+        if choice:
+            picked = np.zeros(n, np.min_scalar_type(self.n_controls - 1))
+            wins = np.empty(n, dtype=bool)
+        for k in range(0, self.n_controls, self._chunk):
+            lo, hi = k * n, min(k + self._chunk, self.n_controls) * n
+            rows = self._rows[: hi - lo]
+            rows.fill(0.0)  # as A @ x does: each row sums up from +0
+            self._matvec(hi - lo, n, m.indptr[lo:hi + 1], m.indices, m.data,
+                         x, rows)
+            if self._add_offset:
+                rows += self.offset[lo:hi]
+            for j, row in enumerate(rows.reshape(-1, n), k):
+                if j == 0:
+                    out[:] = row
+                    continue
+                if choice:  # strictly better: ties keep the lower control
+                    self._better(row, out, out=wins)
+                    np.copyto(picked, j, where=wins)
+                self.opt(out, row, out=out)
         if self.cap is not None:
             np.minimum(out, self.cap, out=out)
         return (out, picked) if choice else out
@@ -318,19 +258,8 @@ class BellmanOperator:
         return (m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
                 + (self.offset.nbytes if self._add_offset else 0))
 
-    def close(self):
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-
-
-def _assemble(system, grid, rows, x_exterior, opt, cap=None, threads=None):
+def _assemble(system, grid, rows, x_exterior, opt, cap=None):
     """Stack the controls' rows into one BellmanOperator.
 
     ``rows(a, nodes)`` returns ``(feet, scale, cost)`` for control a: row i
@@ -392,11 +321,10 @@ def _assemble(system, grid, rows, x_exterior, opt, cap=None, threads=None):
                               shape=(n_rows, n_nodes))
     if offset is None:
         offset = np.broadcast_to(0.0, (n_rows,))
-    return BellmanOperator(matrix, offset, opt, cap, sweep_workers(
-        threads, system.control.size, nnz))
+    return BellmanOperator(matrix, offset, opt, cap)
 
 
-def zubov_operator(system, grid, dt, rk4_feet, exterior, threads=None):
+def zubov_operator(system, grid, dt, rk4_feet, exterior):
     """The Kružkov operator on the complement u = 1 - v (module docstring)."""
     if not 0.0 <= exterior <= 1.0:
         raise ConfigError("exterior_value must lie in [0,1] in Kružkov mode")
@@ -410,11 +338,10 @@ def zubov_operator(system, grid, dt, rk4_feet, exterior, threads=None):
         g_step = dt * gv if integrals is None else integrals[:, 0]
         return feet, np.exp(-np.maximum(g_step, 0.0)), 0.0
 
-    return _assemble(system, grid, rows, 1.0 - exterior, np.minimum, cap=1.0,
-                     threads=threads)
+    return _assemble(system, grid, rows, 1.0 - exterior, np.minimum, cap=1.0)
 
 
-def hjbe_operator(system, grid, dt, rk4_feet, exterior, threads=None):
+def hjbe_operator(system, grid, dt, rk4_feet, exterior):
     """The raw discounted-cost operator on v; opt follows system.mode."""
     ell = system.ell if system.ell is not None else system.g
 
@@ -429,7 +356,7 @@ def hjbe_operator(system, grid, dt, rk4_feet, exterior, threads=None):
         return feet, np.exp(-dt * hv), dt * lv * np.exp(-0.5 * dt * hv)
 
     pick = np.minimum if system.mode == "minimize" else np.maximum
-    return _assemble(system, grid, rows, exterior, pick, threads=threads)
+    return _assemble(system, grid, rows, exterior, pick)
 
 
 def _iterate(build, grid, settings, start, scheme, exterior, policy=False):
@@ -456,46 +383,45 @@ def _iterate(build, grid, settings, start, scheme, exterior, policy=False):
         return float(np.abs(x, out=x).max())
 
     converged, policy_sweeps, policy_seconds = False, 0, 0.0
-    with build() as op:
-        built = time.perf_counter()
-        policy = policy and op.n_controls > 1
-        spare = np.empty_like(x) if policy else None
+    op = build()
+    built = time.perf_counter()
+    policy = policy and op.n_controls > 1
+    spare = np.empty_like(x) if policy else None
+    while len(changes) < settings.max_iters:
+        nxt, picked = op(x, choice=True) if policy else (op(x), None)
+        changes.append(step(x, nxt))
+        x = nxt
+        if changes[-1] < settings.tol:
+            converged = True
+            break
+        if not policy:
+            continue
+        tic = time.perf_counter()
+        fixed = x >= op.cap  # capped nodes stay at the cap
+        fixed[origin] = True
+        greedy = op.policy(picked, fixed)
         while len(changes) < settings.max_iters:
-            nxt, picked = op(x, choice=True) if policy else (op(x), None)
+            nxt = greedy(x, spare)
             changes.append(step(x, nxt))
-            x = nxt
-            if changes[-1] < settings.tol:
-                converged = True
+            x, spare = nxt, x
+            policy_sweeps += 1
+            if changes[-1] < settings.tol / 10:
                 break
-            if not policy:
-                continue
-            tic = time.perf_counter()
-            fixed = x >= op.cap  # capped nodes stay at the cap
-            fixed[origin] = True
-            greedy = op.policy(picked, fixed)
-            while len(changes) < settings.max_iters:
-                nxt = greedy(x, spare)
-                changes.append(step(x, nxt))
-                x, spare = nxt, x
-                policy_sweeps += 1
-                if changes[-1] < settings.tol / 10:
-                    break
-            del greedy  # its rows, before the next full sweep
-            policy_seconds += time.perf_counter() - tic
-        residual = step(x.copy(), op(x))
+        del greedy  # its rows, before the next full sweep
+        policy_seconds += time.perf_counter() - tic
+    residual = step(x.copy(), op(x))
     change = changes[-1]
     if not converged:
         warnings.warn("value iteration hit max_iters=%d with sup-change "
                       "%.3e >= tol %.3e" % (settings.max_iters, change,
                                             settings.tol))
     meta = asdict(settings)
-    del meta["threads"]  # results never depend on it
+    del meta["threads"]  # never read
     meta.update(scheme=scheme, exterior_value=exterior,
                 iterations=len(changes), policy_sweeps=policy_sweeps,
                 final_change=change, converged=converged,
                 sweep_changes=np.array(changes), bellman_residual=residual,
                 operator_nnz=int(op.matrix.nnz), operator_bytes=op.nbytes,
-                sweep_workers=len(op.blocks),
                 phase_seconds={"build": built - started,
                                "sweeps": time.perf_counter() - built
                                - policy_seconds,
@@ -512,7 +438,7 @@ def solve_zubov(system, grid, settings=None):
     exterior = 1.0 if settings.exterior_value is None \
         else settings.exterior_value
     build = functools.partial(zubov_operator, system, grid, settings.dt,
-                              settings.rk4_feet, exterior, settings.threads)
+                              settings.rk4_feet, exterior)
     u, meta = _iterate(build, grid, settings, 1.0, "zubov", exterior,
                        policy=True)
     return ValueField(grid, (1.0 - u).reshape(tuple(grid.counts)),
@@ -528,7 +454,7 @@ def solve_hjbe(system, grid, settings=None):
     exterior = 0.0 if settings.exterior_value is None \
         else settings.exterior_value
     build = functools.partial(hjbe_operator, system, grid, settings.dt,
-                              settings.rk4_feet, exterior, settings.threads)
+                              settings.rk4_feet, exterior)
     v, meta = _iterate(build, grid, settings, 0.0, "hjbe", exterior)
     return ValueField(grid, v.reshape(tuple(grid.counts)), "raw", meta)
 

@@ -5,7 +5,6 @@ import sys
 import numpy as np
 import pytest
 
-from zubov import verify
 from zubov.cli import main
 from zubov.regions import load_mask
 from zubov.systems import builtin, load_field, save_field
@@ -101,31 +100,9 @@ class TestSolve:
             rc = main(["solve", "--builtin", "lift2d", "--nodes", "41",
                        "--threads", threads, "--out", str(out)])
             assert rc == 0
+            assert read_meta(out)["config"]["threads"] == int(threads)
             outs.append((out / "field.csv").read_bytes())
         assert outs[0] == outs[1]
-
-    def test_split_sweeps_write_the_same_bytes(self, tmp_path, monkeypatch):
-        from zubov import solver
-
-        # a 201² lift2d operator has 3.4M nonzeros: two workers given two
-        # cores, whatever this machine has
-        monkeypatch.setattr(solver, "usable_cores", lambda: 2)
-        outs = []
-        for threads in (1, 2):
-            out = tmp_path / str(threads)
-            rc = main(["solve", "--builtin", "lift2d", "--nodes", "201",
-                       "--threads", str(threads), "--out", str(out)])
-            assert rc == 0
-            meta = read_meta(out)
-            assert meta["result"]["sweep_workers"] == threads
-            assert meta["config"]["threads"] == threads
-            outs.append((out / "field.csv").read_bytes())
-        assert outs[0] == outs[1]
-
-    def test_sweep_workers_goes_under_result(self, run_dir):
-        meta = read_meta(run_dir)
-        assert meta["result"]["sweep_workers"] == 1  # 101²: 0.9M nonzeros
-        assert "sweep_workers" not in meta["config"]
 
     def test_flag_beats_config_beats_default(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -494,18 +471,6 @@ class TestRunRecord:
                    "0.5,0.5", "4"])
         assert rc == 1
         assert "converged" in capsys.readouterr().err
-
-    def test_verify_passes_threads_on(self, run_dir, tmp_path, monkeypatch):
-        seen = []
-        real = verify.zubov_operator
-        monkeypatch.setattr(verify, "zubov_operator", lambda *a, threads:
-                            seen.append(threads) or real(*a, threads=threads))
-        for threads in ("3", "0"):
-            assert main(["verify", "--config", self.fixed_point_only(tmp_path),
-                         "--builtin", "lift2d", "--nodes", "101",
-                         "--threads", threads, "--out", str(tmp_path),
-                         str(run_dir / "field.csv")]) == 0
-        assert seen == [3, None]  # 0 means the usable cores
 
 
 class TestDoa:

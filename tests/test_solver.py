@@ -14,7 +14,6 @@ from zubov.solver import (
     kruzhkov_transform,
     solve_hjbe,
     solve_zubov,
-    sweep_workers,
     zubov_operator,
 )
 from zubov.systems import ConfigError, Grid, ValueField, builtin, load_system
@@ -181,8 +180,7 @@ def test_bellman_residual_is_one_more_pinned_sweep():
     with pytest.warns(UserWarning, match="max_iters"):
         field = solve_zubov(system, LIFT41, settings)
     u = 1.0 - field.values.reshape(-1)
-    with zubov_operator(system, LIFT41, settings.dt, True, 1.0) as op:
-        nxt = op(u)
+    nxt = zubov_operator(system, LIFT41, settings.dt, True, 1.0)(u)
     nxt[np.ravel_multi_index(LIFT41.origin_index, tuple(LIFT41.counts))] = 1.0
     assert field.metadata["bellman_residual"] == pytest.approx(
         np.abs(nxt - u).max(), abs=1e-15)
@@ -251,18 +249,18 @@ def test_policy_rows_are_gathered_without_grid_sized_temporaries():
     for n in (101, 201):
         grid = Grid([-1.2, -1.2], [1.2, 1.2], [n, n])
         nodes = grid.n_nodes
-        with zubov_operator(system, grid, 0.05, True, 1.0, 1) as op:
-            u, picked = op(np.ones(nodes), choice=True)
-            fixed = u >= 1.0
-            op.policy(picked, fixed)  # warm caches
-            tracemalloc.start()
-            try:
-                sweep = op.policy(picked, fixed)
-                kept, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            # from the same iterate, the greedy rows give the full sweep
-            assert np.array_equal(sweep(np.ones(nodes), np.empty(nodes)), u)
+        op = zubov_operator(system, grid, 0.05, True, 1.0)
+        u, picked = op(np.ones(nodes), choice=True)
+        fixed = u >= 1.0
+        op.policy(picked, fixed)  # warm caches
+        tracemalloc.start()
+        try:
+            sweep = op.policy(picked, fixed)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # from the same iterate, the greedy rows give the full sweep
+        assert np.array_equal(sweep(np.ones(nodes), np.empty(nodes)), u)
         # kept: the N rows (4 entries of 12 bytes each) and their indptr
         assert kept <= 52 * nodes + 4096
         # one int32 index per node at most; a copy of the 21 controls'
@@ -295,10 +293,10 @@ def test_chunk_boundaries_are_invisible(monkeypatch, case, chunk):
     arrays = []
     for size in (grid.n_nodes, chunk):  # one chunk, then many
         monkeypatch.setattr(solver, "_FEET_CHUNK", size)
-        with (hjbe_operator if raw else zubov_operator)(
-                system, grid, settings.dt, settings.rk4_feet, exterior) as op:
-            m = op.matrix
-            arrays.append((m.data, m.indices, m.indptr, op.offset))
+        op = (hjbe_operator if raw else zubov_operator)(
+            system, grid, settings.dt, settings.rk4_feet, exterior)
+        m = op.matrix
+        arrays.append((m.data, m.indices, m.indptr, op.offset))
     for whole, chunked in zip(*arrays):
         assert whole.dtype == chunked.dtype
         assert np.array_equal(whole, chunked)
@@ -309,16 +307,17 @@ def test_build_transients_do_not_grow_with_the_grid(monkeypatch):
 
     monkeypatch.setattr(solver, "_FEET_CHUNK", 2 ** 12)
     system = builtin("lift2d")
-    zubov_operator(system, LIFT41, 0.05, True, 1.0).close()  # warm caches
+    zubov_operator(system, LIFT41, 0.05, True, 1.0)  # warm caches
     beyond = []
     for n in (101, 201):
         grid = Grid([-1.2, -1.2], [1.2, 1.2], [n, n])
         tracemalloc.start()
         try:
-            with zubov_operator(system, grid, 0.05, True, 1.0):
-                kept, peak = tracemalloc.get_traced_memory()
+            op = zubov_operator(system, grid, 0.05, True, 1.0)
+            kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        del op
         beyond.append(peak - kept)
     # feet for every node of a control at once would need 4x at 201²
     assert beyond[1] <= 1.25 * beyond[0]
@@ -339,34 +338,26 @@ def test_build_chunk_transients_stay_flat(monkeypatch):
 
     monkeypatch.setattr(solver.BellmanOperator, "__init__", spy)
     system = builtin("lift2d")
-    zubov_operator(system, LIFT41, 0.05, True, 1.0).close()  # warm caches
+    zubov_operator(system, LIFT41, 0.05, True, 1.0)  # warm caches
     beyond.clear()
     for n in (101, 201):
         tracemalloc.start()
         try:
             zubov_operator(system, Grid([-1.2, -1.2], [1.2, 1.2], [n, n]),
-                           0.05, True, 1.0).close()
+                           0.05, True, 1.0)
         finally:
             tracemalloc.stop()
     # one chunk's feet and stencils, not the grid's: 4x more nodes at 201²
     assert 0 < beyond[1] <= 1.25 * beyond[0]
 
 
-# --- parallel sweeps ---------------------------------------------------------
+# --- sweeps ------------------------------------------------------------------
 
 def single_product(op, x):
     """The sweep as one sparse product and one reduction over all controls."""
     y = op.matrix @ x + op.offset
     out = op.opt.reduce(y.reshape(-1, op.n_nodes), axis=0)
     return out if op.cap is None else np.minimum(out, op.cap)
-
-
-@pytest.fixture
-def cores(monkeypatch):
-    """Pretend to have `cores` usable cores, so a sweep splits anywhere."""
-    def pretend(count):
-        monkeypatch.setattr(solver, "usable_cores", lambda: count)
-    return pretend
 
 
 class TestParallelSweeps:
@@ -385,132 +376,75 @@ class TestParallelSweeps:
 
     def test_wrong_length_is_rejected_before_the_kernel(self):
         grid = Grid([-1.0], [1.0], [21])
-        with zubov_operator(scalar_decay(), grid, 0.05, True, 1.0) as op:
-            for bad in (np.zeros(20), np.zeros(22), np.zeros((21, 1))):
-                with pytest.raises(ValueError, match="21 node values"):
-                    op(bad)
+        op = zubov_operator(scalar_decay(), grid, 0.05, True, 1.0)
+        for bad in (np.zeros(20), np.zeros(22), np.zeros((21, 1))):
+            with pytest.raises(ValueError, match="21 node values"):
+                op(bad)
 
-    def test_lift2d_201_bitwise_at_any_thread_count(self, cores):
-        cores(4)
+    def test_lift2d_201_equals_single_product(self):
         grid = Grid([-1.2, -1.2], [1.2, 1.2], [201, 201])
         x = np.random.default_rng(0).random(grid.n_nodes)
-        outs = []
-        for threads in (1, 2, 4):
-            with zubov_operator(builtin("lift2d"), grid, 0.05, True, 1.0,
-                                threads) as op:
-                # 3.4M nonzeros: room for three workers, not four
-                assert len(op.blocks) == min(threads, 3)
-                outs.append(op(x))
-        assert np.array_equal(outs[0], single_product(op, x))
-        assert all(np.array_equal(outs[0], out) for out in outs[1:])
+        op = zubov_operator(builtin("lift2d"), grid, 0.05, True, 1.0)
+        assert np.array_equal(op(x), single_product(op, x))
 
     @pytest.mark.parametrize("name", ["fuller", "lift2d"])  # min / max
     @pytest.mark.parametrize("chunk_controls", [1, 2, 64])
-    def test_raw_operator_split_into_blocks(self, cores, monkeypatch, name,
+    def test_raw_operator_split_into_blocks(self, monkeypatch, name,
                                             chunk_controls):
-        cores(8)
-        monkeypatch.setattr(solver, "_NNZ_PER_WORKER", 1)
+        # blocks of chunk_controls controls per kernel call
         grid = Grid([-1.0, -1.0], [1.0, 1.0], [41, 41])
         monkeypatch.setattr(solver, "_CHUNK_ROWS",
                             chunk_controls * grid.n_nodes)
         x = np.random.default_rng(1).uniform(-1.0, 1.0, grid.n_nodes)
-        system = builtin(name)
-        for threads in (2, 3):
-            with hjbe_operator(system, grid, 0.05, True, 0.0,
-                               threads) as op:
-                assert len(op.blocks) == threads
-                assert op.blocks[0][0] == 0
-                assert op.blocks[-1][1] == system.control.size
-                assert np.array_equal(op(x), single_product(op, x))
+        op = hjbe_operator(builtin(name), grid, 0.05, True, 0.0)
+        assert np.array_equal(op(x), single_product(op, x))
+
+    @pytest.mark.parametrize("chunk_controls", [1, 2, 64])
+    def test_choice_is_the_first_argmin(self, monkeypatch, chunk_controls):
+        monkeypatch.setattr(solver, "_CHUNK_ROWS",
+                            chunk_controls * LIFT41.n_nodes)
+        op = zubov_operator(builtin("lift2d"), LIFT41, 0.05, True, 1.0)
+        ones = np.ones(LIFT41.n_nodes)
+        for x in (ones, np.random.default_rng(6).random(LIFT41.n_nodes)):
+            y = (op.matrix @ x + op.offset).reshape(op.n_controls, -1)
+            out, picked = op(x, choice=True)
+            assert np.array_equal(out, single_product(op, x))
+            assert np.array_equal(picked, np.argmin(y, axis=0))
+            if x is ones:  # ties, and not only at the first control
+                ties = (y == y.min(axis=0)).sum(axis=0) > 1
+                assert np.count_nonzero(ties & (picked > 0)) > 0
 
     @pytest.mark.parametrize("exterior", [1.0, 0.3])
-    def test_offset_is_added_only_when_nonzero(self, cores, monkeypatch,
-                                               exterior):
-        cores(2)
-        monkeypatch.setattr(solver, "_NNZ_PER_WORKER", 1)
+    def test_offset_is_added_only_when_nonzero(self, exterior):
         x = np.random.default_rng(5).random(LIFT41.n_nodes)
-        for threads in (1, 2):
-            with zubov_operator(builtin("lift2d"), LIFT41, 0.05, True,
-                                exterior, threads) as op:
-                assert len(op.blocks) == threads
-                assert np.array_equal(op(x), single_product(op, x))
-                m = op.matrix
-                exterior_rows = np.diff(m.indptr) == 0
-                assert exterior_rows.any()
-                # Kružkov rows carry an offset only outside, and only when
-                # the exterior value is below 1
-                assert np.array_equal(op.offset != 0.0,
-                                      exterior_rows & (exterior < 1.0))
-                kept = m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
-                assert op.nbytes == kept + (op.offset.nbytes
-                                            if exterior < 1.0 else 0)
+        op = zubov_operator(builtin("lift2d"), LIFT41, 0.05, True, exterior)
+        assert np.array_equal(op(x), single_product(op, x))
+        m = op.matrix
+        exterior_rows = np.diff(m.indptr) == 0
+        assert exterior_rows.any()
+        # Kružkov rows carry an offset only outside, and only when the
+        # exterior value is below 1
+        assert np.array_equal(op.offset != 0.0,
+                              exterior_rows & (exterior < 1.0))
+        kept = m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
+        assert op.nbytes == kept + (op.offset.nbytes
+                                    if exterior < 1.0 else 0)
 
-    def test_many_more_workers_than_cores(self, cores, monkeypatch):
-        import sys
-
-        cores(16)
-        monkeypatch.setattr(solver, "_NNZ_PER_WORKER", 1)
-        grid = Grid([-1.2, -1.2], [1.2, 1.2], [41, 41])
-        monkeypatch.setattr(solver, "_CHUNK_ROWS", grid.n_nodes)
-        rng = np.random.default_rng(4)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with zubov_operator(builtin("lift2d"), grid, 0.05, True, 1.0,
-                                16) as op:
-                assert len(op.blocks) == 16
-                for _ in range(50):
-                    x = rng.random(grid.n_nodes)
-                    assert np.array_equal(op(x), single_product(op, x))
-        finally:
-            sys.setswitchinterval(interval)
-
-    def test_sweep_allocates_only_its_output(self, cores, monkeypatch):
+    def test_sweep_allocates_only_its_output(self):
         import tracemalloc
 
-        cores(2)
-        monkeypatch.setattr(solver, "_NNZ_PER_WORKER", 1)
         grid = Grid([-1.2, -1.2], [1.2, 1.2], [101, 101])
         x = np.random.default_rng(2).random(grid.n_nodes)
-        with zubov_operator(builtin("lift2d"), grid, 0.05, True, 1.0,
-                            2) as op:
-            op(x)  # starts the worker thread
-            tracemalloc.start()
-            try:
-                out = op(x)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-        # one block's rows alone are ten times this
+        op = zubov_operator(builtin("lift2d"), grid, 0.05, True, 1.0)
+        op(x)  # warm caches
+        tracemalloc.start()
+        try:
+            out = op(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one kernel call's rows alone are ten times this
         assert peak <= out.nbytes + 64 * 1024
-
-    def test_worker_count_formula(self, cores):
-        cores(2)
-        assert sweep_workers(10 ** 6, 21, 10 ** 9) == 2
-        assert sweep_workers(None, 21, 10 ** 9) == 2
-        assert sweep_workers(1, 21, 10 ** 9) == 1
-        assert sweep_workers(None, 21, 2 ** 21 - 1) == 1
-        assert sweep_workers(None, 21, 140_000) == 1
-        cores(64)
-        assert sweep_workers(10 ** 6, 21, 10 ** 9) == 21
-        assert sweep_workers(10 ** 6, 3, 10 ** 9) == 3
-        assert sweep_workers(10 ** 6, 21, 13_500_000) == 12
-        assert sweep_workers(5, 21, 13_500_000) == 5
-
-    def test_sweep_workers_in_metadata(self, cores, lift2d_field):
-        # the session field solved with the default: every usable core
-        assert lift2d_field.metadata["sweep_workers"] == min(
-            solver.usable_cores(), 3)
-        cores(2)
-        grid = Grid([-1.2, -1.2], [1.2, 1.2], [41, 41])
-        field = solve_zubov(builtin("lift2d"), grid)
-        assert field.metadata["sweep_workers"] == 1
-        assert "threads" not in field.metadata
-        grid = Grid([-1.2, -1.2], [1.2, 1.2], [201, 201])
-        with pytest.warns(UserWarning, match="max_iters"):
-            field = solve_zubov(builtin("lift2d"), grid,
-                                SolverSettings(threads=2, max_iters=2))
-        assert field.metadata["sweep_workers"] == 2
 
 
 class TestSettings:
@@ -523,6 +457,17 @@ class TestSettings:
             SolverSettings(max_iters=0)
         with pytest.raises(ConfigError):
             SolverSettings(threads=0)
+        for bad in ({"dt": math.inf}, {"dt": math.nan}, {"tol": math.inf},
+                    {"tol": math.nan}, {"max_iters": 2.5},
+                    {"max_iters": True}, {"max_iters": 10.0},
+                    {"threads": 2.5}, {"threads": True}, {"threads": -1},
+                    {"exterior_value": math.nan},
+                    {"exterior_value": math.inf}):
+            with pytest.raises(ConfigError):
+                SolverSettings(**bad)
+        # an integer of any integral type passes, and threads may be None
+        SolverSettings(max_iters=np.int64(5), threads=np.int32(2))
+        SolverSettings(threads=None)
 
     def test_exterior_range_checked_in_kruzhkov_mode(self):
         grid = Grid([-1.0], [1.0], [11])
@@ -600,6 +545,7 @@ class TestSolveZubov:
         a = solve_zubov(sys, grid, SolverSettings(dt=0.1, threads=1))
         b = solve_zubov(sys, grid, SolverSettings(dt=0.1, threads=4))
         assert np.array_equal(a.values, b.values)
+        assert "threads" not in a.metadata
 
     def test_nonconvergence_warns_and_flags(self):
         sys = builtin("lift2d")

@@ -56,6 +56,10 @@ from .verify import (
 
 _CHECKS = ("invariants", "fixed_point", "residual", "decrease", "blowup")
 
+# removed options -> the one value every metadata.json recorded for them,
+# which a replay drops
+_REMOVED = {"rk4_feet": True, "exterior": None}
+
 # every run option: key -> (default, kind, flag help or None for a
 # config-only key).  The flag is --key with dashes for underscores, and
 # _coerce checks flag text and config values alike against the kind.
@@ -70,8 +74,6 @@ _OPTIONS = {
     "tol": (1e-6, "real", "sup-norm convergence threshold"),
     "max_iters": (2000, "int", "most sweeps before the solver stops (exit 2)"),
     "controls": (None, "int", "control samples per axis for builtins"),
-    "exterior": (None, "real", None),  # None: 1 (kruzhkov) / 0 (raw)
-    "rk4_feet": (True, "bool", None),
     "switch_dt": (0.25, "real", "oracle/synthesis switching interval"),
     "depth": (8, "int", "oracle enumeration depth"),
     "rho": (0.05, "real", "oracle tail-certificate radius"),
@@ -86,8 +88,7 @@ _OPTIONS = {
 }
 
 _WANTS = {"int": "an integer", "real": "a finite number",
-          "bool": "true or false", "name": "a string", "dir": "a string",
-          "path": "a string",
+          "name": "a string", "dir": "a string", "path": "a string",
           "checks": "check names from " + ", ".join(_CHECKS)}
 _METAVARS = {"ints": "K[,K...]", "reals": "LO,HI[,...]", "name": "NAME",
              "dir": "DIR", "path": "PATH"}
@@ -137,8 +138,7 @@ def _coerce(value, kind, what):
                 break
             except ValueError:
                 pass
-    if (kind == "bool" and isinstance(value, bool)
-            or kind in ("name", "dir", "path") and isinstance(value, str)):
+    if kind in ("name", "dir", "path") and isinstance(value, str):
         return value
     if kind == "checks" and isinstance(value, list) and value \
             and all(isinstance(v, str) and v in _CHECKS for v in value):
@@ -160,6 +160,11 @@ def _load_config(path):
         raise ConfigError("config root must be a JSON object")
     if "command" in doc and isinstance(doc.get("config"), dict):
         doc = doc["config"]  # a metadata.json from an earlier run
+    for key, recorded in _REMOVED.items():
+        if doc.pop(key, recorded) is not recorded:
+            raise ConfigError("config key %r was removed: the solver runs "
+                              "RK4 feet with exterior value 1 (solve) or 0 "
+                              "(hjbe); drop the key" % key)
     unknown = sorted(set(doc) - set(_OPTIONS))
     if unknown:
         raise ConfigError("unknown config keys: %s" % ", ".join(unknown))
@@ -224,8 +229,6 @@ def _make_grid(cfg, system):
 def _settings(cfg):
     return SolverSettings(dt=cfg["dt"], tol=cfg["tol"],
                           max_iters=cfg["max_iters"],
-                          exterior_value=cfg["exterior"],
-                          rk4_feet=cfg["rk4_feet"],
                           threads=cfg["threads"] or None)
 
 
@@ -390,7 +393,7 @@ def _cmd_verify(cfg, args):
                 tuple({"problem": p} for p in problems)))
         elif name == "fixed_point":
             reports.append(check_fixed_point(
-                system, field, cfg["dt"], cfg["tol"], cfg["rk4_feet"]))
+                system, field, cfg["dt"], cfg["tol"]))
         elif name == "residual":
             reports.append(residual_stats(system, field))
         elif name == "decrease":
@@ -532,12 +535,12 @@ def _cmd_demo(cfg, args):
               % (row["system"], row["nodes"], row["sweeps"],
                  row["sup_error"], row["bound"], row["status"]))
     os.makedirs(cfg["out"], exist_ok=True)
-    with open(os.path.join(cfg["out"], "demo.csv"), "w") as fh:
-        fh.write("system,nodes,sweeps,sup_error,bound,status\n")
-        for row in rows:
-            fh.write("%s,%s,%d,%.17g,%.17g,%s\n"
-                     % (row["system"], row["nodes"], row["sweeps"],
-                        row["sup_error"], row["bound"], row["status"]))
+    head = ["system", "nodes", "sweeps", "sup_error", "bound", "status"]
+    # dtype object: the text columns would turn a numeric array into strings
+    _write_csv(os.path.join(cfg["out"], "demo.csv"), head,
+               np.array([[row[key] for key in head] for row in rows],
+                        dtype=object).T,
+               ["%s", "%s", "%d", "%.17g", "%.17g", "%s"])
     _write_metadata(cfg, "demo", {"rows": rows, "passed": all_ok})
     return 0 if all_ok else 4
 

@@ -33,7 +33,7 @@ import numpy as np
 from .solver import interpolate
 from .systems import ConfigError
 from .trajectories import (ControlSchedule, TrajectoryError, _check_point,
-                           advance, integrate)
+                           advance)
 
 _DEFAULT_BUDGET = 2_000_000
 _MIN_FINAL_NORM = 1e-3  # a "witness" that ends at the origin is no witness
@@ -92,7 +92,7 @@ class Counterexample:
 
     x0: np.ndarray
     schedule: ControlSchedule
-    total_cost: float
+    total_cost: float  # ∫g along it, the cost the Kružkov solve reads
     final_norm: float
     kind: str  # "stationary" (fixed point scan) or "searched" (random)
 
@@ -234,12 +234,14 @@ def falsify_quasistability(system, region, budget=256, *, seed=7,
                            horizon=40.0, dt=0.05, segments=16):
     """Search for a finite-cost trajectory that stays away from the origin.
 
-    Phase one scans region nodes x control menu for exact stationary
-    freebies (||f|| <= 1e-9, cost rate <= 1e-9, ||x|| >= 1e-3), keeping the
-    lexicographically largest (state, control) hit so reruns agree.  Phase
-    two integrates `budget` random piecewise-constant schedules and accepts
-    any with total cost < 1e-3 ending at norm >= 1e-2.  Returns None when
-    both phases come up empty — which proves nothing.
+    The cost is ∫g, the one the Kružkov solve reads; both phases integrate
+    (x, ∫g) only and never evaluate ell or h.  Phase one scans region
+    nodes x control menu for exact stationary freebies (||f|| <= 1e-9,
+    g <= 1e-9, ||x|| >= 1e-3), keeping the lexicographically largest
+    (state, control) hit so reruns agree.  Phase two integrates `budget`
+    random piecewise-constant schedules and accepts any with ∫g < 1e-3
+    ending at norm >= 1e-2.  Returns None when both phases come up empty —
+    which proves nothing.
     """
     if region.n_axes != system.n_state:
         raise ConfigError("region dimension %d, system wants %d"
@@ -256,23 +258,22 @@ def falsify_quasistability(system, region, budget=256, *, seed=7,
         ok = ((np.linalg.norm(fv, axis=-1) <= 1e-9) & (gv <= 1e-9)
               & (node_norms >= 1e-3))
         hits.extend((tuple(nodes[i]), tuple(a)) for i in np.flatnonzero(ok))
+    n = system.n_state
     if hits:
         xs, ac = max(hits)
-        x0 = np.array(xs)
-        sched = ControlSchedule.constant(np.array(ac), horizon)
-        rec = integrate(system, x0, sched, dt)
-        return Counterexample(x0, sched, rec.total_cost,
-                              float(np.linalg.norm(rec.final_state)),
-                              "stationary")
+        x0, ctl = np.array(xs), np.array(ac)
+        sched = ControlSchedule.constant(ctl, horizon)
+        z, _ = advance(system, np.append(x0, 0.0)[None], ctl, horizon, dt)
+        return Counterexample(x0, sched, float(z[0, n]),
+                              float(np.linalg.norm(z[0, :n])), "stationary")
 
     rng = np.random.default_rng(seed)
     pts = system.control.points
-    n = system.n_state
     x0s, picks = np.empty((budget, n)), np.empty((budget, segments), int)
     for i in range(budget):  # draws interleaved as one schedule at a time
         x0s[i] = rng.uniform(region.lo, region.hi)
         picks[i] = rng.integers(0, pts.shape[0], size=segments)
-    z, live = np.hstack([x0s, np.zeros((budget, 3))]), np.ones(budget, bool)
+    z, live = np.hstack([x0s, np.zeros((budget, 1))]), np.ones(budget, bool)
     for j in range(segments):  # a row that escapes retires
         z, live = advance(system, z, pts[picks[:, j]], horizon / segments,
                           dt, live)

@@ -5,8 +5,8 @@ For each fixed control the Bellman operator is linear in the field, so it is
 built once per solve as a BellmanOperator: one stacked CSR matrix C of shape
 K*N x N (K controls, N nodes) plus an offset vector c.  Row k*N + i holds
 control k's multilinear stencil at the foot of node i, scaled by that row's
-discount; a foot outside the box leaves its row empty and the offset carries
-the exterior term.  A full sweep computes opt_k(c_k + C_k x), the sparse
+discount; a foot outside the box leaves its row empty, and the offset
+carries the step cost.  A full sweep computes opt_k(c_k + C_k x), the sparse
 product taken a few controls at a time (as many as fit 2**17 rows), so the
 rows being reduced stay in cache.
 
@@ -29,26 +29,26 @@ overshoot it, or diverge on an undiscounted system.
 The build streams: for each control it computes feet and stencils for
 2**14 nodes at a time and appends their rows, so its temporaries stay a
 few MB at any grid size.  The offset is allocated by the first chunk
-with a nonzero entry, so an all-zero offset (every Kružkov row at the
-default exterior value 1) is a zero-stride view that takes no memory,
-and a sweep skips adding it.  Neither changes a bit of any field.
+with a nonzero entry, so an all-zero offset (every Kružkov row) is a
+zero-stride view that takes no memory, and a sweep skips adding it.
+Neither changes a bit of any field.
+
+Both solves take y_a, the foot of node x_i under control a, and the step
+integrals from one RK4 step of length dt.  A foot outside the box reads
+the exterior value: 1 ("outside the robust domain") for the Kružkov field
+and 0 for the raw one, so it adds nothing to its row.
 
   * solve_zubov — Kružkov-transformed maximal cost.  The update
         v <- max_a 1 - beta * (1 - I[v](y_a))
     is iterated on the complement u = 1 - v, starting from u ≡ 1:
         u <- min(1, min_a beta * I[u](y_a)),
-    with y_a the foot of the characteristic from x_i under control a and
-    beta = exp(-int g) along it; an exterior foot contributes
-    beta * (1 - exterior_value).  By default y_a and int g come from one
-    RK4 step of length dt; `rk4_feet=False` selects Euler feet
-    y_a = x_i + dt f(x_i,a) with beta = exp(-dt g(x_i,a)).  Values live in
-    [0, 1] exactly: every term of u is nonnegative, and the cap at 1
-    absorbs the ulp by which the multilinear weights can sum above 1.
-    `exterior_value` defaults to 1: "outside the robust domain".
+    with beta = exp(-int g) along the step.  Values live in [0, 1]
+    exactly: every term of u is nonnegative, and the cap at 1 absorbs the
+    ulp by which the multilinear weights can sum above 1.
 
   * solve_hjbe — raw running cost with discount rate h:
-        v <- opt_a dt*ell*exp(-dt h/2) + exp(-dt h) * I[v](foot),
-    opt = min or max per the system's mode.
+        v <- opt_a int ell*exp(-int h) + exp(-int h) * I[v](y_a),
+    both integrals over the step, opt = min or max per the system's mode.
 
 Sweeps of both kinds are Jacobi (double-buffered): every node reads the
 previous buffer, so results are bitwise reproducible.  Iteration starts
@@ -76,8 +76,6 @@ class SolverSettings:
     dt: float = 0.05
     tol: float = 1e-6
     max_iters: int = 2000  # full and policy sweeps together
-    exterior_value: float | None = None  # None: 1 in Kružkov mode, else 0
-    rk4_feet: bool = True  # RK4 feet + integrated step costs; False: Euler
     # accepted so that old configs replay, and ignored: every sweep runs on
     # the calling thread
     threads: int | None = None
@@ -89,9 +87,6 @@ class SolverSettings:
             raise ConfigError("solver tol must be positive and finite")
         if not _is_int(self.max_iters) or self.max_iters < 1:
             raise ConfigError("max_iters must be an integer of at least 1")
-        if not (self.exterior_value is None
-                or math.isfinite(self.exterior_value)):
-            raise ConfigError("exterior_value must be finite")
         if self.threads is not None and not (_is_int(self.threads)
                                              and self.threads >= 1):
             raise ConfigError("threads must be None or an integer of at "
@@ -106,18 +101,14 @@ _CHUNK_ROWS = 2 ** 17  # rows a sweep computes per kernel call: 1 MB
 _FEET_CHUNK = 2 ** 14  # nodes whose feet and stencils a build holds at once
 
 
-def _foot_points(system, nodes, a, dt, rk4_feet, slots=3):
-    """Feet plus, in RK4 mode, the accumulated step integrals.
+def _foot_points(system, nodes, a, dt, slots=3):
+    """Feet and the step integrals along them: ``(feet, integrals)``.
 
-    Returns ``(feet, integrals)``.  Euler mode leaves ``integrals = None``
-    (callers fall back to one-point quadrature at the node); RK4 mode rides
-    the augmented integrator with ``slots`` extra columns, so the discount
-    and stage cost match the foot trajectory itself.  ``slots=1`` carries
-    ``int g`` alone; ``slots=3`` carries ``int ell*exp(-int h)``, ``int g``
-    and ``int h`` over the step.
+    One RK4 step of the augmented integrator with ``slots`` extra columns,
+    so the discount and stage cost match the foot trajectory itself.
+    ``slots=1`` carries ``int g`` alone; ``slots=3`` carries
+    ``int ell*exp(-int h)``, ``int g`` and ``int h`` over the step.
     """
-    if not rk4_feet:
-        return nodes + dt * np.asarray(system.f(nodes, a), dtype=float), None
     z = np.concatenate([nodes, np.zeros(nodes.shape[:-1] + (slots,))],
                        axis=-1)
     z1 = rk4_step(system, z, a, dt)
@@ -259,12 +250,12 @@ class BellmanOperator:
                 + (self.offset.nbytes if self._add_offset else 0))
 
 
-def _assemble(system, grid, rows, x_exterior, opt, cap=None):
+def _assemble(system, grid, rows, opt, cap=None):
     """Stack the controls' rows into one BellmanOperator.
 
     ``rows(a, nodes)`` returns ``(feet, scale, cost)`` for control a: row i
-    reads ``cost[i] + scale[i] * I[x](feet[i])``, where I[x] is
-    ``x_exterior`` at a foot outside the box.  It is called on
+    reads ``cost[i] + scale[i] * I[x](feet[i])``, where I[x] is 0 at a foot
+    outside the box (module docstring).  It is called on
     ``_FEET_CHUNK`` nodes at a time, in row order, so the build's
     temporaries do not grow with the grid.
     """
@@ -295,11 +286,10 @@ def _assemble(system, grid, rows, x_exterior, opt, cap=None):
         inside, idx, w = _stencil(grid, feet)
         w *= scale[:, None]
         indptr[row + 1:row + 1 + hi - lo] = np.where(inside, width, 0)
-        off = cost + np.where(inside, 0.0, scale * x_exterior)
-        if off.any():
+        if np.any(cost):
             if offset is None:
                 offset = np.zeros(n_rows)
-            offset[row:row + hi - lo] = off
+            offset[row:row + hi - lo] = cost
         end = nnz + width * int(np.count_nonzero(inside))
         if end - nnz == idx.size:  # every foot inside: skip the mask
             indices[nnz:end] = idx.reshape(-1)
@@ -324,42 +314,32 @@ def _assemble(system, grid, rows, x_exterior, opt, cap=None):
     return BellmanOperator(matrix, offset, opt, cap)
 
 
-def zubov_operator(system, grid, dt, rk4_feet, exterior):
+def zubov_operator(system, grid, dt):
     """The Kružkov operator on the complement u = 1 - v (module docstring)."""
-    if not 0.0 <= exterior <= 1.0:
-        raise ConfigError("exterior_value must lie in [0,1] in Kružkov mode")
 
     def rows(a, nodes):
         gv = np.asarray(system.g(nodes, a), dtype=float)
         if gv.min() < -1e-9:
             raise ConfigError("g < 0 on the grid (min %.3g); the maximal-cost "
                               "route needs g >= 0" % gv.min())
-        feet, integrals = _foot_points(system, nodes, a, dt, rk4_feet, 1)
-        g_step = dt * gv if integrals is None else integrals[:, 0]
-        return feet, np.exp(-np.maximum(g_step, 0.0)), 0.0
+        feet, integrals = _foot_points(system, nodes, a, dt, 1)
+        return feet, np.exp(-np.maximum(integrals[:, 0], 0.0)), 0.0
 
-    return _assemble(system, grid, rows, 1.0 - exterior, np.minimum, cap=1.0)
+    return _assemble(system, grid, rows, np.minimum, cap=1.0)
 
 
-def hjbe_operator(system, grid, dt, rk4_feet, exterior):
+def hjbe_operator(system, grid, dt):
     """The raw discounted-cost operator on v; opt follows system.mode."""
-    ell = system.ell if system.ell is not None else system.g
 
     def rows(a, nodes):
-        feet, integrals = _foot_points(system, nodes, a, dt, rk4_feet)
-        if integrals is not None:
-            return feet, np.exp(-integrals[:, 2]), integrals[:, 0]
-        lv = np.asarray(ell(nodes, a), dtype=float)
-        hv = (np.asarray(system.h(nodes, a), dtype=float)
-              if system.h is not None else np.zeros(nodes.shape[0]))
-        # midpoint discount weight on the one-point stage cost
-        return feet, np.exp(-dt * hv), dt * lv * np.exp(-0.5 * dt * hv)
+        feet, integrals = _foot_points(system, nodes, a, dt)
+        return feet, np.exp(-integrals[:, 2]), integrals[:, 0]
 
     pick = np.minimum if system.mode == "minimize" else np.maximum
-    return _assemble(system, grid, rows, exterior, pick)
+    return _assemble(system, grid, rows, pick)
 
 
-def _iterate(build, grid, settings, start, scheme, exterior, policy=False):
+def _iterate(build, grid, settings, start, scheme, policy=False):
     """Build the operator and sweep it from x ≡ start (the origin pinned
     there) to tolerance; returns x and the field metadata, which records
     every sweep's sup-change and the Bellman residual sup |T x - x| of the
@@ -417,8 +397,7 @@ def _iterate(build, grid, settings, start, scheme, exterior, policy=False):
                                             settings.tol))
     meta = asdict(settings)
     del meta["threads"]  # never read
-    meta.update(scheme=scheme, exterior_value=exterior,
-                iterations=len(changes), policy_sweeps=policy_sweeps,
+    meta.update(scheme=scheme, iterations=len(changes), policy_sweeps=policy_sweeps,
                 final_change=change, converged=converged,
                 sweep_changes=np.array(changes), bellman_residual=residual,
                 operator_nnz=int(op.matrix.nnz), operator_bytes=op.nbytes,
@@ -435,12 +414,8 @@ def solve_zubov(system, grid, settings=None):
     if system.mode != "maximize":
         raise ConfigError("solve_zubov wants a maximize-mode system; "
                           "use solve_hjbe for least-cost problems")
-    exterior = 1.0 if settings.exterior_value is None \
-        else settings.exterior_value
-    build = functools.partial(zubov_operator, system, grid, settings.dt,
-                              settings.rk4_feet, exterior)
-    u, meta = _iterate(build, grid, settings, 1.0, "zubov", exterior,
-                       policy=True)
+    build = functools.partial(zubov_operator, system, grid, settings.dt)
+    u, meta = _iterate(build, grid, settings, 1.0, "zubov", policy=True)
     return ValueField(grid, (1.0 - u).reshape(tuple(grid.counts)),
                       "kruzhkov", meta)
 
@@ -451,11 +426,8 @@ def solve_hjbe(system, grid, settings=None):
     if system.guard is None:
         raise ConfigError("solve_hjbe needs a declared convergence guard "
                           "(nonneg_ell / nonpos_ell / case_a / case_b)")
-    exterior = 0.0 if settings.exterior_value is None \
-        else settings.exterior_value
-    build = functools.partial(hjbe_operator, system, grid, settings.dt,
-                              settings.rk4_feet, exterior)
-    v, meta = _iterate(build, grid, settings, 0.0, "hjbe", exterior)
+    build = functools.partial(hjbe_operator, system, grid, settings.dt)
+    v, meta = _iterate(build, grid, settings, 0.0, "hjbe")
     return ValueField(grid, v.reshape(tuple(grid.counts)), "raw", meta)
 
 

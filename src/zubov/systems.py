@@ -304,9 +304,9 @@ def _read_grid_csv(path, what, width):
     return grid, head[1 + 3 * n:], ordered
 
 
-# the run record a field CSV header carries (dt, tol, feet mode, exterior
-# value, convergence), key -> parser; flags are written 0/1, floats like the
-# grid tokens
+# the run record a field CSV header carries, key -> parser: a solve's dt,
+# tol and convergence, a transform's exterior_value and older files'
+# rk4_feet; flags are written 0/1, floats like the grid tokens
 _FLAG = {"0": False, "1": True}.__getitem__
 _RECORD = {"dt": float, "tol": float, "rk4_feet": _FLAG,
            "exterior_value": float, "converged": _FLAG}

@@ -8,14 +8,13 @@ frozen across each RK4 sub-step, which makes the switching structure exact.
 The augmented state comes in two widths, told apart by its last axis:
 
   * N+3, (x[0..N-1], J, ∫g, ∫h): the full record.  `integrate` and its
-    TrajectoryRecord, the minimize-mode oracle `min_value`, the falsifier
-    (it reads J), the raw operator's RK4 feet and synthesis against a raw
-    field use it.
+    TrajectoryRecord, the minimize-mode oracle `min_value`, the raw
+    operator's RK4 feet and synthesis against a raw field use it.
   * N+1, (x[0..N-1], ∫g): what a Kružkov consumer reads.  The maximal-cost
-    oracle, the Kružkov operator's RK4 feet, `dpp_defect`, the sampled
-    decrease check and synthesis against a Kružkov field use it.  Only f
-    and g are evaluated, so ell and h (and the exp(-∫h) weight) cost
-    nothing there, and neither can retire a row.
+    oracle, the falsifier, the Kružkov operator's RK4 feet, `dpp_defect`,
+    the sampled decrease check and synthesis against a Kružkov field use
+    it.  Only f and g are evaluated, so ell and h (and the exp(-∫h)
+    weight) cost nothing there, and neither can retire a row.
 
 The x and ∫g columns come out bit for bit the same at either width: every
 RK4 stage combines the columns elementwise.

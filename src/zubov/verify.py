@@ -65,22 +65,24 @@ def _check_kruzhkov(system, field, what):
                           % (field.grid.n_axes, system.n_state))
 
 
-def check_fixed_point(system, field, dt=0.05, tol=1e-6, rk4_feet=True):
+def check_fixed_point(system, field, dt=0.05, tol=1e-6):
     """Apply the field's own Bellman operator once; fail where |T v - v|
     exceeds 10 tol.  An edited or swapped node sticks out by about the size
     of the edit, which residual statistics and sampled trajectories miss.
-    dt, tol, feet mode and exterior value (else 1) come from the field's run
-    record, which load_field reads from the CSV header; the arguments stand
-    in for what it does not record.
+    dt and tol come from the field's run record (load_field reads it from
+    the CSV header); the arguments stand in for what it does not record.
+    A record of Euler feet or of an exterior value other than 1 names a
+    scheme the solver no longer builds: ConfigError.
     """
     _check_kruzhkov(system, field, "fixed-point check")
     meta, grid = field.metadata, field.grid
+    if not meta.get("rk4_feet", True) or meta.get("exterior_value", 1) != 1:
+        raise ConfigError("field solved with Euler feet or an exterior "
+                          "value other than 1, which are no longer built")
     dt = float(meta.get("dt", dt))
     threshold = 10.0 * float(meta.get("tol", tol))
     u = 1.0 - field.values.reshape(-1)  # the operator acts on 1 - v
-    op = zubov_operator(system, grid, dt,
-                        bool(meta.get("rk4_feet", rk4_feet)),
-                        float(meta.get("exterior_value", 1.0)))
+    op = zubov_operator(system, grid, dt)
     moved = op(u)
     moved[np.ravel_multi_index(grid.origin_index, grid.counts)] = 1.0
     defect = np.abs(moved - u)

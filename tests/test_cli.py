@@ -66,7 +66,7 @@ class TestSolve:
         assert len(result["sweep_changes"]) == result["iterations"]
         assert result["sweep_changes"][-1] == result["final_change"]
         assert 0.0 <= result["bellman_residual"] <= result["final_change"]
-        # the default exterior value 1 leaves no offset to keep: 8-byte
+        # a Kružkov operator has no offset to keep: 8-byte
         # data and 4-byte indices per entry, a 4-byte indptr entry per row
         rows = builtin("lift2d").control.size * 101 * 101
         assert result["operator_bytes"] == 12 * result["operator_nnz"] \
@@ -152,6 +152,37 @@ class TestSolve:
                      "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert "config error" in err and key in err and "--" not in err
+
+    def test_pre_removal_metadata_replays(self, tmp_path, capsys):
+        # the config a metadata.json recorded before the feet mode and the
+        # exterior value were removed: its two retired values are dropped
+        old = {"box": None, "budget": 2000000, "builtin": "lift2d",
+               "checks": ["invariants", "fixed_point", "residual",
+                          "decrease", "blowup"], "controls": None,
+               "depth": 8, "dt": 0.05, "epsilon": 0.01, "exterior": None,
+               "max_iters": 2000, "nodes": [41], "out": "old",
+               "report_json": None, "rho": 0.05, "rk4_feet": True,
+               "seed": 0, "switch_dt": 0.25, "system": None, "threads": 0,
+               "tol": 1e-06}
+        cfg = tmp_path / "metadata.json"
+        cfg.write_text(json.dumps({"command": "solve", "config": old}))
+        fresh, replay = tmp_path / "fresh", tmp_path / "replay"
+        assert main(["solve", "--builtin", "lift2d", "--nodes", "41",
+                     "--out", str(fresh)]) == 0
+        assert main(["solve", "--config", str(cfg),
+                     "--out", str(replay)]) == 0
+        assert ((replay / "field.csv").read_bytes()
+                == (fresh / "field.csv").read_bytes())
+        assert not {"rk4_feet", "exterior"} & set(read_meta(replay)["config"])
+        for key, value in (("rk4_feet", False), ("exterior", 0.3)):
+            cfg.write_text(json.dumps({"command": "solve",
+                                       "config": dict(old, **{key: value})}))
+            capsys.readouterr()
+            assert main(["solve", "--config", str(cfg),
+                         "--out", str(tmp_path / key)]) == 1
+            err = capsys.readouterr().err
+            assert "config key %r was removed" % key in err
+            assert "Traceback" not in err
 
     def test_box_broadcast_and_per_axis(self, tmp_path):
         out = tmp_path / "bc"
@@ -415,8 +446,8 @@ class TestVerify:
 
 
 class TestRunRecord:
-    """field.csv carries dt, tol, feet mode, exterior value and convergence,
-    so a field checks the same wherever it is copied."""
+    """field.csv carries dt, tol and convergence, so a field checks the
+    same wherever it is copied."""
 
     @staticmethod
     def fixed_point_only(tmp_path):
@@ -424,17 +455,13 @@ class TestRunRecord:
         cfg.write_text(json.dumps({"checks": ["fixed_point"]}))
         return str(cfg)
 
-    def test_bare_euler_field_passes_fixed_point(self, tmp_path):
-        cfg = tmp_path / "euler.json"
-        cfg.write_text(json.dumps({"rk4_feet": False}))
-        solved, bare = tmp_path / "solve", tmp_path / "bare"
-        assert main(["solve", "--config", str(cfg), "--builtin", "lift2d",
-                     "--nodes", "101", "--dt", "0.1",
-                     "--out", str(solved)]) == 0
+    def test_bare_field_passes_fixed_point_from_its_record(self, run_dir,
+                                                           tmp_path):
+        bare = tmp_path / "bare"
         bare.mkdir()
-        (bare / "field.csv").write_bytes((solved / "field.csv").read_bytes())
+        (bare / "field.csv").write_bytes((run_dir / "field.csv").read_bytes())
         report = tmp_path / "report.json"
-        # neither --dt nor rk4_feet: only the field's record says them
+        # no --dt: only the field's record says the solve's dt 0.1
         rc = main(["verify", "--config", self.fixed_point_only(tmp_path),
                    "--builtin", "lift2d", "--nodes", "101",
                    "--report-json", str(report), "--out",
@@ -442,6 +469,22 @@ class TestRunRecord:
         assert rc == 0
         fixed = json.loads(report.read_text())["checks"][0]
         assert fixed["passed"] and fixed["stats"]["dt"] == 0.1
+
+    @pytest.mark.parametrize("token", ["rk4_feet=0", "exterior_value=0.3"])
+    def test_field_of_a_removed_scheme_exits_1(self, run_dir, tmp_path,
+                                               capsys, token):
+        # an Euler-feet or exterior-0.3 field would fail by a huge defect
+        # against the one operator left; it is refused instead
+        lines = (run_dir / "field.csv").read_text().splitlines()
+        lines[0] += "," + token
+        path = tmp_path / "field.csv"
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        rc = main(["verify", "--config", self.fixed_point_only(tmp_path),
+                   "--builtin", "lift2d", "--nodes", "101",
+                   "--out", str(tmp_path / "check"), str(path)])
+        assert rc == 1
+        assert "Euler feet" in capsys.readouterr().err
 
     def test_bare_field_verifies_and_synthesizes(self, run_dir, tmp_path):
         bare = tmp_path / "bare"

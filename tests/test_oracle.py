@@ -357,6 +357,28 @@ class TestFalsifier:
         rec = integrate(flat, ce.x0, ce.schedule, 0.05)
         assert rec.total_cost == pytest.approx(ce.total_cost, abs=1e-6)
 
+    @pytest.mark.parametrize("ell", [None, "x1^2 + x2^2"])
+    def test_cost_is_the_g_integral_whatever_ell_says(self, ell):
+        # a rotation with g = 0 never approaches the origin at no cost: the
+        # Kružkov solve never reads ell, so neither may the falsifier
+        doc = {"n": 2, "f": ["x2", "-x1"], "g": "0"}
+        if ell is not None:
+            doc["ell"] = ell
+        ce = falsify_quasistability(load_system(doc),
+                                    Grid([-1, -1], [1, 1], [11, 11]),
+                                    budget=4)
+        assert ce is not None and ce.kind == "searched"
+        assert ce.total_cost == 0.0 and ce.final_norm >= 1e-2
+
+    def test_stationary_witness_never_evaluates_ell(self):
+        # x = 1 is stationary at no cost; ell is undefined there, and the
+        # falsifier, which reads only the g-integral, must not care
+        doc = {"n": 1, "f": ["x1*(1 - x1^2)"], "g": "(x1*(1 - x1^2))^2"}
+        ce = falsify_quasistability(load_system(dict(doc, ell="sqrt(-x1)")),
+                                    Grid([-2], [2], [41]), budget=4)
+        assert ce.kind == "stationary" and ce.x0.tolist() == [1.0]
+        assert ce.total_cost == 0.0 and ce.final_norm == 1.0
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_json_system_escape_is_skipped(self):
         # outside (-1,1)^2 a schedule can blow up; the compiled expressions

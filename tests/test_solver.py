@@ -71,23 +71,12 @@ def reference_solve(system, grid, settings, raw):
     """(values, sweeps) of the Kružkov (raw=False) or raw iteration."""
     nodes = grid.node_coords().reshape(-1, grid.n_axes)
     n, dt = grid.n_axes, settings.dt
-    exterior = settings.exterior_value
-    if exterior is None:
-        exterior = 0.0 if raw else 1.0
-    ell = system.ell if system.ell is not None else system.g
+    exterior = 0.0 if raw else 1.0
     tables = []
     for a in system.control.points:
-        if settings.rk4_feet:
-            z = rk4_step(system, np.hstack([nodes, np.zeros((len(nodes), 3))]),
-                         a, dt)
-            feet, cost, q, p = z[:, :n], z[:, n], z[:, n + 1], z[:, n + 2]
-        else:
-            feet = nodes + dt * np.asarray(system.f(nodes, a), dtype=float)
-            q = dt * np.asarray(system.g(nodes, a), dtype=float)
-            p = (dt * np.asarray(system.h(nodes, a), dtype=float)
-                 if system.h is not None else np.zeros(len(nodes)))
-            cost = dt * np.asarray(ell(nodes, a), dtype=float) \
-                * np.exp(-0.5 * p)
+        z = rk4_step(system, np.hstack([nodes, np.zeros((len(nodes), 3))]),
+                     a, dt)
+        feet, cost, q, p = z[:, :n], z[:, n], z[:, n + 1], z[:, n + 2]
         scale = np.exp(-p) if raw else np.exp(-np.maximum(q, 0.0))
         tables.append((scale, cost, _ref_stencil(grid, feet)))
     pick = np.minimum if raw and system.mode == "minimize" else np.maximum
@@ -111,19 +100,10 @@ def reference_solve(system, grid, settings, raw):
 LIFT41 = Grid([-1.2, -1.2], [1.2, 1.2], [41, 41])
 REFERENCE_CASES = {
     "lift2d-rk4": ("lift2d", LIFT41, {}),
-    "lift2d-euler": ("lift2d", LIFT41, {"rk4_feet": False}),
-    "lift2d-exterior": ("lift2d", LIFT41, {"exterior_value": 0.3}),
-    "lift2d-euler-exterior": ("lift2d", LIFT41, {"rk4_feet": False,
-                                                 "exterior_value": 0.3}),
     "ex1-rk4": ("ex1", Grid([-2.0], [2.0], [401]), {}),
-    "ex1-euler": ("ex1", Grid([-2.0], [2.0], [401]), {"rk4_feet": False}),
     "fuller-rk4": ("fuller", LIFT41, {"dt": 0.02}),
-    "fuller-euler": ("fuller", LIFT41, {"dt": 0.02, "rk4_feet": False}),
-    "fuller-exterior": ("fuller", LIFT41, {"exterior_value": 0.3}),
     "arctan-json-rk4": (ARCTAN_MIN, Grid([-3.0], [3.0], [601]),
                         {"dt": 0.01}),
-    "arctan-json-euler": (ARCTAN_MIN, Grid([-3.0], [3.0], [601]),
-                          {"dt": 0.01, "rk4_feet": False}),
 }
 
 
@@ -180,7 +160,7 @@ def test_bellman_residual_is_one_more_pinned_sweep():
     with pytest.warns(UserWarning, match="max_iters"):
         field = solve_zubov(system, LIFT41, settings)
     u = 1.0 - field.values.reshape(-1)
-    nxt = zubov_operator(system, LIFT41, settings.dt, True, 1.0)(u)
+    nxt = zubov_operator(system, LIFT41, settings.dt)(u)
     nxt[np.ravel_multi_index(LIFT41.origin_index, tuple(LIFT41.counts))] = 1.0
     assert field.metadata["bellman_residual"] == pytest.approx(
         np.abs(nxt - u).max(), abs=1e-15)
@@ -225,13 +205,11 @@ def test_policy_sweeps_run_between_full_sweeps(monkeypatch):
     assert meta["phase_seconds"]["policy"] > 0.0
 
 
-@pytest.mark.parametrize("rk4", [False, True])
-def test_iterates_never_rise_across_sweep_kinds(monkeypatch, rk4):
+def test_iterates_never_rise_across_sweep_kinds(monkeypatch):
     # ex1 has stationary feet where g = 0 (|x| >= 1): after the first full
     # sweep 93 of its 201 nodes sit at the cap, fixed in each policy phase
     log = record_sweeps(monkeypatch)
-    field = solve_zubov(builtin("ex1"), Grid([-2.0], [2.0], [201]),
-                        SolverSettings(rk4_feet=rk4))
+    field = solve_zubov(builtin("ex1"), Grid([-2.0], [2.0], [201]))
     assert field.metadata["converged"]
     kinds = [kind for kind, _ in log]
     switches = [k for k in range(1, len(log)) if kinds[k] != kinds[k - 1]]
@@ -249,7 +227,7 @@ def test_policy_rows_are_gathered_without_grid_sized_temporaries():
     for n in (101, 201):
         grid = Grid([-1.2, -1.2], [1.2, 1.2], [n, n])
         nodes = grid.n_nodes
-        op = zubov_operator(system, grid, 0.05, True, 1.0)
+        op = zubov_operator(system, grid, 0.05)
         u, picked = op(np.ones(nodes), choice=True)
         fixed = u >= 1.0
         op.policy(picked, fixed)  # warm caches
@@ -287,14 +265,11 @@ def test_chunk_boundaries_are_invisible(monkeypatch, case, chunk):
     system = builtin(name) if isinstance(name, str) else load_system(name)
     settings = SolverSettings(**patch)
     raw = system.mode == "minimize"
-    exterior = settings.exterior_value
-    if exterior is None:
-        exterior = 0.0 if raw else 1.0
     arrays = []
     for size in (grid.n_nodes, chunk):  # one chunk, then many
         monkeypatch.setattr(solver, "_FEET_CHUNK", size)
         op = (hjbe_operator if raw else zubov_operator)(
-            system, grid, settings.dt, settings.rk4_feet, exterior)
+            system, grid, settings.dt)
         m = op.matrix
         arrays.append((m.data, m.indices, m.indptr, op.offset))
     for whole, chunked in zip(*arrays):
@@ -307,13 +282,13 @@ def test_build_transients_do_not_grow_with_the_grid(monkeypatch):
 
     monkeypatch.setattr(solver, "_FEET_CHUNK", 2 ** 12)
     system = builtin("lift2d")
-    zubov_operator(system, LIFT41, 0.05, True, 1.0)  # warm caches
+    zubov_operator(system, LIFT41, 0.05)  # warm caches
     beyond = []
     for n in (101, 201):
         grid = Grid([-1.2, -1.2], [1.2, 1.2], [n, n])
         tracemalloc.start()
         try:
-            op = zubov_operator(system, grid, 0.05, True, 1.0)
+            op = zubov_operator(system, grid, 0.05)
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -338,13 +313,13 @@ def test_build_chunk_transients_stay_flat(monkeypatch):
 
     monkeypatch.setattr(solver.BellmanOperator, "__init__", spy)
     system = builtin("lift2d")
-    zubov_operator(system, LIFT41, 0.05, True, 1.0)  # warm caches
+    zubov_operator(system, LIFT41, 0.05)  # warm caches
     beyond.clear()
     for n in (101, 201):
         tracemalloc.start()
         try:
             zubov_operator(system, Grid([-1.2, -1.2], [1.2, 1.2], [n, n]),
-                           0.05, True, 1.0)
+                           0.05)
         finally:
             tracemalloc.stop()
     # one chunk's feet and stencils, not the grid's: 4x more nodes at 201²
@@ -376,7 +351,7 @@ class TestParallelSweeps:
 
     def test_wrong_length_is_rejected_before_the_kernel(self):
         grid = Grid([-1.0], [1.0], [21])
-        op = zubov_operator(scalar_decay(), grid, 0.05, True, 1.0)
+        op = zubov_operator(scalar_decay(), grid, 0.05)
         for bad in (np.zeros(20), np.zeros(22), np.zeros((21, 1))):
             with pytest.raises(ValueError, match="21 node values"):
                 op(bad)
@@ -384,7 +359,7 @@ class TestParallelSweeps:
     def test_lift2d_201_equals_single_product(self):
         grid = Grid([-1.2, -1.2], [1.2, 1.2], [201, 201])
         x = np.random.default_rng(0).random(grid.n_nodes)
-        op = zubov_operator(builtin("lift2d"), grid, 0.05, True, 1.0)
+        op = zubov_operator(builtin("lift2d"), grid, 0.05)
         assert np.array_equal(op(x), single_product(op, x))
 
     @pytest.mark.parametrize("name", ["fuller", "lift2d"])  # min / max
@@ -396,14 +371,14 @@ class TestParallelSweeps:
         monkeypatch.setattr(solver, "_CHUNK_ROWS",
                             chunk_controls * grid.n_nodes)
         x = np.random.default_rng(1).uniform(-1.0, 1.0, grid.n_nodes)
-        op = hjbe_operator(builtin(name), grid, 0.05, True, 0.0)
+        op = hjbe_operator(builtin(name), grid, 0.05)
         assert np.array_equal(op(x), single_product(op, x))
 
     @pytest.mark.parametrize("chunk_controls", [1, 2, 64])
     def test_choice_is_the_first_argmin(self, monkeypatch, chunk_controls):
         monkeypatch.setattr(solver, "_CHUNK_ROWS",
                             chunk_controls * LIFT41.n_nodes)
-        op = zubov_operator(builtin("lift2d"), LIFT41, 0.05, True, 1.0)
+        op = zubov_operator(builtin("lift2d"), LIFT41, 0.05)
         ones = np.ones(LIFT41.n_nodes)
         for x in (ones, np.random.default_rng(6).random(LIFT41.n_nodes)):
             y = (op.matrix @ x + op.offset).reshape(op.n_controls, -1)
@@ -414,28 +389,28 @@ class TestParallelSweeps:
                 ties = (y == y.min(axis=0)).sum(axis=0) > 1
                 assert np.count_nonzero(ties & (picked > 0)) > 0
 
-    @pytest.mark.parametrize("exterior", [1.0, 0.3])
-    def test_offset_is_added_only_when_nonzero(self, exterior):
+    @pytest.mark.parametrize("name", ["lift2d", "fuller"])  # Kružkov / raw
+    def test_offset_is_added_only_when_nonzero(self, name):
         x = np.random.default_rng(5).random(LIFT41.n_nodes)
-        op = zubov_operator(builtin("lift2d"), LIFT41, 0.05, True, exterior)
+        raw = name == "fuller"
+        op = (hjbe_operator if raw else zubov_operator)(builtin(name),
+                                                        LIFT41, 0.05)
         assert np.array_equal(op(x), single_product(op, x))
         m = op.matrix
-        exterior_rows = np.diff(m.indptr) == 0
-        assert exterior_rows.any()
-        # Kružkov rows carry an offset only outside, and only when the
-        # exterior value is below 1
-        assert np.array_equal(op.offset != 0.0,
-                              exterior_rows & (exterior < 1.0))
+        assert (np.diff(m.indptr) == 0).any()  # feet outside the box
+        # a Kružkov row has no offset, outside the box or in it: a
+        # zero-stride view, never allocated; a raw row carries its step cost
+        assert bool(op.offset.any()) is raw
+        assert (op.offset.strides == (0,)) is not raw
         kept = m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
-        assert op.nbytes == kept + (op.offset.nbytes
-                                    if exterior < 1.0 else 0)
+        assert op.nbytes == kept + (op.offset.nbytes if raw else 0)
 
     def test_sweep_allocates_only_its_output(self):
         import tracemalloc
 
         grid = Grid([-1.2, -1.2], [1.2, 1.2], [101, 101])
         x = np.random.default_rng(2).random(grid.n_nodes)
-        op = zubov_operator(builtin("lift2d"), grid, 0.05, True, 1.0)
+        op = zubov_operator(builtin("lift2d"), grid, 0.05)
         op(x)  # warm caches
         tracemalloc.start()
         try:
@@ -460,20 +435,15 @@ class TestSettings:
         for bad in ({"dt": math.inf}, {"dt": math.nan}, {"tol": math.inf},
                     {"tol": math.nan}, {"max_iters": 2.5},
                     {"max_iters": True}, {"max_iters": 10.0},
-                    {"threads": 2.5}, {"threads": True}, {"threads": -1},
-                    {"exterior_value": math.nan},
-                    {"exterior_value": math.inf}):
+                    {"threads": 2.5}, {"threads": True}, {"threads": -1}):
             with pytest.raises(ConfigError):
                 SolverSettings(**bad)
         # an integer of any integral type passes, and threads may be None
         SolverSettings(max_iters=np.int64(5), threads=np.int32(2))
         SolverSettings(threads=None)
-
-    def test_exterior_range_checked_in_kruzhkov_mode(self):
-        grid = Grid([-1.0], [1.0], [11])
-        with pytest.raises(ConfigError, match="exterior"):
-            solve_zubov(scalar_decay(), grid,
-                        SolverSettings(exterior_value=1.5))
+        # the scheme itself takes no option
+        assert [f.name for f in dataclasses.fields(SolverSettings)] == [
+            "dt", "tol", "max_iters", "threads"]
 
 
 class TestSolveZubov:
@@ -524,9 +494,8 @@ class TestSolveZubov:
             assert np.all(field.values >= prev - 1e-15)
             prev = field.values
 
-    @pytest.mark.parametrize("name,rk4", [("lift2d", False),
-                                          ("ex1", False), ("ex1", True)])
-    def test_iterates_monotone_in_unit_interval(self, name, rk4):
+    @pytest.mark.parametrize("name", ["lift2d", "ex1"])
+    def test_iterates_monotone_in_unit_interval(self, name):
         # the iteration on 1 - v starts from v = 0 and may only climb
         grid = (Grid([-2.0], [2.0], [201]) if name == "ex1"
                 else Grid([-1.2, -1.2], [1.2, 1.2], [41, 41]))
@@ -534,7 +503,7 @@ class TestSolveZubov:
         for k in (1, 2, 3, 5, 8, 13):
             with pytest.warns(UserWarning):
                 v = solve_zubov(builtin(name), grid, SolverSettings(
-                    dt=0.1, max_iters=k, rk4_feet=rk4)).values
+                    dt=0.1, max_iters=k)).values
             assert v.min() >= 0.0 and v.max() <= 1.0
             assert np.all(v >= prev)
             prev = v
@@ -545,7 +514,8 @@ class TestSolveZubov:
         a = solve_zubov(sys, grid, SolverSettings(dt=0.1, threads=1))
         b = solve_zubov(sys, grid, SolverSettings(dt=0.1, threads=4))
         assert np.array_equal(a.values, b.values)
-        assert "threads" not in a.metadata
+        assert not {"threads", "rk4_feet",
+                    "exterior_value"} & set(a.metadata)
 
     def test_nonconvergence_warns_and_flags(self):
         sys = builtin("lift2d")
@@ -555,35 +525,17 @@ class TestSolveZubov:
         assert field.metadata["converged"] is False
         assert field.metadata["iterations"] == 3
 
-    def test_rk4_feet_variant_stays_accurate(self):
-        grid = Grid([-2.0], [2.0], [201])
-        xs = grid.axes[0]
-        truth = 1.0 - np.exp(-np.abs(xs))
-        keep = np.abs(xs) <= 1.5
-        errs = {}
-        for flag in (False, True):
-            field = solve_zubov(scalar_decay(), grid,
-                                SolverSettings(dt=0.05, rk4_feet=flag))
-            errs[flag] = np.abs(field.values[keep] - truth[keep]).max()
-        assert errs[True] <= 3.0 * errs[False]
-
-    @pytest.mark.parametrize("rk4", [False, True])
     @pytest.mark.parametrize("dt", [0.1, 0.05])
-    def test_values_stay_in_unit_interval_in_both_feet_modes(self, rk4, dt):
+    def test_values_stay_in_unit_interval(self, dt):
         # the multilinear weights sum to 1 only up to an ulp, so an update
         # that does not cap 1 - I[v] at 0 lands ~1e-15 above 1 near the
-        # edge (Euler at dt 0.05 and RK4 at dt 0.1 both did on this grid)
+        # edge (it did at dt 0.1 on this grid)
         grid = Grid([-1.2, -1.2], [1.2, 1.2], [101, 101])
         field = solve_zubov(builtin("lift2d"), grid,
-                            SolverSettings(dt=dt, tol=1e-6, rk4_feet=rk4))
-        assert field.metadata["rk4_feet"] is rk4
+                            SolverSettings(dt=dt, tol=1e-6))
         assert field.values.min() >= 0.0
         assert field.values.max() <= 1.0
         assert field.check_invariants() == []
-
-    def test_rk4_feet_are_the_default(self, lift2d_field):
-        assert SolverSettings().rk4_feet is True
-        assert lift2d_field.metadata["rk4_feet"] is True
 
     def test_refinement_shrinks_error(self, lift2d_field, lift2d_field_coarse):
         from zubov.systems import closed_form_value

@@ -188,21 +188,26 @@ class TestValueField:
 
     def test_run_record_round_trips(self, tmp_path):
         grid = Grid([-1.2, -1.2], [1.2, 1.2], [21, 21])
-        field = solve_zubov(builtin("lift2d"), grid, SolverSettings(
-            dt=0.1, rk4_feet=False, exterior_value=0.3))
+        field = solve_zubov(builtin("lift2d"), grid, SolverSettings(dt=0.1))
         path = tmp_path / "f.csv"
         save_field(field, path)
         back = load_field(path)
-        record = ("dt", "tol", "rk4_feet", "exterior_value", "converged")
+        record = ("dt", "tol", "converged")
         assert back.metadata == {k: field.metadata[k] for k in record}
         assert back.metadata["converged"] is True
-        assert back.metadata["rk4_feet"] is False
-        assert interpolate(back, [2.0, 2.0]) == 0.3
+        assert interpolate(back, [2.0, 2.0]) == 1.0
         # the header holds the record and nothing else of the metadata
-        head = path.read_text().splitlines()[0].split(",")
+        lines = path.read_text().splitlines()
+        head = lines[0].split(",")
         assert head[head.index("kruzhkov") + 1:] == [
             "dt=0.10000000000000001", "tol=9.9999999999999995e-07",
-            "rk4_feet=0", "exterior_value=0.29999999999999999", "converged=1"]
+            "converged=1"]
+        # files written before Euler feet were removed still load
+        lines[0] = lines[0].replace(",dt=",
+                                    ",rk4_feet=0,exterior_value=0.3,dt=")
+        path.write_text("\n".join(lines) + "\n")
+        old = load_field(path).metadata
+        assert old["rk4_feet"] is False and old["exterior_value"] == 0.3
 
     def test_header_without_record_loads_empty_metadata(self, tmp_path):
         path = tmp_path / "f.csv"

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from zubov.solver import SolverSettings, interpolate, solve_zubov
-from zubov.systems import (ConfigError, Grid, builtin, closed_form_value,
-                           load_system)
+from zubov.systems import (ConfigError, Grid, ValueField, builtin,
+                           closed_form_value, load_system)
 from zubov.trajectories import integrate
 from zubov.verify import (VerificationReport, check_boundary_blowup,
                           check_fixed_point, check_lyapunov_decrease,
@@ -122,6 +122,23 @@ class TestResidualStats:
         # central differences of the analytic solution: O(h^2), not O(h)
         assert rep.stats["median"] <= 1e-3
         assert rep.stats["max"] <= 1e-3
+
+    def test_hav1d_spike_error_is_the_time_step(self):
+        # one RK4 step crosses the kinks of hav1d's g at |x| = 0.9 and 1
+        # and is off there by O(dt^2), a different amount at each node: at
+        # dt 0.05 the field is rough at grid scale in the first spike, and
+        # the check fails it, while the closed form passes
+        system, grid = builtin("hav1d"), Grid([-1.0], [1.0], [401])
+        exact = 1.0 - np.exp(-closed_form_value("hav1d", grid.axes[0]))
+        rep = residual_stats(system, ValueField(grid, exact, "kruzhkov"))
+        assert rep.passed and rep.stats["p95"] <= 1e-3
+        errs, p95 = [], []
+        for dt in (0.05, 0.025, 0.0125):
+            field = solve_zubov(system, grid, SolverSettings(dt=dt))
+            errs.append(np.abs(field.values - exact).max())
+            p95.append(residual_stats(system, field).stats["p95"])
+        assert errs[0] > 1e-3 and errs[0] > 3 * errs[1] > 9 * errs[2]
+        assert p95[0] > 0.05 > p95[1] > p95[2]
 
     def test_constant_one_annihilates(self, lift2d_system, lift2d_field):
         ones = lift2d_field.with_values(np.ones_like(lift2d_field.values))

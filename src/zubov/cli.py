@@ -362,6 +362,8 @@ def _cmd_oracle(cfg, args):
                np.array(table, dtype=object).T,
                ["%.17g"] * (n + 3) + ["%d", "%.17g", "%d", "%s"])
     result = {"points": len(rows), "budget_exceeded": over_budget,
+              "segment_integrations": sum(vb.segments for _, vb in rows
+                                          if vb is not None),
               "bounds": "bounds.csv"}
     _write_metadata(cfg, "oracle", result)
     print("oracle %s: %d point(s) -> %s%s"

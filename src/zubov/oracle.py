@@ -5,18 +5,21 @@ schedule built from `depth` segments of length `switch_dt` over the system's
 control menu, advance them all at once through the batched RK4 engine
 `trajectories.advance` (which also serves `integrate`, the falsifier below
 and the sampled decrease check), and turn the best accumulated cost into a
-bracket.  Once a trajectory sits inside the ball B_rho, the declared
-exponential envelope caps everything it can still collect:
+bracket.  From a state x with C ||x|| <= r the declared exponential
+envelope caps everything a trajectory can still collect, under any
+disturbance:
 
-    tail = c_tilde * (c * rho)**lam / (lam * sigma)
+    tail(||x||) = c_tilde * (c * ||x||)**lam / (lam * sigma)
 
 (integrate the growth bound ``cost <= c_tilde ||x||**lam`` along
-``||x(t)|| <= c rho exp(-sigma t)``).  The tail bounds the continuation of
-a trajectory only once it has entered B_rho, so a bracket is certified only
-when every enumerated trajectory has: one that has not may still end above
-``upper``.  The bracket deliberately shares no code with the solver's update
-rule: a bug would have to show up in two unrelated discretizations to slip
-through the cross-checks.
+``||x(t)|| <= c ||x|| exp(-sigma t)``).  The maximal-cost bracket adds that
+tail to each enumerated row, which makes it a branch and bound: between
+segments it drops every row whose cost plus tail cannot reach the best cost
+already held, and at the horizon `upper` is the largest cost plus tail of a
+remaining row.  It is certified when every remaining row ends inside the
+envelope ball.  The bracket deliberately shares no code with the solver's
+update rule: a bug would have to show up in two unrelated discretizations
+to slip through the cross-checks.
 
 Also here: the quasi-stability falsifier (cheap-trajectory search for
 finite-cost escapes) and the greedy eps-optimal schedule construction with
@@ -59,10 +62,15 @@ class ValueBounds:
     """Bracket for a value at one point.
 
     `lower` is the best cost any enumerated schedule accumulates by the
-    horizon; `upper` adds the envelope tail.  When `truncated` is set the
-    tail is not certified (some enumerated trajectory stayed outside B_rho,
-    or the system declares no envelope), so the pair is a point estimate of
-    the enumerated family rather than a closed bracket.
+    horizon.  For the maximal cost, a certified `upper` bounds every
+    schedule that is piecewise constant over the menu up to the horizon and
+    arbitrary after it: each enumerated row's cost plus the envelope tail
+    from its final state.  `tail_bound` is ``upper - lower``.  When
+    `truncated` is set the tail is not certified (the declared envelope does
+    not cover every enumerated row, or the system declares none), so the
+    pair is a point estimate of the enumerated family rather than a closed
+    bracket.  `segments` counts the segment integrations the enumeration
+    ran.
     """
 
     lower: float
@@ -71,6 +79,7 @@ class ValueBounds:
     depth: int
     tail_bound: float
     truncated: bool
+    segments: int = 0
 
     def __post_init__(self):
         if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
@@ -108,18 +117,22 @@ class Counterexample:
                              "from zero" % self.final_norm)
 
 
-def _tail_bound(system, rho):
+def _tail_bound(system, norm):
+    """Envelope tail c_tilde (C ||x||)^lam / (lam sigma) per state norm:
+    the most a trajectory can still collect from ||x|| when C ||x|| <= r,
+    and +inf outside that ball, where the envelope promises nothing."""
     if system.ules is None or system.growth is None:
         raise ConfigError("tail bound needs declared ules and growth "
                           "constants on system %r" % system.name)
-    if not 0.0 < rho <= system.ules.r:
-        raise ConfigError("rho must lie in (0, %g], the envelope ball"
-                          % system.ules.r)
     u, gr = system.ules, system.growth
-    return gr.c_tilde * (u.c * rho) ** gr.lam / (gr.lam * u.sigma)
+    reach = u.c * np.asarray(norm, dtype=float)
+    with np.errstate(over="ignore"):
+        tail = gr.c_tilde * reach ** gr.lam / (gr.lam * u.sigma)
+    return np.where(reach <= u.r, tail, np.inf)
 
 
-def _enumerate(system, x, switch_dt, depth, rho, int_dt, budget, slots=3):
+def _enumerate(system, x, switch_dt, depth, rho, int_dt, budget, slots=3,
+               keep=None):
     """Advance all |A_d|^depth schedules; returns (aug_states, entered).
 
     The augmented states carry ``slots`` integrals after x: 3 for
@@ -128,8 +141,12 @@ def _enumerate(system, x, switch_dt, depth, rho, int_dt, budget, slots=3):
     The batch grows one control choice per segment (prefixes are shared),
     so row r encodes the schedule whose j-th segment uses control index
     ``(r // |A_d|**(depth-1-j)) % |A_d|``.  `entered` marks rows whose
-    trajectory touched B_rho at some sub-step sample.  BudgetError when the
-    enumeration would exceed `budget` segment integrations.
+    trajectory touched B_rho at some sub-step sample; rho None skips that
+    test and leaves every flag False.  `keep(z)`, when given, sees the batch
+    after every segment but the last and returns the mask of rows to carry
+    on (the pruning of `maximal_cost`; the row encoding above then no longer
+    holds).  BudgetError when the full enumeration would exceed `budget`
+    segment integrations.
     """
     pts = system.control.points
     k = pts.shape[0]
@@ -139,16 +156,20 @@ def _enumerate(system, x, switch_dt, depth, rho, int_dt, budget, slots=3):
                           % (k, depth, depth * k ** depth, budget))
     n = system.n_state
     z = np.concatenate([x, np.zeros(slots)])[None]
-    entered = np.array([np.linalg.norm(x) <= rho])
+    entered = np.array([rho is not None and np.linalg.norm(x) <= rho])
 
     def touch(zb, live):
         entered[:] |= np.linalg.norm(zb[:, :n], axis=1) <= rho
 
     for seg in range(depth):
+        if seg and keep is not None:
+            rows = keep(z)
+            z, entered = z[rows], entered[rows]
         z = np.repeat(z, k, axis=0)
         entered = np.repeat(entered, k)
         z, live = advance(system, z, np.tile(pts, (z.shape[0] // k, 1)),
-                          switch_dt, int_dt, watch=touch)
+                          switch_dt, int_dt,
+                          watch=None if rho is None else touch)
         if not live.all():
             raise TrajectoryError("a schedule reached a non-finite state "
                                   "during segment %d" % (seg + 1))
@@ -158,8 +179,17 @@ def _enumerate(system, x, switch_dt, depth, rho, int_dt, budget, slots=3):
 def maximal_cost(system, x, switch_dt=0.25, depth=8, rho=0.05, *,
                  int_dt=0.01, budget=_DEFAULT_BUDGET):
     """Bracket the worst-case accumulated cost sup over schedules of
-    the undiscounted integral of g, by exhaustive enumeration; `truncated`
-    unless every enumerated trajectory entered B_rho."""
+    the undiscounted integral of g, by enumeration with envelope pruning.
+
+    Between segments a row is dropped when its cost plus the envelope tail
+    from its state, plus a margin for RK4 error, stays below the best cost
+    a row already holds: with g >= 0 none of its continuations can beat
+    that row's, so `lower` is the enumeration's maximum.  `upper` is the
+    largest cost plus tail over the rows left at the horizon and the rows
+    dropped (which keeps it sound for any sign of g); it is certified when
+    every row left ends with C ||x_T|| <= r.  A truncated result is the
+    estimate ``lower + tail(rho)``; rho must satisfy C rho <= r.
+    """
     if system.mode != "maximize":
         raise ConfigError("maximal_cost wants a maximize-mode system")
     if not switch_dt > 0.0:
@@ -167,16 +197,40 @@ def maximal_cost(system, x, switch_dt=0.25, depth=8, rho=0.05, *,
     if depth < 1:
         raise ConfigError("depth must be at least 1")
     x = _check_point(system, x)
-    tail = _tail_bound(system, rho)
+    tail = float(_tail_bound(system, rho))
+    if not (rho > 0.0 and math.isfinite(tail)):
+        raise ConfigError("rho must lie in (0, %g], the envelope ball r/C"
+                          % (system.ules.r / system.ules.c))
     horizon = depth * switch_dt
     if not np.any(x):
         # stationary at the origin, zero cost
         return ValueBounds(0.0, 0.0, horizon, depth, 0.0, False)
-    z, entered = _enumerate(system, x, switch_dt, depth, rho, int_dt, budget,
-                            slots=1)
-    lower = float(np.max(z[:, system.n_state]))
-    return ValueBounds(lower, lower + tail, horizon, depth, tail,
-                       not bool(entered.all()))
+    n = system.n_state
+    dropped, segments = -math.inf, 0
+
+    def reach(z):  # no continuation of a row collects more
+        return z[:, n] + _tail_bound(system, np.linalg.norm(z[:, :n], axis=1))
+
+    def keep(z):
+        nonlocal dropped, segments
+        segments += len(z)
+        best = float(np.max(z[:, n]))
+        bound = reach(z)
+        rows = bound + 1e-6 * max(1.0, best) >= best
+        if not rows.all():
+            dropped = max(dropped, float(np.max(bound[~rows])))
+        return rows
+
+    z, _ = _enumerate(system, x, switch_dt, depth, None, int_dt, budget,
+                      slots=1, keep=keep)
+    segments += len(z)
+    lower = float(np.max(z[:, n]))
+    upper = max(dropped, float(np.max(reach(z))))
+    if math.isinf(upper):
+        return ValueBounds(lower, lower + tail, horizon, depth, tail, True,
+                           segments)
+    return ValueBounds(lower, upper, horizon, depth, upper - lower, False,
+                       segments)
 
 
 def kruzhkov_value(system, x, switch_dt=0.25, depth=8, rho=0.05, *,
@@ -187,7 +241,7 @@ def kruzhkov_value(system, x, switch_dt=0.25, depth=8, rho=0.05, *,
     lower = 1.0 - math.exp(-vb.lower)
     upper = 1.0 - math.exp(-vb.upper)
     return ValueBounds(lower, upper, vb.horizon, vb.depth, upper - lower,
-                       vb.truncated)
+                       vb.truncated, vb.segments)
 
 
 def min_value(system, x, switch_dt=0.25, depth=8, rho=0.05, *,
@@ -196,8 +250,9 @@ def min_value(system, x, switch_dt=0.25, depth=8, rho=0.05, *,
 
     The enumerated best is an over-estimate of the true infimum (the menu
     is finite), so the bracket is honest only about the enumerated family:
-    with a declared envelope and every enumerated trajectory entering B_rho
-    within the horizon, the tail closes that family's horizon gap —
+    with a declared envelope whose ball holds B_rho (C rho <= r) and every
+    enumerated trajectory entering B_rho within the horizon, the tail
+    closes that family's horizon gap —
     one-sided for ell >= 0, symmetric for the signed-ell guards.  Without
     an envelope, or with a trajectory that never reached B_rho, the result
     is the bare horizon cost, flagged `truncated`.
@@ -216,18 +271,19 @@ def min_value(system, x, switch_dt=0.25, depth=8, rho=0.05, *,
     if not np.any(x):
         return ValueBounds(0.0, 0.0, horizon, depth, 0.0, False)
     z, entered = _enumerate(system, x, switch_dt, depth, rho, int_dt, budget)
-    best = int(np.argmin(z[:, system.n_state]))
-    est = float(z[best, system.n_state])
-    certifiable = (system.ules is not None and system.growth is not None
-                   and rho <= system.ules.r and bool(entered.all()))
-    if not certifiable:
-        return ValueBounds(est, est, horizon, depth, 0.0, True)
-    tail = _tail_bound(system, rho)
+    k = system.control.points.shape[0]
+    segments = sum(k ** s for s in range(1, depth + 1))
+    est = float(np.min(z[:, system.n_state]))
+    tail = (math.inf if system.ules is None or system.growth is None
+            else float(_tail_bound(system, rho)))
+    if not (math.isfinite(tail) and bool(entered.all())):
+        return ValueBounds(est, est, horizon, depth, 0.0, True, segments)
     if system.guard == "nonneg_ell":
         # J only grows after the horizon
-        return ValueBounds(est, est + tail, horizon, depth, tail, False)
+        return ValueBounds(est, est + tail, horizon, depth, tail, False,
+                           segments)
     return ValueBounds(est - tail, est + tail, horizon, depth,
-                       2.0 * tail, False)
+                       2.0 * tail, False, segments)
 
 
 def falsify_quasistability(system, region, budget=256, *, seed=7,

@@ -119,6 +119,7 @@ class TestCriterion3:
         # samples keep the same bang-bang extremes the adversary uses
         system = builtin("lift2d", controls=3)
         worst_miss = worst_field = 0.0
+        truncated = 0
         for point in self.POINTS:
             x = np.array(point)
             vb = kruzhkov_value(system, x, switch_dt=0.25, depth=8, rho=0.05)
@@ -126,10 +127,12 @@ class TestCriterion3:
             worst_miss = max(worst_miss, bracket_gap(vb, exact))
             worst_field = max(worst_field,
                               bracket_gap(vb, interpolate(lift2d_field, x)))
-        verdict(3, worst_miss <= 0.03 and worst_field <= 0.02,
+            truncated += vb.truncated
+        verdict(3, worst_miss <= 0.03 and worst_field <= 0.02
+                and truncated == 0,
                 "10 points: closed form within bracket slack %.5f (<=0.03), "
-                "field within bracket slack %.5f (<=0.02)"
-                % (worst_miss, worst_field))
+                "field within bracket slack %.5f (<=0.02), %d truncated "
+                "bracket(s) (0)" % (worst_miss, worst_field, truncated))
 
 
 class TestCriterion4:

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from zubov import (ConfigError, ControlSpace, Grid, Growth, SystemDef, Ules,
                    builtin, closed_form_value, load_system)
 from zubov.oracle import (BudgetError, Counterexample, SynthesisError,
-                          ValueBounds, _enumerate, defect_allowances,
+                          ValueBounds, _enumerate, _tail_bound,
+                          defect_allowances,
                           falsify_quasistability, kruzhkov_value,
                           maximal_cost, min_value,
                           synthesize_epsilon_optimal)
@@ -27,13 +28,13 @@ def decay_1d(ules=Ules(1.0, 1.0, 1.0), growth=Growth(1.0, 2.0)):
         mode="maximize", ules=ules, growth=growth)
 
 
-def case_b_1d():
+def case_b_1d(c=1.0):
     rate = "abs(x1)/(1 + x1^2)"
     return load_system({
         "name": "cb", "n": 1, "control": None, "f": ["-x1"],
         "g": rate, "ell": rate, "h": rate,
         "mode": "minimize", "guard": "case_b",
-        "ules": {"C": 1.0, "sigma": 1.0, "r": 1.0},
+        "ules": {"C": c, "sigma": 1.0, "r": 1.0},
         "growth": {"C_tilde": 1.0, "lambda": 1.0}})
 
 
@@ -107,26 +108,62 @@ def test_enumeration_matches_the_strided_reference(system, x, switch_dt, rho):
     assert entered.any() and not entered.all()
 
 
+LIFT2D_JSON_ENVELOPE = dict(LIFT2D_JSON,
+                            ules={"C": 1.0, "sigma": 0.5, "r": 0.5},
+                            growth={"C_tilde": 1.0, "lambda": 2.0})
+
+# criterion 3's ten lift2d points, bracketed by the oracle-search bench
+LIFT2D_POINTS = [[0.5, 0.5], [-0.5, -0.5], [0.5, -0.5], [-0.3, 0.55],
+                 [0.55, 0.0], [0.0, -0.55], [0.25, 0.25], [-0.4, 0.1],
+                 [0.1, 0.4], [-0.55, -0.25]]
+
+
 @pytest.mark.parametrize("system, points, switch_dt, rho", [
     (builtin("lift2d", controls=3), [[0.5, 0.5], [-0.55, -0.25]], 0.25, 0.05),
-    (load_system(dict(LIFT2D_JSON, ules={"C": 1.0, "sigma": 0.5, "r": 0.5},
-                      growth={"C_tilde": 1.0, "lambda": 2.0})),
-     [[0.5, 0.5], [-0.3, 0.55]], 0.25, 0.05),
+    (load_system(LIFT2D_JSON_ENVELOPE), [[0.5, 0.5], [-0.3, 0.55]], 0.25,
+     0.05),
     (builtin("ex1", controls=3), [[-0.75], [0.25]], 0.5, 0.06),
 ], ids=["lift2d", "lift2d-json", "ex1"])
 def test_brackets_equal_the_wide_enumeration(system, points, switch_dt, rho):
-    # the brackets enumerate (x, int g) only; the full (x, J, int g, int h)
-    # enumeration must give the same numbers
+    # the brackets enumerate (x, int g) only and prune; the full unpruned
+    # (x, J, int g, int h) enumeration, read with the per-row rule (cost
+    # plus the envelope tail from the final state), gives the same numbers
+    n = system.n_state
     for x in map(np.array, points):
-        z, entered = _enumerate(system, x, switch_dt, 8, rho, 0.01, 10**6,
-                                slots=3)
-        lower = float(np.max(z[:, system.n_state + 1]))
+        z, _ = _enumerate(system, x, switch_dt, 8, rho, 0.01, 10**6,
+                          slots=3)
+        lower = float(np.max(z[:, n + 1]))
+        reach = z[:, n + 1] + _tail_bound(system,
+                                          np.linalg.norm(z[:, :n], axis=1))
         vb = maximal_cost(system, x, switch_dt, 8, rho)
-        assert (vb.lower, vb.truncated) == (lower, not entered.all())
-        assert vb.upper == lower + vb.tail_bound
+        assert vb.lower == lower
+        assert vb.truncated == (not np.isfinite(reach).all())
+        assert vb.upper == float(np.max(reach))
         kv = kruzhkov_value(system, x, switch_dt, 8, rho)
         assert (kv.lower, kv.upper, kv.truncated) == (
             1.0 - math.exp(-lower), 1.0 - math.exp(-vb.upper), vb.truncated)
+
+
+@pytest.mark.parametrize("system, points, switch_dt, rho", [
+    (builtin("lift2d", controls=3), LIFT2D_POINTS, 0.25, 0.05),
+    (load_system(LIFT2D_JSON_ENVELOPE), LIFT2D_POINTS, 0.25, 0.05),
+    (builtin("ex1", controls=3), [[-0.75], [-0.5], [-0.25], [0.25], [0.5],
+                                  [0.75]], 0.5, 0.06),
+    (stay_or_decay("maximize"), [[0.5], [-0.3]], 0.5, 0.05),
+], ids=["lift2d", "lift2d-json", "ex1", "stay-or-decay"])
+def test_pruning_never_changes_lower(system, points, switch_dt, rho):
+    for x in map(np.array, points):
+        z, _ = _enumerate(system, x, switch_dt, 8, None, 0.01, 10**6,
+                          slots=1)
+        vb = maximal_cost(system, x, switch_dt, 8, rho)
+        assert vb.lower == float(np.max(z[:, system.n_state]))
+
+
+def test_pruning_cuts_segment_integrations():
+    # unpruned, 3 controls to depth 8 run 3 + 9 + ... + 3^8 = 9840 segments
+    vb = maximal_cost(builtin("lift2d", controls=3), [0.5, 0.5], 0.25, 8)
+    assert 0 < vb.segments < 9840
+    assert not vb.truncated
 
 
 class TestValueBoundsType:
@@ -170,8 +207,13 @@ class TestMaximalCost:
         assert vb.horizon == pytest.approx(2.0)
 
     def test_tail_formula(self):
-        vb = maximal_cost(decay_1d(), [0.5], rho=0.1)
-        assert vb.tail_bound == pytest.approx(0.005, rel=1e-12)
+        # c_tilde (C |x|)^lam / (lam sigma) inside C |x| <= r, +inf past it
+        assert _tail_bound(decay_1d(), 0.1) == pytest.approx(0.005,
+                                                             rel=1e-12)
+        wide = decay_1d(ules=Ules(2.0, 1.0, 1.0))
+        tails = _tail_bound(wide, np.array([0.1, 0.5, 0.6]))
+        assert tails[:2] == pytest.approx([0.02, 0.5], rel=1e-12)
+        assert tails[2] == math.inf
 
     def test_decay_value_bracketed(self):
         # V(x0) = int x0^2 e^{-2t} = x0^2/2; single schedule, long horizon
@@ -202,15 +244,21 @@ class TestMaximalCost:
             assert vb.lower <= truth + 1e-6  # schedules never beat the sup
 
     def test_unentered_row_truncates(self):
+        # the all-stay row sits at 0.5 and never enters B_{r/C} = B_0.4, so
+        # the envelope caps nothing after its horizon
         system = stay_or_decay("maximize")
-        z, entered = _enumerate(system, np.array([0.5]), 0.5, 6, 0.05, 0.01,
-                                10 ** 6)
-        best = int(np.argmax(z[:, 2]))
-        assert entered[best] and not entered.all()
+        system = SystemDef("stay-or-decay", 1, system.control, system.f,
+                           system.g, mode="maximize", ules=Ules(1.0, 1.0, 0.4),
+                           growth=system.growth)
+        z, _ = _enumerate(system, np.array([0.5]), 0.5, 6, None, 0.01,
+                          10 ** 6, slots=1)
+        assert np.linalg.norm(z[:, :1], axis=1).max() == 0.5
         vb = maximal_cost(system, [0.5], switch_dt=0.5, depth=6, rho=0.05)
-        assert vb.lower == pytest.approx(float(z[best, 2]))
+        assert vb.lower == float(np.max(z[:, 1]))
         assert vb.truncated
-        # with only the decaying control every row enters: certified
+        tail = float(_tail_bound(system, 0.05))
+        assert (vb.tail_bound, vb.upper) == (tail, vb.lower + tail)
+        # with only the decaying control every row ends inside: certified
         decay = SystemDef("decay", 1, ControlSpace.from_points([[1.0]]),
                           system.f, system.g, mode="maximize",
                           ules=system.ules, growth=system.growth)
@@ -240,6 +288,10 @@ class TestMaximalCost:
     def test_rho_must_fit_envelope_ball(self):
         with pytest.raises(ConfigError, match="envelope ball"):
             maximal_cost(decay_1d(), [0.5], rho=2.0)
+        # C = 2: rho = 0.6 lies inside B_r (r = 1) but C rho = 1.2 does not
+        with pytest.raises(ConfigError, match="envelope ball"):
+            maximal_cost(decay_1d(ules=Ules(2.0, 1.0, 1.0)), [0.5], rho=0.6)
+        assert not maximal_cost(decay_1d(), [0.5], rho=0.6).truncated
 
     def test_shape_and_parameter_validation(self):
         with pytest.raises(ConfigError, match="dimension"):
@@ -304,6 +356,14 @@ class TestMinValue:
         vb = min_value(system, [0.5], switch_dt=0.5, depth=6, rho=0.05)
         assert vb.lower == vb.upper == pytest.approx(float(z[best, 1]))
         assert vb.truncated and vb.tail_bound == 0.0
+
+    def test_certifies_only_inside_the_ball_r_over_c(self):
+        # every row enters B_0.6, but with C = 2 the envelope reaches only
+        # B_0.5: the tail is not certified there
+        kwargs = dict(switch_dt=0.5, depth=8, rho=0.6)
+        assert not min_value(case_b_1d(), [1.0], **kwargs).truncated
+        vb = min_value(case_b_1d(c=2.0), [1.0], **kwargs)
+        assert vb.truncated and vb.lower == vb.upper
 
     def test_guard_required(self):
         loose = load_system({

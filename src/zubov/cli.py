@@ -337,6 +337,7 @@ def _cmd_oracle(cfg, args):
     points = _read_points(args.points, system.n_state)
     bracket = maximal_cost if system.mode == "maximize" else min_value
     rows, over_budget = [], 0
+    started = time.perf_counter()
     for x in points:
         try:
             vb = bracket(system, x, switch_dt=cfg["switch_dt"],
@@ -347,6 +348,7 @@ def _cmd_oracle(cfg, args):
             rows.append((x, None))
             continue
         rows.append((x, vb))
+    elapsed = time.perf_counter() - started
 
     os.makedirs(cfg["out"], exist_ok=True)
     out_csv = os.path.join(cfg["out"], "bounds.csv")
@@ -364,7 +366,7 @@ def _cmd_oracle(cfg, args):
     result = {"points": len(rows), "budget_exceeded": over_budget,
               "segment_integrations": sum(vb.segments for _, vb in rows
                                           if vb is not None),
-              "bounds": "bounds.csv"}
+              "seconds": round(elapsed, 3), "bounds": "bounds.csv"}
     _write_metadata(cfg, "oracle", result)
     print("oracle %s: %d point(s) -> %s%s"
           % (system.name, len(rows), out_csv,

@@ -14,13 +14,17 @@ multiplication.  Functions: sin, cos, exp, ln, abs, sqrt (unary) and
 min, max (binary).  Numbers are decimal with optional fraction/exponent.
 
 Evaluation is numpy-vectorized: state/control components may be floats or
-same-shaped arrays.  Domain violations (division by zero, ln/sqrt outside
-their domain, fractional powers of negative bases) raise EvalDomainError --
-they never come back as silent NaNs.
+same-shaped arrays.  A tree compiles once, by a single walk, into nested
+closures that run its NumPy operations and domain checks; evaluating it
+again costs only those calls, not another walk.  Domain violations
+(division by zero, ln/sqrt outside their domain, fractional powers of
+negative bases) raise EvalDomainError -- they never come back as silent
+NaNs.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -254,69 +258,103 @@ def _domain(cond, message):
         raise EvalDomainError(message)
 
 
-def _eval(node, state, control):
+# operations whose operands need no check, and the functions whose
+# argument does: (ufunc, test on the argument, message when any holds)
+_PLAIN = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+          "abs": np.abs, "sin": np.sin, "cos": np.cos, "exp": np.exp,
+          "min": np.minimum, "max": np.maximum}
+_GUARDED = {"ln": (np.log, np.less_equal, "ln of a non-positive value"),
+            "sqrt": (np.sqrt, np.less, "sqrt of a negative value")}
+
+
+def _compile(node):
+    """Walk the tree once; return run(state, control) computing its value.
+
+    The closures run the NumPy operations a tree walk would, in the same
+    order and with the same domain checks, so values are bitwise those of
+    walking the tree on every call.  They leave floating-point error
+    states to the caller (`evaluate` ignores them all).
+    """
     if isinstance(node, Num):
-        return node.value
+        value = node.value
+        return lambda s, c: value
     if isinstance(node, Var):
-        bank = state if node.kind == "x" else control
-        return bank[node.index]
+        index = node.index
+        if node.kind == "x":
+            return lambda s, c: s[index]
+        return lambda s, c: c[index]
     if isinstance(node, Neg):
-        return -_eval(node.operand, state, control)
-    if isinstance(node, BinOp):
-        a = _eval(node.left, state, control)
-        b = _eval(node.right, state, control)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if node.op == "/":
+        operand = _compile(node.operand)
+        return lambda s, c: -operand(s, c)
+    if isinstance(node, Call):
+        name, args = node.func, [_compile(arg) for arg in node.args]
+    elif isinstance(node, BinOp):
+        name, args = node.op, [_compile(node.left), _compile(node.right)]
+    else:
+        raise TypeError("not an expression node: %r" % (node,))
+    if name in _PLAIN:
+        op = _PLAIN[name]
+        if len(args) == 1:
+            (arg,) = args
+            return lambda s, c: op(arg(s, c))
+        left, right = args
+        return lambda s, c: op(left(s, c), right(s, c))
+    if name in _GUARDED:
+        (ufunc, bad, message), (arg,) = _GUARDED[name], args
+
+        def guarded(s, c):
+            value = arg(s, c)
+            _domain(bad(np.asarray(value), 0), message)
+            return ufunc(value)
+        return guarded
+    left, right = args
+    if name == "/":
+        def divide(s, c):
+            a, b = left(s, c), right(s, c)
             _domain(b == 0, "division by zero")
             return a / b
-        # power: fractional exponents demand nonnegative bases; a constant
-        # nonnegative integer exponent (x1^2) can violate neither rule
-        right = node.right
-        if not (isinstance(right, Num) and right.value >= 0
-                and float(right.value).is_integer()):
-            b_arr = np.asarray(b)
-            integral = b_arr == np.floor(b_arr)
-            _domain((np.asarray(a) < 0) & ~integral,
-                    "negative base with non-integer exponent")
-            _domain((np.asarray(a) == 0) & (b_arr < 0),
-                    "zero to a negative power")
+        return divide
+    # power: fractional exponents demand nonnegative bases; a constant
+    # nonnegative integer exponent (x1^2) can violate neither rule
+    exponent = node.right
+    if (isinstance(exponent, Num) and exponent.value >= 0
+            and float(exponent.value).is_integer()):
+        value = exponent.value
+        return lambda s, c: np.power(left(s, c), value)
+
+    def power(s, c):
+        a, b = left(s, c), right(s, c)
+        b_arr = np.asarray(b)
+        integral = b_arr == np.floor(b_arr)
+        _domain((np.asarray(a) < 0) & ~integral,
+                "negative base with non-integer exponent")
+        _domain((np.asarray(a) == 0) & (b_arr < 0),
+                "zero to a negative power")
         return np.power(a, b)
-    if isinstance(node, Call):
-        args = [_eval(arg, state, control) for arg in node.args]
-        if node.func == "ln":
-            _domain(np.asarray(args[0]) <= 0, "ln of a non-positive value")
-            return np.log(args[0])
-        if node.func == "sqrt":
-            _domain(np.asarray(args[0]) < 0, "sqrt of a negative value")
-            return np.sqrt(args[0])
-        if node.func == "abs":
-            return np.abs(args[0])
-        if node.func == "min":
-            return np.minimum(args[0], args[1])
-        if node.func == "max":
-            return np.maximum(args[0], args[1])
-        return getattr(np, node.func)(args[0])  # sin, cos, exp
-    raise TypeError("not an expression node: %r" % (node,))
+    return power
+
+
+def _finite(out):
+    """`out` as a float (0-d) or float array; EvalDomainError if it holds
+    a non-finite value, such as an overflow to inf."""
+    out = np.asarray(out, dtype=float)
+    if not np.isfinite(out).all():
+        raise EvalDomainError("expression evaluated to a non-finite value")
+    return float(out) if out.ndim == 0 else out
 
 
 def evaluate(expr, state=(), control=()):
     """Evaluate `expr`; state/control are sequences of floats or arrays.
 
     Broadcasting follows numpy; the result is a float for scalar inputs.
-    Overflow to inf is treated as a domain error, never returned.
+    Overflow to inf is treated as a domain error, never returned.  Each
+    call compiles `expr`; callers that evaluate one tree many times
+    compile it once with `_compile` (as `systems.load_system` does).
     """
+    run = _compile(expr)
     with np.errstate(all="ignore"):
-        out = _eval(expr, state, control)
-    if not np.all(np.isfinite(out)):
-        raise EvalDomainError("expression evaluated to a non-finite value")
-    if np.ndim(out) == 0:
-        return float(out)
-    return np.asarray(out, dtype=float)
+        out = run(state, control)
+    return _finite(out)
 
 
 def free_variables(expr):

@@ -131,6 +131,11 @@ def _tail_bound(system, norm):
     return np.where(reach <= u.r, tail, np.inf)
 
 
+def _full_segments(k, depth):
+    """Segment integrations of the full enumeration: k^1 + ... + k^depth."""
+    return sum(k ** s for s in range(1, depth + 1))
+
+
 def _enumerate(system, x, switch_dt, depth, rho, int_dt, budget, slots=3,
                keep=None):
     """Advance all |A_d|^depth schedules; returns (aug_states, entered).
@@ -145,15 +150,16 @@ def _enumerate(system, x, switch_dt, depth, rho, int_dt, budget, slots=3,
     test and leaves every flag False.  `keep(z)`, when given, sees the batch
     after every segment but the last and returns the mask of rows to carry
     on (the pruning of `maximal_cost`; the row encoding above then no longer
-    holds).  BudgetError when the full enumeration would exceed `budget`
-    segment integrations.
+    holds).  BudgetError when the full enumeration, which `keep` can only
+    shorten, would exceed `budget` segment integrations.
     """
     pts = system.control.points
     k = pts.shape[0]
-    if depth * k ** depth > budget:
-        raise BudgetError("enumerating %d controls to depth %d needs %d "
+    full = _full_segments(k, depth)
+    if full > budget:
+        raise BudgetError("enumerating %d controls to depth %d runs up to %d "
                           "segment integrations; budget is %d"
-                          % (k, depth, depth * k ** depth, budget))
+                          % (k, depth, full, budget))
     n = system.n_state
     z = np.concatenate([x, np.zeros(slots)])[None]
     entered = np.array([rho is not None and np.linalg.norm(x) <= rho])
@@ -271,8 +277,7 @@ def min_value(system, x, switch_dt=0.25, depth=8, rho=0.05, *,
     if not np.any(x):
         return ValueBounds(0.0, 0.0, horizon, depth, 0.0, False)
     z, entered = _enumerate(system, x, switch_dt, depth, rho, int_dt, budget)
-    k = system.control.points.shape[0]
-    segments = sum(k ** s for s in range(1, depth + 1))
+    segments = _full_segments(system.control.points.shape[0], depth)
     est = float(np.min(z[:, system.n_state]))
     tail = (math.inf if system.ules is None or system.growth is None
             else float(_tail_bound(system, rho)))

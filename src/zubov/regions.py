@@ -99,28 +99,29 @@ def contour2d(field, level):
     level = float(level)
     v = field.values
     ax0, ax1 = grid.axes
-    below = v < level
+    # every cell's case bitmask (SW, SE, NE, NW corners below the level),
+    # and for the saddle cells whether their corner average is below it
+    below = (v < level).astype(np.uint8)
+    cases = (below[:-1, :-1] | below[1:, :-1] << 1
+             | below[1:, 1:] << 2 | below[:-1, 1:] << 3)
+    si, sj = np.nonzero((cases == 5) | (cases == 10))
+    avg_below = np.zeros(cases.shape, dtype=bool)
+    avg_below[si, sj] = (v[si, sj] + v[si + 1, sj] + v[si, sj + 1]
+                         + v[si + 1, sj + 1]) / 4.0 < level
 
     segs = []
-    for i in range(v.shape[0] - 1):
-        for j in range(v.shape[1] - 1):
-            m = (int(below[i, j]) | int(below[i + 1, j]) << 1
-                 | int(below[i + 1, j + 1]) << 2 | int(below[i, j + 1]) << 3)
-            if m in (0, 15):
-                continue
-            if m in (5, 10):
-                avg_below = (v[i, j] + v[i + 1, j] + v[i, j + 1]
-                             + v[i + 1, j + 1]) / 4.0 < level
-                if m == 5:
-                    pairs = [("S", "E"), ("W", "N")] if avg_below \
-                        else [("S", "W"), ("E", "N")]
-                else:
-                    pairs = [("S", "W"), ("E", "N")] if avg_below \
-                        else [("S", "E"), ("N", "W")]
-            else:
-                pairs = _MS_TABLE[m]
-            for a, b in pairs:
-                segs.append((_edge_key(a, i, j), _edge_key(b, i, j)))
+    for i, j in np.argwhere((cases != 0) & (cases != 15)).tolist():
+        m = int(cases[i, j])
+        if m == 5:
+            pairs = [("S", "E"), ("W", "N")] if avg_below[i, j] \
+                else [("S", "W"), ("E", "N")]
+        elif m == 10:
+            pairs = [("S", "W"), ("E", "N")] if avg_below[i, j] \
+                else [("S", "E"), ("N", "W")]
+        else:
+            pairs = _MS_TABLE[m]
+        for a, b in pairs:
+            segs.append((_edge_key(a, i, j), _edge_key(b, i, j)))
 
     def vertex(key):
         kind, i, j = key

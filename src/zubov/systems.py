@@ -443,22 +443,39 @@ class SystemDef:
 
 # --- JSON config loading ----------------------------------------------------
 
-def _compile_component(source, n, m):
-    tree = ex.parse(source, n, m)
+def _compile_components(trees, n, m):
+    """fn(x, a) stacking the trees' values along a last axis, on the batch
+    shape of x (..., n) and a (..., m), constants included.
 
-    def fn(x, a, _tree=tree, _n=n, _m=m):
+    Each tree compiles once, here.  The trees evaluate in order under one
+    error state, each checked (`expressions._finite`) before the next runs.
+    """
+    runs = [ex._compile(tree) for tree in trees]
+
+    def fn(x, a):
         x = np.asarray(x, dtype=float)
         a = np.asarray(a, dtype=float)
-        state = tuple(x[..., i] for i in range(_n))
-        control = tuple(a[..., j] for j in range(_m))
-        out = np.asarray(ex.evaluate(_tree, state, control), dtype=float)
-        # constants must still come back batch-shaped
-        shape = np.broadcast_shapes(x.shape[:-1], a.shape[:-1])
-        if shape == ():
-            return float(out)
-        if out.shape != shape:
-            out = np.broadcast_to(out, shape)
+        state = tuple(x[..., i] for i in range(n))
+        control = tuple(a[..., j] for j in range(m))
+        shape = x.shape[:-1]
+        if a.shape[:-1] != shape:
+            shape = np.broadcast_shapes(shape, a.shape[:-1])
+        out = np.empty(shape + (len(runs),))
+        with np.errstate(all="ignore"):
+            for k, run in enumerate(runs):
+                out[..., k] = ex._finite(run(state, control))
         return out
+
+    return fn
+
+
+def _compile_component(tree, n, m):
+    """One tree as fn(x, a) of batch shape; a float for a single point."""
+    stacked = _compile_components([tree], n, m)
+
+    def fn(x, a):
+        out = stacked(x, a)[..., 0]
+        return float(out) if out.ndim == 0 else out
 
     return fn
 
@@ -516,27 +533,28 @@ def load_system(config):
         problems.append("'g' must be an expression string")
         g_src = "0.0"
 
-    def compiled(src, what):
+    def parsed(src, what):
         try:
-            return _compile_component(src, n, m)
+            return ex.parse(src, n, m)
         except ex.ParseError as err:
             problems.append("%s: %s" % (what, err))
-            return _compile_component("0.0", n, m)
+            return ex.Num(0.0)
 
-    f_fns = []
+    f_trees = []
     for i, src in enumerate(f_src):
         if not isinstance(src, str):
             problems.append("f[%d] must be a string" % i)
             src = "0.0"
-        f_fns.append(compiled(src, "f[%d]" % i))
+        f_trees.append(parsed(src, "f[%d]" % i))
+    f = _compile_components(f_trees, n, m)
 
-    def f(x, a, _fns=tuple(f_fns)):
-        parts = [np.asarray(c(x, a), dtype=float) for c in _fns]
-        return np.stack(parts, axis=-1)
+    def compiled(key):
+        if key not in config:
+            return None
+        return _compile_component(parsed(config[key], key), n, m)
 
-    g = compiled(g_src, "g")
-    ell = compiled(config["ell"], "ell") if "ell" in config else None
-    h = compiled(config["h"], "h") if "h" in config else None
+    g = _compile_component(parsed(g_src, "g"), n, m)
+    ell, h = compiled("ell"), compiled("h")
 
     ules = growth = None
     if "ules" in config:

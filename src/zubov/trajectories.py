@@ -221,35 +221,45 @@ def advance(system, z, a, duration, dt, live=None, watch=None):
     narrow one evaluates f and g only (module docstring).
 
     `a` is one control (m,) or one per row (B, m), frozen for the segment,
-    which runs in _substeps(duration, dt) equal RK4 sub-steps.  A row whose
+    which runs in _substeps(duration, dt) equal RK4 sub-steps.  While every
+    row is live, a sub-step advances the whole batch at once.  A row whose
     sub-step comes out non-finite, or whose evaluation raises
     EvalDomainError, retires: it stays at its last finite state, its `live`
     flag drops and the other rows carry on.  A group of rows that raises is
-    halved until the rows that raise stand alone.  Rows retired on entry
-    stay put.  `watch(z, live)` sees the batch after every sub-step and may
-    clear a row's flag to stop it there.  Returns (z, live).
+    halved until the rows that raise stand alone; once a row has retired,
+    sub-steps run on the live rows only.  Rows retired on entry stay put.
+    `watch(z, live)` sees the batch after every sub-step and may clear a
+    row's flag to stop it there.  Returns (z, live).
     """
     steps = _substeps(duration, dt)
     z = np.array(z, dtype=float)
     live = np.ones(len(z), bool) if live is None else np.array(live, bool)
-    a = np.broadcast_to(np.asarray(a, dtype=float), (len(z), system.control.m))
+    # a fresh C-contiguous copy, as a[rows] would be: NumPy's SIMD loops
+    # may round differently on strided or zero-stride inputs
+    a = np.array(np.broadcast_to(np.asarray(a, dtype=float),
+                                 (len(z), system.control.m)), order="C")
     for _ in range(steps):
         if not live.any():
             break
         groups = [np.flatnonzero(live)]
         while groups:
             rows = groups.pop()
+            whole = rows.size == len(z)
             try:
                 with np.errstate(all="ignore"):  # overflow: non-finite rows
-                    new = rk4_step(system, z[rows], a[rows], duration / steps)
+                    new = rk4_step(system, z if whole else z[rows],
+                                   a if whole else a[rows], duration / steps)
             except EvalDomainError:
                 if rows.size == 1:
                     live[rows] = False
                 else:
                     groups += np.array_split(rows, 2)
                 continue
-            ok = np.all(np.isfinite(new), axis=1)
-            z[rows[ok]], live[rows[~ok]] = new[ok], False
+            ok = np.isfinite(new).all(axis=1)
+            if whole and ok.all():
+                z = new
+            else:
+                z[rows[ok]], live[rows[~ok]] = new[ok], False
         if watch is not None:
             watch(z, live)
     return z, live

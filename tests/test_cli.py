@@ -290,7 +290,9 @@ class TestOracle:
         assert mid["truncated"] == "0"
         assert float(mid["lower"]) <= LIFT_CLOSED <= float(mid["upper"])
         # the origin runs none; pruning keeps the other under the full 9840
-        assert 0 < read_meta(tmp_path)["result"]["segment_integrations"] < 9840
+        result = read_meta(tmp_path)["result"]
+        assert 0 < result["segment_integrations"] < 9840
+        assert result["seconds"] >= 0.0  # the bracket loop's wall time
 
     def test_budget_refusal_exits_3(self, points_file, tmp_path):
         # 21^8 schedules is far past the default budget

@@ -194,6 +194,31 @@ def test_constant_integer_power_is_np_power():
         ev("x1^-1", (0.0,))
 
 
+def test_arrays_match_handwritten_numpy_bitwise():
+    # the benchmark's lift2d-json f and g, against the same NumPy calls
+    # written out, on contiguous, strided and zero-stride (broadcast) inputs
+    rng = np.random.default_rng(11)
+    z = rng.uniform(-1.2, 1.2, size=(257, 3))
+    x1, x2 = z[:, 0], z[:, 1]  # strided columns, as advance passes them
+    controls = {"contiguous": rng.choice([-1.0, 0.0, 1.0], size=257),
+                "broadcast": np.broadcast_to(1.0, (257,))}
+    f1, f2 = parse("-x1 + a1*x1^2", 2, 1), parse("-x2 + a1*x2^2", 2, 1)
+    g = parse("x1^2 + x2^2", 2, 1)
+    for a1 in controls.values():
+        state, control = (x1, x2), (a1,)
+        assert evaluate(f1, state, control).tobytes() == (
+            -x1 + a1 * np.power(x1, 2.0)).tobytes()
+        assert evaluate(f2, state, control).tobytes() == (
+            -x2 + a1 * np.power(x2, 2.0)).tobytes()
+        assert evaluate(g, state, control).tobytes() == (
+            np.power(x1, 2.0) + np.power(x2, 2.0)).tobytes()
+    # and through a unary ufunc, where NumPy's SIMD loops do the rounding
+    e = parse("exp(a1)*sin(x1)", 1, 1)
+    for a1 in controls.values():
+        assert evaluate(e, (x1,), (a1,)).tobytes() == (
+            np.exp(a1) * np.sin(x1)).tobytes()
+
+
 # --- free variables ---------------------------------------------------------
 
 def test_free_variables():

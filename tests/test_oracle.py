@@ -275,6 +275,15 @@ class TestMaximalCost:
         with pytest.raises(BudgetError, match="budget"):
             maximal_cost(builtin("lift2d"), [0.5, 0.5], 0.25, 8)
 
+    def test_budget_charges_the_full_enumeration(self):
+        # 3 + 9 + ... + 3^8 = 9840 segment integrations, what min_value
+        # reports as `segments`; pruning only runs fewer
+        lift = builtin("lift2d", controls=3)
+        vb = maximal_cost(lift, [0.5, 0.5], 0.25, 8, budget=9840)
+        assert vb.segments <= 9840
+        with pytest.raises(BudgetError, match="up to 9840 segment"):
+            maximal_cost(lift, [0.5, 0.5], 0.25, 8, budget=9839)
+
     def test_mode_and_constants_required(self):
         with pytest.raises(ConfigError, match="maximize"):
             maximal_cost(builtin("fuller"), [0.1, 0.0])

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
+from zubov.expressions import EvalDomainError
 from zubov.solver import SolverSettings, interpolate, solve_zubov
 from zubov.systems import (
     ConfigError,
@@ -274,6 +275,38 @@ class TestLoadSystem:
         sys = load_system(_config(n=2, f=["-x1", "0.0"], g="x1^2 + x2^2"))
         out = sys.f(np.zeros((4, 2)), np.zeros((4, 1)))
         assert out.shape == (4, 2)
+        constant = load_system(_config(g="0.0"))
+        assert constant.g(np.zeros((4, 1)), np.zeros(1)).shape == (4,)
+        assert isinstance(constant.g(np.zeros(1), np.zeros(1)), float)
+
+    def test_trees_compile_once_per_load(self, monkeypatch):
+        from zubov import expressions
+
+        calls = []
+        compile_tree = expressions._compile
+        monkeypatch.setattr(expressions, "_compile",
+                            lambda node: calls.append(node)
+                            or compile_tree(node))
+        sys = load_system(_config(n=2, f=["-x1 + a1*x1^2", "-x2 + a1*x2^2"],
+                                  g="x1^2 + x2^2",
+                                  control={"points": [[-1.0], [1.0]]}))
+        loaded = len(calls)
+        assert loaded > 0
+        x, a = np.full((50, 2), 0.25), np.ones((50, 1))
+        for _ in range(100):
+            sys.f(x, a)
+            sys.g(x, a)
+        assert len(calls) == loaded
+
+    def test_components_raise_in_order(self):
+        sys = load_system(_config(n=2, f=["-x1 + 0*ln(x1 + 1)",
+                                         "-x2 + 0/(x2 + 1)"],
+                                  g="x1^2 + x2^2"))
+        a = np.zeros(1)
+        with pytest.raises(EvalDomainError, match="ln"):
+            sys.f(np.array([-1.0, -1.0]), a)  # both fail; f[0] reports
+        with pytest.raises(EvalDomainError, match="division"):
+            sys.f(np.array([[0.5, 0.5], [0.5, -1.0]]), a)
 
     def test_missing_dimension(self):
         with pytest.raises(ConfigError):

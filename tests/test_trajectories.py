@@ -215,6 +215,10 @@ JSON_LIFT2D = {
     "f": ["-x1 + a1*x1^2", "-x2 + a1*x2^2"], "g": "x1^2 + x2^2",
     "control": {"box": {"lo": [-1.0], "hi": [1.0], "counts": [3]}}}
 
+JSON_EXP_SIN = {
+    "name": "exp-sin", "n": 1, "f": ["x1^2*exp(a1) - sin(x1)"], "g": "x1^2",
+    "control": {"box": {"lo": [-1.0], "hi": [1.0], "counts": [3]}}}
+
 # (system, starts, rows that escape); an escaping row runs the last control
 BATCH_CASES = {
     "lift2d": (lambda: builtin("lift2d", controls=3),
@@ -227,6 +231,11 @@ BATCH_CASES = {
                     [[0.5, 0.5], [-0.9, 0.3], [1.5, 1.5], [1.1, -0.2]], [2]),
     # from 5 the state reaches inf at t = 0.2 with no expression to say so
     "blow-up": (blow_up_1d, [[0.1], [5.0], [-0.5]], [1]),
+    # exp and sin through compiled expressions: from 2 the state escapes
+    # after 11 whole-batch sub-steps of the first segment, from 0.9 in the
+    # second segment, once the batch already runs on its live rows only
+    "exp-sin-json": (lambda: load_system(JSON_EXP_SIN),
+                     [[0.5], [2.0], [-0.4], [0.9], [0.1]], [1, 3]),
 }
 
 

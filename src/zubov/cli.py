@@ -38,6 +38,7 @@ from .systems import (
     ConfigError,
     Grid,
     ValidationError,
+    _is_whole,
     builtin,
     closed_form_value,
     load_field,
@@ -58,7 +59,7 @@ _CHECKS = ("invariants", "fixed_point", "residual", "decrease", "blowup")
 
 # removed options -> the one value every metadata.json recorded for them,
 # which a replay drops
-_REMOVED = {"rk4_feet": True, "exterior": None}
+_REMOVED = {"rk4_feet": True, "exterior": None, "report_json": None}
 
 # every run option: key -> (default, kind, flag help or None for a
 # config-only key).  The flag is --key with dashes for underscores, and
@@ -84,14 +85,13 @@ _OPTIONS = {
     "out": (".", "dir", "output directory"),
     "epsilon": (0.01, "real", "doa level gap / synthesis tolerance"),
     "checks": (list(_CHECKS), "checks", None),
-    "report_json": (None, "path", "also write the verify report as JSON"),
 }
 
 _WANTS = {"int": "an integer", "real": "a finite number",
-          "name": "a string", "dir": "a string", "path": "a string",
+          "name": "a string", "dir": "a string",
           "checks": "check names from " + ", ".join(_CHECKS)}
 _METAVARS = {"ints": "K[,K...]", "reals": "LO,HI[,...]", "name": "NAME",
-             "dir": "DIR", "path": "PATH"}
+             "dir": "DIR"}
 
 # (box half-width, nodes per axis) by builtin; inline systems give theirs
 _BUILTIN_GRID = {"lift2d": (1.2, 201), "lift2d-psi-sqrt": (1.2, 201),
@@ -138,18 +138,17 @@ def _coerce(value, kind, what):
                 break
             except ValueError:
                 pass
-    if kind in ("name", "dir", "path") and isinstance(value, str):
+    if kind in ("name", "dir") and isinstance(value, str):
         return value
     if kind == "checks" and isinstance(value, list) and value \
             and all(isinstance(v, str) and v in _CHECKS for v in value):
         return list(value)
-    if not isinstance(value, bool):
-        if kind == "int" and (isinstance(value, int) or isinstance(
-                value, float) and value.is_integer()):
-            return int(value)
-        if kind == "real" and isinstance(value, (int, float)) \
-                and abs(value) <= sys.float_info.max:  # NaN fails it too
-            return float(value)
+    if kind == "int" and _is_whole(value):
+        return int(value)
+    if kind == "real" and not isinstance(value, bool) \
+            and isinstance(value, (int, float)) \
+            and abs(value) <= sys.float_info.max:  # NaN fails it too
+        return float(value)
     raise ConfigError("%s wants %s, got %r" % (what, _WANTS[kind], value))
 
 
@@ -162,9 +161,8 @@ def _load_config(path):
         doc = doc["config"]  # a metadata.json from an earlier run
     for key, recorded in _REMOVED.items():
         if doc.pop(key, recorded) is not recorded:
-            raise ConfigError("config key %r was removed: the solver runs "
-                              "RK4 feet with exterior value 1 (solve) or 0 "
-                              "(hjbe); drop the key" % key)
+            raise ConfigError("config key %r was removed and takes only "
+                              "%s; drop the key" % (key, json.dumps(recorded)))
     unknown = sorted(set(doc) - set(_OPTIONS))
     if unknown:
         raise ConfigError("unknown config keys: %s" % ", ".join(unknown))
@@ -273,7 +271,11 @@ def _run_solver(cfg, raw):
     system = _make_system(cfg)
     grid = _make_grid(cfg, system)
     started = time.perf_counter()
-    field = (solve_hjbe if raw else solve_zubov)(system, grid, _settings(cfg))
+    with warnings.catch_warnings():
+        # the stderr line below says the solver stopped on max_iters
+        warnings.filterwarnings("ignore", "value iteration")
+        field = (solve_hjbe if raw else solve_zubov)(system, grid,
+                                                     _settings(cfg))
     elapsed = time.perf_counter() - started
     meta = field.metadata
     os.makedirs(cfg["out"], exist_ok=True)
@@ -320,9 +322,11 @@ def _read_points(path, n):
                 continue
             try:
                 vals = [float(tok) for tok in line.split(",")]
+                if not all(map(math.isfinite, vals)):
+                    raise ValueError
             except ValueError:
-                raise ConfigError("points file line %d is not comma-"
-                                  "separated reals: %r" % (lineno, line))
+                raise ConfigError("points file line %d is not comma-separated "
+                                  "finite reals: %r" % (lineno, line))
             if len(vals) != n:
                 raise ConfigError("points file line %d has %d coordinates, "
                                   "system wants %d" % (lineno, len(vals), n))
@@ -437,10 +441,6 @@ def _cmd_verify(cfg, args):
                           "witnesses": [_jsonable(w) for w in r.witnesses]}
                          for r in reports]}
     _write_metadata(cfg, "verify", result)
-    if cfg["report_json"]:
-        with open(cfg["report_json"], "w", encoding="utf-8") as fh:
-            json.dump(_jsonable(result), fh, indent=2, sort_keys=True)
-            fh.write("\n")
     return 0 if passed else 4
 
 

@@ -357,23 +357,6 @@ def evaluate(expr, state=(), control=()):
     return _finite(out)
 
 
-def free_variables(expr):
-    """Return ({state indices}, {control indices}), zero-based."""
-    xs, as_ = set(), set()
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Var):
-            (xs if node.kind == "x" else as_).add(node.index)
-        elif isinstance(node, Neg):
-            stack.append(node.operand)
-        elif isinstance(node, BinOp):
-            stack.extend((node.left, node.right))
-        elif isinstance(node, Call):
-            stack.extend(node.args)
-    return xs, as_
-
-
 # --- printing --------------------------------------------------------------
 
 # binding strength used to decide where parentheses are needed

@@ -455,12 +455,11 @@ def inverse_transform(field, cap):
     return ValueField(field.grid, w, "raw", meta)
 
 
-def interpolate(field, x, exterior=None):
+def interpolate(field, x):
     """Multilinear interpolation of the field; exterior points get the
     field's exterior value (metadata, else 1 for Kružkov / 0 for raw)."""
-    if exterior is None:
-        exterior = field.metadata.get(
-            "exterior_value", 1.0 if field.transform == "kruzhkov" else 0.0)
+    exterior = field.metadata.get(
+        "exterior_value", 1.0 if field.transform == "kruzhkov" else 0.0)
     pts = np.atleast_2d(np.asarray(x, dtype=float))
     if pts.shape[-1] != field.grid.n_axes:
         raise ConfigError("point dimension %d, grid wants %d"

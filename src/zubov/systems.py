@@ -480,6 +480,13 @@ def _compile_component(tree, n, m):
     return fn
 
 
+def _is_whole(value):
+    """A JSON integer: an int or an integral float, never a bool."""
+    return not isinstance(value, bool) and (
+        isinstance(value, int)
+        or isinstance(value, float) and value.is_integer())
+
+
 def _control_from_config(doc, problems):
     if doc is None:
         return ControlSpace.none()
@@ -499,7 +506,13 @@ def _control_from_config(doc, problems):
     if "box" in doc:
         box = doc["box"]
         try:
-            return ControlSpace.from_box(box["lo"], box["hi"], box["counts"])
+            counts = box["counts"]
+            if not all(map(_is_whole, counts if isinstance(counts, list)
+                           else [counts])):
+                problems.append("control.box.counts must be whole numbers, "
+                                "got %r" % (counts,))
+                return ControlSpace.none()
+            return ControlSpace.from_box(box["lo"], box["hi"], counts)
         except (KeyError, TypeError) as err:
             problems.append("control.box needs lo/hi/counts (%s)" % err)
         except ConfigError as err:
@@ -519,7 +532,7 @@ def load_system(config):
         raise ConfigError("system config must be a JSON object")
     problems = []
     n = config.get("n")
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ConfigError("system config needs a positive integer 'n'")
     control = _control_from_config(config.get("control"), problems)
     m = control.m
@@ -556,19 +569,21 @@ def load_system(config):
     g = _compile_component(parsed(g_src, "g"), n, m)
     ell, h = compiled("ell"), compiled("h")
 
-    ules = growth = None
-    if "ules" in config:
+    blocks = {}
+    for key, cls, names in (("ules", Ules, ("C", "sigma", "r")),
+                            ("growth", Growth, ("C_tilde", "lambda"))):
+        if key not in config:
+            continue
         try:
-            ules = Ules(config["ules"]["C"], config["ules"]["sigma"],
-                        config["ules"]["r"])
+            values = [config[key][name] for name in names]
+            for name, value in zip(names, values):
+                if isinstance(value, bool):
+                    raise ConfigError("%s must be a number, got %r"
+                                      % (name, value))
+            blocks[key] = cls(*values)
         except (KeyError, TypeError, ConfigError) as err:
-            problems.append("ules block: %s" % err)
-    if "growth" in config:
-        try:
-            growth = Growth(config["growth"]["C_tilde"],
-                            config["growth"]["lambda"])
-        except (KeyError, TypeError, ConfigError) as err:
-            problems.append("growth block: %s" % err)
+            problems.append("%s block: %s" % (key, err))
+    ules, growth = blocks.get("ules"), blocks.get("growth")
 
     mode = config.get("mode", "maximize")
     guard = config.get("guard")

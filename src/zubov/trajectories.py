@@ -27,7 +27,7 @@ import math
 import numpy as np
 
 from .expressions import EvalDomainError
-from .systems import ConfigError, _write_csv
+from .systems import ConfigError
 
 
 class TrajectoryError(RuntimeError):
@@ -60,15 +60,6 @@ class ControlSchedule:
     def total_duration(self):
         return sum(d for d, _ in self.segments)
 
-    def control_at(self, t):
-        """Control in effect at time t (the last segment clamps)."""
-        acc = 0.0
-        for duration, control in self.segments:
-            acc += duration
-            if t < acc:
-                return control
-        return self.segments[-1][1]
-
 
 class RelaxedSchedule:
     """Piecewise-constant relaxed control over a finite control list.
@@ -94,10 +85,6 @@ class RelaxedSchedule:
         if not segs:
             raise ConfigError("schedule needs at least one segment")
         self.segments = segs
-
-    @property
-    def total_duration(self):
-        return sum(d for d, _ in self.segments)
 
 
 def chatter(relaxed, period):
@@ -135,7 +122,7 @@ class TrajectoryRecord:
     """Sampled trajectory with running costs.
 
     times (T,), states (T, N), running_cost (T,) = J, running_g_integral
-    (T,), running_h_integral (T,); `discount` is exp(-∫g) per sample.
+    (T,) = ∫g, running_h_integral (T,) = ∫h.
     """
 
     def __init__(self, times, states, running_cost, running_g_integral,
@@ -150,10 +137,6 @@ class TrajectoryRecord:
             raise TrajectoryError("sample times must increase strictly")
         if np.any(np.diff(self.running_g_integral) < -1e-12):
             raise TrajectoryError("the g-integral must be nondecreasing")
-
-    @property
-    def discount(self):
-        return np.exp(-self.running_g_integral)
 
     @property
     def total_duration(self):
@@ -312,31 +295,3 @@ def integrate(system, x0, schedule, dt, box=None):
     rows = np.array(rows)
     return TrajectoryRecord(times, rows[:, :n], rows[:, n], rows[:, n + 1],
                             rows[:, n + 2], exit_flag)
-
-
-def discount_factor(record, t):
-    """exp(-∫_0^t g); the g-integral interpolates linearly between samples."""
-    if t < 0.0 or t > record.times[-1] + 1e-12:
-        raise ConfigError("t=%.6g beyond the recorded duration %.6g"
-                          % (t, record.times[-1]))
-    q = np.interp(t, record.times, record.running_g_integral)
-    return float(np.exp(-q))
-
-
-def time_to_ball(record, rho):
-    """First sample time with ||state|| <= rho, or None if never reached."""
-    if not rho > 0.0:
-        raise ConfigError("rho must be positive")
-    norms = np.linalg.norm(record.states, axis=1)
-    inside = np.flatnonzero(norms <= rho)
-    if inside.size == 0:
-        return None
-    return float(record.times[inside[0]])
-
-
-def save_trajectory(record, path):
-    """CSV export: columns t, x1..xN, J, G."""
-    n = record.states.shape[1]
-    _write_csv(path, ["t"] + ["x%d" % (i + 1) for i in range(n)] + ["J", "G"],
-               [record.times, *record.states.T, record.running_cost,
-                record.discount], ["%.17g"] * (n + 3))

@@ -213,7 +213,7 @@ def dpp_defect(system, field, x, t, switch_dt, *, int_dt=0.01,
     depth = int(round(t / switch_dt))
     if depth < 1 or abs(depth * switch_dt - t) > 1e-9:
         raise ConfigError("t must be a positive multiple of switch_dt")
-    z, _ = _enumerate(system, x, switch_dt, depth, 0.0, int_dt, budget,
+    z, _ = _enumerate(system, x, switch_dt, depth, None, int_dt, budget,
                       slots=1)
     disc = np.exp(-z[:, system.n_state])
     cont = (1.0 - disc) + disc * interpolate(field, z[:, :system.n_state])

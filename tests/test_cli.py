@@ -45,12 +45,23 @@ class TestSolve:
         for key in ("python", "numpy", "scipy", "zubov"):
             assert key in meta["versions"]
 
-    @pytest.mark.filterwarnings("ignore:value iteration")
     def test_non_convergence_exits_2(self, tmp_path):
         rc = main(["solve", "--builtin", "lift2d", "--nodes", "41",
                    "--max-iters", "3", "--out", str(tmp_path)])
         assert rc == 2
         assert read_meta(tmp_path)["result"]["converged"] is False
+
+    def test_non_convergence_prints_no_python_warning(self, tmp_path, capfd):
+        # the CLI's own stderr line reports max_iters; the library's
+        # UserWarning, with its source line, stays out of the terminal
+        rc = subprocess.run(
+            [sys.executable, "-m", "zubov.cli", "solve", "--builtin",
+             "lift2d", "--nodes", "41", "--max-iters", "3",
+             "--out", str(tmp_path)]).returncode
+        assert rc == 2
+        err = capfd.readouterr().err
+        assert "UserWarning" not in err
+        assert err == "solver stopped on max_iters=3 without converging\n"
 
     def test_operator_trace_goes_under_result(self, run_dir):
         meta = read_meta(run_dir)
@@ -154,8 +165,9 @@ class TestSolve:
         assert "config error" in err and key in err and "--" not in err
 
     def test_pre_removal_metadata_replays(self, tmp_path, capsys):
-        # the config a metadata.json recorded before the feet mode and the
-        # exterior value were removed: its two retired values are dropped
+        # the config a metadata.json recorded before the feet mode, the
+        # exterior value and the report copy were removed: its three
+        # retired values are dropped
         old = {"box": None, "budget": 2000000, "builtin": "lift2d",
                "checks": ["invariants", "fixed_point", "residual",
                           "decrease", "blowup"], "controls": None,
@@ -173,8 +185,10 @@ class TestSolve:
                      "--out", str(replay)]) == 0
         assert ((replay / "field.csv").read_bytes()
                 == (fresh / "field.csv").read_bytes())
-        assert not {"rk4_feet", "exterior"} & set(read_meta(replay)["config"])
-        for key, value in (("rk4_feet", False), ("exterior", 0.3)):
+        assert not {"rk4_feet", "exterior", "report_json"} \
+            & set(read_meta(replay)["config"])
+        for key, value in (("rk4_feet", False), ("exterior", 0.3),
+                           ("report_json", "r.json")):
             cfg.write_text(json.dumps({"command": "solve",
                                        "config": dict(old, **{key: value})}))
             capsys.readouterr()
@@ -338,6 +352,17 @@ class TestOracle:
         assert main(["oracle", "--builtin", "lift2d",
                      "--out", str(tmp_path), str(pts)]) == 1
 
+    @pytest.mark.parametrize("token", ["nan", "-inf"])
+    def test_non_finite_point_exits_1_naming_the_line(self, tmp_path, capsys,
+                                                      token):
+        pts = tmp_path / "pts.csv"
+        pts.write_text("0.5,0.5\n%s,0.5\n" % token)
+        assert main(["oracle", "--builtin", "lift2d",
+                     "--out", str(tmp_path), str(pts)]) == 1
+        err = capsys.readouterr().err
+        assert "points file line 2" in err and "finite" in err
+        assert "segment" not in err
+
     def test_wrong_arity_exits_1(self, tmp_path):
         pts = tmp_path / "pts.csv"
         pts.write_text("0.5,0.5,0.5\n")
@@ -353,12 +378,10 @@ class TestOracle:
 
 class TestVerify:
     def test_clean_field_passes(self, run_dir, tmp_path):
-        report = tmp_path / "report.json"
         rc = main(["verify", "--builtin", "lift2d", "--nodes", "101",
-                   "--report-json", str(report), "--out", str(tmp_path),
-                   str(run_dir / "field.csv")])
+                   "--out", str(tmp_path), str(run_dir / "field.csv")])
         assert rc == 0
-        doc = json.loads(report.read_text())
+        doc = read_meta(tmp_path)["result"]
         assert doc["passed"] is True
         names = [c["name"] for c in doc["checks"]]
         assert names == ["invariants", "fixed_point", "residual_stats",
@@ -375,12 +398,10 @@ class TestVerify:
         # keep the run record so the re-sweep uses the producing dt
         (bad_dir / "metadata.json").write_bytes(
             (run_dir / "metadata.json").read_bytes())
-        report = tmp_path / "report.json"
         rc = main(["verify", "--builtin", "lift2d", "--nodes", "101",
-                   "--report-json", str(report), "--out", str(tmp_path),
-                   str(bad_dir / "field.csv")])
+                   "--out", str(tmp_path), str(bad_dir / "field.csv")])
         assert rc == 4
-        doc = json.loads(report.read_text())
+        doc = read_meta(tmp_path)["result"]
         fixed = {c["name"]: c for c in doc["checks"]}["fixed_point"]
         assert not fixed["passed"]
         assert fixed["witnesses"][0]["node"] == [70, 30]
@@ -420,12 +441,11 @@ class TestVerify:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(
             {"checks": ["invariants", "fixed_point"]}))
-        report = tmp_path / "report.json"
         rc = main(["verify", "--config", str(cfg), "--builtin", "lift2d",
-                   "--nodes", "101", "--report-json", str(report),
-                   "--out", str(tmp_path), str(run_dir / "field.csv")])
+                   "--nodes", "101", "--out", str(tmp_path),
+                   str(run_dir / "field.csv")])
         assert rc == 0
-        doc = json.loads(report.read_text())
+        doc = read_meta(tmp_path)["result"]
         assert [c["name"] for c in doc["checks"]] == ["invariants",
                                                       "fixed_point"]
 
@@ -464,14 +484,12 @@ class TestRunRecord:
         bare = tmp_path / "bare"
         bare.mkdir()
         (bare / "field.csv").write_bytes((run_dir / "field.csv").read_bytes())
-        report = tmp_path / "report.json"
         # no --dt: only the field's record says the solve's dt 0.1
         rc = main(["verify", "--config", self.fixed_point_only(tmp_path),
-                   "--builtin", "lift2d", "--nodes", "101",
-                   "--report-json", str(report), "--out",
+                   "--builtin", "lift2d", "--nodes", "101", "--out",
                    str(tmp_path / "check"), str(bare / "field.csv")])
         assert rc == 0
-        fixed = json.loads(report.read_text())["checks"][0]
+        fixed = read_meta(tmp_path / "check")["result"]["checks"][0]
         assert fixed["passed"] and fixed["stats"]["dt"] == 0.1
 
     @pytest.mark.parametrize("token", ["rk4_feet=0", "exterior_value=0.3"])

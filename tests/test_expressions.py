@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from zubov.expressions import (
     BinOp, Call, EvalDomainError, Neg, Num, ParseError, Var,
-    evaluate, free_variables, parse, to_source,
+    evaluate, parse, to_source,
 )
 
 
@@ -217,16 +217,6 @@ def test_arrays_match_handwritten_numpy_bitwise():
     for a1 in controls.values():
         assert evaluate(e, (x1,), (a1,)).tobytes() == (
             np.exp(a1) * np.sin(x1)).tobytes()
-
-
-# --- free variables ---------------------------------------------------------
-
-def test_free_variables():
-    tree = parse("x1*a2 + sin(x3) - 4", 3, 2)
-    xs, as_ = free_variables(tree)
-    assert xs == {0, 2}
-    assert as_ == {1}
-    assert free_variables(parse("1 + 2", 0, 0)) == (set(), set())
 
 
 # --- printing round trip ----------------------------------------------------

@@ -647,7 +647,11 @@ class TestInterpolate:
     def test_exterior(self):
         f = self.field()
         assert interpolate(f, [2.0]) == 1.0  # kruzhkov default
-        assert interpolate(f, [2.0], exterior=0.25) == 0.25
+        raw = ValueField(f.grid, f.values, "raw")
+        assert interpolate(raw, [2.0]) == 0.0  # raw default
+        recorded = ValueField(f.grid, f.values, "kruzhkov",
+                              {"exterior_value": 0.25})
+        assert interpolate(recorded, [2.0]) == 0.25
 
     def test_batch_and_2d(self, lift2d_field):
         pts = np.array([[0.0, 0.0], [5.0, 5.0]])

@@ -312,6 +312,25 @@ class TestLoadSystem:
         with pytest.raises(ConfigError):
             load_system({"f": ["-x1"], "g": "x1^2"})
 
+    def test_boolean_dimension_rejected(self):
+        with pytest.raises(ConfigError, match="'n'"):
+            load_system(_config(n=True))
+
+    def test_fractional_control_count_rejected(self):
+        box = {"lo": [-1.0], "hi": [1.0], "counts": [2.7]}
+        with pytest.raises(ValidationError) as err:
+            load_system(_config(control={"box": box}))
+        assert any("counts" in p and "2.7" in p for p in err.value.problems)
+
+    def test_boolean_envelope_constants_rejected(self):
+        with pytest.raises(ValidationError) as err:
+            load_system(_config(ules={"C": True, "sigma": 1.0, "r": 0.5},
+                                growth={"C_tilde": 1.0, "lambda": False}))
+        probs = err.value.problems
+        assert any(p.startswith("ules") and "C must" in p for p in probs)
+        assert any(p.startswith("growth") and "lambda must" in p
+                   for p in probs)
+
     def test_control_variable_needs_control_space(self):
         with pytest.raises(ValidationError) as err:
             load_system(_config(control=None, f=["-x1 + a1"]))

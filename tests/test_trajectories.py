@@ -13,11 +13,8 @@ from zubov.trajectories import (
     TrajectoryRecord,
     advance,
     chatter,
-    discount_factor,
     integrate,
     rk4_step,
-    save_trajectory,
-    time_to_ball,
 )
 
 NO_CONTROL = np.zeros(0)
@@ -40,12 +37,9 @@ class TestSchedules:
         with pytest.raises(ConfigError):
             ControlSchedule([(1.0, [1.0]), (1.0, [1.0, 2.0])])
 
-    def test_control_at_walks_segments(self):
+    def test_total_duration_sums_segments(self):
         sched = ControlSchedule([(1.0, [-1.0]), (0.5, [1.0])])
         assert sched.total_duration == pytest.approx(1.5)
-        assert sched.control_at(0.3)[0] == -1.0
-        assert sched.control_at(1.2)[0] == 1.0
-        assert sched.control_at(7.0)[0] == 1.0  # clamps
 
     def test_relaxed_weights_validated(self):
         ctl = [[-1.0], [1.0]]
@@ -73,7 +67,7 @@ class TestIntegrate:
         rec = integrate(sys, [0.0, 0.0], sched, 0.05)
         assert np.all(rec.states == 0.0)
         assert np.all(rec.running_cost == 0.0)
-        assert np.all(rec.discount == 1.0)
+        assert np.all(rec.running_g_integral == 0.0)
 
     def test_arctan_cost_converges_to_quarter_pi(self):
         sys = builtin("arctan1d")
@@ -102,7 +96,6 @@ class TestIntegrate:
         rec = integrate(sys, [0.6, -0.4], sched, 0.05)
         assert np.all(np.diff(rec.times) > 0.0)
         assert np.all(np.diff(rec.running_g_integral) >= 0.0)
-        assert np.all(np.diff(rec.discount) <= 1e-15)
 
     def test_control_outside_box_rejected(self):
         sys = builtin("lift2d")
@@ -331,60 +324,6 @@ def test_advance_leaves_retired_rows_and_watches_every_substep():
     assert not np.array_equal(out[0], z[0])
 
 
-# --- discounting -------------------------------------------------------------
-
-class TestDiscountFactor:
-    def test_at_zero(self):
-        rec = constant_run(builtin("arctan1d"), [1.0], NO_CONTROL, 1.0, 0.1)
-        assert discount_factor(rec, 0.0) == 1.0
-
-    def test_zero_cost_trajectory(self):
-        sys = builtin("ex1")
-        rec = constant_run(sys, [1.0], [1.0], 5.0, 0.05)
-        # f(1,1) = 0 and sin(pi) = 0: stationary with (numerically) no cost
-        assert discount_factor(rec, 5.0) == pytest.approx(1.0, abs=1e-9)
-
-    def test_lift2d_closed_form_decay(self):
-        rec = constant_run(builtin("lift2d"), [0.5, 0.5], [0.0], 1.0, 0.01)
-        expect = math.exp(-0.25 * (1.0 - math.exp(-2.0)))
-        assert discount_factor(rec, 1.0) == pytest.approx(expect, abs=1e-6)
-
-    def test_interpolates_between_samples(self):
-        rec = constant_run(builtin("arctan1d"), [1.0], NO_CONTROL, 1.0, 0.25)
-        mid = discount_factor(rec, 0.3)
-        lo = discount_factor(rec, 0.25)
-        hi = discount_factor(rec, 0.5)
-        assert hi < mid < lo
-
-    def test_beyond_duration(self):
-        rec = constant_run(builtin("arctan1d"), [1.0], NO_CONTROL, 1.0, 0.1)
-        with pytest.raises(ConfigError):
-            discount_factor(rec, 1.5)
-
-
-# --- ball entry --------------------------------------------------------------
-
-class TestTimeToBall:
-    def test_already_inside(self):
-        rec = constant_run(builtin("arctan1d"), [0.01], NO_CONTROL, 1.0, 0.1)
-        assert time_to_ball(rec, 0.05) == 0.0
-
-    def test_linear_decay_entry_time(self):
-        rec = constant_run(builtin("arctan1d"), [1.0], NO_CONTROL, 3.0, 0.05)
-        hit = time_to_ball(rec, math.exp(-1.0))
-        assert hit is not None
-        assert abs(hit - 1.0) <= 0.05 + 1e-12
-
-    def test_stationary_off_origin_never_enters(self):
-        rec = constant_run(builtin("ex1"), [1.0], [1.0], 10.0, 0.1)
-        assert time_to_ball(rec, 0.5) is None
-
-    def test_rho_must_be_positive(self):
-        rec = constant_run(builtin("arctan1d"), [1.0], NO_CONTROL, 1.0, 0.1)
-        with pytest.raises(ConfigError):
-            time_to_ball(rec, 0.0)
-
-
 # --- chattering --------------------------------------------------------------
 
 class TestChatter:
@@ -430,18 +369,6 @@ class TestChatter:
 # --- record export -----------------------------------------------------------
 
 class TestRecordExport:
-    def test_csv_columns_and_roundtrip(self, tmp_path):
-        rec = constant_run(builtin("lift2d"), [0.5, -0.25], [1.0], 0.5, 0.1)
-        path = tmp_path / "traj.csv"
-        save_trajectory(rec, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "t,x1,x2,J,G"
-        assert len(lines) == 1 + rec.times.size
-        last = [float(v) for v in lines[-1].split(",")]
-        assert last[0] == rec.times[-1]
-        assert last[3] == rec.total_cost
-        assert last[4] == rec.discount[-1]
-
     def test_record_rejects_bad_monotonicity(self):
         with pytest.raises(TrajectoryError):
             TrajectoryRecord([0.0, 0.0], np.zeros((2, 1)), [0.0, 0.0],

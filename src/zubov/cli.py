@@ -25,6 +25,7 @@ import scipy
 from . import __version__
 from .expressions import ExprError
 from .oracle import (
+    _DEFAULT_BUDGET,
     BudgetError,
     SynthesisError,
     maximal_cost,
@@ -78,7 +79,7 @@ _OPTIONS = {
     "switch_dt": (0.25, "real", "oracle/synthesis switching interval"),
     "depth": (8, "int", "oracle enumeration depth"),
     "rho": (0.05, "real", "oracle tail-certificate radius"),
-    "budget": (2_000_000, "int", None),
+    "budget": (_DEFAULT_BUDGET, "int", None),
     "seed": (0, "int", "sampling seed for verify"),
     "threads": (0, "int", "accepted for old configs and ignored: every "
                           "solve runs on the calling thread"),
@@ -405,8 +406,8 @@ def _cmd_verify(cfg, args):
         elif name == "residual":
             reports.append(residual_stats(system, field))
         elif name == "decrease":
-            reports.append(check_lyapunov_decrease(
-                system, field, samples=200, seed=cfg["seed"]))
+            reports.append(check_lyapunov_decrease(system, field,
+                                                   seed=cfg["seed"]))
         elif name == "blowup":
             try:
                 mask = extract_doa(field, cfg["epsilon"])

@@ -3,11 +3,11 @@
 Everything here works at a single point: enumerate every piecewise-constant
 schedule built from `depth` segments of length `switch_dt` over the system's
 control menu, advance them all at once through the batched RK4 engine
-`trajectories.advance` (which also serves `integrate`, the falsifier below
-and the sampled decrease check), and turn the best accumulated cost into a
-bracket.  From a state x with C ||x|| <= r the declared exponential
-envelope caps everything a trajectory can still collect, under any
-disturbance:
+`trajectories.advance` (which also serves `integrate`, and through
+`rollout` the falsifier below and the sampled decrease check), and turn
+the best accumulated cost into a bracket.  From a state x with C ||x|| <= r
+the declared exponential envelope caps everything a trajectory can still
+collect, under any disturbance:
 
     tail(||x||) = c_tilde * (c * ||x||)**lam / (lam * sigma)
 
@@ -34,12 +34,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .solver import interpolate
-from .systems import ConfigError
+from .systems import ConfigError, _is_whole
 from .trajectories import (ControlSchedule, TrajectoryError, _check_point,
-                           advance)
+                           advance, rollout)
 
-_DEFAULT_BUDGET = 2_000_000
+_DEFAULT_BUDGET = 2_000_000  # segment integrations an enumeration may run
+_INT_DT = 0.01  # RK4 sub-step of the brackets, synthesis and the checks
 _MIN_FINAL_NORM = 1e-3  # a "witness" that ends at the origin is no witness
+# the falsifier's random schedules: 16 segments over 40, RK4 sub-step 0.05
+_FALSIFY_HORIZON, _FALSIFY_SEGMENTS, _FALSIFY_DT = 40.0, 16, 0.05
 
 
 class BudgetError(RuntimeError):
@@ -136,8 +139,20 @@ def _full_segments(k, depth):
     return sum(k ** s for s in range(1, depth + 1))
 
 
-def _enumerate(system, x, switch_dt, depth, rho, int_dt, budget, slots=3,
-               keep=None):
+def _check_enumeration(what, system, mode, x, switch_dt, depth):
+    """Checks every enumeration runs first (mode, switch_dt, depth, the
+    point); returns (x, depth) as a float vector and an int."""
+    if system.mode != mode:
+        raise ConfigError("%s wants a %s-mode system, not %r"
+                          % (what, mode, system.mode))
+    if not (math.isfinite(switch_dt) and switch_dt > 0.0):
+        raise ConfigError("switch_dt must be positive and finite")
+    if not (_is_whole(depth) and depth >= 1):
+        raise ConfigError("depth must be a whole number, at least 1")
+    return _check_point(system, x), int(depth)
+
+
+def _enumerate(system, x, switch_dt, depth, rho, budget, slots=3, keep=None):
     """Advance all |A_d|^depth schedules; returns (aug_states, entered).
 
     The augmented states carry ``slots`` integrals after x: 3 for
@@ -174,7 +189,7 @@ def _enumerate(system, x, switch_dt, depth, rho, int_dt, budget, slots=3,
         z = np.repeat(z, k, axis=0)
         entered = np.repeat(entered, k)
         z, live = advance(system, z, np.tile(pts, (z.shape[0] // k, 1)),
-                          switch_dt, int_dt,
+                          switch_dt, _INT_DT,
                           watch=None if rho is None else touch)
         if not live.all():
             raise TrajectoryError("a schedule reached a non-finite state "
@@ -183,7 +198,7 @@ def _enumerate(system, x, switch_dt, depth, rho, int_dt, budget, slots=3,
 
 
 def maximal_cost(system, x, switch_dt=0.25, depth=8, rho=0.05, *,
-                 int_dt=0.01, budget=_DEFAULT_BUDGET):
+                 budget=_DEFAULT_BUDGET):
     """Bracket the worst-case accumulated cost sup over schedules of
     the undiscounted integral of g, by enumeration with envelope pruning.
 
@@ -196,13 +211,8 @@ def maximal_cost(system, x, switch_dt=0.25, depth=8, rho=0.05, *,
     every row left ends with C ||x_T|| <= r.  A truncated result is the
     estimate ``lower + tail(rho)``; rho must satisfy C rho <= r.
     """
-    if system.mode != "maximize":
-        raise ConfigError("maximal_cost wants a maximize-mode system")
-    if not switch_dt > 0.0:
-        raise ConfigError("switch_dt must be positive")
-    if depth < 1:
-        raise ConfigError("depth must be at least 1")
-    x = _check_point(system, x)
+    x, depth = _check_enumeration("maximal_cost", system, "maximize", x,
+                                  switch_dt, depth)
     tail = float(_tail_bound(system, rho))
     if not (rho > 0.0 and math.isfinite(tail)):
         raise ConfigError("rho must lie in (0, %g], the envelope ball r/C"
@@ -227,8 +237,8 @@ def maximal_cost(system, x, switch_dt=0.25, depth=8, rho=0.05, *,
             dropped = max(dropped, float(np.max(bound[~rows])))
         return rows
 
-    z, _ = _enumerate(system, x, switch_dt, depth, None, int_dt, budget,
-                      slots=1, keep=keep)
+    z, _ = _enumerate(system, x, switch_dt, depth, None, budget, slots=1,
+                      keep=keep)
     segments += len(z)
     lower = float(np.max(z[:, n]))
     upper = max(dropped, float(np.max(reach(z))))
@@ -239,11 +249,9 @@ def maximal_cost(system, x, switch_dt=0.25, depth=8, rho=0.05, *,
                        segments)
 
 
-def kruzhkov_value(system, x, switch_dt=0.25, depth=8, rho=0.05, *,
-                   int_dt=0.01, budget=_DEFAULT_BUDGET):
+def kruzhkov_value(system, x, switch_dt=0.25, depth=8, rho=0.05):
     """maximal_cost pushed through v = 1 - exp(-w), bound for bound."""
-    vb = maximal_cost(system, x, switch_dt, depth, rho,
-                      int_dt=int_dt, budget=budget)
+    vb = maximal_cost(system, x, switch_dt, depth, rho)
     lower = 1.0 - math.exp(-vb.lower)
     upper = 1.0 - math.exp(-vb.upper)
     return ValueBounds(lower, upper, vb.horizon, vb.depth, upper - lower,
@@ -251,7 +259,7 @@ def kruzhkov_value(system, x, switch_dt=0.25, depth=8, rho=0.05, *,
 
 
 def min_value(system, x, switch_dt=0.25, depth=8, rho=0.05, *,
-              int_dt=0.01, budget=_DEFAULT_BUDGET):
+              budget=_DEFAULT_BUDGET):
     """Estimate the least discounted cost inf over schedules of J[ell, h].
 
     The enumerated best is an over-estimate of the true infimum (the menu
@@ -263,20 +271,15 @@ def min_value(system, x, switch_dt=0.25, depth=8, rho=0.05, *,
     an envelope, or with a trajectory that never reached B_rho, the result
     is the bare horizon cost, flagged `truncated`.
     """
-    if system.mode != "minimize":
-        raise ConfigError("min_value wants a minimize-mode system")
+    x, depth = _check_enumeration("min_value", system, "minimize", x,
+                                  switch_dt, depth)
     if system.guard not in ("nonneg_ell", "case_a", "case_b"):
         raise ConfigError("neither convergence guard declared: min_value "
                           "needs nonneg_ell, case_a, or case_b")
-    if not switch_dt > 0.0:
-        raise ConfigError("switch_dt must be positive")
-    if depth < 1:
-        raise ConfigError("depth must be at least 1")
-    x = _check_point(system, x)
     horizon = depth * switch_dt
     if not np.any(x):
         return ValueBounds(0.0, 0.0, horizon, depth, 0.0, False)
-    z, entered = _enumerate(system, x, switch_dt, depth, rho, int_dt, budget)
+    z, entered = _enumerate(system, x, switch_dt, depth, rho, budget)
     segments = _full_segments(system.control.points.shape[0], depth)
     est = float(np.min(z[:, system.n_state]))
     tail = (math.inf if system.ules is None or system.growth is None
@@ -291,8 +294,7 @@ def min_value(system, x, switch_dt=0.25, depth=8, rho=0.05, *,
                        2.0 * tail, False, segments)
 
 
-def falsify_quasistability(system, region, budget=256, *, seed=7,
-                           horizon=40.0, dt=0.05, segments=16):
+def falsify_quasistability(system, region, budget=256, *, seed=7):
     """Search for a finite-cost trajectory that stays away from the origin.
 
     The cost is ∫g, the one the Kružkov solve reads; both phases integrate
@@ -300,9 +302,9 @@ def falsify_quasistability(system, region, budget=256, *, seed=7,
     nodes x control menu for exact stationary freebies (||f|| <= 1e-9,
     g <= 1e-9, ||x|| >= 1e-3), keeping the lexicographically largest
     (state, control) hit so reruns agree.  Phase two integrates `budget`
-    random piecewise-constant schedules and accepts any with ∫g < 1e-3
-    ending at norm >= 1e-2.  Returns None when both phases come up empty —
-    which proves nothing.
+    random schedules of 16 equal segments over a horizon of 40 (RK4
+    sub-step 0.05) and accepts any with ∫g < 1e-3 ending at norm >= 1e-2.
+    Returns None when both phases come up empty — which proves nothing.
     """
     if region.n_axes != system.n_state:
         raise ConfigError("region dimension %d, system wants %d"
@@ -312,38 +314,35 @@ def falsify_quasistability(system, region, budget=256, *, seed=7,
     nodes = region.node_coords().reshape(-1, region.n_axes)
     node_norms = np.linalg.norm(nodes, axis=1)
     hits = []
-    for a in system.control.points:
+    for j, a in enumerate(system.control.points):
         fv = np.asarray(system.f(nodes, a), dtype=float)
         gv = np.broadcast_to(np.asarray(system.g(nodes, a), dtype=float),
                              (nodes.shape[0],))
         ok = ((np.linalg.norm(fv, axis=-1) <= 1e-9) & (gv <= 1e-9)
               & (node_norms >= 1e-3))
-        hits.extend((tuple(nodes[i]), tuple(a)) for i in np.flatnonzero(ok))
+        hits.extend((tuple(nodes[i]), tuple(a), j)
+                    for i in np.flatnonzero(ok))
     n = system.n_state
-    if hits:
-        xs, ac = max(hits)
-        x0, ctl = np.array(xs), np.array(ac)
-        sched = ControlSchedule.constant(ctl, horizon)
-        z, _ = advance(system, np.append(x0, 0.0)[None], ctl, horizon, dt)
-        return Counterexample(x0, sched, float(z[0, n]),
+    if hits:  # one segment over the whole horizon under the hit's control
+        xs, _, j = max(hits)
+        z, _, schedule = rollout(system, np.array([xs]), np.array([[j]]),
+                                 _FALSIFY_HORIZON, _FALSIFY_DT)
+        return Counterexample(xs, schedule(0), float(z[0, n]),
                               float(np.linalg.norm(z[0, :n])), "stationary")
 
     rng = np.random.default_rng(seed)
-    pts = system.control.points
-    x0s, picks = np.empty((budget, n)), np.empty((budget, segments), int)
+    x0s = np.empty((budget, n))
+    picks = np.empty((budget, _FALSIFY_SEGMENTS), int)
     for i in range(budget):  # draws interleaved as one schedule at a time
         x0s[i] = rng.uniform(region.lo, region.hi)
-        picks[i] = rng.integers(0, pts.shape[0], size=segments)
-    z, live = np.hstack([x0s, np.zeros((budget, 1))]), np.ones(budget, bool)
-    for j in range(segments):  # a row that escapes retires
-        z, live = advance(system, z, pts[picks[:, j]], horizon / segments,
-                          dt, live)
+        picks[i] = rng.integers(0, system.control.size,
+                                size=_FALSIFY_SEGMENTS)
+    z, live, schedule = rollout(system, x0s, picks, _FALSIFY_HORIZON,
+                                _FALSIFY_DT)
     for i in np.flatnonzero(live & (z[:, n] < 1e-3)):
         final = float(np.linalg.norm(z[i, :n]))
         if final >= 1e-2:
-            sched = ControlSchedule([(horizon / segments, pts[p])
-                                     for p in picks[i]])
-            return Counterexample(x0s[i], sched, float(z[i, n]), final,
+            return Counterexample(x0s[i], schedule(i), float(z[i, n]), final,
                                   "searched")
     return None
 
@@ -362,7 +361,7 @@ def defect_allowances(eps, m):
 
 
 def synthesize_epsilon_optimal(system, field, x0, eps, m, *,
-                               switch_dt=0.25, int_dt=0.01):
+                               switch_dt=0.25):
     """Greedy schedule over m unit intervals, checked against the field.
 
     Each unit interval is filled one switch_dt-slice at a time with the
@@ -386,8 +385,8 @@ def synthesize_epsilon_optimal(system, field, x0, eps, m, *,
     if np.any(x0 < field.grid.lo) or np.any(x0 > field.grid.hi):
         raise ConfigError("x0 %s lies outside the value grid"
                           % x0.tolist())
-    n_sub = int(round(1.0 / switch_dt))
-    if abs(n_sub * switch_dt - 1.0) > 1e-9 or n_sub < 1:
+    n_sub = int(round(1.0 / switch_dt)) if switch_dt > 0.0 else 0
+    if n_sub < 1 or abs(n_sub * switch_dt - 1.0) > 1e-9:
         raise ConfigError("switch_dt must divide the unit interval")
     allowances = defect_allowances(eps, m)
 
@@ -416,7 +415,7 @@ def synthesize_epsilon_optimal(system, field, x0, eps, m, *,
         z = np.concatenate([x_cur, np.zeros(1 if kruzhkov else 3)])[None]
         for _ in range(n_sub):
             cand, live = advance(system, np.repeat(z, k, axis=0), pts,
-                                 switch_dt, int_dt)
+                                 switch_dt, _INT_DT)
             if not live.all():
                 raise TrajectoryError("a candidate control reached a "
                                       "non-finite state")

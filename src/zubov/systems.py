@@ -16,6 +16,7 @@ third needs a smooth cutoff, none of which the expression grammar covers).
 from __future__ import annotations
 
 import itertools
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -107,7 +108,7 @@ class ControlSpace:
     def from_box(cls, lo, hi, counts):
         lo = np.asarray(lo, dtype=float).reshape(-1)
         hi = np.asarray(hi, dtype=float).reshape(-1)
-        counts = np.asarray(counts, dtype=int).reshape(-1)
+        counts = _whole_counts(counts, "control sample counts")
         if not (lo.size == hi.size == counts.size):
             raise ConfigError("control box lo/hi/counts length mismatch")
         axes = []
@@ -151,7 +152,7 @@ class Grid:
     def __init__(self, lo, hi, counts):
         lo = np.asarray(lo, dtype=float).reshape(-1)
         hi = np.asarray(hi, dtype=float).reshape(-1)
-        counts = np.asarray(counts, dtype=int).reshape(-1)
+        counts = _whole_counts(counts, "grid counts")
         if not (lo.size == hi.size == counts.size) or lo.size == 0:
             raise ConfigError("grid lo/hi/counts length mismatch")
         if np.any(counts < 3):
@@ -239,10 +240,9 @@ class ValueField:
             problems.append("field contains non-finite values")
         return problems
 
-    def with_values(self, values, transform=None, metadata=None):
-        return ValueField(self.grid, values,
-                          transform or self.transform,
-                          metadata if metadata is not None else self.metadata)
+    def with_values(self, values, transform=None):
+        return ValueField(self.grid, values, transform or self.transform,
+                          self.metadata)
 
 
 def _grid_header(grid):
@@ -481,10 +481,19 @@ def _compile_component(tree, n, m):
 
 
 def _is_whole(value):
-    """A JSON integer: an int or an integral float, never a bool."""
-    return not isinstance(value, bool) and (
-        isinstance(value, int)
+    """A whole number: an integer or an integral float, never a bool."""
+    return not isinstance(value, (bool, np.bool_)) and (
+        isinstance(value, numbers.Integral)
         or isinstance(value, float) and value.is_integer())
+
+
+def _whole_counts(counts, what):
+    """Per-axis counts as a flat int array; ConfigError naming `what` when
+    one is a bool or fractional, which an int conversion would truncate."""
+    items = np.asarray(counts, dtype=object).reshape(-1)
+    if not all(map(_is_whole, items)):
+        raise ConfigError("%s must be whole numbers, got %r" % (what, counts))
+    return items.astype(int)
 
 
 def _control_from_config(doc, problems):
@@ -506,13 +515,7 @@ def _control_from_config(doc, problems):
     if "box" in doc:
         box = doc["box"]
         try:
-            counts = box["counts"]
-            if not all(map(_is_whole, counts if isinstance(counts, list)
-                           else [counts])):
-                problems.append("control.box.counts must be whole numbers, "
-                                "got %r" % (counts,))
-                return ControlSpace.none()
-            return ControlSpace.from_box(box["lo"], box["hi"], counts)
+            return ControlSpace.from_box(box["lo"], box["hi"], box["counts"])
         except (KeyError, TypeError) as err:
             problems.append("control.box needs lo/hi/counts (%s)" % err)
         except ConfigError as err:
@@ -666,6 +669,7 @@ def _arctan_g(x, a):
 
 _HAV_SLOPE = (10.0 / 9.0) ** 6          # linear decay rate inside [-0.9, 0.9]
 _HAV_Q45 = 0.405 ** 6                   # hav_q value at |x| = 0.45
+_FULLER_GAMMA = 2.0                     # fuller's running cost |x1|^gamma
 
 
 def _hav_kmax(ymax):
@@ -739,72 +743,65 @@ def _hav_g(x, a):
     return -hav_q(xv) * _hav_f(x, a)[..., 0]
 
 
+def _fuller_f(x, a):
+    x = np.asarray(x, dtype=float)
+    a = np.asarray(a, dtype=float)
+    return np.stack([x[..., 1], np.broadcast_to(a[..., 0], x[..., 1].shape)],
+                    axis=-1)
+
+
+def _fuller_ell(x, a):
+    return np.abs(np.asarray(x, dtype=float)[..., 0]) ** _FULLER_GAMMA
+
+
 def builtin(name, **overrides):
     """Construct one of the registered reference problems.
 
-    Overrides: controls=K (samples on the control box axis), and gamma for
-    fuller's Lagrangian exponent.
+    The one override is controls=K, the sample count on the control box
+    axis of the systems that have one.
     """
     if name not in _BUILTIN_NAMES:
         raise ConfigError("unknown builtin %r (have: %s)"
                           % (name, ", ".join(_BUILTIN_NAMES)))
-    allowed = {"controls"} | ({"gamma"} if name == "fuller" else set())
-    bad = set(overrides) - allowed
+    bad = set(overrides) - {"controls"}
     if bad:
         raise ConfigError("unsupported overrides for %s: %s"
                           % (name, ", ".join(sorted(bad))))
+    if name in ("arctan1d", "hav1d") and "controls" in overrides:
+        raise ConfigError("%s has no control to discretize" % name)
+    k = _whole_counts(overrides.get("controls", 3 if name == "fuller"
+                                    else 21), "controls")
 
     if name.startswith("lift2d"):
-        k = int(overrides.get("controls", 21))
         g = {"lift2d": _norm2_cost, "lift2d-psi-sqrt": _psi_sqrt,
              "lift2d-psi-abs": _psi_abs}[name]
         c_tilde = 1.0 if name == "lift2d" else 2.5
         return SystemDef(
-            name, 2, ControlSpace.from_box([-1.0], [1.0], [k]),
+            name, 2, ControlSpace.from_box([-1.0], [1.0], k),
             _lift_f, g, mode="maximize",
             ules=Ules(1.0, 0.5, 0.5), growth=Growth(c_tilde, 2.0))
 
     if name == "ex1":
-        k = int(overrides.get("controls", 21))
         return SystemDef(
-            name, 1, ControlSpace.from_box([-1.0], [1.0], [k]),
+            name, 1, ControlSpace.from_box([-1.0], [1.0], k),
             _ex1_f, _ex1_g, mode="maximize",
             ules=Ules(1.0, 0.5, 0.5), growth=Growth(np.pi, 1.0))
 
     if name == "arctan1d":
-        if "controls" in overrides:
-            raise ConfigError("arctan1d has no control to discretize")
         return SystemDef(
             name, 1, ControlSpace.none(), _arctan_f, _arctan_g,
             mode="maximize", ules=Ules(1.0, 1.0, 1.0),
             growth=Growth(1.0, 1.0))
 
     if name == "hav1d":
-        if "controls" in overrides:
-            raise ConfigError("hav1d has no control to discretize")
         return SystemDef(
             name, 1, ControlSpace.none(), _hav_f, _hav_g,
             mode="maximize", ules=Ules(1.0, _HAV_SLOPE, 0.9),
             growth=Growth(1.0, 7.0))
 
-    # fuller: double integrator with |x1|^gamma running cost, min mode
-    gamma = float(overrides.get("gamma", 2.0))
-    if gamma <= 1.0:
-        raise ConfigError("fuller needs gamma > 1")
-    k = int(overrides.get("controls", 3))
-
-    def fuller_f(x, a):
-        x = np.asarray(x, dtype=float)
-        a = np.asarray(a, dtype=float)
-        return np.stack([x[..., 1], np.broadcast_to(a[..., 0], x[..., 1].shape)],
-                        axis=-1)
-
-    def fuller_ell(x, a, _gamma=gamma):
-        return np.abs(np.asarray(x, dtype=float)[..., 0]) ** _gamma
-
     return SystemDef(
-        "fuller", 2, ControlSpace.from_box([-1.0], [1.0], [k]),
-        fuller_f, fuller_ell, ell=fuller_ell, mode="minimize",
+        "fuller", 2, ControlSpace.from_box([-1.0], [1.0], k),
+        _fuller_f, _fuller_ell, ell=_fuller_ell, mode="minimize",
         guard="nonneg_ell")
 
 

@@ -52,10 +52,6 @@ class ControlSchedule:
         self.segments = segs
         self.m = m
 
-    @classmethod
-    def constant(cls, control, duration):
-        return cls([(duration, control)])
-
     @property
     def total_duration(self):
         return sum(d for d, _ in self.segments)
@@ -246,6 +242,19 @@ def advance(system, z, a, duration, dt, live=None, watch=None):
         if watch is not None:
             watch(z, live)
     return z, live
+
+
+def rollout(system, x0, picks, horizon, dt):
+    """Advance starts x0 (B, N) over (x, ∫g) through picks.shape[1] equal
+    segments of `horizon`, row i's segment j under menu control picks[i, j];
+    a row that escapes retires (see `advance`).  Returns (z, live,
+    schedule), where schedule(i) is row i's ControlSchedule."""
+    pts, seg = system.control.points, horizon / picks.shape[1]
+    z, live = np.hstack([x0, np.zeros((len(x0), 1))]), None
+    for j in range(picks.shape[1]):
+        z, live = advance(system, z, pts[picks[:, j]], seg, dt, live)
+    return z, live, lambda i: ControlSchedule([(seg, pts[p])
+                                               for p in picks[i]])
 
 
 def integrate(system, x0, schedule, dt, box=None):

@@ -25,14 +25,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .oracle import _enumerate
+from .oracle import _DEFAULT_BUDGET, _INT_DT, _check_enumeration, _enumerate
 from .solver import interpolate, inverse_transform, zubov_operator
 from .systems import ConfigError, closed_form_value
-from .trajectories import (ControlSchedule, TrajectoryError, _check_point,
-                           advance)
+from .trajectories import TrajectoryError, rollout
 
 _KINK_CELLS = 2  # exclusion margin around level-set / clamp kinks
 _TIE_SPREAD = 1e-9  # control tie margin: np.gradient of a flat field is ~1e-16
+_EPS = 0.01  # the 1 - eps level set bounds the residual and decrease checks
+_MEDIAN_TOL, _P95_TOL = 0.02, 0.05  # residual_stats' pass bounds
+# decrease check: 4 random segments over 0.5, an absolute increase floor
+_DECREASE_T, _DECREASE_SEGMENTS, _DECREASE_SLACK = 0.5, 4, 1e-4
+_BLOWUP_CAP = 10.0  # -ln(1 - v) is clamped here as v approaches 1
 
 
 @dataclass(frozen=True)
@@ -142,14 +146,15 @@ def _level_band(values, level, cells):
     return grown & ~shrunk
 
 
-def residual_stats(system, field, mask=None, *, eps0=0.01,
-                   median_tol=0.02, p95_tol=0.05):
+def residual_stats(system, field, mask=None):
     """|PDE residual| statistics over the smooth part of the field.
 
-    Carved out: the grid faces, nodes within _KINK_CELLS of the 1 - eps0
-    level set, the mask's rim (eroded by _KINK_CELLS), and nodes within
-    _KINK_CELLS of nodes whose minimizing controls differ.  A node's control
-    counts only where the best and worst controls differ by > _TIE_SPREAD.
+    Passes when the median is at most _MEDIAN_TOL and the 95th percentile
+    at most _P95_TOL.  Carved out: the grid faces, nodes within _KINK_CELLS
+    of the 1 - _EPS level set, the mask's rim (eroded by _KINK_CELLS), and
+    nodes within _KINK_CELLS of nodes whose minimizing controls differ.  A
+    node's control counts only where the best and worst controls differ by
+    > _TIE_SPREAD.
     """
     from scipy import ndimage
 
@@ -157,7 +162,7 @@ def residual_stats(system, field, mask=None, *, eps0=0.01,
     grid = field.grid
     residual, choice, spread = _inf_residual(system, field)
     keep = grid.interior()
-    keep &= ~_level_band(field.values, 1.0 - eps0, _KINK_CELLS)
+    keep &= ~_level_band(field.values, 1.0 - _EPS, _KINK_CELLS)
     if mask is not None:
         keep &= ndimage.binary_erosion(_as_mask(mask, grid),
                                        iterations=_KINK_CELLS)
@@ -178,7 +183,7 @@ def residual_stats(system, field, mask=None, *, eps0=0.01,
         "median": float(np.median(picked)),
         "p95": float(np.percentile(picked, 95.0)),
     }
-    passed = stats["median"] <= median_tol and stats["p95"] <= p95_tol
+    passed = stats["median"] <= _MEDIAN_TOL and stats["p95"] <= _P95_TOL
     witnesses = ()
     if not passed:
         flat = np.where(keep, np.abs(residual), -np.inf).reshape(-1)
@@ -191,8 +196,7 @@ def residual_stats(system, field, mask=None, *, eps0=0.01,
     return VerificationReport("residual_stats", passed, stats, witnesses)
 
 
-def dpp_defect(system, field, x, t, switch_dt, *, int_dt=0.01,
-               budget=2_000_000):
+def dpp_defect(system, field, x, t, switch_dt):
     """v(x) minus the best enumerated one-shot continuation at horizon t.
 
     Positive and negative values of a few grid-cells' worth are
@@ -200,68 +204,58 @@ def dpp_defect(system, field, x, t, switch_dt, *, int_dt=0.01,
     than any schedule achieves.
     """
     _check_kruzhkov(system, field, "dpp_defect")
-    if system.mode != "maximize":
-        raise ConfigError("dpp_defect checks the worst-case route; "
-                          "system mode is %r" % system.mode)
-    x = _check_point(system, x)
-    if np.any(x < field.grid.lo) or np.any(x > field.grid.hi):
-        raise ConfigError("x must be a grid-interior point")
-    if not (math.isfinite(switch_dt) and switch_dt > 0.0):
-        raise ConfigError("switch_dt must be positive and finite")
     if not (math.isfinite(t) and t > 0.0):
         raise ConfigError("t must be positive and finite")
-    depth = int(round(t / switch_dt))
-    if depth < 1 or abs(depth * switch_dt - t) > 1e-9:
+    # the preamble refuses a switch_dt that is not positive and finite
+    depth = max(1, round(t / switch_dt)) if switch_dt > 0.0 else 1
+    x, depth = _check_enumeration("dpp_defect", system, "maximize", x,
+                                  switch_dt, depth)
+    if abs(depth * switch_dt - t) > 1e-9:
         raise ConfigError("t must be a positive multiple of switch_dt")
-    z, _ = _enumerate(system, x, switch_dt, depth, None, int_dt, budget,
+    if np.any(x < field.grid.lo) or np.any(x > field.grid.hi):
+        raise ConfigError("x must be a grid-interior point")
+    z, _ = _enumerate(system, x, switch_dt, depth, None, _DEFAULT_BUDGET,
                       slots=1)
     disc = np.exp(-z[:, system.n_state])
     cont = (1.0 - disc) + disc * interpolate(field, z[:, :system.n_state])
     return float(interpolate(field, x) - np.max(cont))
 
 
-def check_lyapunov_decrease(system, field, samples=200, t=0.5, seed=0, *,
-                            eps0=0.01, n_segments=4, dt=0.01, slack=1e-4):
+def check_lyapunov_decrease(system, field, samples=200, seed=0):
     """Random points, random schedules: the field must not increase.
 
-    The allowed increase is twice the local interpolation error estimate
+    Each sample starts below the 1 - _EPS level set, away from the origin,
+    and runs _DECREASE_SEGMENTS random segments over _DECREASE_T.  The
+    allowed increase is twice the local interpolation error estimate
     (cell diameter times the finite-difference gradient) plus an absolute
-    `slack` floor: on stretches where the exact value is constant the
-    gradient estimate vanishes, yet the discrete field still wobbles a few
-    1e-6 along trajectories because solver feet and the RK4 replay sample
-    it at different points.  Strict decrease is demanded only when the
-    accumulated running cost clearly exceeds the combined floor —
+    floor, _DECREASE_SLACK: on stretches where the exact value is constant
+    the gradient estimate vanishes, yet the discrete field still wobbles a
+    few 1e-6 along trajectories because solver feet and the RK4 replay
+    sample it at different points.  Strict decrease is demanded only when
+    the accumulated running cost clearly exceeds the combined floor —
     zero-cost trajectories (they exist; that is the point of the
     quasi-stability examples) legitimately hold the value flat.
     """
     _check_kruzhkov(system, field, "decrease check")
     grid = field.grid
     rng = np.random.default_rng(seed)
-    pts = system.control.points
     cell = float(np.linalg.norm(grid.dx))
     carve = 10.0 * float(np.max(grid.dx))
-    kept = []
-    tries = 0
+    kept, tries = [], 0
     while len(kept) < samples:
         tries += 1
         if tries > 1000 * samples:
             raise ConfigError("cannot draw enough samples from the "
                               "sublevel region")
         x = rng.uniform(grid.lo, grid.hi)
-        if np.linalg.norm(x) <= carve:
-            continue
-        if interpolate(field, x) < 1.0 - eps0:
+        if np.linalg.norm(x) > carve and interpolate(field, x) < 1.0 - _EPS:
             kept.append(x)
 
     n = grid.n_axes
     x0 = np.array(kept)
-    picks = np.array([rng.integers(0, pts.shape[0], size=n_segments)
-                      for _ in kept])
-    # (x, int g): the check reads no other integral
-    z, live = np.hstack([x0, np.zeros((samples, 1))]), np.ones(samples, bool)
-    for j in range(n_segments):
-        z, live = advance(system, z, pts[picks[:, j]], t / n_segments, dt,
-                          live)
+    picks = np.array([rng.integers(0, system.control.size,
+                                   size=_DECREASE_SEGMENTS) for _ in kept])
+    z, live, schedule = rollout(system, x0, picks, _DECREASE_T, _INT_DT)
     if not live.all():
         raise TrajectoryError("a sampled schedule reached a non-finite state")
     v0, v1 = interpolate(field, x0), interpolate(field, z[:, :n])
@@ -270,11 +264,10 @@ def check_lyapunov_decrease(system, field, samples=200, t=0.5, seed=0, *,
                      - interpolate(field, x0 - step)
                      for step in np.diag(grid.dx)], axis=1) / (2.0 * grid.dx)
     # a 1-D norm per row: norm(grad, axis=1) rounds differently
-    tol = slack + 2.0 * cell * np.array([np.linalg.norm(g) for g in grad])
+    tol = _DECREASE_SLACK + 2.0 * cell * np.array([np.linalg.norm(g)
+                                                   for g in grad])
     bad = (v1 >= v0 + tol) | ((cost > 4.0 * tol) & (v1 >= v0))
-    witnesses = [{"x": kept[i],
-                  "schedule": ControlSchedule([(t / n_segments, pts[p])
-                                               for p in picks[i]]),
+    witnesses = [{"x": kept[i], "schedule": schedule(i),
                   "v_before": float(v0[i]), "v_after": float(v1[i]),
                   "cost": float(cost[i]), "tol": float(tol[i])}
                  for i in np.flatnonzero(bad)]
@@ -346,14 +339,14 @@ def sandwich_check(system, reference, candidate, role, tol):
                               tuple(witnesses))
 
 
-def check_boundary_blowup(system, field, mask, cap=10.0):
+def check_boundary_blowup(system, field, mask):
     """March rays from the origin: -ln(1-v) must climb toward the rim.
 
     Skipped (with a note) when the mask leaks onto the grid faces — then
     the box shows no domain boundary to blow up at.
     """
     _check_kruzhkov(system, field, "blow-up check")
-    w = inverse_transform(field, cap).values  # checks cap
+    w = inverse_transform(field, _BLOWUP_CAP).values
     grid = field.grid
     inside = _as_mask(mask, grid)
     if not inside[grid.origin_index]:

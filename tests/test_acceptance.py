@@ -291,14 +291,14 @@ class TestCriterion9:
         errs = []
         for dt in (0.1, 0.05):
             rec = integrate(decay, [1.0],
-                            ControlSchedule.constant(np.zeros(0), 1.0), dt)
+                            ControlSchedule([(1.0, np.zeros(0))]), dt)
             errs.append(abs(rec.final_state[0] - math.exp(-1.0)))
         results["rk4_order"] = bool(12.0 <= errs[0] / errs[1] <= 20.0)
 
         # even +-1 chattering approaches the a=0 flow as the period shrinks
         dt = 0.0025
         ref = integrate(lift2d_system, [0.5, 0.5],
-                        ControlSchedule.constant([0.0], 2.0), dt)
+                        ControlSchedule([(2.0, [0.0])]), dt)
         chat_errs = []
         for period in (0.1, 0.05):
             relaxed = RelaxedSchedule([[-1.0], [1.0]], [(2.0, [0.5, 0.5])])

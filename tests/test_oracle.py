@@ -100,7 +100,7 @@ LIFT2D_JSON = {
 ], ids=["lift2d", "lift2d-json", "ex1"])
 def test_enumeration_matches_the_strided_reference(system, x, switch_dt, rho):
     x = np.array(x)
-    z, entered = _enumerate(system, x, switch_dt, 6, rho, 0.01, 10**6)
+    z, entered = _enumerate(system, x, switch_dt, 6, rho, 10**6)
     z_ref, entered_ref = reference_enumerate(system, x, switch_dt, 6, rho,
                                              0.01)
     assert np.array_equal(z, z_ref)
@@ -130,8 +130,7 @@ def test_brackets_equal_the_wide_enumeration(system, points, switch_dt, rho):
     # plus the envelope tail from the final state), gives the same numbers
     n = system.n_state
     for x in map(np.array, points):
-        z, _ = _enumerate(system, x, switch_dt, 8, rho, 0.01, 10**6,
-                          slots=3)
+        z, _ = _enumerate(system, x, switch_dt, 8, rho, 10**6, slots=3)
         lower = float(np.max(z[:, n + 1]))
         reach = z[:, n + 1] + _tail_bound(system,
                                           np.linalg.norm(z[:, :n], axis=1))
@@ -153,8 +152,7 @@ def test_brackets_equal_the_wide_enumeration(system, points, switch_dt, rho):
 ], ids=["lift2d", "lift2d-json", "ex1", "stay-or-decay"])
 def test_pruning_never_changes_lower(system, points, switch_dt, rho):
     for x in map(np.array, points):
-        z, _ = _enumerate(system, x, switch_dt, 8, None, 0.01, 10**6,
-                          slots=1)
+        z, _ = _enumerate(system, x, switch_dt, 8, None, 10**6, slots=1)
         vb = maximal_cost(system, x, switch_dt, 8, rho)
         assert vb.lower == float(np.max(z[:, system.n_state]))
 
@@ -188,13 +186,13 @@ class TestValueBoundsType:
 class TestCounterexampleType:
     def test_kind_vocabulary(self):
         from zubov.trajectories import ControlSchedule
-        sched = ControlSchedule.constant(np.zeros(0), 1.0)
+        sched = ControlSchedule([(1.0, np.zeros(0))])
         with pytest.raises(ValueError, match="kind"):
             Counterexample([1.0], sched, 0.0, 1.0, "guessed")
 
     def test_final_norm_floor(self):
         from zubov.trajectories import ControlSchedule
-        sched = ControlSchedule.constant(np.zeros(0), 1.0)
+        sched = ControlSchedule([(1.0, np.zeros(0))])
         with pytest.raises(ValueError, match="bounded away"):
             Counterexample([1.0], sched, 0.0, 1e-9, "searched")
 
@@ -250,8 +248,8 @@ class TestMaximalCost:
         system = SystemDef("stay-or-decay", 1, system.control, system.f,
                            system.g, mode="maximize", ules=Ules(1.0, 1.0, 0.4),
                            growth=system.growth)
-        z, _ = _enumerate(system, np.array([0.5]), 0.5, 6, None, 0.01,
-                          10 ** 6, slots=1)
+        z, _ = _enumerate(system, np.array([0.5]), 0.5, 6, None, 10 ** 6,
+                          slots=1)
         assert np.linalg.norm(z[:, :1], axis=1).max() == 0.5
         vb = maximal_cost(system, [0.5], switch_dt=0.5, depth=6, rho=0.05)
         assert vb.lower == float(np.max(z[:, 1]))
@@ -303,12 +301,17 @@ class TestMaximalCost:
         assert not maximal_cost(decay_1d(), [0.5], rho=0.6).truncated
 
     def test_shape_and_parameter_validation(self):
-        with pytest.raises(ConfigError, match="dimension"):
-            maximal_cost(decay_1d(), [0.5, 0.5])
-        with pytest.raises(ConfigError, match="depth"):
-            maximal_cost(decay_1d(), [0.5], depth=0)
-        with pytest.raises(ConfigError, match="switch_dt"):
-            maximal_cost(decay_1d(), [0.5], switch_dt=0.0)
+        # min_value runs the same preamble as maximal_cost
+        for bracket, system, x in ((maximal_cost, decay_1d(), [0.5]),
+                                   (min_value, builtin("fuller"), [0.5, 0.0])):
+            with pytest.raises(ConfigError, match="dimension"):
+                bracket(system, x + [0.5])
+            for depth in (0, 2.5, True):
+                with pytest.raises(ConfigError, match="depth"):
+                    bracket(system, x, depth=depth)
+            for switch_dt in (0.0, math.inf, math.nan):
+                with pytest.raises(ConfigError, match="switch_dt"):
+                    bracket(system, x, switch_dt=switch_dt)
 
 
 class TestKruzhkovValue:
@@ -358,7 +361,7 @@ class TestMinValue:
 
     def test_unentered_row_truncates(self):
         system = stay_or_decay("minimize")
-        z, entered = _enumerate(system, np.array([0.5]), 0.5, 6, 0.05, 0.01,
+        z, entered = _enumerate(system, np.array([0.5]), 0.5, 6, 0.05,
                                 10 ** 6)
         best = int(np.argmin(z[:, 1]))
         assert entered[best] and not entered.all()
@@ -539,9 +542,11 @@ class TestSynthesis:
 
     def test_switch_dt_must_tile_unit_interval(self, lift2d_system,
                                                lift2d_field):
-        with pytest.raises(ConfigError, match="unit interval"):
-            synthesize_epsilon_optimal(lift2d_system, lift2d_field,
-                                       [0.5, 0.5], 0.1, 2, switch_dt=0.3)
+        for switch_dt in (0.3, 0.0, -0.5, math.inf, math.nan):
+            with pytest.raises(ConfigError, match="unit interval"):
+                synthesize_epsilon_optimal(lift2d_system, lift2d_field,
+                                           [0.5, 0.5], 0.1, 2,
+                                           switch_dt=switch_dt)
 
     def test_field_mode_mismatch(self, lift2d_field):
         with pytest.raises(ConfigError, match="worst-case"):

@@ -52,6 +52,12 @@ class TestControlSpace:
         with pytest.raises(ConfigError):
             ControlSpace([[0.0], [2.0]], [0.0], [1.0])
 
+    @pytest.mark.parametrize("count", [2.7, True])
+    def test_bool_or_fractional_count_rejected(self, count):
+        # an int conversion would build 2 (or 1) controls without a word
+        with pytest.raises(ConfigError, match="control sample counts"):
+            ControlSpace.from_box([-1.0], [1.0], [count])
+
     def test_no_control_space(self):
         cs = ControlSpace.none()
         assert cs.size == 1 and cs.m == 0
@@ -84,6 +90,15 @@ class TestGrid:
     def test_degenerate_box_rejected(self):
         with pytest.raises(ConfigError):
             Grid([1.0], [1.0], [3])
+
+    def test_counts_must_be_whole(self):
+        with pytest.raises(ConfigError, match="grid counts"):
+            Grid([-1.0], [1.0], [41.5])
+        with pytest.raises(ConfigError, match="grid counts"):
+            Grid([-1.0, -1.0], [1.0, 1.0], [5, True])
+        # integral floats and NumPy integers are whole numbers
+        g = Grid([-1.0, -1.0], [1.0, 1.0], [5.0, np.int64(7)])
+        assert g.counts.tolist() == [5, 7]
 
     def test_node_coords_shape(self):
         g = Grid([-1.0, -2.0], [1.0, 2.0], [5, 9])
@@ -399,6 +414,12 @@ class TestBuiltins:
         assert sys.control.points[-1, 0] == 1.0
         assert builtin("lift2d", controls=3).control.size == 3
 
+    @pytest.mark.parametrize("name", ["lift2d", "ex1", "fuller"])
+    @pytest.mark.parametrize("controls", [2.7, True])
+    def test_controls_override_must_be_whole(self, name, controls):
+        with pytest.raises(ConfigError, match="controls"):
+            builtin(name, controls=controls)
+
     @pytest.mark.parametrize("u", [
         np.linspace(-1.5, 1.5, 13),            # all inside: the shortcut
         np.linspace(-1.7, 1.9, 37),            # straddles 1.5
@@ -491,7 +512,7 @@ class TestBuiltins:
         # drift under a != 0 is fine in minimize mode
         assert sys.f(np.zeros(2), np.array([1.0]))[1] == 1.0
         assert sys.ell(np.array([0.5, 3.0]), a0) == pytest.approx(0.25)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="overrides"):
             builtin("fuller", gamma=1.0)
 
     def test_unsupported_override(self):

@@ -21,7 +21,7 @@ NO_CONTROL = np.zeros(0)
 
 
 def constant_run(system, x0, a, T, dt, box=None):
-    return integrate(system, x0, ControlSchedule.constant(a, T), dt, box=box)
+    return integrate(system, x0, ControlSchedule([(T, a)]), dt, box=box)
 
 
 # --- schedules ---------------------------------------------------------------

@@ -256,7 +256,7 @@ class TestDppDefect:
             dpp_defect(lift2d_system, lift2d_field, np.zeros(2), t, 0.25)
 
     def test_rejects_minimize_mode(self, lift2d_field):
-        fuller = builtin("fuller", gamma=2.0)
+        fuller = builtin("fuller")
         with pytest.raises(ConfigError, match="mode"):
             dpp_defect(fuller, lift2d_field, np.zeros(2), 0.5, 0.25)
 
@@ -417,11 +417,6 @@ class TestBoundaryBlowup:
         mask[5, 5] = True
         with pytest.raises(ConfigError, match="origin"):
             check_boundary_blowup(lift2d_system, lift2d_field, mask)
-
-    def test_cap_must_be_positive(self, lift2d_system, lift2d_field):
-        with pytest.raises(ConfigError, match="cap"):
-            check_boundary_blowup(lift2d_system, lift2d_field,
-                                  lift2d_field.values < 0.99, cap=0.0)
 
 
 class TestLipschitzProbe:

@@ -309,8 +309,10 @@ def falsify_quasistability(system, region, budget=256, *, seed=7):
     if region.n_axes != system.n_state:
         raise ConfigError("region dimension %d, system wants %d"
                           % (region.n_axes, system.n_state))
-    if budget < 0:
-        raise ConfigError("budget must be nonnegative")
+    if not (_is_whole(budget) and budget >= 0):
+        raise ConfigError("budget must be a whole number, at least 0, got %r"
+                          % (budget,))
+    budget = int(budget)
     nodes = region.node_coords().reshape(-1, region.n_axes)
     node_norms = np.linalg.norm(nodes, axis=1)
     hits = []

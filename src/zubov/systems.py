@@ -604,22 +604,34 @@ def load_system(config):
 
 def _smooth_cut(u):
     # 1 on |u|<=1.5, 0 on |u|>=2, C^1 cubic ramp between
-    r = np.abs(u)
-    if np.all(r <= 1.5):  # the ramp's t is 0 throughout: exactly 1
-        return np.ones(np.shape(u))
-    t = np.clip((r - 1.5) / 0.5, 0.0, 1.0)
+    t = np.clip((np.abs(u) - 1.5) / 0.5, 0.0, 1.0)
     return 1.0 - t * t * (3.0 - 2.0 * t)
+
+
+def _peak(u):
+    """The largest |u| over a batch: 0 when it is empty, NaN when it holds
+    a NaN."""
+    return np.maximum.reduce(abs(u), axis=None, initial=0.0)
 
 
 def _lift_f(x, a):
     x = np.asarray(x, dtype=float)
     a = np.asarray(a, dtype=float)
+    # work per 1-D column: 2-D ops on the strided x of the solver's feet
+    # are slower
     x1, x2 = x[..., 0], x[..., 1]
     av = a[..., 0]
-    # taper bounds the dynamics without touching trajectories in [-1.5,1.5]^2
-    cut = _smooth_cut(x1) * _smooth_cut(x2)
-    return np.stack([(-x1 + av * x1 ** 2) * cut,
-                     (-x2 + av * x2 ** 2) * cut], axis=-1)
+    f1 = av * x1 ** 2 - x1  # the bits of -x1 + av * x1 ** 2
+    out = np.empty(np.shape(f1) + (2,))
+    out[..., 0] = f1
+    out[..., 1] = av * x2 ** 2 - x2
+    # taper bounds the dynamics without touching trajectories in
+    # [-1.5,1.5]^2, where it is exactly 1 and multiplying by it changes no bit
+    if not (_peak(x1) <= 1.5 and _peak(x2) <= 1.5):
+        cut = _smooth_cut(x1) * _smooth_cut(x2)
+        out[..., 0] *= cut
+        out[..., 1] *= cut
+    return out
 
 
 def _norm2_cost(x, a):
@@ -645,9 +657,11 @@ def _ex1_f(x, a):
     a = np.asarray(a, dtype=float)
     xv = x[..., 0]
     av = a[..., 0]
+    inner = av * xv ** 2 - xv  # the bits of -xv + av * xv ** 2
+    if _peak(xv) < 1.0:  # no row takes an outer branch
+        return inner[..., None]
     with np.errstate(divide="ignore", invalid="ignore"):
         outer = av / xv  # only consumed where |x| >= 1
-    inner = -xv + av * xv ** 2
     val = np.where(xv >= 1.0, outer - 1.0,
                    np.where(xv <= -1.0, 1.0 - outer, inner))
     return val[..., None]
@@ -655,7 +669,10 @@ def _ex1_f(x, a):
 
 def _ex1_g(x, a):
     xv = np.asarray(x, dtype=float)[..., 0]
-    return np.where(np.abs(xv) <= 1.0, np.abs(np.sin(np.pi * xv)), 0.0)
+    hump = np.abs(np.sin(np.pi * xv))
+    if _peak(xv) <= 1.0:
+        return hump
+    return np.where(np.abs(xv) <= 1.0, hump, 0.0)
 
 
 def _arctan_f(x, a):

@@ -18,6 +18,14 @@ The augmented state comes in two widths, told apart by its last axis:
 
 The x and ∫g columns come out bit for bit the same at either width: every
 RK4 stage combines the columns elementwise.
+
+The hot path is lean but rounds as written.  `rk4_step` reuses its stage
+buffers and keeps the textbook operation order.  `advance` steps an
+all-live batch whole, with no per-row bookkeeping, and falls back to
+per-group steps only when a row raises or comes out non-finite.  The
+builtin vector fields skip work that changes no bit: lift2d's taper only
+multiplies where some |x_i| > 1.5 (inside, it is exactly 1), and ex1's
+outer branches are evaluated only when some |x| reaches 1.
 """
 
 from __future__ import annotations
@@ -173,12 +181,28 @@ def rk4_step(system, z, a, h):
     """One classical RK4 step of the augmented dynamics, control frozen.
 
     z is (..., N+1) or (..., N+3), see the module docstring; the narrow
-    state evaluates f and g only."""
+    state evaluates f and g only.  The stage inputs share one buffer and the
+    combination accumulates in k2's, in the textbook operation order:
+    z + (0.5 h) k, then z + (h/6) (((k1 + 2 k2) + 2 k3) + k4), so the step
+    rounds as the formula reads."""
     k1 = _aug_rhs(system, z, a)
-    k2 = _aug_rhs(system, z + 0.5 * h * k1, a)
-    k3 = _aug_rhs(system, z + 0.5 * h * k2, a)
-    k4 = _aug_rhs(system, z + h * k3, a)
-    return z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    stage = np.multiply(k1, 0.5 * h)
+    stage += z
+    k2 = _aug_rhs(system, stage, a)
+    np.multiply(k2, 0.5 * h, out=stage)
+    stage += z
+    k3 = _aug_rhs(system, stage, a)
+    np.multiply(k3, h, out=stage)
+    stage += z
+    k4 = _aug_rhs(system, stage, a)
+    k2 *= 2.0
+    k2 += k1
+    k3 *= 2.0
+    k2 += k3
+    k2 += k4
+    k2 *= h / 6.0
+    k2 += z
+    return k2
 
 
 def _substeps(duration, dt):
@@ -211,37 +235,54 @@ def advance(system, z, a, duration, dt, live=None, watch=None):
     row's flag to stop it there.  Returns (z, live).
     """
     steps = _substeps(duration, dt)
+    h = duration / steps
     z = np.array(z, dtype=float)
     live = np.ones(len(z), bool) if live is None else np.array(live, bool)
     # a fresh C-contiguous copy, as a[rows] would be: NumPy's SIMD loops
     # may round differently on strided or zero-stride inputs
     a = np.array(np.broadcast_to(np.asarray(a, dtype=float),
                                  (len(z), system.control.m)), order="C")
-    for _ in range(steps):
-        if not live.any():
-            break
-        groups = [np.flatnonzero(live)]
-        while groups:
-            rows = groups.pop()
-            whole = rows.size == len(z)
-            try:
-                with np.errstate(all="ignore"):  # overflow: non-finite rows
-                    new = rk4_step(system, z if whole else z[rows],
-                                   a if whole else a[rows], duration / steps)
-            except EvalDomainError:
-                if rows.size == 1:
-                    live[rows] = False
-                else:
-                    groups += np.array_split(rows, 2)
-                continue
-            ok = np.isfinite(new).all(axis=1)
-            if whole and ok.all():
+    with np.errstate(all="ignore"):  # overflow shows as a non-finite row
+        for _ in range(steps):
+            new = _step_whole(system, z, a, h) if live.all() else None
+            if new is not None:
                 z = new
+            elif live.any():
+                _step_live_rows(system, z, a, h, live)
             else:
-                z[rows[ok]], live[rows[~ok]] = new[ok], False
-        if watch is not None:
-            watch(z, live)
+                break
+            if watch is not None:
+                watch(z, live)
     return z, live
+
+
+def _step_whole(system, z, a, h):
+    """One sub-step of the whole batch; None when a row raises
+    EvalDomainError or comes out non-finite."""
+    try:
+        new = rk4_step(system, z, a, h)
+    except EvalDomainError:
+        return None
+    return new if np.isfinite(new).all() else None
+
+
+def _step_live_rows(system, z, a, h, live):
+    """One sub-step of the live rows, in place: a group of rows that raises
+    EvalDomainError is halved until the rows that raise stand alone, and
+    a row that raises or comes out non-finite retires."""
+    groups = [np.flatnonzero(live)]
+    while groups:
+        rows = groups.pop()
+        try:
+            new = rk4_step(system, z[rows], a[rows], h)
+        except EvalDomainError:
+            if rows.size == 1:
+                live[rows] = False
+            else:
+                groups += np.array_split(rows, 2)
+            continue
+        ok = np.isfinite(new).all(axis=1)
+        z[rows[ok]], live[rows[~ok]] = new[ok], False
 
 
 def rollout(system, x0, picks, horizon, dt):

@@ -27,7 +27,7 @@ import numpy as np
 
 from .oracle import _DEFAULT_BUDGET, _INT_DT, _check_enumeration, _enumerate
 from .solver import interpolate, inverse_transform, zubov_operator
-from .systems import ConfigError, closed_form_value
+from .systems import ConfigError, _is_whole, closed_form_value
 from .trajectories import TrajectoryError, rollout
 
 _KINK_CELLS = 2  # exclusion margin around level-set / clamp kinks
@@ -237,6 +237,9 @@ def check_lyapunov_decrease(system, field, samples=200, seed=0):
     quasi-stability examples) legitimately hold the value flat.
     """
     _check_kruzhkov(system, field, "decrease check")
+    if not (_is_whole(samples) and samples >= 1):
+        raise ConfigError("samples must be a whole number, at least 1, got "
+                          "%r" % (samples,))
     grid = field.grid
     rng = np.random.default_rng(seed)
     cell = float(np.linalg.norm(grid.dx))

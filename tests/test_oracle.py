@@ -468,6 +468,15 @@ class TestFalsifier:
             falsify_quasistability(builtin("ex1"),
                                    Grid([-1, -1], [1, 1], [11, 11]), 4)
 
+    @pytest.mark.parametrize("budget", [2.5, True])
+    def test_budget_must_be_a_whole_count(self, budget):
+        # lift2d has no zero-cost rest point, so the stationary phase finds
+        # nothing and the budget sizes the random phase
+        region = Grid([-1.2, -1.2], [1.2, 1.2], [11, 11])
+        with pytest.raises(ConfigError, match="budget"):
+            falsify_quasistability(builtin("lift2d", controls=3), region,
+                                   budget=budget)
+
 
 class TestDefectAllowances:
     def test_first_step_value(self):

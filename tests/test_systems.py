@@ -421,7 +421,7 @@ class TestBuiltins:
             builtin(name, controls=controls)
 
     @pytest.mark.parametrize("u", [
-        np.linspace(-1.5, 1.5, 13),            # all inside: the shortcut
+        np.linspace(-1.5, 1.5, 13),            # all inside: exactly 1
         np.linspace(-1.7, 1.9, 37),            # straddles 1.5
         np.array([1.0, -1.51]),                # just past it
         np.array([[-2.5, 3.0], [2.0, -7.0]]),  # beyond 2
@@ -435,6 +435,70 @@ class TestBuiltins:
         assert np.shape(cut) == np.shape(u)
         assert np.asarray(cut, dtype=float).tobytes() == np.asarray(
             ramp, dtype=float).tobytes()
+
+    # the builtins' full piecewise formulas: a fast path that skips the
+    # identity taper or a dead branch must match them bit for bit
+    @staticmethod
+    def lift_f_full(x, a):
+        x1, x2, av = x[..., 0], x[..., 1], a[..., 0]
+        t1, t2 = (np.clip((np.abs(u) - 1.5) / 0.5, 0.0, 1.0) for u in (x1, x2))
+        cut = (1.0 - t1 * t1 * (3.0 - 2.0 * t1)) * (
+            1.0 - t2 * t2 * (3.0 - 2.0 * t2))
+        return np.stack([(-x1 + av * x1 ** 2) * cut,
+                         (-x2 + av * x2 ** 2) * cut], axis=-1)
+
+    @staticmethod
+    def ex1_f_full(x, a):
+        xv, av = x[..., 0], a[..., 0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            outer = av / xv
+        return np.where(xv >= 1.0, outer - 1.0,
+                        np.where(xv <= -1.0, 1.0 - outer,
+                                 -xv + av * xv ** 2))[..., None]
+
+    @staticmethod
+    def ex1_g_full(x, a):
+        xv = x[..., 0]
+        return np.where(np.abs(xv) <= 1.0, np.abs(np.sin(np.pi * xv)), 0.0)
+
+    @staticmethod
+    def controls(rows):
+        """One control (1,) and one per row (B, 1), as advance passes it."""
+        per_row = np.random.default_rng(4).choice([-1.0, 0.0, 1.0],
+                                                  size=(rows, 1))
+        return [np.array([1.0]), np.array([-0.5]), per_row]
+
+    @pytest.mark.parametrize("rows", [
+        [[0.3, -1.2], [1.5, -1.5], [0.0, 1.49]],   # inside: the taper is 1
+        [[0.3, -1.2], [1.6, 0.2], [-1.4, 1.55]],   # straddles |x_i| = 1.5
+        [[0.3, -1.2], [2.0, 0.5], [-2.7, 3.1]],    # reaches and passes 2
+        [[1.7, 0.4]],                              # one row, tapered
+    ])
+    def test_lift2d_fast_path_is_the_full_formula(self, rows):
+        from zubov.systems import _lift_f
+        rows = np.array(rows)
+        # a strided (B, 2) view of a (B, 3) state, as the solver's feet pass
+        x = np.hstack([rows, np.zeros((len(rows), 1))])[:, :2]
+        for a in self.controls(len(rows)):
+            got, want = _lift_f(x, a), self.lift_f_full(x, a)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("xs", [
+        [0.3, -0.99, 0.0, 0.75],        # inside: both fast paths
+        [0.3, 1.0, -1.0, -0.2],         # exactly at +-1
+        [0.3, 1.5, -2.0, 0.999],        # outside
+        [1.0], [-1.0], [1.2], [-0.4],   # one row
+    ])
+    def test_ex1_fast_paths_are_the_full_formulas(self, xs):
+        from zubov.systems import _ex1_f, _ex1_g
+        x = np.hstack([np.array(xs)[:, None], np.zeros((len(xs), 1))])[:, :1]
+        for a in self.controls(len(xs)):
+            for fast, full in ((_ex1_f, self.ex1_f_full),
+                               (_ex1_g, self.ex1_g_full)):
+                got, want = fast(x, a), full(x, a)
+                assert np.shape(got) == np.shape(want)
+                assert np.asarray(got).tobytes() == want.tobytes()
 
     def test_lift2d_dynamics_inside_working_box(self):
         sys = builtin("lift2d")

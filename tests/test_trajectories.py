@@ -7,6 +7,7 @@ from scipy.integrate import simpson
 from zubov.expressions import EvalDomainError
 from zubov.systems import ConfigError, ControlSpace, Grid, SystemDef, builtin, load_system
 from zubov.trajectories import (
+    _aug_rhs,
     ControlSchedule,
     RelaxedSchedule,
     TrajectoryError,
@@ -292,6 +293,35 @@ def test_narrow_state_is_the_wide_states_x_and_g_columns(make):
     wide, _ = advance(system, wide, a, 0.3, 0.02)
     narrow, _ = advance(system, narrow, a, 0.3, 0.02)
     assert narrow.tobytes() == wide[:, keep].tobytes()
+
+
+def rk4_textbook(system, z, a, h):
+    k1 = _aug_rhs(system, z, a)
+    k2 = _aug_rhs(system, z + 0.5 * h * k1, a)
+    k3 = _aug_rhs(system, z + 0.5 * h * k2, a)
+    k4 = _aug_rhs(system, z + h * k3, a)
+    return z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+@pytest.mark.parametrize("strided", [False, True])
+@pytest.mark.parametrize("slots", [1, 3])
+@pytest.mark.parametrize("make", [
+    lambda: builtin("lift2d", controls=3), lambda: builtin("ex1", controls=3),
+    lambda: load_system(JSON_ELL_H)], ids=["lift2d", "ex1", "ell-h-json"])
+def test_rk4_step_rounds_as_the_textbook_formula(make, slots, strided):
+    system = make()
+    n, pts = system.n_state, system.control.points
+    rng = np.random.default_rng(6)
+    # past lift2d's taper and on both sides of ex1's branch switch
+    z = np.hstack([rng.uniform(-2.2, 2.2, size=(40, n)),
+                   rng.uniform(0.0, 1.0, size=(40, slots))])
+    if strided:  # a view whose rows skip a column, as a slice of a wider state
+        z = np.hstack([z, np.zeros((40, 1))])[:, :n + slots]
+    for a in (pts[rng.integers(0, len(pts), size=40)], pts[-1]):
+        want = rk4_textbook(system, z, a, 0.05)
+        assert rk4_step(system, z, a, 0.05).tobytes() == want.tobytes()
+        assert rk4_step(system, z[3], a if a.ndim == 1 else a[3],
+                        0.05).tobytes() == want[3].tobytes()
 
 
 @pytest.mark.parametrize("width", [2, 4, 6])

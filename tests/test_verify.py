@@ -305,6 +305,13 @@ class TestLyapunovDecrease:
         with pytest.raises(ConfigError, match="kruzhkov"):
             check_lyapunov_decrease(lift2d_system, raw, samples=5)
 
+    @pytest.mark.parametrize("samples", [0, 2.5, True])
+    def test_samples_must_be_a_whole_count(self, lift2d_system,
+                                           lift2d_field, samples):
+        with pytest.raises(ConfigError, match="samples"):
+            check_lyapunov_decrease(lift2d_system, lift2d_field,
+                                    samples=samples)
+
 
 class TestSandwich:
 

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .systems import (ConfigError, Grid, _grid_header, _read_grid_csv,
-                      _write_csv)
+from .systems import (ConfigError, Grid, _grid_header, _node_columns,
+                      _read_grid_csv, _Tokens, _write_csv)
 
 
 @dataclass(frozen=True)
@@ -206,9 +206,11 @@ def region_distance(mask, reference):
 def save_mask(mask, path):
     """Header (n, counts, lo, hi, epsilon), then node rows i1..iN, 0/1."""
     grid = mask.grid
+    flags = mask.inside.reshape(-1).view(np.uint8)  # 0 or 1
     _write_csv(path, _grid_header(grid) + ["%.17g" % mask.epsilon],
-               [*np.indices(tuple(grid.counts)).reshape(grid.n_axes, -1),
-                mask.inside.reshape(-1)], ["%d"] * (grid.n_axes + 1))
+               [*_node_columns(grid, coords=False),
+                _Tokens(["0", "1"], flags.__getitem__, grid.n_nodes)],
+               ["%s"] * (grid.n_axes + 1))
 
 
 def load_mask(path):

@@ -26,12 +26,16 @@ to pick, and solve_hjbe keeps plain full sweeps too: its minimize-mode
 systems start below their fixed point, where a greedy policy's sweeps can
 overshoot it, or diverge on an undiscounted system.
 
-The build streams: for each control it computes feet and stencils for
-2**14 nodes at a time and appends their rows, so its temporaries stay a
-few MB at any grid size.  The offset is allocated by the first chunk
-with a nonzero entry, so an all-zero offset (every Kružkov row) is a
-zero-stride view that takes no memory, and a sweep skips adding it.
-Neither changes a bit of any field.
+The operator's rows come from one stream (`_row_chunks`): for each
+control, the feet and stencils of 2**14 nodes at a time, so its
+temporaries stay a few MB at any grid size.  A chunk's RK4 step runs on
+a column-major augmented state, so every column it reads and writes is
+contiguous.  The build writes each chunk's stencils straight into the
+CSR arrays.  The offset is allocated by the first chunk with a nonzero
+entry, so an all-zero offset (every Kružkov row) is a zero-stride view
+that takes no memory, and a sweep skips adding it.  The same stream
+gives `apply_zubov`, T u without the operator, for the fixed-point
+check.  None of this changes a bit of any field.
 
 Both solves take y_a, the foot of node x_i under control a, and the step
 integrals from one RK4 step of length dt.  A foot outside the box reads
@@ -107,44 +111,109 @@ def _foot_points(system, nodes, a, dt, slots=3):
     One RK4 step of the augmented integrator with ``slots`` extra columns,
     so the discount and stage cost match the foot trajectory itself.
     ``slots=1`` carries ``int g`` alone; ``slots=3`` carries
-    ``int ell*exp(-int h)``, ``int g`` and ``int h`` over the step.
+    ``int ell*exp(-int h)``, ``int g`` and ``int h`` over the step.  The
+    augmented state is column-major, so every column the step reads and
+    writes is contiguous (the arithmetic is elementwise, the bits the same).
     """
-    z = np.concatenate([nodes, np.zeros(nodes.shape[:-1] + (slots,))],
-                       axis=-1)
+    n = system.n_state
+    z = np.zeros((len(nodes), n + slots), order="F")
+    z[:, :n] = nodes
     z1 = rk4_step(system, z, a, dt)
-    return z1[..., : system.n_state], z1[..., system.n_state:]
+    return z1[:, :n], z1[:, n:]
 
 
-def _stencil(grid, feet):
-    """Multilinear stencil of each foot point: ``(inside, idx, w)``.
+def _chunk_nodes(grid, lo, hi):
+    """Coordinates of the flat nodes lo..hi-1, column-major like the feet."""
+    nodes = np.empty((hi - lo, grid.n_axes), order="F")
+    rest = np.arange(lo, hi)  # the last axis runs fastest
+    for k in range(grid.n_axes - 1, 0, -1):
+        rest, at = np.divmod(rest, grid.counts[k])
+        np.take(grid.axes[k], at, out=nodes[:, k])
+    np.take(grid.axes[0], rest, out=nodes[:, 0])
+    return nodes
 
-    Row i of ``idx``/``w`` (shape (len(feet), 2**n)) lists the flat node
-    indices and weights foot i reads; exterior feet are flagged, not
-    dropped.
+
+def _inside(grid, pts):
+    """Flags the points inside the grid's box."""
+    inside = np.ones(len(pts), dtype=bool)
+    for k in range(grid.n_axes):
+        ax = pts[:, k]
+        inside &= (ax >= grid.lo[k]) & (ax <= grid.hi[k])
+    return inside
+
+
+def _stencil(grid, pts, scale=None, idx=None, w=None):
+    """Multilinear stencil of each point: ``(idx, w)``, both of shape
+    (len(pts), 2**n).
+
+    Row i lists the flat node indices point i reads, from its cell clipped
+    into the box, and their weights, times ``scale[i]`` when given.  Corner
+    j's index is the cell's first node plus a constant offset.  The
+    stencils are written into ``idx`` and ``w`` when given (the operator's
+    CSR arrays), else into new row-major arrays.
     """
     n = grid.n_axes
-    inside = np.ones(feet.shape[0], dtype=bool)
-    base, frac = [], []
-    for k in range(n):
-        ax = feet[:, k]
-        inside &= (ax >= grid.lo[k]) & (ax <= grid.hi[k])
-        u = (ax - grid.lo[k]) / grid.dx[k]
-        cell = np.clip(np.floor(u).astype(np.int64), 0, grid.counts[k] - 2)
-        base.append(cell)
-        frac.append(np.clip(u - cell, 0.0, 1.0))
-    strides = np.cumprod([1, *grid.counts[:0:-1]])[::-1]
     corners = list(itertools.product((0, 1), repeat=n))
-    idx = np.empty((feet.shape[0], len(corners)), dtype=np.int64)
-    w = np.empty((feet.shape[0], len(corners)))
+    if idx is None:
+        idx = np.empty((len(pts), len(corners)), dtype=np.int64)
+        w = np.empty((len(pts), len(corners)))
+    strides = np.cumprod([1, *grid.counts[:0:-1]])[::-1]
+    first, near, far = 0, [], []
+    for k in range(n):
+        u = (pts[:, k] - grid.lo[k]) / grid.dx[k]
+        cell = np.clip(np.floor(u).astype(np.int64), 0, grid.counts[k] - 2)
+        first = first + cell * strides[k]
+        frac = np.clip(u - cell, 0.0, 1.0)
+        near.append(1.0 - frac)
+        far.append(frac)
+    product = np.empty(len(pts))
     for j, corner in enumerate(corners):
-        flat = np.zeros(feet.shape[0], dtype=np.int64)
-        weight = np.ones(feet.shape[0])
-        for k, bit in enumerate(corner):
-            flat += (base[k] + bit) * strides[k]
-            weight = weight * (frac[k] if bit else 1.0 - frac[k])
-        idx[:, j] = flat
-        w[:, j] = weight
-    return inside, idx, w
+        np.add(first, int(np.dot(corner, strides)), out=idx[:, j])
+        # the weight is the product of its axes' factors in axis order, then
+        # the scale: computed contiguous, stored once
+        factors = [far[k] if bit else near[k] for k, bit in enumerate(corner)]
+        weight = factors[0]
+        for factor in factors[1:]:
+            weight = np.multiply(weight, factor, out=product)
+        np.multiply(weight, 1.0 if scale is None else scale, out=w[:, j])
+    return idx, w
+
+
+def _row_chunks(system, grid, rows, data=None, indices=None):
+    """The Bellman rows, ``_FEET_CHUNK`` nodes at a time in row order:
+    ``(k, lo, hi, inside, idx, w, cost)`` for nodes lo..hi-1 under control
+    k.
+
+    ``rows(a, nodes)`` returns ``(feet, scale, cost)`` for control a: row i
+    reads ``cost[i] + scale[i] * I[x](feet[i])``, where I[x] is 0 at a foot
+    outside the box (module docstring).  ``inside`` flags the rows whose
+    foot is in the box; ``idx`` and ``w`` are those rows' stencils only,
+    the weights times the row's scale.  Given the CSR arrays ``data`` and
+    ``indices``, the stencils are written straight into them, chunk after
+    chunk from entry 0, and idx and w are views of them.  Node coordinates
+    and feet exist for one chunk at a time, so the stream's temporaries do
+    not grow with the grid.
+    """
+    if grid.n_axes != system.n_state:
+        raise ConfigError("grid dimension %d, system wants %d"
+                          % (grid.n_axes, system.n_state))
+    width, nnz = 2 ** grid.n_axes, 0
+    for k, a in enumerate(system.control.points):
+        for lo in range(0, grid.n_nodes, _FEET_CHUNK):
+            hi = min(lo + _FEET_CHUNK, grid.n_nodes)
+            feet, scale, cost = rows(a, _chunk_nodes(grid, lo, hi))
+            inside = _inside(grid, feet)
+            if not inside.all():  # keep the feet column-major
+                feet, scale = feet.T[:, inside].T, scale[inside]
+            out = ()
+            if data is not None:
+                end = nnz + width * len(feet)
+                out = (indices[nnz:end].reshape(-1, width),
+                       data[nnz:end].reshape(-1, width))
+                nnz = end
+            idx, w = _stencil(grid, feet, scale, *out)
+            yield k, lo, hi, inside, idx, w, cost
+            del feet, scale, cost, inside, idx, w, out  # before the next
 
 
 class BellmanOperator:
@@ -251,17 +320,12 @@ class BellmanOperator:
 
 
 def _assemble(system, grid, rows, opt, cap=None):
-    """Stack the controls' rows into one BellmanOperator.
+    """Stack the controls' rows (``_row_chunks``) into one BellmanOperator.
 
-    ``rows(a, nodes)`` returns ``(feet, scale, cost)`` for control a: row i
-    reads ``cost[i] + scale[i] * I[x](feet[i])``, where I[x] is 0 at a foot
-    outside the box (module docstring).  It is called on
-    ``_FEET_CHUNK`` nodes at a time, in row order, so the build's
-    temporaries do not grow with the grid.
+    Each chunk's stencils go straight into the CSR arrays, and its
+    temporaries die before the next chunk's, and before the operator's
+    buffers exist.
     """
-    if grid.n_axes != system.n_state:
-        raise ConfigError("grid dimension %d, system wants %d"
-                          % (grid.n_axes, system.n_state))
     n_nodes, width = grid.n_nodes, 2 ** grid.n_axes
     n_rows = system.control.size * n_nodes
     itype = np.int32 if n_rows * width < 2 ** 31 else np.int64
@@ -273,40 +337,19 @@ def _assemble(system, grid, rows, opt, cap=None):
     # allocated by the first nonzero chunk: calloc can hand back pages an
     # earlier solve freed, which it must then zero, and so make resident
     offset = None
-
-    def append(row, a, lo, hi, nnz):
-        """Write the rows of nodes lo..hi-1 under control a from `row` and
-        the entries from `nnz` on; returns the new nnz.  The chunk's
-        temporaries die on return, before the operator's buffers exist."""
-        nonlocal offset
-        at = np.unravel_index(np.arange(lo, hi), tuple(grid.counts))
-        nodes = np.stack([ax[i] for ax, i in zip(grid.axes, at)], axis=-1)
-        feet, scale, cost = rows(a, nodes)
-        scale = np.broadcast_to(scale, (hi - lo,))
-        inside, idx, w = _stencil(grid, feet)
-        w *= scale[:, None]
-        indptr[row + 1:row + 1 + hi - lo] = np.where(inside, width, 0)
+    for k, lo, hi, inside, idx, w, cost in _row_chunks(system, grid, rows,
+                                                       data, indices):
+        row = k * n_nodes + lo
+        np.multiply(inside, width, out=indptr[row + 1:row + 1 + hi - lo])
         if np.any(cost):
             if offset is None:
                 offset = np.zeros(n_rows)
             offset[row:row + hi - lo] = cost
-        end = nnz + width * int(np.count_nonzero(inside))
-        if end - nnz == idx.size:  # every foot inside: skip the mask
-            indices[nnz:end] = idx.reshape(-1)
-            data[nnz:end] = w.reshape(-1)
-        else:
-            indices[nnz:end] = idx[inside].reshape(-1)
-            data[nnz:end] = w[inside].reshape(-1)
-        return end
-
-    nnz = 0
-    for k, a in enumerate(system.control.points):
-        for lo in range(0, n_nodes, _FEET_CHUNK):
-            nnz = append(k * n_nodes + lo, a, lo,
-                         min(lo + _FEET_CHUNK, n_nodes), nnz)
+        del inside, idx, w, cost  # before the next chunk's feet
     from scipy import sparse  # loaded by the first solve, not on import
 
     np.cumsum(indptr, out=indptr)
+    nnz = int(indptr[-1])
     matrix = sparse.csr_array((data[:nnz], indices[:nnz], indptr),
                               shape=(n_rows, n_nodes))
     if offset is None:
@@ -314,8 +357,8 @@ def _assemble(system, grid, rows, opt, cap=None):
     return BellmanOperator(matrix, offset, opt, cap)
 
 
-def zubov_operator(system, grid, dt):
-    """The Kružkov operator on the complement u = 1 - v (module docstring)."""
+def _zubov_rows(system, dt):
+    """``rows`` of the Kružkov operator on u = 1 - v (module docstring)."""
 
     def rows(a, nodes):
         gv = np.asarray(system.g(nodes, a), dtype=float)
@@ -325,7 +368,43 @@ def zubov_operator(system, grid, dt):
         feet, integrals = _foot_points(system, nodes, a, dt, 1)
         return feet, np.exp(-np.maximum(integrals[:, 0], 0.0)), 0.0
 
-    return _assemble(system, grid, rows, np.minimum, cap=1.0)
+    return rows
+
+
+def zubov_operator(system, grid, dt):
+    """The Kružkov operator on the complement u = 1 - v (module docstring)."""
+    return _assemble(system, grid, _zubov_rows(system, dt), np.minimum,
+                     cap=1.0)
+
+
+def apply_zubov(system, grid, dt, u):
+    """``zubov_operator(system, grid, dt)(u)``, bit for bit, without
+    building the operator.
+
+    Each chunk of rows from ``_row_chunks`` sums its stencil terms from +0
+    in the CSR row's order, as the sparse kernel does; a foot outside the
+    box reads 0.  The minimum over controls is taken as the chunks arrive
+    and capped at 1, so only N values outlive a chunk.
+    """
+    u = np.ascontiguousarray(u, dtype=float)
+    if u.shape != (grid.n_nodes,):
+        raise ValueError("operator wants %d node values, got shape %s"
+                         % (grid.n_nodes, u.shape))
+    out = np.empty(grid.n_nodes)
+    for k, lo, hi, inside, idx, w, _ in _row_chunks(
+            system, grid, _zubov_rows(system, dt)):
+        terms = np.zeros(len(idx))
+        for j in range(idx.shape[1]):
+            terms += w[:, j] * u[idx[:, j]]
+        if len(idx) < hi - lo:  # the rows of feet outside the box read 0
+            inner, terms = terms, np.zeros(hi - lo)
+            terms[inside] = inner
+        if k == 0:
+            out[lo:hi] = terms
+        else:
+            np.minimum(out[lo:hi], terms, out=out[lo:hi])
+        del inside, idx, w, terms  # before the next chunk's feet
+    return np.minimum(out, 1.0, out=out)
 
 
 def hjbe_operator(system, grid, dt):
@@ -464,7 +543,7 @@ def interpolate(field, x):
     if pts.shape[-1] != field.grid.n_axes:
         raise ConfigError("point dimension %d, grid wants %d"
                           % (pts.shape[-1], field.grid.n_axes))
-    inside, idx, w = _stencil(field.grid, pts)
+    idx, w = _stencil(field.grid, pts)
     vals = np.einsum("ij,ij->i", field.values.reshape(-1)[idx], w)
-    out = np.where(inside, vals, exterior)
+    out = np.where(_inside(field.grid, pts), vals, exterior)
     return float(out[0]) if np.ndim(x) == 1 else out

@@ -254,13 +254,50 @@ def _grid_header(grid):
 def _write_csv(path, head, columns, formats):
     """Write the header tokens, then row i of the columns, the k-th entry in
     %-format formats[k], a bounded chunk of rows at a time: the body never
-    exists as one string or as one Python float per value."""
+    exists as one string or as one Python object per value.  A column is
+    an array or `_Tokens`, whose slices are preformatted strings."""
     row, chunk = ",".join(formats) + "\n", 4096
     with open(path, "w") as fh:
         fh.write(",".join(head) + "\n")
         for start in range(0, len(columns[0]), chunk):
             part = np.column_stack([c[start:start + chunk] for c in columns])
             fh.write((row * len(part)) % tuple(part.ravel().tolist()))
+
+
+class _Tokens:
+    """A CSV column of preformatted strings, for a "%s" format: row i holds
+    ``tokens[keys(rows)]`` for the slice ``rows`` of its chunk.  Each
+    distinct token is formatted once; a slice gathers a chunk's tokens, so
+    no N-long column of strings exists."""
+
+    def __init__(self, tokens, keys, size):
+        self.tokens, self.keys, self.size = (np.array(tokens, dtype=object),
+                                             keys, size)
+
+    def __len__(self):
+        return self.size
+
+    def __getitem__(self, rows):
+        return self.tokens[self.keys(rows)]
+
+
+def _node_columns(grid, coords=True):
+    """The node columns i1..iN, then x1..xN with ``coords``, of a grid CSV
+    in flat node order, as `_Tokens`: indices as %d, coordinates as
+    %.17g."""
+    size = grid.n_nodes
+
+    def axis(k, tokens):
+        stride, count = int(np.prod(grid.counts[k + 1:])), len(tokens)
+        return _Tokens(tokens, lambda rows: np.arange(*rows.indices(size))
+                       // stride % count, size)
+
+    columns = [axis(k, ["%d" % i for i in range(count)])
+               for k, count in enumerate(grid.counts)]
+    if coords:
+        columns += [axis(k, ["%.17g" % x for x in ax])
+                    for k, ax in enumerate(grid.axes)]
+    return columns
 
 
 def _read_grid_csv(path, what, width):
@@ -322,9 +359,8 @@ def save_field(field, path):
                          % field.metadata[key])
               for key, kind in _RECORD.items() if key in field.metadata]
     _write_csv(path, _grid_header(grid) + [field.transform] + record,
-               [*np.indices(tuple(grid.counts)).reshape(n, -1),
-                *grid.node_coords().reshape(-1, n).T,
-                field.values.reshape(-1)], ["%d"] * n + ["%.17g"] * (n + 1))
+               [*_node_columns(grid), field.values.reshape(-1)],
+               ["%s"] * (2 * n) + ["%.17g"])
 
 
 def load_field(path):

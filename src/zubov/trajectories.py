@@ -17,7 +17,10 @@ The augmented state comes in two widths, told apart by its last axis:
     weight) cost nothing there, and neither can retire a row.
 
 The x and ∫g columns come out bit for bit the same at either width: every
-RK4 stage combines the columns elementwise.
+RK4 stage combines the columns elementwise.  For the same reason the
+memory layout does not matter: `_aug_rhs` keeps z's, so the solver's
+column-major feet step with contiguous columns and the oracle's
+row-major batches as before.
 
 The hot path is lean but rounds as written.  `rk4_step` reuses its stage
 buffers and keeps the textbook operation order.  `advance` steps an
@@ -157,14 +160,15 @@ class TrajectoryRecord:
 
 def _aug_rhs(system, z, a):
     """Right-hand side of the augmented dynamics; z is (..., N+1) holding
-    (x, ∫g) or (..., N+3) holding (x, J, ∫g, ∫h)."""
+    (x, ∫g) or (..., N+3) holding (x, J, ∫g, ∫h).  The rates come back in
+    z's memory layout."""
     n = system.n_state
     width = z.shape[-1]
     if width not in (n + 1, n + 3):
         raise ValueError("augmented state has %d columns; a system with %d "
                          "states wants %d or %d" % (width, n, n + 1, n + 3))
     x = z[..., :n]
-    out = np.empty(z.shape)  # each rate is cast to float as it is stored
+    out = np.empty_like(z, dtype=float)  # each rate is cast as it is stored
     out[..., :n] = system.f(x, a)
     gv = system.g(x, a)
     if width == n + 1:

@@ -9,7 +9,8 @@ name), one-shot DPP consistency against RK4 trajectories, monotone decrease
 along random integrated schedules, one-sided comparison against constructed
 sub/super candidates, growth toward the domain boundary, and slope probes.
 The fixed-point re-check is the one exception: it applies the solver's own
-operator once, so it measures the distance to the discrete fixed point.
+Bellman operator once, row by row without building it, so it measures the
+distance to the discrete fixed point.
 
 Every check returns a VerificationReport; failures carry replayable
 witnesses (node indices, sample points and the exact schedule used), never
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .oracle import _DEFAULT_BUDGET, _INT_DT, _check_enumeration, _enumerate
-from .solver import interpolate, inverse_transform, zubov_operator
+from .solver import apply_zubov, interpolate, inverse_transform
 from .systems import ConfigError, _is_whole, closed_form_value
 from .trajectories import TrajectoryError, rollout
 
@@ -73,6 +74,9 @@ def check_fixed_point(system, field, dt=0.05, tol=1e-6):
     """Apply the field's own Bellman operator once; fail where |T v - v|
     exceeds 10 tol.  An edited or swapped node sticks out by about the size
     of the edit, which residual statistics and sampled trajectories miss.
+    T v is computed chunk by chunk from the solver's row stream
+    (`solver.apply_zubov`), bit for bit the operator's, without building
+    the operator.
     dt and tol come from the field's run record (load_field reads it from
     the CSV header); the arguments stand in for what it does not record.
     A record of Euler feet or of an exterior value other than 1 names a
@@ -86,8 +90,7 @@ def check_fixed_point(system, field, dt=0.05, tol=1e-6):
     dt = float(meta.get("dt", dt))
     threshold = 10.0 * float(meta.get("tol", tol))
     u = 1.0 - field.values.reshape(-1)  # the operator acts on 1 - v
-    op = zubov_operator(system, grid, dt)
-    moved = op(u)
+    moved = apply_zubov(system, grid, dt, u)
     moved[np.ravel_multi_index(grid.origin_index, grid.counts)] = 1.0
     defect = np.abs(moved - u)
     worst = int(np.argmax(defect))

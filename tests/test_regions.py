@@ -241,6 +241,23 @@ class TestCsvRoundTrip:
         assert back.epsilon == mask.epsilon
         assert back.touches_boundary == mask.touches_boundary
 
+    @pytest.mark.parametrize("lo,hi,counts", [
+        ([-2.0], [2.0], [4099]),
+        ([-1.2, -0.6], [1.2, 0.6], [71, 61]),
+        ([-1.0, -0.5, -2.0], [1.0, 1.5, 2.0], [17, 17, 17])],
+        ids=["1d", "2d", "3d"])
+    def test_rows_are_the_per_value_format(self, tmp_path, lo, hi, counts):
+        # every node's row as one %d per value, more nodes than one writer
+        # chunk holds
+        grid = Grid(lo, hi, counts)
+        inside = (grid.node_coords() ** 2).sum(axis=-1) < 0.5
+        path = tmp_path / "mask.csv"
+        save_mask(DoaMask(grid, inside, 0.01, False), path)
+        head = path.read_bytes().split(b"\n", 1)[0].decode()
+        rows = [",".join(["%d" % i for i in at] + ["%d" % inside[at]])
+                for at in np.ndindex(*grid.counts)]
+        assert path.read_bytes() == ("\n".join([head, *rows]) + "\n").encode()
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "junk.csv"
         path.write_text("not,a,mask\n")

@@ -326,6 +326,33 @@ def test_build_chunk_transients_stay_flat(monkeypatch):
     assert 0 < beyond[1] <= 1.25 * beyond[0]
 
 
+# --- matrix-free application ------------------------------------------------
+
+LIFT2D_JSON = {
+    "name": "lift2d-json", "n": 2,
+    "f": ["-x1 + a1*x1^2", "-x2 + a1*x2^2"], "g": "x1^2 + x2^2",
+    "control": {"box": {"lo": [-1.0], "hi": [1.0], "counts": [5]}},
+}
+
+
+@pytest.mark.parametrize("name,grid", [
+    ("lift2d", LIFT41), ("ex1", Grid([-2.0], [2.0], [801])),
+    (LIFT2D_JSON, LIFT41)], ids=["lift2d", "ex1", "lift2d-json"])
+def test_apply_zubov_is_the_operators_product(monkeypatch, name, grid):
+    system = builtin(name) if isinstance(name, str) else load_system(name)
+    # above 1 in places, so that the cap bites
+    u = np.random.default_rng(4).uniform(0.0, 1.3, grid.n_nodes)
+    op = zubov_operator(system, grid, 0.05)
+    want = op(u)
+    assert (want == 1.0).any()
+    if name == "lift2d":
+        assert (np.diff(op.matrix.indptr) == 0).any()  # feet outside the box
+    for chunk in (grid.n_nodes, 100):  # one chunk, then many
+        monkeypatch.setattr(solver, "_FEET_CHUNK", chunk)
+        assert solver.apply_zubov(system, grid, 0.05, u).tobytes() \
+            == want.tobytes()
+
+
 # --- sweeps ------------------------------------------------------------------
 
 def single_product(op, x):

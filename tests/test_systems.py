@@ -158,6 +158,25 @@ class TestValueField:
         # row: index, coordinate, value
         assert lines[1].split(",") == ["0", "-1", "0"]
 
+    @pytest.mark.parametrize("lo,hi,counts", [
+        ([-2.0], [2.0], [4099]),
+        ([-1.2, -0.6], [1.2, 0.6], [71, 61]),
+        ([-1.0, -0.5, -2.0], [1.0, 1.5, 2.0], [17, 17, 17])],
+        ids=["1d", "2d", "3d"])
+    def test_rows_are_the_per_value_format(self, tmp_path, lo, hi, counts):
+        # every node's row as one %d / %.17g per value, more nodes than one
+        # writer chunk holds
+        g = Grid(lo, hi, counts)
+        vals = np.random.default_rng(9).random(tuple(g.counts))
+        path = tmp_path / "f.csv"
+        save_field(ValueField(g, vals, "kruzhkov", {"dt": 0.05}), path)
+        head = path.read_bytes().split(b"\n", 1)[0].decode()
+        rows = [",".join(["%d" % i for i in at]
+                         + ["%.17g" % ax[i] for ax, i in zip(g.axes, at)]
+                         + ["%.17g" % vals[at]])
+                for at in np.ndindex(*g.counts)]
+        assert path.read_bytes() == ("\n".join([head, *rows]) + "\n").encode()
+
     def test_resave_is_byte_identical(self, tmp_path):
         g = Grid([-1.2, -0.6], [1.2, 0.6], [5, 3])
         f = ValueField(g, np.random.default_rng(3).random((5, 3)), "kruzhkov")

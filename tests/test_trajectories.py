@@ -317,11 +317,17 @@ def test_rk4_step_rounds_as_the_textbook_formula(make, slots, strided):
                    rng.uniform(0.0, 1.0, size=(40, slots))])
     if strided:  # a view whose rows skip a column, as a slice of a wider state
         z = np.hstack([z, np.zeros((40, 1))])[:, :n + slots]
+    # column-major, as the solver's feet: the same bits, and the layout kept
+    columns = np.asfortranarray(z)
     for a in (pts[rng.integers(0, len(pts), size=40)], pts[-1]):
         want = rk4_textbook(system, z, a, 0.05)
         assert rk4_step(system, z, a, 0.05).tobytes() == want.tobytes()
         assert rk4_step(system, z[3], a if a.ndim == 1 else a[3],
                         0.05).tobytes() == want[3].tobytes()
+        got = rk4_step(system, columns, a, 0.05)
+        assert got.flags.f_contiguous and got.tobytes() == want.tobytes()
+        assert rk4_textbook(system, columns, a, 0.05).tobytes() \
+            == want.tobytes()
 
 
 @pytest.mark.parametrize("width", [2, 4, 6])

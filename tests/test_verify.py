@@ -12,7 +12,8 @@ import time
 import numpy as np
 import pytest
 
-from zubov.solver import SolverSettings, interpolate, solve_zubov
+from zubov.solver import (SolverSettings, interpolate, solve_zubov,
+                          zubov_operator)
 from zubov.systems import (ConfigError, Grid, ValueField, builtin,
                            closed_form_value, load_system)
 from zubov.trajectories import integrate
@@ -87,6 +88,35 @@ class TestFixedPoint:
         assert not rep.passed
         assert rep.witnesses[0]["node"] == (120, 80)
         assert rep.stats["max_defect"] == pytest.approx(0.01, rel=0.1)
+
+    def test_defect_and_witness_are_the_operators(self, lift2d_system,
+                                                  lift2d_field):
+        # the check applies T without building it; the built operator,
+        # origin pinned as in a sweep, gives the same defect and witness
+        vals = lift2d_field.values.copy()
+        vals[30, 170] -= 0.003
+        field, grid = lift2d_field.with_values(vals), lift2d_field.grid
+        u = 1.0 - vals.reshape(-1)
+        moved = zubov_operator(lift2d_system, grid, 0.05)(u)
+        moved[np.ravel_multi_index(grid.origin_index, grid.counts)] = 1.0
+        defect = np.abs(moved - u)
+        rep = check_fixed_point(lift2d_system, field)
+        assert rep.stats["max_defect"] == defect.max()
+        assert rep.witnesses[0]["node"] == np.unravel_index(
+            np.argmax(defect), grid.counts)
+
+    def test_allocates_no_operator(self, lift2d_system, lift2d_field):
+        import tracemalloc
+
+        grid = lift2d_field.grid
+        op_bytes = zubov_operator(lift2d_system, grid, 0.05).nbytes
+        tracemalloc.start()
+        try:
+            check_fixed_point(lift2d_system, lift2d_field)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < op_bytes
 
     def test_metadata_beats_arguments(self, lift2d_system, lift2d_field):
         # the field records dt 0.05; a wrong fallback must not be used

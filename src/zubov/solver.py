@@ -26,16 +26,16 @@ to pick, and solve_hjbe keeps plain full sweeps too: its minimize-mode
 systems start below their fixed point, where a greedy policy's sweeps can
 overshoot it, or diverge on an undiscounted system.
 
-The operator's rows come from one stream (`_row_chunks`): for each
-control, the feet and stencils of 2**14 nodes at a time, so its
-temporaries stay a few MB at any grid size.  A chunk's RK4 step runs on
-a column-major augmented state, so every column it reads and writes is
-contiguous.  The build writes each chunk's stencils straight into the
-CSR arrays.  The offset is allocated by the first chunk with a nonzero
-entry, so an all-zero offset (every Kružkov row) is a zero-stride view
-that takes no memory, and a sweep skips adding it.  The same stream
-gives `apply_zubov`, T u without the operator, for the fixed-point
-check.  None of this changes a bit of any field.
+The build (`_assemble`) computes, for each control, the feet and
+stencils of 2**14 nodes at a time, so its temporaries stay a few MB at
+any grid size.  A chunk's RK4 step runs on a column-major augmented
+state, so every column it reads and writes is contiguous.  Each chunk's
+stencils go straight into the CSR arrays.  The offset is allocated by
+the first chunk with a nonzero entry, so an all-zero offset (every
+Kružkov row) is a zero-stride view that takes no memory, and a sweep
+skips adding it.  The fixed-point check's `apply_zubov` gives T u
+without the full operator: it builds and applies one control's operator
+at a time.  None of this changes a bit of any field.
 
 Both solves take y_a, the foot of node x_i under control a, and the step
 integrals from one RK4 step of length dt.  A foot outside the box reads
@@ -179,43 +179,6 @@ def _stencil(grid, pts, scale=None, idx=None, w=None):
     return idx, w
 
 
-def _row_chunks(system, grid, rows, data=None, indices=None):
-    """The Bellman rows, ``_FEET_CHUNK`` nodes at a time in row order:
-    ``(k, lo, hi, inside, idx, w, cost)`` for nodes lo..hi-1 under control
-    k.
-
-    ``rows(a, nodes)`` returns ``(feet, scale, cost)`` for control a: row i
-    reads ``cost[i] + scale[i] * I[x](feet[i])``, where I[x] is 0 at a foot
-    outside the box (module docstring).  ``inside`` flags the rows whose
-    foot is in the box; ``idx`` and ``w`` are those rows' stencils only,
-    the weights times the row's scale.  Given the CSR arrays ``data`` and
-    ``indices``, the stencils are written straight into them, chunk after
-    chunk from entry 0, and idx and w are views of them.  Node coordinates
-    and feet exist for one chunk at a time, so the stream's temporaries do
-    not grow with the grid.
-    """
-    if grid.n_axes != system.n_state:
-        raise ConfigError("grid dimension %d, system wants %d"
-                          % (grid.n_axes, system.n_state))
-    width, nnz = 2 ** grid.n_axes, 0
-    for k, a in enumerate(system.control.points):
-        for lo in range(0, grid.n_nodes, _FEET_CHUNK):
-            hi = min(lo + _FEET_CHUNK, grid.n_nodes)
-            feet, scale, cost = rows(a, _chunk_nodes(grid, lo, hi))
-            inside = _inside(grid, feet)
-            if not inside.all():  # keep the feet column-major
-                feet, scale = feet.T[:, inside].T, scale[inside]
-            out = ()
-            if data is not None:
-                end = nnz + width * len(feet)
-                out = (indices[nnz:end].reshape(-1, width),
-                       data[nnz:end].reshape(-1, width))
-                nnz = end
-            idx, w = _stencil(grid, feet, scale, *out)
-            yield k, lo, hi, inside, idx, w, cost
-            del feet, scale, cost, inside, idx, w, out  # before the next
-
-
 class BellmanOperator:
     """x -> opt_k(c_k + C_k x), optionally capped, for K stacked controls.
 
@@ -319,15 +282,23 @@ class BellmanOperator:
                 + (self.offset.nbytes if self._add_offset else 0))
 
 
-def _assemble(system, grid, rows, opt, cap=None):
-    """Stack the controls' rows (``_row_chunks``) into one BellmanOperator.
+def _assemble(system, grid, rows, opt, cap, controls):
+    """Stack the Bellman rows of ``controls`` into one BellmanOperator.
 
-    Each chunk's stencils go straight into the CSR arrays, and its
-    temporaries die before the next chunk's, and before the operator's
-    buffers exist.
+    ``rows(a, nodes)`` returns ``(feet, scale, cost)`` for control a: row i
+    reads ``cost[i] + scale[i] * I[x](feet[i])``, where I[x] is 0 at a foot
+    outside the box (module docstring), so that row stays empty.  The rows
+    are computed ``_FEET_CHUNK`` nodes at a time in row order, and each
+    chunk's stencils, the weights times the row's scale, go straight into
+    the CSR arrays.  Node coordinates and feet exist for one chunk at a
+    time, so the build's temporaries do not grow with the grid, and they die
+    before the operator's buffers exist.
     """
+    if grid.n_axes != system.n_state:
+        raise ConfigError("grid dimension %d, system wants %d"
+                          % (grid.n_axes, system.n_state))
     n_nodes, width = grid.n_nodes, 2 ** grid.n_axes
-    n_rows = system.control.size * n_nodes
+    n_rows = len(controls) * n_nodes
     itype = np.int32 if n_rows * width < 2 ** 31 else np.int64
     # sized for every foot inside; the pages exterior rows leave unused are
     # never touched, so they cost address space only
@@ -336,20 +307,28 @@ def _assemble(system, grid, rows, opt, cap=None):
     indptr = np.zeros(n_rows + 1, dtype=itype)  # row lengths, then sums
     # allocated by the first nonzero chunk: calloc can hand back pages an
     # earlier solve freed, which it must then zero, and so make resident
-    offset = None
-    for k, lo, hi, inside, idx, w, cost in _row_chunks(system, grid, rows,
-                                                       data, indices):
-        row = k * n_nodes + lo
-        np.multiply(inside, width, out=indptr[row + 1:row + 1 + hi - lo])
-        if np.any(cost):
-            if offset is None:
-                offset = np.zeros(n_rows)
-            offset[row:row + hi - lo] = cost
-        del inside, idx, w, cost  # before the next chunk's feet
+    offset, nnz = None, 0
+    for k, a in enumerate(controls):
+        for lo in range(0, n_nodes, _FEET_CHUNK):
+            hi = min(lo + _FEET_CHUNK, n_nodes)
+            feet, scale, cost = rows(a, _chunk_nodes(grid, lo, hi))
+            inside = _inside(grid, feet)
+            if not inside.all():  # keep the feet column-major
+                feet, scale = feet.T[:, inside].T, scale[inside]
+            end = nnz + width * len(feet)
+            _stencil(grid, feet, scale, indices[nnz:end].reshape(-1, width),
+                     data[nnz:end].reshape(-1, width))
+            nnz = end
+            row = k * n_nodes + lo
+            np.multiply(inside, width, out=indptr[row + 1:row + 1 + hi - lo])
+            if np.any(cost):
+                if offset is None:
+                    offset = np.zeros(n_rows)
+                offset[row:row + hi - lo] = cost
+            del feet, scale, cost, inside  # before the next chunk's feet
     from scipy import sparse  # loaded by the first solve, not on import
 
     np.cumsum(indptr, out=indptr)
-    nnz = int(indptr[-1])
     matrix = sparse.csr_array((data[:nnz], indices[:nnz], indptr),
                               shape=(n_rows, n_nodes))
     if offset is None:
@@ -373,38 +352,23 @@ def _zubov_rows(system, dt):
 
 def zubov_operator(system, grid, dt):
     """The Kružkov operator on the complement u = 1 - v (module docstring)."""
-    return _assemble(system, grid, _zubov_rows(system, dt), np.minimum,
-                     cap=1.0)
+    return _assemble(system, grid, _zubov_rows(system, dt), np.minimum, 1.0,
+                     system.control.points)
 
 
 def apply_zubov(system, grid, dt, u):
     """``zubov_operator(system, grid, dt)(u)``, bit for bit, without
     building the operator.
 
-    Each chunk of rows from ``_row_chunks`` sums its stencil terms from +0
-    in the CSR row's order, as the sparse kernel does; a foot outside the
-    box reads 0.  The minimum over controls is taken as the chunks arrive
-    and capped at 1, so only N values outlive a chunk.
+    It builds and applies one control's operator at a time and keeps the
+    running minimum, which is exact: min_k min(r_k, 1) = min(min_k r_k, 1).
+    Only one control's operator and a few N-long vectors are alive at once.
     """
-    u = np.ascontiguousarray(u, dtype=float)
-    if u.shape != (grid.n_nodes,):
-        raise ValueError("operator wants %d node values, got shape %s"
-                         % (grid.n_nodes, u.shape))
-    out = np.empty(grid.n_nodes)
-    for k, lo, hi, inside, idx, w, _ in _row_chunks(
-            system, grid, _zubov_rows(system, dt)):
-        terms = np.zeros(len(idx))
-        for j in range(idx.shape[1]):
-            terms += w[:, j] * u[idx[:, j]]
-        if len(idx) < hi - lo:  # the rows of feet outside the box read 0
-            inner, terms = terms, np.zeros(hi - lo)
-            terms[inside] = inner
-        if k == 0:
-            out[lo:hi] = terms
-        else:
-            np.minimum(out[lo:hi], terms, out=out[lo:hi])
-        del inside, idx, w, terms  # before the next chunk's feet
-    return np.minimum(out, 1.0, out=out)
+    rows, out = _zubov_rows(system, dt), None
+    for a in system.control.points:  # one control's operator at a time
+        y = _assemble(system, grid, rows, np.minimum, 1.0, a[None])(u)
+        out = y if out is None else np.minimum(out, y, out=out)
+    return out
 
 
 def hjbe_operator(system, grid, dt):
@@ -415,7 +379,7 @@ def hjbe_operator(system, grid, dt):
         return feet, np.exp(-integrals[:, 2]), integrals[:, 0]
 
     pick = np.minimum if system.mode == "minimize" else np.maximum
-    return _assemble(system, grid, rows, pick)
+    return _assemble(system, grid, rows, pick, None, system.control.points)
 
 
 def _iterate(build, grid, settings, start, scheme, policy=False):

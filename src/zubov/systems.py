@@ -341,12 +341,26 @@ def _read_grid_csv(path, what, width):
     return grid, head[1 + 3 * n:], ordered
 
 
+def _finite_float(token):
+    value = float(token)
+    if not np.isfinite(value):
+        raise ValueError("%s is not finite" % token)
+    return value
+
+
+def _positive_float(token):
+    value = _finite_float(token)
+    if not value > 0.0:
+        raise ValueError("%s is not positive" % token)
+    return value
+
+
 # the run record a field CSV header carries, key -> parser: a solve's dt,
 # tol and convergence, a transform's exterior_value and older files'
 # rk4_feet; flags are written 0/1, floats like the grid tokens
 _FLAG = {"0": False, "1": True}.__getitem__
-_RECORD = {"dt": float, "tol": float, "rk4_feet": _FLAG,
-           "exterior_value": float, "converged": _FLAG}
+_RECORD = {"dt": _positive_float, "tol": _positive_float, "rk4_feet": _FLAG,
+           "exterior_value": _finite_float, "converged": _FLAG}
 
 
 def save_field(field, path):
@@ -484,7 +498,8 @@ def _compile_components(trees, n, m):
     shape of x (..., n) and a (..., m), constants included.
 
     Each tree compiles once, here.  The trees evaluate in order under one
-    error state, each checked (`expressions._finite`) before the next runs.
+    error state, and their stacked values are checked once
+    (`expressions._finite`) after the last has run.
     """
     runs = [ex._compile(tree) for tree in trees]
 
@@ -499,8 +514,8 @@ def _compile_components(trees, n, m):
         out = np.empty(shape + (len(runs),))
         with np.errstate(all="ignore"):
             for k, run in enumerate(runs):
-                out[..., k] = ex._finite(run(state, control))
-        return out
+                out[..., k] = run(state, control)
+            return ex._finite(out)
 
     return fn
 

@@ -9,8 +9,8 @@ name), one-shot DPP consistency against RK4 trajectories, monotone decrease
 along random integrated schedules, one-sided comparison against constructed
 sub/super candidates, growth toward the domain boundary, and slope probes.
 The fixed-point re-check is the one exception: it applies the solver's own
-Bellman operator once, row by row without building it, so it measures the
-distance to the discrete fixed point.
+Bellman operator once, one control's operator at a time rather than the
+full one, so it measures the distance to the discrete fixed point.
 
 Every check returns a VerificationReport; failures carry replayable
 witnesses (node indices, sample points and the exact schedule used), never
@@ -27,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .oracle import _DEFAULT_BUDGET, _INT_DT, _check_enumeration, _enumerate
-from .solver import apply_zubov, interpolate, inverse_transform
+from .solver import (SolverSettings, apply_zubov, interpolate,
+                     inverse_transform)
 from .systems import ConfigError, _is_whole, closed_form_value
 from .trajectories import TrajectoryError, rollout
 
@@ -74,11 +75,12 @@ def check_fixed_point(system, field, dt=0.05, tol=1e-6):
     """Apply the field's own Bellman operator once; fail where |T v - v|
     exceeds 10 tol.  An edited or swapped node sticks out by about the size
     of the edit, which residual statistics and sampled trajectories miss.
-    T v is computed chunk by chunk from the solver's row stream
-    (`solver.apply_zubov`), bit for bit the operator's, without building
-    the operator.
+    T v is computed one control's operator at a time
+    (`solver.apply_zubov`), bit for bit the full operator's, which is never
+    built.
     dt and tol come from the field's run record (load_field reads it from
     the CSV header); the arguments stand in for what it does not record.
+    Either must be positive and finite, as a solve's are: ConfigError.
     A record of Euler feet or of an exterior value other than 1 names a
     scheme the solver no longer builds: ConfigError.
     """
@@ -87,8 +89,9 @@ def check_fixed_point(system, field, dt=0.05, tol=1e-6):
     if not meta.get("rk4_feet", True) or meta.get("exterior_value", 1) != 1:
         raise ConfigError("field solved with Euler feet or an exterior "
                           "value other than 1, which are no longer built")
-    dt = float(meta.get("dt", dt))
-    threshold = 10.0 * float(meta.get("tol", tol))
+    settings = SolverSettings(dt=float(meta.get("dt", dt)),
+                              tol=float(meta.get("tol", tol)))
+    dt, threshold = settings.dt, 10.0 * settings.tol
     u = 1.0 - field.values.reshape(-1)  # the operator acts on 1 - v
     moved = apply_zubov(system, grid, dt, u)
     moved[np.ravel_multi_index(grid.origin_index, grid.counts)] = 1.0

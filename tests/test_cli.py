@@ -508,6 +508,26 @@ class TestRunRecord:
         assert rc == 1
         assert "Euler feet" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("token", ["dt=0", "dt=nan", "tol=-1"])
+    def test_out_of_range_record_exits_1(self, run_dir, tmp_path, capsys,
+                                         token):
+        # with dt 0 the feet are the nodes and T the identity, so any field
+        # would pass the fixed-point check
+        key = token.split("=")[0]
+        lines = (run_dir / "field.csv").read_text().splitlines()
+        lines[0] = ",".join(token if t.startswith(key + "=") else t
+                            for t in lines[0].split(","))
+        assert token in lines[0].split(",")
+        path = tmp_path / "field.csv"
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        rc = main(["verify", "--config", self.fixed_point_only(tmp_path),
+                   "--builtin", "lift2d", "--nodes", "101",
+                   "--out", str(tmp_path / "check"), str(path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "malformed field header" in err
+
     def test_bare_field_verifies_and_synthesizes(self, run_dir, tmp_path):
         bare = tmp_path / "bare"
         bare.mkdir()

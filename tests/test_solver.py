@@ -353,6 +353,22 @@ def test_apply_zubov_is_the_operators_product(monkeypatch, name, grid):
             == want.tobytes()
 
 
+@pytest.mark.parametrize("name", ["lift2d", LIFT2D_JSON],
+                         ids=["lift2d", "lift2d-json"])
+def test_apply_zubov_builds_one_control_at_a_time(monkeypatch, name):
+    system = builtin(name) if isinstance(name, str) else load_system(name)
+    init, built = solver.BellmanOperator.__init__, []
+
+    def spy(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.n_controls)
+
+    monkeypatch.setattr(solver.BellmanOperator, "__init__", spy)
+    solver.apply_zubov(system, LIFT41, 0.05, np.ones(LIFT41.n_nodes))
+    assert system.control.size > 1
+    assert built == [1] * system.control.size
+
+
 # --- sweeps ------------------------------------------------------------------
 
 def single_product(op, x):

@@ -210,6 +210,14 @@ class TestValueField:
          "header"),
         (lambda rows: rows.__setitem__(0, rows[0] + ",tol=1,tol=1"),
          "header"),
+        # a dt or tol that is not positive and finite, an exterior value
+        # that is not finite: with dt=0 the feet are the nodes, and any
+        # field would pass the fixed-point check
+        *[(lambda rows, token=token: rows.__setitem__(0, rows[0] + ","
+                                                      + token), "header")
+          for token in ("dt=0", "dt=nan", "dt=-0.05", "dt=inf", "tol=nan",
+                        "tol=-1", "tol=0", "exterior_value=nan",
+                        "exterior_value=inf")],
     ])
     def test_malformed_rows_rejected(self, tmp_path, edit, match):
         g = Grid([-1.0, -1.0], [1.0, 1.0], [3, 3])

@@ -118,6 +118,37 @@ class TestFixedPoint:
             tracemalloc.stop()
         assert peak < op_bytes
 
+    def test_peak_is_a_fraction_of_the_operator(self, lift2d_system,
+                                                 lift2d_field):
+        # one control's operator at a time: about 1/K of the full one's
+        # bytes at 201², plus N-long vectors
+        import tracemalloc
+
+        op_bytes = zubov_operator(lift2d_system, lift2d_field.grid,
+                                  0.05).nbytes
+        check_fixed_point(lift2d_system, lift2d_field)  # warm caches
+        tracemalloc.start()
+        try:
+            check_fixed_point(lift2d_system, lift2d_field)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < op_bytes / 4
+
+    @pytest.mark.parametrize("bad", [
+        {"dt": 0.0}, {"dt": -0.05}, {"dt": math.nan}, {"dt": math.inf},
+        {"tol": math.nan}, {"tol": -1.0}, {"tol": 0.0}])
+    def test_out_of_range_arguments_rejected(self, bad):
+        # a field with no run record takes dt and tol from the arguments;
+        # dt 0 would make T the identity and pass any field
+        grid = Grid([-1.2, -1.2], [1.2, 1.2], [21, 21])
+        field = ValueField(grid, np.full((21, 21), 0.5), "kruzhkov")
+        with pytest.raises(ConfigError, match="positive and finite"):
+            check_fixed_point(builtin("lift2d"), field, **bad)
+        with pytest.raises(ConfigError, match="positive and finite"):
+            check_fixed_point(builtin("lift2d"),
+                              ValueField(grid, field.values, "kruzhkov", bad))
+
     def test_metadata_beats_arguments(self, lift2d_system, lift2d_field):
         # the field records dt 0.05; a wrong fallback must not be used
         rep = check_fixed_point(lift2d_system, lift2d_field, dt=0.2)

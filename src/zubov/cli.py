@@ -392,6 +392,8 @@ def _cmd_verify(cfg, args):
     if field.transform != "kruzhkov":
         raise ConfigError("verify wants a Kruzhkov field (run `solve`, "
                           "not `hjbe`)")
+    if "blowup" in cfg["checks"] and not 0.0 < cfg["epsilon"] < 1.0:
+        raise ConfigError("epsilon must lie in (0, 1)")
 
     reports = []
     for name in cfg["checks"]:

@@ -134,11 +134,6 @@ def _tail_bound(system, norm):
     return np.where(reach <= u.r, tail, np.inf)
 
 
-def _full_segments(k, depth):
-    """Segment integrations of the full enumeration: k^1 + ... + k^depth."""
-    return sum(k ** s for s in range(1, depth + 1))
-
-
 def _check_enumeration(what, system, mode, x, switch_dt, depth):
     """Checks every enumeration runs first (mode, switch_dt, depth, the
     point); returns (x, depth) as a float vector and an int."""
@@ -153,7 +148,8 @@ def _check_enumeration(what, system, mode, x, switch_dt, depth):
 
 
 def _enumerate(system, x, switch_dt, depth, rho, budget, slots=3, keep=None):
-    """Advance all |A_d|^depth schedules; returns (aug_states, entered).
+    """Advance all |A_d|^depth schedules; returns (aug_states, entered,
+    segments), the last the segment integrations it ran.
 
     The augmented states carry ``slots`` integrals after x: 3 for
     (J, int g, int h), 1 for int g alone (trajectories module docstring).
@@ -170,12 +166,12 @@ def _enumerate(system, x, switch_dt, depth, rho, budget, slots=3, keep=None):
     """
     pts = system.control.points
     k = pts.shape[0]
-    full = _full_segments(k, depth)
+    full = sum(k ** s for s in range(1, depth + 1))  # the unpruned tree
     if full > budget:
         raise BudgetError("enumerating %d controls to depth %d runs up to %d "
                           "segment integrations; budget is %d"
                           % (k, depth, full, budget))
-    n = system.n_state
+    n, segments = system.n_state, 0
     z = np.concatenate([x, np.zeros(slots)])[None]
     entered = np.array([rho is not None and np.linalg.norm(x) <= rho])
 
@@ -191,10 +187,11 @@ def _enumerate(system, x, switch_dt, depth, rho, budget, slots=3, keep=None):
         z, live = advance(system, z, np.tile(pts, (z.shape[0] // k, 1)),
                           switch_dt, _INT_DT,
                           watch=None if rho is None else touch)
+        segments += len(z)
         if not live.all():
             raise TrajectoryError("a schedule reached a non-finite state "
                                   "during segment %d" % (seg + 1))
-    return z, entered
+    return z, entered, segments
 
 
 def maximal_cost(system, x, switch_dt=0.25, depth=8, rho=0.05, *,
@@ -222,14 +219,13 @@ def maximal_cost(system, x, switch_dt=0.25, depth=8, rho=0.05, *,
         # stationary at the origin, zero cost
         return ValueBounds(0.0, 0.0, horizon, depth, 0.0, False)
     n = system.n_state
-    dropped, segments = -math.inf, 0
+    dropped = -math.inf
 
     def reach(z):  # no continuation of a row collects more
         return z[:, n] + _tail_bound(system, np.linalg.norm(z[:, :n], axis=1))
 
     def keep(z):
-        nonlocal dropped, segments
-        segments += len(z)
+        nonlocal dropped
         best = float(np.max(z[:, n]))
         bound = reach(z)
         rows = bound + 1e-6 * max(1.0, best) >= best
@@ -237,9 +233,8 @@ def maximal_cost(system, x, switch_dt=0.25, depth=8, rho=0.05, *,
             dropped = max(dropped, float(np.max(bound[~rows])))
         return rows
 
-    z, _ = _enumerate(system, x, switch_dt, depth, None, budget, slots=1,
-                      keep=keep)
-    segments += len(z)
+    z, _, segments = _enumerate(system, x, switch_dt, depth, None, budget,
+                                slots=1, keep=keep)
     lower = float(np.max(z[:, n]))
     upper = max(dropped, float(np.max(reach(z))))
     if math.isinf(upper):
@@ -279,8 +274,8 @@ def min_value(system, x, switch_dt=0.25, depth=8, rho=0.05, *,
     horizon = depth * switch_dt
     if not np.any(x):
         return ValueBounds(0.0, 0.0, horizon, depth, 0.0, False)
-    z, entered = _enumerate(system, x, switch_dt, depth, rho, budget)
-    segments = _full_segments(system.control.points.shape[0], depth)
+    z, entered, segments = _enumerate(system, x, switch_dt, depth, rho,
+                                      budget)
     est = float(np.min(z[:, system.n_state]))
     tail = (math.inf if system.ules is None or system.growth is None
             else float(_tail_bound(system, rho)))
@@ -309,9 +304,10 @@ def falsify_quasistability(system, region, budget=256, *, seed=7):
     if region.n_axes != system.n_state:
         raise ConfigError("region dimension %d, system wants %d"
                           % (region.n_axes, system.n_state))
-    if not (_is_whole(budget) and budget >= 0):
-        raise ConfigError("budget must be a whole number, at least 0, got %r"
-                          % (budget,))
+    for name, value in (("budget", budget), ("seed", seed)):
+        if not (_is_whole(value) and value >= 0):
+            raise ConfigError("%s must be a whole number, at least 0, got %r"
+                              % (name, value))
     budget = int(budget)
     nodes = region.node_coords().reshape(-1, region.n_axes)
     node_norms = np.linalg.norm(nodes, axis=1)
@@ -332,7 +328,7 @@ def falsify_quasistability(system, region, budget=256, *, seed=7):
         return Counterexample(xs, schedule(0), float(z[0, n]),
                               float(np.linalg.norm(z[0, :n])), "stationary")
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(int(seed))
     x0s = np.empty((budget, n))
     picks = np.empty((budget, _FALSIFY_SEGMENTS), int)
     for i in range(budget):  # draws interleaved as one schedule at a time

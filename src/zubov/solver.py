@@ -7,8 +7,7 @@ K*N x N (K controls, N nodes) plus an offset vector c.  Row k*N + i holds
 control k's multilinear stencil at the foot of node i, scaled by that row's
 discount; a foot outside the box leaves its row empty, and the offset
 carries the step cost.  A full sweep computes opt_k(c_k + C_k x), the sparse
-product taken a few controls at a time (as many as fit 2**17 rows), so the
-rows being reduced stay in cache.
+product taken one control at a time.
 
 The Kružkov solve runs modified policy iteration (Puterman & Shin, 1978).
 A full sweep there also returns, per node, the lowest control index
@@ -101,7 +100,6 @@ def _is_int(value):
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-_CHUNK_ROWS = 2 ** 17  # rows a sweep computes per kernel call: 1 MB
 _FEET_CHUNK = 2 ** 14  # nodes whose feet and stencils a build holds at once
 
 
@@ -201,10 +199,8 @@ class BellmanOperator:
         self.n_controls = matrix.shape[0] // n
         self._matvec = _sparsetools.csr_matvec  # the kernel behind A @ x
         self._gather = _sparsetools.csr_row_index  # and the one behind A[i]
-        # controls per kernel call, so that their rows stay in cache; every
-        # call writes this one buffer
-        self._chunk = max(1, _CHUNK_ROWS // n)
-        self._rows = np.empty(min(self._chunk, self.n_controls) * n)
+        # control 0 writes the output, each later one this buffer
+        self._row = np.empty(n) if self.n_controls > 1 else None
 
     def __call__(self, x, choice=False):
         """The swept values; with ``choice``, also each node's lowest
@@ -218,22 +214,19 @@ class BellmanOperator:
         if choice:
             picked = np.zeros(n, np.min_scalar_type(self.n_controls - 1))
             wins = np.empty(n, dtype=bool)
-        for k in range(0, self.n_controls, self._chunk):
-            lo, hi = k * n, min(k + self._chunk, self.n_controls) * n
-            rows = self._rows[: hi - lo]
-            rows.fill(0.0)  # as A @ x does: each row sums up from +0
-            self._matvec(hi - lo, n, m.indptr[lo:hi + 1], m.indices, m.data,
-                         x, rows)
+        for k in range(self.n_controls):
+            row = out if k == 0 else self._row
+            row.fill(0.0)  # as A @ x does: each row sums up from +0
+            self._matvec(n, n, m.indptr[k * n:(k + 1) * n + 1], m.indices,
+                         m.data, x, row)
             if self._add_offset:
-                rows += self.offset[lo:hi]
-            for j, row in enumerate(rows.reshape(-1, n), k):
-                if j == 0:
-                    out[:] = row
-                    continue
-                if choice:  # strictly better: ties keep the lower control
-                    self._better(row, out, out=wins)
-                    np.copyto(picked, j, where=wins)
-                self.opt(out, row, out=out)
+                row += self.offset[k * n:(k + 1) * n]
+            if k == 0:
+                continue
+            if choice:  # strictly better: ties keep the lower control
+                self._better(row, out, out=wins)
+                np.copyto(picked, k, where=wins)
+            self.opt(out, row, out=out)
         if self.cap is not None:
             np.minimum(out, self.cap, out=out)
         return (out, picked) if choice else out

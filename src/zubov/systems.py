@@ -16,6 +16,7 @@ third needs a smooth cutoff, none of which the expression grammar covers).
 from __future__ import annotations
 
 import itertools
+import math
 import numbers
 import warnings
 from dataclasses import dataclass
@@ -303,15 +304,17 @@ def _node_columns(grid, coords=True):
 def _read_grid_csv(path, what, width):
     """Parse a grid CSV: the grid, the header tokens after it and the body
     rows in flat node order.  Every row must have ``width(n)`` columns and
-    every node must appear exactly once, or ConfigError says what is off."""
+    every node must appear exactly once, or ConfigError says what is off.
+    The row count is checked before the grid is built, so a header's
+    absurd counts never size an allocation."""
     with open(path) as fh:
         head = fh.readline().strip().split(",")
         try:
             n = int(head[0])
-            grid = Grid([float(v) for v in head[1 + n:1 + 2 * n]],
-                        [float(v) for v in head[1 + 2 * n:1 + 3 * n]],
-                        [int(c) for c in head[1:1 + n]])
-        except (IndexError, ValueError) as err:
+            lo = [float(v) for v in head[1 + n:1 + 2 * n]]
+            hi = [float(v) for v in head[1 + 2 * n:1 + 3 * n]]
+            counts = [int(c) for c in head[1:1 + n]]
+        except ValueError as err:
             raise ConfigError("malformed %s header: %s" % (what, err)) from None
         try:
             with warnings.catch_warnings():
@@ -319,9 +322,11 @@ def _read_grid_csv(path, what, width):
                 rows = np.loadtxt(fh, delimiter=",", ndmin=2)
         except ValueError as err:
             raise ConfigError("malformed %s row: %s" % (what, err)) from None
-    if rows.shape[0] != grid.n_nodes:
+    n_nodes = math.prod(counts)  # a Python int: no overflow
+    if rows.shape[0] != n_nodes:
         raise ConfigError("%s file has %d rows for %d nodes"
-                          % (what, rows.shape[0], grid.n_nodes))
+                          % (what, rows.shape[0], n_nodes))
+    grid = Grid(lo, hi, counts)
     if rows.shape[1] != width(n):
         raise ConfigError("%s rows have %d columns, %d axes want %d"
                           % (what, rows.shape[1], n, width(n)))

@@ -133,13 +133,12 @@ class TrajectoryRecord:
     """
 
     def __init__(self, times, states, running_cost, running_g_integral,
-                 running_h_integral, exit_flag):
+                 running_h_integral):
         self.times = np.asarray(times, dtype=float)
         self.states = np.asarray(states, dtype=float)
         self.running_cost = np.asarray(running_cost, dtype=float)
         self.running_g_integral = np.asarray(running_g_integral, dtype=float)
         self.running_h_integral = np.asarray(running_h_integral, dtype=float)
-        self.exit_flag = bool(exit_flag)
         if np.any(np.diff(self.times) <= 0.0):
             raise TrajectoryError("sample times must increase strictly")
         if np.any(np.diff(self.running_g_integral) < -1e-12):
@@ -302,12 +301,11 @@ def rollout(system, x0, picks, horizon, dt):
                                                for p in picks[i]])
 
 
-def integrate(system, x0, schedule, dt, box=None):
+def integrate(system, x0, schedule, dt):
     """Integrate from x0 under a piecewise-constant schedule.
 
-    Sub-steps never exceed dt (segments round up to whole sub-steps).  When
-    `box` (a Grid) is given, integration stops at the first sample outside
-    it: the record ends at the last inside sample and sets exit_flag.
+    Sub-steps never exceed dt (segments round up to whole sub-steps).  A
+    state that leaves the representable range raises TrajectoryError.
     """
     if not dt > 0.0:
         raise ConfigError("dt must be positive")
@@ -322,30 +320,22 @@ def integrate(system, x0, schedule, dt, box=None):
             raise ConfigError("schedule control %s outside the control box"
                               % a.tolist())
 
-    def outside(x):
-        return box is not None and bool(np.any(x < box.lo)
-                                        or np.any(x > box.hi))
-
     n = system.n_state
-    z = np.concatenate([x0, np.zeros(3)])[None]
-    live = np.array([not outside(x0)])  # a start outside the box exits at 0
+    z, live = np.concatenate([x0, np.zeros(3)])[None], np.ones(1, bool)
     times, rows = [0.0], [z[0]]
 
     def record(zb, lv):  # h: the current segment's sub-step
-        if lv[0] and outside(zb[0, :n]):
-            lv[0] = False  # the first sample outside the box ends the run
-        elif lv[0]:
+        if lv[0]:
             times.append(times[-1] + h)
             rows.append(zb[0].copy())
 
     for duration, a in schedule.segments:
         h = duration / _substeps(duration, dt)
         z, live = advance(system, z, a, duration, dt, live, record)
-    exit_flag = outside(z[0, :n])
-    if not live[0] and not exit_flag:
+    if not live[0]:
         raise TrajectoryError(
             "state left the representable range near t=%.6g "
             "(last finite state %s)" % (times[-1], rows[-1][:n].tolist()))
     rows = np.array(rows)
     return TrajectoryRecord(times, rows[:, :n], rows[:, n], rows[:, n + 1],
-                            rows[:, n + 2], exit_flag)
+                            rows[:, n + 2])

@@ -220,8 +220,8 @@ def dpp_defect(system, field, x, t, switch_dt):
         raise ConfigError("t must be a positive multiple of switch_dt")
     if np.any(x < field.grid.lo) or np.any(x > field.grid.hi):
         raise ConfigError("x must be a grid-interior point")
-    z, _ = _enumerate(system, x, switch_dt, depth, None, _DEFAULT_BUDGET,
-                      slots=1)
+    z, _, _ = _enumerate(system, x, switch_dt, depth, None, _DEFAULT_BUDGET,
+                         slots=1)
     disc = np.exp(-z[:, system.n_state])
     cont = (1.0 - disc) + disc * interpolate(field, z[:, :system.n_state])
     return float(interpolate(field, x) - np.max(cont))
@@ -246,8 +246,11 @@ def check_lyapunov_decrease(system, field, samples=200, seed=0):
     if not (_is_whole(samples) and samples >= 1):
         raise ConfigError("samples must be a whole number, at least 1, got "
                           "%r" % (samples,))
+    if not (_is_whole(seed) and seed >= 0):
+        raise ConfigError("seed must be a whole number, at least 0, got %r"
+                          % (seed,))
     grid = field.grid
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(int(seed))
     cell = float(np.linalg.norm(grid.dx))
     carve = 10.0 * float(np.max(grid.dx))
     kept, tries = [], 0

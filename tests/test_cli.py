@@ -306,6 +306,7 @@ class TestOracle:
         # the origin runs none; pruning keeps the other under the full 9840
         result = read_meta(tmp_path)["result"]
         assert 0 < result["segment_integrations"] < 9840
+        assert result["segment_integrations"] == 711  # the bracket's rows
         assert result["seconds"] >= 0.0  # the bracket loop's wall time
 
     def test_budget_refusal_exits_3(self, points_file, tmp_path):
@@ -466,6 +467,22 @@ class TestVerify:
                    str(run_dir / "field.csv")])
         assert rc == 1
         assert "'checks'" in capsys.readouterr().err
+        assert not (tmp_path / "metadata.json").exists()
+
+    @pytest.mark.parametrize("args", [["--seed", "-1"], ["--epsilon", "0"],
+                                      ["--epsilon", "1"], ["--epsilon", "2"]],
+                             ids=["seed-1", "epsilon0", "epsilon1",
+                                  "epsilon2"])
+    def test_out_of_range_option_exits_1(self, run_dir, tmp_path, capsys,
+                                         args):
+        capsys.readouterr()
+        rc = main(["verify", "--builtin", "lift2d", "--nodes", "101",
+                   "--out", str(tmp_path), *args,
+                   str(run_dir / "field.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and args[0][2:] in err
+        assert "Traceback" not in err
         assert not (tmp_path / "metadata.json").exists()
 
 

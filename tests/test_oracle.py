@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zubov import oracle
 from zubov import (ConfigError, ControlSpace, Grid, Growth, SystemDef, Ules,
                    builtin, closed_form_value, load_system)
 from zubov.oracle import (BudgetError, Counterexample, SynthesisError,
@@ -16,7 +17,7 @@ from zubov.oracle import (BudgetError, Counterexample, SynthesisError,
                           maximal_cost, min_value,
                           synthesize_epsilon_optimal)
 from zubov.solver import SolverSettings, solve_hjbe, solve_zubov
-from zubov.trajectories import integrate, rk4_step
+from zubov.trajectories import advance, integrate, rk4_step
 
 
 def decay_1d(ules=Ules(1.0, 1.0, 1.0), growth=Growth(1.0, 2.0)):
@@ -100,7 +101,7 @@ LIFT2D_JSON = {
 ], ids=["lift2d", "lift2d-json", "ex1"])
 def test_enumeration_matches_the_strided_reference(system, x, switch_dt, rho):
     x = np.array(x)
-    z, entered = _enumerate(system, x, switch_dt, 6, rho, 10**6)
+    z, entered, _ = _enumerate(system, x, switch_dt, 6, rho, 10**6)
     z_ref, entered_ref = reference_enumerate(system, x, switch_dt, 6, rho,
                                              0.01)
     assert np.array_equal(z, z_ref)
@@ -130,7 +131,7 @@ def test_brackets_equal_the_wide_enumeration(system, points, switch_dt, rho):
     # plus the envelope tail from the final state), gives the same numbers
     n = system.n_state
     for x in map(np.array, points):
-        z, _ = _enumerate(system, x, switch_dt, 8, rho, 10**6, slots=3)
+        z, _, _ = _enumerate(system, x, switch_dt, 8, rho, 10**6, slots=3)
         lower = float(np.max(z[:, n + 1]))
         reach = z[:, n + 1] + _tail_bound(system,
                                           np.linalg.norm(z[:, :n], axis=1))
@@ -152,7 +153,7 @@ def test_brackets_equal_the_wide_enumeration(system, points, switch_dt, rho):
 ], ids=["lift2d", "lift2d-json", "ex1", "stay-or-decay"])
 def test_pruning_never_changes_lower(system, points, switch_dt, rho):
     for x in map(np.array, points):
-        z, _ = _enumerate(system, x, switch_dt, 8, None, 10**6, slots=1)
+        z, _, _ = _enumerate(system, x, switch_dt, 8, None, 10**6, slots=1)
         vb = maximal_cost(system, x, switch_dt, 8, rho)
         assert vb.lower == float(np.max(z[:, system.n_state]))
 
@@ -162,6 +163,25 @@ def test_pruning_cuts_segment_integrations():
     vb = maximal_cost(builtin("lift2d", controls=3), [0.5, 0.5], 0.25, 8)
     assert 0 < vb.segments < 9840
     assert not vb.truncated
+
+
+@pytest.mark.parametrize("bracket,expected", [
+    # pruned: the rows each segment integrates, summed
+    (lambda: maximal_cost(builtin("lift2d", controls=3), [0.5, 0.5], 0.25,
+                          8), 711),
+    # unpruned: 3 + 9 + ... + 3^6
+    (lambda: min_value(builtin("fuller"), [0.0, 0.5], switch_dt=0.2,
+                       depth=6), 1092),
+], ids=["lift2d-pruned", "fuller-min"])
+def test_segments_count_the_rows_advanced(monkeypatch, bracket, expected):
+    rows = []
+
+    def counting(system, z, *args, **kwargs):
+        rows.append(len(z))
+        return advance(system, z, *args, **kwargs)
+
+    monkeypatch.setattr(oracle, "advance", counting)
+    assert bracket().segments == sum(rows) == expected
 
 
 class TestValueBoundsType:
@@ -248,8 +268,8 @@ class TestMaximalCost:
         system = SystemDef("stay-or-decay", 1, system.control, system.f,
                            system.g, mode="maximize", ules=Ules(1.0, 1.0, 0.4),
                            growth=system.growth)
-        z, _ = _enumerate(system, np.array([0.5]), 0.5, 6, None, 10 ** 6,
-                          slots=1)
+        z, _, _ = _enumerate(system, np.array([0.5]), 0.5, 6, None, 10 ** 6,
+                             slots=1)
         assert np.linalg.norm(z[:, :1], axis=1).max() == 0.5
         vb = maximal_cost(system, [0.5], switch_dt=0.5, depth=6, rho=0.05)
         assert vb.lower == float(np.max(z[:, 1]))
@@ -361,8 +381,8 @@ class TestMinValue:
 
     def test_unentered_row_truncates(self):
         system = stay_or_decay("minimize")
-        z, entered = _enumerate(system, np.array([0.5]), 0.5, 6, 0.05,
-                                10 ** 6)
+        z, entered, _ = _enumerate(system, np.array([0.5]), 0.5, 6, 0.05,
+                                   10 ** 6)
         best = int(np.argmin(z[:, 1]))
         assert entered[best] and not entered.all()
         vb = min_value(system, [0.5], switch_dt=0.5, depth=6, rho=0.05)
@@ -476,6 +496,13 @@ class TestFalsifier:
         with pytest.raises(ConfigError, match="budget"):
             falsify_quasistability(builtin("lift2d", controls=3), region,
                                    budget=budget)
+
+    @pytest.mark.parametrize("seed", [-1, 2.5, True])
+    def test_seed_must_be_a_whole_count(self, seed):
+        region = Grid([-1.2, -1.2], [1.2, 1.2], [11, 11])
+        with pytest.raises(ConfigError, match="seed"):
+            falsify_quasistability(builtin("lift2d", controls=3), region,
+                                   budget=4, seed=seed)
 
 
 class TestDefectAllowances:

@@ -267,6 +267,27 @@ class TestValueField:
         with pytest.raises(ConfigError):
             load_field(path)
 
+    @pytest.mark.parametrize("kind", ["field", "mask"])
+    def test_absurd_count_rejected_before_the_grid(self, tmp_path, kind):
+        # 10^12 + 1 nodes on one axis: the grid's axis alone would be 7 TiB
+        import tracemalloc
+
+        from zubov.regions import load_mask
+
+        load, tail, row = {"field": (load_field, "kruzhkov", "0,0,0.5"),
+                           "mask": (load_mask, "0.01", "0,1")}[kind]
+        path = tmp_path / "f.csv"
+        path.write_text("1,1000000000001,-1,1,%s\n%s\n" % (tail, row))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError,
+                               match="1 rows for 1000000000001 nodes"):
+                load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
 
 # --- config loading ---------------------------------------------------------
 

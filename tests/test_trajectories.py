@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import simpson
 
 from zubov.expressions import EvalDomainError
-from zubov.systems import ConfigError, ControlSpace, Grid, SystemDef, builtin, load_system
+from zubov.systems import ConfigError, ControlSpace, SystemDef, builtin, load_system
 from zubov.trajectories import (
     _aug_rhs,
     ControlSchedule,
@@ -21,8 +21,8 @@ from zubov.trajectories import (
 NO_CONTROL = np.zeros(0)
 
 
-def constant_run(system, x0, a, T, dt, box=None):
-    return integrate(system, x0, ControlSchedule([(T, a)]), dt, box=box)
+def constant_run(system, x0, a, T, dt):
+    return integrate(system, x0, ControlSchedule([(T, a)]), dt)
 
 
 # --- schedules ---------------------------------------------------------------
@@ -146,20 +146,6 @@ class TestBoxAndBlowUp:
                 return np.asarray(x, dtype=float)[..., 0] ** 2
 
         return SystemDef("quad", 1, ControlSpace.none(), f, g)
-
-    def test_exit_clamps_at_last_inside_sample(self):
-        box = Grid([-10.0], [10.0], [5])
-        rec = constant_run(self.quadratic(), [5.0], NO_CONTROL, 1.0, 0.01,
-                           box=box)
-        assert rec.exit_flag
-        assert np.all(rec.states <= 10.0)
-        assert rec.times[-1] < 1.0
-
-    def test_start_outside_box(self):
-        box = Grid([-1.0], [1.0], [5])
-        rec = constant_run(builtin("arctan1d"), [3.0], NO_CONTROL, 1.0, 0.1,
-                           box=box)
-        assert rec.exit_flag and rec.times.size == 1
 
     def test_blow_up_without_box_aborts(self):
         with pytest.raises(TrajectoryError, match="t="):
@@ -408,10 +394,10 @@ class TestRecordExport:
     def test_record_rejects_bad_monotonicity(self):
         with pytest.raises(TrajectoryError):
             TrajectoryRecord([0.0, 0.0], np.zeros((2, 1)), [0.0, 0.0],
-                             [0.0, 0.0], [0.0, 0.0], False)
+                             [0.0, 0.0], [0.0, 0.0])
         with pytest.raises(TrajectoryError):
             TrajectoryRecord([0.0, 1.0], np.zeros((2, 1)), [0.0, 0.0],
-                             [1.0, 0.0], [0.0, 0.0], False)
+                             [1.0, 0.0], [0.0, 0.0])
 
 
 # --- declared decay envelopes -------------------------------------------------

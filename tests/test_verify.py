@@ -373,6 +373,13 @@ class TestLyapunovDecrease:
             check_lyapunov_decrease(lift2d_system, lift2d_field,
                                     samples=samples)
 
+    @pytest.mark.parametrize("seed", [-1, 2.5, True])
+    def test_seed_must_be_a_whole_count(self, lift2d_system, lift2d_field,
+                                        seed):
+        with pytest.raises(ConfigError, match="seed"):
+            check_lyapunov_decrease(lift2d_system, lift2d_field, samples=5,
+                                    seed=seed)
+
 
 class TestSandwich:
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .systems import (ConfigError, Grid, _grid_header, _node_columns,
-                      _read_grid_csv, _Tokens, _write_csv)
+                      _read_grid_csv, _write_csv)
 
 
 @dataclass(frozen=True)
@@ -24,7 +24,6 @@ class DoaMask:
     grid: Grid
     inside: np.ndarray
     epsilon: float
-    touches_boundary: bool
 
     def __post_init__(self):
         inside = np.asarray(self.inside, dtype=bool)
@@ -46,6 +45,10 @@ class DoaMask:
     def node_count(self):
         return int(self.inside.sum())
 
+    @property
+    def touches_boundary(self):
+        return bool(np.any(self.inside & ~self.grid.interior()))
+
 
 def extract_doa(field, epsilon=0.01):
     """Connected component of {v < 1 - epsilon} containing the origin."""
@@ -60,9 +63,7 @@ def extract_doa(field, epsilon=0.01):
     from scipy import ndimage
 
     labels, _ = ndimage.label(field.values < 1.0 - epsilon)
-    inside = labels == labels[grid.origin_index]
-    touches = bool(np.any(inside & ~grid.interior()))
-    return DoaMask(grid, inside, float(epsilon), touches)
+    return DoaMask(grid, labels == labels[grid.origin_index], float(epsilon))
 
 
 # --- marching squares --------------------------------------------------------
@@ -159,14 +160,15 @@ def contour2d(field, level):
     for sid in range(len(segs)):
         if visited[sid]:
             continue
-        # probe one direction first so open chains start at their dead end
-        probe = walk(sid, segs[sid][0], list(visited))
-        if probe[0] == probe[-1]:
-            keys = walk(sid, segs[sid][0], visited)
-        else:
-            end_key = probe[-1]
-            end_sid = incident[end_key][0]
-            keys = walk(end_sid, end_key, visited)
+        start = segs[sid][0]
+        keys = walk(sid, start, visited)
+        if keys[-1] != start:
+            # an open chain: turn the walk round to start at its dead end,
+            # then go on from `start` through its other segment, if any
+            keys.reverse()
+            others = [s for s in incident[start] if s != sid]
+            if others:
+                keys += walk(others[0], start, visited)[1:]
         polylines.append(np.array([vertex(k) for k in keys]))
     return polylines
 
@@ -209,7 +211,7 @@ def save_mask(mask, path):
     flags = mask.inside.reshape(-1).view(np.uint8)  # 0 or 1
     _write_csv(path, _grid_header(grid) + ["%.17g" % mask.epsilon],
                [*_node_columns(grid, coords=False),
-                _Tokens(["0", "1"], flags.__getitem__, grid.n_nodes)],
+                np.array(["0", "1"], dtype=object)[flags]],
                ["%s"] * (grid.n_axes + 1))
 
 
@@ -219,9 +221,8 @@ def load_mask(path):
         (epsilon,) = [float(token) for token in tail]
     except ValueError as err:
         raise ConfigError("malformed mask header: %s" % err) from None
-    inside = (rows[:, -1] == 1.0).reshape(tuple(grid.counts))
-    touches = bool(np.any(inside & ~grid.interior()))
-    return DoaMask(grid, inside, epsilon, touches)
+    return DoaMask(grid, (rows[:, -1] == 1.0).reshape(tuple(grid.counts)),
+                   epsilon)
 
 
 def save_contours(polylines, path):

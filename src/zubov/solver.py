@@ -123,11 +123,9 @@ def _foot_points(system, nodes, a, dt, slots=3):
 def _chunk_nodes(grid, lo, hi):
     """Coordinates of the flat nodes lo..hi-1, column-major like the feet."""
     nodes = np.empty((hi - lo, grid.n_axes), order="F")
-    rest = np.arange(lo, hi)  # the last axis runs fastest
-    for k in range(grid.n_axes - 1, 0, -1):
-        rest, at = np.divmod(rest, grid.counts[k])
-        np.take(grid.axes[k], at, out=nodes[:, k])
-    np.take(grid.axes[0], rest, out=nodes[:, 0])
+    at = np.unravel_index(np.arange(lo, hi), tuple(grid.counts))
+    for k, ax in enumerate(grid.axes):
+        np.take(ax, at[k], out=nodes[:, k])
     return nodes
 
 

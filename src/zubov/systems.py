@@ -54,8 +54,8 @@ class Ules:
     r: float       # > 0
 
     def __post_init__(self):
-        if not (self.c > 0 and self.sigma > 0 and self.r > 0):
-            raise ConfigError("ULES constants must be positive")
+        if not all(0 < v < math.inf for v in (self.c, self.sigma, self.r)):
+            raise ConfigError("ULES constants must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -65,8 +65,8 @@ class Growth:
     lam: float     # > 0
 
     def __post_init__(self):
-        if not (self.c_tilde > 0 and self.lam > 0):
-            raise ConfigError("growth constants must be positive")
+        if not all(0 < v < math.inf for v in (self.c_tilde, self.lam)):
+            raise ConfigError("growth constants must be positive and finite")
 
 
 # --- control space ----------------------------------------------------------
@@ -87,6 +87,8 @@ class ControlSpace:
         self.box_hi = np.asarray(box_hi, dtype=float).reshape(-1)
         if points.shape[0] == 0:
             raise ConfigError("control space must be nonempty")
+        if not np.all(np.isfinite(points)):
+            raise ConfigError("control points must be finite")
         if points.shape[1] != self.box_lo.size:
             raise ConfigError("control points and box dimension mismatch")
         if np.any(self.box_lo > self.box_hi):
@@ -112,6 +114,8 @@ class ControlSpace:
         counts = _whole_counts(counts, "control sample counts")
         if not (lo.size == hi.size == counts.size):
             raise ConfigError("control box lo/hi/counts length mismatch")
+        if not np.isfinite([lo, hi]).all():
+            raise ConfigError("control box lo/hi must be finite")
         axes = []
         for j in range(lo.size):
             if counts[j] < 1:
@@ -156,6 +160,8 @@ class Grid:
         counts = _whole_counts(counts, "grid counts")
         if not (lo.size == hi.size == counts.size) or lo.size == 0:
             raise ConfigError("grid lo/hi/counts length mismatch")
+        if not np.isfinite([lo, hi]).all():
+            raise ConfigError("grid box lo/hi must be finite")
         if np.any(counts < 3):
             raise ConfigError("grid needs at least 3 nodes per axis")
         if np.any(lo >= hi):
@@ -255,8 +261,7 @@ def _grid_header(grid):
 def _write_csv(path, head, columns, formats):
     """Write the header tokens, then row i of the columns, the k-th entry in
     %-format formats[k], a bounded chunk of rows at a time: the body never
-    exists as one string or as one Python object per value.  A column is
-    an array or `_Tokens`, whose slices are preformatted strings."""
+    exists as one string."""
     row, chunk = ",".join(formats) + "\n", 4096
     with open(path, "w") as fh:
         fh.write(",".join(head) + "\n")
@@ -265,40 +270,16 @@ def _write_csv(path, head, columns, formats):
             fh.write((row * len(part)) % tuple(part.ravel().tolist()))
 
 
-class _Tokens:
-    """A CSV column of preformatted strings, for a "%s" format: row i holds
-    ``tokens[keys(rows)]`` for the slice ``rows`` of its chunk.  Each
-    distinct token is formatted once; a slice gathers a chunk's tokens, so
-    no N-long column of strings exists."""
-
-    def __init__(self, tokens, keys, size):
-        self.tokens, self.keys, self.size = (np.array(tokens, dtype=object),
-                                             keys, size)
-
-    def __len__(self):
-        return self.size
-
-    def __getitem__(self, rows):
-        return self.tokens[self.keys(rows)]
-
-
 def _node_columns(grid, coords=True):
     """The node columns i1..iN, then x1..xN with ``coords``, of a grid CSV
-    in flat node order, as `_Tokens`: indices as %d, coordinates as
-    %.17g."""
-    size = grid.n_nodes
-
-    def axis(k, tokens):
-        stride, count = int(np.prod(grid.counts[k + 1:])), len(tokens)
-        return _Tokens(tokens, lambda rows: np.arange(*rows.indices(size))
-                       // stride % count, size)
-
-    columns = [axis(k, ["%d" % i for i in range(count)])
-               for k, count in enumerate(grid.counts)]
+    in flat node order, for "%s" formats: each axis's indices (%d) and
+    coordinates (%.17g) are formatted once, and a column points at them."""
+    at = np.unravel_index(np.arange(grid.n_nodes), tuple(grid.counts))
+    tokens = [["%d" % i for i in range(count)] for count in grid.counts]
     if coords:
-        columns += [axis(k, ["%.17g" % x for x in ax])
-                    for k, ax in enumerate(grid.axes)]
-    return columns
+        tokens += [["%.17g" % x for x in ax] for ax in grid.axes]
+    return [np.array(t, dtype=object)[at[k % grid.n_axes]]
+            for k, t in enumerate(tokens)]
 
 
 def _read_grid_csv(path, what, width):

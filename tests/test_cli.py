@@ -347,6 +347,26 @@ class TestOracle:
         assert rc == 1
         assert "non-finite" in capsys.readouterr().err
 
+    def test_infinite_envelope_constant_exits_1(self, tmp_path, capsys):
+        # an infinite sigma once certified lower = upper = 0.29765 here,
+        # below the closed form, with truncated=0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"system": {
+            "name": "lift2d-json", "n": 2,
+            "f": ["-x1 + a1*x1^2", "-x2 + a1*x2^2"], "g": "x1^2 + x2^2",
+            "control": {"box": {"lo": [-1.0], "hi": [1.0], "counts": [3]}},
+            "ules": {"C": 1.0, "sigma": float("inf"), "r": 0.5},
+            "growth": {"C_tilde": 1.0, "lambda": 2.0}},
+            "switch_dt": 0.25, "depth": 4, "rho": 0.05}))
+        assert "Infinity" in cfg.read_text()
+        pts = tmp_path / "pts.csv"
+        pts.write_text("0.5,0.5\n")
+        out = tmp_path / "out"
+        assert main(["oracle", "--config", str(cfg), "--out", str(out),
+                     str(pts)]) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not (out / "bounds.csv").exists()
+
     def test_malformed_points_exit_1(self, tmp_path):
         pts = tmp_path / "pts.csv"
         pts.write_text("0.5,abc\n")
@@ -603,6 +623,18 @@ class TestDoa:
                    str(tmp_path / "doa"), str(bad)])
         assert rc == 1
         assert "config error" in capsys.readouterr().err
+
+    def test_non_finite_header_bound_exits_1(self, tmp_path):
+        bad = tmp_path / "field.csv"
+        bad.write_text("1,3,nan,1,kruzhkov\n0,-1,0.5\n1,0,0\n2,1,0.5\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "zubov.cli", "doa", "--builtin", "ex1",
+             "--out", str(tmp_path / "doa"), str(bad)],
+            capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert "config error" in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_epsilon_flag_shrinks_mask(self, run_dir, tmp_path):
         counts = {}

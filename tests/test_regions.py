@@ -38,7 +38,7 @@ class TestDoaMaskType:
         inside = np.zeros((5, 5), dtype=bool)
         inside[0, 0] = True
         with pytest.raises(ConfigError, match="origin"):
-            DoaMask(grid, inside, 0.01, False)
+            DoaMask(grid, inside, 0.01)
 
     def test_single_component_required(self):
         grid = Grid([-1.0, -1.0], [1.0, 1.0], [5, 5])
@@ -46,18 +46,18 @@ class TestDoaMaskType:
         inside[2, 2] = True
         inside[0, 0] = True  # corner blob, not face-connected to the origin
         with pytest.raises(ConfigError, match="pieces"):
-            DoaMask(grid, inside, 0.01, False)
+            DoaMask(grid, inside, 0.01)
 
     def test_shape_checked(self):
         grid = Grid([-1.0, -1.0], [1.0, 1.0], [5, 5])
         with pytest.raises(ConfigError, match="shaped"):
-            DoaMask(grid, np.ones((4, 4), dtype=bool), 0.01, False)
+            DoaMask(grid, np.ones((4, 4), dtype=bool), 0.01)
 
     def test_node_count(self):
         grid = Grid([-1.0, -1.0], [1.0, 1.0], [5, 5])
         inside = np.zeros((5, 5), dtype=bool)
         inside[1:4, 1:4] = True
-        assert DoaMask(grid, inside, 0.1, False).node_count == 9
+        assert DoaMask(grid, inside, 0.1).node_count == 9
 
 
 class TestExtractDoa:
@@ -184,6 +184,29 @@ class TestContour2d:
             for end in (cut[0], cut[-1]):
                 assert np.max(np.abs(end)) == pytest.approx(1.0)
 
+    def test_noisy_field_covers_every_segment_once(self):
+        # thousands of polylines, most of them open: each crossing cell
+        # gives one segment, each saddle two, and the polylines hold them
+        # all; an open one runs from box face to box face
+        grid = Grid([-1.0, -1.0], [1.0, 1.0], [61, 61])
+        vals = np.random.default_rng(0).random((61, 61))
+        polys = contour2d(ValueField(grid, vals, "raw"), 0.5)
+        below = (vals < 0.5).astype(int)
+        cases = (below[:-1, :-1] | below[1:, :-1] << 1
+                 | below[1:, 1:] << 2 | below[:-1, 1:] << 3)
+        crossing = np.count_nonzero((cases != 0) & (cases != 15))
+        saddles = np.count_nonzero((cases == 5) | (cases == 10))
+        assert sum(len(p) - 1 for p in polys) == crossing + saddles
+        lo, hi = grid.lo, grid.hi
+
+        def on_face(vx):
+            return bool(np.any((vx == lo) | (vx == hi)))
+
+        closed = [np.array_equal(p[0], p[-1]) for p in polys]
+        assert 0 < sum(closed) < len(polys)
+        for p, ring in zip(polys, closed):
+            assert ring or (on_face(p[0]) and on_face(p[-1]))
+
     def test_deterministic(self, circle_field):
         a = contour2d(circle_field, 0.5)
         b = contour2d(circle_field, 0.5)
@@ -200,7 +223,7 @@ class TestContour2d:
 def block_mask():
     grid = Grid([-2.0, -2.0], [2.0, 2.0], [41, 41])
     inside = np.max(np.abs(grid.node_coords()), axis=-1) <= 0.5 + 1e-12
-    return DoaMask(grid, inside, 0.5, False)
+    return DoaMask(grid, inside, 0.5)
 
 
 class TestRegionDistance:
@@ -252,7 +275,7 @@ class TestCsvRoundTrip:
         grid = Grid(lo, hi, counts)
         inside = (grid.node_coords() ** 2).sum(axis=-1) < 0.5
         path = tmp_path / "mask.csv"
-        save_mask(DoaMask(grid, inside, 0.01, False), path)
+        save_mask(DoaMask(grid, inside, 0.01), path)
         head = path.read_bytes().split(b"\n", 1)[0].decode()
         rows = [",".join(["%d" % i for i in at] + ["%d" % inside[at]])
                 for at in np.ndindex(*grid.counts)]

@@ -58,6 +58,17 @@ class TestControlSpace:
         with pytest.raises(ConfigError, match="control sample counts"):
             ControlSpace.from_box([-1.0], [1.0], [count])
 
+    @pytest.mark.parametrize("lo,hi", [([-math.inf], [1.0]),
+                                       ([-1.0], [math.nan])])
+    def test_non_finite_box_rejected(self, lo, hi):
+        # linspace would warn and sample NaN controls first
+        with pytest.raises(ConfigError, match="finite"):
+            ControlSpace.from_box(lo, hi, [3])
+
+    def test_non_finite_point_rejected(self):
+        with pytest.raises(ConfigError, match="finite"):
+            ControlSpace([[0.0], [math.nan]], [0.0], [1.0])
+
     def test_no_control_space(self):
         cs = ControlSpace.none()
         assert cs.size == 1 and cs.m == 0
@@ -90,6 +101,13 @@ class TestGrid:
     def test_degenerate_box_rejected(self):
         with pytest.raises(ConfigError):
             Grid([1.0], [1.0], [3])
+
+    @pytest.mark.parametrize("lo,hi", [([-1.0], [math.inf]),
+                                       ([math.nan], [1.0])])
+    def test_non_finite_box_rejected(self, lo, hi):
+        # refused before the origin search casts a NaN to an index
+        with pytest.raises(ConfigError, match="finite"):
+            Grid(lo, hi, [3])
 
     def test_counts_must_be_whole(self):
         with pytest.raises(ConfigError, match="grid counts"):
@@ -411,6 +429,20 @@ class TestLoadSystem:
         assert sys.ules.sigma == 1.0 and sys.growth.lam == 2.0
         with pytest.raises(ValidationError):
             load_system(_config(ules={"C": 1.0, "sigma": -1.0, "r": 0.5}))
+        # json.load reads Infinity; an infinite sigma makes the oracle's
+        # tail bound 0, a false certificate
+        with pytest.raises(ValidationError, match="finite"):
+            load_system(_config(ules={"C": 1.0, "sigma": math.inf, "r": 0.5}))
+
+    @pytest.mark.parametrize("make", [lambda: Ules(1.0, math.inf, 0.5),
+                                      lambda: Ules(math.nan, 1.0, 0.5),
+                                      lambda: Growth(math.inf, 2.0),
+                                      lambda: Growth(1.0, math.inf)],
+                             ids=["sigma-inf", "c-nan", "c-tilde-inf",
+                                  "lambda-inf"])
+    def test_envelope_constants_must_be_finite(self, make):
+        with pytest.raises(ConfigError, match="finite"):
+            make()
 
 
 # --- invariant checks on direct construction --------------------------------

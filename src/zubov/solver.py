@@ -2,18 +2,27 @@
 fixed point.
 
 For each fixed control the Bellman operator is linear in the field, so it is
-built once per solve as a BellmanOperator: one stacked CSR matrix C of shape
-K*N x N (K controls, N nodes) plus an offset vector c.  Row k*N + i holds
-control k's multilinear stencil at the foot of node i, scaled by that row's
-discount; a foot outside the box leaves its row empty, and the offset
-carries the step cost.  A full sweep computes opt_k(c_k + C_k x), the sparse
-product taken one control at a time.
+built once per solve as a BellmanOperator: K matrices C_k of shape N x N (K
+controls, N nodes) plus an offset c_k each.  Row i of C_k is control k's
+multilinear stencil at the foot of node i, scaled by that row's discount.
+Its 2**n column indices are its cell's first node plus fixed corner
+offsets, so the operator stores them corner-major: ``first[k, i]``, the
+cell's first node, and ``weights[k, j, i]``, corner j's weight, with one
+shared row pointer.  A product C_k x is then 2**n calls of the CSR kernel,
+one entry per row each, on x shifted by the corner's offset; the calls add
+the corners in the order of a row-major row, so the sums are bitwise those
+of one SpMV.  A foot outside the box gives a zero row (its foot moved to
+its node, its discount 0), which reads exactly +0 for a finite iterate,
+and the offset carries the step cost.  A non-finite iterate turns a zero
+row into NaN.  A full sweep computes opt_k(c_k + C_k x), one control at a
+time.
 
 The Kružkov solve runs modified policy iteration (Puterman & Shin, 1978).
 A full sweep there also returns, per node, the lowest control index
-attaining the minimum.  Those N rows of C are gathered into a matrix of
-their own, and policy sweeps x <- c_pi + C_pi x, at about 1/K of a full
-sweep's cost, run until one moves less than tol/10; then the next full
+attaining the minimum.  Those N rows (row i of C_pi(i)) are gathered
+into a row-major CSR matrix of their own, and policy sweeps
+x <- c_pi + C_pi x, one kernel call each at about 1/K of a full sweep's
+cost, run until one moves less than tol/10; then the next full
 sweep picks a new policy.  Capped nodes (min >= 1) and the pinned origin
 keep their value through the policy sweeps.  The iterates on u = 1 - v
 still only fall: C_pi has nonnegative weights and a fixed summation
@@ -25,16 +34,17 @@ to pick, and solve_hjbe keeps plain full sweeps too: its minimize-mode
 systems start below their fixed point, where a greedy policy's sweeps can
 overshoot it, or diverge on an undiscounted system.
 
-The build (`_assemble`) computes, for each control, the feet and
-stencils of 2**14 nodes at a time, so its temporaries stay a few MB at
-any grid size.  A chunk's RK4 step runs on a column-major augmented
-state, so every column it reads and writes is contiguous.  Each chunk's
-stencils go straight into the CSR arrays.  The offset is allocated by
-the first chunk with a nonzero entry, so an all-zero offset (every
-Kružkov row) is a zero-stride view that takes no memory, and a sweep
-skips adding it.  The fixed-point check's `apply_zubov` gives T u
-without the full operator: it builds and applies one control's operator
-at a time.  None of this changes a bit of any field.
+The build (`_assemble`) computes the feet and stencils of 2**14 nodes at
+a time, for every control in turn, so its temporaries stay a few MB at
+any grid size and each chunk's nodes are decoded once.  A chunk's RK4
+step runs on a column-major augmented state, so every column it reads
+and writes is contiguous.  Each chunk's stencils go straight into the
+operator's arrays.  The offset is allocated by the first chunk with a
+nonzero entry, so an all-zero offset (every Kružkov row) is a
+zero-stride view that takes no memory, and a sweep skips adding it.  The
+fixed-point check's `apply_zubov` gives T u without the full operator:
+it builds and applies one control's operator at a time.  None of this
+changes a bit of any field.
 
 Both solves take y_a, the foot of node x_i under control a, and the step
 integrals from one RK4 step of length dt.  A foot outside the box reads
@@ -138,54 +148,68 @@ def _inside(grid, pts):
     return inside
 
 
-def _stencil(grid, pts, scale=None, idx=None, w=None):
-    """Multilinear stencil of each point: ``(idx, w)``, both of shape
-    (len(pts), 2**n).
+def _corners(grid):
+    """Flat offset of each corner of a cell from the cell's first node, in
+    ``itertools.product`` order."""
+    strides = np.cumprod([1, *grid.counts[:0:-1]])[::-1]
+    return [int(np.dot(corner, strides))
+            for corner in itertools.product((0, 1), repeat=grid.n_axes)]
 
-    Row i lists the flat node indices point i reads, from its cell clipped
-    into the box, and their weights, times ``scale[i]`` when given.  Corner
-    j's index is the cell's first node plus a constant offset.  The
-    stencils are written into ``idx`` and ``w`` when given (the operator's
-    CSR arrays), else into new row-major arrays.
+
+def _stencil(grid, pts, scale=None, first=None, w=None):
+    """Multilinear stencil of each point: ``(first, w)``.
+
+    ``first[i]`` is the flat index of the first node of point i's cell,
+    clipped into the box; corner j of that cell is node first[i] +
+    ``_corners(grid)[j]``, and ``w[j, i]`` is its weight, times ``scale[i]``
+    when given.  The stencils are written into ``first`` and ``w`` (shape
+    (2**n, len(pts))) when given (the operator's arrays), else into new
+    arrays.
     """
     n = grid.n_axes
-    corners = list(itertools.product((0, 1), repeat=n))
-    if idx is None:
-        idx = np.empty((len(pts), len(corners)), dtype=np.int64)
-        w = np.empty((len(pts), len(corners)))
+    if first is None:
+        first = np.empty(len(pts), dtype=np.int64)
+        w = np.empty((2 ** n, len(pts)))
     strides = np.cumprod([1, *grid.counts[:0:-1]])[::-1]
-    first, near, far = 0, [], []
+    flat, near, far = 0, [], []
     for k in range(n):
         u = (pts[:, k] - grid.lo[k]) / grid.dx[k]
         cell = np.clip(np.floor(u).astype(np.int64), 0, grid.counts[k] - 2)
-        first = first + cell * strides[k]
+        flat = flat + cell * strides[k]
         frac = np.clip(u - cell, 0.0, 1.0)
         near.append(1.0 - frac)
         far.append(frac)
+    first[:] = flat
     product = np.empty(len(pts))
-    for j, corner in enumerate(corners):
-        np.add(first, int(np.dot(corner, strides)), out=idx[:, j])
+    for j, corner in enumerate(itertools.product((0, 1), repeat=n)):
         # the weight is the product of its axes' factors in axis order, then
         # the scale: computed contiguous, stored once
         factors = [far[k] if bit else near[k] for k, bit in enumerate(corner)]
         weight = factors[0]
         for factor in factors[1:]:
             weight = np.multiply(weight, factor, out=product)
-        np.multiply(weight, 1.0 if scale is None else scale, out=w[:, j])
-    return idx, w
+        np.multiply(weight, 1.0 if scale is None else scale, out=w[j])
+    return first, w
 
 
 class BellmanOperator:
-    """x -> opt_k(c_k + C_k x), optionally capped, for K stacked controls.
+    """x -> opt_k(c_k + C_k x), optionally capped, for K controls.
 
-    ``matrix`` is the K*N x N CSR matrix C, ``offset`` the length-K*N
-    vector c; ``opt`` is np.minimum or np.maximum.
+    Each C_k is stored corner-major (module docstring): row i of C_k reads
+    the cell whose first node is ``first[k, i]``, its corner j being node
+    first[k, i] + ``corners[j]`` with weight ``weights[k, j, i]`` (the
+    corner's multilinear weight times the row's discount).  The row of a
+    foot outside the box has all its weights +0: it reads +0 for a finite
+    x, but NaN where the x it indexes holds an inf or a NaN.  ``offset``
+    is the K x N array c; ``opt`` is np.minimum or np.maximum.
     """
 
-    def __init__(self, matrix, offset, opt, cap=None):
+    def __init__(self, first, weights, corners, offset, opt, cap=None):
         from scipy.sparse import _sparsetools
 
-        self.matrix = matrix
+        self.first = first
+        self.weights = weights
+        self.corners = corners
         self.offset = offset
         # an all-zero offset is never added: rows sum up from +0, so adding
         # 0 changes no bit
@@ -193,12 +217,13 @@ class BellmanOperator:
         self.opt = opt
         self._better = np.less if opt is np.minimum else np.greater
         self.cap = cap
-        self.n_nodes = n = matrix.shape[1]
-        self.n_controls = matrix.shape[0] // n
+        self.n_controls, self.n_nodes = n_controls, n = first.shape
+        # one entry per row: each corner's weights of one control are a CSR
+        # matrix with the column indices first[k], read on x[corners[j]:]
+        self.indptr = np.arange(n + 1, dtype=first.dtype)
         self._matvec = _sparsetools.csr_matvec  # the kernel behind A @ x
-        self._gather = _sparsetools.csr_row_index  # and the one behind A[i]
         # control 0 writes the output, each later one this buffer
-        self._row = np.empty(n) if self.n_controls > 1 else None
+        self._row = np.empty(n) if n_controls > 1 else None
 
     def __call__(self, x, choice=False):
         """The swept values; with ``choice``, also each node's lowest
@@ -207,7 +232,7 @@ class BellmanOperator:
         if x.shape != (self.n_nodes,):  # the kernel does not check
             raise ValueError("operator wants %d node values, got shape %s"
                              % (self.n_nodes, x.shape))
-        n, m = self.n_nodes, self.matrix
+        n = self.n_nodes
         out = np.empty(n)
         if choice:
             picked = np.zeros(n, np.min_scalar_type(self.n_controls - 1))
@@ -215,10 +240,13 @@ class BellmanOperator:
         for k in range(self.n_controls):
             row = out if k == 0 else self._row
             row.fill(0.0)  # as A @ x does: each row sums up from +0
-            self._matvec(n, n, m.indptr[k * n:(k + 1) * n + 1], m.indices,
-                         m.data, x, row)
+            # one kernel call per corner adds w_j * x[first + corners[j]]
+            # to every row, in the order of a row-major row's entries
+            for corner, w in zip(self.corners, self.weights[k]):
+                self._matvec(n, n - corner, self.indptr, self.first[k], w,
+                             x[corner:], row)
             if self._add_offset:
-                row += self.offset[k * n:(k + 1) * n]
+                row += self.offset[k]
             if k == 0:
                 continue
             if choice:  # strictly better: ties keep the lower control
@@ -233,26 +261,36 @@ class BellmanOperator:
         """The sweep (x, out) -> c_choice + C_choice x, written to out, of
         the policy ``choice``, as a function.
 
-        Row i of its N x N matrix is row choice[i]*N + i of C, with that
-        row's offset, except at the nodes of the boolean mask ``fixed``,
-        which keep the value they have in x.  The rows are gathered by the
-        kernel behind A[rows], with no temporary longer than N, and swept
-        by the kernel behind A @ x.
+        Row i of its N x N CSR matrix is row i of C_choice[i], its 2**n
+        entries in corner order, with that row's offset, except at the nodes
+        of the boolean mask ``fixed``, which store no row and keep the value
+        they have in x.  The rows are gathered a sixteenth of the nodes (at
+        least 2**10) at a time, so the gather's temporaries take a few bytes
+        per node, and swept by one call of the kernel behind A @ x.
         """
-        n, m = self.n_nodes, self.matrix
-        rows = choice.astype(m.indptr.dtype)
-        rows *= n
-        rows += np.arange(n, dtype=rows.dtype)
-        offset = self.offset[rows] if self._add_offset else None
-        indptr = np.zeros(n + 1, dtype=rows.dtype)
-        indptr[1:] = m.indptr[rows + 1] - m.indptr[rows]
-        indptr[1:][fixed] = 0
+        n, width = self.n_nodes, len(self.corners)
+        indptr = np.zeros(n + 1, dtype=self.indptr.dtype)
+        np.multiply(~fixed, width, out=indptr[1:])
         np.cumsum(indptr, out=indptr)
-        rows = rows[~fixed]
-        indices = np.empty(int(indptr[-1]), dtype=m.indices.dtype)
+        indices = np.empty(int(indptr[-1]), dtype=indptr.dtype)
         data = np.empty(int(indptr[-1]))
-        self._gather(rows.size, rows, m.indptr, m.indices, m.data, indices,
-                     data)
+        offset = (self.offset[choice, np.arange(n)] if self._add_offset
+                  else None)
+        step = max(2 ** 10, -(-n // 16))
+        for lo in range(0, n, step):
+            node = np.flatnonzero(~fixed[lo:lo + step])
+            node += lo
+            at = slice(indptr[lo], indptr[min(lo + step, n)])
+            idx = indices[at].reshape(-1, width)
+            w = data[at].reshape(-1, width)
+            row = choice[node].astype(np.intp)
+            row *= n
+            row += node  # k*N + i, row i of C_k in first
+            first = self.first.take(row)
+            row += (width - 1) * (row - node)  # its corner 0 in weights
+            for j, corner in enumerate(self.corners):
+                np.add(first, corner, out=idx[:, j])
+                w[:, j] = self.weights.take(row + j * n)
 
         def sweep(x, out):
             out.fill(0.0)  # as A @ x does: each row sums up from +0
@@ -266,65 +304,51 @@ class BellmanOperator:
 
     @property
     def nbytes(self):
-        """Bytes the operator keeps resident: C's three arrays, plus c when
-        a sweep reads it."""
-        m = self.matrix
-        return (m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
+        """Bytes the operator keeps resident: ``first``, ``weights`` and the
+        shared ``indptr``, plus c when a sweep reads it."""
+        return (self.first.nbytes + self.weights.nbytes + self.indptr.nbytes
                 + (self.offset.nbytes if self._add_offset else 0))
 
 
 def _assemble(system, grid, rows, opt, cap, controls):
-    """Stack the Bellman rows of ``controls`` into one BellmanOperator.
+    """The BellmanOperator of ``controls``.
 
     ``rows(a, nodes)`` returns ``(feet, scale, cost)`` for control a: row i
     reads ``cost[i] + scale[i] * I[x](feet[i])``, where I[x] is 0 at a foot
-    outside the box (module docstring), so that row stays empty.  The rows
-    are computed ``_FEET_CHUNK`` nodes at a time in row order, and each
+    outside the box (module docstring).  Such a row is stored as a zero row:
+    its foot moves to its node and its scale to 0.  The rows are computed
+    ``_FEET_CHUNK`` nodes at a time, for every control in turn, and each
     chunk's stencils, the weights times the row's scale, go straight into
-    the CSR arrays.  Node coordinates and feet exist for one chunk at a
-    time, so the build's temporaries do not grow with the grid, and they die
-    before the operator's buffers exist.
+    the operator's arrays.  Node coordinates and feet exist for one chunk at
+    a time, so the build's temporaries do not grow with the grid, and they
+    die before the operator's sweep buffers exist.
     """
     if grid.n_axes != system.n_state:
         raise ConfigError("grid dimension %d, system wants %d"
                           % (grid.n_axes, system.n_state))
-    n_nodes, width = grid.n_nodes, 2 ** grid.n_axes
-    n_rows = len(controls) * n_nodes
-    itype = np.int32 if n_rows * width < 2 ** 31 else np.int64
-    # sized for every foot inside; the pages exterior rows leave unused are
-    # never touched, so they cost address space only
-    data = np.empty(n_rows * width)
-    indices = np.empty(n_rows * width, dtype=itype)
-    indptr = np.zeros(n_rows + 1, dtype=itype)  # row lengths, then sums
+    n_nodes, corners = grid.n_nodes, _corners(grid)
+    itype = np.int32 if n_nodes * len(corners) < 2 ** 31 else np.int64
+    first = np.empty((len(controls), n_nodes), dtype=itype)
+    weights = np.empty((len(controls), len(corners), n_nodes))
     # allocated by the first nonzero chunk: calloc can hand back pages an
     # earlier solve freed, which it must then zero, and so make resident
-    offset, nnz = None, 0
-    for k, a in enumerate(controls):
-        for lo in range(0, n_nodes, _FEET_CHUNK):
-            hi = min(lo + _FEET_CHUNK, n_nodes)
-            feet, scale, cost = rows(a, _chunk_nodes(grid, lo, hi))
-            inside = _inside(grid, feet)
-            if not inside.all():  # keep the feet column-major
-                feet, scale = feet.T[:, inside].T, scale[inside]
-            end = nnz + width * len(feet)
-            _stencil(grid, feet, scale, indices[nnz:end].reshape(-1, width),
-                     data[nnz:end].reshape(-1, width))
-            nnz = end
-            row = k * n_nodes + lo
-            np.multiply(inside, width, out=indptr[row + 1:row + 1 + hi - lo])
+    offset = None
+    for lo in range(0, n_nodes, _FEET_CHUNK):
+        hi = min(lo + _FEET_CHUNK, n_nodes)
+        nodes = _chunk_nodes(grid, lo, hi)
+        for k, a in enumerate(controls):
+            feet, scale, cost = rows(a, nodes)
+            outside = ~_inside(grid, feet)
+            feet[outside], scale[outside] = nodes[outside], 0.0
+            _stencil(grid, feet, scale, first[k, lo:hi], weights[k, :, lo:hi])
             if np.any(cost):
                 if offset is None:
-                    offset = np.zeros(n_rows)
-                offset[row:row + hi - lo] = cost
-            del feet, scale, cost, inside  # before the next chunk's feet
-    from scipy import sparse  # loaded by the first solve, not on import
-
-    np.cumsum(indptr, out=indptr)
-    matrix = sparse.csr_array((data[:nnz], indices[:nnz], indptr),
-                              shape=(n_rows, n_nodes))
+                    offset = np.zeros(first.shape)
+                offset[k, lo:hi] = cost
+            del feet, scale, cost, outside  # before the next control's feet
     if offset is None:
-        offset = np.broadcast_to(0.0, (n_rows,))
-    return BellmanOperator(matrix, offset, opt, cap)
+        offset = np.broadcast_to(0.0, first.shape)
+    return BellmanOperator(first, weights, corners, offset, opt, cap)
 
 
 def _zubov_rows(system, dt):
@@ -434,7 +458,7 @@ def _iterate(build, grid, settings, start, scheme, policy=False):
     meta.update(scheme=scheme, iterations=len(changes), policy_sweeps=policy_sweeps,
                 final_change=change, converged=converged,
                 sweep_changes=np.array(changes), bellman_residual=residual,
-                operator_nnz=int(op.matrix.nnz), operator_bytes=op.nbytes,
+                operator_nnz=int(op.weights.size), operator_bytes=op.nbytes,
                 phase_seconds={"build": built - started,
                                "sweeps": time.perf_counter() - built
                                - policy_seconds,
@@ -498,7 +522,10 @@ def interpolate(field, x):
     if pts.shape[-1] != field.grid.n_axes:
         raise ConfigError("point dimension %d, grid wants %d"
                           % (pts.shape[-1], field.grid.n_axes))
-    idx, w = _stencil(field.grid, pts)
-    vals = np.einsum("ij,ij->i", field.values.reshape(-1)[idx], w)
+    first, w = _stencil(field.grid, pts)
+    idx = first[:, None] + np.array(_corners(field.grid))
+    # row-major weights: einsum's sums depend on the operands' layout
+    vals = np.einsum("ij,ij->i", field.values.reshape(-1)[idx],
+                     np.ascontiguousarray(w.T))
     out = np.where(_inside(field.grid, pts), vals, exterior)
     return float(out[0]) if np.ndim(x) == 1 else out

@@ -77,11 +77,12 @@ class TestSolve:
         assert len(result["sweep_changes"]) == result["iterations"]
         assert result["sweep_changes"][-1] == result["final_change"]
         assert 0.0 <= result["bellman_residual"] <= result["final_change"]
-        # a Kružkov operator has no offset to keep: 8-byte
-        # data and 4-byte indices per entry, a 4-byte indptr entry per row
+        # a Kružkov operator has no offset to keep: an 8-byte weight per
+        # entry, a 4-byte cell index per row and one shared 4-byte indptr
         rows = builtin("lift2d").control.size * 101 * 101
-        assert result["operator_bytes"] == 12 * result["operator_nnz"] \
-            + 4 * (rows + 1)
+        assert result["operator_nnz"] == 4 * rows
+        assert result["operator_bytes"] == 8 * result["operator_nnz"] \
+            + 4 * rows + 4 * (101 * 101 + 1)
         for key in ("sweep_changes", "bellman_residual", "operator_bytes"):
             assert key not in meta["config"]
 

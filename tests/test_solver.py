@@ -151,8 +151,8 @@ def test_metadata_records_sweep_history_and_residual():
     assert changes[-1] == meta["final_change"] < meta["tol"]
     # one more sweep moves the field by at most the last sweep's change
     assert 0.0 <= meta["bellman_residual"] <= meta["final_change"]
-    # f = -x: every foot inside, so no offset is kept; 42 entries, 22 rows
-    assert meta["operator_bytes"] == 42 * 8 + 42 * 4 + 22 * 4
+    # no offset is kept: 42 weights, 21 cell indices, a 22-entry indptr
+    assert meta["operator_bytes"] == 42 * 8 + 21 * 4 + 22 * 4
 
 
 def test_bellman_residual_is_one_more_pinned_sweep():
@@ -241,8 +241,8 @@ def test_policy_rows_are_gathered_without_grid_sized_temporaries():
         assert np.array_equal(sweep(np.ones(nodes), np.empty(nodes)), u)
         # kept: the N rows (4 entries of 12 bytes each) and their indptr
         assert kept <= 52 * nodes + 4096
-        # one int32 index per node at most; a copy of the 21 controls'
-        # row pointers alone would be 84 bytes per node
+        # the gather indexes one chunk of nodes at a time: one grid-sized
+        # int64 index array alone would take 8 bytes per node
         assert peak - kept <= 8 * nodes
 
 
@@ -270,8 +270,7 @@ def test_chunk_boundaries_are_invisible(monkeypatch, case, chunk):
         monkeypatch.setattr(solver, "_FEET_CHUNK", size)
         op = (hjbe_operator if raw else zubov_operator)(
             system, grid, settings.dt)
-        m = op.matrix
-        arrays.append((m.data, m.indices, m.indptr, op.offset))
+        arrays.append((op.first, op.weights, op.offset))
     for whole, chunked in zip(*arrays):
         assert whole.dtype == chunked.dtype
         assert np.array_equal(whole, chunked)
@@ -346,7 +345,7 @@ def test_apply_zubov_is_the_operators_product(monkeypatch, name, grid):
     want = op(u)
     assert (want == 1.0).any()
     if name == "lift2d":
-        assert (np.diff(op.matrix.indptr) == 0).any()  # feet outside the box
+        assert (op.weights == 0.0).all(axis=1).any()  # feet outside the box
     for chunk in (grid.n_nodes, 100):  # one chunk, then many
         monkeypatch.setattr(solver, "_FEET_CHUNK", chunk)
         assert solver.apply_zubov(system, grid, 0.05, u).tobytes() \
@@ -371,9 +370,23 @@ def test_apply_zubov_builds_one_control_at_a_time(monkeypatch, name):
 
 # --- sweeps ------------------------------------------------------------------
 
+def stacked(op):
+    """SciPy's K*N x N CSR matrix of the operator: row k*N + i is control
+    k's row i, its 2**n entries in corner order."""
+    from scipy import sparse
+
+    controls, width, n = op.weights.shape
+    columns = op.first[:, None, :] + np.array(op.corners)[:, None]
+    return sparse.csr_array(
+        (op.weights.transpose(0, 2, 1).reshape(-1),
+         columns.transpose(0, 2, 1).reshape(-1),
+         np.arange(0, controls * n * width + 1, width)),
+        shape=(controls * n, n))
+
+
 def single_product(op, x):
     """The sweep as one sparse product and one reduction over all controls."""
-    y = op.matrix @ x + op.offset
+    y = stacked(op) @ x + op.offset.reshape(-1)
     out = op.opt.reduce(y.reshape(-1, op.n_nodes), axis=0)
     return out if op.cap is None else np.minimum(out, op.cap)
 
@@ -417,7 +430,8 @@ class TestParallelSweeps:
         op = zubov_operator(builtin("lift2d"), LIFT41, 0.05)
         ones = np.ones(LIFT41.n_nodes)
         for x in (ones, np.random.default_rng(6).random(LIFT41.n_nodes)):
-            y = (op.matrix @ x + op.offset).reshape(op.n_controls, -1)
+            y = (stacked(op) @ x + op.offset.reshape(-1)).reshape(
+                op.n_controls, -1)
             out, picked = op(x, choice=True)
             assert np.array_equal(out, single_product(op, x))
             assert np.array_equal(picked, np.argmin(y, axis=0))
@@ -432,14 +446,38 @@ class TestParallelSweeps:
         op = (hjbe_operator if raw else zubov_operator)(builtin(name),
                                                         LIFT41, 0.05)
         assert np.array_equal(op(x), single_product(op, x))
-        m = op.matrix
-        assert (np.diff(m.indptr) == 0).any()  # feet outside the box
+        assert (op.weights == 0.0).all(axis=1).any()  # feet outside the box
         # a Kružkov row has no offset, outside the box or in it: a
         # zero-stride view, never allocated; a raw row carries its step cost
         assert bool(op.offset.any()) is raw
-        assert (op.offset.strides == (0,)) is not raw
-        kept = m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
+        assert (op.offset.strides == (0, 0)) is not raw
+        kept = op.first.nbytes + op.weights.nbytes + op.indptr.nbytes
         assert op.nbytes == kept + (op.offset.nbytes if raw else 0)
+
+    @pytest.mark.parametrize("name", ["lift2d", "fuller"])  # Kružkov / raw
+    def test_feet_outside_the_box_give_zero_rows(self, name):
+        system, raw = builtin(name), name == "fuller"
+        op = (hjbe_operator if raw else zubov_operator)(system, LIFT41, 0.05)
+        nodes = LIFT41.node_coords().reshape(-1, 2)
+        # negative values too: a zero weight times one of them is -0.0
+        x = np.random.default_rng(8).uniform(-1.0, 1.0, LIFT41.n_nodes)
+        exterior = 0
+        for k, a in enumerate(system.control.points):
+            z = np.hstack([nodes, np.zeros((len(nodes), 3))])
+            feet = rk4_step(system, z, a, 0.05)[:, :2]
+            outside = ~_ref_stencil(LIFT41, feet)[0]
+            exterior += np.count_nonzero(outside)
+            assert (op.weights[k][:, outside] == 0.0).all()
+            assert not np.signbit(op.weights[k][:, outside]).any()
+            one = solver.BellmanOperator(
+                op.first[k:k + 1], op.weights[k:k + 1], op.corners,
+                op.offset[k:k + 1], op.opt)
+            y = one(x)[outside]
+            if raw:  # the exterior value 0 plus the step cost
+                assert np.array_equal(y, op.offset[k, outside])
+            else:
+                assert (y == 0.0).all() and not np.signbit(y).any()
+        assert exterior > 0
 
     def test_sweep_allocates_only_its_output(self):
         import tracemalloc
@@ -698,3 +736,12 @@ class TestInterpolate:
     def test_dimension_mismatch(self):
         with pytest.raises(ConfigError):
             interpolate(self.field(), [0.0, 0.0])
+
+    def test_matches_a_row_major_einsum(self, lift2d_field):
+        grid = lift2d_field.grid
+        pts = np.random.default_rng(9).uniform(-1.3, 1.3, (5000, 2))
+        inside, idx, w = _ref_stencil(grid, pts)
+        assert not inside.all()
+        want = np.where(inside, np.einsum(
+            "ij,ij->i", lift2d_field.values.reshape(-1)[idx], w), 1.0)
+        assert interpolate(lift2d_field, pts).tobytes() == want.tobytes()

@@ -81,8 +81,6 @@ _OPTIONS = {
     "rho": (0.05, "real", "oracle tail-certificate radius"),
     "budget": (_DEFAULT_BUDGET, "int", None),
     "seed": (0, "int", "sampling seed for verify"),
-    "threads": (0, "int", "accepted for old configs and ignored: every "
-                          "solve runs on the calling thread"),
     "out": (".", "dir", "output directory"),
     "epsilon": (0.01, "real", "doa level gap / synthesis tolerance"),
     "checks": (list(_CHECKS), "checks", None),
@@ -164,6 +162,10 @@ def _load_config(path):
         if doc.pop(key, recorded) is not recorded:
             raise ConfigError("config key %r was removed and takes only "
                               "%s; drop the key" % (key, json.dumps(recorded)))
+    # the thread count older runs recorded: any integer, checked or not
+    if not _is_whole(doc.pop("threads", 0)):
+        raise ConfigError("config key 'threads' was removed and takes only "
+                          "an integer; drop the key")
     unknown = sorted(set(doc) - set(_OPTIONS))
     if unknown:
         raise ConfigError("unknown config keys: %s" % ", ".join(unknown))
@@ -227,8 +229,7 @@ def _make_grid(cfg, system):
 
 def _settings(cfg):
     return SolverSettings(dt=cfg["dt"], tol=cfg["tol"],
-                          max_iters=cfg["max_iters"],
-                          threads=cfg["threads"] or None)
+                          max_iters=cfg["max_iters"])
 
 
 # --- artifacts ---------------------------------------------------------------

@@ -19,20 +19,21 @@ time.
 
 The Kružkov solve runs modified policy iteration (Puterman & Shin, 1978).
 A full sweep there also returns, per node, the lowest control index
-attaining the minimum.  Those N rows (row i of C_pi(i)) are gathered
-into a row-major CSR matrix of their own, and policy sweeps
+attaining the minimum.  Those N rows (row i of C_pi(i), one per node)
+are gathered into a row-major CSR matrix of their own, and policy sweeps
 x <- c_pi + C_pi x, one kernel call each at about 1/K of a full sweep's
-cost, run until one moves less than tol/10; then the next full
-sweep picks a new policy.  Capped nodes (min >= 1) and the pinned origin
-keep their value through the policy sweeps.  The iterates on u = 1 - v
-still only fall: C_pi has nonnegative weights and a fixed summation
-order, so a policy sweep is monotone in floating point, and its first
-application reproduces the full sweep bit for bit.  Only a full sweep can
-converge (move less than tol); iterations, max_iters and the sweep
-history count sweeps of both kinds.  A one-control system has no policy
-to pick, and solve_hjbe keeps plain full sweeps too: its minimize-mode
-systems start below their fixed point, where a greedy policy's sweeps can
-overshoot it, or diverge on an undiscounted system.
+cost, run until one moves less than tol/10; then the next full sweep
+picks a new policy.  Capped nodes (min >= 1) and the pinned origin keep
+their value through the policy sweeps: each sweep copies it back from x
+after the kernel call.  The iterates on u = 1 - v still only fall: C_pi
+has nonnegative weights and a fixed summation order, so a policy sweep is
+monotone in floating point, and its first application reproduces the
+full sweep bit for bit.  Only a full sweep can converge (move less than
+tol); iterations, max_iters and the sweep history count sweeps of both
+kinds.  A one-control system has no policy to pick, and solve_hjbe keeps
+plain full sweeps too: its minimize-mode systems start below their fixed
+point, where a greedy policy's sweeps can overshoot it, or diverge on an
+undiscounted system.
 
 The build (`_assemble`) computes the feet and stencils of 2**14 nodes at
 a time, for every control in turn, so its temporaries stay a few MB at
@@ -262,35 +263,27 @@ class BellmanOperator:
         the policy ``choice``, as a function.
 
         Row i of its N x N CSR matrix is row i of C_choice[i], its 2**n
-        entries in corner order, with that row's offset, except at the nodes
-        of the boolean mask ``fixed``, which store no row and keep the value
-        they have in x.  The rows are gathered a sixteenth of the nodes (at
-        least 2**10) at a time, so the gather's temporaries take a few bytes
-        per node, and swept by one call of the kernel behind A @ x.
+        entries in corner order, with that row's offset; after the kernel
+        call the nodes of the boolean mask ``fixed`` get back their value
+        in x.  The rows are gathered a sixteenth of the nodes (at least
+        2**10) at a time, so the gather's temporaries take a few bytes per
+        node, and swept by one call of the kernel behind A @ x.
         """
         n, width = self.n_nodes, len(self.corners)
-        indptr = np.zeros(n + 1, dtype=self.indptr.dtype)
-        np.multiply(~fixed, width, out=indptr[1:])
-        np.cumsum(indptr, out=indptr)
-        indices = np.empty(int(indptr[-1]), dtype=indptr.dtype)
-        data = np.empty(int(indptr[-1]))
+        indptr = self.indptr * width
+        indices = np.empty((n, width), dtype=indptr.dtype)
+        data = np.empty((n, width))
         offset = (self.offset[choice, np.arange(n)] if self._add_offset
                   else None)
         step = max(2 ** 10, -(-n // 16))
         for lo in range(0, n, step):
-            node = np.flatnonzero(~fixed[lo:lo + step])
-            node += lo
-            at = slice(indptr[lo], indptr[min(lo + step, n)])
-            idx = indices[at].reshape(-1, width)
-            w = data[at].reshape(-1, width)
-            row = choice[node].astype(np.intp)
-            row *= n
-            row += node  # k*N + i, row i of C_k in first
-            first = self.first.take(row)
-            row += (width - 1) * (row - node)  # its corner 0 in weights
+            at, node = slice(lo, lo + step), np.arange(lo, min(lo + step, n))
+            k = choice[at].astype(np.intp)
+            first = self.first[k, node]
             for j, corner in enumerate(self.corners):
-                np.add(first, corner, out=idx[:, j])
-                w[:, j] = self.weights.take(row + j * n)
+                np.add(first, corner, out=indices[at, j])
+                data[at, j] = self.weights[k, j, node]
+        indices, data = indices.reshape(-1), data.reshape(-1)
 
         def sweep(x, out):
             out.fill(0.0)  # as A @ x does: each row sums up from +0
@@ -397,7 +390,7 @@ def hjbe_operator(system, grid, dt):
     return _assemble(system, grid, rows, pick, None, system.control.points)
 
 
-def _iterate(build, grid, settings, start, scheme, policy=False):
+def _iterate(build, grid, settings, start, policy=False):
     """Build the operator and sweep it from x ≡ start (the origin pinned
     there) to tolerance; returns x and the field metadata, which records
     every sweep's sup-change and the Bellman residual sup |T x - x| of the
@@ -455,7 +448,7 @@ def _iterate(build, grid, settings, start, scheme, policy=False):
                                             settings.tol))
     meta = asdict(settings)
     del meta["threads"]  # never read
-    meta.update(scheme=scheme, iterations=len(changes), policy_sweeps=policy_sweeps,
+    meta.update(iterations=len(changes), policy_sweeps=policy_sweeps,
                 final_change=change, converged=converged,
                 sweep_changes=np.array(changes), bellman_residual=residual,
                 operator_nnz=int(op.weights.size), operator_bytes=op.nbytes,
@@ -473,7 +466,7 @@ def solve_zubov(system, grid, settings=None):
         raise ConfigError("solve_zubov wants a maximize-mode system; "
                           "use solve_hjbe for least-cost problems")
     build = functools.partial(zubov_operator, system, grid, settings.dt)
-    u, meta = _iterate(build, grid, settings, 1.0, "zubov", policy=True)
+    u, meta = _iterate(build, grid, settings, 1.0, policy=True)
     return ValueField(grid, (1.0 - u).reshape(tuple(grid.counts)),
                       "kruzhkov", meta)
 
@@ -485,7 +478,7 @@ def solve_hjbe(system, grid, settings=None):
         raise ConfigError("solve_hjbe needs a declared convergence guard "
                           "(nonneg_ell / nonpos_ell / case_a / case_b)")
     build = functools.partial(hjbe_operator, system, grid, settings.dt)
-    v, meta = _iterate(build, grid, settings, 0.0, "hjbe")
+    v, meta = _iterate(build, grid, settings, 0.0)
     return ValueField(grid, v.reshape(tuple(grid.counts)), "raw", meta)
 
 

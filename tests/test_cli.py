@@ -105,16 +105,37 @@ class TestSolve:
         second = (tmp_path / "field.csv").read_bytes()
         assert first == second
 
-    def test_thread_count_does_not_change_bits(self, tmp_path):
-        outs = []
-        for threads in ("1", "4"):
-            out = tmp_path / threads
-            rc = main(["solve", "--builtin", "lift2d", "--nodes", "41",
-                       "--threads", threads, "--out", str(out)])
-            assert rc == 0
-            assert read_meta(out)["config"]["threads"] == int(threads)
-            outs.append((out / "field.csv").read_bytes())
-        assert outs[0] == outs[1]
+    def test_thread_count_does_not_change_bits(self, tmp_path, capsys):
+        # --threads is retired; the count an older metadata.json recorded
+        # is dropped on replay
+        assert main(["solve", "--builtin", "lift2d", "--nodes", "41",
+                     "--threads", "4", "--out", str(tmp_path / "t")]) == 1
+        assert "usage error" in capsys.readouterr().err
+        fresh = tmp_path / "fresh"
+        assert main(["solve", "--builtin", "lift2d", "--nodes", "41",
+                     "--out", str(fresh)]) == 0
+        assert "threads" not in read_meta(fresh)["config"]
+        old = read_meta(fresh)
+        cfg = tmp_path / "metadata.json"
+        # every count an older run recorded replays, unchecked ones included
+        for threads in (0, 4, -5):
+            old["config"]["threads"] = threads
+            cfg.write_text(json.dumps(old))
+            replay = tmp_path / ("replay%d" % threads)
+            assert main(["solve", "--config", str(cfg),
+                         "--out", str(replay)]) == 0
+            assert ((replay / "field.csv").read_bytes()
+                    == (fresh / "field.csv").read_bytes())
+            assert "threads" not in read_meta(replay)["config"]
+        for threads in ("x", 2.5, True):
+            old["config"]["threads"] = threads
+            cfg.write_text(json.dumps(old))
+            capsys.readouterr()
+            assert main(["solve", "--config", str(cfg),
+                         "--out", str(tmp_path / "bad")]) == 1
+            err = capsys.readouterr().err
+            assert "config key 'threads' was removed" in err
+            assert "Traceback" not in err
 
     def test_flag_beats_config_beats_default(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -167,8 +188,8 @@ class TestSolve:
 
     def test_pre_removal_metadata_replays(self, tmp_path, capsys):
         # the config a metadata.json recorded before the feet mode, the
-        # exterior value and the report copy were removed: its three
-        # retired values are dropped
+        # exterior value, the report copy and the thread count were
+        # removed: its four retired values are dropped
         old = {"box": None, "budget": 2000000, "builtin": "lift2d",
                "checks": ["invariants", "fixed_point", "residual",
                           "decrease", "blowup"], "controls": None,
@@ -186,7 +207,7 @@ class TestSolve:
                      "--out", str(replay)]) == 0
         assert ((replay / "field.csv").read_bytes()
                 == (fresh / "field.csv").read_bytes())
-        assert not {"rk4_feet", "exterior", "report_json"} \
+        assert not {"rk4_feet", "exterior", "report_json", "threads"} \
             & set(read_meta(replay)["config"])
         for key, value in (("rk4_feet", False), ("exterior", 0.3),
                            ("report_json", "r.json")):
@@ -624,6 +645,13 @@ class TestDoa:
                    str(tmp_path / "doa"), str(bad)])
         assert rc == 1
         assert "config error" in capsys.readouterr().err
+
+    def test_retired_threads_flag_exits_1(self, run_dir, tmp_path, capsys):
+        # doa never checked the count: it used to exit 0 and record -5
+        assert main(["doa", "--builtin", "lift2d", "--threads", "-5",
+                     "--out", str(tmp_path), str(run_dir / "field.csv")]) == 1
+        assert "usage error" in capsys.readouterr().err
+        assert not (tmp_path / "metadata.json").exists()
 
     def test_non_finite_header_bound_exits_1(self, tmp_path):
         bad = tmp_path / "field.csv"

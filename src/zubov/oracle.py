@@ -313,9 +313,8 @@ def falsify_quasistability(system, region, budget=256, *, seed=7):
     node_norms = np.linalg.norm(nodes, axis=1)
     hits = []
     for j, a in enumerate(system.control.points):
-        fv = np.asarray(system.f(nodes, a), dtype=float)
-        gv = np.broadcast_to(np.asarray(system.g(nodes, a), dtype=float),
-                             (nodes.shape[0],))
+        fg = system.fg(nodes, a)
+        fv, gv = fg[:, :-1], fg[:, -1]
         ok = ((np.linalg.norm(fv, axis=-1) <= 1e-9) & (gv <= 1e-9)
               & (node_norms >= 1e-3))
         hits.extend((tuple(nodes[i]), tuple(a), j)

@@ -82,7 +82,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .systems import ConfigError, ValueField
-from .trajectories import rk4_step
+from .trajectories import _aug_rhs, rk4_step
 
 
 @dataclass(frozen=True)
@@ -114,21 +114,21 @@ def _is_int(value):
 _FEET_CHUNK = 2 ** 14  # nodes whose feet and stencils a build holds at once
 
 
-def _foot_points(system, nodes, a, dt, slots=3):
-    """Feet and the step integrals along them: ``(feet, integrals)``.
+def _foot_start(nodes, slots):
+    """The augmented state at the nodes, ``slots`` zero step integrals
+    after their coordinates, whose one RK4 step of length dt gives the
+    feet and the step integrals along them.
 
-    One RK4 step of the augmented integrator with ``slots`` extra columns,
-    so the discount and stage cost match the foot trajectory itself.
     ``slots=1`` carries ``int g`` alone; ``slots=3`` carries
-    ``int ell*exp(-int h)``, ``int g`` and ``int h`` over the step.  The
-    augmented state is column-major, so every column the step reads and
-    writes is contiguous (the arithmetic is elementwise, the bits the same).
+    ``int ell*exp(-int h)``, ``int g`` and ``int h``, so the discount and
+    stage cost match the foot trajectory itself.  The state is
+    column-major, so every column the step reads and writes is contiguous
+    (the arithmetic is elementwise, the bits the same).
     """
-    n = system.n_state
+    n = nodes.shape[1]
     z = np.zeros((len(nodes), n + slots), order="F")
     z[:, :n] = nodes
-    z1 = rk4_step(system, z, a, dt)
-    return z1[:, :n], z1[:, n:]
+    return z
 
 
 def _chunk_nodes(grid, lo, hi):
@@ -345,15 +345,21 @@ def _assemble(system, grid, rows, opt, cap, controls):
 
 
 def _zubov_rows(system, dt):
-    """``rows`` of the Kružkov operator on u = 1 - v (module docstring)."""
+    """``rows`` of the Kružkov operator on u = 1 - v (module docstring).
+
+    g >= 0 is checked on the nodes' g, the first RK4 stage's g column,
+    before the step runs on."""
+    n = system.n_state
 
     def rows(a, nodes):
-        gv = np.asarray(system.g(nodes, a), dtype=float)
+        z = _foot_start(nodes, 1)
+        k1 = _aug_rhs(system, z, a)
+        gv = k1[:, n]
         if gv.min() < -1e-9:
             raise ConfigError("g < 0 on the grid (min %.3g); the maximal-cost "
                               "route needs g >= 0" % gv.min())
-        feet, integrals = _foot_points(system, nodes, a, dt, 1)
-        return feet, np.exp(-np.maximum(integrals[:, 0], 0.0)), 0.0
+        z1 = rk4_step(system, z, a, dt, k1)
+        return z1[:, :n], np.exp(-np.maximum(z1[:, n], 0.0)), 0.0
 
     return rows
 
@@ -381,10 +387,11 @@ def apply_zubov(system, grid, dt, u):
 
 def hjbe_operator(system, grid, dt):
     """The raw discounted-cost operator on v; opt follows system.mode."""
+    n = system.n_state
 
     def rows(a, nodes):
-        feet, integrals = _foot_points(system, nodes, a, dt)
-        return feet, np.exp(-integrals[:, 2]), integrals[:, 0]
+        z1 = rk4_step(system, _foot_start(nodes, 3), a, dt)
+        return z1[:, :n], np.exp(-z1[:, n + 2]), z1[:, n]
 
     pick = np.minimum if system.mode == "minimize" else np.maximum
     return _assemble(system, grid, rows, pick, None, system.control.points)

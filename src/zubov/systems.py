@@ -7,10 +7,15 @@ constants.  Dynamics and costs are plain vectorized callables
     g(x, a) -> array        result (...,)
 
 so the same object serves pointwise evaluation, whole-grid sweeps, and
-batched trajectory integration.  Systems loaded from JSON configs compile
-their expression strings to such callables; the builtin registry constructs
-its callables directly (two of the reference problems are piecewise and a
-third needs a smooth cutoff, none of which the expression grammar covers).
+batched trajectory integration.  f and g also come fused, as
+
+    rates(x, a, out)        writes f into out[..., :N] and g into out[..., N]
+
+which is how the integrator reads them: one call per RK4 stage.  Systems
+loaded from JSON configs compile their expression strings to such
+callables; the builtin registry constructs its callables directly (two of
+the reference problems are piecewise and a third needs a smooth cutoff,
+none of which the expression grammar covers).
 """
 
 from __future__ import annotations
@@ -389,10 +394,18 @@ def load_field(path):
 # --- system definition ------------------------------------------------------
 
 class SystemDef:
-    """One problem instance; immutable after construction."""
+    """One problem instance; immutable after construction.
 
-    def __init__(self, name, n_state, control, f, g, ell=None, h=None,
-                 mode="maximize", ules=None, growth=None, guard=None):
+    The dynamics come as f and g, or as one fused ``rates(x, a, out)``
+    (module docstring) that computes what f and g share once.  Either way
+    the system has all three, reading one formula: given f and g, `rates`
+    calls them in turn; given `rates`, f and g each call it and return
+    their columns.
+    """
+
+    def __init__(self, name, n_state, control, f=None, g=None, ell=None,
+                 h=None, mode="maximize", ules=None, growth=None, guard=None,
+                 rates=None):
         if mode not in ("maximize", "minimize"):
             raise ConfigError("mode must be 'maximize' or 'minimize'")
         if guard not in (None, "nonneg_ell", "nonpos_ell", "case_a", "case_b"):
@@ -403,9 +416,19 @@ class SystemDef:
                 "nonneg_ell / nonpos_ell / case_a / case_b")
         if mode == "minimize" and ell is None:
             raise ConfigError("minimize mode needs a running cost 'ell'")
+        n_state = int(n_state)
+        if rates is None:
+            rates = _joined(f, g, n_state)
+        elif f is not None or g is not None:
+            raise ConfigError("give the dynamics as f and g or as rates, "
+                              "not both")
+        else:
+            f = lambda x, a: self.fg(x, a)[..., :n_state]
+            g = lambda x, a: _column(self.fg(x, a), n_state)
         self.name = name
-        self.n_state = int(n_state)
+        self.n_state = n_state
         self.control = control
+        self.rates = rates
         self.f = f
         self.g = g
         self.ell = ell
@@ -417,6 +440,11 @@ class SystemDef:
         problems = self._validate()
         if problems:
             raise ValidationError(problems)
+
+    def fg(self, x, a):
+        """f and g at x under a from one `rates` call: (..., N+1), f's N
+        columns then g, on the batch shape of x (..., N) and a (..., M)."""
+        return _evaluate(self.rates, x, a, self.n_state + 1)
 
     # numeric load-time checks; every failure is collected, not just the first
     def _validate(self):
@@ -477,44 +505,63 @@ class SystemDef:
         return problems
 
 
+def _evaluate(rates, x, a, width):
+    """A fresh out, (..., width) on the batch shape of x (..., n) and
+    a (..., m), with ``rates(x, a, out)`` written into it.  It is
+    column-major, so each column a rate writes is contiguous."""
+    x = np.asarray(x, dtype=float)
+    a = np.asarray(a, dtype=float)
+    shape = x.shape[:-1]
+    if a.shape[:-1] != shape:
+        shape = np.broadcast_shapes(shape, a.shape[:-1])
+    out = np.empty(shape + (width,), order="F")
+    rates(x, a, out)
+    return out
+
+
+def _column(stacked, k):
+    """Column k of stacked values; a float for a single point."""
+    out = stacked[..., k]
+    return float(out) if out.ndim == 0 else out
+
+
+def _joined(f, g, n):
+    """The fused rates of separate f and g: f, then g."""
+
+    def rates(x, a, out):
+        out[..., :n] = f(x, a)
+        out[..., n] = g(x, a)
+
+    return rates
+
+
 # --- JSON config loading ----------------------------------------------------
 
 def _compile_components(trees, n, m):
-    """fn(x, a) stacking the trees' values along a last axis, on the batch
-    shape of x (..., n) and a (..., m), constants included.
+    """rates(x, a, out) writing tree k's value into out[..., k], on the
+    batch shape of out, constants included.
 
     Each tree compiles once, here.  The trees evaluate in order under one
-    error state, and their stacked values are checked once
+    error state, and the values they wrote are checked once
     (`expressions._finite`) after the last has run.
     """
     runs = [ex._compile(tree) for tree in trees]
 
-    def fn(x, a):
-        x = np.asarray(x, dtype=float)
-        a = np.asarray(a, dtype=float)
+    def rates(x, a, out):
         state = tuple(x[..., i] for i in range(n))
         control = tuple(a[..., j] for j in range(m))
-        shape = x.shape[:-1]
-        if a.shape[:-1] != shape:
-            shape = np.broadcast_shapes(shape, a.shape[:-1])
-        out = np.empty(shape + (len(runs),))
         with np.errstate(all="ignore"):
             for k, run in enumerate(runs):
                 out[..., k] = run(state, control)
-            return ex._finite(out)
+        ex._finite(out)
 
-    return fn
+    return rates
 
 
 def _compile_component(tree, n, m):
     """One tree as fn(x, a) of batch shape; a float for a single point."""
-    stacked = _compile_components([tree], n, m)
-
-    def fn(x, a):
-        out = stacked(x, a)[..., 0]
-        return float(out) if out.ndim == 0 else out
-
-    return fn
+    rates = _compile_components([tree], n, m)
+    return lambda x, a: _column(_evaluate(rates, x, a, 1), 0)
 
 
 def _is_whole(value):
@@ -599,14 +646,13 @@ def load_system(config):
             problems.append("f[%d] must be a string" % i)
             src = "0.0"
         f_trees.append(parsed(src, "f[%d]" % i))
-    f = _compile_components(f_trees, n, m)
+    rates = _compile_components(f_trees + [parsed(g_src, "g")], n, m)
 
     def compiled(key):
         if key not in config:
             return None
         return _compile_component(parsed(config[key], key), n, m)
 
-    g = _compile_component(parsed(g_src, "g"), n, m)
     ell, h = compiled("ell"), compiled("h")
 
     blocks = {}
@@ -630,9 +676,9 @@ def load_system(config):
     if problems:
         raise ValidationError(problems)
     try:
-        return SystemDef(config.get("name", "config"), n, control, f, g,
+        return SystemDef(config.get("name", "config"), n, control,
                          ell=ell, h=h, mode=mode, ules=ules, growth=growth,
-                         guard=guard)
+                         guard=guard, rates=rates)
     except ConfigError as err:
         raise ValidationError([str(err)]) from None
 
@@ -645,71 +691,67 @@ def _smooth_cut(u):
     return 1.0 - t * t * (3.0 - 2.0 * t)
 
 
-def _peak(u):
-    """The largest |u| over a batch: 0 when it is empty, NaN when it holds
-    a NaN."""
-    return np.maximum.reduce(abs(u), axis=None, initial=0.0)
+def _top(sq):
+    """The largest of a batch of squares u ** 2: 0 when it is empty, NaN
+    when it holds a NaN.  It decides |u| <= t as _top <= t ** 2, and
+    |u| < t as _top < t ** 2, for t = 1 and 1.5: rounding the square
+    keeps both sides of each test, since the doubles next to t square to
+    more than half a spacing away from t ** 2."""
+    return np.maximum.reduce(sq, axis=None, initial=0.0)
 
 
-def _lift_f(x, a):
-    x = np.asarray(x, dtype=float)
-    a = np.asarray(a, dtype=float)
-    # work per 1-D column: 2-D ops on the strided x of the solver's feet
-    # are slower
-    x1, x2 = x[..., 0], x[..., 1]
-    av = a[..., 0]
-    f1 = av * x1 ** 2 - x1  # the bits of -x1 + av * x1 ** 2
-    out = np.empty(np.shape(f1) + (2,))
-    out[..., 0] = f1
-    out[..., 1] = av * x2 ** 2 - x2
-    # taper bounds the dynamics without touching trajectories in
-    # [-1.5,1.5]^2, where it is exactly 1 and multiplying by it changes no bit
-    if not (_peak(x1) <= 1.5 and _peak(x2) <= 1.5):
-        cut = _smooth_cut(x1) * _smooth_cut(x2)
-        out[..., 0] *= cut
-        out[..., 1] *= cut
-    return out
+def _lift_rates(psi=None):
+    """lift2d's fused rates, its cost |x|^2 times psi(x1, x2) when given.
+
+    It works per 1-D column: 2-D ops on the strided x of the solver's feet
+    are slower.  Each x_i ** 2 is computed once, for f and for g.
+    """
+
+    def rates(x, a, out):
+        x1, x2 = x[..., 0], x[..., 1]
+        av = a[..., 0]
+        sq1, sq2 = x1 ** 2, x2 ** 2
+        out[..., 0] = av * sq1 - x1  # the bits of -x1 + av * x1 ** 2
+        out[..., 1] = av * sq2 - x2
+        # taper bounds the dynamics without touching trajectories in
+        # [-1.5,1.5]^2, where it is exactly 1 and multiplying by it changes
+        # no bit
+        if not (_top(sq1) <= 2.25 and _top(sq2) <= 2.25):
+            cut = _smooth_cut(x1) * _smooth_cut(x2)
+            out[..., 0] *= cut
+            out[..., 1] *= cut
+        norm2 = sq1 + sq2
+        out[..., 2] = norm2 if psi is None else norm2 * psi(x1, x2)
+
+    return rates
 
 
-def _norm2_cost(x, a):
-    x = np.asarray(x, dtype=float)
-    return x[..., 0] ** 2 + x[..., 1] ** 2
+def _psi_sqrt(x1, x2):
+    return np.sqrt(np.abs(x1 - 0.75)) + np.sqrt(np.abs(x2 - 0.75))
 
 
-def _psi_sqrt(x, a):
-    x = np.asarray(x, dtype=float)
-    psi = (np.sqrt(np.abs(x[..., 0] - 0.75))
-           + np.sqrt(np.abs(x[..., 1] - 0.75)))
-    return _norm2_cost(x, a) * psi
+def _psi_abs(x1, x2):
+    return np.abs(x1 - 0.75) + np.abs(x2 - 0.75)
 
 
-def _psi_abs(x, a):
-    x = np.asarray(x, dtype=float)
-    psi = np.abs(x[..., 0] - 0.75) + np.abs(x[..., 1] - 0.75)
-    return _norm2_cost(x, a) * psi
-
-
-def _ex1_f(x, a):
-    x = np.asarray(x, dtype=float)
-    a = np.asarray(a, dtype=float)
+def _ex1_rates(x, a, out):
+    """ex1's fused rates: the outer branches of f and g are evaluated only
+    when some |x| reaches 1, and one top of x ** 2 decides both."""
     xv = x[..., 0]
     av = a[..., 0]
-    inner = av * xv ** 2 - xv  # the bits of -xv + av * xv ** 2
-    if _peak(xv) < 1.0:  # no row takes an outer branch
-        return inner[..., None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        outer = av / xv  # only consumed where |x| >= 1
-    val = np.where(xv >= 1.0, outer - 1.0,
-                   np.where(xv <= -1.0, 1.0 - outer, inner))
-    return val[..., None]
-
-
-def _ex1_g(x, a):
-    xv = np.asarray(x, dtype=float)[..., 0]
+    sq = xv ** 2
+    top = _top(sq)
+    inner = av * sq - xv  # the bits of -xv + av * xv ** 2
+    if top < 1.0:  # no row takes an outer branch
+        out[..., 0] = inner
+    else:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            outer = av / xv  # only consumed where |x| >= 1
+        out[..., 0] = np.where(xv >= 1.0, outer - 1.0,
+                               np.where(xv <= -1.0, 1.0 - outer, inner))
     hump = np.abs(np.sin(np.pi * xv))
-    if _peak(xv) <= 1.0:
-        return hump
-    return np.where(np.abs(xv) <= 1.0, hump, 0.0)
+    out[..., 1] = hump if top <= 1.0 else np.where(np.abs(xv) <= 1.0,
+                                                   hump, 0.0)
 
 
 def _arctan_f(x, a):
@@ -827,19 +869,19 @@ def builtin(name, **overrides):
                                     else 21), "controls")
 
     if name.startswith("lift2d"):
-        g = {"lift2d": _norm2_cost, "lift2d-psi-sqrt": _psi_sqrt,
-             "lift2d-psi-abs": _psi_abs}[name]
+        psi = {"lift2d": None, "lift2d-psi-sqrt": _psi_sqrt,
+               "lift2d-psi-abs": _psi_abs}[name]
         c_tilde = 1.0 if name == "lift2d" else 2.5
         return SystemDef(
             name, 2, ControlSpace.from_box([-1.0], [1.0], k),
-            _lift_f, g, mode="maximize",
-            ules=Ules(1.0, 0.5, 0.5), growth=Growth(c_tilde, 2.0))
+            mode="maximize", ules=Ules(1.0, 0.5, 0.5),
+            growth=Growth(c_tilde, 2.0), rates=_lift_rates(psi))
 
     if name == "ex1":
         return SystemDef(
             name, 1, ControlSpace.from_box([-1.0], [1.0], k),
-            _ex1_f, _ex1_g, mode="maximize",
-            ules=Ules(1.0, 0.5, 0.5), growth=Growth(np.pi, 1.0))
+            mode="maximize", ules=Ules(1.0, 0.5, 0.5),
+            growth=Growth(np.pi, 1.0), rates=_ex1_rates)
 
     if name == "arctan1d":
         return SystemDef(

@@ -22,13 +22,17 @@ memory layout does not matter: `_aug_rhs` keeps z's, so the solver's
 column-major feet step with contiguous columns and the oracle's
 row-major batches as before.
 
-The hot path is lean but rounds as written.  `rk4_step` reuses its stage
-buffers and keeps the textbook operation order.  `advance` steps an
-all-live batch whole, with no per-row bookkeeping, and falls back to
-per-group steps only when a row raises or comes out non-finite.  The
-builtin vector fields skip work that changes no bit: lift2d's taper only
-multiplies where some |x_i| > 1.5 (inside, it is exactly 1), and ex1's
-outer branches are evaluated only when some |x| reaches 1.
+The hot path is lean but rounds as written.  Each RK4 stage gets f and
+g from one call of the system's fused `rates`, which writes them into the
+stage buffer; a JSON system evaluates its compiled f and g trees there in
+one pass, under one error state, with one finiteness check.  `rk4_step`
+reuses its stage buffers and keeps the textbook operation order.
+`advance` steps an all-live batch whole, with no per-row bookkeeping, and
+falls back to per-group steps only when a row raises or comes out
+non-finite.  The builtin vector fields skip work that changes no bit:
+lift2d squares each x_i once for f and g, its taper only multiplies where
+some |x_i| > 1.5 (inside, it is exactly 1), and ex1's outer branches are
+evaluated only when some |x| reaches 1.
 """
 
 from __future__ import annotations
@@ -159,8 +163,10 @@ class TrajectoryRecord:
 
 def _aug_rhs(system, z, a):
     """Right-hand side of the augmented dynamics; z is (..., N+1) holding
-    (x, ∫g) or (..., N+3) holding (x, J, ∫g, ∫h).  The rates come back in
-    z's memory layout."""
+    (x, ∫g) or (..., N+3) holding (x, J, ∫g, ∫h).  f and g come from one
+    `system.rates` call into the first N+1 columns; on the wide state g
+    moves over to make room for the J rate.  The rates come back in z's
+    memory layout."""
     n = system.n_state
     width = z.shape[-1]
     if width not in (n + 1, n + 3):
@@ -168,27 +174,29 @@ def _aug_rhs(system, z, a):
                          "states wants %d or %d" % (width, n, n + 1, n + 3))
     x = z[..., :n]
     out = np.empty_like(z, dtype=float)  # each rate is cast as it is stored
-    out[..., :n] = system.f(x, a)
-    gv = system.g(x, a)
+    system.rates(x, a, out[..., :n + 1])  # f, then g in column n
     if width == n + 1:
-        out[..., n] = gv
         return out
+    out[..., n + 1] = out[..., n]
+    gv = out[..., n + 1]
     lv = gv if system.ell is None else system.ell(x, a)
     out[..., n] = lv * np.exp(-z[..., n + 2])
-    out[..., n + 1] = gv
     out[..., n + 2] = 0.0 if system.h is None else system.h(x, a)
     return out
 
 
-def rk4_step(system, z, a, h):
+def rk4_step(system, z, a, h, k1=None):
     """One classical RK4 step of the augmented dynamics, control frozen.
 
     z is (..., N+1) or (..., N+3), see the module docstring; the narrow
-    state evaluates f and g only.  The stage inputs share one buffer and the
-    combination accumulates in k2's, in the textbook operation order:
-    z + (0.5 h) k, then z + (h/6) (((k1 + 2 k2) + 2 k3) + k4), so the step
-    rounds as the formula reads."""
-    k1 = _aug_rhs(system, z, a)
+    state evaluates f and g only.  k1, the rates `_aug_rhs` gives at z,
+    may come from a caller that has read them already.  The stage inputs
+    share one buffer and the combination accumulates in k2's, in the
+    textbook operation order: z + (0.5 h) k, then
+    z + (h/6) (((k1 + 2 k2) + 2 k3) + k4), so the step rounds as the
+    formula reads."""
+    if k1 is None:
+        k1 = _aug_rhs(system, z, a)
     stage = np.multiply(k1, 0.5 * h)
     stage += z
     k2 = _aug_rhs(system, stage, a)

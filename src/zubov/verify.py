@@ -129,9 +129,8 @@ def _inf_residual(system, field):
     best, choice = np.full(len(nodes), np.inf), np.zeros(len(nodes), int)
     worst = -best
     for j, a in enumerate(system.control.points):
-        fv = np.asarray(system.f(nodes, a), dtype=float)
-        gv = np.broadcast_to(np.asarray(system.g(nodes, a), dtype=float),
-                             (nodes.shape[0],))
+        fg = system.fg(nodes, a)
+        fv, gv = fg[:, :-1], fg[:, -1]
         drift = sum(flat_grads[k] * fv[:, k] for k in range(grid.n_axes))
         cand = -drift - gv * one_minus_v
         choice[cand < best] = j

@@ -144,6 +144,20 @@ def test_brackets_equal_the_wide_enumeration(system, points, switch_dt, rho):
             1.0 - math.exp(-lower), 1.0 - math.exp(-vb.upper), vb.truncated)
 
 
+def test_builtin_and_json_lift2d_brackets_agree_bit_for_bit():
+    # lift2d's taper is 1 on [-1.5, 1.5]^2, where both systems run the
+    # same operations on the same columns
+    builtin_lift, inline = (builtin("lift2d", controls=3),
+                            load_system(LIFT2D_JSON_ENVELOPE))
+    for x in map(np.array, LIFT2D_POINTS):
+        want, got = (kruzhkov_value(system, x, 0.25, 8, 0.05)
+                     for system in (builtin_lift, inline))
+        assert (got.lower.hex(), got.upper.hex(), got.tail_bound.hex(),
+                got.segments, got.truncated) == (
+            want.lower.hex(), want.upper.hex(), want.tail_bound.hex(),
+            want.segments, want.truncated)
+
+
 @pytest.mark.parametrize("system, points, switch_dt, rho", [
     (builtin("lift2d", controls=3), LIFT2D_POINTS, 0.25, 0.05),
     (load_system(LIFT2D_JSON_ENVELOPE), LIFT2D_POINTS, 0.25, 0.05),

@@ -527,8 +527,9 @@ class TestSolveZubov:
             solve_zubov(builtin("fuller"), grid)
 
     def test_negative_g_is_rejected(self):
-        with pytest.raises(ConfigError, match="g < 0"):
-            solve_zubov(scalar_decay(g="x1"), Grid([-1.0], [1.0], [21]))
+        # the message names the nodes' least g, -1; their least f is -2
+        with pytest.raises(ConfigError, match=r"g < 0 on the grid \(min -1\)"):
+            solve_zubov(scalar_decay(g="x1"), Grid([-1.0], [2.0], [31]))
 
     def test_ell_and_h_are_never_evaluated(self):
         # sqrt(x1) is undefined on half the grid; the Kružkov route reads g

@@ -475,6 +475,84 @@ def test_declared_growth_is_spot_checked():
     assert any("growth" in p for p in err.value.problems)
 
 
+# --- the fused rate function -------------------------------------------------
+
+RATE_JSON = {
+    # lift2d as expressions: the builtin's field inside its taper
+    "lift2d-json": _config(n=2, f=["-x1 + a1*x1^2", "-x2 + a1*x2^2"],
+                           g="x1^2 + x2^2",
+                           control={"box": {"lo": [-1.0], "hi": [1.0],
+                                            "counts": [3]}}),
+    # declares ell and h, which the rate function never evaluates
+    "ell-h-json": _config(n=2, f=["-x1 + a1*x1^2", "-x2"], g="x1^2 + x2^2",
+                          ell="sqrt(x1^2 + x2^2)", h="abs(x1) + 0.5",
+                          control={"box": {"lo": [-1.0], "hi": [1.0],
+                                           "counts": [3]}}),
+    "constant-json": _config(n=2, f=["-x1", "0.0"], g="0.0"),
+}
+RATE_SYSTEMS = {name: (lambda name=name: builtin(name))
+                for name in ("lift2d", "lift2d-psi-sqrt", "lift2d-psi-abs",
+                             "ex1", "arctan1d", "hav1d", "fuller")}
+RATE_SYSTEMS.update({name: (lambda doc=doc: load_system(doc))
+                     for name, doc in RATE_JSON.items()})
+
+
+def rate_inputs(n, layout):
+    """(x, out) for one layout: 40 rows reaching past lift2d's taper
+    (|x_i| > 1.5) and both sides of ex1's switch at |x| = 1, or all inside
+    both, and an out shaped as _aug_rhs hands it over."""
+    x = np.random.default_rng(8).uniform(-2.2, 2.2, size=(40, n))
+    x[:4, 0] = (-1.0, 1.0, -0.999, 1.001)
+    if layout in ("C", "inside"):
+        return x * (0.4 if layout == "inside" else 1.0), np.empty((40, n + 1))
+    if layout == "F":  # the solver's column-major feet
+        return np.asfortranarray(x), np.empty((40, n + 1), order="F")
+    if layout == "strided":  # views into wider states, as the oracle's
+        wide = np.hstack([x, np.zeros((40, 3))])
+        return wide[:, :n], np.empty((40, n + 3))[:, :n + 1]
+    return x[5], np.empty(n + 1)  # one point
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "strided", "point", "inside"])
+@pytest.mark.parametrize("name", sorted(RATE_SYSTEMS))
+def test_rate_columns_are_f_and_g_bit_for_bit(name, layout):
+    system = RATE_SYSTEMS[name]()
+    n, pts = system.n_state, system.control.points
+    x, out = rate_inputs(n, layout)
+    per_row = pts[np.random.default_rng(9).integers(0, len(pts),
+                                                    size=x.shape[:-1])]
+    for a in (pts[-1], per_row):
+        system.rates(x, a, out)
+        f, g = np.asarray(system.f(x, a)), np.asarray(system.g(x, a))
+        assert f.shape == out[..., :n].shape and g.shape == out[..., n].shape
+        assert out[..., :n].tobytes() == f.tobytes()
+        assert out[..., n].tobytes() == g.tobytes()
+
+
+@pytest.mark.parametrize("patch, point", [
+    ({"f": ["-x1 + exp(x1) - 1", "-x2"]}, [800.0, 0.0]),
+    ({"g": "x1^2 + exp(x2) - 1"}, [0.0, 800.0]),
+], ids=["f", "g"])
+def test_json_rates_raise_when_f_or_g_alone_goes_non_finite(patch, point):
+    system = load_system(dict(RATE_JSON["ell-h-json"], **patch))
+    a = system.control.points[0]
+    fine = np.array([[0.5, -0.5]])
+    system.rates(fine, a, np.empty((1, 3)))
+    x = np.array([[0.5, -0.5], point])
+    with pytest.raises(EvalDomainError, match="non-finite"):
+        system.rates(x, a, np.empty((2, 3)))
+    with pytest.raises(EvalDomainError, match="non-finite"):
+        system.f(x, a)
+    with pytest.raises(EvalDomainError, match="non-finite"):
+        system.g(x, a)
+
+
+def test_dynamics_come_as_f_and_g_or_as_rates():
+    lift = builtin("lift2d", controls=3)
+    with pytest.raises(ConfigError, match="not both"):
+        SystemDef("both", 2, lift.control, lift.f, lift.g, rates=lift.rates)
+
+
 # --- builtin systems ---------------------------------------------------------
 
 class TestBuiltins:
@@ -555,12 +633,12 @@ class TestBuiltins:
         [[1.7, 0.4]],                              # one row, tapered
     ])
     def test_lift2d_fast_path_is_the_full_formula(self, rows):
-        from zubov.systems import _lift_f
+        lift_f = builtin("lift2d").f
         rows = np.array(rows)
         # a strided (B, 2) view of a (B, 3) state, as the solver's feet pass
         x = np.hstack([rows, np.zeros((len(rows), 1))])[:, :2]
         for a in self.controls(len(rows)):
-            got, want = _lift_f(x, a), self.lift_f_full(x, a)
+            got, want = lift_f(x, a), self.lift_f_full(x, a)
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
 
@@ -571,11 +649,11 @@ class TestBuiltins:
         [1.0], [-1.0], [1.2], [-0.4],   # one row
     ])
     def test_ex1_fast_paths_are_the_full_formulas(self, xs):
-        from zubov.systems import _ex1_f, _ex1_g
+        ex1 = builtin("ex1")
         x = np.hstack([np.array(xs)[:, None], np.zeros((len(xs), 1))])[:, :1]
         for a in self.controls(len(xs)):
-            for fast, full in ((_ex1_f, self.ex1_f_full),
-                               (_ex1_g, self.ex1_g_full)):
+            for fast, full in ((ex1.f, self.ex1_f_full),
+                               (ex1.g, self.ex1_g_full)):
                 got, want = fast(x, a), full(x, a)
                 assert np.shape(got) == np.shape(want)
                 assert np.asarray(got).tobytes() == want.tobytes()

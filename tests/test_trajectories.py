@@ -7,7 +7,6 @@ from scipy.integrate import simpson
 from zubov.expressions import EvalDomainError
 from zubov.systems import ConfigError, ControlSpace, SystemDef, builtin, load_system
 from zubov.trajectories import (
-    _aug_rhs,
     ControlSchedule,
     RelaxedSchedule,
     TrajectoryError,
@@ -281,11 +280,29 @@ def test_narrow_state_is_the_wide_states_x_and_g_columns(make):
     assert narrow.tobytes() == wide[:, keep].tobytes()
 
 
+def textbook_rates(system, z, a):
+    """The augmented rates at z from system.f and system.g, one call each,
+    never through the fused system.rates; ell and h on the wide state."""
+    n = system.n_state
+    x = z[..., :n]
+    out = np.empty_like(z)
+    out[..., :n] = system.f(x, a)
+    gv = system.g(x, a)
+    if z.shape[-1] == n + 1:
+        out[..., n] = gv
+        return out
+    lv = gv if system.ell is None else system.ell(x, a)
+    out[..., n] = lv * np.exp(-z[..., n + 2])
+    out[..., n + 1] = gv
+    out[..., n + 2] = 0.0 if system.h is None else system.h(x, a)
+    return out
+
+
 def rk4_textbook(system, z, a, h):
-    k1 = _aug_rhs(system, z, a)
-    k2 = _aug_rhs(system, z + 0.5 * h * k1, a)
-    k3 = _aug_rhs(system, z + 0.5 * h * k2, a)
-    k4 = _aug_rhs(system, z + h * k3, a)
+    k1 = textbook_rates(system, z, a)
+    k2 = textbook_rates(system, z + 0.5 * h * k1, a)
+    k3 = textbook_rates(system, z + 0.5 * h * k2, a)
+    k4 = textbook_rates(system, z + h * k3, a)
     return z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 

@@ -638,6 +638,10 @@ def main(argv=None):
     except OSError as exc:
         print("cannot read or write: %s" % exc, file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        print("out of memory: %s" % (exc or "an allocation failed"),
+              file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -219,10 +219,14 @@ def load_mask(path):
     grid, tail, rows = _read_grid_csv(path, "mask", lambda n: n + 1)
     try:
         (epsilon,) = [float(token) for token in tail]
+        if not 0.0 < epsilon < 1.0:  # extract_doa's rule
+            raise ValueError("epsilon %s does not lie in (0, 1)" % epsilon)
     except ValueError as err:
         raise ConfigError("malformed mask header: %s" % err) from None
-    return DoaMask(grid, (rows[:, -1] == 1.0).reshape(tuple(grid.counts)),
-                   epsilon)
+    flags = rows[:, -1]
+    if not np.all((flags == 0.0) | (flags == 1.0)):
+        raise ConfigError("mask file has a flag that is neither 0 nor 1")
+    return DoaMask(grid, (flags == 1.0).reshape(tuple(grid.counts)), epsilon)
 
 
 def save_contours(polylines, path):

@@ -90,8 +90,9 @@ class SolverSettings:
     dt: float = 0.05
     tol: float = 1e-6
     max_iters: int = 2000  # full and policy sweeps together
-    # accepted so that old configs replay, and ignored: every sweep runs on
-    # the calling thread
+    # ignored: every sweep runs on the calling thread.  The CLI drops a
+    # config's threads key before it builds settings; the benchmark's
+    # small-solves workload still passes the field
     threads: int | None = None
 
     def __post_init__(self):

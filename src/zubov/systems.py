@@ -1,21 +1,17 @@
 """Problem definitions: control spaces, dynamics/costs, grids, value fields.
 
 A system is the tuple (N, A, f, g, ell, h, mode) plus optional stability
-constants.  Dynamics and costs are plain vectorized callables
+constants.  Its dynamics f and its cost g come as one vectorized callable
 
-    f(x, a) -> array        x: (..., N), a: (..., M), result (..., N)
-    g(x, a) -> array        result (...,)
+    rates(x, a, out)        x: (..., N), a: (..., M), out: (..., N+1)
 
-so the same object serves pointwise evaluation, whole-grid sweeps, and
-batched trajectory integration.  f and g also come fused, as
-
-    rates(x, a, out)        writes f into out[..., :N] and g into out[..., N]
-
-which is how the integrator reads them: one call per RK4 stage.  Systems
-loaded from JSON configs compile their expression strings to such
-callables; the builtin registry constructs its callables directly (two of
-the reference problems are piecewise and a third needs a smooth cutoff,
-none of which the expression grammar covers).
+that writes f into out[..., :N] and g into out[..., N], computing what the
+two share once.  The same function serves pointwise evaluation, whole-grid
+sweeps and batched trajectory integration, one call per RK4 stage; f and g
+alone are read back from its columns.  Systems loaded from JSON configs
+compile their expression strings to such a function; the builtin registry
+writes its own (two of the reference problems are piecewise and a third
+needs a smooth cutoff, none of which the expression grammar covers).
 """
 
 from __future__ import annotations
@@ -370,8 +366,8 @@ def save_field(field, path):
 
 def load_field(path):
     """Read a save_field CSV, its run record into the metadata; a row whose
-    coordinates are off the node its index names is rejected like a missing
-    or duplicated one."""
+    coordinates are off the node its index names, or whose value is not
+    finite, is rejected like a missing or duplicated one."""
     grid, tail, rows = _read_grid_csv(path, "field", lambda n: 2 * n + 1)
     try:
         transform, *record = tail
@@ -384,11 +380,17 @@ def load_field(path):
                           % (",".join(tail), err)) from None
     n = grid.n_axes
     nodes = grid.node_coords().reshape(-1, n)
-    if np.any(np.abs(rows[:, n:2 * n] - nodes) > 1e-3 * grid.dx):
+    if not np.all(np.abs(rows[:, n:2 * n] - nodes) <= 1e-3 * grid.dx):
         raise ConfigError("field file has coordinates off the grid node "
                           "their index names")
-    return ValueField(grid, rows[:, 2 * n].reshape(tuple(grid.counts)),
-                      transform, metadata)
+    values = rows[:, 2 * n]
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        node = np.unravel_index(bad[0], tuple(grid.counts))
+        raise ConfigError("field file has the non-finite value %s at node %s"
+                          % (values[bad[0]], ",".join(map(str, node))))
+    return ValueField(grid, values.reshape(tuple(grid.counts)), transform,
+                      metadata)
 
 
 # --- system definition ------------------------------------------------------
@@ -396,16 +398,14 @@ def load_field(path):
 class SystemDef:
     """One problem instance; immutable after construction.
 
-    The dynamics come as f and g, or as one fused ``rates(x, a, out)``
-    (module docstring) that computes what f and g share once.  Either way
-    the system has all three, reading one formula: given f and g, `rates`
-    calls them in turn; given `rates`, f and g each call it and return
-    their columns.
+    f and g come only as ``rates(x, a, out)`` (module docstring), which
+    `fg`, `f` and `g` evaluate on a fresh out.  The arguments after it are
+    keyword-only: ell and h, callables fn(x, a) on the batch shape, then
+    the mode, the envelope constants and the convergence guard.
     """
 
-    def __init__(self, name, n_state, control, f=None, g=None, ell=None,
-                 h=None, mode="maximize", ules=None, growth=None, guard=None,
-                 rates=None):
+    def __init__(self, name, n_state, control, rates, *, ell=None, h=None,
+                 mode="maximize", ules=None, growth=None, guard=None):
         if mode not in ("maximize", "minimize"):
             raise ConfigError("mode must be 'maximize' or 'minimize'")
         if guard not in (None, "nonneg_ell", "nonpos_ell", "case_a", "case_b"):
@@ -416,21 +416,10 @@ class SystemDef:
                 "nonneg_ell / nonpos_ell / case_a / case_b")
         if mode == "minimize" and ell is None:
             raise ConfigError("minimize mode needs a running cost 'ell'")
-        n_state = int(n_state)
-        if rates is None:
-            rates = _joined(f, g, n_state)
-        elif f is not None or g is not None:
-            raise ConfigError("give the dynamics as f and g or as rates, "
-                              "not both")
-        else:
-            f = lambda x, a: self.fg(x, a)[..., :n_state]
-            g = lambda x, a: _column(self.fg(x, a), n_state)
         self.name = name
-        self.n_state = n_state
+        self.n_state = int(n_state)
         self.control = control
         self.rates = rates
-        self.f = f
-        self.g = g
         self.ell = ell
         self.h = h
         self.mode = mode
@@ -446,13 +435,22 @@ class SystemDef:
         columns then g, on the batch shape of x (..., N) and a (..., M)."""
         return _evaluate(self.rates, x, a, self.n_state + 1)
 
+    def f(self, x, a):
+        """f at x under a: the first N columns of `fg`."""
+        return self.fg(x, a)[..., :self.n_state]
+
+    def g(self, x, a):
+        """g at x under a: the last column of `fg`; a float for a point."""
+        return _column(self.fg(x, a), self.n_state)
+
     # numeric load-time checks; every failure is collected, not just the first
     def _validate(self):
         problems = []
-        origin = np.zeros(self.n_state)
+        n = self.n_state
+        origin = np.zeros(n)
         a_pts = self.control.points
-        fnorms = np.array([float(np.linalg.norm(self.f(origin, a)))
-                           for a in a_pts])
+        at_origin = [self.fg(origin, a) for a in a_pts]
+        fnorms = np.array([float(np.linalg.norm(v[:n])) for v in at_origin])
         if self.mode == "maximize":
             for a, fn in zip(a_pts, fnorms):
                 if fn > 1e-9:
@@ -462,8 +460,8 @@ class SystemDef:
             # least-cost route only needs some control fixing the origin
             problems.append("no discretized control keeps the origin fixed "
                             "(min |f(0,a)| = %.3g)" % fnorms.min())
-        for a in a_pts:
-            gv = float(self.g(origin, a))
+        for a, v in zip(a_pts, at_origin):
+            gv = float(v[n])
             if abs(gv) > 1e-9:
                 problems.append("g(0,a) = %.6g != 0 at control point a=%s"
                                 % (gv, a.tolist()))
@@ -523,16 +521,6 @@ def _column(stacked, k):
     """Column k of stacked values; a float for a single point."""
     out = stacked[..., k]
     return float(out) if out.ndim == 0 else out
-
-
-def _joined(f, g, n):
-    """The fused rates of separate f and g: f, then g."""
-
-    def rates(x, a, out):
-        out[..., :n] = f(x, a)
-        out[..., n] = g(x, a)
-
-    return rates
 
 
 # --- JSON config loading ----------------------------------------------------
@@ -676,9 +664,9 @@ def load_system(config):
     if problems:
         raise ValidationError(problems)
     try:
-        return SystemDef(config.get("name", "config"), n, control,
+        return SystemDef(config.get("name", "config"), n, control, rates,
                          ell=ell, h=h, mode=mode, ules=ules, growth=growth,
-                         guard=guard, rates=rates)
+                         guard=guard)
     except ConfigError as err:
         raise ValidationError([str(err)]) from None
 
@@ -754,13 +742,10 @@ def _ex1_rates(x, a, out):
                                                    hump, 0.0)
 
 
-def _arctan_f(x, a):
-    return -np.asarray(x, dtype=float)
-
-
-def _arctan_g(x, a):
-    xv = np.asarray(x, dtype=float)[..., 0]
-    return np.abs(xv) / (1.0 + xv ** 2)
+def _arctan_rates(x, a, out):
+    xv = x[..., 0]
+    out[..., 0] = -xv
+    out[..., 1] = np.abs(xv) / (1.0 + xv ** 2)
 
 
 _HAV_SLOPE = (10.0 / 9.0) ** 6          # linear decay rate inside [-0.9, 0.9]
@@ -825,29 +810,23 @@ def hav_q_integral(x):
     return out if out.ndim else float(out)
 
 
-def _hav_f(x, a):
-    x = np.asarray(x, dtype=float)
+def _hav_rates(x, a, out):
+    """hav1d's fused rates: g = -hav_q(x) f reads the f column it wrote."""
     xv = x[..., 0]
     with np.errstate(divide="ignore"):
         outer = -1.0 / xv ** 5
-    val = np.where(np.abs(xv) <= 0.9, -_HAV_SLOPE * xv, outer)
-    return val[..., None]
-
-
-def _hav_g(x, a):
-    xv = np.asarray(x, dtype=float)[..., 0]
-    return -hav_q(xv) * _hav_f(x, a)[..., 0]
-
-
-def _fuller_f(x, a):
-    x = np.asarray(x, dtype=float)
-    a = np.asarray(a, dtype=float)
-    return np.stack([x[..., 1], np.broadcast_to(a[..., 0], x[..., 1].shape)],
-                    axis=-1)
+    out[..., 0] = np.where(np.abs(xv) <= 0.9, -_HAV_SLOPE * xv, outer)
+    out[..., 1] = -hav_q(xv) * out[..., 0]
 
 
 def _fuller_ell(x, a):
     return np.abs(np.asarray(x, dtype=float)[..., 0]) ** _FULLER_GAMMA
+
+
+def _fuller_rates(x, a, out):
+    out[..., 0] = x[..., 1]
+    out[..., 1] = a[..., 0]
+    out[..., 2] = _fuller_ell(x, a)
 
 
 def builtin(name, **overrides):
@@ -873,32 +852,31 @@ def builtin(name, **overrides):
                "lift2d-psi-abs": _psi_abs}[name]
         c_tilde = 1.0 if name == "lift2d" else 2.5
         return SystemDef(
-            name, 2, ControlSpace.from_box([-1.0], [1.0], k),
+            name, 2, ControlSpace.from_box([-1.0], [1.0], k), _lift_rates(psi),
             mode="maximize", ules=Ules(1.0, 0.5, 0.5),
-            growth=Growth(c_tilde, 2.0), rates=_lift_rates(psi))
+            growth=Growth(c_tilde, 2.0))
 
     if name == "ex1":
         return SystemDef(
-            name, 1, ControlSpace.from_box([-1.0], [1.0], k),
+            name, 1, ControlSpace.from_box([-1.0], [1.0], k), _ex1_rates,
             mode="maximize", ules=Ules(1.0, 0.5, 0.5),
-            growth=Growth(np.pi, 1.0), rates=_ex1_rates)
+            growth=Growth(np.pi, 1.0))
 
     if name == "arctan1d":
         return SystemDef(
-            name, 1, ControlSpace.none(), _arctan_f, _arctan_g,
+            name, 1, ControlSpace.none(), _arctan_rates,
             mode="maximize", ules=Ules(1.0, 1.0, 1.0),
             growth=Growth(1.0, 1.0))
 
     if name == "hav1d":
         return SystemDef(
-            name, 1, ControlSpace.none(), _hav_f, _hav_g,
+            name, 1, ControlSpace.none(), _hav_rates,
             mode="maximize", ules=Ules(1.0, _HAV_SLOPE, 0.9),
             growth=Growth(1.0, 7.0))
 
     return SystemDef(
-        "fuller", 2, ControlSpace.from_box([-1.0], [1.0], k),
-        _fuller_f, _fuller_ell, ell=_fuller_ell, mode="minimize",
-        guard="nonneg_ell")
+        "fuller", 2, ControlSpace.from_box([-1.0], [1.0], k), _fuller_rates,
+        ell=_fuller_ell, mode="minimize", guard="nonneg_ell")
 
 
 # --- closed forms -----------------------------------------------------------

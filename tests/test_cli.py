@@ -63,6 +63,23 @@ class TestSolve:
         assert "UserWarning" not in err
         assert err == "solver stopped on max_iters=3 without converging\n"
 
+    @pytest.mark.parametrize("exc", [
+        MemoryError("Unable to allocate 74.5 GiB for an array"),
+        MemoryError()])
+    def test_out_of_memory_exits_1(self, tmp_path, capsys, monkeypatch, exc):
+        # a stand-in for a grid too big to allocate, such as lift2d at
+        # --nodes 100001: a real attempt could succeed on an overcommitting
+        # host
+        def solve(system, grid, settings):
+            raise exc
+
+        monkeypatch.setattr("zubov.cli.solve_zubov", solve)
+        assert main(["solve", "--builtin", "lift2d", "--nodes", "41",
+                     "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("out of memory: ") and err.count("\n") == 1
+        assert str(exc) in err
+
     def test_operator_trace_goes_under_result(self, run_dir):
         meta = read_meta(run_dir)
         assert meta["result"]["operator_nnz"] > 0
@@ -664,6 +681,26 @@ class TestDoa:
         assert "config error" in proc.stderr
         assert "RuntimeWarning" not in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_field_value_exits_1(self, tmp_path, capsys, value):
+        # such a node used to count as outside, and doa exited 0
+        bad = tmp_path / "field.csv"
+        bad.write_text("1,3,-1,1,kruzhkov\n0,-1,0.5\n1,0,%s\n2,1,0.5\n"
+                       % value)
+        proc = subprocess.run(
+            [sys.executable, "-m", "zubov.cli", "doa", "--builtin", "ex1",
+             "--out", str(tmp_path / "doa"), str(bad)],
+            capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert "config error" in proc.stderr and "node 1" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        for argv in (["verify", "--builtin", "ex1", "--out",
+                      str(tmp_path / "chk"), str(bad)],
+                     ["synthesize", "--builtin", "ex1", "--out",
+                      str(tmp_path / "syn"), str(bad), "0.5", "2"]):
+            assert main(argv) == 1
+            assert "non-finite value" in capsys.readouterr().err
 
     def test_epsilon_flag_shrinks_mask(self, run_dir, tmp_path):
         counts = {}

@@ -20,13 +20,16 @@ from zubov.solver import SolverSettings, solve_hjbe, solve_zubov
 from zubov.trajectories import advance, integrate, rk4_step
 
 
+def decay_rates(x, a, out):
+    """x' = -x with cost x^2."""
+    out[..., 0] = -x[..., 0]
+    out[..., 1] = x[..., 0] ** 2
+
+
 def decay_1d(ules=Ules(1.0, 1.0, 1.0), growth=Growth(1.0, 2.0)):
     """x' = -x with quadratic cost; value is x0^2 / 2."""
-    return SystemDef(
-        "decay", 1, ControlSpace.none(),
-        lambda x, a: -np.asarray(x, dtype=float),
-        lambda x, a: np.asarray(x, dtype=float)[..., 0] ** 2,
-        mode="maximize", ules=ules, growth=growth)
+    return SystemDef("decay", 1, ControlSpace.none(), decay_rates,
+                     mode="maximize", ules=ules, growth=growth)
 
 
 def case_b_1d(c=1.0):
@@ -73,16 +76,17 @@ def stay_or_decay(mode):
     all-stay row never does: maximizing, only decaying accrues cost
     (10 a x^2); minimizing, staying costs ten times more ((10 - 9a) x^2).
     """
-    def f(x, a):
-        return -a[..., 0:1] * np.asarray(x, dtype=float)
-
     def cost(x, a):
         x2 = np.asarray(x, dtype=float)[..., 0] ** 2
         return (10.0 * a[..., 0] if mode == "maximize"
                 else 10.0 - 9.0 * a[..., 0]) * x2
 
+    def rates(x, a, out):
+        out[..., 0] = -a[..., 0] * x[..., 0]
+        out[..., 1] = cost(x, a)
+
     return SystemDef("stay-or-decay", 1,
-                     ControlSpace.from_points([[0.0], [1.0]]), f, cost,
+                     ControlSpace.from_points([[0.0], [1.0]]), rates,
                      ell=cost if mode == "minimize" else None, mode=mode,
                      guard="nonneg_ell" if mode == "minimize" else None,
                      ules=Ules(1.0, 1.0, 1.0), growth=Growth(10.0, 2.0))
@@ -261,7 +265,7 @@ class TestMaximalCost:
         # Si(pi/2) = 1.3707621682 as T grows
         b = builtin("ex1")
         single = SystemDef("ex1-a0", 1, ControlSpace.from_points([[0.0]]),
-                           b.f, b.g, mode="maximize",
+                           b.rates, mode="maximize",
                            ules=b.ules, growth=b.growth)
         vb = maximal_cost(single, [0.5], switch_dt=1.0, depth=8)
         assert not vb.truncated
@@ -279,8 +283,8 @@ class TestMaximalCost:
         # the all-stay row sits at 0.5 and never enters B_{r/C} = B_0.4, so
         # the envelope caps nothing after its horizon
         system = stay_or_decay("maximize")
-        system = SystemDef("stay-or-decay", 1, system.control, system.f,
-                           system.g, mode="maximize", ules=Ules(1.0, 1.0, 0.4),
+        system = SystemDef("stay-or-decay", 1, system.control, system.rates,
+                           mode="maximize", ules=Ules(1.0, 1.0, 0.4),
                            growth=system.growth)
         z, _, _ = _enumerate(system, np.array([0.5]), 0.5, 6, None, 10 ** 6,
                              slots=1)
@@ -292,7 +296,7 @@ class TestMaximalCost:
         assert (vb.tail_bound, vb.upper) == (tail, vb.lower + tail)
         # with only the decaying control every row ends inside: certified
         decay = SystemDef("decay", 1, ControlSpace.from_points([[1.0]]),
-                          system.f, system.g, mode="maximize",
+                          system.rates, mode="maximize",
                           ules=system.ules, growth=system.growth)
         assert not maximal_cost(decay, [0.5], 0.5, 6, 0.05).truncated
 
@@ -319,9 +323,7 @@ class TestMaximalCost:
     def test_mode_and_constants_required(self):
         with pytest.raises(ConfigError, match="maximize"):
             maximal_cost(builtin("fuller"), [0.1, 0.0])
-        bare = SystemDef("bare", 1, ControlSpace.none(),
-                         lambda x, a: -np.asarray(x, dtype=float),
-                         lambda x, a: np.asarray(x, dtype=float)[..., 0] ** 2,
+        bare = SystemDef("bare", 1, ControlSpace.none(), decay_rates,
                          mode="maximize")
         with pytest.raises(ConfigError, match="ules and growth"):
             maximal_cost(bare, [0.5])

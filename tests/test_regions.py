@@ -287,6 +287,24 @@ class TestCsvRoundTrip:
         with pytest.raises(ConfigError, match="header"):
             load_mask(path)
 
+    @pytest.mark.parametrize("epsilon, flag, match", [
+        ("0.5", "2", "neither 0 nor 1"),
+        ("0.5", "0.5", "neither 0 nor 1"),
+        ("nan", "1", "epsilon"),
+        ("0", "1", "epsilon"),
+        ("1", "1", "epsilon"),
+        ("-0.1", "1", "epsilon"),
+    ])
+    def test_bad_flag_or_epsilon(self, tmp_path, epsilon, flag, match):
+        # extract_doa never writes these: a flag it cannot have set, or an
+        # epsilon it refuses
+        path = tmp_path / "bad.csv"
+        path.write_text("1,3,-1,1,%s\n0,0\n1,1\n2,%s\n" % (epsilon, flag))
+        with pytest.raises(ConfigError, match=match):
+            load_mask(path)
+        path.write_text("1,3,-1,1,0.5\n0,0\n1,1\n2,0\n")
+        assert load_mask(path).node_count == 1
+
     def test_contour_rows(self, circle_field, tmp_path):
         polys = contour2d(circle_field, 0.5)
         path = tmp_path / "contour.csv"

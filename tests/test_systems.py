@@ -448,29 +448,23 @@ class TestLoadSystem:
 # --- invariant checks on direct construction --------------------------------
 
 def test_drifting_origin_rejected_in_maximize_mode():
-    def f(x, a):
-        x = np.asarray(x, dtype=float)
-        return np.stack([x[..., 1],
-                         np.broadcast_to(np.asarray(a)[..., 0],
-                                         x[..., 1].shape)], axis=-1)
-
-    def g(x, a):
-        return np.asarray(x, dtype=float)[..., 0] ** 2
+    def rates(x, a, out):
+        out[..., 0] = x[..., 1]
+        out[..., 1] = a[..., 0]
+        out[..., 2] = x[..., 0] ** 2
 
     with pytest.raises(ValidationError) as err:
-        SystemDef("drift", 2, ControlSpace.from_box([-1], [1], [3]), f, g)
+        SystemDef("drift", 2, ControlSpace.from_box([-1], [1], [3]), rates)
     assert any("f(0,a)" in p for p in err.value.problems)
 
 
 def test_declared_growth_is_spot_checked():
-    def f(x, a):
-        return -np.asarray(x, dtype=float)
-
-    def g(x, a):
-        return np.abs(np.asarray(x, dtype=float)[..., 0])
+    def rates(x, a, out):
+        out[..., 0] = -x[..., 0]
+        out[..., 1] = np.abs(x[..., 0])
 
     with pytest.raises(ValidationError) as err:
-        SystemDef("too-steep", 1, ControlSpace.none(), f, g,
+        SystemDef("too-steep", 1, ControlSpace.none(), rates,
                   ules=Ules(1.0, 1.0, 0.5), growth=Growth(1.0, 2.0))
     assert any("growth" in p for p in err.value.problems)
 
@@ -547,10 +541,14 @@ def test_json_rates_raise_when_f_or_g_alone_goes_non_finite(patch, point):
         system.g(x, a)
 
 
-def test_dynamics_come_as_f_and_g_or_as_rates():
+def test_arguments_after_rates_are_keyword_only():
+    # an old positional (f, g) call fails, and so does any positional
+    # argument after rates, which would otherwise bind as ell
     lift = builtin("lift2d", controls=3)
-    with pytest.raises(ConfigError, match="not both"):
-        SystemDef("both", 2, lift.control, lift.f, lift.g, rates=lift.rates)
+    with pytest.raises(TypeError):
+        SystemDef("split", 2, lift.control, lift.f, lift.g)
+    with pytest.raises(TypeError):
+        SystemDef("split", 2, lift.control, lift.rates, None)
 
 
 # --- builtin systems ---------------------------------------------------------
@@ -655,6 +653,57 @@ class TestBuiltins:
             for fast, full in ((ex1.f, self.ex1_f_full),
                                (ex1.g, self.ex1_g_full)):
                 got, want = fast(x, a), full(x, a)
+                assert np.shape(got) == np.shape(want)
+                assert np.asarray(got).tobytes() == want.tobytes()
+
+    # the textbook f and g of the builtins written as one rate function
+    @staticmethod
+    def arctan_full(x, a):
+        xv = x[..., 0]
+        return -xv[..., None], np.abs(xv) / (1.0 + xv ** 2)
+
+    @staticmethod
+    def hav_full(x, a):
+        xv = x[..., 0]
+        with np.errstate(divide="ignore"):
+            f = np.where(np.abs(xv) <= 0.9, -(10.0 / 9.0) ** 6 * xv,
+                         -1.0 / xv ** 5)
+        return f[..., None], -hav_q(xv) * f
+
+    @pytest.mark.parametrize("name, xs", [
+        ("arctan1d", [0.3, -1.7, 0.0, 25.0]),
+        ("arctan1d", [-0.6]),
+        ("hav1d", [0.3, -0.9, 0.9, 0.0, 0.45]),         # inside |x| <= 0.9
+        ("hav1d", [0.9000001, -0.95, 1.0, -3.0, 10.0]),  # outside
+        ("hav1d", [0.2, -0.9, -0.91, 1.0 + 1e-3]),      # both sides
+        ("hav1d", [0.95]), ("hav1d", [-0.9]),           # one row
+    ])
+    def test_1d_rates_are_the_textbook_formulas(self, name, xs):
+        system = builtin(name)
+        full = self.arctan_full if name == "arctan1d" else self.hav_full
+        x = np.hstack([np.array(xs)[:, None], np.zeros((len(xs), 1))])[:, :1]
+        for a in (np.zeros(0), np.zeros((len(xs), 0))):
+            want_f, want_g = full(x, a)
+            for got, want in ((system.f(x, a), want_f),
+                              (system.g(x, a), want_g)):
+                assert np.shape(got) == np.shape(want)
+                assert np.asarray(got).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("rows", [
+        [[0.3, -1.2], [0.0, 0.0], [-0.7, 0.4], [1.5, 2.5]],
+        [[-0.25, 0.5]],
+    ])
+    def test_fuller_rates_are_the_textbook_formula(self, rows):
+        fuller = builtin("fuller")
+        rows = np.array(rows)
+        x = np.hstack([rows, np.zeros((len(rows), 1))])[:, :2]
+        for a in self.controls(len(rows)):
+            want_f = np.stack([x[:, 1], np.broadcast_to(a[..., 0], len(x))],
+                              axis=-1)
+            want_g = np.abs(x[:, 0]) ** 2.0
+            for got, want in ((fuller.f(x, a), want_f),
+                              (fuller.g(x, a), want_g),
+                              (fuller.ell(x, a), want_g)):
                 assert np.shape(got) == np.shape(want)
                 assert np.asarray(got).tobytes() == want.tobytes()
 

@@ -135,16 +135,11 @@ class TestIntegrate:
 
 class TestBoxAndBlowUp:
     def quadratic(self):
-        def f(x, a):
-            x = np.asarray(x, dtype=float)
+        def rates(x, a, out):
             with np.errstate(over="ignore"):
-                return np.stack([x[..., 0] ** 2], axis=-1)
+                out[..., 0] = out[..., 1] = x[..., 0] ** 2
 
-        def g(x, a):
-            with np.errstate(over="ignore"):
-                return np.asarray(x, dtype=float)[..., 0] ** 2
-
-        return SystemDef("quad", 1, ControlSpace.none(), f, g)
+        return SystemDef("quad", 1, ControlSpace.none(), rates)
 
     def test_blow_up_without_box_aborts(self):
         with pytest.raises(TrajectoryError, match="t="):
@@ -184,9 +179,10 @@ def reference_final_state(system, x0, schedule, dt):
 
 def blow_up_1d():
     """x' = x^2, g = x^2: finite-time blow-up to inf, no expression guard."""
-    return SystemDef("quad", 1, ControlSpace.none(),
-                     lambda x, a: np.asarray(x, dtype=float) ** 2,
-                     lambda x, a: np.asarray(x, dtype=float)[..., 0] ** 2)
+    def rates(x, a, out):
+        out[..., 0] = out[..., 1] = x[..., 0] ** 2
+
+    return SystemDef("quad", 1, ControlSpace.none(), rates)
 
 
 JSON_LIFT2D = {

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .solver import interpolate
-from .systems import ConfigError, _is_whole
+from .systems import ConfigError, _positive, _whole
 from .trajectories import (ControlSchedule, TrajectoryError, _check_point,
                            advance, rollout)
 
@@ -140,11 +140,9 @@ def _check_enumeration(what, system, mode, x, switch_dt, depth):
     if system.mode != mode:
         raise ConfigError("%s wants a %s-mode system, not %r"
                           % (what, mode, system.mode))
-    if not (math.isfinite(switch_dt) and switch_dt > 0.0):
-        raise ConfigError("switch_dt must be positive and finite")
-    if not (_is_whole(depth) and depth >= 1):
-        raise ConfigError("depth must be a whole number, at least 1")
-    return _check_point(system, x), int(depth)
+    _positive(switch_dt, "switch_dt")
+    depth = _whole(depth, "depth", 1)
+    return _check_point(system, x), depth
 
 
 def _enumerate(system, x, switch_dt, depth, rho, budget, slots=3, keep=None):
@@ -166,11 +164,16 @@ def _enumerate(system, x, switch_dt, depth, rho, budget, slots=3, keep=None):
     """
     pts = system.control.points
     k = pts.shape[0]
-    full = sum(k ** s for s in range(1, depth + 1))  # the unpruned tree
+    # the unpruned tree to depth s, grown until it passes the budget
+    full, s = (depth, depth) if k == 1 else (0, 0)
+    while s < depth and full <= budget:
+        s += 1
+        full += k ** s
     if full > budget:
         raise BudgetError("enumerating %d controls to depth %d runs up to %d "
-                          "segment integrations; budget is %d"
-                          % (k, depth, full, budget))
+                          "segment integrations%s; budget is %d"
+                          % (k, depth, full,
+                             " by depth %d" % s if s < depth else "", budget))
     n, segments = system.n_state, 0
     z = np.concatenate([x, np.zeros(slots)])[None]
     entered = np.array([rho is not None and np.linalg.norm(x) <= rho])
@@ -210,8 +213,9 @@ def maximal_cost(system, x, switch_dt=0.25, depth=8, rho=0.05, *,
     """
     x, depth = _check_enumeration("maximal_cost", system, "maximize", x,
                                   switch_dt, depth)
+    _positive(rho, "rho")
     tail = float(_tail_bound(system, rho))
-    if not (rho > 0.0 and math.isfinite(tail)):
+    if not math.isfinite(tail):
         raise ConfigError("rho must lie in (0, %g], the envelope ball r/C"
                           % (system.ules.r / system.ules.c))
     horizon = depth * switch_dt
@@ -268,6 +272,7 @@ def min_value(system, x, switch_dt=0.25, depth=8, rho=0.05, *,
     """
     x, depth = _check_enumeration("min_value", system, "minimize", x,
                                   switch_dt, depth)
+    _positive(rho, "rho")
     if system.guard not in ("nonneg_ell", "case_a", "case_b"):
         raise ConfigError("neither convergence guard declared: min_value "
                           "needs nonneg_ell, case_a, or case_b")
@@ -304,11 +309,7 @@ def falsify_quasistability(system, region, budget=256, *, seed=7):
     if region.n_axes != system.n_state:
         raise ConfigError("region dimension %d, system wants %d"
                           % (region.n_axes, system.n_state))
-    for name, value in (("budget", budget), ("seed", seed)):
-        if not (_is_whole(value) and value >= 0):
-            raise ConfigError("%s must be a whole number, at least 0, got %r"
-                              % (name, value))
-    budget = int(budget)
+    budget, seed = _whole(budget, "budget", 0), _whole(seed, "seed", 0)
     nodes = region.node_coords().reshape(-1, region.n_axes)
     node_norms = np.linalg.norm(nodes, axis=1)
     hits = []
@@ -327,7 +328,7 @@ def falsify_quasistability(system, region, budget=256, *, seed=7):
         return Counterexample(xs, schedule(0), float(z[0, n]),
                               float(np.linalg.norm(z[0, :n])), "stationary")
 
-    rng = np.random.default_rng(int(seed))
+    rng = np.random.default_rng(seed)
     x0s = np.empty((budget, n))
     picks = np.empty((budget, _FALSIFY_SEGMENTS), int)
     for i in range(budget):  # draws interleaved as one schedule at a time
@@ -350,11 +351,9 @@ def defect_allowances(eps, m):
     They sum to eps*(1 - e^{-m}) < eps, so a schedule passing every step
     is eps-optimal relative to the field end to end.
     """
-    if not eps > 0.0:
-        raise ConfigError("eps must be positive")
-    if m < 1:
-        raise ConfigError("m must be at least 1")
-    return [eps * (math.exp(-j) - math.exp(-(j + 1.0))) for j in range(m)]
+    _positive(eps, "eps")
+    return [eps * (math.exp(-j) - math.exp(-(j + 1.0)))
+            for j in range(_whole(m, "m", 1))]
 
 
 def synthesize_epsilon_optimal(system, field, x0, eps, m, *,

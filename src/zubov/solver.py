@@ -81,7 +81,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .systems import ConfigError, ValueField
+from .systems import ConfigError, ValueField, _positive
 from .trajectories import _aug_rhs, rk4_step
 
 
@@ -96,10 +96,8 @@ class SolverSettings:
     threads: int | None = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.dt) and self.dt > 0.0):
-            raise ConfigError("solver dt must be positive and finite")
-        if not (math.isfinite(self.tol) and self.tol > 0.0):
-            raise ConfigError("solver tol must be positive and finite")
+        _positive(self.dt, "solver dt")
+        _positive(self.tol, "solver tol")
         if not _is_int(self.max_iters) or self.max_iters < 1:
             raise ConfigError("max_iters must be an integer of at least 1")
         if self.threads is not None and not (_is_int(self.threads)
@@ -504,8 +502,7 @@ def inverse_transform(field, cap):
     """Nodewise w = -ln(1 - v), clamped at `cap` as v approaches 1."""
     if field.transform != "kruzhkov":
         raise ConfigError("inverse transform wants a Kružkov field")
-    if not cap > 0.0:
-        raise ConfigError("cap must be positive")
+    _positive(cap, "cap")
     floor = math.exp(-cap)
     w = -np.log(np.maximum(1.0 - field.values, floor))
     meta = dict(field.metadata)

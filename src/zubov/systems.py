@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -55,8 +56,9 @@ class Ules:
     r: float       # > 0
 
     def __post_init__(self):
-        if not all(0 < v < math.inf for v in (self.c, self.sigma, self.r)):
-            raise ConfigError("ULES constants must be positive and finite")
+        _positive(self.c, "C")
+        _positive(self.sigma, "sigma")
+        _positive(self.r, "r")
 
 
 @dataclass(frozen=True)
@@ -66,8 +68,8 @@ class Growth:
     lam: float     # > 0
 
     def __post_init__(self):
-        if not all(0 < v < math.inf for v in (self.c_tilde, self.lam)):
-            raise ConfigError("growth constants must be positive and finite")
+        _positive(self.c_tilde, "C_tilde")
+        _positive(self.lam, "lambda")
 
 
 # --- control space ----------------------------------------------------------
@@ -335,19 +337,14 @@ def _finite_float(token):
     return value
 
 
-def _positive_float(token):
-    value = _finite_float(token)
-    if not value > 0.0:
-        raise ValueError("%s is not positive" % token)
-    return value
-
-
 # the run record a field CSV header carries, key -> parser: a solve's dt,
 # tol and convergence, a transform's exterior_value and older files'
 # rk4_feet; flags are written 0/1, floats like the grid tokens
 _FLAG = {"0": False, "1": True}.__getitem__
-_RECORD = {"dt": _positive_float, "tol": _positive_float, "rk4_feet": _FLAG,
-           "exterior_value": _finite_float, "converged": _FLAG}
+_RECORD = {"dt": lambda token: _positive(float(token), "dt"),
+           "tol": lambda token: _positive(float(token), "tol"),
+           "rk4_feet": _FLAG, "exterior_value": _finite_float,
+           "converged": _FLAG}
 
 
 def save_field(field, path):
@@ -559,13 +556,35 @@ def _is_whole(value):
         or isinstance(value, float) and value.is_integer())
 
 
+def _positive(value, what):
+    """`value` as a float when it is a finite real > 0 and not a bool, else
+    ConfigError naming `what`."""
+    if not isinstance(value, bool) and isinstance(value, numbers.Real) \
+            and 0.0 < value <= sys.float_info.max:  # NaN fails it too
+        return float(value)
+    raise ConfigError("%s must be positive and finite, got %r"
+                      % (what, value))
+
+
+def _whole(value, what, least):
+    """`value` as an int when it is a whole number >= `least`, else
+    ConfigError naming `what`."""
+    if _is_whole(value) and value >= least:
+        return int(value)
+    raise ConfigError("%s must be a whole number, at least %d, got %r"
+                      % (what, least, value))
+
+
 def _whole_counts(counts, what):
-    """Per-axis counts as a flat int array; ConfigError naming `what` when
-    one is a bool or fractional, which an int conversion would truncate."""
+    """Per-axis counts as a flat int64 array; ConfigError naming `what` when
+    one is a bool or fractional, which an int conversion would truncate, or
+    too large for int64, which it would overflow."""
     items = np.asarray(counts, dtype=object).reshape(-1)
-    if not all(map(_is_whole, items)):
-        raise ConfigError("%s must be whole numbers, got %r" % (what, counts))
-    return items.astype(int)
+    top = np.iinfo(np.int64).max
+    if not all(_is_whole(c) and abs(c) <= top for c in items):
+        raise ConfigError("%s must be 64-bit whole numbers, got %r"
+                          % (what, counts))
+    return items.astype(np.int64)
 
 
 def _control_from_config(doc, problems):
@@ -649,12 +668,7 @@ def load_system(config):
         if key not in config:
             continue
         try:
-            values = [config[key][name] for name in names]
-            for name, value in zip(names, values):
-                if isinstance(value, bool):
-                    raise ConfigError("%s must be a number, got %r"
-                                      % (name, value))
-            blocks[key] = cls(*values)
+            blocks[key] = cls(*[config[key][name] for name in names])
         except (KeyError, TypeError, ConfigError) as err:
             problems.append("%s block: %s" % (key, err))
     ules, growth = blocks.get("ules"), blocks.get("growth")

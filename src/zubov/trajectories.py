@@ -42,7 +42,7 @@ import math
 import numpy as np
 
 from .expressions import EvalDomainError
-from .systems import ConfigError
+from .systems import ConfigError, _positive
 
 
 class TrajectoryError(RuntimeError):
@@ -55,10 +55,8 @@ class ControlSchedule:
     def __init__(self, segments):
         segs = []
         for duration, control in segments:
-            duration = float(duration)
-            if not duration > 0.0:
-                raise ConfigError("schedule durations must be positive")
-            segs.append((duration, np.asarray(control, dtype=float).reshape(-1)))
+            segs.append((_positive(duration, "schedule duration"),
+                         np.asarray(control, dtype=float).reshape(-1)))
         if not segs:
             raise ConfigError("schedule needs at least one segment")
         m = segs[0][1].size
@@ -83,9 +81,7 @@ class RelaxedSchedule:
         self.controls = np.atleast_2d(np.asarray(controls, dtype=float))
         segs = []
         for duration, weights in segments:
-            duration = float(duration)
-            if not duration > 0.0:
-                raise ConfigError("schedule durations must be positive")
+            duration = _positive(duration, "schedule duration")
             w = np.asarray(weights, dtype=float).reshape(-1)
             if w.size != self.controls.shape[0]:
                 raise ConfigError("weight vector length must match the "
@@ -105,8 +101,7 @@ def chatter(relaxed, period):
     to the weights; a trailing partial period is scaled down so the total
     duration is preserved.  Consecutive equal controls merge.
     """
-    if not period > 0.0:
-        raise ConfigError("chatter period must be positive")
+    _positive(period, "chatter period")
     shortest = min(d for d, _ in relaxed.segments)
     if period > shortest + 1e-12:
         raise ConfigError("chatter period exceeds the shortest segment")
@@ -315,8 +310,7 @@ def integrate(system, x0, schedule, dt):
     Sub-steps never exceed dt (segments round up to whole sub-steps).  A
     state that leaves the representable range raises TrajectoryError.
     """
-    if not dt > 0.0:
-        raise ConfigError("dt must be positive")
+    _positive(dt, "dt")
     x0 = _check_point(system, x0)
     if schedule.m != system.control.m:
         raise ConfigError("schedule control dimension %d, system wants %d"

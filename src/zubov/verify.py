@@ -29,7 +29,7 @@ import numpy as np
 from .oracle import _DEFAULT_BUDGET, _INT_DT, _check_enumeration, _enumerate
 from .solver import (SolverSettings, apply_zubov, interpolate,
                      inverse_transform)
-from .systems import ConfigError, _is_whole, closed_form_value
+from .systems import ConfigError, _positive, _whole, closed_form_value
 from .trajectories import TrajectoryError, rollout
 
 _KINK_CELLS = 2  # exclusion margin around level-set / clamp kinks
@@ -209,8 +209,7 @@ def dpp_defect(system, field, x, t, switch_dt):
     than any schedule achieves.
     """
     _check_kruzhkov(system, field, "dpp_defect")
-    if not (math.isfinite(t) and t > 0.0):
-        raise ConfigError("t must be positive and finite")
+    _positive(t, "t")
     # the preamble refuses a switch_dt that is not positive and finite
     depth = max(1, round(t / switch_dt)) if switch_dt > 0.0 else 1
     x, depth = _check_enumeration("dpp_defect", system, "maximize", x,
@@ -242,14 +241,9 @@ def check_lyapunov_decrease(system, field, samples=200, seed=0):
     quasi-stability examples) legitimately hold the value flat.
     """
     _check_kruzhkov(system, field, "decrease check")
-    if not (_is_whole(samples) and samples >= 1):
-        raise ConfigError("samples must be a whole number, at least 1, got "
-                          "%r" % (samples,))
-    if not (_is_whole(seed) and seed >= 0):
-        raise ConfigError("seed must be a whole number, at least 0, got %r"
-                          % (seed,))
+    samples = _whole(samples, "samples", 1)
     grid = field.grid
-    rng = np.random.default_rng(int(seed))
+    rng = np.random.default_rng(_whole(seed, "seed", 0))
     cell = float(np.linalg.norm(grid.dx))
     carve = 10.0 * float(np.max(grid.dx))
     kept, tries = [], 0
@@ -410,10 +404,8 @@ def lipschitz_probe(evaluator, points, delta=1e-6, kruzhkov_scale=1.0):
     `evaluator` is a closed-form name or a ValueField.  Steep cost spikes
     show up as large quotients; a constant field gives exactly 0.
     """
-    if not delta > 0.0:
-        raise ConfigError("delta must be positive")
-    if not kruzhkov_scale > 0.0:
-        raise ConfigError("kruzhkov_scale must be positive")
+    _positive(delta, "delta")
+    _positive(kruzhkov_scale, "kruzhkov_scale")
 
     if isinstance(evaluator, str):
         def w_of(x):

@@ -262,6 +262,19 @@ class TestSolve:
         cfg.write_text(json.dumps({"builtin": "lift2d", "dtt": 0.1}))
         assert main(["solve", "--config", str(cfg)]) == 1
 
+    @pytest.mark.parametrize("args, what", [
+        (["--builtin", "arctan1d", "--nodes", "1e30"], "grid counts"),
+        (["--builtin", "lift2d", "--controls", "1e30"], "controls")],
+        ids=["nodes", "controls"])
+    def test_count_past_int64_exits_1(self, tmp_path, args, what):
+        # the int64 conversion of such a count once raised OverflowError
+        proc = subprocess.run(
+            [sys.executable, "-m", "zubov.cli", "solve", *args,
+             "--out", str(tmp_path)], capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert "config error: %s" % what in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_module_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "zubov.cli", "--version"],
@@ -405,6 +418,27 @@ class TestOracle:
                      str(pts)]) == 1
         assert "config error" in capsys.readouterr().err
         assert not (out / "bounds.csv").exists()
+
+    def test_negative_rho_exits_1(self, points_file, tmp_path, capsys):
+        # fuller brackets with min_value, which once took rho -1 and wrote
+        # a truncated row for every point with exit 0
+        rc = main(["oracle", "--builtin", "fuller", "--rho", "-1",
+                   "--out", str(tmp_path), str(points_file)])
+        assert rc == 1
+        assert "rho must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "bounds.csv").exists()
+
+    def test_astronomical_depth_exits_3_at_once(self, points_file,
+                                                tmp_path):
+        # the budget pre-flight once summed 3^s up to s = 10^30
+        proc = subprocess.run(
+            [sys.executable, "-m", "zubov.cli", "oracle", "--builtin",
+             "lift2d", "--controls", "3", "--depth", "1e30",
+             "--out", str(tmp_path), str(points_file)],
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+        assert parse_bounds(tmp_path / "bounds.csv")[1]["status"] == "budget"
 
     def test_malformed_points_exit_1(self, tmp_path):
         pts = tmp_path / "pts.csv"

@@ -320,6 +320,18 @@ class TestMaximalCost:
         with pytest.raises(BudgetError, match="up to 9840 segment"):
             maximal_cost(lift, [0.5, 0.5], 0.25, 8, budget=9839)
 
+    def test_budget_preflight_stops_once_past_the_budget(self):
+        # summing 3 + 9 + ... + 3^depth at depth 10^12 would never finish;
+        # the count stops at depth 9, the first past 9840, and a one-control
+        # system's tree is its depth
+        lift = builtin("lift2d", controls=3)
+        with pytest.raises(BudgetError, match="up to 29523 segment "
+                           "integrations by depth 9; budget is 9840"):
+            maximal_cost(lift, [0.5, 0.5], 0.25, 10 ** 12, budget=9840)
+        with pytest.raises(BudgetError, match="up to 1000000000000 segment "
+                           "integrations; budget is 9840"):
+            maximal_cost(decay_1d(), [0.5], 0.25, 10 ** 12, budget=9840)
+
     def test_mode_and_constants_required(self):
         with pytest.raises(ConfigError, match="maximize"):
             maximal_cost(builtin("fuller"), [0.1, 0.0])

@@ -1,5 +1,7 @@
 import json
 import math
+import pathlib
+import sys
 
 import numpy as np
 import pytest
@@ -7,7 +9,10 @@ from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
 from zubov.expressions import EvalDomainError
-from zubov.solver import SolverSettings, interpolate, solve_zubov
+from zubov.oracle import (defect_allowances, falsify_quasistability,
+                          maximal_cost, min_value)
+from zubov.solver import (SolverSettings, interpolate, inverse_transform,
+                          solve_zubov)
 from zubov.systems import (
     ConfigError,
     ControlSpace,
@@ -25,7 +30,12 @@ from zubov.systems import (
     load_field,
     load_system,
     save_field,
+    _positive,
+    _whole,
 )
+from zubov.trajectories import (ControlSchedule, RelaxedSchedule, chatter,
+                                integrate)
+from zubov.verify import check_lyapunov_decrease, dpp_defect, lipschitz_probe
 
 
 # --- control spaces ---------------------------------------------------------
@@ -443,6 +453,115 @@ class TestLoadSystem:
     def test_envelope_constants_must_be_finite(self, make):
         with pytest.raises(ConfigError, match="finite"):
             make()
+
+
+# --- the number rule --------------------------------------------------------
+# Every positive constant, step, horizon and tolerance a caller passes is a
+# finite real > 0 and never a bool; every count, depth and seed a whole number
+# at or above its least value.  A value outside the rule raises ConfigError
+# naming the argument, at every entry point that takes one.
+
+def _header(key):
+    def load(value):
+        path = pathlib.Path("f.csv")  # in the test's tmp_path
+        save_field(ValueField(Grid([-1.0], [1.0], [3]), np.full(3, 0.5),
+                              "kruzhkov"), path)
+        head, rows = path.read_text().split("\n", 1)
+        path.write_text("%s,%s=%s\n%s" % (head, key, value, rows))
+        load_field(path)
+    return load
+
+
+def _flat_field():
+    g = Grid([-1.0, -1.0], [1.0, 1.0], [5, 5])
+    return ValueField(g, np.full((5, 5), 0.5), "kruzhkov")
+
+
+def _relaxed(duration=1.0):
+    return RelaxedSchedule([[0.0]], [(duration, [1.0])])
+
+
+_LIFT3 = builtin("lift2d", controls=3)
+_HOLD = ControlSchedule([(1.0, [0.0])])
+
+# (argument, least whole value or None for a positive real, call)
+_NUMBER_RULE = {
+    "Ules-C": ("C", None, lambda v: Ules(v, 0.5, 0.5)),
+    "Ules-sigma": ("sigma", None, lambda v: Ules(1.0, v, 0.5)),
+    "Ules-r": ("r", None, lambda v: Ules(1.0, 0.5, v)),
+    "Growth-C_tilde": ("C_tilde", None, lambda v: Growth(v, 2.0)),
+    "Growth-lambda": ("lambda", None, lambda v: Growth(1.0, v)),
+    "header-dt": ("dt", None, _header("dt")),
+    "header-tol": ("tol", None, _header("tol")),
+    "SolverSettings-dt": ("dt", None, lambda v: SolverSettings(dt=v)),
+    "SolverSettings-tol": ("tol", None, lambda v: SolverSettings(tol=v)),
+    "inverse_transform-cap": ("cap", None,
+                              lambda v: inverse_transform(_flat_field(), v)),
+    "maximal_cost-switch_dt": ("switch_dt", None, lambda v: maximal_cost(
+        _LIFT3, [0.5, 0.5], switch_dt=v)),
+    "maximal_cost-depth": ("depth", 1, lambda v: maximal_cost(
+        _LIFT3, [0.5, 0.5], depth=v)),
+    "maximal_cost-rho": ("rho", None, lambda v: maximal_cost(
+        _LIFT3, [0.5, 0.5], rho=v)),
+    "min_value-rho": ("rho", None, lambda v: min_value(
+        builtin("fuller"), [0.1, 0.0], rho=v)),
+    "falsify-budget": ("budget", 0, lambda v: falsify_quasistability(
+        _LIFT3, _flat_field().grid, budget=v)),
+    "falsify-seed": ("seed", 0, lambda v: falsify_quasistability(
+        _LIFT3, _flat_field().grid, seed=v)),
+    "defect_allowances-eps": ("eps", None, lambda v: defect_allowances(v, 3)),
+    "defect_allowances-m": ("m", 1, lambda v: defect_allowances(0.1, v)),
+    "dpp_defect-t": ("t", None, lambda v: dpp_defect(
+        _LIFT3, _flat_field(), np.zeros(2), v, 0.25)),
+    "decrease-samples": ("samples", 1, lambda v: check_lyapunov_decrease(
+        _LIFT3, _flat_field(), samples=v)),
+    "decrease-seed": ("seed", 0, lambda v: check_lyapunov_decrease(
+        _LIFT3, _flat_field(), seed=v)),
+    "lipschitz-delta": ("delta", None, lambda v: lipschitz_probe(
+        "lift2d", [[0.1, 0.1]], delta=v)),
+    "lipschitz-kruzhkov_scale": ("kruzhkov_scale", None, lambda v:
+                                 lipschitz_probe("lift2d", [[0.1, 0.1]],
+                                                 kruzhkov_scale=v)),
+    "ControlSchedule-duration": ("duration", None, lambda v: ControlSchedule(
+        [(v, [0.0])])),
+    "RelaxedSchedule-duration": ("duration", None, _relaxed),
+    "chatter-period": ("period", None, lambda v: chatter(_relaxed(), v)),
+    "integrate-dt": ("dt", None, lambda v: integrate(
+        _LIFT3, [0.5, 0.5], _HOLD, v)),
+}
+
+
+def _number_rule_cases():
+    for entry, (name, least, _) in _NUMBER_RULE.items():
+        bad = [True, math.nan, math.inf, -1]
+        if least is None or least >= 1:
+            bad.append(0)
+        if least is not None:
+            bad.append(2.5)
+        for value in bad:
+            yield pytest.param(entry, value, id="%s-%r" % (entry, value))
+
+
+@pytest.mark.parametrize("entry, value", _number_rule_cases())
+def test_numbers_out_of_rule_name_the_argument(entry, value, tmp_path,
+                                               monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    name, _, call = _NUMBER_RULE[entry]
+    with pytest.raises(ConfigError, match=r"\b%s\b" % name):
+        call(value)
+
+
+def test_numbers_in_rule_keep_their_bits():
+    # an accepted positive real comes back as the same float, a whole number
+    # as the same int, whatever type it came as
+    for value in (0.05, 3, np.float64(1e-300), sys.float_info.max):
+        assert _positive(value, "x") == float(value)
+    for value in (8, 8.0, np.int64(8), 10 ** 30):
+        out = _whole(value, "depth", 1)
+        assert type(out) is int and out == int(value)
+    for value in (10 ** 400, "0.5", np.array(0.5), 1j):
+        with pytest.raises(ConfigError, match="x must be positive"):
+            _positive(value, "x")
 
 
 # --- invariant checks on direct construction --------------------------------

@@ -75,7 +75,8 @@ def main():
         save_field(field, os.path.join(args.out, "field.csv"))
         save_mask(mask, os.path.join(args.out, "mask.csv"))
         save_contours(polys, os.path.join(args.out, "contour.csv"))
-        print("wrote field.csv, mask.csv, contour.csv to %s" % args.out)
+        print("wrote field.csv (and its twin field.npz), mask.csv, "
+              "contour.csv to %s" % args.out)
     return 0
 
 

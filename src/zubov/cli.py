@@ -234,6 +234,15 @@ def _settings(cfg):
 
 # --- artifacts ---------------------------------------------------------------
 
+def _timed(phases, name, fn, *args, **kwargs):
+    """fn(*args, **kwargs), its wall seconds added to phases[name]."""
+    started = time.perf_counter()
+    try:
+        return fn(*args, **kwargs)
+    finally:
+        phases[name] = phases.get(name, 0.0) + time.perf_counter() - started
+
+
 def _jsonable(obj):
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
@@ -281,7 +290,7 @@ def _run_solver(cfg, raw):
     elapsed = time.perf_counter() - started
     meta = field.metadata
     os.makedirs(cfg["out"], exist_ok=True)
-    save_field(field, os.path.join(cfg["out"], "field.csv"))
+    digest = save_field(field, os.path.join(cfg["out"], "field.csv"))
     result = {
         "grid": {"lo": grid.lo.tolist(), "hi": grid.hi.tolist(),
                  "counts": [int(c) for c in grid.counts]},
@@ -296,6 +305,7 @@ def _run_solver(cfg, raw):
         "phase_seconds": meta["phase_seconds"],
         "seconds": round(elapsed, 3),
         "field": "field.csv",
+        "field_sha256": digest,
     }
     _write_metadata(cfg, "hjbe" if raw else "solve", result)
     print("%s %s: %s nodes, %d sweeps, final sup-change %.3g (%.1fs)"
@@ -340,7 +350,9 @@ def _read_points(path, n):
 
 def _cmd_oracle(cfg, args):
     system = _make_system(cfg)
-    points = _read_points(args.points, system.n_state)
+    phases = {}
+    points = _timed(phases, "read_points", _read_points, args.points,
+                    system.n_state)
     bracket = maximal_cost if system.mode == "maximize" else min_value
     rows, over_budget = [], 0
     started = time.perf_counter()
@@ -354,7 +366,7 @@ def _cmd_oracle(cfg, args):
             rows.append((x, None))
             continue
         rows.append((x, vb))
-    elapsed = time.perf_counter() - started
+    elapsed = phases["brackets"] = time.perf_counter() - started
 
     os.makedirs(cfg["out"], exist_ok=True)
     out_csv = os.path.join(cfg["out"], "bounds.csv")
@@ -364,15 +376,17 @@ def _cmd_oracle(cfg, args):
              if vb is None else
              (*x, vb.lower, vb.upper, vb.tail_bound, vb.depth, vb.horizon,
               int(vb.truncated), "ok") for x, vb in rows]
-    _write_csv(out_csv, ["x%d" % (i + 1) for i in range(n)]
-               + ["lower", "upper", "tail_bound", "depth", "horizon",
-                  "truncated", "status"],
-               np.array(table, dtype=object).T,
-               ["%.17g"] * (n + 3) + ["%d", "%.17g", "%d", "%s"])
+    _timed(phases, "save_bounds", _write_csv, out_csv,
+           ["x%d" % (i + 1) for i in range(n)]
+           + ["lower", "upper", "tail_bound", "depth", "horizon",
+              "truncated", "status"],
+           np.array(table, dtype=object).T,
+           ["%.17g"] * (n + 3) + ["%d", "%.17g", "%d", "%s"])
     result = {"points": len(rows), "budget_exceeded": over_budget,
               "segment_integrations": sum(vb.segments for _, vb in rows
                                           if vb is not None),
-              "seconds": round(elapsed, 3), "bounds": "bounds.csv"}
+              "seconds": round(elapsed, 3), "bounds": "bounds.csv",
+              "phase_seconds": phases}
     _write_metadata(cfg, "oracle", result)
     print("oracle %s: %d point(s) -> %s%s"
           % (system.name, len(rows), out_csv,
@@ -382,10 +396,35 @@ def _cmd_oracle(cfg, args):
 
 # --- verify ------------------------------------------------------------------
 
+def _check(name, system, field, cfg):
+    """The report of the verify check ``name`` on the field."""
+    if name == "invariants":
+        problems = field.check_invariants()
+        return VerificationReport(
+            "invariants", not problems, {"problems": len(problems)},
+            tuple({"problem": p} for p in problems))
+    if name == "fixed_point":
+        return check_fixed_point(system, field, cfg["dt"], cfg["tol"])
+    if name == "residual":
+        return residual_stats(system, field)
+    if name == "decrease":
+        return check_lyapunov_decrease(system, field, seed=cfg["seed"])
+    try:  # blowup
+        mask = extract_doa(field, cfg["epsilon"])
+    except ConfigError as exc:
+        return VerificationReport("boundary_blowup", False, {},
+                                  ({"error": str(exc)},))
+    with warnings.catch_warnings():
+        # the report line says the check was skipped, and why
+        warnings.filterwarnings("ignore", "mask touches")
+        return check_boundary_blowup(system, field, mask)
+
+
 def _cmd_verify(cfg, args):
     system = _make_system(cfg)
     grid = _make_grid(cfg, system)
-    field = load_field(args.field)
+    phases = {}
+    field = _timed(phases, "load_field", load_field, args.field)
     if not field.grid.same_layout(grid):
         raise ConfigError("field grid %s does not match the configured "
                           "grid %s" % ("x".join(map(str, field.grid.counts)),
@@ -396,33 +435,8 @@ def _cmd_verify(cfg, args):
     if "blowup" in cfg["checks"] and not 0.0 < cfg["epsilon"] < 1.0:
         raise ConfigError("epsilon must lie in (0, 1)")
 
-    reports = []
-    for name in cfg["checks"]:
-        if name == "invariants":
-            problems = field.check_invariants()
-            reports.append(VerificationReport(
-                "invariants", not problems, {"problems": len(problems)},
-                tuple({"problem": p} for p in problems)))
-        elif name == "fixed_point":
-            reports.append(check_fixed_point(
-                system, field, cfg["dt"], cfg["tol"]))
-        elif name == "residual":
-            reports.append(residual_stats(system, field))
-        elif name == "decrease":
-            reports.append(check_lyapunov_decrease(system, field,
-                                                   seed=cfg["seed"]))
-        elif name == "blowup":
-            try:
-                mask = extract_doa(field, cfg["epsilon"])
-            except ConfigError as exc:
-                reports.append(VerificationReport(
-                    "boundary_blowup", False, {},
-                    ({"error": str(exc)},)))
-            else:
-                with warnings.catch_warnings():
-                    # the report line says the check was skipped, and why
-                    warnings.filterwarnings("ignore", "mask touches")
-                    reports.append(check_boundary_blowup(system, field, mask))
+    reports = [_timed(phases, name, _check, name, system, field, cfg)
+               for name in cfg["checks"]]
 
     for rep in reports:
         line = "[%s] %s" % ("PASS" if rep.passed else "FAIL", rep.name)
@@ -439,11 +453,13 @@ def _cmd_verify(cfg, args):
     print("verify: %d/%d checks passed" % (sum(r.passed for r in reports),
                                            len(reports)))
 
-    result = {"field": args.field, "passed": passed,
+    result = {"field": args.field, "field_sha256": field.sha256,
+              "passed": passed,
               "checks": [{"name": r.name, "passed": r.passed,
                           "stats": r.stats, "note": r.note,
                           "witnesses": [_jsonable(w) for w in r.witnesses]}
-                         for r in reports]}
+                         for r in reports],
+              "phase_seconds": phases}
     _write_metadata(cfg, "verify", result)
     return 0 if passed else 4
 
@@ -451,18 +467,24 @@ def _cmd_verify(cfg, args):
 # --- doa / synthesize / demo -------------------------------------------------
 
 def _cmd_doa(cfg, args):
-    field = load_field(args.field)
-    mask = extract_doa(field, cfg["epsilon"])
+    phases = {}
+    field = _timed(phases, "load_field", load_field, args.field)
+    mask = _timed(phases, "extract_doa", extract_doa, field, cfg["epsilon"])
     os.makedirs(cfg["out"], exist_ok=True)
-    save_mask(mask, os.path.join(cfg["out"], "mask.csv"))
+    _timed(phases, "save_mask", save_mask, mask,
+           os.path.join(cfg["out"], "mask.csv"))
     result = {"nodes": mask.node_count,
               "touches_boundary": mask.touches_boundary,
-              "epsilon": cfg["epsilon"], "mask": "mask.csv"}
+              "epsilon": cfg["epsilon"], "mask": "mask.csv",
+              "field_sha256": field.sha256}
     if field.grid.n_axes == 2:
-        polys = contour2d(field, 1.0 - cfg["epsilon"])
-        save_contours(polys, os.path.join(cfg["out"], "contour.csv"))
+        polys = _timed(phases, "contour2d", contour2d, field,
+                       1.0 - cfg["epsilon"])
+        _timed(phases, "save_contours", save_contours, polys,
+               os.path.join(cfg["out"], "contour.csv"))
         result["contour"] = "contour.csv"
         result["polylines"] = len(polys)
+    result["phase_seconds"] = phases
     _write_metadata(cfg, "doa", result)
     print("doa: %d node(s) inside, touches_boundary=%s%s"
           % (mask.node_count, mask.touches_boundary,
@@ -473,18 +495,21 @@ def _cmd_doa(cfg, args):
 
 def _cmd_synthesize(cfg, args):
     system = _make_system(cfg)
-    field = load_field(args.field)
+    phases = {}
+    field = _timed(phases, "load_field", load_field, args.field)
     x0 = np.array(_coerce(args.x0, "reals", "x0"))
-    schedule, report = synthesize_epsilon_optimal(
-        system, field, x0, cfg["epsilon"], args.m,
-        switch_dt=cfg["switch_dt"])
+    schedule, report = _timed(
+        phases, "synthesize", synthesize_epsilon_optimal, system, field, x0,
+        cfg["epsilon"], args.m, switch_dt=cfg["switch_dt"])
 
     os.makedirs(cfg["out"], exist_ok=True)
-    _write_csv(os.path.join(cfg["out"], "schedule.csv"),
-               ["duration"] + ["a%d" % (j + 1) for j in range(schedule.m)],
-               np.array([(d, *c) for d, c in schedule.segments]).T,
-               ["%.17g"] * (1 + schedule.m))
+    _timed(phases, "save_schedule", _write_csv,
+           os.path.join(cfg["out"], "schedule.csv"),
+           ["duration"] + ["a%d" % (j + 1) for j in range(schedule.m)],
+           np.array([(d, *c) for d, c in schedule.segments]).T,
+           ["%.17g"] * (1 + schedule.m))
     result = {"schedule": "schedule.csv",
+              "field_sha256": field.sha256, "phase_seconds": phases,
               "segments": len(schedule.segments),
               "residual": report["residual"],
               "defects": report["defects"],

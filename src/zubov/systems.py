@@ -19,8 +19,10 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+import os
 import sys
 import warnings
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -232,6 +234,7 @@ class ValueField:
         self.values = values
         self.transform = transform
         self.metadata = dict(metadata or {})
+        self.sha256 = None  # load_field's digest of the CSV it read
 
     def origin_value(self):
         return float(self.values[self.grid.origin_index])
@@ -264,13 +267,23 @@ def _grid_header(grid):
 def _write_csv(path, head, columns, formats):
     """Write the header tokens, then row i of the columns, the k-th entry in
     %-format formats[k], a bounded chunk of rows at a time: the body never
-    exists as one string."""
+    exists as one string.  Returns the sha256 hex digest of the bytes
+    written, hashed as they are written."""
+    import hashlib  # lazily: ``import zubov`` does not need it
+
     row, chunk = ",".join(formats) + "\n", 4096
-    with open(path, "w") as fh:
-        fh.write(",".join(head) + "\n")
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        def write(text):
+            data = text.encode()
+            digest.update(data)
+            fh.write(data)
+
+        write(",".join(head) + "\n")
         for start in range(0, len(columns[0]), chunk):
             part = np.column_stack([c[start:start + chunk] for c in columns])
-            fh.write((row * len(part)) % tuple(part.ravel().tolist()))
+            write((row * len(part)) % tuple(part.ravel().tolist()))
+    return digest.hexdigest()
 
 
 def _node_columns(grid, coords=True):
@@ -292,14 +305,7 @@ def _read_grid_csv(path, what, width):
     The row count is checked before the grid is built, so a header's
     absurd counts never size an allocation."""
     with open(path) as fh:
-        head = fh.readline().strip().split(",")
-        try:
-            n = int(head[0])
-            lo = [float(v) for v in head[1 + n:1 + 2 * n]]
-            hi = [float(v) for v in head[1 + 2 * n:1 + 3 * n]]
-            counts = [int(c) for c in head[1:1 + n]]
-        except ValueError as err:
-            raise ConfigError("malformed %s header: %s" % (what, err)) from None
+        counts, lo, hi, tail = _grid_head(fh.readline(), what)
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # an empty body warns
@@ -311,6 +317,7 @@ def _read_grid_csv(path, what, width):
         raise ConfigError("%s file has %d rows for %d nodes"
                           % (what, rows.shape[0], n_nodes))
     grid = Grid(lo, hi, counts)
+    n = grid.n_axes
     if rows.shape[1] != width(n):
         raise ConfigError("%s rows have %d columns, %d axes want %d"
                           % (what, rows.shape[1], n, width(n)))
@@ -327,7 +334,21 @@ def _read_grid_csv(path, what, width):
                           "missing" % (what, np.count_nonzero(seen == 0)))
     ordered = np.empty_like(rows)
     ordered[flat] = rows
-    return grid, head[1 + 3 * n:], ordered
+    return grid, tail, ordered
+
+
+def _grid_head(line, what):
+    """The counts, lo, hi and the tokens after them of a grid CSV's header
+    line; only the numbers are parsed, so nothing is sized by them yet."""
+    head = line.strip().split(",")
+    try:
+        n = int(head[0])
+        lo = [float(v) for v in head[1 + n:1 + 2 * n]]
+        hi = [float(v) for v in head[1 + 2 * n:1 + 3 * n]]
+        counts = [int(c) for c in head[1:1 + n]]
+    except ValueError as err:
+        raise ConfigError("malformed %s header: %s" % (what, err)) from None
+    return counts, lo, hi, head[1 + 3 * n:]
 
 
 def _finite_float(token):
@@ -350,22 +371,71 @@ _RECORD = {"dt": lambda token: _positive(float(token), "dt"),
 def save_field(field, path):
     """CSV: header (n_axes, counts, lo, hi, transform, then key=value for the
     _RECORD keys the metadata holds), then one node row i1..iN, x1..xN, value
-    with 17 significant digits (bit-exact reload)."""
+    with 17 significant digits (bit-exact reload).  A binary twin beside it
+    (`_twin_path`) holds the values and the CSV's sha256, which load_field
+    trusts only while the CSV's bytes still hash to it.  Returns that
+    sha256 hex digest."""
     grid = field.grid
     n = grid.n_axes
     record = ["%s=%s" % (key, ("%d" if kind is _FLAG else "%.17g")
                          % field.metadata[key])
               for key, kind in _RECORD.items() if key in field.metadata]
-    _write_csv(path, _grid_header(grid) + [field.transform] + record,
-               [*_node_columns(grid), field.values.reshape(-1)],
-               ["%s"] * (2 * n) + ["%.17g"])
+    digest = _write_csv(path, _grid_header(grid) + [field.transform] + record,
+                        [*_node_columns(grid), field.values.reshape(-1)],
+                        ["%s"] * (2 * n) + ["%.17g"])
+    twin = _twin_path(path)
+    if twin is not None:
+        # its members carry zipfile's fixed 1980 timestamp, so the same
+        # field writes the same bytes
+        np.savez(twin, values=field.values, sha256=np.array(digest))
+    return digest
+
+
+def _twin_path(path):
+    """field.csv's binary twin, field.npz; None for a CSV named *.npz."""
+    root, ext = os.path.splitext(os.fspath(path))
+    return None if ext.lower() == ".npz" else root + ".npz"
+
+
+def _read_twin(path, data, digest):
+    """The grid, header tail and values of the CSV at ``path``, whose bytes
+    are ``data``, taken from its twin; None when the twin is missing or
+    unreadable, records another digest, or does not fit the header."""
+    twin = _twin_path(path)
+    if twin is None:
+        return None
+    try:
+        with np.load(twin) as arrays:
+            if arrays["sha256"].item() != digest:
+                return None
+            values = arrays["values"]
+    except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
+        return None
+    # the digest matches, so the bytes are save_field's: a well-formed header
+    counts, lo, hi, tail = _grid_head(data[:data.index(b"\n")].decode(),
+                                      "field")
+    if values.dtype != np.float64 or values.shape != tuple(counts):
+        return None
+    return Grid(lo, hi, counts), tail, values
 
 
 def load_field(path):
-    """Read a save_field CSV, its run record into the metadata; a row whose
-    coordinates are off the node its index names, or whose value is not
-    finite, is rejected like a missing or duplicated one."""
-    grid, tail, rows = _read_grid_csv(path, "field", lambda n: 2 * n + 1)
+    """Read a save_field CSV, its run record into the metadata and the
+    sha256 of its bytes into ``sha256``; a row whose coordinates are off
+    the node its index names, or whose value is not finite, is rejected
+    like a missing or duplicated one.  The values come from the CSV's twin
+    when the twin records the digest of the bytes read and fits the
+    header; otherwise the CSV is parsed, so an edited one reads as edited."""
+    import hashlib  # lazily: ``import zubov`` does not need it
+
+    with open(path, "rb") as fh:
+        data = fh.read()
+    digest = hashlib.sha256(data).hexdigest()
+    twin = _read_twin(path, data, digest)
+    if twin is None:
+        grid, tail, rows = _read_grid_csv(path, "field", lambda n: 2 * n + 1)
+    else:
+        grid, tail, values = twin
     try:
         transform, *record = tail
         metadata = {key: _RECORD[key](value) for key, value in
@@ -376,18 +446,22 @@ def load_field(path):
         raise ConfigError("malformed field header %s: %s"
                           % (",".join(tail), err)) from None
     n = grid.n_axes
-    nodes = grid.node_coords().reshape(-1, n)
-    if not np.all(np.abs(rows[:, n:2 * n] - nodes) <= 1e-3 * grid.dx):
-        raise ConfigError("field file has coordinates off the grid node "
-                          "their index names")
-    values = rows[:, 2 * n]
+    if twin is None:
+        nodes = grid.node_coords().reshape(-1, n)
+        if not np.all(np.abs(rows[:, n:2 * n] - nodes) <= 1e-3 * grid.dx):
+            raise ConfigError("field file has coordinates off the grid node "
+                              "their index names")
+        values = rows[:, 2 * n]
+    values = values.reshape(-1)
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         node = np.unravel_index(bad[0], tuple(grid.counts))
         raise ConfigError("field file has the non-finite value %s at node %s"
                           % (values[bad[0]], ",".join(map(str, node))))
-    return ValueField(grid, values.reshape(tuple(grid.counts)), transform,
-                      metadata)
+    field = ValueField(grid, values.reshape(tuple(grid.counts)), transform,
+                       metadata)
+    field.sha256 = digest
+    return field
 
 
 # --- system definition ------------------------------------------------------

@@ -211,7 +211,11 @@ def dpp_defect(system, field, x, t, switch_dt):
     _check_kruzhkov(system, field, "dpp_defect")
     _positive(t, "t")
     # the preamble refuses a switch_dt that is not positive and finite
-    depth = max(1, round(t / switch_dt)) if switch_dt > 0.0 else 1
+    steps = t / switch_dt if switch_dt > 0.0 else 1.0
+    if not math.isfinite(steps):  # round() would raise OverflowError
+        raise ConfigError("t / switch_dt overflows: t=%r, switch_dt=%r"
+                          % (t, switch_dt))
+    depth = max(1, round(steps))
     x, depth = _check_enumeration("dpp_defect", system, "maximize", x,
                                   switch_dt, depth)
     if abs(depth * switch_dt - t) > 1e-9:

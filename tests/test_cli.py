@@ -1,6 +1,8 @@
+import hashlib
 import json
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -121,6 +123,26 @@ class TestSolve:
         first = (run_dir / "field.csv").read_bytes()
         second = (tmp_path / "field.csv").read_bytes()
         assert first == second
+
+    def test_field_digest_goes_under_result(self, run_dir):
+        meta = read_meta(run_dir)
+        digest = hashlib.sha256((run_dir / "field.csv").read_bytes())
+        assert meta["result"]["field_sha256"] == digest.hexdigest()
+        assert "field_sha256" not in meta["config"]
+        assert (run_dir / "field.npz").exists()
+
+    def test_metadata_rerun_writes_the_same_twin(self, run_dir, tmp_path,
+                                                 monkeypatch):
+        # a day later: nothing in the twin may depend on the clock
+        clock = time.time
+        monkeypatch.setattr(time, "time", lambda: clock() + 86400.0)
+        rc = main(["solve", "--config", str(run_dir / "metadata.json"),
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        assert ((tmp_path / "field.npz").read_bytes()
+                == (run_dir / "field.npz").read_bytes())
+        assert (read_meta(tmp_path)["result"]["field_sha256"]
+                == read_meta(run_dir)["result"]["field_sha256"])
 
     def test_thread_count_does_not_change_bits(self, tmp_path, capsys):
         # --threads is retired; the count an older metadata.json recorded
@@ -301,6 +323,10 @@ class TestHjbe:
         field = load_field(str(tmp_path / "field.csv"))
         assert field.transform == "raw"
         assert field.values.min() >= 0.0
+        # read through its twin; the digest is the one the run recorded
+        assert (tmp_path / "field.npz").exists()
+        assert (field.sha256
+                == read_meta(tmp_path)["result"]["field_sha256"])
 
     def test_unguarded_builtin_exits_1(self, tmp_path):
         assert main(["hjbe", "--builtin", "lift2d", "--nodes", "41",
@@ -791,6 +817,55 @@ class TestSynthesize:
                    "--out", str(tmp_path), str(run_dir / "field.csv"),
                    "2.0,2.0", "4"])
         assert rc == 1
+
+
+class TestPhases:
+    """verify, doa and synthesize record the digest of the field they read
+    and, with oracle, where their time went."""
+
+    @pytest.mark.parametrize("command, flags, after, phases", [
+        ("verify", ["--nodes", "101"], [],
+         ["blowup", "decrease", "fixed_point", "invariants", "load_field",
+          "residual"]),
+        ("doa", [], [],
+         ["contour2d", "extract_doa", "load_field", "save_contours",
+          "save_mask"]),
+        ("synthesize", ["--epsilon", "0.05"], ["0.5,0.5", "4"],
+         ["load_field", "save_schedule", "synthesize"]),
+    ])
+    def test_field_readers(self, run_dir, tmp_path, command, flags, after,
+                           phases):
+        assert main([command, "--builtin", "lift2d", *flags,
+                     "--out", str(tmp_path), str(run_dir / "field.csv"),
+                     *after]) == 0
+        meta = read_meta(tmp_path)
+        result = meta["result"]
+        assert sorted(result["phase_seconds"]) == phases
+        assert all(s >= 0.0 for s in result["phase_seconds"].values())
+        assert (result["field_sha256"]
+                == read_meta(run_dir)["result"]["field_sha256"])
+        assert "phase_seconds" not in meta["config"]
+        assert "field_sha256" not in meta["config"]
+
+    def test_bare_field_records_its_digest(self, run_dir, tmp_path):
+        # no twin beside the copy: the digest comes from the parse path
+        bare = tmp_path / "bare"
+        bare.mkdir()
+        (bare / "field.csv").write_bytes((run_dir / "field.csv").read_bytes())
+        assert main(["doa", "--builtin", "lift2d", "--out",
+                     str(tmp_path / "doa"), str(bare / "field.csv")]) == 0
+        assert (read_meta(tmp_path / "doa")["result"]["field_sha256"]
+                == read_meta(run_dir)["result"]["field_sha256"])
+
+    def test_oracle(self, points_file, tmp_path):
+        assert main(["oracle", "--builtin", "lift2d", "--controls", "3",
+                     "--depth", "6", "--out", str(tmp_path),
+                     str(points_file)]) == 0
+        result = read_meta(tmp_path)["result"]
+        phases = result["phase_seconds"]
+        assert sorted(phases) == ["brackets", "read_points", "save_bounds"]
+        assert result["seconds"] == round(phases["brackets"], 3)
+        assert "field_sha256" not in result
 
 
 class TestDemo:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import pathlib
@@ -11,8 +12,9 @@ from scipy.integrate import quad
 from zubov.expressions import EvalDomainError
 from zubov.oracle import (defect_allowances, falsify_quasistability,
                           maximal_cost, min_value)
+from zubov import systems
 from zubov.solver import (SolverSettings, interpolate, inverse_transform,
-                          solve_zubov)
+                          solve_hjbe, solve_zubov)
 from zubov.systems import (
     ConfigError,
     ControlSpace,
@@ -315,6 +317,166 @@ class TestValueField:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+# --- the field's binary twin ------------------------------------------------
+
+# (name, half-width, nodes per axis, solver): every builtin's own solve on a
+# small grid; fuller, a least-cost problem, solves only raw
+TWIN_SOLVES = [("lift2d", 1.2, 21, solve_zubov),
+               ("lift2d-psi-sqrt", 1.2, 21, solve_zubov),
+               ("lift2d-psi-abs", 1.2, 21, solve_zubov),
+               ("ex1", 2.0, 81, solve_zubov),
+               ("arctan1d", 3.0, 61, solve_zubov),
+               ("hav1d", 1.0, 41, solve_zubov),
+               ("fuller", 1.0, 21, solve_hjbe)]
+
+
+def _solved(name, half, nodes, solve):
+    system = builtin(name)
+    n = system.n_state
+    return solve(system, Grid([-half] * n, [half] * n, [nodes] * n),
+                 SolverSettings(dt=0.1))
+
+
+def _parse_only(monkeypatch):
+    """Make load_field ignore every twin, as if none were there."""
+    monkeypatch.setattr(systems, "_read_twin", lambda *args: None)
+
+
+def _twin_only(monkeypatch):
+    """Make a CSV parse fail, so a load that succeeds read the twin."""
+    def parse(*args):
+        raise AssertionError("the CSV was parsed")
+    monkeypatch.setattr(systems, "_read_grid_csv", parse)
+
+
+class TestFieldTwin:
+    """save_field writes field.npz beside field.csv; load_field takes the
+    values from it only while the CSV's bytes hash to the digest it holds."""
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        g = Grid([-1.0, -1.0], [1.0, 1.0], [5, 3])
+        field = ValueField(g, np.random.default_rng(5).random((5, 3)),
+                           "kruzhkov", {"dt": 0.05, "converged": True})
+        path = tmp_path / "field.csv"
+        save_field(field, path)
+        return field, path
+
+    @pytest.mark.parametrize("name, half, nodes, solve", TWIN_SOLVES,
+                             ids=["%s-%s" % (row[0], row[3].__name__)
+                                  for row in TWIN_SOLVES])
+    def test_twin_read_is_the_csv_parse(self, tmp_path, monkeypatch, name,
+                                        half, nodes, solve):
+        field = _solved(name, half, nodes, solve)
+        path = tmp_path / "field.csv"
+        save_field(field, path)
+        assert (tmp_path / "field.npz").exists()
+        with monkeypatch.context() as m:
+            _parse_only(m)
+            parsed = load_field(path)
+        with monkeypatch.context() as m:
+            _twin_only(m)
+            twin = load_field(path)
+        assert twin.values.tobytes() == parsed.values.tobytes()
+        assert twin.values.tobytes() == field.values.tobytes()
+        assert twin.values.shape == parsed.values.shape
+        for attr in ("counts", "lo", "hi", "dx", "origin_index"):
+            assert np.array_equal(getattr(twin.grid, attr),
+                                  getattr(parsed.grid, attr))
+        assert all(a.tobytes() == b.tobytes()
+                   for a, b in zip(twin.grid.axes, parsed.grid.axes))
+        assert twin.transform == parsed.transform == field.transform
+        assert twin.metadata == parsed.metadata
+        assert twin.sha256 == parsed.sha256
+
+    def test_edited_csv_reads_as_edited(self, saved):
+        field, path = saved
+        lines = path.read_text().splitlines()
+        node = 7  # the row after the header holds node 0
+        *cells, value = lines[1 + node].split(",")
+        last = "1" if value[-1] != "1" else "2"
+        edited = value[:-1] + last
+        assert float(edited) != float(value)
+        lines[1 + node] = ",".join(cells + [edited])
+        path.write_text("\n".join(lines) + "\n")
+        back = load_field(path)
+        want = field.values.reshape(-1).copy()
+        want[node] = float(edited)
+        assert back.values.reshape(-1).tolist() == want.tolist()
+        assert back.sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_missing_twin_falls_back(self, saved, monkeypatch):
+        field, path = saved
+        (path.parent / "field.npz").unlink()
+        assert np.array_equal(load_field(path).values, field.values)
+
+    def test_stale_twin_falls_back(self, saved, tmp_path):
+        # another solve's twin: well formed, but another CSV's digest
+        field, path = saved
+        other = tmp_path / "other"
+        other.mkdir()
+        save_field(field.with_values(field.values / 2), other / "field.csv")
+        (other / "field.npz").replace(path.parent / "field.npz")
+        assert np.array_equal(load_field(path).values, field.values)
+
+    def test_truncated_twin_falls_back(self, saved):
+        field, path = saved
+        twin = path.parent / "field.npz"
+        whole = twin.read_bytes()
+        for size in range(len(whole)):
+            twin.write_bytes(whole[:size])
+            assert np.array_equal(load_field(path).values, field.values), size
+
+    @pytest.mark.parametrize("values", [np.zeros(15), np.zeros((3, 5)),
+                                        np.zeros((5, 3), dtype=np.float32),
+                                        np.zeros((5, 3), dtype=int)],
+                             ids=["flat", "transposed", "float32", "int"])
+    def test_wrong_shape_or_dtype_twin_falls_back(self, saved, values):
+        field, path = saved
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        np.savez(path.parent / "field.npz", values=values,
+                 sha256=np.array(digest))
+        assert np.array_equal(load_field(path).values, field.values)
+
+    def test_non_finite_twin_value_is_refused_like_the_csv(self, saved):
+        field, path = saved
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        values = field.values.copy()
+        values[1, 2] = np.nan
+        np.savez(path.parent / "field.npz", values=values,
+                 sha256=np.array(digest))
+        with pytest.raises(ConfigError, match="non-finite value nan at "
+                                              "node 1,2"):
+            load_field(path)
+        # the same field written as CSV is refused with the same message
+        nan_csv = path.parent / "nan" / "field.csv"
+        nan_csv.parent.mkdir()
+        save_field(field.with_values(values), nan_csv)
+        (nan_csv.parent / "field.npz").unlink()
+        with pytest.raises(ConfigError, match="non-finite value nan at "
+                                              "node 1,2"):
+            load_field(nan_csv)
+
+    def test_digest_is_the_sha256_of_the_bytes(self, saved):
+        field, path = saved
+        want = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert save_field(field, path) == want
+        assert load_field(path).sha256 == want
+        with np.load(path.parent / "field.npz") as twin:
+            assert twin["sha256"].item() == want
+            assert twin["values"].tobytes() == field.values.tobytes()
+        # a field made in memory has no file behind it
+        assert field.sha256 is None
+
+    def test_csv_named_npz_has_no_twin(self, tmp_path):
+        # the twin would overwrite the CSV it stands beside
+        field = ValueField(Grid([-1.0], [1.0], [3]), np.zeros(3), "raw")
+        path = tmp_path / "field.npz"
+        save_field(field, path)
+        assert path.read_text().startswith("1,3,-1,1,raw\n")
+        assert np.array_equal(load_field(path).values, field.values)
 
 
 # --- config loading ---------------------------------------------------------

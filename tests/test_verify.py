@@ -316,6 +316,15 @@ class TestDppDefect:
         with pytest.raises(ConfigError, match="t must be positive"):
             dpp_defect(lift2d_system, lift2d_field, np.zeros(2), t, 0.25)
 
+    @pytest.mark.parametrize("t, switch_dt", [(1e300, 1e-10),
+                                              (1e308, 1e-300)])
+    def test_overflowing_depth_is_refused(self, lift2d_system, lift2d_field,
+                                          t, switch_dt):
+        # t / switch_dt overflows to inf, which round() cannot take
+        with pytest.raises(ConfigError, match="t / switch_dt overflows"):
+            dpp_defect(lift2d_system, lift2d_field, np.zeros(2), t,
+                       switch_dt)
+
     def test_rejects_minimize_mode(self, lift2d_field):
         fuller = builtin("fuller")
         with pytest.raises(ConfigError, match="mode"):

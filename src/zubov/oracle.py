@@ -36,7 +36,7 @@ import numpy as np
 from .solver import interpolate
 from .systems import ConfigError, _positive, _whole
 from .trajectories import (ControlSchedule, TrajectoryError, _check_point,
-                           advance, rollout)
+                           advance, rollout, start)
 
 _DEFAULT_BUDGET = 2_000_000  # segment integrations an enumeration may run
 _INT_DT = 0.01  # RK4 sub-step of the brackets, synthesis and the checks
@@ -145,12 +145,11 @@ def _check_enumeration(what, system, mode, x, switch_dt, depth):
     return _check_point(system, x), depth
 
 
-def _enumerate(system, x, switch_dt, depth, rho, budget, slots=3, keep=None):
+def _enumerate(system, x, switch_dt, depth, rho, budget, wide=False,
+               keep=None):
     """Advance all |A_d|^depth schedules; returns (aug_states, entered,
-    segments), the last the segment integrations it ran.
-
-    The augmented states carry ``slots`` integrals after x: 3 for
-    (J, int g, int h), 1 for int g alone (trajectories module docstring).
+    segments), the last the segment integrations it ran.  The augmented
+    states are `trajectories.start`'s, wide with ``wide``.
 
     The batch grows one control choice per segment (prefixes are shared),
     so row r encodes the schedule whose j-th segment uses control index
@@ -175,7 +174,7 @@ def _enumerate(system, x, switch_dt, depth, rho, budget, slots=3, keep=None):
                           % (k, depth, full,
                              " by depth %d" % s if s < depth else "", budget))
     n, segments = system.n_state, 0
-    z = np.concatenate([x, np.zeros(slots)])[None]
+    z = start(x[None], wide)
     entered = np.array([rho is not None and np.linalg.norm(x) <= rho])
 
     def touch(zb, live):
@@ -238,7 +237,7 @@ def maximal_cost(system, x, switch_dt=0.25, depth=8, rho=0.05, *,
         return rows
 
     z, _, segments = _enumerate(system, x, switch_dt, depth, None, budget,
-                                slots=1, keep=keep)
+                                keep=keep)
     lower = float(np.max(z[:, n]))
     upper = max(dropped, float(np.max(reach(z))))
     if math.isinf(upper):
@@ -280,8 +279,8 @@ def min_value(system, x, switch_dt=0.25, depth=8, rho=0.05, *,
     if not np.any(x):
         return ValueBounds(0.0, 0.0, horizon, depth, 0.0, False)
     z, entered, segments = _enumerate(system, x, switch_dt, depth, rho,
-                                      budget)
-    est = float(np.min(z[:, system.n_state]))
+                                      budget, wide=True)
+    est = float(np.min(z[:, system.n_state + 1]))  # J
     tail = (math.inf if system.ules is None or system.growth is None
             else float(_tail_bound(system, rho)))
     if not (math.isfinite(tail) and bool(entered.all())):
@@ -298,7 +297,7 @@ def falsify_quasistability(system, region, budget=256, *, seed=7):
     """Search for a finite-cost trajectory that stays away from the origin.
 
     The cost is ∫g, the one the Kružkov solve reads; both phases integrate
-    (x, ∫g) only and never evaluate ell or h.  Phase one scans region
+    the narrow state and never evaluate ell or h.  Phase one scans region
     nodes x control menu for exact stationary freebies (||f|| <= 1e-9,
     g <= 1e-9, ||x|| >= 1e-3), keeping the lexicographically largest
     (state, control) hit so reruns agree.  Phase two integrates `budget`
@@ -392,12 +391,12 @@ def synthesize_epsilon_optimal(system, field, x0, eps, m, *,
     kruzhkov = field.transform == "kruzhkov"
     maximizing = kruzhkov or system.mode == "maximize"
 
-    def continuation(z):
+    def continuation(z):  # z is narrow for a Kružkov field, else wide
         w = interpolate(field, z[:, :n])
-        if kruzhkov:  # z is (x, int g)
+        if kruzhkov:
             disc = np.exp(-z[:, n])
             return (1.0 - disc) + disc * w
-        return z[:, n] + np.exp(-z[:, n + 2]) * w
+        return z[:, n + 1] + np.exp(-z[:, n + 2]) * w
 
     x_cur = x0
     segs = []
@@ -408,7 +407,7 @@ def synthesize_epsilon_optimal(system, field, x0, eps, m, *,
     w0 = interpolate(field, x0)
     for i in range(m):
         w_start = interpolate(field, x_cur)
-        z = np.concatenate([x_cur, np.zeros(1 if kruzhkov else 3)])[None]
+        z = start(x_cur[None], wide=not kruzhkov)
         for _ in range(n_sub):
             cand, live = advance(system, np.repeat(z, k, axis=0), pts,
                                  switch_dt, _INT_DT)
@@ -428,7 +427,7 @@ def synthesize_epsilon_optimal(system, field, x0, eps, m, *,
         if kruzhkov:
             total_q += float(z[0, n])
         else:
-            total_j += math.exp(-total_p) * float(z[0, n])
+            total_j += math.exp(-total_p) * float(z[0, n + 1])
             total_p += float(z[0, n + 2])
         x_cur = z[0, :n].copy()
 

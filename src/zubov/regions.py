@@ -216,7 +216,8 @@ def save_mask(mask, path):
 
 
 def load_mask(path):
-    grid, tail, rows = _read_grid_csv(path, "mask", lambda n: n + 1)
+    with open(path, "rb") as fh:
+        grid, tail, rows = _read_grid_csv(fh.read(), "mask", lambda n: n + 1)
     try:
         (epsilon,) = [float(token) for token in tail]
         if not 0.0 < epsilon < 1.0:  # extract_doa's rule

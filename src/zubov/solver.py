@@ -37,9 +37,9 @@ undiscounted system.
 
 The build (`_assemble`) computes the feet and stencils of 2**14 nodes at
 a time, for every control in turn, so its temporaries stay a few MB at
-any grid size and each chunk's nodes are decoded once.  A chunk's RK4
-step runs on a column-major augmented state, so every column it reads
-and writes is contiguous.  Each chunk's stencils go straight into the
+any grid size and each chunk's nodes are decoded once.  The nodes, and
+so a chunk's augmented state, are column-major, so every column its RK4
+step reads and writes is contiguous.  Each chunk's stencils go straight into the
 operator's arrays.  The offset is allocated by the first chunk with a
 nonzero entry, so an all-zero offset (every Kružkov row) is a
 zero-stride view that takes no memory, and a sweep skips adding it.  The
@@ -48,9 +48,11 @@ it builds and applies one control's operator at a time.  None of this
 changes a bit of any field.
 
 Both solves take y_a, the foot of node x_i under control a, and the step
-integrals from one RK4 step of length dt.  A foot outside the box reads
-the exterior value: 1 ("outside the robust domain") for the Kružkov field
-and 0 for the raw one, so it adds nothing to its row.
+integrals from one RK4 step of length dt of `trajectories.start`'s state
+at the nodes: (x, ∫g) for solve_zubov, (x, ∫g, J, ∫h) for solve_hjbe.  A
+foot outside the box reads the exterior value: 1 ("outside the robust
+domain") for the Kružkov field and 0 for the raw one, so it adds nothing
+to its row.
 
   * solve_zubov — Kružkov-transformed maximal cost.  The update
         v <- max_a 1 - beta * (1 - I[v](y_a))
@@ -82,7 +84,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .systems import ConfigError, ValueField, _positive
-from .trajectories import _aug_rhs, rk4_step
+from .trajectories import _aug_rhs, rk4_step, start
 
 
 @dataclass(frozen=True)
@@ -111,23 +113,6 @@ def _is_int(value):
 
 
 _FEET_CHUNK = 2 ** 14  # nodes whose feet and stencils a build holds at once
-
-
-def _foot_start(nodes, slots):
-    """The augmented state at the nodes, ``slots`` zero step integrals
-    after their coordinates, whose one RK4 step of length dt gives the
-    feet and the step integrals along them.
-
-    ``slots=1`` carries ``int g`` alone; ``slots=3`` carries
-    ``int ell*exp(-int h)``, ``int g`` and ``int h``, so the discount and
-    stage cost match the foot trajectory itself.  The state is
-    column-major, so every column the step reads and writes is contiguous
-    (the arithmetic is elementwise, the bits the same).
-    """
-    n = nodes.shape[1]
-    z = np.zeros((len(nodes), n + slots), order="F")
-    z[:, :n] = nodes
-    return z
 
 
 def _chunk_nodes(grid, lo, hi):
@@ -351,7 +336,7 @@ def _zubov_rows(system, dt):
     n = system.n_state
 
     def rows(a, nodes):
-        z = _foot_start(nodes, 1)
+        z = start(nodes)
         k1 = _aug_rhs(system, z, a)
         gv = k1[:, n]
         if gv.min() < -1e-9:
@@ -389,8 +374,8 @@ def hjbe_operator(system, grid, dt):
     n = system.n_state
 
     def rows(a, nodes):
-        z1 = rk4_step(system, _foot_start(nodes, 3), a, dt)
-        return z1[:, :n], np.exp(-z1[:, n + 2]), z1[:, n]
+        z1 = rk4_step(system, start(nodes, wide=True), a, dt)
+        return z1[:, :n], np.exp(-z1[:, n + 2]), z1[:, n + 1]
 
     pick = np.minimum if system.mode == "minimize" else np.maximum
     return _assemble(system, grid, rows, pick, None, system.control.points)

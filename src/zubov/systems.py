@@ -16,6 +16,7 @@ needs a smooth cutoff, none of which the expression grammar covers).
 
 from __future__ import annotations
 
+import io
 import itertools
 import math
 import numbers
@@ -298,13 +299,13 @@ def _node_columns(grid, coords=True):
             for k, t in enumerate(tokens)]
 
 
-def _read_grid_csv(path, what, width):
-    """Parse a grid CSV: the grid, the header tokens after it and the body
-    rows in flat node order.  Every row must have ``width(n)`` columns and
-    every node must appear exactly once, or ConfigError says what is off.
-    The row count is checked before the grid is built, so a header's
-    absurd counts never size an allocation."""
-    with open(path) as fh:
+def _read_grid_csv(data, what, width):
+    """Parse a grid CSV's bytes as text: the grid, the header tokens after
+    it and the body rows in flat node order.  Every row must have
+    ``width(n)`` columns and every node must appear exactly once, or
+    ConfigError says what is off.  The row count is checked before the
+    grid is built, so a header's absurd counts never size an allocation."""
+    with io.TextIOWrapper(io.BytesIO(data)) as fh:
         counts, lo, hi, tail = _grid_head(fh.readline(), what)
         try:
             with warnings.catch_warnings():
@@ -425,7 +426,8 @@ def load_field(path):
     the node its index names, or whose value is not finite, is rejected
     like a missing or duplicated one.  The values come from the CSV's twin
     when the twin records the digest of the bytes read and fits the
-    header; otherwise the CSV is parsed, so an edited one reads as edited."""
+    header; otherwise those bytes are parsed, so an edited CSV reads as
+    edited, and its digest and values come from the one read."""
     import hashlib  # lazily: ``import zubov`` does not need it
 
     with open(path, "rb") as fh:
@@ -433,7 +435,7 @@ def load_field(path):
     digest = hashlib.sha256(data).hexdigest()
     twin = _read_twin(path, data, digest)
     if twin is None:
-        grid, tail, rows = _read_grid_csv(path, "field", lambda n: 2 * n + 1)
+        grid, tail, rows = _read_grid_csv(data, "field", lambda n: 2 * n + 1)
     else:
         grid, tail, values = twin
     try:

@@ -1,26 +1,29 @@
 """Trajectory integration under switching controls, with cost accumulation.
 
-The running cost J = ∫ ell·exp(-∫h) and the discount exponent ∫g ride along
-as extra components of the integrated state, so trajectory and costs share
-the integrator's order of accuracy.  Controls are piecewise constant and
-frozen across each RK4 sub-step, which makes the switching structure exact.
+The cost integrals ride along as extra components of the integrated
+state, so trajectory and costs share the integrator's order of accuracy.
+Controls are piecewise constant and frozen across each RK4 sub-step, which
+makes the switching structure exact.
 
-The augmented state comes in two widths, told apart by its last axis:
+The augmented state is x[0..N-1], then the integrals.  `start` builds it
+at either width, told apart by its last axis:
 
-  * N+3, (x[0..N-1], J, ∫g, ∫h): the full record.  `integrate` and its
-    TrajectoryRecord, the minimize-mode oracle `min_value`, the raw
-    operator's RK4 feet and synthesis against a raw field use it.
-  * N+1, (x[0..N-1], ∫g): what a Kružkov consumer reads.  The maximal-cost
+  * N+1, (x, ∫g): what a Kružkov consumer reads.  The maximal-cost
     oracle, the falsifier, the Kružkov operator's RK4 feet, `dpp_defect`,
     the sampled decrease check and synthesis against a Kružkov field use
     it.  Only f and g are evaluated, so ell and h (and the exp(-∫h)
     weight) cost nothing there, and neither can retire a row.
+  * N+3, (x, ∫g, J, ∫h), J = ∫ ell·exp(-∫h) the running cost: the full
+    record.  `integrate` and its TrajectoryRecord, the minimize-mode
+    oracle `min_value`, the raw operator's RK4 feet and synthesis against
+    a raw field use it.
 
-The x and ∫g columns come out bit for bit the same at either width: every
-RK4 stage combines the columns elementwise.  For the same reason the
-memory layout does not matter: `_aug_rhs` keeps z's, so the solver's
-column-major feet step with contiguous columns and the oracle's
-row-major batches as before.
+So the narrow state is the wide one's first N+1 columns, column N is ∫g
+at either width, and those columns come out bit for bit the same at
+either width: every RK4 stage combines the columns elementwise.  For the
+same reason the memory layout does not matter: `start` and `_aug_rhs`
+keep x's, so the solver's column-major feet step with contiguous columns
+and the oracle's row-major batches as before.
 
 The hot path is lean but rounds as written.  Each RK4 stage gets f and
 g from one call of the system's fused `rates`, which writes them into the
@@ -156,12 +159,23 @@ class TrajectoryRecord:
         return float(self.running_cost[-1])
 
 
+def start(x, wide=False):
+    """The augmented state at the points x (..., N): x, then ∫g or with
+    ``wide`` (∫g, J, ∫h), all +0, in x's memory layout, read off the
+    strides: one-axis column-major nodes, C-contiguous too, stay so."""
+    x = np.asarray(x, dtype=float)
+    n = x.shape[-1]
+    z = np.zeros(x.shape[:-1] + (n + (3 if wide else 1),),
+                 order="F" if x.strides[0] < x.strides[-1] else "C")
+    z[..., :n] = x
+    return z
+
+
 def _aug_rhs(system, z, a):
-    """Right-hand side of the augmented dynamics; z is (..., N+1) holding
-    (x, ∫g) or (..., N+3) holding (x, J, ∫g, ∫h).  f and g come from one
-    `system.rates` call into the first N+1 columns; on the wide state g
-    moves over to make room for the J rate.  The rates come back in z's
-    memory layout."""
+    """Right-hand side of the augmented dynamics at either width (module
+    docstring).  f and g come from one `system.rates` call into the first
+    N+1 columns, the J and ∫h rates follow on the wide state.  The rates
+    come back in z's memory layout."""
     n = system.n_state
     width = z.shape[-1]
     if width not in (n + 1, n + 3):
@@ -172,10 +186,8 @@ def _aug_rhs(system, z, a):
     system.rates(x, a, out[..., :n + 1])  # f, then g in column n
     if width == n + 1:
         return out
-    out[..., n + 1] = out[..., n]
-    gv = out[..., n + 1]
-    lv = gv if system.ell is None else system.ell(x, a)
-    out[..., n] = lv * np.exp(-z[..., n + 2])
+    lv = out[..., n] if system.ell is None else system.ell(x, a)
+    out[..., n + 1] = lv * np.exp(-z[..., n + 2])
     out[..., n + 2] = 0.0 if system.h is None else system.h(x, a)
     return out
 
@@ -183,12 +195,11 @@ def _aug_rhs(system, z, a):
 def rk4_step(system, z, a, h, k1=None):
     """One classical RK4 step of the augmented dynamics, control frozen.
 
-    z is (..., N+1) or (..., N+3), see the module docstring; the narrow
-    state evaluates f and g only.  k1, the rates `_aug_rhs` gives at z,
-    may come from a caller that has read them already.  The stage inputs
-    share one buffer and the combination accumulates in k2's, in the
-    textbook operation order: z + (0.5 h) k, then
-    z + (h/6) (((k1 + 2 k2) + 2 k3) + k4), so the step rounds as the
+    z is an augmented state of either width (module docstring).  k1, the
+    rates `_aug_rhs` gives at z, may come from a caller that has read them
+    already.  The stage inputs share one buffer and the combination
+    accumulates in k2's, in the textbook operation order: z + (0.5 h) k,
+    then z + (h/6) (((k1 + 2 k2) + 2 k3) + k4), so the step rounds as the
     formula reads."""
     if k1 is None:
         k1 = _aug_rhs(system, z, a)
@@ -224,10 +235,8 @@ def _check_point(system, x):
 
 
 def advance(system, z, a, duration, dt, live=None, watch=None):
-    """Advance a batch of augmented states z through one segment.
-
-    z is (B, N+1) holding (x, ∫g) or (B, N+3) holding (x, J, ∫g, ∫h); the
-    narrow one evaluates f and g only (module docstring).
+    """Advance a batch z (B, N+1) or (B, N+3) of augmented states (module
+    docstring) through one segment.
 
     `a` is one control (m,) or one per row (B, m), frozen for the segment,
     which runs in _substeps(duration, dt) equal RK4 sub-steps.  While every
@@ -292,12 +301,12 @@ def _step_live_rows(system, z, a, h, live):
 
 
 def rollout(system, x0, picks, horizon, dt):
-    """Advance starts x0 (B, N) over (x, ∫g) through picks.shape[1] equal
-    segments of `horizon`, row i's segment j under menu control picks[i, j];
-    a row that escapes retires (see `advance`).  Returns (z, live,
-    schedule), where schedule(i) is row i's ControlSchedule."""
+    """Advance starts x0 (B, N) over the narrow (x, ∫g) through
+    picks.shape[1] equal segments of `horizon`, row i's segment j under
+    menu control picks[i, j]; a row that escapes retires (see `advance`).
+    Returns (z, live, schedule), schedule(i) row i's ControlSchedule."""
     pts, seg = system.control.points, horizon / picks.shape[1]
-    z, live = np.hstack([x0, np.zeros((len(x0), 1))]), None
+    z, live = start(x0), None
     for j in range(picks.shape[1]):
         z, live = advance(system, z, pts[picks[:, j]], seg, dt, live)
     return z, live, lambda i: ControlSchedule([(seg, pts[p])
@@ -323,7 +332,7 @@ def integrate(system, x0, schedule, dt):
                               % a.tolist())
 
     n = system.n_state
-    z, live = np.concatenate([x0, np.zeros(3)])[None], np.ones(1, bool)
+    z, live = start(x0[None], wide=True), np.ones(1, bool)
     times, rows = [0.0], [z[0]]
 
     def record(zb, lv):  # h: the current segment's sub-step
@@ -339,5 +348,5 @@ def integrate(system, x0, schedule, dt):
             "state left the representable range near t=%.6g "
             "(last finite state %s)" % (times[-1], rows[-1][:n].tolist()))
     rows = np.array(rows)
-    return TrajectoryRecord(times, rows[:, :n], rows[:, n], rows[:, n + 1],
+    return TrajectoryRecord(times, rows[:, :n], rows[:, n + 1], rows[:, n],
                             rows[:, n + 2])

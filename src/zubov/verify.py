@@ -27,8 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .oracle import _DEFAULT_BUDGET, _INT_DT, _check_enumeration, _enumerate
-from .solver import (SolverSettings, apply_zubov, interpolate,
-                     inverse_transform)
+from .solver import apply_zubov, interpolate, inverse_transform
 from .systems import ConfigError, _positive, _whole, closed_form_value
 from .trajectories import TrajectoryError, rollout
 
@@ -81,17 +80,21 @@ def check_fixed_point(system, field, dt=0.05, tol=1e-6):
     dt and tol come from the field's run record (load_field reads it from
     the CSV header); the arguments stand in for what it does not record.
     Either must be positive and finite, as a solve's are: ConfigError.
-    A record of Euler feet or of an exterior value other than 1 names a
-    scheme the solver no longer builds: ConfigError.
+    A record of Euler feet or of an exterior value other than 1 (a
+    transformed raw field keeps its 0) is refused: ConfigError naming it.
     """
     _check_kruzhkov(system, field, "fixed-point check")
     meta, grid = field.metadata, field.grid
-    if not meta.get("rk4_feet", True) or meta.get("exterior_value", 1) != 1:
-        raise ConfigError("field solved with Euler feet or an exterior "
-                          "value other than 1, which are no longer built")
-    settings = SolverSettings(dt=float(meta.get("dt", dt)),
-                              tol=float(meta.get("tol", tol)))
-    dt, threshold = settings.dt, 10.0 * settings.tol
+    if not meta.get("rk4_feet", True):
+        raise ConfigError("the field's record holds rk4_feet=0: Euler feet, "
+                          "which the solver no longer builds")
+    if meta.get("exterior_value", 1) != 1:
+        raise ConfigError("the field's record holds exterior_value=%r, but "
+                          "the Kružkov operator reads 1 outside the box (a "
+                          "transformed raw field keeps its exterior)"
+                          % meta["exterior_value"])
+    dt = _positive(meta.get("dt", dt), "dt")
+    threshold = 10.0 * _positive(meta.get("tol", tol), "tol")
     u = 1.0 - field.values.reshape(-1)  # the operator acts on 1 - v
     moved = apply_zubov(system, grid, dt, u)
     moved[np.ravel_multi_index(grid.origin_index, grid.counts)] = 1.0
@@ -222,8 +225,7 @@ def dpp_defect(system, field, x, t, switch_dt):
         raise ConfigError("t must be a positive multiple of switch_dt")
     if np.any(x < field.grid.lo) or np.any(x > field.grid.hi):
         raise ConfigError("x must be a grid-interior point")
-    z, _, _ = _enumerate(system, x, switch_dt, depth, None, _DEFAULT_BUDGET,
-                         slots=1)
+    z, _, _ = _enumerate(system, x, switch_dt, depth, None, _DEFAULT_BUDGET)
     disc = np.exp(-z[:, system.n_state])
     cont = (1.0 - disc) + disc * interpolate(field, z[:, :system.n_state])
     return float(interpolate(field, x) - np.max(cont))

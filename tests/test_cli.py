@@ -632,7 +632,8 @@ class TestRunRecord:
     def test_field_of_a_removed_scheme_exits_1(self, run_dir, tmp_path,
                                                capsys, token):
         # an Euler-feet or exterior-0.3 field would fail by a huge defect
-        # against the one operator left; it is refused instead
+        # against the one operator left; it is refused, and the message
+        # names what its record holds
         lines = (run_dir / "field.csv").read_text().splitlines()
         lines[0] += "," + token
         path = tmp_path / "field.csv"
@@ -642,7 +643,7 @@ class TestRunRecord:
                    "--builtin", "lift2d", "--nodes", "101",
                    "--out", str(tmp_path / "check"), str(path)])
         assert rc == 1
-        assert "Euler feet" in capsys.readouterr().err
+        assert "record holds %s" % token in capsys.readouterr().err
 
     @pytest.mark.parametrize("token", ["dt=0", "dt=nan", "tol=-1"])
     def test_out_of_range_record_exits_1(self, run_dir, tmp_path, capsys,

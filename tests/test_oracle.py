@@ -16,8 +16,8 @@ from zubov.oracle import (BudgetError, Counterexample, SynthesisError,
                           falsify_quasistability, kruzhkov_value,
                           maximal_cost, min_value,
                           synthesize_epsilon_optimal)
-from zubov.solver import SolverSettings, solve_hjbe, solve_zubov
-from zubov.trajectories import advance, integrate, rk4_step
+from zubov.solver import SolverSettings, interpolate, solve_hjbe, solve_zubov
+from zubov.trajectories import ControlSchedule, advance, integrate, rk4_step
 
 
 def decay_rates(x, a, out):
@@ -105,7 +105,7 @@ LIFT2D_JSON = {
 ], ids=["lift2d", "lift2d-json", "ex1"])
 def test_enumeration_matches_the_strided_reference(system, x, switch_dt, rho):
     x = np.array(x)
-    z, entered, _ = _enumerate(system, x, switch_dt, 6, rho, 10**6)
+    z, entered, _ = _enumerate(system, x, switch_dt, 6, rho, 10**6, wide=True)
     z_ref, entered_ref = reference_enumerate(system, x, switch_dt, 6, rho,
                                              0.01)
     assert np.array_equal(z, z_ref)
@@ -131,14 +131,14 @@ LIFT2D_POINTS = [[0.5, 0.5], [-0.5, -0.5], [0.5, -0.5], [-0.3, 0.55],
 ], ids=["lift2d", "lift2d-json", "ex1"])
 def test_brackets_equal_the_wide_enumeration(system, points, switch_dt, rho):
     # the brackets enumerate (x, int g) only and prune; the full unpruned
-    # (x, J, int g, int h) enumeration, read with the per-row rule (cost
+    # (x, int g, J, int h) enumeration, read with the per-row rule (cost
     # plus the envelope tail from the final state), gives the same numbers
     n = system.n_state
     for x in map(np.array, points):
-        z, _, _ = _enumerate(system, x, switch_dt, 8, rho, 10**6, slots=3)
-        lower = float(np.max(z[:, n + 1]))
-        reach = z[:, n + 1] + _tail_bound(system,
-                                          np.linalg.norm(z[:, :n], axis=1))
+        z, _, _ = _enumerate(system, x, switch_dt, 8, rho, 10**6, wide=True)
+        lower = float(np.max(z[:, n]))  # int g, column n at either width
+        reach = z[:, n] + _tail_bound(system,
+                                      np.linalg.norm(z[:, :n], axis=1))
         vb = maximal_cost(system, x, switch_dt, 8, rho)
         assert vb.lower == lower
         assert vb.truncated == (not np.isfinite(reach).all())
@@ -171,7 +171,7 @@ def test_builtin_and_json_lift2d_brackets_agree_bit_for_bit():
 ], ids=["lift2d", "lift2d-json", "ex1", "stay-or-decay"])
 def test_pruning_never_changes_lower(system, points, switch_dt, rho):
     for x in map(np.array, points):
-        z, _, _ = _enumerate(system, x, switch_dt, 8, None, 10**6, slots=1)
+        z, _, _ = _enumerate(system, x, switch_dt, 8, None, 10**6)
         vb = maximal_cost(system, x, switch_dt, 8, rho)
         assert vb.lower == float(np.max(z[:, system.n_state]))
 
@@ -286,8 +286,7 @@ class TestMaximalCost:
         system = SystemDef("stay-or-decay", 1, system.control, system.rates,
                            mode="maximize", ules=Ules(1.0, 1.0, 0.4),
                            growth=system.growth)
-        z, _, _ = _enumerate(system, np.array([0.5]), 0.5, 6, None, 10 ** 6,
-                             slots=1)
+        z, _, _ = _enumerate(system, np.array([0.5]), 0.5, 6, None, 10 ** 6)
         assert np.linalg.norm(z[:, :1], axis=1).max() == 0.5
         vb = maximal_cost(system, [0.5], switch_dt=0.5, depth=6, rho=0.05)
         assert vb.lower == float(np.max(z[:, 1]))
@@ -410,11 +409,11 @@ class TestMinValue:
     def test_unentered_row_truncates(self):
         system = stay_or_decay("minimize")
         z, entered, _ = _enumerate(system, np.array([0.5]), 0.5, 6, 0.05,
-                                   10 ** 6)
-        best = int(np.argmin(z[:, 1]))
+                                   10 ** 6, wide=True)
+        best = int(np.argmin(z[:, 2]))  # J follows x and int g
         assert entered[best] and not entered.all()
         vb = min_value(system, [0.5], switch_dt=0.5, depth=6, rho=0.05)
-        assert vb.lower == vb.upper == pytest.approx(float(z[best, 1]))
+        assert vb.lower == vb.upper == pytest.approx(float(z[best, 2]))
         assert vb.truncated and vb.tail_bound == 0.0
 
     def test_certifies_only_inside_the_ball_r_over_c(self):
@@ -589,6 +588,30 @@ class TestSynthesis:
                                                 switch_dt=0.5)
         assert sched.total_duration == pytest.approx(3.0)
         assert rep["residual"] >= -0.2
+
+    def test_raw_defects_replay_through_integrate(self):
+        # ell != g and h != 0, so J, int g and int h all differ: each
+        # interval's defect is J + exp(-int h) v(x_end) - v(x_start) along
+        # that interval's schedule, integrated on its own
+        system = load_system({
+            "n": 1, "f": ["-x1*(1 + a1)"], "g": "abs(x1)", "ell": "x1^2",
+            "h": "0.5 + abs(x1)", "mode": "minimize", "guard": "nonneg_ell",
+            "control": {"points": [[0.0], [1.0]]}})
+        field = solve_hjbe(system, Grid([-2.0], [2.0], [401]),
+                           SolverSettings(dt=0.05, tol=1e-8))
+        sched, rep = synthesize_epsilon_optimal(system, field, [1.0], 1.0, 2,
+                                                switch_dt=0.5)
+        x = np.array([1.0])
+        for i, defect in enumerate(rep["defects"]):
+            rec = integrate(system, x, ControlSchedule(
+                sched.segments[2 * i:2 * i + 2]), 0.01)
+            achieved = rec.total_cost + math.exp(
+                -rec.running_h_integral[-1]) * interpolate(field,
+                                                           rec.final_state)
+            assert defect == pytest.approx(achieved - interpolate(field, x),
+                                           abs=1e-12)
+            x = rec.final_state
+        assert np.array_equal(x, rep["final_state"])
 
     def test_unconverged_field_rejected(self, lift2d_system):
         grid = Grid([-1.2, -1.2], [1.2, 1.2], [41, 41])

@@ -76,7 +76,7 @@ def reference_solve(system, grid, settings, raw):
     for a in system.control.points:
         z = rk4_step(system, np.hstack([nodes, np.zeros((len(nodes), 3))]),
                      a, dt)
-        feet, cost, q, p = z[:, :n], z[:, n], z[:, n + 1], z[:, n + 2]
+        feet, q, cost, p = z[:, :n], z[:, n], z[:, n + 1], z[:, n + 2]
         scale = np.exp(-p) if raw else np.exp(-np.maximum(q, 0.0))
         tables.append((scale, cost, _ref_stencil(grid, feet)))
     pick = np.minimum if raw and system.mode == "minimize" else np.maximum
@@ -104,6 +104,10 @@ REFERENCE_CASES = {
     "fuller-rk4": ("fuller", LIFT41, {"dt": 0.02}),
     "arctan-json-rk4": (ARCTAN_MIN, Grid([-3.0], [3.0], [601]),
                         {"dt": 0.01}),
+    # ell != g and h != 0, so J, int g and int h all differ: a column read
+    # from the wrong place changes the field
+    "arctan-ell-h-json-rk4": (dict(ARCTAN_MIN, ell="x1^2", h="0.5 + abs(x1)"),
+                              Grid([-3.0], [3.0], [601]), {"dt": 0.01}),
 }
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import os
 import pathlib
 import sys
 
@@ -13,6 +14,7 @@ from zubov.expressions import EvalDomainError
 from zubov.oracle import (defect_allowances, falsify_quasistability,
                           maximal_cost, min_value)
 from zubov import systems
+from zubov.regions import DoaMask, load_mask, save_mask
 from zubov.solver import (SolverSettings, interpolate, inverse_transform,
                           solve_hjbe, solve_zubov)
 from zubov.systems import (
@@ -351,6 +353,20 @@ def _twin_only(monkeypatch):
     monkeypatch.setattr(systems, "_read_grid_csv", parse)
 
 
+def _count_opens(monkeypatch, path):
+    """The modes ``path`` is opened with from here on, one per open."""
+    real_open, modes = open, []
+
+    def counting(file, mode="r", *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) \
+                and os.fspath(file) == os.fspath(path):
+            modes.append(mode)
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting)
+    return modes
+
+
 class TestFieldTwin:
     """save_field writes field.npz beside field.csv; load_field takes the
     values from it only while the CSV's bytes hash to the digest it holds."""
@@ -406,6 +422,35 @@ class TestFieldTwin:
         want[node] = float(edited)
         assert back.values.reshape(-1).tolist() == want.tolist()
         assert back.sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
+
+    @pytest.mark.parametrize("case", ["missing", "stale", "edited"])
+    def test_fallback_reads_the_csv_once(self, saved, monkeypatch, case):
+        # the digest and the parsed values come from the same bytes
+        field, path = saved
+        twin = path.parent / "field.npz"
+        if case == "missing":
+            twin.unlink()
+        elif case == "stale":
+            np.savez(twin, values=field.values, sha256=np.array("0" * 64))
+        else:  # a blank line more: another digest, the same values
+            path.write_bytes(path.read_bytes() + b"\n")
+        modes = _count_opens(monkeypatch, path)
+        back = load_field(path)
+        assert modes == ["rb"]
+        assert back.values.tobytes() == field.values.tobytes()
+        assert back.sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_mask_reads_its_csv_once(self, tmp_path, monkeypatch):
+        grid = Grid([-1.0, -1.0], [1.0, 1.0], [5, 3])
+        inside = np.zeros((5, 3), dtype=bool)
+        inside[1:4] = True  # a block about the origin node (2, 1)
+        mask = DoaMask(grid, inside, 0.01)
+        path = tmp_path / "mask.csv"
+        save_mask(mask, path)
+        modes = _count_opens(monkeypatch, path)
+        back = load_mask(path)
+        assert modes == ["rb"]
+        assert np.array_equal(back.inside, mask.inside)
 
     def test_missing_twin_falls_back(self, saved, monkeypatch):
         field, path = saved

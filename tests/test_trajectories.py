@@ -15,6 +15,7 @@ from zubov.trajectories import (
     chatter,
     integrate,
     rk4_step,
+    start,
 )
 
 NO_CONTROL = np.zeros(0)
@@ -242,7 +243,8 @@ def test_batched_rows_match_per_row_integration(case):
         else:
             rec = integrate(system, x0, sched, 0.02)
             assert np.array_equal(rec.final_state, ref[:n])
-            assert rec.total_cost == ref[n]
+            assert rec.running_g_integral[-1] == ref[n]
+            assert rec.total_cost == ref[n + 1]
 
 
 # a maximize system that declares ell and h, which the narrow state skips
@@ -265,15 +267,34 @@ def test_narrow_state_is_the_wide_states_x_and_g_columns(make):
     a = pts[rng.integers(0, len(pts), size=12)]
     wide = np.hstack([x, np.zeros((12, 3))])
     narrow = np.hstack([x, np.zeros((12, 1))])
-    keep = list(range(n)) + [n + 1]
     for _ in range(5):
         wide = rk4_step(system, wide, a, 0.05)
         narrow = rk4_step(system, narrow, a, 0.05)
-        assert narrow.tobytes() == wide[:, keep].tobytes()
-    assert np.all(wide[:, n] > 0.0)  # J moved: ell and h were evaluated
+        assert narrow.tobytes() == wide[:, :n + 1].tobytes()
+    assert np.all(wide[:, n + 1] > 0.0)  # J moved: ell and h were evaluated
     wide, _ = advance(system, wide, a, 0.3, 0.02)
     narrow, _ = advance(system, narrow, a, 0.3, 0.02)
-    assert narrow.tobytes() == wide[:, keep].tobytes()
+    assert narrow.tobytes() == wide[:, :n + 1].tobytes()
+
+
+@pytest.mark.parametrize("wide", [False, True])
+@pytest.mark.parametrize("order", ["F", "C"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_start_keeps_the_layout_and_zeros_the_integrals(n, order, wide):
+    # column-major nodes, the solver's feet, give a column-major state even
+    # with one axis, where the nodes are C-contiguous too
+    x = np.empty((9, n), order=order)  # strides (8, 72) for "F" at n = 1
+    x[:] = np.random.default_rng(4).uniform(-1.0, 1.0, (9, n))
+    z = start(x, wide)
+    assert z.shape == (9, n + (3 if wide else 1))
+    assert z.flags.f_contiguous if order == "F" else z.flags.c_contiguous
+    assert z.strides[0] < z.strides[1] if order == "F" \
+        else z.strides[0] > z.strides[1]
+    assert np.array_equal(z[:, :n], x)
+    assert np.all(z[:, n:] == 0.0) and not np.signbit(z[:, n:]).any()
+    point = start(x[0], wide)  # one point
+    assert point.shape == (n + (3 if wide else 1),)
+    assert np.array_equal(point[:n], x[0]) and not point[n:].any()
 
 
 def textbook_rates(system, z, a):
@@ -283,13 +304,11 @@ def textbook_rates(system, z, a):
     x = z[..., :n]
     out = np.empty_like(z)
     out[..., :n] = system.f(x, a)
-    gv = system.g(x, a)
+    gv = out[..., n] = system.g(x, a)
     if z.shape[-1] == n + 1:
-        out[..., n] = gv
         return out
     lv = gv if system.ell is None else system.ell(x, a)
-    out[..., n] = lv * np.exp(-z[..., n + 2])
-    out[..., n + 1] = gv
+    out[..., n + 1] = lv * np.exp(-z[..., n + 2])
     out[..., n + 2] = 0.0 if system.h is None else system.h(x, a)
     return out
 

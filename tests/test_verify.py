@@ -12,8 +12,8 @@ import time
 import numpy as np
 import pytest
 
-from zubov.solver import (SolverSettings, interpolate, solve_zubov,
-                          zubov_operator)
+from zubov.solver import (SolverSettings, interpolate, kruzhkov_transform,
+                          solve_hjbe, solve_zubov, zubov_operator)
 from zubov.systems import (ConfigError, Grid, ValueField, builtin,
                            closed_form_value, load_system)
 from zubov.trajectories import integrate
@@ -158,6 +158,19 @@ class TestFixedPoint:
         with pytest.raises(ConfigError, match="kruzhkov"):
             check_fixed_point(lift2d_system, lift2d_field.with_values(
                 lift2d_field.values, transform="raw"))
+
+    def test_transformed_raw_field_is_refused_by_its_record(self):
+        # kruzhkov_transform keeps a raw solve's exterior 0, the value its
+        # feet outside the box read, where the Kružkov operator reads 1
+        system = builtin("fuller")
+        raw = solve_hjbe(system, Grid([-1.0, -1.0], [1.0, 1.0], [21, 21]),
+                         SolverSettings(dt=0.1))
+        field = kruzhkov_transform(raw)
+        assert field.metadata["exterior_value"] == 0.0
+        with pytest.raises(ConfigError, match=r"record holds "
+                           r"exterior_value=0\.0, but the Kružkov operator "
+                           r"reads 1 outside the box"):
+            check_fixed_point(system, field)
 
 
 class TestResidualStats:

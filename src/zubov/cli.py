@@ -39,6 +39,7 @@ from .systems import (
     ConfigError,
     Grid,
     ValidationError,
+    _decoded,
     _is_whole,
     builtin,
     closed_form_value,
@@ -152,8 +153,13 @@ def _coerce(value, kind, what):
 
 
 def _load_config(path):
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    with open(path, "rb") as fh:
+        stream = _decoded(fh.read(), "config file %s" % path)
+    try:
+        doc = json.load(stream)
+    except RecursionError:
+        raise ConfigError("config file %s nests too deeply to read"
+                          % path) from None
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
     if "command" in doc and isinstance(doc.get("config"), dict):
@@ -327,22 +333,23 @@ def _cmd_solve(cfg, args):
 
 def _read_points(path, n):
     pts = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                vals = [float(tok) for tok in line.split(",")]
-                if not all(map(math.isfinite, vals)):
-                    raise ValueError
-            except ValueError:
-                raise ConfigError("points file line %d is not comma-separated "
-                                  "finite reals: %r" % (lineno, line))
-            if len(vals) != n:
-                raise ConfigError("points file line %d has %d coordinates, "
-                                  "system wants %d" % (lineno, len(vals), n))
-            pts.append(np.array(vals))
+    with open(path, "rb") as fh:
+        lines = _decoded(fh.read(), "points file %s" % path)
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            vals = [float(tok) for tok in line.split(",")]
+            if not all(map(math.isfinite, vals)):
+                raise ValueError
+        except ValueError:
+            raise ConfigError("points file line %d is not comma-separated "
+                              "finite reals: %r" % (lineno, line))
+        if len(vals) != n:
+            raise ConfigError("points file line %d has %d coordinates, "
+                              "system wants %d" % (lineno, len(vals), n))
+        pts.append(np.array(vals))
     if not pts:
         raise ConfigError("points file %s holds no points" % path)
     return pts

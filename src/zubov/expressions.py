@@ -1,17 +1,21 @@
 """Tiny arithmetic DSL for dynamics and cost expressions.
 
-Grammar (recursive descent, one token of lookahead):
+Grammar, parsed by precedence climbing over one table of binding
+strengths (`_PREC`, which the printer reads too):
 
-    expr    :=  term  (('+' | '-') term)*
-    term    :=  unary (('*' | '/') unary)*
-    unary   :=  '-' unary | power
-    power   :=  atom ('^' unary)?          # right-associative, binds tightest
-    atom    :=  NUMBER | VAR | FUNC '(' expr (',' expr)* ')' | '(' expr ')'
+    expr  :=  atom (BINOP expr)*        # + - bind 1, * / bind 2, ^ binds 4
+    atom  :=  NUMBER | VAR | '-' expr | '(' expr ')'
+           |  FUNC '(' expr (',' expr)* ')'
 
-so ``-x1^2`` is ``-(x1^2)`` and ``2*x1^2`` is ``2*(x1^2)``.  Variables are
-``x1..xN`` (state) and ``a1..aM`` (control); there is no implicit
-multiplication.  Functions: sin, cos, exp, ln, abs, sqrt (unary) and
-min, max (binary).  Numbers are decimal with optional fraction/exponent.
+A leading '-' binds 3, so ``-x1^2`` is ``-(x1^2)`` and ``-x1*x2`` is
+``(-x1)*x2``; ``2*x1^2`` is ``2*(x1^2)``.  '+', '-', '*' and '/' group to
+the left, '^' to the right (``2^3^2`` is ``2^9``), and an exponent may
+carry a sign (``2^-2``).  Variables are ``x1..xN`` (state) and ``a1..aM``
+(control); there is no implicit multiplication.  Functions: sin, cos,
+exp, ln, abs, sqrt (unary) and min, max (binary).  Numbers are decimal
+with optional fraction/exponent.  Digits and names are ASCII; any
+Unicode whitespace separates tokens.  A tree deeper than MAX_DEPTH
+levels, or parentheses nested deeper, is a ParseError.
 
 Evaluation is numpy-vectorized: state/control components may be floats or
 same-shaped arrays.  A tree compiles once, by a single walk, into nested
@@ -25,12 +29,22 @@ NaNs.
 from __future__ import annotations
 
 import operator
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
 UNARY_FUNCS = ("sin", "cos", "exp", "ln", "abs", "sqrt")
 BINARY_FUNCS = ("min", "max")
+
+# binding strengths, read by the parser and by the printer (`_fmt`)
+_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
+
+# the deepest tree, and nesting of parentheses, that `parse` takes: the
+# recursion of parsing, compiling and evaluating stays well inside 1000
+# frames, Python's default limit
+MAX_DEPTH = 200
+_TOO_DEEP = "expression nests deeper than %d levels" % MAX_DEPTH
 
 
 class ExprError(ValueError):
@@ -82,166 +96,109 @@ class Call:
 
 # --- lexer -----------------------------------------------------------------
 
-_OPS = set("+-*/^(),")
+# one token after optional whitespace; `bad` is a number whose exponent
+# has no digits
+_TOKEN = re.compile(r"""\s*(?:
+    (?P<bad>[0-9]+(?:\.[0-9]*)?)[eE](?![+-]?[0-9])
+  | (?P<num>[0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?)
+  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<op>[-+*/^(),])
+  | (?P<other>\S))""", re.VERBOSE)
 
 
 def _tokenize(source):
-    """Yield (kind, text, pos) triples; kinds are num/ident/op/end."""
-    tokens = []
-    i, n = 0, len(source)
-    while i < n:
-        c = source[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in _OPS:
-            tokens.append(("op", c, i))
-            i += 1
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and source[j].isdigit():
-                j += 1
-            if j < n and source[j] == ".":
-                j += 1
-                while j < n and source[j].isdigit():
-                    j += 1
-            if j < n and source[j] in "eE":
-                k = j + 1
-                if k < n and source[k] in "+-":
-                    k += 1
-                if k >= n or not source[k].isdigit():
-                    raise ParseError("malformed exponent in number literal", j)
-                j = k
-                while j < n and source[j].isdigit():
-                    j += 1
-            tokens.append(("num", source[i:j], i))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            tokens.append(("ident", source[i:j], i))
-            i = j
-            continue
-        raise ParseError("unexpected character %r" % c, i)
-    tokens.append(("end", "", n))
-    return tokens
+    """(kind, text, pos) triples; kinds are num/ident/op/end."""
+    tokens, nested = [], 0
+    for match in _TOKEN.finditer(source):  # it stops at trailing whitespace
+        kind = match.lastgroup
+        text, pos = match[kind], match.start(kind)
+        if kind == "bad":
+            raise ParseError("malformed exponent in number literal",
+                             match.end() - 1)
+        if kind == "other":
+            raise ParseError("unexpected character %r" % text, pos)
+        nested += (text == "(") - (text == ")")
+        if nested > MAX_DEPTH:
+            raise ParseError(_TOO_DEEP, pos)
+        tokens.append((kind, text, pos))
+    return tokens + [("end", "", len(source))]
 
 
 # --- parser ----------------------------------------------------------------
 
 class _Parser:
     def __init__(self, source, n_state, n_control):
-        self.tokens = _tokenize(source)
-        self.pos = 0
-        self.n_state = n_state
-        self.n_control = n_control
+        self.tokens, self.pos = _tokenize(source), 0
+        self.n_state, self.n_control = n_state, n_control
 
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect_op(self, op):
-        kind, text, pos = self.peek()
-        if kind != "op" or text != op:
+    def take(self, op=None):
+        """The next token, consumed; given `op`, it must be that operator."""
+        kind, text, pos = token = self.tokens[self.pos]
+        if op is not None and (kind != "op" or text != op):
             raise ParseError("expected %r" % op, pos)
-        return self.advance()
+        self.pos += 1
+        return token
 
     def parse(self):
-        node = self.expr()
-        kind, text, pos = self.peek()
+        node, _ = self.expr(0, 1)
+        kind, text, pos = self.tokens[self.pos]
         if kind != "end":
             raise ParseError("unexpected trailing input %r" % text, pos)
         return node
 
-    def expr(self):
-        node = self.term()
+    def expr(self, floor, depth):
+        """An operand, then each operator binding at least `floor` with its
+        right operand, as (tree, height) for a tree at level `depth`."""
+        node, height = self.atom(depth)
         while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "+-":
-                self.advance()
-                node = BinOp(text, node, self.term())
-            else:
-                return node
+            kind, op, pos = self.tokens[self.pos]
+            if kind != "op" or _PREC.get(op, -1) < floor:
+                return node, height
+            self.pos += 1
+            # right operands bind tighter, but for '^': 2^3^2 is 2^(3^2)
+            right, below = self.expr(_PREC[op] + (op != "^"), depth + 1)
+            node, height = BinOp(op, node, right), 1 + max(height, below)
+            # a chain such as 1 + 2 + ... + 201 deepens the tree, not the
+            # recursion, so its height is checked here
+            if depth + height - 1 > MAX_DEPTH:
+                raise ParseError(_TOO_DEEP, pos)
 
-    def term(self):
-        node = self.unary()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "*/":
-                self.advance()
-                node = BinOp(text, node, self.unary())
-            else:
-                return node
-
-    def unary(self):
-        kind, text, _ = self.peek()
-        if kind == "op" and text == "-":
-            self.advance()
-            return Neg(self.unary())
-        return self.power()
-
-    def power(self):
-        node = self.atom()
-        kind, text, _ = self.peek()
-        if kind == "op" and text == "^":
-            self.advance()
-            # exponent re-enters at unary so x^-2 parses; right-associative
-            return BinOp("^", node, self.unary())
-        return node
-
-    def atom(self):
-        kind, text, pos = self.advance()
+    def atom(self, depth):
+        kind, text, pos = self.take()
+        if depth > MAX_DEPTH:
+            raise ParseError(_TOO_DEEP, pos)
         if kind == "num":
-            return Num(float(text))
-        if kind == "op" and text == "(":
-            node = self.expr()
-            self.expect_op(")")
-            return node
-        if kind == "ident":
-            if text in UNARY_FUNCS or text in BINARY_FUNCS:
-                self.expect_op("(")
-                args = [self.expr()]
-                while True:
-                    k, t, _ = self.peek()
-                    if k == "op" and t == ",":
-                        self.advance()
-                        args.append(self.expr())
-                    else:
-                        break
-                self.expect_op(")")
-                want = 1 if text in UNARY_FUNCS else 2
-                if len(args) != want:
-                    raise ParseError(
-                        "%s takes %d argument%s, got %d"
-                        % (text, want, "" if want == 1 else "s", len(args)),
-                        pos,
-                    )
-                return Call(text, tuple(args))
-            var = self._variable(text, pos)
-            if var is not None:
-                return var
-            raise ParseError("unknown identifier %r" % text, pos)
-        raise ParseError("expected a value", pos)
-
-    def _variable(self, name, pos):
-        if len(name) < 2 or name[0] not in "xa" or not name[1:].isdigit():
-            return None
-        index = int(name[1:])
-        limit = self.n_state if name[0] == "x" else self.n_control
-        if index < 1 or index > limit:
-            raise ParseError(
-                "variable %r out of range (have %s1..%s%d)"
-                % (name, name[0], name[0], limit),
-                pos,
-            )
-        return Var(name[0], index - 1)
+            if float(text) == np.inf:  # to_source would print inf
+                raise ParseError("number literal out of range", pos)
+            return Num(float(text)), 1
+        if text == "-":
+            operand, height = self.expr(_PREC["neg"], depth + 1)
+            return Neg(operand), height + 1
+        if text == "(":
+            inner = self.expr(0, depth)
+            self.take(")")
+            return inner
+        if text in UNARY_FUNCS or text in BINARY_FUNCS:
+            self.take("(")
+            args = [self.expr(0, depth + 1)]
+            while self.tokens[self.pos][1] == ",":
+                self.pos += 1
+                args.append(self.expr(0, depth + 1))
+            self.take(")")
+            want = 1 if text in UNARY_FUNCS else 2
+            if len(args) != want:
+                raise ParseError("%s takes %d argument%s, got %d" % (
+                    text, want, "" if want == 1 else "s", len(args)), pos)
+            args, heights = zip(*args)
+            return Call(text, args), 1 + max(heights)
+        if text[:1] in ("x", "a") and text[1:].isdigit():
+            limit = self.n_state if text[0] == "x" else self.n_control
+            if not 1 <= int(text[1:]) <= limit:
+                raise ParseError("variable %r out of range (have %s1..%s%d)"
+                                 % (text, text[0], text[0], limit), pos)
+            return Var(text[0], int(text[1:]) - 1), 1
+        raise ParseError("unknown identifier %r" % text if kind == "ident"
+                         else "expected a value", pos)
 
 
 def parse(source, n_state, n_control=0):
@@ -358,10 +315,6 @@ def evaluate(expr, state=(), control=()):
 
 
 # --- printing --------------------------------------------------------------
-
-# binding strength used to decide where parentheses are needed
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
-
 
 def _fmt(node, parent_prec, right_side):
     if isinstance(node, Num):

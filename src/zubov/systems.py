@@ -299,13 +299,23 @@ def _node_columns(grid, coords=True):
             for k, t in enumerate(tokens)]
 
 
+def _decoded(data, what):
+    """A text stream over `data`, the bytes of a `what`, decoded as the
+    UTF-8 the writers write, with the newline handling of text-mode
+    `open`; ConfigError when they do not decode."""
+    try:
+        return io.StringIO(data.decode("utf-8"), newline=None)
+    except UnicodeDecodeError as err:
+        raise ConfigError("%s is not UTF-8 text: %s" % (what, err)) from None
+
+
 def _read_grid_csv(data, what, width):
     """Parse a grid CSV's bytes as text: the grid, the header tokens after
     it and the body rows in flat node order.  Every row must have
     ``width(n)`` columns and every node must appear exactly once, or
     ConfigError says what is off.  The row count is checked before the
     grid is built, so a header's absurd counts never size an allocation."""
-    with io.TextIOWrapper(io.BytesIO(data)) as fh:
+    with _decoded(data, what + " file") as fh:
         counts, lo, hi, tail = _grid_head(fh.readline(), what)
         try:
             with warnings.catch_warnings():
@@ -663,6 +673,12 @@ def _whole_counts(counts, what):
     return items.astype(np.int64)
 
 
+def _reals(value):
+    """Whether `value` is a list of real numbers, none of them a bool."""
+    return isinstance(value, list) and all(
+        isinstance(v, numbers.Real) and not isinstance(v, bool) for v in value)
+
+
 def _control_from_config(doc, problems):
     if doc is None:
         return ControlSpace.none()
@@ -671,8 +687,10 @@ def _control_from_config(doc, problems):
         return ControlSpace.none()
     if "points" in doc:
         pts = doc["points"]
-        if not isinstance(pts, list) or not pts:
-            problems.append("control.points must be a nonempty list")
+        if not isinstance(pts, list) or not pts or not all(
+                _reals(p) and len(p) == len(pts[0]) for p in pts):
+            problems.append("control.points must be a nonempty list of "
+                            "equal-length lists of numbers")
             return ControlSpace.none()
         try:
             return ControlSpace.from_points(pts)
@@ -682,9 +700,15 @@ def _control_from_config(doc, problems):
     if "box" in doc:
         box = doc["box"]
         try:
-            return ControlSpace.from_box(box["lo"], box["hi"], box["counts"])
+            lo, hi, counts = box["lo"], box["hi"], box["counts"]
         except (KeyError, TypeError) as err:
             problems.append("control.box needs lo/hi/counts (%s)" % err)
+            return ControlSpace.none()
+        if not (_reals(lo) and _reals(hi)):
+            problems.append("control.box lo and hi must be lists of numbers")
+            return ControlSpace.none()
+        try:
+            return ControlSpace.from_box(lo, hi, counts)
         except ConfigError as err:
             problems.append(str(err))
         return ControlSpace.none()

@@ -315,6 +315,59 @@ class TestSolve:
         assert proc.stdout.strip() == "[]"
 
 
+def _inline(**system):
+    """A solve config for a 1-D inline system, `system` patching it."""
+    doc = {"n": 1, "f": ["-x1"], "g": "x1^2"}
+    doc.update(system)
+    return {"system": doc, "nodes": [21], "box": [-1.0, 1.0]}
+
+
+# what a user can hand the CLI that it once answered with a traceback: the
+# file each case writes, its bytes, and the command that reads it
+_MALFORMED = {
+    # a non-ASCII digit, once float('\u00b2')'s ValueError
+    "superscript-digit": ("c.json", _inline(g="x1^\u00b2"), "solve"),
+    # too deep to compile or to parse: once a RecursionError
+    "5000-negations": ("c.json", _inline(g="-" * 5000 + "x1"), "solve"),
+    "5000-parentheses": ("c.json", _inline(g="(" * 5000 + "x1" + ")" * 5000),
+                         "solve"),
+    "5000-term-sum": ("c.json", _inline(g=" + ".join(["x1^2"] * 5000)),
+                      "solve"),
+    # bytes that do not decode, and JSON too deep for the json module
+    "config-0xff": ("c.json", b"\xff{}", "solve"),
+    "config-deep": ("c.json", b"[" * 100000 + b"]" * 100000, "solve"),
+    "points-0xff": ("p.csv", b"\xff0.5\n", "oracle"),
+    "field-0xff": ("f.csv", b"1,3,-1,1,kruzhkov\n0,-1,0.5\n1,0,\xff\n"
+                   b"2,1,0.5\n", "doa"),
+    # control tables that once escaped as a ValueError
+    "ragged-points": ("c.json", _inline(control={"points": [[0.0],
+                                                           [1.0, 2.0]]}),
+                      "solve"),
+    "text-points": ("c.json", _inline(control={"points": [["a"]]}), "solve"),
+    "text-box-bound": ("c.json", _inline(control={"box": {
+        "lo": ["a"], "hi": [1.0], "counts": [3]}}), "solve"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_malformed_input_exits_1_without_a_traceback(tmp_path, case):
+    name, content, command = _MALFORMED[case]
+    path = tmp_path / name
+    if isinstance(content, dict):
+        content = json.dumps(content).encode()
+    path.write_bytes(content)
+    argv = {"solve": ["solve", "--config", str(path)],
+            "oracle": ["oracle", "--builtin", "ex1", str(path)],
+            "doa": ["doa", "--builtin", "ex1", str(path)]}[command]
+    proc = subprocess.run(
+        [sys.executable, "-m", "zubov.cli", *argv,
+         "--out", str(tmp_path / "out")], capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(("config error", "expression error"))
+    assert len(proc.stderr.splitlines()) <= 2  # one line, or one problem
+
+
 class TestHjbe:
     def test_guarded_builtin_solves_raw(self, tmp_path):
         rc = main(["hjbe", "--builtin", "fuller", "--nodes", "41",

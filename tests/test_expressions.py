@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zubov.expressions import (
-    BinOp, Call, EvalDomainError, Neg, Num, ParseError, Var,
+    MAX_DEPTH, BinOp, Call, EvalDomainError, Neg, Num, ParseError, Var,
     evaluate, parse, to_source,
 )
 
@@ -300,3 +300,99 @@ _trees = st.recursive(
 @given(_trees)
 def test_to_source_parse_identity(tree):
     assert parse(to_source(tree), 2, 0) == tree
+
+
+# --- lexical rules ----------------------------------------------------------
+
+@pytest.mark.parametrize("source,column", [
+    ("x1^\u00b2", 4),       # superscript two: a digit to str.isdigit
+    ("\uff11 + x1", 1),     # fullwidth one: a decimal digit to float()
+    ("x\u0661", 2),         # Arabic-Indic one after a name
+    ("\u00e9", 1),          # a letter, but not an ASCII one
+])
+def test_non_ascii_digits_and_letters_are_unexpected(source, column):
+    with pytest.raises(ParseError, match="unexpected character") as err:
+        parse(source, 2, 1)
+    assert err.value.position == column
+
+
+def test_any_unicode_whitespace_separates_tokens():
+    spaced = "\u3000x1\u2003+\x1c2\u00a0*\u2028a1\t"
+    assert parse(spaced, 2, 1) == parse("x1 + 2*a1", 2, 1)
+
+
+def test_overflowing_literal_is_refused():
+    # it would read as inf, which to_source prints as a name
+    assert parse("1e308", 1) == Num(1e308)
+    with pytest.raises(ParseError, match="out of range") as err:
+        parse("x1 + 1e999", 1)
+    assert err.value.position == 6
+
+
+_ALPHABET = list("x1a2+-*/^(), .eE0123456789") + ["sin", "min", "\u00b2",
+                                                  "\u3000", "$"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.text(), st.lists(st.sampled_from(_ALPHABET)).map("".join)))
+def test_any_text_parses_to_a_round_trip_or_a_parse_error(source):
+    try:
+        tree = parse(source, 2, 1)
+    except ParseError:
+        return
+    assert parse(to_source(tree), 2, 1) == tree
+
+
+# --- depth bound ------------------------------------------------------------
+
+def _sum(k):
+    return " + ".join(["x1"] * k)
+
+
+# source of k levels (k nested parentheses), and its value at x1 = 0.5
+_DEEP = {
+    "negations": (lambda k: "-" * (k - 1) + "x1",
+                  lambda k: 0.5 * (-1) ** (k - 1)),
+    "parentheses": (lambda k: "(" * k + "x1" + ")" * k, lambda k: 0.5),
+    "sum": (_sum, lambda k: 0.5 * k),
+    "powers": (lambda k: "^".join(["x1"] * k), None),
+    # the parenthesized sum starts at the top level yet sits below the
+    # outer one: only the tree's height sees how deep it goes
+    "sum of sums": (lambda k: "(%s) + %s" % (_sum(k // 2), _sum(k - k // 2)),
+                    lambda k: 0.5 * k),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_DEEP))
+def test_deepest_allowed_tree_parses_and_one_more_level_is_refused(shape):
+    source, value = _DEEP[shape]
+    tree = parse(source(MAX_DEPTH), 1)
+    if value is not None:
+        assert evaluate(tree, (0.5,)) == value(MAX_DEPTH)
+    assert parse(to_source(tree), 1) == tree
+    with pytest.raises(ParseError, match="deeper than %d levels" % MAX_DEPTH):
+        parse(source(MAX_DEPTH + 1), 1)
+    # far too deep is a ParseError too, never a RecursionError
+    with pytest.raises(ParseError, match="deeper than %d levels" % MAX_DEPTH):
+        parse(source(5000), 1)
+
+
+def test_depth_bound_holds_where_every_level_adds_parentheses():
+    # sin((...)) nests two parentheses per level, so the parentheses' bound
+    # refuses it first; the deepest nesting within it parses and evaluates
+    # with 150 frames already on the stack
+    def nested(k):
+        return "sin((" * k + "x1" + "))" * k
+
+    def at_depth(frames, fn):
+        return fn() if frames == 0 else at_depth(frames - 1, fn)
+
+    k = MAX_DEPTH // 2
+    tree = at_depth(150, lambda: parse(nested(k), 1))
+    want = 0.5
+    for _ in range(k):
+        want = math.sin(want)
+    assert at_depth(150, lambda: evaluate(tree, (0.5,))) == pytest.approx(
+        want, rel=1e-15)
+    with pytest.raises(ParseError, match="deeper than"):
+        parse(nested(k + 1), 1)

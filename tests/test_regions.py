@@ -287,6 +287,12 @@ class TestCsvRoundTrip:
         with pytest.raises(ConfigError, match="header"):
             load_mask(path)
 
+    def test_bytes_that_are_not_utf8_rejected(self, tmp_path):
+        path = tmp_path / "mask.csv"
+        path.write_bytes(b"1,3,-1,1,0.5\n0,0\n1,\xff\n2,0\n")
+        with pytest.raises(ConfigError, match="mask file is not UTF-8"):
+            load_mask(path)
+
     @pytest.mark.parametrize("epsilon, flag, match", [
         ("0.5", "2", "neither 0 nor 1"),
         ("0.5", "0.5", "neither 0 nor 1"),

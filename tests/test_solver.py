@@ -16,7 +16,9 @@ from zubov.solver import (
     solve_zubov,
     zubov_operator,
 )
-from zubov.systems import ConfigError, Grid, ValueField, builtin, load_system
+from zubov.expressions import MAX_DEPTH
+from zubov.systems import (ConfigError, Grid, ValidationError, ValueField,
+                           builtin, load_system)
 from zubov.trajectories import rk4_step
 
 
@@ -30,6 +32,20 @@ def scalar_decay(**patch):
     }
     doc.update(patch)
     return load_system(doc)
+
+
+def test_cost_at_the_depth_bound_solves_and_one_level_more_is_refused():
+    # x1^2 under an even number of negations, each in its own parentheses:
+    # MAX_DEPTH levels in all, evaluated inside every sweep's RK4 stages
+    def g(negations):
+        return "-(" * negations + "x1^2" + ")" * negations
+
+    grid = Grid([-1.0], [1.0], [21])
+    deep = solve_zubov(scalar_decay(g=g(MAX_DEPTH - 2)), grid)
+    plain = solve_zubov(scalar_decay(g="x1^2"), grid)
+    assert deep.values.tobytes() == plain.values.tobytes()
+    with pytest.raises(ValidationError, match="deeper than %d" % MAX_DEPTH):
+        scalar_decay(g=g(MAX_DEPTH - 1))
 
 
 ARCTAN_MIN = {

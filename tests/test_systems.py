@@ -284,6 +284,15 @@ class TestValueField:
         old = load_field(path).metadata
         assert old["rk4_feet"] is False and old["exterior_value"] == 0.3
 
+    @pytest.mark.parametrize("at", ["header", "body"])
+    def test_bytes_that_are_not_utf8_rejected(self, tmp_path, at):
+        path = tmp_path / "f.csv"
+        text = b"1,3,-1,1,kruzhkov\n0,-1,1\n1,0,0\n2,1,1\n"
+        path.write_bytes(b"\xff" + text if at == "header"
+                         else text.replace(b"1,0,0", b"1,0,\xff"))
+        with pytest.raises(ConfigError, match="field file is not UTF-8"):
+            load_field(path)
+
     def test_header_without_record_loads_empty_metadata(self, tmp_path):
         path = tmp_path / "f.csv"
         path.write_text("1,3,-1,1,kruzhkov\n0,-1,1\n1,0,0\n2,1,1\n")
@@ -560,6 +569,22 @@ class TestLoadSystem:
         with pytest.raises(ValidationError) as err:
             load_system(_config(control={"points": []}))
         assert any("control" in p for p in err.value.problems)
+
+    @pytest.mark.parametrize("control", [
+        {"points": [[0.0], [1.0, 2.0]]},    # ragged
+        {"points": [["a"]]},
+        {"points": [["0.5"]]},              # a string, not a number
+        {"points": [[True]]},
+        {"points": [0.0, 1.0]},             # once one 2-D point, silently
+        {"points": [[[0.0]]]},
+        {"box": {"lo": ["a"], "hi": [1.0], "counts": [3]}},
+        {"box": {"lo": [-1.0], "hi": 1.0, "counts": [3]}},
+    ], ids=["ragged", "text", "numeric-text", "bool", "flat", "3-d",
+            "text-lo", "bare-hi"])
+    def test_malformed_control_table_is_a_validation_error(self, control):
+        with pytest.raises(ValidationError) as err:
+            load_system(_config(control=control))
+        assert any(p.startswith("control.") for p in err.value.problems)
 
     def test_problems_are_aggregated(self):
         with pytest.raises(ValidationError) as err:

@@ -32,6 +32,7 @@ from . import expressions as ex
 
 _BUILTIN_NAMES = ("lift2d", "lift2d-psi-sqrt", "lift2d-psi-abs",
                   "ex1", "arctan1d", "hav1d", "fuller")
+MAX_CONTROLS = 2 ** 20  # samples a box lattice may hold; lift2d samples 21
 
 
 class ConfigError(ValueError):
@@ -78,43 +79,27 @@ class Growth:
 # --- control space ----------------------------------------------------------
 
 class ControlSpace:
-    """A compact control set given by finitely many sample points.
+    """A compact control set given by finitely many sample points in R^M.
 
-    Either an explicit list of points in R^M or a box with per-axis sample
-    counts (the discretization always contains the box corners).  M = 0 is
-    allowed and means "no control": a single empty point, so code can loop
-    over `points` uniformly.
+    The points are the set: `box_lo` and `box_hi` are their hull, which
+    `from_box` samples with per-axis counts (its lattice contains the
+    box corners).  M = 0 is allowed and means "no control": a single
+    empty point, so code can loop over `points` uniformly.
     """
 
-    def __init__(self, points, box_lo, box_hi):
+    def __init__(self, points):
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        self.points = points
-        self.box_lo = np.asarray(box_lo, dtype=float).reshape(-1)
-        self.box_hi = np.asarray(box_hi, dtype=float).reshape(-1)
         if points.shape[0] == 0:
             raise ConfigError("control space must be nonempty")
         if not np.all(np.isfinite(points)):
             raise ConfigError("control points must be finite")
-        if points.shape[1] != self.box_lo.size:
-            raise ConfigError("control points and box dimension mismatch")
-        if np.any(self.box_lo > self.box_hi):
-            raise ConfigError("control box has lo > hi")
-        eps = 1e-12
-        if points.size and (np.any(points < self.box_lo - eps)
-                            or np.any(points > self.box_hi + eps)):
-            raise ConfigError("control point outside the declared box")
-
-    @classmethod
-    def from_points(cls, pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        if pts.shape[0] == 0:
-            raise ConfigError("control space must be nonempty")
-        if pts.shape[1] == 0:
-            return cls.none()
-        return cls(pts, pts.min(axis=0), pts.max(axis=0))
+        self.points = points[:1] if points.shape[1] == 0 else points
+        self.box_lo, self.box_hi = self.points.min(0), self.points.max(0)
 
     @classmethod
     def from_box(cls, lo, hi, counts):
+        """The lattice of counts[j] even samples on axis j of [lo, hi]; past
+        MAX_CONTROLS samples it is refused before any of it is built."""
         lo = np.asarray(lo, dtype=float).reshape(-1)
         hi = np.asarray(hi, dtype=float).reshape(-1)
         counts = _whole_counts(counts, "control sample counts")
@@ -122,24 +107,25 @@ class ControlSpace:
             raise ConfigError("control box lo/hi/counts length mismatch")
         if not np.isfinite([lo, hi]).all():
             raise ConfigError("control box lo/hi must be finite")
-        axes = []
         for j in range(lo.size):
             if counts[j] < 1:
                 raise ConfigError("control sample count must be >= 1")
-            if counts[j] == 1:
-                if lo[j] != hi[j]:
-                    raise ConfigError(
-                        "one sample on axis %d needs a degenerate box" % j)
-                axes.append(np.array([lo[j]]))
-            else:
-                axes.append(np.linspace(lo[j], hi[j], counts[j]))
-        pts = np.array(list(itertools.product(*axes)), dtype=float)
-        return cls(pts, lo, hi)
+            if counts[j] == 1 and lo[j] != hi[j]:
+                raise ConfigError(
+                    "one sample on axis %d needs a degenerate box" % j)
+        if np.any(lo > hi):
+            raise ConfigError("control box has lo > hi")
+        size = math.prod(counts.tolist())
+        if size > MAX_CONTROLS:
+            raise ConfigError("control box lattice has %d samples; at most %d"
+                              % (size, MAX_CONTROLS))
+        axes = [np.linspace(*bounds) for bounds in zip(lo, hi, counts)]
+        return cls(list(itertools.product(*axes)))
 
     @classmethod
     def none(cls):
         """The no-control space: one empty point in R^0."""
-        return cls(np.zeros((1, 0)), np.zeros(0), np.zeros(0))
+        return cls(np.zeros((1, 0)))
 
     @property
     def m(self):
@@ -172,13 +158,17 @@ class Grid:
             raise ConfigError("grid needs at least 3 nodes per axis")
         if np.any(lo >= hi):
             raise ConfigError("grid box has lo >= hi")
+        n_nodes = math.prod(counts.tolist())  # a Python int: no overflow
+        if n_nodes > np.iinfo(np.int64).max:
+            raise ConfigError("grid has %d nodes; at most %d (int64)"
+                              % (n_nodes, np.iinfo(np.int64).max))
         dx = (hi - lo) / (counts - 1)
         frac = -lo / dx
         i0 = np.rint(frac).astype(int)
         if np.any(np.abs(frac - i0) > 1e-6) or np.any(i0 < 0) \
                 or np.any(i0 > counts - 1):
             raise ConfigError("grid missing origin: 0 must be a node")
-        self.counts = counts
+        self.counts, self.n_nodes = counts, n_nodes
         self.dx = dx
         self.origin_index = tuple(int(v) for v in i0)
         self.axes = [(np.arange(counts[k]) - i0[k]) * dx[k]
@@ -189,10 +179,6 @@ class Grid:
     @property
     def n_axes(self):
         return len(self.axes)
-
-    @property
-    def n_nodes(self):
-        return int(np.prod(self.counts))
 
     def node_coords(self):
         """All node coordinates, shape counts + (n_axes,)."""
@@ -679,41 +665,30 @@ def _reals(value):
         isinstance(v, numbers.Real) and not isinstance(v, bool) for v in value)
 
 
-def _control_from_config(doc, problems):
+def _control_from_config(doc):
+    """The control table's menu; ConfigError when the table is malformed."""
     if doc is None:
         return ControlSpace.none()
     if not isinstance(doc, dict):
-        problems.append("control must be an object")
-        return ControlSpace.none()
+        raise ConfigError("control must be an object")
     if "points" in doc:
         pts = doc["points"]
         if not isinstance(pts, list) or not pts or not all(
                 _reals(p) and len(p) == len(pts[0]) for p in pts):
-            problems.append("control.points must be a nonempty list of "
-                            "equal-length lists of numbers")
-            return ControlSpace.none()
-        try:
-            return ControlSpace.from_points(pts)
-        except ConfigError as err:
-            problems.append(str(err))
-            return ControlSpace.none()
+            raise ConfigError("control.points must be a nonempty list of "
+                              "equal-length lists of numbers")
+        return ControlSpace(pts)
     if "box" in doc:
         box = doc["box"]
         try:
             lo, hi, counts = box["lo"], box["hi"], box["counts"]
         except (KeyError, TypeError) as err:
-            problems.append("control.box needs lo/hi/counts (%s)" % err)
-            return ControlSpace.none()
+            raise ConfigError("control.box needs lo/hi/counts (%s)"
+                              % err) from None
         if not (_reals(lo) and _reals(hi)):
-            problems.append("control.box lo and hi must be lists of numbers")
-            return ControlSpace.none()
-        try:
-            return ControlSpace.from_box(lo, hi, counts)
-        except ConfigError as err:
-            problems.append(str(err))
-        return ControlSpace.none()
-    problems.append("control needs either 'points' or 'box'")
-    return ControlSpace.none()
+            raise ConfigError("control.box lo and hi must be lists of numbers")
+        return ControlSpace.from_box(lo, hi, counts)
+    raise ConfigError("control needs either 'points' or 'box'")
 
 
 def load_system(config):
@@ -728,7 +703,11 @@ def load_system(config):
     n = config.get("n")
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ConfigError("system config needs a positive integer 'n'")
-    control = _control_from_config(config.get("control"), problems)
+    try:
+        control = _control_from_config(config.get("control"))
+    except ConfigError as err:
+        problems.append(str(err))
+        control = ControlSpace.none()
     m = control.m
 
     f_src = config.get("f")

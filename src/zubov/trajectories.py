@@ -47,6 +47,8 @@ import numpy as np
 from .expressions import EvalDomainError
 from .systems import ConfigError, _positive
 
+MAX_SUBSTEPS = 10 ** 7  # RK4 sub-steps one segment may take
+
 
 class TrajectoryError(RuntimeError):
     """Integration aborted (state blew up / left the representable range)."""
@@ -223,7 +225,13 @@ def rk4_step(system, z, a, h, k1=None):
 
 
 def _substeps(duration, dt):
-    return max(1, int(math.ceil(duration / dt - 1e-9)))
+    """RK4 sub-steps of at most dt that fill `duration`; ConfigError past
+    MAX_SUBSTEPS (the tests, demos and benchmark take at most 2,000)."""
+    steps = duration / dt
+    if not steps <= MAX_SUBSTEPS:  # NaN and inf fail it too
+        raise ConfigError("a segment of %r at dt=%r takes %.3g RK4 sub-steps;"
+                          " at most %d" % (duration, dt, steps, MAX_SUBSTEPS))
+    return max(1, int(math.ceil(steps - 1e-9)))
 
 
 def _check_point(system, x):

@@ -368,6 +368,42 @@ def test_malformed_input_exits_1_without_a_traceback(tmp_path, case):
     assert len(proc.stderr.splitlines()) <= 2  # one line, or one problem
 
 
+# input whose size the CLI once took at its word: a control lattice twice
+# the bound (10^9 samples were killed for memory), a 40-axis grid of 3^40
+# nodes (its int64 count wrapped negative) and RK4 segments of 10^302
+# sub-steps (spun)
+_OVERSIZED = {
+    "control-lattice": ("solve", _inline(control={"box": {
+        "lo": [-1.0], "hi": [1.0], "counts": [2 ** 21]}})),
+    "40-axis-grid": ("solve", {
+        "system": {"n": 40, "f": ["-x%d" % (i + 1) for i in range(40)],
+                   "g": "x1^2"}, "nodes": [3], "box": [-1.0, 1.0]}),
+    "switch-dt-1e300": ("oracle", None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_OVERSIZED))
+def test_oversized_input_exits_1_at_once(tmp_path, case):
+    command, config = _OVERSIZED[case]
+    if command == "solve":
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        argv = ["solve", "--config", str(path)]
+    else:
+        path = tmp_path / "p.csv"
+        path.write_text("0.5,0.5\n")
+        argv = ["oracle", "--builtin", "lift2d", "--depth", "2",
+                "--switch-dt", "1e300", str(path)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "zubov.cli", *argv,
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("config error")
+    assert len(proc.stderr.splitlines()) <= 2  # one line, or one problem
+
+
 class TestHjbe:
     def test_guarded_builtin_solves_raw(self, tmp_path):
         rc = main(["hjbe", "--builtin", "fuller", "--nodes", "41",

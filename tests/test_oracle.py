@@ -86,7 +86,7 @@ def stay_or_decay(mode):
         out[..., 1] = cost(x, a)
 
     return SystemDef("stay-or-decay", 1,
-                     ControlSpace.from_points([[0.0], [1.0]]), rates,
+                     ControlSpace([[0.0], [1.0]]), rates,
                      ell=cost if mode == "minimize" else None, mode=mode,
                      guard="nonneg_ell" if mode == "minimize" else None,
                      ules=Ules(1.0, 1.0, 1.0), growth=Growth(10.0, 2.0))
@@ -264,7 +264,7 @@ class TestMaximalCost:
         # ex1 frozen at a = 0: int_0^T sin(pi x e^{-t}) dt climbs to
         # Si(pi/2) = 1.3707621682 as T grows
         b = builtin("ex1")
-        single = SystemDef("ex1-a0", 1, ControlSpace.from_points([[0.0]]),
+        single = SystemDef("ex1-a0", 1, ControlSpace([[0.0]]),
                            b.rates, mode="maximize",
                            ules=b.ules, growth=b.growth)
         vb = maximal_cost(single, [0.5], switch_dt=1.0, depth=8)
@@ -294,7 +294,7 @@ class TestMaximalCost:
         tail = float(_tail_bound(system, 0.05))
         assert (vb.tail_bound, vb.upper) == (tail, vb.lower + tail)
         # with only the decaying control every row ends inside: certified
-        decay = SystemDef("decay", 1, ControlSpace.from_points([[1.0]]),
+        decay = SystemDef("decay", 1, ControlSpace([[1.0]]),
                           system.rates, mode="maximize",
                           ules=system.ules, growth=system.growth)
         assert not maximal_cost(decay, [0.5], 0.5, 6, 0.05).truncated

@@ -1,9 +1,11 @@
 import hashlib
+import itertools
 import json
 import math
 import os
 import pathlib
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -60,11 +62,7 @@ class TestControlSpace:
 
     def test_empty_points_rejected(self):
         with pytest.raises(ConfigError):
-            ControlSpace.from_points(np.zeros((0, 2)))
-
-    def test_point_outside_declared_box_rejected(self):
-        with pytest.raises(ConfigError):
-            ControlSpace([[0.0], [2.0]], [0.0], [1.0])
+            ControlSpace(np.zeros((0, 2)))
 
     @pytest.mark.parametrize("count", [2.7, True])
     def test_bool_or_fractional_count_rejected(self, count):
@@ -81,13 +79,76 @@ class TestControlSpace:
 
     def test_non_finite_point_rejected(self):
         with pytest.raises(ConfigError, match="finite"):
-            ControlSpace([[0.0], [math.nan]], [0.0], [1.0])
+            ControlSpace([[0.0], [math.nan]])
 
     def test_no_control_space(self):
         cs = ControlSpace.none()
         assert cs.size == 1 and cs.m == 0
         # iterating still yields one (empty) point
         assert [a.shape for a in cs.points] == [(0,)]
+
+    @pytest.mark.parametrize("lo,hi,counts", [
+        ([], [], []),
+        ([-1.0], [1.0], [21]),
+        ([0.5], [0.5], [1]),
+        ([-1.0, 0.0], [1.0, 2.0], [3, 2]),
+        ([-1.0, 0.25, -3.0], [1.0, 0.25, 0.1], [5, 1, 7]),
+        ([0.0, -2.0], [0.0, 2.0], [4, 3]),
+    ])
+    def test_box_lattice_is_the_product_of_linspace_axes(self, lo, hi,
+                                                         counts):
+        cs = ControlSpace.from_box(lo, hi, counts)
+        axes = [np.linspace(a, b, k) for a, b, k in zip(lo, hi, counts)]
+        want = np.array(list(itertools.product(*axes)), dtype=float)
+        assert cs.points.shape == want.shape
+        assert cs.points.tobytes() == want.tobytes()
+        # the box is the points' hull, which holds the declared corners
+        assert cs.box_lo.tobytes() == np.array(lo, dtype=float).tobytes()
+        assert cs.box_hi.tobytes() == np.array(hi, dtype=float).tobytes()
+
+    def test_points_without_coordinates_are_the_empty_point(self):
+        cs = ControlSpace([[], []])
+        assert cs.points.shape == (1, 0) and cs.size == 1 and cs.m == 0
+        assert cs.box_lo.shape == cs.box_hi.shape == (0,)
+
+    def test_box_is_the_hull_of_the_points(self):
+        cs = ControlSpace([[0.5, -2.0], [-1.0, 3.0], [0.0, 0.0]])
+        assert cs.box_lo.tolist() == [-1.0, -2.0]
+        assert cs.box_hi.tolist() == [0.5, 3.0]
+
+    # past the bound but small enough that a lattice built before the
+    # check would fail the peak assertion, not exhaust the memory
+    @pytest.mark.parametrize("counts,size", [([2 ** 21], 2 ** 21),
+                                             ([2] * 21, 2 ** 21),
+                                             ([1025, 1024], 1025 * 1024)])
+    def test_oversized_lattice_refused_before_it_is_built(self, counts,
+                                                          size):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match="lattice has %d samples; "
+                               "at most %d" % (size, systems.MAX_CONTROLS)):
+                ControlSpace.from_box([-1.0] * len(counts),
+                                      [1.0] * len(counts), counts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20  # bytes: no lattice was built
+
+    def test_largest_lattice_is_built(self):
+        cs = ControlSpace.from_box([-1.0, -1.0], [1.0, 1.0], [1024, 1024])
+        assert cs.size == systems.MAX_CONTROLS
+
+    @pytest.mark.parametrize("lo,hi,counts,message", [
+        ([1.0], [-1.0], [3], "control box has lo > hi"),
+        ([0.0], [1.0], [1], "one sample on axis 0 needs a degenerate box"),
+        # the per-axis check comes before lo > hi
+        ([1.0], [0.0], [1], "one sample on axis 0 needs a degenerate box"),
+        ([0.0], [1.0], [0], "control sample count must be >= 1"),
+    ])
+    def test_box_refusals(self, lo, hi, counts, message):
+        with pytest.raises(ConfigError) as err:
+            ControlSpace.from_box(lo, hi, counts)
+        assert str(err.value) == message
 
 
 # --- grids ------------------------------------------------------------------
@@ -131,6 +192,14 @@ class TestGrid:
         # integral floats and NumPy integers are whole numbers
         g = Grid([-1.0, -1.0], [1.0, 1.0], [5.0, np.int64(7)])
         assert g.counts.tolist() == [5, 7]
+
+    def test_node_count_past_int64_refused(self):
+        # 3^40 once wrapped to a negative int64 node count
+        with pytest.raises(ConfigError,
+                           match="grid has 12157665459056928801 nodes"):
+            Grid([-1.0] * 40, [1.0] * 40, [3] * 40)
+        # 3^39 fits, and is counted exactly
+        assert Grid([-1.0] * 39, [1.0] * 39, [3] * 39).n_nodes == 3 ** 39
 
     def test_node_coords_shape(self):
         g = Grid([-1.0, -2.0], [1.0, 2.0], [5, 9])
@@ -585,6 +654,28 @@ class TestLoadSystem:
         with pytest.raises(ValidationError) as err:
             load_system(_config(control=control))
         assert any(p.startswith("control.") for p in err.value.problems)
+
+    @pytest.mark.parametrize("control,problem", [
+        (3, "control must be an object"),
+        ({"points": []}, "control.points must be a nonempty list of "
+         "equal-length lists of numbers"),
+        ({"points": [[math.nan]]}, "control points must be finite"),
+        ({"box": {"lo": [0.0], "hi": [1.0]}},
+         "control.box needs lo/hi/counts ('counts')"),
+        ({"box": {"lo": ["a"], "hi": [1.0], "counts": [3]}},
+         "control.box lo and hi must be lists of numbers"),
+        ({"box": {"lo": [1.0], "hi": [-1.0], "counts": [3]}},
+         "control box has lo > hi"),
+        ({"box": {"lo": [-1.0], "hi": [1.0], "counts": [2 ** 21]}},
+         "control box lattice has 2097152 samples; at most 1048576"),
+        ({}, "control needs either 'points' or 'box'"),
+    ], ids=["not-object", "no-points", "nan-point", "box-keys", "box-text",
+            "lo-above-hi", "lattice-size", "neither"])
+    def test_each_control_refusal_is_one_problem(self, control, problem):
+        with pytest.raises(ValidationError) as err:
+            load_system(_config(control=control))
+        assert err.value.problems == [problem]
+        assert str(err.value) == "system validation failed:\n  - " + problem
 
     def test_problems_are_aggregated(self):
         with pytest.raises(ValidationError) as err:

@@ -5,12 +5,15 @@ import pytest
 from scipy.integrate import simpson
 
 from zubov.expressions import EvalDomainError
+from zubov.oracle import maximal_cost
 from zubov.systems import ConfigError, ControlSpace, SystemDef, builtin, load_system
 from zubov.trajectories import (
+    MAX_SUBSTEPS,
     ControlSchedule,
     RelaxedSchedule,
     TrajectoryError,
     TrajectoryRecord,
+    _substeps,
     advance,
     chatter,
     integrate,
@@ -152,6 +155,25 @@ class TestBoxAndBlowUp:
                            "f": ["x1^2"], "g": "x1^2"})
         with pytest.raises((TrajectoryError, EvalDomainError)):
             constant_run(sys, [5.0], [0.0], 1.0, 0.01)
+
+
+# --- the sub-step bound -------------------------------------------------------
+
+def test_substeps_stop_at_their_bound():
+    assert _substeps(float(MAX_SUBSTEPS), 1.0) == MAX_SUBSTEPS
+    for duration, dt in [(MAX_SUBSTEPS + 1.0, 1.0), (1e300, 1e-300)]:
+        with pytest.raises(ConfigError, match="at most %d" % MAX_SUBSTEPS):
+            _substeps(duration, dt)
+
+
+def test_astronomic_segment_refused_before_it_steps():
+    # 1e302 sub-steps once spun until the process was killed
+    lift = builtin("lift2d", controls=3)
+    with pytest.raises(ConfigError, match=r"1e\+300 at dt=0\.01 takes "
+                       r"1e\+302 RK4 sub-steps"):
+        integrate(lift, [0.5, 0.5], ControlSchedule([(1e300, [0.0])]), 0.01)
+    with pytest.raises(ConfigError, match=r"1e\+300 at dt=0\.01"):
+        maximal_cost(lift, [0.5, 0.5], switch_dt=1e300, depth=2)
 
 
 # --- batched stepping (advance) ----------------------------------------------

@@ -1,9 +1,11 @@
 """Command-line entry point: reproducible solve / check / extract runs.
 
 Every subcommand drops a ``metadata.json`` into its output directory holding
-the fully resolved configuration and the library versions that produced the
-artifacts.  Feeding that file back through ``--config`` (with a fresh
-``--out``) regenerates the outputs bit for bit.
+the fully resolved configuration, the library versions that produced the
+artifacts and what the run did: ``main`` writes it once, from the result
+the command returns and the wall seconds of its phases.  Feeding that file
+back through ``--config`` (with a fresh ``--out``) regenerates the outputs
+bit for bit.
 
 Exit codes: 0 success, 1 unusable configuration or input, 2 the solver
 stopped on max_iters, 3 the oracle refused its enumeration budget, 4 a
@@ -18,6 +20,7 @@ import platform
 import sys
 import time
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import scipy
@@ -275,58 +278,41 @@ def _write_metadata(cfg, command, result):
         "result": _jsonable(result),
     }
     os.makedirs(cfg["out"], exist_ok=True)
-    path = os.path.join(cfg["out"], "metadata.json")
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(os.path.join(cfg["out"], "metadata.json"), "w",
+              encoding="utf-8") as fh:
         json.dump(blob, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return path
 
 
 # --- solve / hjbe ------------------------------------------------------------
 
-def _run_solver(cfg, raw):
+def _cmd_solve(cfg, args, phases):
     system = _make_system(cfg)
     grid = _make_grid(cfg, system)
     started = time.perf_counter()
     with warnings.catch_warnings():
         # the stderr line below says the solver stopped on max_iters
         warnings.filterwarnings("ignore", "value iteration")
-        field = (solve_hjbe if raw else solve_zubov)(system, grid,
-                                                     _settings(cfg))
+        field = (solve_hjbe if args.command == "hjbe" else solve_zubov)(
+            system, grid, _settings(cfg))
     elapsed = time.perf_counter() - started
-    meta = field.metadata
+    # the solver's own record, less the settings the config holds
+    result = {k: v for k, v in field.metadata.items() if k not in cfg}
+    phases.update(result.pop("phase_seconds"))
     os.makedirs(cfg["out"], exist_ok=True)
-    digest = save_field(field, os.path.join(cfg["out"], "field.csv"))
-    result = {
-        "grid": {"lo": grid.lo.tolist(), "hi": grid.hi.tolist(),
-                 "counts": [int(c) for c in grid.counts]},
-        "converged": bool(meta["converged"]),
-        "iterations": int(meta["iterations"]),
-        "policy_sweeps": int(meta["policy_sweeps"]),
-        "final_change": float(meta["final_change"]),
-        "sweep_changes": meta["sweep_changes"],
-        "bellman_residual": meta["bellman_residual"],
-        "operator_nnz": meta["operator_nnz"],
-        "operator_bytes": meta["operator_bytes"],
-        "phase_seconds": meta["phase_seconds"],
-        "seconds": round(elapsed, 3),
-        "field": "field.csv",
-        "field_sha256": digest,
-    }
-    _write_metadata(cfg, "hjbe" if raw else "solve", result)
+    digest = _timed(phases, "save_field", save_field, field,
+                    os.path.join(cfg["out"], "field.csv"))
+    result.update(grid={"lo": grid.lo, "hi": grid.hi, "counts": grid.counts},
+                  seconds=round(elapsed, 3), field="field.csv",
+                  field_sha256=digest)
     print("%s %s: %s nodes, %d sweeps, final sup-change %.3g (%.1fs)"
-          % ("hjbe" if raw else "solve", system.name,
-             "x".join(str(int(c)) for c in grid.counts),
+          % (args.command, system.name, "x".join(map(str, grid.counts)),
              result["iterations"], result["final_change"], elapsed))
     if not result["converged"]:
         print("solver stopped on max_iters=%d without converging"
               % cfg["max_iters"], file=sys.stderr)
-        return 2
-    return 0
-
-
-def _cmd_solve(cfg, args):
-    return _run_solver(cfg, raw=(args.command == "hjbe"))
+        return result, 2
+    return result, 0
 
 
 # --- oracle ------------------------------------------------------------------
@@ -355,13 +341,12 @@ def _read_points(path, n):
     return pts
 
 
-def _cmd_oracle(cfg, args):
+def _cmd_oracle(cfg, args, phases):
     system = _make_system(cfg)
-    phases = {}
     points = _timed(phases, "read_points", _read_points, args.points,
                     system.n_state)
     bracket = maximal_cost if system.mode == "maximize" else min_value
-    rows, over_budget = [], 0
+    rows = []  # (x, its bracket, or None over budget)
     started = time.perf_counter()
     for x in points:
         try:
@@ -369,11 +354,10 @@ def _cmd_oracle(cfg, args):
                          depth=cfg["depth"], rho=cfg["rho"],
                          budget=cfg["budget"])
         except BudgetError:
-            over_budget += 1
-            rows.append((x, None))
-            continue
+            vb = None
         rows.append((x, vb))
     elapsed = phases["brackets"] = time.perf_counter() - started
+    over_budget = sum(vb is None for _, vb in rows)
 
     os.makedirs(cfg["out"], exist_ok=True)
     out_csv = os.path.join(cfg["out"], "bounds.csv")
@@ -392,13 +376,11 @@ def _cmd_oracle(cfg, args):
     result = {"points": len(rows), "budget_exceeded": over_budget,
               "segment_integrations": sum(vb.segments for _, vb in rows
                                           if vb is not None),
-              "seconds": round(elapsed, 3), "bounds": "bounds.csv",
-              "phase_seconds": phases}
-    _write_metadata(cfg, "oracle", result)
+              "seconds": round(elapsed, 3), "bounds": "bounds.csv"}
     print("oracle %s: %d point(s) -> %s%s"
           % (system.name, len(rows), out_csv,
              ", %d over budget" % over_budget if over_budget else ""))
-    return 3 if over_budget else 0
+    return result, 3 if over_budget else 0
 
 
 # --- verify ------------------------------------------------------------------
@@ -427,10 +409,9 @@ def _check(name, system, field, cfg):
         return check_boundary_blowup(system, field, mask)
 
 
-def _cmd_verify(cfg, args):
+def _cmd_verify(cfg, args, phases):
     system = _make_system(cfg)
     grid = _make_grid(cfg, system)
-    phases = {}
     field = _timed(phases, "load_field", load_field, args.field)
     if not field.grid.same_layout(grid):
         raise ConfigError("field grid %s does not match the configured "
@@ -461,20 +442,13 @@ def _cmd_verify(cfg, args):
                                            len(reports)))
 
     result = {"field": args.field, "field_sha256": field.sha256,
-              "passed": passed,
-              "checks": [{"name": r.name, "passed": r.passed,
-                          "stats": r.stats, "note": r.note,
-                          "witnesses": [_jsonable(w) for w in r.witnesses]}
-                         for r in reports],
-              "phase_seconds": phases}
-    _write_metadata(cfg, "verify", result)
-    return 0 if passed else 4
+              "passed": passed, "checks": [asdict(r) for r in reports]}
+    return result, 0 if passed else 4
 
 
 # --- doa / synthesize / demo -------------------------------------------------
 
-def _cmd_doa(cfg, args):
-    phases = {}
+def _cmd_doa(cfg, args, phases):
     field = _timed(phases, "load_field", load_field, args.field)
     mask = _timed(phases, "extract_doa", extract_doa, field, cfg["epsilon"])
     os.makedirs(cfg["out"], exist_ok=True)
@@ -491,18 +465,15 @@ def _cmd_doa(cfg, args):
                os.path.join(cfg["out"], "contour.csv"))
         result["contour"] = "contour.csv"
         result["polylines"] = len(polys)
-    result["phase_seconds"] = phases
-    _write_metadata(cfg, "doa", result)
     print("doa: %d node(s) inside, touches_boundary=%s%s"
           % (mask.node_count, mask.touches_boundary,
              ", %d contour polyline(s)" % result["polylines"]
              if "polylines" in result else ""))
-    return 0
+    return result, 0
 
 
-def _cmd_synthesize(cfg, args):
+def _cmd_synthesize(cfg, args, phases):
     system = _make_system(cfg)
-    phases = {}
     field = _timed(phases, "load_field", load_field, args.field)
     x0 = np.array(_coerce(args.x0, "reals", "x0"))
     schedule, report = _timed(
@@ -515,21 +486,12 @@ def _cmd_synthesize(cfg, args):
            ["duration"] + ["a%d" % (j + 1) for j in range(schedule.m)],
            np.array([(d, *c) for d, c in schedule.segments]).T,
            ["%.17g"] * (1 + schedule.m))
-    result = {"schedule": "schedule.csv",
-              "field_sha256": field.sha256, "phase_seconds": phases,
-              "segments": len(schedule.segments),
-              "residual": report["residual"],
-              "defects": report["defects"],
-              "allowances": report["allowances"],
-              "start_value": report["start_value"],
-              "final_value": report["final_value"],
-              "final_state": report["final_state"]}
-    _write_metadata(cfg, "synthesize", result)
     print("synthesize: %d segment(s), residual %.4g (>= -epsilon %.4g), "
           "defects %s" % (len(schedule.segments), report["residual"],
                           cfg["epsilon"],
                           ["%.4g" % d for d in report["defects"]]))
-    return 0
+    return dict(report, schedule="schedule.csv", field_sha256=field.sha256,
+                segments=len(schedule.segments)), 0
 
 
 def _closed_form_gap(field, name, half):
@@ -546,7 +508,7 @@ def _closed_form_gap(field, name, half):
     return float(np.max(gap, initial=0.0))
 
 
-def _cmd_demo(cfg, args):
+def _cmd_demo(cfg, args, phases):
     # demo solves each builtin on its defaults: refuse what it would ignore
     ignored = [key for key, (default, _, _) in _OPTIONS.items()
                if key != "out" and cfg[key] != default]
@@ -559,13 +521,13 @@ def _cmd_demo(cfg, args):
         system = builtin(name)
         grid = _make_grid({"builtin": name, "nodes": None, "box": None},
                           system)  # the builtin's default grid
-        field = solve_zubov(system, grid)  # dt 0.05, tol 1e-6: the defaults
+        # on the default settings: dt 0.05, tol 1e-6
+        field = _timed(phases, name, solve_zubov, system, grid)
         err = _closed_form_gap(field, name, 0.8)
-        good = bool(field.metadata["converged"]) and err <= bound
+        good = field.metadata["converged"] and err <= bound
         all_ok &= good
-        rows.append({"system": name,
-                     "nodes": "x".join(str(int(c)) for c in grid.counts),
-                     "sweeps": int(field.metadata["iterations"]),
+        rows.append({"system": name, "nodes": "x".join(map(str, grid.counts)),
+                     "sweeps": field.metadata["iterations"],
                      "sup_error": err, "bound": bound,
                      "status": "ok" if good else "FAIL"})
     print("%-10s %-9s %7s %11s %7s  %s"
@@ -581,8 +543,7 @@ def _cmd_demo(cfg, args):
                np.array([[row[key] for key in head] for row in rows],
                         dtype=object).T,
                ["%s", "%s", "%d", "%.17g", "%.17g", "%s"])
-    _write_metadata(cfg, "demo", {"rows": rows, "passed": all_ok})
-    return 0 if all_ok else 4
+    return {"rows": rows, "passed": all_ok}, 0 if all_ok else 4
 
 
 # --- entry point -------------------------------------------------------------
@@ -648,7 +609,10 @@ def main(argv=None):
         return 1
     try:
         cfg = _resolve(args)
-        return _DISPATCH[args.command](cfg, args)
+        phases = {}  # each command's wall seconds, by phase
+        result, code = _DISPATCH[args.command](cfg, args, phases)
+        _write_metadata(cfg, args.command, dict(result, phase_seconds=phases))
+        return code
     except BudgetError as exc:
         print("oracle budget exceeded: %s" % exc, file=sys.stderr)
         return 3

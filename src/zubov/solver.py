@@ -303,10 +303,17 @@ def _assemble(system, grid, rows, opt, cap, controls):
     if grid.n_axes != system.n_state:
         raise ConfigError("grid dimension %d, system wants %d"
                           % (grid.n_axes, system.n_state))
-    n_nodes, corners = grid.n_nodes, _corners(grid)
-    itype = np.int32 if n_nodes * len(corners) < 2 ** 31 else np.int64
+    n_nodes, width, top = grid.n_nodes, 2 ** grid.n_axes, np.iinfo(np.intp).max
+    need = 8 * len(controls) * width * n_nodes  # Python ints: no overflow
+    if need > top:
+        raise ConfigError("the operator's weights would need %d bytes (%d "
+                          "controls x %d corners x %d nodes x 8); an array "
+                          "holds at most %d" % (need, len(controls), width,
+                                                n_nodes, top))
+    itype = np.int32 if n_nodes * width < 2 ** 31 else np.int64
     first = np.empty((len(controls), n_nodes), dtype=itype)
-    weights = np.empty((len(controls), len(corners), n_nodes))
+    weights = np.empty((len(controls), width, n_nodes))
+    corners = _corners(grid)  # after them: a grid too big fails first
     # allocated by the first nonzero chunk: calloc can hand back pages an
     # earlier solve freed, which it must then zero, and so make resident
     offset = None
@@ -393,6 +400,8 @@ def _iterate(build, grid, settings, start, policy=False):
     tol; max_iters bounds the sweeps of both kinds together.
     """
     started = time.perf_counter()
+    op = build()  # first: an operator refused for its size allocates nothing
+    built = time.perf_counter()
     x = np.full(grid.n_nodes, start)
     origin = int(np.ravel_multi_index(grid.origin_index, tuple(grid.counts)))
     changes = []
@@ -405,8 +414,6 @@ def _iterate(build, grid, settings, start, policy=False):
         return float(np.abs(x, out=x).max())
 
     converged, policy_sweeps, policy_seconds = False, 0, 0.0
-    op = build()
-    built = time.perf_counter()
     policy = policy and op.n_controls > 1
     spare = np.empty_like(x) if policy else None
     while len(changes) < settings.max_iters:

@@ -79,7 +79,8 @@ def check_fixed_point(system, field, dt=0.05, tol=1e-6):
     built.
     dt and tol come from the field's run record (load_field reads it from
     the CSV header); the arguments stand in for what it does not record.
-    Either must be positive and finite, as a solve's are: ConfigError.
+    Each argument and each recorded value must be positive and finite, as
+    a solve's are, even where the record overrides it: ConfigError.
     A record of Euler feet or of an exterior value other than 1 (a
     transformed raw field keeps its 0) is refused: ConfigError naming it.
     """
@@ -93,6 +94,7 @@ def check_fixed_point(system, field, dt=0.05, tol=1e-6):
                           "the Kružkov operator reads 1 outside the box (a "
                           "transformed raw field keeps its exterior)"
                           % meta["exterior_value"])
+    dt, tol = _positive(dt, "dt"), _positive(tol, "tol")
     dt = _positive(meta.get("dt", dt), "dt")
     threshold = 10.0 * _positive(meta.get("tol", tol), "tol")
     u = 1.0 - field.values.reshape(-1)  # the operator acts on 1 - v

@@ -85,8 +85,8 @@ class TestSolve:
     def test_operator_trace_goes_under_result(self, run_dir):
         meta = read_meta(run_dir)
         assert meta["result"]["operator_nnz"] > 0
-        assert sorted(meta["result"]["phase_seconds"]) == ["build", "policy",
-                                                            "sweeps"]
+        assert sorted(meta["result"]["phase_seconds"]) == [
+            "build", "policy", "save_field", "sweeps"]
         assert "operator_nnz" not in meta["config"]
         assert "phase_seconds" not in meta["config"]
 
@@ -368,16 +368,22 @@ def test_malformed_input_exits_1_without_a_traceback(tmp_path, case):
     assert len(proc.stderr.splitlines()) <= 2  # one line, or one problem
 
 
+def _axes(n):
+    """An inline n-state system on 3 nodes per axis."""
+    return {"system": {"n": n, "f": ["-x%d" % (i + 1) for i in range(n)],
+                       "g": "x1^2"}, "nodes": [3], "box": [-1.0, 1.0]}
+
+
 # input whose size the CLI once took at its word: a control lattice twice
 # the bound (10^9 samples were killed for memory), a 40-axis grid of 3^40
-# nodes (its int64 count wrapped negative) and RK4 segments of 10^302
-# sub-steps (spun)
+# nodes (its int64 count wrapped negative), a 39-axis grid whose operator
+# no array can hold (np.full's "array is too big") and RK4 segments of
+# 10^302 sub-steps (spun)
 _OVERSIZED = {
     "control-lattice": ("solve", _inline(control={"box": {
         "lo": [-1.0], "hi": [1.0], "counts": [2 ** 21]}})),
-    "40-axis-grid": ("solve", {
-        "system": {"n": 40, "f": ["-x%d" % (i + 1) for i in range(40)],
-                   "g": "x1^2"}, "nodes": [3], "box": [-1.0, 1.0]}),
+    "40-axis-grid": ("solve", _axes(40)),
+    "39-axis-grid": ("solve", _axes(39)),
     "switch-dt-1e300": ("oracle", None),
 }
 
@@ -765,6 +771,21 @@ class TestRunRecord:
                      "--out", str(tmp_path / "syn"), str(bare / "field.csv"),
                      "0.5,0.5", "4"]) == 0
 
+    @pytest.mark.parametrize("flag", [["--dt", "0"], ["--tol", "-1"]])
+    def test_out_of_range_flag_beside_a_record_exits_1(self, run_dir, tmp_path,
+                                                       capsys, flag):
+        # the record's dt and tol beat valid flags, but a flag out of range
+        # is refused, not silently ignored
+        capsys.readouterr()
+        rc = main(["verify", "--config", self.fixed_point_only(tmp_path),
+                   "--builtin", "lift2d", "--nodes", "101", *flag,
+                   "--out", str(tmp_path / "check"),
+                   str(run_dir / "field.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "positive and finite" in err
+        assert not (tmp_path / "check" / "metadata.json").exists()
+
     @pytest.mark.filterwarnings("ignore:value iteration")
     def test_unconverged_field_stays_unconverged(self, tmp_path, capsys):
         run = tmp_path / "run"
@@ -910,8 +931,9 @@ class TestSynthesize:
 
 
 class TestPhases:
-    """verify, doa and synthesize record the digest of the field they read
-    and, with oracle, where their time went."""
+    """solve records the digest of the field it wrote, verify, doa and
+    synthesize that of the field they read, and every command where its
+    time went."""
 
     @pytest.mark.parametrize("command, flags, after, phases", [
         ("verify", ["--nodes", "101"], [],
@@ -922,12 +944,16 @@ class TestPhases:
           "save_mask"]),
         ("synthesize", ["--epsilon", "0.05"], ["0.5,0.5", "4"],
          ["load_field", "save_schedule", "synthesize"]),
+        # run_dir's solve again: it writes the same field, and no field is
+        # read
+        ("solve", ["--nodes", "101", "--dt", "0.1"], None,
+         ["build", "policy", "save_field", "sweeps"]),
     ])
     def test_field_readers(self, run_dir, tmp_path, command, flags, after,
                            phases):
+        read = [] if after is None else [str(run_dir / "field.csv"), *after]
         assert main([command, "--builtin", "lift2d", *flags,
-                     "--out", str(tmp_path), str(run_dir / "field.csv"),
-                     *after]) == 0
+                     "--out", str(tmp_path), *read]) == 0
         meta = read_meta(tmp_path)
         result = meta["result"]
         assert sorted(result["phase_seconds"]) == phases
@@ -956,6 +982,47 @@ class TestPhases:
         assert sorted(phases) == ["brackets", "read_points", "save_bounds"]
         assert result["seconds"] == round(phases["brackets"], 3)
         assert "field_sha256" not in result
+
+    def test_demo(self, tmp_path):
+        assert main(["demo", "--out", str(tmp_path)]) == 0
+        meta = read_meta(tmp_path)
+        phases = meta["result"]["phase_seconds"]
+        # one reference solve each
+        assert sorted(phases) == ["arctan1d", "ex1", "lift2d"]
+        assert all(s > 0.0 for s in phases.values())
+        assert "phase_seconds" not in meta["config"]
+
+
+# every zubov.cli name the benchmark's tracer wraps (bench/workloads.py's
+# CLI_SPANS): it replaces the module attribute, so each must be looked up
+# when it is called, not bound once at import
+_TRACED = ("solve_zubov", "save_field", "load_field", "residual_stats",
+           "check_lyapunov_decrease", "check_boundary_blowup", "extract_doa",
+           "contour2d", "synthesize_epsilon_optimal")
+
+
+def test_traced_names_are_called_through_the_module(tmp_path, monkeypatch):
+    import zubov.cli
+
+    calls = dict.fromkeys(_TRACED, 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in _TRACED:
+        monkeypatch.setattr(zubov.cli, name,
+                            counting(name, getattr(zubov.cli, name)))
+    field = str(tmp_path / "solve" / "field.csv")
+    for argv in (["solve", "--nodes", "41"],
+                 ["verify", "--nodes", "41", field],
+                 ["doa", field],
+                 ["synthesize", "--epsilon", "0.1", field, "0.5,0.5", "2"]):
+        assert main([argv[0], "--builtin", "lift2d", "--out",
+                     str(tmp_path / argv[0]), *argv[1:]]) == 0
+    assert all(calls.values()), calls
 
 
 class TestDemo:

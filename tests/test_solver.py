@@ -388,6 +388,24 @@ def test_apply_zubov_builds_one_control_at_a_time(monkeypatch, name):
     assert built == [1] * system.control.size
 
 
+def test_operator_too_big_for_an_array_is_refused_before_it_is_built():
+    # 3^39 nodes fit int64, but their 2^39-corner weights fit no array: once
+    # np.full's "array is too big" from inside the solve
+    system = load_system({"n": 39, "f": ["-x%d" % (i + 1) for i in range(39)],
+                          "g": "x1^2"})
+    grid = Grid([-1.0] * 39, [1.0] * 39, [3] * 39)
+    need = 8 * 2 ** 39 * 3 ** 39
+    for call in (lambda: solve_zubov(system, grid),
+                 lambda: zubov_operator(system, grid, 0.05),
+                 lambda: hjbe_operator(system, grid, 0.05),
+                 # refused before it reads u
+                 lambda: solver.apply_zubov(system, grid, 0.05, None)):
+        with pytest.raises(ConfigError, match=r"the operator's weights would "
+                           r"need %d bytes \(1 controls x %d corners x %d "
+                           r"nodes x 8\)" % (need, 2 ** 39, 3 ** 39)):
+            call()
+
+
 # --- sweeps ------------------------------------------------------------------
 
 def stacked(op):

@@ -138,7 +138,8 @@ class TestFixedPoint:
     @pytest.mark.parametrize("bad", [
         {"dt": 0.0}, {"dt": -0.05}, {"dt": math.nan}, {"dt": math.inf},
         {"tol": math.nan}, {"tol": -1.0}, {"tol": 0.0}])
-    def test_out_of_range_arguments_rejected(self, bad):
+    def test_out_of_range_arguments_rejected(self, bad, lift2d_system,
+                                             lift2d_field):
         # a field with no run record takes dt and tol from the arguments;
         # dt 0 would make T the identity and pass any field
         grid = Grid([-1.2, -1.2], [1.2, 1.2], [21, 21])
@@ -148,6 +149,11 @@ class TestFixedPoint:
         with pytest.raises(ConfigError, match="positive and finite"):
             check_fixed_point(builtin("lift2d"),
                               ValueField(grid, field.values, "kruzhkov", bad))
+        # the record's dt and tol win, but an argument out of range is
+        # still refused, not silently ignored
+        assert {"dt", "tol"} <= set(lift2d_field.metadata)
+        with pytest.raises(ConfigError, match="positive and finite"):
+            check_fixed_point(lift2d_system, lift2d_field, **bad)
 
     def test_metadata_beats_arguments(self, lift2d_system, lift2d_field):
         # the field records dt 0.05; a wrong fallback must not be used

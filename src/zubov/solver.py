@@ -36,16 +36,18 @@ point, where a greedy policy's sweeps can overshoot it, or diverge on an
 undiscounted system.
 
 The build (`_assemble`) computes the feet and stencils of 2**14 nodes at
-a time, for every control in turn, so its temporaries stay a few MB at
-any grid size and each chunk's nodes are decoded once.  The nodes, and
-so a chunk's augmented state, are column-major, so every column its RK4
-step reads and writes is contiguous.  Each chunk's stencils go straight into the
-operator's arrays.  The offset is allocated by the first chunk with a
-nonzero entry, so an all-zero offset (every Kružkov row) is a
-zero-stride view that takes no memory, and a sweep skips adding it.  The
-fixed-point check's `apply_zubov` gives T u without the full operator:
-it builds and applies one control's operator at a time.  None of this
-changes a bit of any field.
+a time, for every control in turn (`_chunk_rows`), so its temporaries
+stay a few MB at any grid size and each chunk's nodes are decoded once.
+The nodes, and so a chunk's augmented state, are column-major, so every
+column its RK4 step reads and writes is contiguous.  Each chunk's
+stencils go straight into the operator's arrays.  The offset is
+allocated by the first chunk with a nonzero entry, so an all-zero offset
+(every Kružkov row) is a zero-stride view that takes no memory, and a
+sweep skips adding it.  The fixed-point check's `apply_zubov` gives T u
+without an operator, one chunk at a time: the same chunk loop writes
+each control's stencils into chunk-sized buffers, which the kernel
+applies to the chunk's rows at once.  None of this changes a bit of any
+field.
 
 Both solves take y_a, the foot of node x_i under control a, and the step
 integrals from one RK4 step of length dt of `trajectories.start`'s state
@@ -177,6 +179,23 @@ def _stencil(grid, pts, scale=None, first=None, w=None):
     return first, w
 
 
+def _corner_sums(indptr, first, weights, corners, x, out):
+    """Writes to ``out`` the stencil rows times x: row i is the sum over
+    corners j of ``weights[j][i] * x[first[i] + corners[j]]``.
+
+    One CSR kernel call per corner adds its term to every row, one entry
+    per row on x shifted by the corner's offset, with ``indptr`` counting
+    0, 1, 2, ...  Each row sums up from +0 in corner order, the order of a
+    row-major row's entries, so the sums are bitwise those of one SpMV.
+    """
+    from scipy.sparse import _sparsetools
+
+    out.fill(0.0)  # as A @ x does: each row sums up from +0
+    for corner, w in zip(corners, weights):
+        _sparsetools.csr_matvec(len(out), len(x) - corner, indptr, first, w,
+                                x[corner:], out)
+
+
 class BellmanOperator:
     """x -> opt_k(c_k + C_k x), optionally capped, for K controls.
 
@@ -224,12 +243,8 @@ class BellmanOperator:
             wins = np.empty(n, dtype=bool)
         for k in range(self.n_controls):
             row = out if k == 0 else self._row
-            row.fill(0.0)  # as A @ x does: each row sums up from +0
-            # one kernel call per corner adds w_j * x[first + corners[j]]
-            # to every row, in the order of a row-major row's entries
-            for corner, w in zip(self.corners, self.weights[k]):
-                self._matvec(n, n - corner, self.indptr, self.first[k], w,
-                             x[corner:], row)
+            _corner_sums(self.indptr, self.first[k], self.weights[k],
+                         self.corners, x, row)
             if self._add_offset:
                 row += self.offset[k]
             if k == 0:
@@ -287,49 +302,72 @@ class BellmanOperator:
                 + (self.offset.nbytes if self._add_offset else 0))
 
 
-def _assemble(system, grid, rows, opt, cap, controls):
-    """The BellmanOperator of ``controls``.
+def _index_type(system, grid, n_controls):
+    """The index dtype of the grid's operator of ``n_controls`` controls.
 
-    ``rows(a, nodes)`` returns ``(feet, scale, cost)`` for control a: row i
-    reads ``cost[i] + scale[i] * I[x](feet[i])``, where I[x] is 0 at a foot
-    outside the box (module docstring).  Such a row is stored as a zero row:
-    its foot moves to its node and its scale to 0.  The rows are computed
-    ``_FEET_CHUNK`` nodes at a time, for every control in turn, and each
-    chunk's stencils, the weights times the row's scale, go straight into
-    the operator's arrays.  Node coordinates and feet exist for one chunk at
-    a time, so the build's temporaries do not grow with the grid, and they
-    die before the operator's sweep buffers exist.
+    Before any grid- or corner-sized work it refuses a grid whose dimension
+    is not the system's, and an operator whose weights no array could hold.
     """
     if grid.n_axes != system.n_state:
         raise ConfigError("grid dimension %d, system wants %d"
                           % (grid.n_axes, system.n_state))
     n_nodes, width, top = grid.n_nodes, 2 ** grid.n_axes, np.iinfo(np.intp).max
-    need = 8 * len(controls) * width * n_nodes  # Python ints: no overflow
+    need = 8 * n_controls * width * n_nodes  # Python ints: no overflow
     if need > top:
         raise ConfigError("the operator's weights would need %d bytes (%d "
                           "controls x %d corners x %d nodes x 8); an array "
-                          "holds at most %d" % (need, len(controls), width,
+                          "holds at most %d" % (need, n_controls, width,
                                                 n_nodes, top))
-    itype = np.int32 if n_nodes * width < 2 ** 31 else np.int64
-    first = np.empty((len(controls), n_nodes), dtype=itype)
-    weights = np.empty((len(controls), width, n_nodes))
-    corners = _corners(grid)  # after them: a grid too big fails first
-    # allocated by the first nonzero chunk: calloc can hand back pages an
-    # earlier solve freed, which it must then zero, and so make resident
-    offset = None
-    for lo in range(0, n_nodes, _FEET_CHUNK):
-        hi = min(lo + _FEET_CHUNK, n_nodes)
+    return np.int32 if n_nodes * width < 2 ** 31 else np.int64
+
+
+def _chunk_rows(grid, rows, controls, into):
+    """Every control's stencils, ``_FEET_CHUNK`` nodes at a time.
+
+    ``rows(a, nodes)`` returns ``(feet, scale, cost)`` for control a: row i
+    reads ``cost[i] + scale[i] * I[x](feet[i])``, where I[x] is 0 at a foot
+    outside the box (module docstring).  Such a row becomes a zero row: its
+    foot moves to its node and its scale to 0.  For each chunk of nodes
+    lo..hi-1, decoded once, and each control k in turn, the rows' stencils,
+    the weights times the row's scale, are written into the ``(first, w)``
+    buffers that ``into(k, lo, hi)`` returns; then ``(k, lo, hi, cost)`` is
+    yielded.  Node coordinates exist for one chunk and feet for one control
+    at a time, so the temporaries grow with neither the grid nor the
+    control count.
+    """
+    for lo in range(0, grid.n_nodes, _FEET_CHUNK):
+        hi = min(lo + _FEET_CHUNK, grid.n_nodes)
         nodes = _chunk_nodes(grid, lo, hi)
         for k, a in enumerate(controls):
             feet, scale, cost = rows(a, nodes)
             outside = ~_inside(grid, feet)
             feet[outside], scale[outside] = nodes[outside], 0.0
-            _stencil(grid, feet, scale, first[k, lo:hi], weights[k, :, lo:hi])
-            if np.any(cost):
-                if offset is None:
-                    offset = np.zeros(first.shape)
-                offset[k, lo:hi] = cost
-            del feet, scale, cost, outside  # before the next control's feet
+            _stencil(grid, feet, scale, *into(k, lo, hi))
+            del feet, scale, outside  # before the next control's feet
+            yield k, lo, hi, cost
+            del cost
+
+
+def _assemble(system, grid, rows, opt, cap, controls):
+    """The BellmanOperator of ``controls`` (``rows`` as in `_chunk_rows`).
+
+    Each chunk's stencils go straight into the operator's arrays, so the
+    build's temporaries die before the operator's sweep buffers exist.
+    """
+    itype = _index_type(system, grid, len(controls))
+    first = np.empty((len(controls), grid.n_nodes), dtype=itype)
+    weights = np.empty((len(controls), 2 ** grid.n_axes, grid.n_nodes))
+    corners = _corners(grid)  # after them: a grid too big fails first
+    # allocated by the first nonzero chunk: calloc can hand back pages an
+    # earlier solve freed, which it must then zero, and so make resident
+    offset = None
+    for k, lo, hi, cost in _chunk_rows(
+            grid, rows, controls,
+            lambda k, lo, hi: (first[k, lo:hi], weights[k, :, lo:hi])):
+        if np.any(cost):
+            if offset is None:
+                offset = np.zeros(first.shape)
+            offset[k, lo:hi] = cost
     if offset is None:
         offset = np.broadcast_to(0.0, first.shape)
     return BellmanOperator(first, weights, corners, offset, opt, cap)
@@ -362,18 +400,36 @@ def zubov_operator(system, grid, dt):
 
 
 def apply_zubov(system, grid, dt, u):
-    """``zubov_operator(system, grid, dt)(u)``, bit for bit, without
-    building the operator.
+    """``zubov_operator(system, grid, dt)(u)``, bit for bit, one chunk at a
+    time.
 
-    It builds and applies one control's operator at a time and keeps the
-    running minimum, which is exact: min_k min(r_k, 1) = min(min_k r_k, 1).
-    Only one control's operator and a few N-long vectors are alive at once.
+    Each control's stencils of a chunk (`_chunk_rows`) go into chunk-sized
+    buffers and are applied at once to the chunk's rows (`_corner_sums`);
+    the running minimum over the controls and the cap at 1 are the
+    operator's, and a Kružkov row has no offset.  No operator is built:
+    besides u and T u, one chunk's buffers are alive.  Like the build of
+    one control's operator, it refuses a grid too big before it reads u.
     """
-    rows, out = _zubov_rows(system, dt), None
-    for a in system.control.points:  # one control's operator at a time
-        y = _assemble(system, grid, rows, np.minimum, 1.0, a[None])(u)
-        out = y if out is None else np.minimum(out, y, out=out)
-    return out
+    itype = _index_type(system, grid, 1)
+    n, m = grid.n_nodes, min(_FEET_CHUNK, grid.n_nodes)
+    first, w = np.empty(m, dtype=itype), np.empty((2 ** grid.n_axes, m))
+    indptr, row = np.arange(m + 1, dtype=itype), np.empty(m)
+    corners = _corners(grid)  # after them: a grid too big fails first
+    u = np.ascontiguousarray(u, dtype=float)
+    if u.shape != (n,):  # the kernel does not check
+        raise ValueError("operator wants %d node values, got shape %s"
+                         % (n, u.shape))
+    out = np.empty(n)
+    for k, lo, hi, _ in _chunk_rows(
+            grid, _zubov_rows(system, dt), system.control.points,
+            lambda k, lo, hi: (first[:hi - lo], w[:, :hi - lo])):
+        chunk = out[lo:hi]
+        # control 0 writes the chunk's output, each later one the buffer
+        dst = chunk if k == 0 else row[:hi - lo]
+        _corner_sums(indptr, first, w[:, :hi - lo], corners, u, dst)
+        if k:
+            np.minimum(chunk, dst, out=chunk)
+    return np.minimum(out, 1.0, out=out)
 
 
 def hjbe_operator(system, grid, dt):

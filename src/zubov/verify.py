@@ -9,8 +9,8 @@ name), one-shot DPP consistency against RK4 trajectories, monotone decrease
 along random integrated schedules, one-sided comparison against constructed
 sub/super candidates, growth toward the domain boundary, and slope probes.
 The fixed-point re-check is the one exception: it applies the solver's own
-Bellman operator once, one control's operator at a time rather than the
-full one, so it measures the distance to the discrete fixed point.
+Bellman operator once, one chunk of nodes at a time rather than as the
+full operator, so it measures the distance to the discrete fixed point.
 
 Every check returns a VerificationReport; failures carry replayable
 witnesses (node indices, sample points and the exact schedule used), never
@@ -74,9 +74,8 @@ def check_fixed_point(system, field, dt=0.05, tol=1e-6):
     """Apply the field's own Bellman operator once; fail where |T v - v|
     exceeds 10 tol.  An edited or swapped node sticks out by about the size
     of the edit, which residual statistics and sampled trajectories miss.
-    T v is computed one control's operator at a time
-    (`solver.apply_zubov`), bit for bit the full operator's, which is never
-    built.
+    T v is computed one chunk of nodes at a time (`solver.apply_zubov`),
+    bit for bit the full operator's, which is never built.
     dt and tol come from the field's run record (load_field reads it from
     the CSV header); the arguments stand in for what it does not record.
     Each argument and each recorded value must be positive and finite, as
@@ -233,18 +232,58 @@ def dpp_defect(system, field, x, t, switch_dt):
     return float(interpolate(field, x) - np.max(cont))
 
 
+def _draw_sublevel(field, samples, rng):
+    """``samples`` uniform points of the box, each farther than the
+    carve-out (10 cells) from the origin and below the 1 - _EPS level set,
+    and how many points were drawn for them.
+
+    They are the points, and rng ends in the state, of drawing one point
+    at a time and keeping those that pass, with at most 1000 draws per
+    sample (else ConfigError).  The draws come in batches, each one
+    ``rng.uniform`` call and one `interpolate` call: a batch is as large
+    as all the draws before it, and at least the count still missing.
+    When a batch holds the last sample, rng goes back to its state before
+    the batch and draws again only up to that point.
+    """
+    grid = field.grid
+    carve = 10.0 * float(np.max(grid.dx))
+    kept, found, draws, limit = [], 0, 0, 1000 * samples
+    while found < samples:
+        if draws == limit:
+            raise ConfigError("cannot draw enough samples from the "
+                              "sublevel region")
+        size = min(limit - draws, max(samples - found, draws))
+        state = rng.bit_generator.state
+        pts = rng.uniform(grid.lo, grid.hi, size=(size, grid.n_axes))
+        # a 1-D norm per row, as for a point drawn alone
+        far = np.array([np.linalg.norm(x) for x in pts]) > carve
+        hit = np.flatnonzero(far & (interpolate(field, pts) < 1.0 - _EPS))
+        hit = hit[:samples - found]
+        found += len(hit)
+        if found == samples:
+            size = int(hit[-1]) + 1
+            rng.bit_generator.state = state
+            rng.uniform(grid.lo, grid.hi, size=(size, grid.n_axes))
+        kept.append(pts[hit])
+        draws += size
+    return np.concatenate(kept), draws
+
+
 def check_lyapunov_decrease(system, field, samples=200, seed=0):
     """Random points, random schedules: the field must not increase.
 
     Each sample starts below the 1 - _EPS level set, away from the origin,
     and runs _DECREASE_SEGMENTS random segments over _DECREASE_T.  The
-    allowed increase is twice the local interpolation error estimate
-    (cell diameter times the finite-difference gradient) plus an absolute
-    floor, _DECREASE_SLACK: on stretches where the exact value is constant
-    the gradient estimate vanishes, yet the discrete field still wobbles a
-    few 1e-6 along trajectories because solver feet and the RK4 replay
-    sample it at different points.  Strict decrease is demanded only when
-    the accumulated running cost clearly exceeds the combined floor —
+    starts are drawn uniformly from the box in batches (`_draw_sublevel`),
+    which keep the points and RNG state of drawing one point at a time;
+    the stats record the ``draws`` it took.  The allowed increase is twice
+    the local interpolation error estimate (cell diameter times the
+    finite-difference gradient) plus an absolute floor, _DECREASE_SLACK: on
+    stretches where the exact value is constant the gradient estimate
+    vanishes, yet the discrete field still wobbles a few 1e-6 along
+    trajectories because solver feet and the RK4 replay sample it at
+    different points.  Strict decrease is demanded only when the
+    accumulated running cost clearly exceeds the combined floor —
     zero-cost trajectories (they exist; that is the point of the
     quasi-stability examples) legitimately hold the value flat.
     """
@@ -253,21 +292,11 @@ def check_lyapunov_decrease(system, field, samples=200, seed=0):
     grid = field.grid
     rng = np.random.default_rng(_whole(seed, "seed", 0))
     cell = float(np.linalg.norm(grid.dx))
-    carve = 10.0 * float(np.max(grid.dx))
-    kept, tries = [], 0
-    while len(kept) < samples:
-        tries += 1
-        if tries > 1000 * samples:
-            raise ConfigError("cannot draw enough samples from the "
-                              "sublevel region")
-        x = rng.uniform(grid.lo, grid.hi)
-        if np.linalg.norm(x) > carve and interpolate(field, x) < 1.0 - _EPS:
-            kept.append(x)
+    x0, draws = _draw_sublevel(field, samples, rng)
 
     n = grid.n_axes
-    x0 = np.array(kept)
     picks = np.array([rng.integers(0, system.control.size,
-                                   size=_DECREASE_SEGMENTS) for _ in kept])
+                                   size=_DECREASE_SEGMENTS) for _ in x0])
     z, live, schedule = rollout(system, x0, picks, _DECREASE_T, _INT_DT)
     if not live.all():
         raise TrajectoryError("a sampled schedule reached a non-finite state")
@@ -280,12 +309,13 @@ def check_lyapunov_decrease(system, field, samples=200, seed=0):
     tol = _DECREASE_SLACK + 2.0 * cell * np.array([np.linalg.norm(g)
                                                    for g in grad])
     bad = (v1 >= v0 + tol) | ((cost > 4.0 * tol) & (v1 >= v0))
-    witnesses = [{"x": kept[i], "schedule": schedule(i),
+    witnesses = [{"x": x0[i], "schedule": schedule(i),
                   "v_before": float(v0[i]), "v_after": float(v1[i]),
                   "cost": float(cost[i]), "tol": float(tol[i])}
                  for i in np.flatnonzero(bad)]
     dec = v0 - v1
-    stats = {"samples": len(kept), "min_decrease": float(dec.min()),
+    stats = {"samples": len(x0), "draws": draws,
+             "min_decrease": float(dec.min()),
              "median_decrease": float(np.median(dec)),
              "violations": len(witnesses)}
     return VerificationReport("lyapunov_decrease", not witnesses, stats,

@@ -592,7 +592,7 @@ class TestOracle:
 
 
 class TestVerify:
-    def test_clean_field_passes(self, run_dir, tmp_path):
+    def test_clean_field_passes(self, run_dir, tmp_path, capsys):
         rc = main(["verify", "--builtin", "lift2d", "--nodes", "101",
                    "--out", str(tmp_path), str(run_dir / "field.csv")])
         assert rc == 0
@@ -602,6 +602,11 @@ class TestVerify:
         assert names == ["invariants", "fixed_point", "residual_stats",
                          "lyapunov_decrease", "boundary_blowup"]
         assert all(c["passed"] for c in doc["checks"])
+        # the sampler's draws, on verify's line and in the record
+        draws = doc["checks"][3]["stats"]["draws"]
+        assert draws >= 200
+        assert "[PASS] lyapunov_decrease: samples=200, draws=%d," % draws \
+            in capsys.readouterr().out
 
     def test_corrupted_node_exits_4_with_witness(self, run_dir, tmp_path):
         field = load_field(str(run_dir / "field.csv"))

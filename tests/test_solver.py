@@ -372,20 +372,50 @@ def test_apply_zubov_is_the_operators_product(monkeypatch, name, grid):
             == want.tobytes()
 
 
+def lift2d_with(name, controls):
+    """lift2d, builtin or compiled from LIFT2D_JSON, with ``controls``
+    samples of its control box."""
+    if isinstance(name, str):
+        return builtin(name, controls=controls)
+    return load_system(dict(LIFT2D_JSON, control={"box": {
+        "lo": [-1.0], "hi": [1.0], "counts": [controls]}}))
+
+
 @pytest.mark.parametrize("name", ["lift2d", LIFT2D_JSON],
                          ids=["lift2d", "lift2d-json"])
-def test_apply_zubov_builds_one_control_at_a_time(monkeypatch, name):
-    system = builtin(name) if isinstance(name, str) else load_system(name)
-    init, built = solver.BellmanOperator.__init__, []
+def test_apply_zubov_streams_one_chunk_at_a_time(monkeypatch, name):
+    import tracemalloc
 
-    def spy(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        built.append(self.n_controls)
+    grid = Grid([-1.2, -1.2], [1.2, 1.2], [201, 201])
+    u = np.ones(grid.n_nodes)
+    chunk_nodes, calls = solver._chunk_nodes, []
 
-    monkeypatch.setattr(solver.BellmanOperator, "__init__", spy)
-    solver.apply_zubov(system, LIFT41, 0.05, np.ones(LIFT41.n_nodes))
-    assert system.control.size > 1
-    assert built == [1] * system.control.size
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("apply_zubov built a BellmanOperator")
+
+    def spy(grid, lo, hi):
+        calls.append(lo)
+        return chunk_nodes(grid, lo, hi)
+
+    monkeypatch.setattr(solver.BellmanOperator, "__init__", refuse)
+    monkeypatch.setattr(solver, "_chunk_nodes", spy)
+    monkeypatch.setattr(solver, "_FEET_CHUNK", 1000)
+    solver.apply_zubov(lift2d_with(name, 21), grid, 0.05, u)
+    # each chunk's nodes are decoded once, not once per control
+    assert calls == list(range(0, grid.n_nodes, 1000))
+    monkeypatch.undo()
+    peaks = []
+    for count in (5, 21):
+        system = lift2d_with(name, count)
+        solver.apply_zubov(system, grid, 0.05, u)  # warm caches
+        tracemalloc.start()
+        try:
+            solver.apply_zubov(system, grid, 0.05, u)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # T u and one chunk's buffers, whatever the control count
+    assert peaks[1] <= 1.05 * peaks[0]
 
 
 def test_operator_too_big_for_an_array_is_refused_before_it_is_built():
@@ -775,6 +805,18 @@ class TestInterpolate:
     def test_dimension_mismatch(self):
         with pytest.raises(ConfigError):
             interpolate(self.field(), [0.0, 0.0])
+
+    @pytest.mark.parametrize("name", ["ex1_field", "lift2d_field"])
+    def test_a_batch_is_its_points_one_at_a_time(self, request, name):
+        # the decrease check's batched sampler relies on it
+        field = request.getfixturevalue(name)
+        grid = field.grid
+        pts = np.random.default_rng(5).uniform(grid.lo - 0.1, grid.hi + 0.1,
+                                               (2000, grid.n_axes))
+        batch = interpolate(field, pts)
+        assert (batch == 1.0).any() and (batch < 1.0).any()
+        alone = np.array([interpolate(field, x) for x in pts])
+        assert batch.tobytes() == alone.tobytes()
 
     def test_matches_a_row_major_einsum(self, lift2d_field):
         grid = lift2d_field.grid

@@ -21,6 +21,7 @@ from zubov.verify import (VerificationReport, check_boundary_blowup,
                           check_fixed_point, check_lyapunov_decrease,
                           dpp_defect, lipschitz_probe, residual_stats,
                           sandwich_check)
+from zubov import verify
 from zubov.oracle import BudgetError
 
 
@@ -355,6 +356,36 @@ class TestDppDefect:
                        np.array([2.0, 0.0]), 0.5, 0.25)
 
 
+def draw_one_at_a_time(field, samples, rng):
+    """The decrease check's sampler as it drew one point per call, the
+    reference for the batched `verify._draw_sublevel`."""
+    grid = field.grid
+    carve = 10.0 * float(np.max(grid.dx))
+    kept, tries = [], 0
+    while len(kept) < samples:
+        tries += 1
+        if tries > 1000 * samples:
+            raise ConfigError("cannot draw enough samples from the "
+                              "sublevel region")
+        x = rng.uniform(grid.lo, grid.hi)
+        if np.linalg.norm(x) > carve and interpolate(field, x) < 1.0 - 0.01:
+            kept.append(x)
+    return np.array(kept), tries
+
+
+def plain(report):
+    """A report's stats and witnesses with arrays and schedules as bytes."""
+    def bare(value):
+        if isinstance(value, np.ndarray):
+            return value.tobytes()
+        if hasattr(value, "segments"):
+            return [(d, c.tobytes()) for d, c in value.segments]
+        return value
+
+    return (report.passed, report.stats,
+            [{k: bare(v) for k, v in w.items()} for w in report.witnesses])
+
+
 class TestLyapunovDecrease:
 
     def test_lift2d_field_never_increases(self, lift2d_system, lift2d_field):
@@ -368,6 +399,51 @@ class TestLyapunovDecrease:
     def test_ex1_field_never_increases(self, ex1_field):
         rep = check_lyapunov_decrease(builtin("ex1"), ex1_field, samples=150)
         assert rep.passed
+
+    @pytest.mark.parametrize("name", ["lift2d", "ex1"])
+    def test_batched_draws_are_the_one_at_a_time_loop(self, request,
+                                                      monkeypatch, name):
+        field = request.getfixturevalue(name + "_field")
+        system = builtin(name)
+        for seed in range(10):
+            batched, single = (np.random.default_rng(seed) for _ in "ab")
+            got = verify._draw_sublevel(field, 200, batched)
+            want = draw_one_at_a_time(field, 200, single)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1] == want[1]
+            assert batched.bit_generator.state == single.bit_generator.state
+            # the schedules come from the state after the draws; a flipped
+            # field fails, so the witnesses are compared too
+            for checked, samples in ((field, 200), (
+                    field.with_values(1.0 - field.values), 50)):
+                new = check_lyapunov_decrease(system, checked, samples, seed)
+                with monkeypatch.context() as patch:
+                    patch.setattr(verify, "_draw_sublevel",
+                                  draw_one_at_a_time)
+                    old = check_lyapunov_decrease(system, checked, samples,
+                                                  seed)
+                assert plain(new) == plain(old)
+                assert checked is field or old.witnesses
+
+    def test_draws_are_recorded(self, lift2d_system, lift2d_field):
+        rep = check_lyapunov_decrease(lift2d_system, lift2d_field, seed=1)
+        assert rep.stats["samples"] == 200 and rep.stats["draws"] == 291
+
+    def test_no_room_below_the_level_is_refused(self):
+        # below 1 - eps only within 5 cells of the origin, which the
+        # 10-cell carve-out excludes
+        grid = Grid([-1.0], [1.0], [201])
+        field = ValueField(grid, np.where(np.abs(grid.axes[0]) < 0.05, 0.0,
+                                          1.0), "kruzhkov")
+        with pytest.raises(ConfigError, match="cannot draw enough samples"):
+            check_lyapunov_decrease(builtin("ex1"), field, samples=3)
+        # after the same 3000 draws as one at a time
+        batched, single = np.random.default_rng(0), np.random.default_rng(0)
+        for draw, rng in ((verify._draw_sublevel, batched),
+                          (draw_one_at_a_time, single)):
+            with pytest.raises(ConfigError, match="cannot draw enough"):
+                draw(field, 3, rng)
+        assert batched.bit_generator.state == single.bit_generator.state
 
     def test_seed_reproducible(self, lift2d_system, lift2d_field):
         a = check_lyapunov_decrease(lift2d_system, lift2d_field,

@@ -38,7 +38,7 @@ from .oracle import (
 from .regions import contour2d, extract_doa, save_contours, save_mask
 from .solver import SolverSettings, solve_hjbe, solve_zubov
 from .systems import (
-    _BUILTIN_NAMES,
+    BUILTINS,
     ConfigError,
     Grid,
     ValidationError,
@@ -71,14 +71,15 @@ _REMOVED = {"rk4_feet": True, "exterior": None, "report_json": None}
 # _coerce checks flag text and config values alike against the kind.
 _OPTIONS = {
     "builtin": (None, "name",
-                "registered problem: " + ", ".join(_BUILTIN_NAMES)),
+                "registered problem: " + ", ".join(BUILTINS)),
     "system": (None, "table", None),  # inline definition (load_system schema)
     "nodes": (None, "ints", "grid nodes per axis (a single value broadcasts)"),
     "box": (None, "reals", "grid box, one LO,HI pair per axis or one to "
                            "broadcast (write --box=-1.2,1.2)"),
-    "dt": (0.05, "real", "semi-Lagrangian step"),
-    "tol": (1e-6, "real", "sup-norm convergence threshold"),
-    "max_iters": (2000, "int", "most sweeps before the solver stops (exit 2)"),
+    "dt": (SolverSettings.dt, "real", "semi-Lagrangian step"),
+    "tol": (SolverSettings.tol, "real", "sup-norm convergence threshold"),
+    "max_iters": (SolverSettings.max_iters, "int",
+                  "most sweeps before the solver stops (exit 2)"),
     "controls": (None, "int", "control samples per axis for builtins"),
     "switch_dt": (0.25, "real", "oracle/synthesis switching interval"),
     "depth": (8, "int", "oracle enumeration depth"),
@@ -95,12 +96,6 @@ _WANTS = {"int": "an integer", "real": "a finite number",
           "checks": "check names from " + ", ".join(_CHECKS)}
 _METAVARS = {"ints": "K[,K...]", "reals": "LO,HI[,...]", "name": "NAME",
              "dir": "DIR"}
-
-# (box half-width, nodes per axis) by builtin; inline systems give theirs
-_BUILTIN_GRID = {"lift2d": (1.2, 201), "lift2d-psi-sqrt": (1.2, 201),
-                 "lift2d-psi-abs": (1.2, 201), "ex1": (2.0, 801),
-                 "arctan1d": (3.0, 601), "hav1d": (1.0, 401),
-                 "fuller": (1.0, 101)}
 
 
 class _UsageError(Exception):
@@ -215,8 +210,8 @@ def _make_system(cfg):
 def _make_grid(cfg, system):
     n = system.n_state
     nodes, box = cfg["nodes"], cfg["box"]
-    if cfg["builtin"] is not None:
-        half, count = _BUILTIN_GRID[system.name]
+    if cfg["builtin"] is not None:  # inline systems give their own
+        half, count = BUILTINS[system.name].grid
         nodes, box = nodes or [count], box or [-half, half]
     elif nodes is None or box is None:
         raise ConfigError("inline systems need an explicit --nodes and --box")
@@ -521,7 +516,7 @@ def _cmd_demo(cfg, args, phases):
         system = builtin(name)
         grid = _make_grid({"builtin": name, "nodes": None, "box": None},
                           system)  # the builtin's default grid
-        # on the default settings: dt 0.05, tol 1e-6
+        # on the default SolverSettings
         field = _timed(phases, name, solve_zubov, system, grid)
         err = _closed_form_gap(field, name, 0.8)
         good = field.metadata["converged"] and err <= bound

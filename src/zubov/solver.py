@@ -21,7 +21,7 @@ The Kružkov solve runs modified policy iteration (Puterman & Shin, 1978).
 A full sweep there also returns, per node, the lowest control index
 attaining the minimum.  Those N rows (row i of C_pi(i), one per node)
 are gathered into a row-major CSR matrix of their own, and policy sweeps
-x <- c_pi + C_pi x, one kernel call each at about 1/K of a full sweep's
+x <- C_pi x (no offset), one kernel call each at about 1/K of a full sweep's
 cost, run until one moves less than tol/10; then the next full sweep
 picks a new policy.  Capped nodes (min >= 1) and the pinned origin keep
 their value through the policy sweeps: each sweep copies it back from x
@@ -78,14 +78,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import numbers
 import time
 import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .systems import ConfigError, ValueField, _positive
+from .systems import ConfigError, ValueField, _positive, _whole
 from .trajectories import _aug_rhs, rk4_step, start
 
 
@@ -102,16 +101,12 @@ class SolverSettings:
     def __post_init__(self):
         _positive(self.dt, "solver dt")
         _positive(self.tol, "solver tol")
-        if not _is_int(self.max_iters) or self.max_iters < 1:
-            raise ConfigError("max_iters must be an integer of at least 1")
-        if self.threads is not None and not (_is_int(self.threads)
-                                             and self.threads >= 1):
-            raise ConfigError("threads must be None or an integer of at "
-                              "least 1")
-
-
-def _is_int(value):
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+        # the counts are stored as the ints they name
+        object.__setattr__(self, "max_iters",
+                           _whole(self.max_iters, "max_iters", 1))
+        if self.threads is not None:
+            object.__setattr__(self, "threads",
+                               _whole(self.threads, "threads", 1))
 
 
 _FEET_CHUNK = 2 ** 14  # nodes whose feet and stencils a build holds at once
@@ -258,22 +253,25 @@ class BellmanOperator:
         return (out, picked) if choice else out
 
     def policy(self, choice, fixed):
-        """The sweep (x, out) -> c_choice + C_choice x, written to out, of
+        """The sweep (x, out) -> C_choice x, written to out, of
         the policy ``choice``, as a function.
 
         Row i of its N x N CSR matrix is row i of C_choice[i], its 2**n
-        entries in corner order, with that row's offset; after the kernel
-        call the nodes of the boolean mask ``fixed`` get back their value
-        in x.  The rows are gathered a sixteenth of the nodes (at least
-        2**10) at a time, so the gather's temporaries take a few bytes per
-        node, and swept by one call of the kernel behind A @ x.
+        entries in corner order; after the kernel call the nodes of the
+        boolean mask ``fixed`` get back their value in x.  The rows are
+        gathered a sixteenth of the nodes (at least 2**10) at a time, so
+        the gather's temporaries take a few bytes per node, and swept by
+        one call of the kernel behind A @ x.  Only the Kružkov solve runs
+        policy sweeps, and its rows have no offset: an operator with one
+        raises ValueError.
         """
+        if self._add_offset:
+            raise ValueError("policy sweeps take an operator without an "
+                             "offset")
         n, width = self.n_nodes, len(self.corners)
         indptr = self.indptr * width
         indices = np.empty((n, width), dtype=indptr.dtype)
         data = np.empty((n, width))
-        offset = (self.offset[choice, np.arange(n)] if self._add_offset
-                  else None)
         step = max(2 ** 10, -(-n // 16))
         for lo in range(0, n, step):
             at, node = slice(lo, lo + step), np.arange(lo, min(lo + step, n))
@@ -287,8 +285,6 @@ class BellmanOperator:
         def sweep(x, out):
             out.fill(0.0)  # as A @ x does: each row sums up from +0
             self._matvec(n, n, indptr, indices, data, x, out)
-            if offset is not None:
-                out += offset
             np.copyto(out, x, where=fixed)
             return out
 

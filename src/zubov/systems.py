@@ -12,6 +12,8 @@ alone are read back from its columns.  Systems loaded from JSON configs
 compile their expression strings to such a function; the builtin registry
 writes its own (two of the reference problems are piecewise and a third
 needs a smooth cutoff, none of which the expression grammar covers).
+`BUILTINS` holds each reference problem in one row: its dynamics, control
+menu, envelope, default grid and closed form.
 """
 
 from __future__ import annotations
@@ -30,8 +32,6 @@ import numpy as np
 
 from . import expressions as ex
 
-_BUILTIN_NAMES = ("lift2d", "lift2d-psi-sqrt", "lift2d-psi-abs",
-                  "ex1", "arctan1d", "hav1d", "fuller")
 MAX_CONTROLS = 2 ** 20  # samples a box lattice may hold; lift2d samples 21
 
 
@@ -486,7 +486,7 @@ class SystemDef:
         if mode == "minimize" and ell is None:
             raise ConfigError("minimize mode needs a running cost 'ell'")
         self.name = name
-        self.n_state = int(n_state)
+        self.n_state = _whole(n_state, "n_state", 1)
         self.control = control
         self.rates = rates
         self.ell = ell
@@ -700,9 +700,7 @@ def load_system(config):
     if not isinstance(config, dict):
         raise ConfigError("system config must be a JSON object")
     problems = []
-    n = config.get("n")
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ConfigError("system config needs a positive integer 'n'")
+    n = _whole(config.get("n"), "system config 'n'", 1)
     try:
         control = _control_from_config(config.get("control"))
     except ConfigError as err:
@@ -764,7 +762,7 @@ def load_system(config):
         raise ValidationError([str(err)]) from None
 
 
-# --- builtin registry -------------------------------------------------------
+# --- builtin dynamics -------------------------------------------------------
 
 def _smooth_cut(u):
     # 1 on |u|<=1.5, 0 on |u|>=2, C^1 cubic ramp between
@@ -805,14 +803,6 @@ def _lift_rates(psi=None):
         out[..., 2] = norm2 if psi is None else norm2 * psi(x1, x2)
 
     return rates
-
-
-def _psi_sqrt(x1, x2):
-    return np.sqrt(np.abs(x1 - 0.75)) + np.sqrt(np.abs(x2 - 0.75))
-
-
-def _psi_abs(x1, x2):
-    return np.abs(x1 - 0.75) + np.abs(x2 - 0.75)
 
 
 def _ex1_rates(x, a, out):
@@ -922,86 +912,104 @@ def _fuller_rates(x, a, out):
     out[..., 2] = _fuller_ell(x, a)
 
 
-def builtin(name, **overrides):
-    """Construct one of the registered reference problems.
+# --- builtin registry -------------------------------------------------------
 
-    The one override is controls=K, the sample count on the control box
-    axis of the systems that have one.
-    """
-    if name not in _BUILTIN_NAMES:
+def _lift2d_value(x):
+    """lift2d's W on states (..., 2); OutsideDomainError when any |x_i| >= 1."""
+    x = np.asarray(x, dtype=float)
+    if x.shape[-1] != 2:
+        raise ConfigError("lift2d closed form wants 2-vectors")
+    x1, x2 = x[..., 0], x[..., 1]
+    if np.any(np.abs(x1) >= 1.0) or np.any(np.abs(x2) >= 1.0):
+        raise OutsideDomainError(
+            "state outside the robust domain of attraction (-1,1)^2")
+    upper = -np.log1p(-x1) - np.log1p(-x2) - x1 - x2
+    lower = -np.log1p(x1) - np.log1p(x2) + x1 + x2
+    return np.where(x1 >= -x2, upper, lower)
+
+
+def _ex1_value(x):
+    from scipy.special import sici
+    y = np.minimum(np.abs(np.asarray(x, dtype=float)), 1.0)
+    # int_0^y sin(pi u)/(u(1-u)) du via partial fractions; the cost
+    # vanishes beyond |x| = 1, so the value saturates at 2 Si(pi)
+    return sici(np.pi * y)[0] + sici(np.pi)[0] - sici(np.pi * (1.0 - y))[0]
+
+
+@dataclass(frozen=True)
+class _Builtin:
+    """One reference problem, as `builtin`, `closed_form_value` and the
+    command line's default grid read it."""
+    n_state: int
+    controls: int        # default samples on [-1, 1]; 0: no control
+    rates: object        # the fused rates(x, a, out)
+    keywords: dict       # SystemDef's ell, mode, guard, ules, growth
+    grid: tuple          # default grid: (box half-width, nodes per axis)
+    closed_form: object  # W(x) on a state or a batch of states, or None
+
+
+BUILTINS = {
+    "lift2d": _Builtin(
+        2, 21, _lift_rates(),
+        dict(ules=Ules(1.0, 0.5, 0.5), growth=Growth(1.0, 2.0)),
+        (1.2, 201), _lift2d_value),
+    "lift2d-psi-sqrt": _Builtin(
+        2, 21, _lift_rates(lambda x1, x2: np.sqrt(np.abs(x1 - 0.75))
+                           + np.sqrt(np.abs(x2 - 0.75))),
+        dict(ules=Ules(1.0, 0.5, 0.5), growth=Growth(2.5, 2.0)),
+        (1.2, 201), None),
+    "lift2d-psi-abs": _Builtin(
+        2, 21, _lift_rates(lambda x1, x2: np.abs(x1 - 0.75)
+                           + np.abs(x2 - 0.75)),
+        dict(ules=Ules(1.0, 0.5, 0.5), growth=Growth(2.5, 2.0)),
+        (1.2, 201), None),
+    "ex1": _Builtin(
+        1, 21, _ex1_rates,
+        dict(ules=Ules(1.0, 0.5, 0.5), growth=Growth(np.pi, 1.0)),
+        (2.0, 801), _ex1_value),
+    "arctan1d": _Builtin(
+        1, 0, _arctan_rates,
+        dict(ules=Ules(1.0, 1.0, 1.0), growth=Growth(1.0, 1.0)),
+        (3.0, 601), lambda x: np.arctan(np.abs(np.asarray(x, dtype=float)))),
+    "hav1d": _Builtin(
+        1, 0, _hav_rates,
+        dict(ules=Ules(1.0, _HAV_SLOPE, 0.9), growth=Growth(1.0, 7.0)),
+        (1.0, 401), hav_q_integral),
+    "fuller": _Builtin(
+        2, 3, _fuller_rates,
+        dict(ell=_fuller_ell, mode="minimize", guard="nonneg_ell"),
+        (1.0, 101), None),
+}
+
+
+def builtin(name, **overrides):
+    """The reference problem ``name`` as a SystemDef, from its row of
+    BUILTINS.  The one override is controls=K, the sample count on
+    [-1, 1] of the problems whose row has a control."""
+    if not isinstance(name, str) or name not in BUILTINS:
         raise ConfigError("unknown builtin %r (have: %s)"
-                          % (name, ", ".join(_BUILTIN_NAMES)))
+                          % (name, ", ".join(BUILTINS)))
+    row = BUILTINS[name]
     bad = set(overrides) - {"controls"}
     if bad:
         raise ConfigError("unsupported overrides for %s: %s"
                           % (name, ", ".join(sorted(bad))))
-    if name in ("arctan1d", "hav1d") and "controls" in overrides:
+    if not row.controls and "controls" in overrides:
         raise ConfigError("%s has no control to discretize" % name)
-    k = _whole_counts(overrides.get("controls", 3 if name == "fuller"
-                                    else 21), "controls")
+    control = ControlSpace.none()
+    if row.controls:
+        control = ControlSpace.from_box([-1.0], [1.0], _whole_counts(
+            overrides.get("controls", row.controls), "controls"))
+    return SystemDef(name, row.n_state, control, row.rates, **row.keywords)
 
-    if name.startswith("lift2d"):
-        psi = {"lift2d": None, "lift2d-psi-sqrt": _psi_sqrt,
-               "lift2d-psi-abs": _psi_abs}[name]
-        c_tilde = 1.0 if name == "lift2d" else 2.5
-        return SystemDef(
-            name, 2, ControlSpace.from_box([-1.0], [1.0], k), _lift_rates(psi),
-            mode="maximize", ules=Ules(1.0, 0.5, 0.5),
-            growth=Growth(c_tilde, 2.0))
-
-    if name == "ex1":
-        return SystemDef(
-            name, 1, ControlSpace.from_box([-1.0], [1.0], k), _ex1_rates,
-            mode="maximize", ules=Ules(1.0, 0.5, 0.5),
-            growth=Growth(np.pi, 1.0))
-
-    if name == "arctan1d":
-        return SystemDef(
-            name, 1, ControlSpace.none(), _arctan_rates,
-            mode="maximize", ules=Ules(1.0, 1.0, 1.0),
-            growth=Growth(1.0, 1.0))
-
-    if name == "hav1d":
-        return SystemDef(
-            name, 1, ControlSpace.none(), _hav_rates,
-            mode="maximize", ules=Ules(1.0, _HAV_SLOPE, 0.9),
-            growth=Growth(1.0, 7.0))
-
-    return SystemDef(
-        "fuller", 2, ControlSpace.from_box([-1.0], [1.0], k), _fuller_rates,
-        ell=_fuller_ell, mode="minimize", guard="nonneg_ell")
-
-
-# --- closed forms -----------------------------------------------------------
 
 def closed_form_value(name, x):
-    """Exact value of the maximal-cost function for the registered problems.
-
-    Accepts a single state or an array of states (last axis = state dim for
-    lift2d).  lift2d raises OutsideDomainError when any |x_i| >= 1.
-    """
-    if name == "lift2d":
-        x = np.asarray(x, dtype=float)
-        if x.shape[-1] != 2:
-            raise ConfigError("lift2d closed form wants 2-vectors")
-        x1, x2 = x[..., 0], x[..., 1]
-        if np.any(np.abs(x1) >= 1.0) or np.any(np.abs(x2) >= 1.0):
-            raise OutsideDomainError(
-                "state outside the robust domain of attraction (-1,1)^2")
-        upper = -np.log1p(-x1) - np.log1p(-x2) - x1 - x2
-        lower = -np.log1p(x1) - np.log1p(x2) + x1 + x2
-        out = np.where(x1 >= -x2, upper, lower)
-        return out if out.ndim else float(out)
-    if name == "arctan1d":
-        out = np.arctan(np.abs(np.asarray(x, dtype=float)))
-        return out if out.ndim else float(out)
-    if name == "hav1d":
-        return hav_q_integral(x)
-    if name == "ex1":
-        from scipy.special import sici
-        y = np.minimum(np.abs(np.asarray(x, dtype=float)), 1.0)
-        # int_0^y sin(pi u)/(u(1-u)) du via partial fractions; the cost
-        # vanishes beyond |x| = 1, so the value saturates at 2 Si(pi)
-        out = sici(np.pi * y)[0] + sici(np.pi)[0] - sici(np.pi * (1.0 - y))[0]
-        return out if out.ndim else float(out)
-    raise ConfigError("no closed form registered for %r" % name)
+    """The exact maximal cost W(x) of the builtin ``name`` at a state or a
+    batch of states (last axis the state's for lift2d): its row's closed
+    form in BUILTINS, a float for a single state.  ConfigError when the
+    row has none; lift2d raises OutsideDomainError when any |x_i| >= 1."""
+    row = BUILTINS.get(name) if isinstance(name, str) else None
+    if row is None or row.closed_form is None:
+        raise ConfigError("no closed form registered for %r" % (name,))
+    out = row.closed_form(x)
+    return out if np.ndim(out) else float(out)

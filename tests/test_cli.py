@@ -7,9 +7,12 @@ import time
 import numpy as np
 import pytest
 
-from zubov.cli import main
+from zubov.cli import _build_parser, _make_grid, _resolve, _settings, main
+from zubov.oracle import _INT_DT
 from zubov.regions import load_mask
-from zubov.systems import builtin, load_field, save_field
+from zubov.solver import SolverSettings, interpolate
+from zubov.systems import BUILTINS, builtin, load_field, save_field
+from zubov.trajectories import ControlSchedule, integrate
 
 LIFT_CLOSED = 0.3862943611198906  # exact worst-case cost at (0.5, 0.5)
 
@@ -104,6 +107,23 @@ class TestSolve:
             + 4 * rows + 4 * (101 * 101 + 1)
         for key in ("sweep_changes", "bellman_residual", "operator_bytes"):
             assert key not in meta["config"]
+
+    def test_builtin_default_grid_is_its_row(self):
+        for name, row in BUILTINS.items():
+            half, count = row.grid
+            grid = _make_grid({"builtin": name, "nodes": None, "box": None},
+                              builtin(name))
+            assert grid.counts.tolist() == [count] * row.n_state
+            assert np.allclose(grid.lo, -half, rtol=0.0, atol=1e-12)
+            assert np.allclose(grid.hi, half, rtol=0.0, atol=1e-12)
+
+    def test_solver_defaults_are_the_settings_defaults(self, tmp_path):
+        args = _build_parser().parse_args(
+            ["solve", "--builtin", "lift2d", "--out", str(tmp_path)])
+        cfg, default = _resolve(args), SolverSettings()
+        assert _settings(cfg) == default
+        assert (cfg["dt"], cfg["tol"], cfg["max_iters"]) == (
+            default.dt, default.tol, default.max_iters)
 
     def test_missing_config_exits_1(self, tmp_path):
         rc = main(["solve", "--config", str(tmp_path / "missing.json")])
@@ -625,6 +645,36 @@ class TestVerify:
         fixed = {c["name"]: c for c in doc["checks"]}["fixed_point"]
         assert not fixed["passed"]
         assert fixed["witnesses"][0]["node"] == [70, 30]
+
+    def test_decrease_witnesses_record_replayable_schedules(self, run_dir,
+                                                            tmp_path):
+        # the flipped field rises along trajectories: each witness's
+        # schedule goes to metadata.json as {"segments": [[d, [a]], ...]},
+        # and replaying it from there reaches the witness's v_after, bit
+        # for bit
+        field = load_field(str(run_dir / "field.csv"))
+        flipped = field.with_values(1.0 - field.values)
+        save_field(flipped, str(tmp_path / "field.csv"))
+        config = tmp_path / "decrease.json"
+        config.write_text(json.dumps({"builtin": "lift2d", "nodes": [101],
+                                      "checks": ["decrease"]}))
+        rc = main(["verify", "--config", str(config), "--out",
+                   str(tmp_path / "chk"), str(tmp_path / "field.csv")])
+        assert rc == 4
+        (check,) = read_meta(tmp_path / "chk")["result"]["checks"]
+        assert check["name"] == "lyapunov_decrease" and not check["passed"]
+        witnesses = check["witnesses"]
+        assert len(witnesses) == check["stats"]["violations"] > 0
+        system = builtin("lift2d")
+        for wit in witnesses:
+            segments = wit["schedule"]["segments"]
+            assert list(wit["schedule"]) == ["segments"] and segments
+            for duration, control in segments:
+                assert isinstance(duration, float)
+                assert len(control) == 1 and isinstance(control[0], float)
+            schedule = ControlSchedule([(d, a) for d, a in segments])
+            final = integrate(system, wit["x"], schedule, _INT_DT).final_state
+            assert interpolate(flipped, final) == wit["v_after"]
 
     def test_skipped_blowup_prints_no_python_warning(self, tmp_path):
         # hav1d's mask reaches the grid faces, so the blow-up check is

@@ -406,6 +406,22 @@ class TestMinValue:
         assert plus.upper == pytest.approx(minus.upper, rel=1e-12)
         assert abs(plus.upper - minus.upper) <= 0.02 * plus.upper
 
+    def test_nonneg_ell_bracket_adds_the_tail_above(self):
+        # x' = -x with ell = x^2 costs x0^2 / 2 from x0.  ell >= 0, so J
+        # only grows past the horizon, by at most the tail at rho: the
+        # certified bracket is [J(T), J(T) + tail]
+        system = SystemDef("decay-min", 1, ControlSpace.none(), decay_rates,
+                           ell=lambda x, a: np.asarray(x)[..., 0] ** 2,
+                           mode="minimize", guard="nonneg_ell",
+                           ules=Ules(1.0, 1.0, 1.0), growth=Growth(1.0, 2.0))
+        vb = min_value(system, [0.5], switch_dt=0.5, depth=8, rho=0.05)
+        assert not vb.truncated and vb.horizon == 4.0
+        assert vb.tail_bound == pytest.approx(0.05 ** 2 / 2.0, rel=1e-12)
+        assert vb.upper - vb.lower == pytest.approx(vb.tail_bound, abs=1e-15)
+        assert vb.lower == pytest.approx(0.125 * (1.0 - math.exp(-8.0)),
+                                         abs=1e-9)
+        assert vb.lower < 0.125 < vb.upper
+
     def test_unentered_row_truncates(self):
         system = stay_or_decay("minimize")
         z, entered, _ = _enumerate(system, np.array([0.5]), 0.5, 6, 0.05,

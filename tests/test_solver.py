@@ -276,6 +276,16 @@ def test_solve_hjbe_and_one_control_solves_run_no_policy_sweeps():
     assert meta["policy_sweeps"] == 0
 
 
+def test_policy_sweeps_refuse_an_operator_with_an_offset():
+    # fuller's raw rows carry the step cost; a Kruzhkov row carries none
+    grid = Grid([-1.0, -1.0], [1.0, 1.0], [11, 11])
+    op = hjbe_operator(builtin("fuller"), grid, 0.05)
+    assert op.offset.any()
+    _, picked = op(np.zeros(grid.n_nodes), choice=True)
+    with pytest.raises(ValueError, match="without an offset"):
+        op.policy(picked, np.zeros(grid.n_nodes, dtype=bool))
+
+
 # --- streamed build ----------------------------------------------------------
 
 @pytest.mark.parametrize("chunk", [7, 1000])
@@ -576,13 +586,19 @@ class TestSettings:
             SolverSettings(threads=0)
         for bad in ({"dt": math.inf}, {"dt": math.nan}, {"tol": math.inf},
                     {"tol": math.nan}, {"max_iters": 2.5},
-                    {"max_iters": True}, {"max_iters": 10.0},
-                    {"threads": 2.5}, {"threads": True}, {"threads": -1}):
+                    {"max_iters": True}, {"threads": 2.5},
+                    {"threads": True}, {"threads": -1}):
             with pytest.raises(ConfigError):
                 SolverSettings(**bad)
-        # an integer of any integral type passes, and threads may be None
-        SolverSettings(max_iters=np.int64(5), threads=np.int32(2))
-        SolverSettings(threads=None)
+        # a whole number of any type passes and is stored as the int it
+        # names; threads may be None
+        for settings in (SolverSettings(max_iters=np.int64(5),
+                                        threads=np.int32(2)),
+                         SolverSettings(max_iters=5.0, threads=2.0)):
+            assert type(settings.max_iters) is int and settings.max_iters == 5
+            assert type(settings.threads) is int and settings.threads == 2
+        assert SolverSettings(max_iters=10.0) == SolverSettings(max_iters=10)
+        assert SolverSettings(threads=None).threads is None
         # the scheme itself takes no option
         assert [f.name for f in dataclasses.fields(SolverSettings)] == [
             "dt", "tol", "max_iters", "threads"]

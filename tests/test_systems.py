@@ -722,6 +722,23 @@ class TestLoadSystem:
         with pytest.raises(EvalDomainError, match="division"):
             sys.f(np.array([[0.5, 0.5], [0.5, -1.0]]), a)
 
+    def test_non_object_refused(self):
+        for doc in ([_config()], "scalar-decay", None):
+            with pytest.raises(ConfigError,
+                               match="system config must be a JSON object"):
+                load_system(doc)
+
+    @pytest.mark.parametrize("patch, problem", [
+        (dict(f=["-x1", "-x1"]), "'f' must be a list of 1 expression strings"),
+        (dict(f="-x1"), "'f' must be a list of 1 expression strings"),
+        (dict(g=2), "'g' must be an expression string"),
+        (dict(f=[-1.0]), "f[0] must be a string"),
+    ], ids=["f-length", "f-string", "g-number", "f0-number"])
+    def test_malformed_f_and_g_are_one_problem(self, patch, problem):
+        with pytest.raises(ValidationError) as err:
+            load_system(_config(**patch))
+        assert err.value.problems == [problem]
+
     def test_missing_dimension(self):
         with pytest.raises(ConfigError):
             load_system({"f": ["-x1"], "g": "x1^2"})
@@ -807,6 +824,12 @@ def _relaxed(duration=1.0):
 _LIFT3 = builtin("lift2d", controls=3)
 _HOLD = ControlSchedule([(1.0, [0.0])])
 
+
+def _decay_rates(x, a, out):  # x' = -x, cost x^2
+    out[..., 0] = -x[..., 0]
+    out[..., 1] = x[..., 0] ** 2
+
+
 # (argument, least whole value or None for a positive real, call)
 _NUMBER_RULE = {
     "Ules-C": ("C", None, lambda v: Ules(v, 0.5, 0.5)),
@@ -818,6 +841,13 @@ _NUMBER_RULE = {
     "header-tol": ("tol", None, _header("tol")),
     "SolverSettings-dt": ("dt", None, lambda v: SolverSettings(dt=v)),
     "SolverSettings-tol": ("tol", None, lambda v: SolverSettings(tol=v)),
+    "SolverSettings-max_iters": ("max_iters", 1,
+                                 lambda v: SolverSettings(max_iters=v)),
+    "SolverSettings-threads": ("threads", 1,
+                               lambda v: SolverSettings(threads=v)),
+    "SystemDef-n_state": ("n_state", 1, lambda v: SystemDef(
+        "d", v, ControlSpace.none(), _decay_rates)),
+    "load_system-n": ("n", 1, lambda v: load_system(_config(n=v))),
     "inverse_transform-cap": ("cap", None,
                               lambda v: inverse_transform(_flat_field(), v)),
     "maximal_cost-switch_dt": ("switch_dt", None, lambda v: maximal_cost(
@@ -882,6 +912,11 @@ def test_numbers_in_rule_keep_their_bits():
     for value in (8, 8.0, np.int64(8), 10 ** 30):
         out = _whole(value, "depth", 1)
         assert type(out) is int and out == int(value)
+    # the counts an object keeps are those ints too
+    for value in (1, 1.0, np.int32(1)):
+        assert type(SystemDef("d", value, ControlSpace.none(),
+                              _decay_rates).n_state) is int
+        assert type(load_system(_config(n=value)).n_state) is int
     for value in (10 ** 400, "0.5", np.array(0.5), 1j):
         with pytest.raises(ConfigError, match="x must be positive"):
             _positive(value, "x")
@@ -898,6 +933,18 @@ def test_drifting_origin_rejected_in_maximize_mode():
     with pytest.raises(ValidationError) as err:
         SystemDef("drift", 2, ControlSpace.from_box([-1], [1], [3]), rates)
     assert any("f(0,a)" in p for p in err.value.problems)
+
+
+@pytest.mark.parametrize("keywords, message", [
+    (dict(mode="max"), "mode must be 'maximize' or 'minimize'"),
+    (dict(guard="nonneg"), "unknown convergence guard 'nonneg'"),
+    (dict(mode="minimize", guard="nonneg_ell"),
+     "minimize mode needs a running cost 'ell'"),
+], ids=["mode", "guard", "minimize-without-ell"])
+def test_system_keywords_out_of_range_are_refused(keywords, message):
+    with pytest.raises(ConfigError) as err:
+        SystemDef("d", 1, ControlSpace.none(), _decay_rates, **keywords)
+    assert str(err.value) == message
 
 
 def test_declared_growth_is_spot_checked():
@@ -1001,9 +1048,28 @@ class TestBuiltins:
             builtin("lorenz")
 
     def test_all_names_construct(self):
-        for name in ("lift2d", "lift2d-psi-sqrt", "lift2d-psi-abs",
-                     "ex1", "arctan1d", "hav1d", "fuller"):
-            builtin(name)
+        # each row of the table builds its system
+        assert list(systems.BUILTINS) == [
+            "lift2d", "lift2d-psi-sqrt", "lift2d-psi-abs", "ex1", "arctan1d",
+            "hav1d", "fuller"]
+        for name, row in systems.BUILTINS.items():
+            system = builtin(name)
+            assert system.name == name and system.n_state == row.n_state
+            # 0 samples: no control, the single empty point
+            assert system.control.m == (1 if row.controls else 0)
+            assert system.control.size == max(row.controls, 1)
+            assert system.rates is row.rates
+            if row.closed_form is None:
+                with pytest.raises(ConfigError, match="no closed form"):
+                    closed_form_value(name, np.zeros(row.n_state))
+            else:
+                assert closed_form_value(name, np.zeros(row.n_state)) == 0.0
+
+    @pytest.mark.parametrize("name", ["arctan1d", "hav1d"])
+    def test_no_control_to_discretize(self, name):
+        with pytest.raises(ConfigError, match="%s has no control to "
+                                              "discretize" % name):
+            builtin(name, controls=3)
 
     def test_lift2d_control_grid(self):
         sys = builtin("lift2d")

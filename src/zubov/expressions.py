@@ -18,17 +18,18 @@ Unicode whitespace separates tokens.  A tree deeper than MAX_DEPTH
 levels, or parentheses nested deeper, is a ParseError.
 
 Evaluation is numpy-vectorized: state/control components may be floats or
-same-shaped arrays.  A tree compiles once, by a single walk, into nested
-closures that run its NumPy operations and domain checks; evaluating it
-again costs only those calls, not another walk.  Domain violations
-(division by zero, ln/sqrt outside their domain, fractional powers of
-negative bases) raise EvalDomainError -- they never come back as silent
-NaNs.
+same-shaped arrays.  `compile_trees` turns a group of trees, such as a
+system's f and g, into one generated Python function: a flat list of the
+NumPy calls and domain checks a walk of the trees would make, with each
+distinct subtree computed once, so a call costs only those NumPy calls.
+Constants reach the generated code by reference, never as source text.
+Domain violations (division by zero, ln/sqrt outside their domain,
+fractional powers of negative bases) raise EvalDomainError -- they never
+come back as silent NaNs.
 """
 
 from __future__ import annotations
 
-import operator
 import re
 from dataclasses import dataclass
 
@@ -41,8 +42,8 @@ BINARY_FUNCS = ("min", "max")
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
 
 # the deepest tree, and nesting of parentheses, that `parse` takes: the
-# recursion of parsing, compiling and evaluating stays well inside 1000
-# frames, Python's default limit
+# recursion of parsing and compiling stays well inside 1000 frames,
+# Python's default limit (the compiled code does not recurse)
 MAX_DEPTH = 200
 _TOO_DEEP = "expression nests deeper than %d levels" % MAX_DEPTH
 
@@ -208,87 +209,151 @@ def parse(source, n_state, n_control=0):
     return _Parser(source, n_state, n_control).parse()
 
 
-# --- evaluation ------------------------------------------------------------
+# --- compilation -----------------------------------------------------------
 
-def _domain(cond, message):
-    if np.any(cond):
-        raise EvalDomainError(message)
+# each operation as its NumPy function
+_UFUNCS = {"+": "add", "-": "subtract", "*": "multiply", "/": "divide",
+           "neg": "negative", "abs": "abs", "sin": "sin", "cos": "cos",
+           "exp": "exp", "ln": "log", "sqrt": "sqrt", "min": "minimum",
+           "max": "maximum", "^": "power"}
+# the exactly rounded ones: their value does not depend on the memory
+# layout NumPy's loops see, so a tree whose root is one of them computes
+# straight into its column of `out`.  Every other operation writes a fresh
+# temporary, as the tree walk's did, since NumPy's SIMD loops may round
+# differently into a strided column.
+_EXACT = ("+", "-", "*", "/", "neg")
+# the domain tests of the generated code, on the operands {0} and {1}, and
+# the names of their messages
+_GUARDS = {
+    "ln": [("np.less_equal({0}, 0)", "m_ln")],
+    "sqrt": [("np.less({0}, 0)", "m_sqrt")],
+    "/": [("np.equal({1}, 0)", "m_divide")],
+    "^": [("np.less({0}, 0) & np.not_equal({1}, np.floor({1}))", "m_base"),
+          ("np.equal({0}, 0) & np.less({1}, 0)", "m_zero")],
+}
+_MESSAGES = {"m_ln": "ln of a non-positive value",
+             "m_sqrt": "sqrt of a negative value",
+             "m_divide": "division by zero",
+             "m_base": "negative base with non-integer exponent",
+             "m_zero": "zero to a negative power",
+             "m_finite": "expression evaluated to a non-finite value"}
 
 
-# operations whose operands need no check, and the functions whose
-# argument does: (ufunc, test on the argument, message when any holds)
-_PLAIN = {"+": operator.add, "-": operator.sub, "*": operator.mul,
-          "abs": np.abs, "sin": np.sin, "cos": np.cos, "exp": np.exp,
-          "min": np.minimum, "max": np.maximum}
-_GUARDED = {"ln": (np.log, np.less_equal, "ln of a non-positive value"),
-            "sqrt": (np.sqrt, np.less, "sqrt of a negative value")}
+def _distinct(trees):
+    """The distinct subtrees of `trees`, in the order a walk of the trees in
+    turn first finishes them, and per tree the index of its root and the
+    count of subtrees met by the end of its walk.  A subtree is (node, op,
+    operands, uses): op is "num", "var" or a _UFUNCS key, operands index
+    the list, and uses counts the walk's visits.  Constants are told apart
+    by type and repr, so -0.0 is not 0.0."""
+    index, found, roots, ends = {}, [], [], []
+
+    def visit(node):
+        operands = ()
+        if isinstance(node, Num):
+            op, key = "num", (type(node.value), repr(node.value))
+        elif isinstance(node, Var):
+            op, key = "var", (node.kind, node.index)
+        else:
+            if isinstance(node, Neg):
+                op, children = "neg", (node.operand,)
+            elif isinstance(node, BinOp):
+                op, children = node.op, (node.left, node.right)
+            elif isinstance(node, Call):
+                op, children = node.func, node.args
+            else:
+                raise TypeError("not an expression node: %r" % (node,))
+            key = operands = tuple(visit(child) for child in children)
+        i = index.setdefault((op, key), len(found))
+        if i == len(found):
+            found.append([node, op, operands, 0])
+        found[i][3] += 1
+        return i
+
+    for tree in trees:
+        roots.append(visit(tree))
+        ends.append(len(found))
+    return found, roots, ends
 
 
-def _compile(node):
-    """Walk the tree once; return run(state, control) computing its value.
-
-    The closures run the NumPy operations a tree walk would, in the same
-    order and with the same domain checks, so values are bitwise those of
-    walking the tree on every call.  They leave floating-point error
-    states to the caller (`evaluate` ignores them all).
-    """
-    if isinstance(node, Num):
-        value = node.value
-        return lambda s, c: value
-    if isinstance(node, Var):
-        index = node.index
-        if node.kind == "x":
-            return lambda s, c: s[index]
-        return lambda s, c: c[index]
-    if isinstance(node, Neg):
-        operand = _compile(node.operand)
-        return lambda s, c: -operand(s, c)
-    if isinstance(node, Call):
-        name, args = node.func, [_compile(arg) for arg in node.args]
-    elif isinstance(node, BinOp):
-        name, args = node.op, [_compile(node.left), _compile(node.right)]
+def _function_source(name, trees, columns, names):
+    """The source of one generated function over `trees` (`compile_trees`);
+    `names` collects the constants the source refers to by name."""
+    found, roots, ends = _distinct(trees)
+    ref = [None] * len(found)  # the name that holds each subtree's value
+    body, results, first = [], [], 0
+    for k, (root, end) in enumerate(zip(roots, ends)):
+        column = "out[..., %d]" % k
+        for i in range(first, end):
+            node, op, operands, uses = found[i]
+            operands = [ref[j] for j in operands]
+            if op == "num":
+                ref[i] = "k%d" % len(names)
+                names[ref[i]] = node.value
+                continue
+            if op == "var":
+                ref[i] = "%s%d" % (node.kind, node.index)
+                body.append("%s = %s[%s%d]" % (ref[i], node.kind,
+                                               "..., " if columns else "",
+                                               node.index))
+                continue
+            # a constant nonnegative integer exponent (x1^2) can break
+            # neither of the power's rules
+            whole = (op == "^" and isinstance(node.right, Num)
+                     and node.right.value >= 0
+                     and float(node.right.value).is_integer())
+            for test, message in (() if whole else _GUARDS.get(op, ())):
+                body.append("if (%s).any(): raise EvalDomainError(%s)"
+                            % (test.format(*operands), message))
+            call = "np.%s(%s" % (_UFUNCS[op], ", ".join(operands))
+            if columns and i == root and uses == 1 and op in _EXACT:
+                ref[i] = column
+                body.append("%s, out=%s)" % (call, column))
+            else:
+                ref[i] = "t%d" % i
+                body.append("%s = %s)" % (ref[i], call))
+        first = end
+        if not columns:
+            results.append(ref[root])
+        elif ref[root] != column:
+            body.append("%s = %s" % (column, ref[root]))
+    lines = ["def %s(x, a%s):" % (name, ", out" if columns else ""),
+             "    with np.errstate(all='ignore'):"]
+    lines += ["        " + line for line in body]
+    if columns:
+        lines += ["    if not np.isfinite(out).all():",
+                  "        raise EvalDomainError(m_finite)"]
     else:
-        raise TypeError("not an expression node: %r" % (node,))
-    if name in _PLAIN:
-        op = _PLAIN[name]
-        if len(args) == 1:
-            (arg,) = args
-            return lambda s, c: op(arg(s, c))
-        left, right = args
-        return lambda s, c: op(left(s, c), right(s, c))
-    if name in _GUARDED:
-        (ufunc, bad, message), (arg,) = _GUARDED[name], args
+        lines.append("        return (%s,)" % ", ".join(results))
+    return "\n".join(lines)
 
-        def guarded(s, c):
-            value = arg(s, c)
-            _domain(bad(np.asarray(value), 0), message)
-            return ufunc(value)
-        return guarded
-    left, right = args
-    if name == "/":
-        def divide(s, c):
-            a, b = left(s, c), right(s, c)
-            _domain(b == 0, "division by zero")
-            return a / b
-        return divide
-    # power: fractional exponents demand nonnegative bases; a constant
-    # nonnegative integer exponent (x1^2) can violate neither rule
-    exponent = node.right
-    if (isinstance(exponent, Num) and exponent.value >= 0
-            and float(exponent.value).is_integer()):
-        value = exponent.value
-        return lambda s, c: np.power(left(s, c), value)
 
-    def power(s, c):
-        a, b = left(s, c), right(s, c)
-        b_arr = np.asarray(b)
-        integral = b_arr == np.floor(b_arr)
-        _domain((np.asarray(a) < 0) & ~integral,
-                "negative base with non-integer exponent")
-        _domain((np.asarray(a) == 0) & (b_arr < 0),
-                "zero to a negative power")
-        return np.power(a, b)
-    return power
+def compile_trees(groups, columns=True):
+    """One generated NumPy function per group of trees, from one source.
+
+    With `columns`, a group's function is rates(x, a, out): for states x
+    (..., N) and controls a (..., M) it writes tree k's value into
+    out[..., k], and raises EvalDomainError once they are all written if
+    out holds a non-finite value, such as an overflow to inf.  Without,
+    it is values(state, control) over sequences of components, as
+    `evaluate` takes them, returning the trees' values as a tuple.
+
+    Each distinct subtree of a group is evaluated once per call, where a
+    walk of the trees in turn first finishes it, by the NumPy call and
+    with the domain checks the walk makes there.  So the values, and the
+    first EvalDomainError, are bitwise those of walking every tree.  A
+    tree whose root is an exactly rounded operation, and no subtree of
+    another, computes straight into its column.  Floating-point error
+    states are ignored; constants and messages reach the generated code
+    by reference, never as source text.
+    """
+    names = dict(_MESSAGES, np=np, EvalDomainError=EvalDomainError)
+    functions = ["run%d" % g for g in range(len(groups))]
+    source = "\n\n".join(
+        _function_source(name, trees, columns, names)
+        for name, trees in zip(functions, groups))
+    exec(compile(source, "<zubov.expressions>", "exec"), names)
+    return [names[name] for name in functions]
 
 
 def _finite(out):
@@ -296,7 +361,7 @@ def _finite(out):
     a non-finite value, such as an overflow to inf."""
     out = np.asarray(out, dtype=float)
     if not np.isfinite(out).all():
-        raise EvalDomainError("expression evaluated to a non-finite value")
+        raise EvalDomainError(_MESSAGES["m_finite"])
     return float(out) if out.ndim == 0 else out
 
 
@@ -305,13 +370,11 @@ def evaluate(expr, state=(), control=()):
 
     Broadcasting follows numpy; the result is a float for scalar inputs.
     Overflow to inf is treated as a domain error, never returned.  Each
-    call compiles `expr`; callers that evaluate one tree many times
-    compile it once with `_compile` (as `systems.load_system` does).
+    call compiles `expr`; callers that evaluate trees many times compile
+    them once with `compile_trees` (as `systems.load_system` does).
     """
-    run = _compile(expr)
-    with np.errstate(all="ignore"):
-        out = run(state, control)
-    return _finite(out)
+    (run,) = compile_trees([[expr]], columns=False)
+    return _finite(run(state, control)[0])
 
 
 # --- printing --------------------------------------------------------------

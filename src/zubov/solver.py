@@ -174,21 +174,28 @@ def _stencil(grid, pts, scale=None, first=None, w=None):
     return first, w
 
 
-def _corner_sums(indptr, first, weights, corners, x, out):
+def _csr_matvec():
+    """SciPy's CSR kernel behind A @ x.  It is imported here, when an
+    operator is built or applied, so a command that never sweeps does not
+    load scipy.sparse; callers resolve it once and keep it."""
+    from scipy.sparse import _sparsetools
+
+    return _sparsetools.csr_matvec
+
+
+def _corner_sums(matvec, indptr, first, weights, corners, x, out):
     """Writes to ``out`` the stencil rows times x: row i is the sum over
     corners j of ``weights[j][i] * x[first[i] + corners[j]]``.
 
-    One CSR kernel call per corner adds its term to every row, one entry
-    per row on x shifted by the corner's offset, with ``indptr`` counting
-    0, 1, 2, ...  Each row sums up from +0 in corner order, the order of a
-    row-major row's entries, so the sums are bitwise those of one SpMV.
+    One call of the CSR kernel ``matvec`` (`_csr_matvec`) per corner adds
+    its term to every row, one entry per row on x shifted by the corner's
+    offset, with ``indptr`` counting 0, 1, 2, ...  Each row sums up from
+    +0 in corner order, the order of a row-major row's entries, so the
+    sums are bitwise those of one SpMV.
     """
-    from scipy.sparse import _sparsetools
-
     out.fill(0.0)  # as A @ x does: each row sums up from +0
     for corner, w in zip(corners, weights):
-        _sparsetools.csr_matvec(len(out), len(x) - corner, indptr, first, w,
-                                x[corner:], out)
+        matvec(len(out), len(x) - corner, indptr, first, w, x[corner:], out)
 
 
 class BellmanOperator:
@@ -204,8 +211,6 @@ class BellmanOperator:
     """
 
     def __init__(self, first, weights, corners, offset, opt, cap=None):
-        from scipy.sparse import _sparsetools
-
         self.first = first
         self.weights = weights
         self.corners = corners
@@ -220,7 +225,7 @@ class BellmanOperator:
         # one entry per row: each corner's weights of one control are a CSR
         # matrix with the column indices first[k], read on x[corners[j]:]
         self.indptr = np.arange(n + 1, dtype=first.dtype)
-        self._matvec = _sparsetools.csr_matvec  # the kernel behind A @ x
+        self._matvec = _csr_matvec()
         # control 0 writes the output, each later one this buffer
         self._row = np.empty(n) if n_controls > 1 else None
 
@@ -238,8 +243,8 @@ class BellmanOperator:
             wins = np.empty(n, dtype=bool)
         for k in range(self.n_controls):
             row = out if k == 0 else self._row
-            _corner_sums(self.indptr, self.first[k], self.weights[k],
-                         self.corners, x, row)
+            _corner_sums(self._matvec, self.indptr, self.first[k],
+                         self.weights[k], self.corners, x, row)
             if self._add_offset:
                 row += self.offset[k]
             if k == 0:
@@ -415,14 +420,14 @@ def apply_zubov(system, grid, dt, u):
     if u.shape != (n,):  # the kernel does not check
         raise ValueError("operator wants %d node values, got shape %s"
                          % (n, u.shape))
-    out = np.empty(n)
+    out, matvec = np.empty(n), _csr_matvec()
     for k, lo, hi, _ in _chunk_rows(
             grid, _zubov_rows(system, dt), system.control.points,
             lambda k, lo, hi: (first[:hi - lo], w[:, :hi - lo])):
         chunk = out[lo:hi]
         # control 0 writes the chunk's output, each later one the buffer
         dst = chunk if k == 0 else row[:hi - lo]
-        _corner_sums(indptr, first, w[:, :hi - lo], corners, u, dst)
+        _corner_sums(matvec, indptr, first, w[:, :hi - lo], corners, u, dst)
         if k:
             np.minimum(chunk, dst, out=chunk)
     return np.minimum(out, 1.0, out=out)

@@ -594,30 +594,9 @@ def _column(stacked, k):
 
 # --- JSON config loading ----------------------------------------------------
 
-def _compile_components(trees, n, m):
-    """rates(x, a, out) writing tree k's value into out[..., k], on the
-    batch shape of out, constants included.
-
-    Each tree compiles once, here.  The trees evaluate in order under one
-    error state, and the values they wrote are checked once
-    (`expressions._finite`) after the last has run.
-    """
-    runs = [ex._compile(tree) for tree in trees]
-
-    def rates(x, a, out):
-        state = tuple(x[..., i] for i in range(n))
-        control = tuple(a[..., j] for j in range(m))
-        with np.errstate(all="ignore"):
-            for k, run in enumerate(runs):
-                out[..., k] = run(state, control)
-        ex._finite(out)
-
-    return rates
-
-
-def _compile_component(tree, n, m):
-    """One tree as fn(x, a) of batch shape; a float for a single point."""
-    rates = _compile_components([tree], n, m)
+def _one_column(rates):
+    """A one-column rates as fn(x, a) of batch shape, a float for a single
+    point."""
     return lambda x, a: _column(_evaluate(rates, x, a, 1), 0)
 
 
@@ -730,14 +709,13 @@ def load_system(config):
             problems.append("f[%d] must be a string" % i)
             src = "0.0"
         f_trees.append(parsed(src, "f[%d]" % i))
-    rates = _compile_components(f_trees + [parsed(g_src, "g")], n, m)
-
-    def compiled(key):
-        if key not in config:
-            return None
-        return _compile_component(parsed(config[key], key), n, m)
-
-    ell, h = compiled("ell"), compiled("h")
+    # one compile for the system: f and g into rates, ell and h into
+    # one-column rates read back as fn(x, a) of batch shape
+    groups = [f_trees + [parsed(g_src, "g")]]
+    costs = [key for key in ("ell", "h") if key in config]
+    groups += [[parsed(config[key], key)] for key in costs]
+    rates, *runs = ex.compile_trees(groups)
+    costs = dict(zip(costs, map(_one_column, runs)))
 
     blocks = {}
     for key, cls, names in (("ules", Ules, ("C", "sigma", "r")),
@@ -756,8 +734,8 @@ def load_system(config):
         raise ValidationError(problems)
     try:
         return SystemDef(config.get("name", "config"), n, control, rates,
-                         ell=ell, h=h, mode=mode, ules=ules, growth=growth,
-                         guard=guard)
+                         ell=costs.get("ell"), h=costs.get("h"), mode=mode,
+                         ules=ules, growth=growth, guard=guard)
     except ConfigError as err:
         raise ValidationError([str(err)]) from None
 
@@ -783,24 +761,29 @@ def _lift_rates(psi=None):
     """lift2d's fused rates, its cost |x|^2 times psi(x1, x2) when given.
 
     It works per 1-D column: 2-D ops on the strided x of the solver's feet
-    are slower.  Each x_i ** 2 is computed once, for f and for g.
+    are slower.  Each x_i ** 2 is computed once, for f and for g, and the
+    exactly rounded operations write straight into their columns.
     """
 
     def rates(x, a, out):
         x1, x2 = x[..., 0], x[..., 1]
+        f1, f2, g = out[..., 0], out[..., 1], out[..., 2]
         av = a[..., 0]
         sq1, sq2 = x1 ** 2, x2 ** 2
-        out[..., 0] = av * sq1 - x1  # the bits of -x1 + av * x1 ** 2
-        out[..., 1] = av * sq2 - x2
+        np.multiply(av, sq1, out=f1)  # the bits of -x1 + av * x1 ** 2
+        f1 -= x1
+        np.multiply(av, sq2, out=f2)
+        f2 -= x2
         # taper bounds the dynamics without touching trajectories in
         # [-1.5,1.5]^2, where it is exactly 1 and multiplying by it changes
         # no bit
         if not (_top(sq1) <= 2.25 and _top(sq2) <= 2.25):
             cut = _smooth_cut(x1) * _smooth_cut(x2)
-            out[..., 0] *= cut
-            out[..., 1] *= cut
-        norm2 = sq1 + sq2
-        out[..., 2] = norm2 if psi is None else norm2 * psi(x1, x2)
+            f1 *= cut
+            f2 *= cut
+        np.add(sq1, sq2, out=g)
+        if psi is not None:
+            g *= psi(x1, x2)
 
     return rates
 
@@ -812,10 +795,12 @@ def _ex1_rates(x, a, out):
     av = a[..., 0]
     sq = xv ** 2
     top = _top(sq)
-    inner = av * sq - xv  # the bits of -xv + av * xv ** 2
     if top < 1.0:  # no row takes an outer branch
-        out[..., 0] = inner
+        f = out[..., 0]
+        np.multiply(av, sq, out=f)  # the bits of -xv + av * xv ** 2
+        f -= xv
     else:
+        inner = av * sq - xv
         with np.errstate(divide="ignore", invalid="ignore"):
             outer = av / xv  # only consumed where |x| >= 1
         out[..., 0] = np.where(xv >= 1.0, outer - 1.0,

@@ -27,15 +27,18 @@ and the oracle's row-major batches as before.
 
 The hot path is lean but rounds as written.  Each RK4 stage gets f and
 g from one call of the system's fused `rates`, which writes them into the
-stage buffer; a JSON system evaluates its compiled f and g trees there in
-one pass, under one error state, with one finiteness check.  `rk4_step`
-reuses its stage buffers and keeps the textbook operation order.
-`advance` steps an all-live batch whole, with no per-row bookkeeping, and
-falls back to per-group steps only when a row raises or comes out
-non-finite.  The builtin vector fields skip work that changes no bit:
-lift2d squares each x_i once for f and g, its taper only multiplies where
-some |x_i| > 1.5 (inside, it is exactly 1), and ex1's outer branches are
-evaluated only when some |x| reaches 1.
+stage buffer; a JSON system runs there the one function its f and g trees
+were compiled to (`expressions.compile_trees`), under one error state,
+with one finiteness check.  `rk4_step` reuses its stage buffers and keeps
+the textbook operation order.  `advance` steps an all-live batch whole,
+with no per-row bookkeeping; with no `watch` it steps the whole segment
+and checks finiteness once, at its end.  Only when a row raises or ends
+non-finite does it replay the segment sub-step by sub-step, with per-group
+steps where a row fails.  The builtin vector fields skip work that
+changes no bit: lift2d squares each x_i once for f and g, its taper only
+multiplies where some |x_i| > 1.5 (inside, it is exactly 1), ex1's outer
+branches are evaluated only when some |x| reaches 1, and both write the
+results of their exactly rounded operations straight into their columns.
 """
 
 from __future__ import annotations
@@ -248,7 +251,10 @@ def advance(system, z, a, duration, dt, live=None, watch=None):
 
     `a` is one control (m,) or one per row (B, m), frozen for the segment,
     which runs in _substeps(duration, dt) equal RK4 sub-steps.  While every
-    row is live, a sub-step advances the whole batch at once.  A row whose
+    row is live, a sub-step advances the whole batch at once; with no
+    `watch`, so does the whole segment, checked once at its end, and only
+    when a row raises or ends non-finite is the segment replayed one
+    checked sub-step at a time.  A row whose
     sub-step comes out non-finite, or whose evaluation raises
     EvalDomainError, retires: it stays at its last finite state, its `live`
     flag drops and the other rows carry on.  A group of rows that raises is
@@ -266,6 +272,10 @@ def advance(system, z, a, duration, dt, live=None, watch=None):
     a = np.array(np.broadcast_to(np.asarray(a, dtype=float),
                                  (len(z), system.control.m)), order="C")
     with np.errstate(all="ignore"):  # overflow shows as a non-finite row
+        if watch is None and live.all():
+            end = _step_whole(system, z, a, h, steps)
+            if end is not None:
+                return end, live
         for _ in range(steps):
             new = _step_whole(system, z, a, h) if live.all() else None
             if new is not None:
@@ -279,14 +289,17 @@ def advance(system, z, a, duration, dt, live=None, watch=None):
     return z, live
 
 
-def _step_whole(system, z, a, h):
-    """One sub-step of the whole batch; None when a row raises
-    EvalDomainError or comes out non-finite."""
+def _step_whole(system, z, a, h, steps=1):
+    """`steps` sub-steps of the whole batch; None when a row raises
+    EvalDomainError or comes out non-finite.  A sub-step adds its
+    increment to the state, so a non-finite entry stays non-finite, and
+    one check at the end finds every row that went non-finite on the way."""
     try:
-        new = rk4_step(system, z, a, h)
+        for _ in range(steps):
+            z = rk4_step(system, z, a, h)
     except EvalDomainError:
         return None
-    return new if np.isfinite(new).all() else None
+    return z if np.isfinite(z).all() else None
 
 
 def _step_live_rows(system, z, a, h, live):

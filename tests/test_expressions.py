@@ -5,12 +5,12 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zubov.expressions import (
     MAX_DEPTH, BinOp, Call, EvalDomainError, Neg, Num, ParseError, Var,
-    evaluate, parse, to_source,
+    compile_trees, evaluate, parse, to_source,
 )
 
 
@@ -396,3 +396,185 @@ def test_depth_bound_holds_where_every_level_adds_parentheses():
         want, rel=1e-15)
     with pytest.raises(ParseError, match="deeper than"):
         parse(nested(k + 1), 1)
+
+
+# --- the compiler against a tree walk ----------------------------------------
+# `walk` evaluates a tree as the closure compiler that `compile_trees`
+# replaced did: node by node, operands left to right, each operation's
+# NumPy call and domain checks at every place the tree holds it.  The
+# compiler evaluates a repeated subtree once, and writes exactly rounded
+# roots into their columns; values and the first EvalDomainError must stay
+# bitwise the walk's.
+
+_WALK_PLAIN = {"+": lambda l, r: l + r, "-": lambda l, r: l - r,
+               "*": lambda l, r: l * r, "abs": np.abs, "sin": np.sin,
+               "cos": np.cos, "exp": np.exp, "min": np.minimum,
+               "max": np.maximum}
+_WALK_GUARDED = {"ln": (np.log, np.less_equal, "ln of a non-positive value"),
+                 "sqrt": (np.sqrt, np.less, "sqrt of a negative value")}
+
+
+def walk(node, s, c):
+    if isinstance(node, Num):
+        return node.value
+    if isinstance(node, Var):
+        return (s if node.kind == "x" else c)[node.index]
+    if isinstance(node, Neg):
+        return -walk(node.operand, s, c)
+    if isinstance(node, Call):
+        name, args = node.func, [walk(arg, s, c) for arg in node.args]
+    else:
+        name, args = node.op, [walk(node.left, s, c), walk(node.right, s, c)]
+    if name in _WALK_PLAIN:
+        return _WALK_PLAIN[name](*args)
+    if name in _WALK_GUARDED:
+        ufunc, bad, message = _WALK_GUARDED[name]
+        if np.any(bad(np.asarray(args[0]), 0)):
+            raise EvalDomainError(message)
+        return ufunc(args[0])
+    a, b = args
+    if name == "/":
+        if np.any(b == 0):
+            raise EvalDomainError("division by zero")
+        return a / b
+    exponent = node.right
+    if (isinstance(exponent, Num) and exponent.value >= 0
+            and float(exponent.value).is_integer()):
+        return np.power(a, exponent.value)
+    b_arr = np.asarray(b)
+    integral = b_arr == np.floor(b_arr)
+    if np.any((np.asarray(a) < 0) & ~integral):
+        raise EvalDomainError("negative base with non-integer exponent")
+    if np.any((np.asarray(a) == 0) & (b_arr < 0)):
+        raise EvalDomainError("zero to a negative power")
+    return np.power(a, b)
+
+
+def walk_rates(trees, x, a, out):
+    """The rates the closure compiler's systems ran: each tree walked in
+    turn into its column, one finiteness check at the end."""
+    state = tuple(x[..., i] for i in range(x.shape[-1]))
+    control = tuple(a[..., j] for j in range(a.shape[-1]))
+    with np.errstate(all="ignore"):
+        for k, tree in enumerate(trees):
+            out[..., k] = walk(tree, state, control)
+    if not np.isfinite(out).all():
+        raise EvalDomainError("expression evaluated to a non-finite value")
+
+
+def outcome(fn, *args):
+    """('value', bytes and type of fn's result) or ('error', message)."""
+    try:
+        value = fn(*args)
+    except EvalDomainError as err:
+        return "error", str(err)
+    return "value", type(value), np.asarray(value).tobytes()
+
+
+# the literals include the smallest subnormal and the largest double, and
+# -0.0, which the compiler must not take for 0.0
+_LITERALS = (0.0, -0.0, 0.5, 1.0, 2.0, 3.0, 1.5, 1e-3, 5e-324,
+             1.7976931348623157e308)
+_compiler_trees = st.recursive(
+    st.one_of(st.builds(Num, st.sampled_from(_LITERALS)),
+              st.builds(Var, st.just("x"), st.integers(0, 1)),
+              st.builds(Var, st.just("a"), st.just(0))),
+    lambda inner: st.one_of(
+        st.builds(Neg, inner),
+        st.builds(BinOp, st.sampled_from("+-*/^"), inner, inner),
+        st.builds(BinOp, st.just("^"), inner, st.builds(
+            Num, st.sampled_from((0.0, 1.0, 2.0, 3.0, -2.0, 0.5)))),
+        st.builds(Call, st.sampled_from(
+            ("sin", "cos", "exp", "ln", "abs", "sqrt")), st.tuples(inner)),
+        st.builds(Call, st.sampled_from(("min", "max")),
+                  st.tuples(inner, inner)),
+    ),
+    max_leaves=8,
+)
+
+
+@st.composite
+def _components(draw):
+    """1-4 trees built over a common pool, so subtrees, and whole trees,
+    repeat within a component and across components."""
+    pool = draw(st.lists(_compiler_trees, min_size=1, max_size=3))
+    part = st.sampled_from(pool) | _compiler_trees
+    tree = part | st.builds(BinOp, st.sampled_from("+-*/^"), part, part) \
+        | st.builds(Call, st.sampled_from(("sin", "ln", "sqrt")),
+                    st.tuples(part))
+    return draw(st.lists(tree, min_size=1, max_size=4))
+
+
+def _state_layouts(rng, rows):
+    """(name, x, a): a single point, contiguous (column-major) columns,
+    strided columns of a wider row-major state, and zero-stride ones."""
+    x = rng.uniform(-2.0, 2.0, size=(rows, 2))
+    x[:3] = [[0.0, 1.0], [-1.0, 0.5], [2.0, -0.0]]
+    a = rng.choice([-1.0, 0.0, 1.0], size=(rows, 1))
+    wide = np.hstack([x, np.ones((rows, 3))])
+    return [("point", x[4], a[4]),
+            ("contiguous", np.asfortranarray(x), np.asfortranarray(a)),
+            ("strided", wide[:, :2], wide[:, 2:3]),
+            ("zero-stride", np.broadcast_to(x[5], (rows, 2)),
+             np.broadcast_to(a[5], (rows, 1)))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_components(), st.integers(0, 2 ** 32 - 1))
+@example([Num(0.0), BinOp("*", Var("x", 0), Num(-0.0))], 1)
+def test_compiled_rates_are_the_tree_walk_bitwise(trees, seed):
+    (rates,) = compile_trees([trees])
+    k = len(trees)
+    for name, x, a in _state_layouts(np.random.default_rng(seed), 17):
+        shape = np.broadcast_shapes(x.shape[:-1], a.shape[:-1]) + (k,)
+        for order in "CF":
+            want, got = (np.empty(shape, order=order) for _ in range(2))
+            expected = outcome(walk_rates, trees, x, a, want)
+            assert outcome(rates, x, a, got) == expected, (name, order)
+            if expected[0] == "value":
+                assert got.tobytes() == want.tobytes(), (name, order)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_compiler_trees, st.integers(0, 2 ** 32 - 1))
+def test_evaluate_is_the_tree_walk_bitwise(tree, seed):
+    def walked(state, control):
+        with np.errstate(all="ignore"):
+            out = np.asarray(walk(tree, state, control), dtype=float)
+        if not np.isfinite(out).all():
+            raise EvalDomainError("expression evaluated to a non-finite "
+                                  "value")
+        return float(out) if out.ndim == 0 else out
+
+    rng = np.random.default_rng(seed)
+    column = rng.uniform(-2.0, 2.0, size=33)
+    inputs = [
+        ((float(column[0]), float(column[1])), (1.0,)),
+        ((column[:11], column[11:22]), (column[22:],)),
+        ((column[::3], column[1::3]), (np.broadcast_to(-1.0, (11,)),)),
+        ((column[:11], np.broadcast_to(column[3], (11,))), (0.0,)),
+    ]
+    for state, control in inputs:
+        assert outcome(evaluate, tree, state, control) == outcome(
+            walked, state, control)
+
+
+@pytest.mark.parametrize("sources, message", [
+    # the first component raises before the second's check is reached
+    (["ln(x1)", "1/x2"], "ln of a non-positive"),
+    (["x2 + 1/x2", "ln(x1)"], "division by zero"),
+    # a subtree shared by two components raises at its first place
+    (["x1 + sqrt(x2)", "1/x1 + sqrt(x2)"], "sqrt of a negative"),
+    (["1/x1 + sqrt(x2)", "sqrt(x2)"], "division by zero"),
+    (["x1^x2 + 1", "x1^x2"], "zero to a negative power"),
+    (["exp(x1)*1e308", "ln(x1)"], "ln of a non-positive"),
+    (["exp(x1)*1e308", "x1"], "non-finite"),
+])
+def test_first_domain_error_is_the_walks(sources, message):
+    trees = [parse(source, 2) for source in sources]
+    (rates,) = compile_trees([trees])
+    x = np.array([[0.0, -1.0], [1.0, 0.0], [3.0, 2.0]])
+    a = np.zeros((3, 0))
+    expected = outcome(walk_rates, trees, x, a, np.empty((3, len(trees))))
+    assert expected[0] == "error" and message in expected[1]
+    assert outcome(rates, x, a, np.empty((3, len(trees)))) == expected

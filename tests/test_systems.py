@@ -694,23 +694,28 @@ class TestLoadSystem:
         assert isinstance(constant.g(np.zeros(1), np.zeros(1)), float)
 
     def test_trees_compile_once_per_load(self, monkeypatch):
+        # one compile per system, for f, g, ell and h together; evaluating
+        # compiles nothing more
         from zubov import expressions
 
         calls = []
-        compile_tree = expressions._compile
-        monkeypatch.setattr(expressions, "_compile",
-                            lambda node: calls.append(node)
-                            or compile_tree(node))
+        compile_trees = expressions.compile_trees
+        monkeypatch.setattr(expressions, "compile_trees",
+                            lambda groups, **kw: calls.append(groups)
+                            or compile_trees(groups, **kw))
         sys = load_system(_config(n=2, f=["-x1 + a1*x1^2", "-x2 + a1*x2^2"],
-                                  g="x1^2 + x2^2",
+                                  g="x1^2 + x2^2", ell="x1^2", h="x2^2",
+                                  mode="minimize", guard="nonneg_ell",
                                   control={"points": [[-1.0], [1.0]]}))
-        loaded = len(calls)
-        assert loaded > 0
+        assert [len(group) for group in calls[0]] == [3, 1, 1]
+        assert len(calls) == 1
         x, a = np.full((50, 2), 0.25), np.ones((50, 1))
         for _ in range(100):
             sys.f(x, a)
             sys.g(x, a)
-        assert len(calls) == loaded
+            sys.ell(x, a)
+            sys.h(x, a)
+        assert len(calls) == 1
 
     def test_components_raise_in_order(self):
         sys = load_system(_config(n=2, f=["-x1 + 0*ln(x1 + 1)",

@@ -400,6 +400,105 @@ def test_advance_leaves_retired_rows_and_watches_every_substep():
     assert not np.array_equal(out[0], z[0])
 
 
+# `advance` as it stepped before it checked an all-live segment once: every
+# sub-step of the batch checked, a row that raises or comes out non-finite
+# retired at that sub-step, a group that raises halved until the rows that
+# raise stand alone.
+
+def advance_per_substep(system, z, a, duration, dt, watch=None):
+    steps = _substeps(duration, dt)
+    h = duration / steps
+    z = np.array(z, dtype=float)
+    live = np.ones(len(z), bool)
+    a = np.array(np.broadcast_to(np.asarray(a, dtype=float),
+                                 (len(z), system.control.m)), order="C")
+    with np.errstate(all="ignore"):
+        for _ in range(steps):
+            new = None
+            if live.all():
+                try:
+                    new = rk4_step(system, z, a, h)
+                except EvalDomainError:
+                    pass
+                if new is not None and not np.isfinite(new).all():
+                    new = None
+            if new is not None:
+                z = new
+            elif live.any():
+                groups = [np.flatnonzero(live)]
+                while groups:
+                    rows = groups.pop()
+                    try:
+                        new = rk4_step(system, z[rows], a[rows], h)
+                    except EvalDomainError:
+                        if rows.size == 1:
+                            live[rows] = False
+                        else:
+                            groups += np.array_split(rows, 2)
+                        continue
+                    ok = np.isfinite(new).all(axis=1)
+                    z[rows[ok]], live[rows[~ok]] = new[ok], False
+            else:
+                break
+            if watch is not None:
+                watch(z, live)
+    return z, live
+
+
+# x' = x, g = x^2, and ln(2 - x) in g: from 1.5 the state passes 2 near
+# t = 0.29, the 15th of 25 sub-steps, where g's ln raises
+JSON_LN_WALL = {
+    "name": "ln-wall", "n": 1, "f": ["x1"], "g": "x1^2 + 0*ln(2 - x1)",
+    "control": {"points": [[0.0]]}}
+
+# (system, starts, control, the row that retires mid-segment)
+MID_SEGMENT_CASES = {
+    # from 5, x' = x^2 blows up at t = 0.2; the RK4 state overflows at the
+    # 13th of 25 sub-steps
+    "overflow": (blow_up_1d, [[0.1, 0.0], [5.0, 0.0], [-0.5, 0.0]],
+                 NO_CONTROL, 1),
+    "json-raises": (lambda: load_system(JSON_LN_WALL),
+                    [[0.1, 0.0], [-0.3, 0.0], [1.5, 0.0], [1.0, 0.0]],
+                    [0.0], 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MID_SEGMENT_CASES))
+def test_segment_checked_once_retires_rows_as_each_substep_did(case):
+    make, starts, a, retired = MID_SEGMENT_CASES[case]
+    system = make()
+    want_z, want_live = advance_per_substep(system, starts, a, 0.5, 0.02)
+    assert np.flatnonzero(~want_live).tolist() == [retired]
+    z, live = advance(system, starts, a, 0.5, 0.02)
+    assert z.tobytes() == want_z.tobytes()
+    assert live.tolist() == want_live.tolist()
+
+
+@pytest.mark.parametrize("case", sorted(MID_SEGMENT_CASES))
+@pytest.mark.parametrize("rows", ["all", "finite"])
+def test_a_watched_segment_steps_one_checked_substep_at_a_time(case, rows):
+    # with a watch, each sub-step is checked and shown to it, also when
+    # every row stays finite to the segment's end
+    make, starts, a, retired = MID_SEGMENT_CASES[case]
+    system = make()
+    if rows == "finite":
+        starts = starts[:retired] + starts[retired + 1:]
+    seen, want = [], []
+    z, live = advance(system, starts, a, 0.5, 0.02,
+                      watch=lambda zb, lv: seen.append((zb.copy(), lv.copy())))
+    want_z, want_live = advance_per_substep(
+        system, starts, a, 0.5, 0.02,
+        watch=lambda zb, lv: want.append((zb.copy(), lv.copy())))
+    assert len(seen) == len(want) == 25
+    for (zb, lv), (wz, wl) in zip(seen, want):
+        assert zb.tobytes() == wz.tobytes() and lv.tolist() == wl.tolist()
+    assert z.tobytes() == want_z.tobytes()
+    assert live.tolist() == want_live.tolist()
+    assert live.all() == (rows == "finite")
+    if rows == "all":  # the row retired mid-segment
+        assert 0 < [lv[retired] for _, lv in seen].count(True) < 24
+
+
 # --- chattering --------------------------------------------------------------
 
 class TestChatter:

@@ -7,6 +7,37 @@ the command returns and the wall seconds of its phases.  Feeding that file
 back through ``--config`` (with a fresh ``--out``) regenerates the outputs
 bit for bit.
 
+Options merge as flags > config file > defaults (`_resolve`), and flag
+text and config values are typed alike (`_coerce`): an integer option
+takes only integral values, a real one finite numbers or number text.
+The keys older versions recorded (`_REMOVED`, and ``threads``) replay at
+their recorded values and are dropped; the ``--threads`` flag is a usage
+error.
+
+The ``result`` of a run records what it did:
+
+  * every command that writes or reads a field: ``field_sha256``, the
+    sha256 of the field.csv bytes, so a verify, doa or synthesize run
+    ties to the solve it checked;
+  * solve and hjbe: the solver's own record (``field.metadata``: the
+    operator's ``operator_nnz`` and resident ``operator_bytes``, every
+    sweep's sup-change ``sweep_changes``, ``policy_sweeps``, the
+    ``bellman_residual`` of the returned field), less the settings the
+    config holds;
+  * oracle: ``segment_integrations`` and the bracket loop's ``seconds``;
+    bounds.csv has x..., lower, upper, tail_bound (upper - lower), depth,
+    horizon, truncated and status, "budget" for a point whose full
+    enumeration passes the budget;
+  * ``phase_seconds``, wall seconds by phase: solve and hjbe ``build``,
+    ``sweeps``, ``policy``, ``save_field``; verify ``load_field`` and one
+    key per check; doa ``load_field``, ``extract_doa``, ``save_mask``,
+    and in 2-D ``contour2d`` and ``save_contours``; synthesize
+    ``load_field``, ``synthesize``, ``save_schedule``; oracle
+    ``read_points``, ``brackets``, ``save_bounds``; demo one key per
+    reference solve.
+
+Both sit under ``result``, never ``config``, so a rerun is unchanged.
+
 Exit codes: 0 success, 1 unusable configuration or input, 2 the solver
 stopped on max_iters, 3 the oracle refused its enumeration budget, 4 a
 verification, synthesis, or demo check failed.

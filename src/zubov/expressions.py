@@ -13,9 +13,11 @@ the left, '^' to the right (``2^3^2`` is ``2^9``), and an exponent may
 carry a sign (``2^-2``).  Variables are ``x1..xN`` (state) and ``a1..aM``
 (control); there is no implicit multiplication.  Functions: sin, cos,
 exp, ln, abs, sqrt (unary) and min, max (binary).  Numbers are decimal
-with optional fraction/exponent.  Digits and names are ASCII; any
-Unicode whitespace separates tokens.  A tree deeper than MAX_DEPTH
-levels, or parentheses nested deeper, is a ParseError.
+with optional fraction/exponent; one too large for a float (``1e999``)
+is a ParseError.  Digits and names are ASCII; any Unicode whitespace
+separates tokens.  A tree deeper than MAX_DEPTH levels (a sum of 200
+terms is 200 levels deep), or parentheses nested deeper, is a
+ParseError.
 
 Evaluation is numpy-vectorized: state/control components may be floats or
 same-shaped arrays.  `compile_trees` turns a group of trees, such as a

@@ -84,7 +84,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .systems import ConfigError, ValueField, _positive, _whole
+from .systems import (_GUARD_SIGN, ConfigError, ValueField, _positive,
+                      _whole)
 from .trajectories import _aug_rhs, rk4_step, start
 
 
@@ -434,11 +435,23 @@ def apply_zubov(system, grid, dt, u):
 
 
 def hjbe_operator(system, grid, dt):
-    """The raw discounted-cost operator on v; opt follows system.mode."""
+    """The raw discounted-cost operator on v; opt follows system.mode.
+
+    Under the nonneg_ell and nonpos_ell guards, ell's sign is checked on
+    the nodes' ell before the step runs on: the first RK4 stage's J
+    column, whose weight exp(-∫h) is exactly 1 at the start."""
     n = system.n_state
+    sign = _GUARD_SIGN.get(system.guard)
 
     def rows(a, nodes):
-        z1 = rk4_step(system, start(nodes, wide=True), a, dt)
+        z = start(nodes, wide=True)
+        k1 = _aug_rhs(system, z, a)
+        lv = k1[:, n + 1]
+        if sign is not None and (sign * lv).min() < -1e-9:
+            raise ConfigError("ell = %.3g on the grid has the wrong sign for "
+                              "the %s guard" % (lv[np.argmin(sign * lv)],
+                                                system.guard))
+        z1 = rk4_step(system, z, a, dt, k1)
         return z1[:, :n], np.exp(-z1[:, n + 2]), z1[:, n + 1]
 
     pick = np.minimum if system.mode == "minimize" else np.maximum

@@ -14,6 +14,19 @@ writes its own (two of the reference problems are piecewise and a third
 needs a smooth cutoff, none of which the expression grammar covers).
 `BUILTINS` holds each reference problem in one row: its dynamics, control
 menu, envelope, default grid and closed form.
+
+Every number a caller passes follows one rule (`_positive`, `_whole`).
+A constant, step, horizon, tolerance or radius (the envelope's C, sigma,
+r, C_tilde and lambda; dt, tol, switch_dt, rho, t, cap, eps, delta,
+kruzhkov_scale, a schedule's durations, the chatter period) is a finite
+real above 0.  A count, depth or seed (depth, budget, samples, m, seed,
+max_iters, threads, a system's state dimension, grid and control counts)
+is a whole number, an integer or an integral float kept as the int it
+names, no smaller than its least value: 0 for budget and seed, 3 for
+grid counts and 1 for the rest; grid and control counts also fit in
+int64.  A bool is never a number.  Anything else raises ConfigError
+naming the argument, and the command line exits 1.  A few ranges are
+narrower: epsilon lies in (0, 1), and maximal_cost's rho in (0, r/C].
 """
 
 from __future__ import annotations
@@ -368,10 +381,21 @@ _RECORD = {"dt": lambda token: _positive(float(token), "dt"),
 def save_field(field, path):
     """CSV: header (n_axes, counts, lo, hi, transform, then key=value for the
     _RECORD keys the metadata holds), then one node row i1..iN, x1..xN, value
-    with 17 significant digits (bit-exact reload).  A binary twin beside it
-    (`_twin_path`) holds the values and the CSV's sha256, which load_field
-    trusts only while the CSV's bytes still hash to it.  Returns that
-    sha256 hex digest."""
+    with 17 significant digits (bit-exact reload).  Returns the sha256 hex
+    digest of the bytes written.
+
+    The header's run record is a solve's dt, tol and converged (0/1),
+    and a transformed field's exterior_value; files written before Euler
+    feet were removed also hold rk4_feet (0/1).  `verify` re-applies the
+    operator with the recorded dt and tol, and `synthesize` refuses a
+    field whose record does not say converged=1.
+
+    A binary twin beside it (`_twin_path`: field.csv gets field.npz, which
+    np.load opens) holds the values (``values``) and the CSV's digest
+    (``sha256``).  It is a cache that saves load_field the text parse,
+    trusted only while the CSV's bytes still hash to it; the CSV stays the
+    exchange format, and the twin is safe to delete.  Its members carry
+    zipfile's fixed timestamp, so the same field writes the same bytes."""
     grid = field.grid
     n = grid.n_axes
     record = ["%s=%s" % (key, ("%d" if kind is _FLAG else "%.17g")
@@ -382,8 +406,6 @@ def save_field(field, path):
                         ["%s"] * (2 * n) + ["%.17g"])
     twin = _twin_path(path)
     if twin is not None:
-        # its members carry zipfile's fixed 1980 timestamp, so the same
-        # field writes the same bytes
         np.savez(twin, values=field.values, sha256=np.array(digest))
     return digest
 
@@ -422,8 +444,16 @@ def load_field(path):
     the node its index names, or whose value is not finite, is rejected
     like a missing or duplicated one.  The values come from the CSV's twin
     when the twin records the digest of the bytes read and fits the
-    header; otherwise those bytes are parsed, so an edited CSV reads as
-    edited, and its digest and values come from the one read."""
+    header; otherwise (no twin, a stale, truncated or unreadable one)
+    those bytes are parsed, so an edited CSV reads as edited, and its
+    digest and values come from the one read.
+
+    A header token that is not one of the record's key=value pairs, a
+    repeated key, a dt or tol that is not positive and finite, an
+    exterior_value that is not finite, or a non-finite box bound is a
+    malformed header: ConfigError.  With dt=0 the feet would be the
+    nodes, and any field would pass the fixed-point check.  A CSV without
+    a record (older, or written by hand) loads with empty metadata."""
     import hashlib  # lazily: ``import zubov`` does not need it
 
     with open(path, "rb") as fh:
@@ -464,13 +494,38 @@ def load_field(path):
 
 # --- system definition ------------------------------------------------------
 
+# the sign of ell each sign guard promises (SystemDef's docstring)
+_GUARD_SIGN = {"nonneg_ell": 1.0, "nonpos_ell": -1.0}
+
+
 class SystemDef:
     """One problem instance; immutable after construction.
 
     f and g come only as ``rates(x, a, out)`` (module docstring), which
     `fg`, `f` and `g` evaluate on a fresh out.  The arguments after it are
     keyword-only: ell and h, callables fn(x, a) on the batch shape, then
-    the mode, the envelope constants and the convergence guard.
+    the mode, the envelope constants and the convergence guard.  Without
+    ell the running cost ℓ is g, and without h the discount rate is 0.
+
+    The guard names what ℓ promises, and each is defined by what the code
+    relies on it for:
+
+    - `nonneg_ell`: ℓ ≥ 0.  `solve_hjbe` refuses a grid node where ℓ < 0,
+      and `min_value` closes its bracket on one side, [J(T), J(T) + tail],
+      because J only grows after the horizon.
+    - `nonpos_ell`: ℓ ≤ 0.  `solve_hjbe` refuses a grid node where ℓ > 0,
+      and `min_value` refuses the system.
+    - `case_a`: ℓ of either sign.  `solve_hjbe` checks no sign, and
+      `min_value` closes its bracket on both sides, J(T) ± tail.
+    - `case_b`: the same as `case_a`; the code treats the two alike.
+
+    A system that declares a guard and an envelope (`ules` and `growth`)
+    is sampled when it is built, at the 128 points of the envelope ball
+    where g is checked.  It is refused (`ValidationError`) where ℓ has the
+    wrong sign for its guard, where |ℓ| exceeds the growth bound
+    c̃‖x‖^λ, or where h < 0: every tail assumes |ℓ| ≤ c̃‖x‖^λ and
+    e^{−∫h} ≤ 1.  A sample is not a proof.  A system without a guard is
+    not sampled, and the Kružkov route never evaluates ℓ or h.
     """
 
     def __init__(self, name, n_state, control, rates, *, ell=None, h=None,
@@ -545,30 +600,55 @@ class SystemDef:
                     problems.append("h(0,a) = %.6g < 0 at control point a=%s"
                                     % (hv, a.tolist()))
         if self.growth is not None and self.ules is not None:
-            problems += self._spot_check_growth()
+            problems += self._spot_check_envelope()
         return problems
 
-    def _spot_check_growth(self):
-        # deterministic samples in the ULES ball; cost must respect the
-        # declared growth envelope there (and be nonnegative)
+    def _spot_check_envelope(self):
+        # deterministic samples in the ULES ball: g must be nonnegative and
+        # within the growth envelope there, and a guarded system's ell and
+        # h must keep what its guard promises (class docstring)
         rng = np.random.default_rng(20260814)
         z = rng.standard_normal((128, self.n_state))
         z /= np.linalg.norm(z, axis=1, keepdims=True)
         radii = self.ules.r * rng.random(128) ** (1.0 / self.n_state)
         xs = z * radii[:, None]
         cap = self.growth.c_tilde * np.linalg.norm(xs, axis=1) ** self.growth.lam
+        over = cap * (1 + 1e-9) + 1e-12
+        sign = _GUARD_SIGN.get(self.guard)
         problems = []
         for a in self.control.points:
-            gv = self.g(xs, np.broadcast_to(a, (xs.shape[0], a.size)))
+            at = np.broadcast_to(a, (xs.shape[0], a.size))
+            gv = self.g(xs, at)
             if np.any(gv < -1e-12):
                 problems.append("g < 0 inside the ULES ball at a=%s"
                                 % a.tolist())
-            bad = gv > cap * (1 + 1e-9) + 1e-12
-            if np.any(bad):
+            if np.any(gv > over):
                 i = int(np.argmax(gv - cap))
                 problems.append(
                     "growth bound violated: g(%s, %s) = %.6g > %.6g"
                     % (xs[i].tolist(), a.tolist(), gv[i], cap[i]))
+            if self.guard is None:
+                continue
+            lv = gv if self.ell is None else np.broadcast_to(
+                self.ell(xs, at), gv.shape)
+            if sign is not None and np.any(sign * lv < -1e-12):
+                i = int(np.argmin(sign * lv))
+                problems.append(
+                    "ell(%s, %s) = %.6g inside the ULES ball has the wrong "
+                    "sign for the %s guard"
+                    % (xs[i].tolist(), a.tolist(), lv[i], self.guard))
+            if np.any(np.abs(lv) > over):
+                i = int(np.argmax(np.abs(lv) - cap))
+                problems.append(
+                    "growth bound violated: |ell(%s, %s)| = %.6g > %.6g"
+                    % (xs[i].tolist(), a.tolist(), abs(lv[i]), cap[i]))
+            if self.h is not None:
+                hv = np.broadcast_to(self.h(xs, at), gv.shape)
+                if np.any(hv < -1e-12):
+                    i = int(np.argmin(hv))
+                    problems.append("h(%s, %s) = %.6g < 0 inside the ULES "
+                                    "ball" % (xs[i].tolist(), a.tolist(),
+                                              hv[i]))
         return problems
 
 
@@ -672,6 +752,21 @@ def _control_from_config(doc):
 
 def load_system(config):
     """Build a SystemDef from a parsed JSON document.
+
+    The document holds ``n``, the state dimension; ``f``, one expression
+    string per state component; ``g``, the cost; and optionally ``name``,
+    ``control``, ``ell``, ``h``, ``mode``, ``guard``, ``ules`` ({"C",
+    "sigma", "r"}) and ``growth`` ({"C_tilde", "lambda"}).  Expressions
+    follow `expressions`' grammar, in x1..xN and a1..aM.  ``control`` is
+    {"box": {"lo": [...], "hi": [...], "counts": [...]}}, a lattice of
+    counts[j] even samples on axis j (at most MAX_CONTROLS, refused before
+    any is built), or {"points": [[...], ...]}; either way the menu is its
+    points and its box their hull.  No control means none.  Control
+    values and envelope constants must be finite, so JSON's Infinity is
+    refused: an infinite sigma would zero the oracle's tail and certify a
+    false bracket.  f and g compile together into one rates function, and
+    ell and h into one function each (`expressions.compile_trees`), once,
+    at load.
 
     Schema errors and invariant violations are aggregated so a bad config
     reports everything wrong with it in one exception.

@@ -540,6 +540,30 @@ class TestOracle:
         assert rc == 1
         assert "non-finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("ell, problem", [
+        ("10*x1^2", "growth bound violated: |ell("),
+        ("-x1^2", "has the wrong sign for the nonneg_ell guard")])
+    def test_guard_breaking_ell_exits_1(self, tmp_path, capsys, ell,
+                                        problem):
+        # both once certified a bracket that excludes the exact value
+        # (5.0 and -0.5): |ell| leaves the envelope, or ell < 0 under
+        # nonneg_ell, at a sample point of the envelope ball
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"system": {
+            "n": 1, "f": ["-x1"], "g": "x1^2", "ell": ell,
+            "mode": "minimize", "guard": "nonneg_ell",
+            "ules": {"C": 1.0, "sigma": 1.0, "r": 1.0},
+            "growth": {"C_tilde": 1.0, "lambda": 2.0}},
+            "switch_dt": 0.5, "depth": 8, "rho": 0.05}))
+        pts = tmp_path / "pts.csv"
+        pts.write_text("1\n")
+        out = tmp_path / "out"
+        assert main(["oracle", "--config", str(cfg), "--out", str(out),
+                     str(pts)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and problem in err
+        assert not out.exists()
+
     def test_infinite_envelope_constant_exits_1(self, tmp_path, capsys):
         # an infinite sigma once certified lower = upper = 0.29765 here,
         # below the closed form, with truncated=0

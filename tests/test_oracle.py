@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from zubov import oracle
 from zubov import (ConfigError, ControlSpace, Grid, Growth, SystemDef, Ules,
-                   builtin, closed_form_value, load_system)
+                   ValidationError, builtin, closed_form_value, load_system)
 from zubov.oracle import (BudgetError, Counterexample, SynthesisError,
                           ValueBounds, _enumerate, _tail_bound,
                           defect_allowances,
@@ -380,6 +380,31 @@ class TestKruzhkovValue:
         assert kv.lower - 0.02 <= 0.3204295428852386 <= kv.upper + 0.02
 
 
+# acceptance criterion 3's ten points, bracketed deeper than there: the full
+# depth-12 tree of 3 controls is 797,160 segments, inside the default budget
+GRADE_POINTS = [(0.5, 0.5), (-0.5, -0.5), (0.5, -0.5), (-0.3, 0.55),
+                (0.55, 0.0), (0.0, -0.55), (0.25, 0.25), (-0.4, 0.1),
+                (0.1, 0.4), (-0.55, -0.25)]
+
+
+@pytest.mark.parametrize("name", ["lift2d", "lift2d-psi-sqrt",
+                                  "lift2d-psi-abs"])
+def test_builtin_fields_are_graded_by_depth_12_brackets(name, lift2d_field):
+    # the default 201^2 solve's W = -ln(1 - v) lies within 0.005 of every
+    # certified bracket; lift2d, whose closed form criterion 3 grades, is
+    # the control row (measured: 0.0024, 0.0023 and 0.0016 in W)
+    field = lift2d_field if name == "lift2d" else solve_zubov(
+        builtin(name), Grid([-1.2, -1.2], [1.2, 1.2], [201, 201]),
+        SolverSettings(dt=0.05, tol=1e-6))
+    system = builtin(name, controls=3)
+    for point in GRADE_POINTS:
+        x = np.array(point)
+        vb = maximal_cost(system, x, switch_dt=0.25, depth=12)
+        w = -math.log(1.0 - interpolate(field, x))
+        assert not vb.truncated
+        assert vb.lower - 0.005 <= w <= vb.upper + 0.005, (point, vb, w)
+
+
 class TestMinValue:
     def test_origin(self):
         vb = min_value(builtin("fuller"), [0.0, 0.0])
@@ -451,6 +476,38 @@ class TestMinValue:
     def test_mode_check(self):
         with pytest.raises(ConfigError, match="minimize"):
             min_value(builtin("lift2d", controls=3), [0.5, 0.5])
+
+
+# f = -x1 and g = x1^2 under one envelope, C = sigma = r = 1, C_tilde = 1,
+# lambda = 2, which holds g.  From x0 = 1 the exact J is the integral of
+# ell(e^{-t}) over t: 0.5 for ell = x1^2, 5.0 for 10 x1^2 and -0.5 for
+# -x1^2.  Under nonneg_ell the last two were once certified at depth 8 as
+# [4.998323, 4.999573] and [-0.499832, -0.498582], excluding their exact
+# values; |ell| past the envelope and ell < 0 now refuse them at load.
+GUARD_TABLE = [("x1^2", 0.5), ("10*x1^2", None), ("-x1^2", None)]
+
+
+def guarded_decay(ell):
+    return {"name": "guarded-decay", "n": 1, "f": ["-x1"], "g": "x1^2",
+            "ell": ell, "mode": "minimize", "guard": "nonneg_ell",
+            "ules": {"C": 1.0, "sigma": 1.0, "r": 1.0},
+            "growth": {"C_tilde": 1.0, "lambda": 2.0}}
+
+
+@pytest.mark.parametrize("ell, exact", GUARD_TABLE,
+                         ids=["inside", "outside-envelope", "negative-ell"])
+def test_guarded_brackets_hold_or_the_system_is_refused(ell, exact):
+    if exact is None:
+        with pytest.raises(ValidationError, match="ell"):
+            load_system(guarded_decay(ell))
+        return
+    system = load_system(guarded_decay(ell))
+    brackets = [min_value(system, [1.0], switch_dt=0.5, depth=depth,
+                          rho=0.05) for depth in (8, 12)]
+    for vb in brackets:
+        assert not vb.truncated and vb.lower <= exact <= vb.upper
+    assert (round(brackets[0].lower, 6),
+            round(brackets[0].upper, 6)) == (0.499832, 0.501082)
 
 
 class TestFalsifier:

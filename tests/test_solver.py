@@ -723,6 +723,24 @@ class TestSolveHjbe:
         assert np.all(field.values == 0.0)
         assert field.transform == "raw"
 
+    @pytest.mark.parametrize("ell, guard", [("0 - x1^2", "nonneg_ell"),
+                                            ("x1^2", "nonpos_ell")])
+    def test_ell_sign_is_checked_on_the_nodes(self, ell, guard):
+        # no envelope, so nothing was sampled at load; the nodes' ell, the
+        # first RK4 stage's J rate, names the worst node's value
+        sys = scalar_decay(g="x1^2", ell=ell, mode="minimize", guard=guard)
+        with pytest.raises(ConfigError, match=r"ell = -?1 on the grid has "
+                           "the wrong sign for the %s guard" % guard):
+            solve_hjbe(sys, Grid([-1.0], [1.0], [21]))
+
+    def test_signed_guards_check_no_sign(self):
+        # ell = x1 along x' = -x1 costs x1 from x1: J is the node itself
+        sys = scalar_decay(g="x1^2", ell="x1", mode="minimize",
+                           guard="case_a")
+        field = solve_hjbe(sys, Grid([-1.0], [1.0], [21]))
+        assert field.metadata["converged"]
+        assert np.abs(field.values - field.grid.axes[0]).max() <= 1e-4
+
     def test_case_b_scalar_value(self):
         # ell = h = g: J = 1 - exp(-∫g) and ∫g from x=1 is arctan(1)
         sys = scalar_decay(g="abs(x1)/(1 + x1^2)",

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import sys
 import tracemalloc
 
@@ -961,6 +962,48 @@ def test_declared_growth_is_spot_checked():
         SystemDef("too-steep", 1, ControlSpace.none(), rates,
                   ules=Ules(1.0, 1.0, 0.5), growth=Growth(1.0, 2.0))
     assert any("growth" in p for p in err.value.problems)
+
+
+def _guarded(ell=None, h=None, guard="nonneg_ell", envelope=True):
+    """x' = -x, g = x^2, minimize mode, under ``guard``; with ``envelope``
+    the constants C = sigma = r = 1, C_tilde = 1, lambda = 2, which hold
+    g."""
+    def rates(x, a, out):
+        out[..., 0] = -x[..., 0]
+        out[..., 1] = x[..., 0] ** 2
+
+    def cost(scale):
+        return lambda x, a: scale * np.asarray(x)[..., 0] ** 2
+
+    keywords = dict(ules=Ules(1.0, 1.0, 1.0), growth=Growth(1.0, 2.0)) \
+        if envelope else {}
+    return SystemDef("guarded", 1, ControlSpace.none(), rates,
+                     ell=cost(1.0 if ell is None else ell),
+                     h=None if h is None else cost(h), mode="minimize",
+                     guard=guard, **keywords)
+
+
+@pytest.mark.parametrize("ell, h, guard, message", [
+    (10.0, None, "case_a", r"\|ell\(.*\)\| = 9\.7\d* > 0\.97"),
+    (1.0, None, "nonpos_ell", "wrong sign for the nonpos_ell guard"),
+    (1.0, -1.0, "case_b", r"h\(.*\) = -0\.97\d* < 0"),
+], ids=["outside-envelope-signed", "positive-ell", "negative-h"])
+def test_guarded_ell_and_h_are_spot_checked(ell, h, guard, message):
+    # the tails min_value adds assume |ell| <= C_tilde |x|^lambda, the
+    # guard's sign and h >= 0: each sample point must keep them (the
+    # nonneg_ell refusals are test_oracle.py's GUARD_TABLE)
+    with pytest.raises(ValidationError) as err:
+        _guarded(ell, h, guard)
+    assert len(err.value.problems) == 1
+    assert re.search(message, err.value.problems[0])
+
+
+def test_guarded_systems_load_where_the_samples_allow():
+    # without an envelope nothing is sampled, whatever ell and h do
+    for guard in ("nonneg_ell", "case_a"):
+        assert _guarded(-1.0, -1.0, guard, envelope=False).guard == guard
+    assert _guarded(-1.0, guard="nonpos_ell").guard == "nonpos_ell"
+    assert _guarded(-1.0, 5.0, guard="case_a").h is not None
 
 
 # --- the fused rate function -------------------------------------------------

@@ -20,8 +20,9 @@ The ``result`` of a run records what it did:
     sha256 of the field.csv bytes, so a verify, doa or synthesize run
     ties to the solve it checked;
   * solve and hjbe: the solver's own record (``field.metadata``: the
-    operator's ``operator_nnz`` and resident ``operator_bytes``, every
-    sweep's sup-change ``sweep_changes``, ``policy_sweeps``, the
+    RK4 sub-steps of each foot ``foot_substeps``, the operator's
+    ``operator_nnz`` and resident ``operator_bytes``, every sweep's
+    sup-change ``sweep_changes``, ``policy_sweeps``, the
     ``bellman_residual`` of the returned field), less the settings the
     config holds;
   * oracle: ``segment_integrations`` and the bracket loop's ``seconds``;

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .solver import interpolate
-from .systems import ConfigError, _positive, _whole
+from .systems import _GUARD_SIGN, ConfigError, _positive, _whole
 from .trajectories import (ControlSchedule, TrajectoryError, _check_point,
                            advance, rollout, start)
 
@@ -265,16 +265,15 @@ def min_value(system, x, switch_dt=0.25, depth=8, rho=0.05, *,
     with a declared envelope whose ball holds B_rho (C rho <= r) and every
     enumerated trajectory entering B_rho within the horizon, the tail
     closes that family's horizon gap —
-    one-sided for ell >= 0, symmetric for the signed-ell guards.  Without
-    an envelope, or with a trajectory that never reached B_rho, the result
-    is the bare horizon cost, flagged `truncated`.
+    one-sided for the sign guards, [J(T), J(T) + tail] under nonneg_ell and
+    [J(T) - tail, J(T)] under nonpos_ell, and J(T) ± tail for the
+    signed-ell guards.  Without an envelope, or with a trajectory that
+    never reached B_rho, the result is the bare horizon cost, flagged
+    `truncated`.  A minimize-mode system always declares a guard.
     """
     x, depth = _check_enumeration("min_value", system, "minimize", x,
                                   switch_dt, depth)
     _positive(rho, "rho")
-    if system.guard not in ("nonneg_ell", "case_a", "case_b"):
-        raise ConfigError("neither convergence guard declared: min_value "
-                          "needs nonneg_ell, case_a, or case_b")
     horizon = depth * switch_dt
     if not np.any(x):
         return ValueBounds(0.0, 0.0, horizon, depth, 0.0, False)
@@ -285,12 +284,13 @@ def min_value(system, x, switch_dt=0.25, depth=8, rho=0.05, *,
             else float(_tail_bound(system, rho)))
     if not (math.isfinite(tail) and bool(entered.all())):
         return ValueBounds(est, est, horizon, depth, 0.0, True, segments)
-    if system.guard == "nonneg_ell":
-        # J only grows after the horizon
-        return ValueBounds(est, est + tail, horizon, depth, tail, False,
-                           segments)
-    return ValueBounds(est - tail, est + tail, horizon, depth,
-                       2.0 * tail, False, segments)
+    sign = _GUARD_SIGN.get(system.guard)
+    if sign is None:
+        return ValueBounds(est - tail, est + tail, horizon, depth,
+                           2.0 * tail, False, segments)
+    # J only grows after the horizon under ell >= 0, only falls under ell <= 0
+    lower, upper = (est, est + tail) if sign > 0 else (est - tail, est)
+    return ValueBounds(lower, upper, horizon, depth, tail, False, segments)
 
 
 def falsify_quasistability(system, region, budget=256, *, seed=7):

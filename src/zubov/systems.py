@@ -514,7 +514,8 @@ class SystemDef:
       and `min_value` closes its bracket on one side, [J(T), J(T) + tail],
       because J only grows after the horizon.
     - `nonpos_ell`: ℓ ≤ 0.  `solve_hjbe` refuses a grid node where ℓ > 0,
-      and `min_value` refuses the system.
+      and `min_value` closes its bracket on the other side,
+      [J(T) − tail, J(T)], because J only falls after the horizon.
     - `case_a`: ℓ of either sign.  `solve_hjbe` checks no sign, and
       `min_value` closes its bracket on both sides, J(T) ± tail.
     - `case_b`: the same as `case_a`; the code treats the two alike.
@@ -524,8 +525,10 @@ class SystemDef:
     where g is checked.  It is refused (`ValidationError`) where ℓ has the
     wrong sign for its guard, where |ℓ| exceeds the growth bound
     c̃‖x‖^λ, or where h < 0: every tail assumes |ℓ| ≤ c̃‖x‖^λ and
-    e^{−∫h} ≤ 1.  A sample is not a proof.  A system without a guard is
-    not sampled, and the Kružkov route never evaluates ℓ or h.
+    e^{−∫h} ≤ 1.  A g, ℓ or h undefined at a sample (`EvalDomainError`)
+    is refused the same way, with the cost, the point and the control
+    named.  A sample is not a proof.  A system without a guard is not
+    sampled for ℓ and h, and the Kružkov route never evaluates them.
     """
 
     def __init__(self, name, n_state, control, rates, *, ell=None, h=None,
@@ -616,9 +619,28 @@ class SystemDef:
         over = cap * (1 + 1e-9) + 1e-12
         sign = _GUARD_SIGN.get(self.guard)
         problems = []
+
+        def sample(name, fn, a, at):
+            # fn at every sample; None, and a problem naming the first
+            # sample where it is undefined, when the batch raises
+            try:
+                return np.broadcast_to(fn(xs, at), xs.shape[:1])
+            except ex.EvalDomainError:
+                for x in xs:
+                    try:
+                        fn(x, a)
+                    except ex.EvalDomainError as exc:
+                        problems.append("%s(%s, %s) is undefined inside the "
+                                        "ULES ball: %s"
+                                        % (name, x.tolist(), a.tolist(), exc))
+                        return None
+                raise  # only the batch raised
+
         for a in self.control.points:
             at = np.broadcast_to(a, (xs.shape[0], a.size))
-            gv = self.g(xs, at)
+            gv = sample("g", self.g, a, at)
+            if gv is None:
+                continue
             if np.any(gv < -1e-12):
                 problems.append("g < 0 inside the ULES ball at a=%s"
                                 % a.tolist())
@@ -629,26 +651,24 @@ class SystemDef:
                     % (xs[i].tolist(), a.tolist(), gv[i], cap[i]))
             if self.guard is None:
                 continue
-            lv = gv if self.ell is None else np.broadcast_to(
-                self.ell(xs, at), gv.shape)
-            if sign is not None and np.any(sign * lv < -1e-12):
+            lv = gv if self.ell is None else sample("ell", self.ell, a, at)
+            if lv is not None and sign is not None \
+                    and np.any(sign * lv < -1e-12):
                 i = int(np.argmin(sign * lv))
                 problems.append(
                     "ell(%s, %s) = %.6g inside the ULES ball has the wrong "
                     "sign for the %s guard"
                     % (xs[i].tolist(), a.tolist(), lv[i], self.guard))
-            if np.any(np.abs(lv) > over):
+            if lv is not None and np.any(np.abs(lv) > over):
                 i = int(np.argmax(np.abs(lv) - cap))
                 problems.append(
                     "growth bound violated: |ell(%s, %s)| = %.6g > %.6g"
                     % (xs[i].tolist(), a.tolist(), abs(lv[i]), cap[i]))
-            if self.h is not None:
-                hv = np.broadcast_to(self.h(xs, at), gv.shape)
-                if np.any(hv < -1e-12):
-                    i = int(np.argmin(hv))
-                    problems.append("h(%s, %s) = %.6g < 0 inside the ULES "
-                                    "ball" % (xs[i].tolist(), a.tolist(),
-                                              hv[i]))
+            hv = None if self.h is None else sample("h", self.h, a, at)
+            if hv is not None and np.any(hv < -1e-12):
+                i = int(np.argmin(hv))
+                problems.append("h(%s, %s) = %.6g < 0 inside the ULES ball"
+                                % (xs[i].tolist(), a.tolist(), hv[i]))
         return problems
 
 

@@ -108,6 +108,15 @@ class TestSolve:
         for key in ("sweep_changes", "bellman_residual", "operator_bytes"):
             assert key not in meta["config"]
 
+    def test_foot_sub_steps_go_under_result(self, run_dir, tmp_path):
+        # dt 0.1 is one RK4 sub-step per foot, dt 0.8 eight of 0.1
+        assert read_meta(run_dir)["result"]["foot_substeps"] == 1
+        assert main(["solve", "--builtin", "lift2d", "--nodes", "41",
+                     "--dt", "0.8", "--out", str(tmp_path)]) == 0
+        meta = read_meta(tmp_path)
+        assert meta["result"]["foot_substeps"] == 8
+        assert "foot_substeps" not in meta["config"]
+
     def test_builtin_default_grid_is_its_row(self):
         for name, row in BUILTINS.items():
             half, count = row.grid
@@ -128,6 +137,27 @@ class TestSolve:
     def test_missing_config_exits_1(self, tmp_path):
         rc = main(["solve", "--config", str(tmp_path / "missing.json")])
         assert rc == 1
+
+    @pytest.mark.parametrize("cost, command, system", [
+        ("g", "solve", {"g": "sqrt(x1)"}),
+        ("ell", "hjbe", {"ell": "sqrt(x1)", "mode": "minimize",
+                         "guard": "nonneg_ell"})], ids=["g", "ell"])
+    def test_cost_undefined_at_a_sample_exits_1(self, tmp_path, capsys, cost,
+                                                command, system):
+        # undefined at the envelope's samples with x1 < 0: once "expression
+        # error: sqrt of a negative value", naming neither cost nor point
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(_inline(
+            ules={"C": 1, "sigma": 1, "r": 1},
+            growth={"C_tilde": 1, "lambda": 0.5}, **system)))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: system validation failed")
+        assert "\n  - %s([-" % cost in err
+        assert err.endswith("is undefined inside the ULES ball: sqrt of a "
+                            "negative value\n")
+        assert not out.exists()
 
     def test_unknown_flag_exits_1(self):
         assert main(["solve", "--builtin", "lift2d", "--frobnicate"]) == 1

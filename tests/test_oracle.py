@@ -465,13 +465,23 @@ class TestMinValue:
         vb = min_value(case_b_1d(c=2.0), [1.0], **kwargs)
         assert vb.truncated and vb.lower == vb.upper
 
-    def test_guard_required(self):
-        loose = load_system({
-            "name": "loose", "n": 1, "control": None, "f": ["-x1"],
-            "g": "x1^2", "ell": "0.0 - x1^2", "mode": "minimize",
-            "guard": "nonpos_ell"})
-        with pytest.raises(ConfigError, match="convergence guard"):
-            min_value(loose, [0.5])
+    @pytest.mark.parametrize("depth, lower, upper", [
+        (8, -0.501082, -0.499832), (12, -0.501247, -0.499997)])
+    def test_nonpos_ell_bracket_adds_the_tail_below(self, depth, lower,
+                                                    upper):
+        # ell = -x1^2 <= 0 on x' = -x1: J only falls past the horizon, by
+        # at most the tail at rho, so the certified bracket is
+        # [J(T) - tail, J(T)].  From x0 = 1 the exact J is -0.5
+        system = load_system(dict(guarded_decay("-x1^2"),
+                                  guard="nonpos_ell"))
+        vb = min_value(system, [1.0], switch_dt=0.5, depth=depth, rho=0.05)
+        assert not vb.truncated
+        assert vb.tail_bound == pytest.approx(0.05 ** 2 / 2.0, rel=1e-12)
+        assert vb.upper - vb.lower == pytest.approx(vb.tail_bound,
+                                                    abs=1e-15)
+        assert (vb.lower, vb.upper) == pytest.approx((lower, upper),
+                                                     abs=1e-6)
+        assert vb.lower < -0.5 < vb.upper
 
     def test_mode_check(self):
         with pytest.raises(ConfigError, match="minimize"):

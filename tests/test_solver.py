@@ -18,8 +18,8 @@ from zubov.solver import (
 )
 from zubov.expressions import MAX_DEPTH
 from zubov.systems import (ConfigError, Grid, ValidationError, ValueField,
-                           builtin, load_system)
-from zubov.trajectories import rk4_step
+                           builtin, closed_form_value, load_system)
+from zubov.trajectories import MAX_SUBSTEPS, _substeps, rk4_step, start
 
 
 def scalar_decay(**patch):
@@ -364,21 +364,24 @@ LIFT2D_JSON = {
 }
 
 
-@pytest.mark.parametrize("name,grid", [
-    ("lift2d", LIFT41), ("ex1", Grid([-2.0], [2.0], [801])),
-    (LIFT2D_JSON, LIFT41)], ids=["lift2d", "ex1", "lift2d-json"])
-def test_apply_zubov_is_the_operators_product(monkeypatch, name, grid):
+@pytest.mark.parametrize("name,grid,dt", [
+    ("lift2d", LIFT41, 0.05), ("ex1", Grid([-2.0], [2.0], [801]), 0.05),
+    (LIFT2D_JSON, LIFT41, 0.05), ("lift2d", LIFT41, 0.4),
+    (LIFT2D_JSON, LIFT41, 0.4)],
+    ids=["lift2d", "ex1", "lift2d-json", "lift2d-dt0.4", "lift2d-json-dt0.4"])
+def test_apply_zubov_is_the_operators_product(monkeypatch, name, grid, dt):
+    # at dt 0.4 each foot takes four sub-steps, in both
     system = builtin(name) if isinstance(name, str) else load_system(name)
     # above 1 in places, so that the cap bites
     u = np.random.default_rng(4).uniform(0.0, 1.3, grid.n_nodes)
-    op = zubov_operator(system, grid, 0.05)
+    op = zubov_operator(system, grid, dt)
     want = op(u)
     assert (want == 1.0).any()
     if name == "lift2d":
         assert (op.weights == 0.0).all(axis=1).any()  # feet outside the box
     for chunk in (grid.n_nodes, 100):  # one chunk, then many
         monkeypatch.setattr(solver, "_FEET_CHUNK", chunk)
-        assert solver.apply_zubov(system, grid, 0.05, u).tobytes() \
+        assert solver.apply_zubov(system, grid, dt, u).tobytes() \
             == want.tobytes()
 
 
@@ -444,6 +447,91 @@ def test_operator_too_big_for_an_array_is_refused_before_it_is_built():
                            r"need %d bytes \(1 controls x %d corners x %d "
                            r"nodes x 8\)" % (need, 2 ** 39, 3 ** 39)):
             call()
+
+
+# --- sub-stepped feet --------------------------------------------------------
+
+def stepped_rows(system, grid, dt, steps, raw):
+    """(first, weights, offset) of the operator whose feet take ``steps``
+    manual RK4 steps of dt / steps, through the reference stencil."""
+    n = grid.n_axes
+    nodes = solver._chunk_nodes(grid, 0, grid.n_nodes)  # the build's layout
+    first, weights, offset = [], [], []
+    for a in system.control.points:
+        z = start(nodes, wide=raw)
+        for _ in range(steps):
+            z = rk4_step(system, z, a, dt / steps)
+        inside, idx, w = _ref_stencil(grid, z[:, :n])
+        scale = np.exp(-z[:, n + 2]) if raw \
+            else np.exp(-np.maximum(z[:, n], 0.0))
+        scale[~inside] = 0.0
+        first.append(np.where(inside, idx[:, 0], -1))
+        weights.append((w * scale[:, None]).T)
+        offset.append(z[:, n + 1] if raw else np.zeros(len(nodes)))
+    return np.array(first), np.array(weights), np.array(offset)
+
+
+def test_every_dt_up_to_foot_dt_is_one_sub_step():
+    assert [_substeps(dt, solver._FOOT_DT)
+            for dt in (0.01, 0.025, 0.05, 0.1, 0.4, 0.8)] == [1, 1, 1, 1, 4, 8]
+
+
+@pytest.mark.parametrize("dt, steps", [(0.1, 1), (0.4, 4)])
+@pytest.mark.parametrize("name", ["lift2d", "fuller"])  # Kružkov / raw
+def test_feet_are_rk4_sub_steps_of_at_most_foot_dt(name, dt, steps):
+    # at dt 0.1 a foot is one RK4 step of dt, as before feet were
+    # sub-stepped; at dt 0.4 it is four steps of 0.1
+    system, raw = builtin(name), name == "fuller"
+    op = (hjbe_operator if raw else zubov_operator)(system, LIFT41, dt)
+    first, weights, offset = stepped_rows(system, LIFT41, dt, steps, raw)
+    inside = first >= 0
+    assert not inside.all()  # feet outside the box, whose rows are zero
+    assert np.array_equal(op.first[inside], first[inside])
+    assert op.weights.tobytes() == weights.tobytes()
+    assert np.broadcast_to(op.offset, offset.shape).tobytes() \
+        == offset.tobytes()
+
+
+def test_metadata_records_the_foot_sub_steps():
+    grid = Grid([-1.0], [1.0], [21])
+    for dt, steps in ((0.05, 1), (0.1, 1), (0.25, 3)):
+        settings = SolverSettings(dt=dt)
+        assert solve_zubov(scalar_decay(), grid, settings).metadata[
+            "foot_substeps"] == steps
+        assert solve_hjbe(load_system(ARCTAN_MIN), grid, settings).metadata[
+            "foot_substeps"] == steps
+
+
+def test_dt_past_max_substeps_is_refused_before_the_build():
+    # 10^8 sub-steps of 0.1, on the 39-state grid whose operator no array
+    # can hold: the dt is refused first, before any grid-sized allocation
+    system = load_system({"n": 39, "f": ["-x%d" % (i + 1) for i in range(39)],
+                          "g": "x1^2", "ell": "x1^2", "guard": "case_a"})
+    grid = Grid([-1.0] * 39, [1.0] * 39, [3] * 39)
+    dt = 1e7
+    for call in (lambda: solve_zubov(system, grid, SolverSettings(dt=dt)),
+                 lambda: solve_hjbe(system, grid, SolverSettings(dt=dt)),
+                 lambda: zubov_operator(system, grid, dt),
+                 lambda: hjbe_operator(system, grid, dt),
+                 lambda: solver.apply_zubov(system, grid, dt, None)):
+        with pytest.raises(ConfigError, match=r"takes 1e\+08 RK4 sub-steps;"
+                           r" at most %d" % MAX_SUBSTEPS):
+            call()
+
+
+def test_large_dt_is_accurate_with_sub_stepped_feet():
+    # the semi-Lagrangian error O(dt^p + dx^2/dt) falls with dt once the
+    # feet are accurate: lift2d 201^2 at dt 0.8 reads 1.85e-4 on
+    # |x|_inf <= 0.8 (1.50e-2 with one RK4 step per foot)
+    grid = Grid([-1.2, -1.2], [1.2, 1.2], [201, 201])
+    field = solve_zubov(builtin("lift2d"), grid,
+                        SolverSettings(dt=0.8, tol=1e-6))
+    assert field.metadata["converged"]
+    assert field.metadata["foot_substeps"] == 8
+    coords = grid.node_coords()
+    keep = np.all(np.abs(coords) <= 0.8 + 1e-12, axis=-1)
+    exact = 1.0 - np.exp(-closed_form_value("lift2d", coords[keep]))
+    assert np.abs(field.values[keep] - exact).max() <= 2.5e-4
 
 
 # --- sweeps ------------------------------------------------------------------

@@ -1006,6 +1006,31 @@ def test_guarded_systems_load_where_the_samples_allow():
     assert _guarded(-1.0, 5.0, guard="case_a").h is not None
 
 
+# g = sqrt(x1) under an envelope that holds it for x1 >= 0, and its twin
+# with the same expression as ell under a guard: undefined at the samples
+# with x1 < 0, which once escaped load_system as a bare EvalDomainError
+UNDEFINED_AT_A_SAMPLE = {
+    "g": {"n": 1, "f": ["-x1"], "g": "sqrt(x1)",
+          "ules": {"C": 1, "sigma": 1, "r": 1},
+          "growth": {"C_tilde": 1, "lambda": 0.5}},
+    "ell": {"n": 1, "f": ["-x1"], "g": "x1^2", "ell": "sqrt(x1)",
+            "mode": "minimize", "guard": "nonneg_ell",
+            "ules": {"C": 1, "sigma": 1, "r": 1},
+            "growth": {"C_tilde": 1, "lambda": 0.5}},
+}
+
+
+@pytest.mark.parametrize("cost", sorted(UNDEFINED_AT_A_SAMPLE))
+def test_cost_undefined_at_a_sample_is_a_validation_problem(cost):
+    with pytest.raises(ValidationError) as err:
+        load_system(UNDEFINED_AT_A_SAMPLE[cost])
+    [problem] = err.value.problems
+    # the cost, the point and the control, then the evaluator's reason
+    found = re.fullmatch(r"%s\(\[(\S+)\], \[\]\) is undefined inside the "
+                         r"ULES ball: sqrt of a negative value" % cost, problem)
+    assert found and float(found.group(1)) < 0.0
+
+
 # --- the fused rate function -------------------------------------------------
 
 RATE_JSON = {

@@ -266,10 +266,10 @@ def min_value(system, x, switch_dt=0.25, depth=8, rho=0.05, *,
     enumerated trajectory entering B_rho within the horizon, the tail
     closes that family's horizon gap —
     one-sided for the sign guards, [J(T), J(T) + tail] under nonneg_ell and
-    [J(T) - tail, J(T)] under nonpos_ell, and J(T) ± tail for the
-    signed-ell guards.  Without an envelope, or with a trajectory that
-    never reached B_rho, the result is the bare horizon cost, flagged
-    `truncated`.  A minimize-mode system always declares a guard.
+    [J(T) - tail, J(T)] under nonpos_ell, and J(T) ± tail under case_a.
+    Without an envelope, or with a trajectory that never reached B_rho, the
+    result is the bare horizon cost, flagged `truncated`.  A minimize-mode
+    system always declares a guard.
     """
     x, depth = _check_enumeration("min_value", system, "minimize", x,
                                   switch_dt, depth)

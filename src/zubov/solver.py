@@ -570,7 +570,7 @@ def solve_hjbe(system, grid, settings=None):
     settings = settings or SolverSettings()
     if system.guard is None:
         raise ConfigError("solve_hjbe needs a declared convergence guard "
-                          "(nonneg_ell / nonpos_ell / case_a / case_b)")
+                          "(%s)" % " / ".join(_GUARD_SIGN))
     build = functools.partial(hjbe_operator, system, grid, settings.dt)
     v, meta = _iterate(build, grid, settings, 0.0)
     return ValueField(grid, v.reshape(tuple(grid.counts)), "raw", meta)

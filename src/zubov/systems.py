@@ -17,16 +17,16 @@ menu, envelope, default grid and closed form.
 
 Every number a caller passes follows one rule (`_positive`, `_whole`).
 A constant, step, horizon, tolerance or radius (the envelope's C, sigma,
-r, C_tilde and lambda; dt, tol, switch_dt, rho, t, cap, eps, delta,
-kruzhkov_scale, a schedule's durations, the chatter period) is a finite
-real above 0.  A count, depth or seed (depth, budget, samples, m, seed,
-max_iters, threads, a system's state dimension, grid and control counts)
-is a whole number, an integer or an integral float kept as the int it
-names, no smaller than its least value: 0 for budget and seed, 3 for
-grid counts and 1 for the rest; grid and control counts also fit in
-int64.  A bool is never a number.  Anything else raises ConfigError
-naming the argument, and the command line exits 1.  A few ranges are
-narrower: epsilon lies in (0, 1), and maximal_cost's rho in (0, r/C].
+r, C_tilde and lambda; dt, tol, switch_dt, rho, cap, eps, delta, a
+schedule's durations, the chatter period) is a finite real above 0.  A
+count, depth or seed (depth, budget, samples, m, seed, max_iters,
+threads, a system's state dimension, grid and control counts) is a whole
+number, an integer or an integral float kept as the int it names, no
+smaller than its least value: 0 for budget and seed, 3 for grid counts
+and 1 for the rest; grid and control counts also fit in int64.  A bool
+is never a number.  Anything else raises ConfigError naming the
+argument, and the command line exits 1.  A few ranges are narrower:
+epsilon lies in (0, 1), and maximal_cost's rho in (0, r/C].
 """
 
 from __future__ import annotations
@@ -494,8 +494,8 @@ def load_field(path):
 
 # --- system definition ------------------------------------------------------
 
-# the sign of ell each sign guard promises (SystemDef's docstring)
-_GUARD_SIGN = {"nonneg_ell": 1.0, "nonpos_ell": -1.0}
+# each convergence guard: the sign of ell it promises, None for either sign
+_GUARD_SIGN = {"nonneg_ell": 1.0, "nonpos_ell": -1.0, "case_a": None}
 
 
 class SystemDef:
@@ -518,7 +518,6 @@ class SystemDef:
       [J(T) − tail, J(T)], because J only falls after the horizon.
     - `case_a`: ℓ of either sign.  `solve_hjbe` checks no sign, and
       `min_value` closes its bracket on both sides, J(T) ± tail.
-    - `case_b`: the same as `case_a`; the code treats the two alike.
 
     A system that declares a guard and an envelope (`ules` and `growth`)
     is sampled when it is built, at the 128 points of the envelope ball
@@ -535,12 +534,12 @@ class SystemDef:
                  mode="maximize", ules=None, growth=None, guard=None):
         if mode not in ("maximize", "minimize"):
             raise ConfigError("mode must be 'maximize' or 'minimize'")
-        if guard not in (None, "nonneg_ell", "nonpos_ell", "case_a", "case_b"):
+        # a tuple compares by ==, so an unhashable guard is refused too
+        if guard not in (None, *_GUARD_SIGN):
             raise ConfigError("unknown convergence guard %r" % (guard,))
         if mode == "minimize" and guard is None:
-            raise ConfigError(
-                "minimize mode needs a convergence guard: one of "
-                "nonneg_ell / nonpos_ell / case_a / case_b")
+            raise ConfigError("minimize mode needs a convergence guard: "
+                              "one of " + " / ".join(_GUARD_SIGN))
         if mode == "minimize" and ell is None:
             raise ConfigError("minimize mode needs a running cost 'ell'")
         self.name = name
@@ -843,12 +842,15 @@ def load_system(config):
             problems.append("%s block: %s" % (key, err))
     ules, growth = blocks.get("ules"), blocks.get("growth")
 
+    name = config.get("name", "config")
+    if not isinstance(name, str):
+        problems.append("'name' must be a string")
     mode = config.get("mode", "maximize")
     guard = config.get("guard")
     if problems:
         raise ValidationError(problems)
     try:
-        return SystemDef(config.get("name", "config"), n, control, rates,
+        return SystemDef(name, n, control, rates,
                          ell=costs.get("ell"), h=costs.get("h"), mode=mode,
                          ules=ules, growth=growth, guard=guard)
     except ConfigError as err:

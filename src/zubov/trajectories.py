@@ -9,10 +9,10 @@ The augmented state is x[0..N-1], then the integrals.  `start` builds it
 at either width, told apart by its last axis:
 
   * N+1, (x, ∫g): what a Kružkov consumer reads.  The maximal-cost
-    oracle, the falsifier, the Kružkov operator's RK4 feet, `dpp_defect`,
-    the sampled decrease check and synthesis against a Kružkov field use
-    it.  Only f and g are evaluated, so ell and h (and the exp(-∫h)
-    weight) cost nothing there, and neither can retire a row.
+    oracle, the falsifier, the Kružkov operator's RK4 feet, the sampled
+    decrease check and synthesis against a Kružkov field use it.  Only f
+    and g are evaluated, so ell and h (and the exp(-∫h) weight) cost
+    nothing there, and neither can retire a row.
   * N+3, (x, ∫g, J, ∫h), J = ∫ ell·exp(-∫h) the running cost: the full
     record.  `integrate` and its TrajectoryRecord, the minimize-mode
     oracle `min_value`, the raw operator's RK4 feet and synthesis against

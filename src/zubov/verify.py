@@ -5,9 +5,9 @@ dynamics, wrong cost, a solver bug.  The checks here test the behaviour
 that the unique bounded solution must actually exhibit, each through a
 route the solver itself never uses: PDE residuals by central differences
 where the field is smooth (told from f, g and the field, never a system's
-name), one-shot DPP consistency against RK4 trajectories, monotone decrease
-along random integrated schedules, one-sided comparison against constructed
-sub/super candidates, growth toward the domain boundary, and slope probes.
+name), monotone decrease along random integrated schedules, one-sided
+comparison against constructed sub/super candidates, growth toward the
+domain boundary, and slope probes.
 The fixed-point re-check is the one exception: it applies the solver's own
 Bellman operator once, one chunk of nodes at a time rather than as the
 full operator, so it measures the distance to the discrete fixed point.
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .oracle import _DEFAULT_BUDGET, _INT_DT, _check_enumeration, _enumerate
+from .oracle import _INT_DT
 from .solver import apply_zubov, interpolate, inverse_transform
 from .systems import ConfigError, _positive, _whole, closed_form_value
 from .trajectories import TrajectoryError, rollout
@@ -203,33 +203,6 @@ def residual_stats(system, field, mask=None):
              "residual": float(residual.reshape(-1)[w])}
             for w in worst if np.isfinite(flat[w]))
     return VerificationReport("residual_stats", passed, stats, witnesses)
-
-
-def dpp_defect(system, field, x, t, switch_dt):
-    """v(x) minus the best enumerated one-shot continuation at horizon t.
-
-    Positive and negative values of a few grid-cells' worth are
-    discretization error; large positive ones mean the field claims more
-    than any schedule achieves.
-    """
-    _check_kruzhkov(system, field, "dpp_defect")
-    _positive(t, "t")
-    # the preamble refuses a switch_dt that is not positive and finite
-    steps = t / switch_dt if switch_dt > 0.0 else 1.0
-    if not math.isfinite(steps):  # round() would raise OverflowError
-        raise ConfigError("t / switch_dt overflows: t=%r, switch_dt=%r"
-                          % (t, switch_dt))
-    depth = max(1, round(steps))
-    x, depth = _check_enumeration("dpp_defect", system, "maximize", x,
-                                  switch_dt, depth)
-    if abs(depth * switch_dt - t) > 1e-9:
-        raise ConfigError("t must be a positive multiple of switch_dt")
-    if np.any(x < field.grid.lo) or np.any(x > field.grid.hi):
-        raise ConfigError("x must be a grid-interior point")
-    z, _, _ = _enumerate(system, x, switch_dt, depth, None, _DEFAULT_BUDGET)
-    disc = np.exp(-z[:, system.n_state])
-    cont = (1.0 - disc) + disc * interpolate(field, z[:, :system.n_state])
-    return float(interpolate(field, x) - np.max(cont))
 
 
 def _draw_sublevel(field, samples, rng):
@@ -436,14 +409,13 @@ def check_boundary_blowup(system, field, mask):
                               tuple(witnesses))
 
 
-def lipschitz_probe(evaluator, points, delta=1e-6, kruzhkov_scale=1.0):
-    """Symmetric difference quotients of 1 - exp(-scale * W) at points.
+def lipschitz_probe(evaluator, points, delta=1e-6):
+    """Symmetric difference quotients of 1 - exp(-W) at points.
 
     `evaluator` is a closed-form name or a ValueField.  Steep cost spikes
     show up as large quotients; a constant field gives exactly 0.
     """
     _positive(delta, "delta")
-    _positive(kruzhkov_scale, "kruzhkov_scale")
 
     if isinstance(evaluator, str):
         def w_of(x):
@@ -457,7 +429,7 @@ def lipschitz_probe(evaluator, points, delta=1e-6, kruzhkov_scale=1.0):
             return v
 
     def probe(x):
-        return 1.0 - math.exp(-kruzhkov_scale * w_of(x))
+        return 1.0 - math.exp(-w_of(x))
 
     out = []
     for point in points:

@@ -396,6 +396,11 @@ _MALFORMED = {
     "text-points": ("c.json", _inline(control={"points": [["a"]]}), "solve"),
     "text-box-bound": ("c.json", _inline(control={"box": {
         "lo": ["a"], "hi": [1.0], "counts": [3]}}), "solve"),
+    # a name that is not a string, once printed as the system's name
+    "name-object": ("c.json", _inline(name={"a": [1]}), "solve"),
+    # a guard name the code no longer knows
+    "guard-case_b": ("c.json", _inline(ell="x1^2", mode="minimize",
+                                       guard="case_b"), "hjbe"),
 }
 
 
@@ -407,6 +412,7 @@ def test_malformed_input_exits_1_without_a_traceback(tmp_path, case):
         content = json.dumps(content).encode()
     path.write_bytes(content)
     argv = {"solve": ["solve", "--config", str(path)],
+            "hjbe": ["hjbe", "--config", str(path)],
             "oracle": ["oracle", "--builtin", "ex1", str(path)],
             "doa": ["doa", "--builtin", "ex1", str(path)]}[command]
     proc = subprocess.run(
@@ -416,6 +422,20 @@ def test_malformed_input_exits_1_without_a_traceback(tmp_path, case):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith(("config error", "expression error"))
     assert len(proc.stderr.splitlines()) <= 2  # one line, or one problem
+
+
+@pytest.mark.parametrize("command, system, problem", [
+    ("solve", dict(name={"a": [1]}), "'name' must be a string"),
+    ("hjbe", dict(ell="x1^2", mode="minimize", guard="case_b"),
+     "unknown convergence guard 'case_b'")], ids=["name", "guard"])
+def test_config_problem_is_named(tmp_path, capsys, command, system, problem):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(_inline(**system)))
+    assert main([command, "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and problem in err
+    assert not (tmp_path / "out").exists()
 
 
 def _axes(n):

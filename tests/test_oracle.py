@@ -17,6 +17,7 @@ from zubov.oracle import (BudgetError, Counterexample, SynthesisError,
                           maximal_cost, min_value,
                           synthesize_epsilon_optimal)
 from zubov.solver import SolverSettings, interpolate, solve_hjbe, solve_zubov
+from zubov.systems import _GUARD_SIGN
 from zubov.trajectories import ControlSchedule, advance, integrate, rk4_step
 
 
@@ -32,12 +33,12 @@ def decay_1d(ules=Ules(1.0, 1.0, 1.0), growth=Growth(1.0, 2.0)):
                      mode="maximize", ules=ules, growth=growth)
 
 
-def case_b_1d(c=1.0):
+def case_a_1d(c=1.0):
     rate = "abs(x1)/(1 + x1^2)"
     return load_system({
-        "name": "cb", "n": 1, "control": None, "f": ["-x1"],
+        "name": "signed", "n": 1, "control": None, "f": ["-x1"],
         "g": rate, "ell": rate, "h": rate,
-        "mode": "minimize", "guard": "case_b",
+        "mode": "minimize", "guard": "case_a",
         "ules": {"C": c, "sigma": 1.0, "r": 1.0},
         "growth": {"C_tilde": 1.0, "lambda": 1.0}})
 
@@ -410,10 +411,10 @@ class TestMinValue:
         vb = min_value(builtin("fuller"), [0.0, 0.0])
         assert vb.lower == vb.upper == 0.0 and not vb.truncated
 
-    def test_case_b_discounted_identity(self):
+    def test_case_a_discounted_identity(self):
         # single control, so the enumerated cost IS the trajectory cost:
         # J(T) = 1 - exp(-[arctan(x0) - arctan(x0 e^{-T})])
-        vb = min_value(case_b_1d(), [1.0], switch_dt=0.5, depth=8, rho=0.05)
+        vb = min_value(case_a_1d(), [1.0], switch_dt=0.5, depth=8, rho=0.05)
         horizon_cost = 1 - math.exp(-(math.atan(1.0)
                                       - math.atan(math.exp(-4.0))))
         est = (vb.lower + vb.upper) / 2  # signed guard: symmetric bracket
@@ -461,8 +462,8 @@ class TestMinValue:
         # every row enters B_0.6, but with C = 2 the envelope reaches only
         # B_0.5: the tail is not certified there
         kwargs = dict(switch_dt=0.5, depth=8, rho=0.6)
-        assert not min_value(case_b_1d(), [1.0], **kwargs).truncated
-        vb = min_value(case_b_1d(c=2.0), [1.0], **kwargs)
+        assert not min_value(case_a_1d(), [1.0], **kwargs).truncated
+        vb = min_value(case_a_1d(c=2.0), [1.0], **kwargs)
         assert vb.truncated and vb.lower == vb.upper
 
     @pytest.mark.parametrize("depth, lower, upper", [
@@ -518,6 +519,27 @@ def test_guarded_brackets_hold_or_the_system_is_refused(ell, exact):
         assert not vb.truncated and vb.lower <= exact <= vb.upper
     assert (round(brackets[0].lower, 6),
             round(brackets[0].upper, 6)) == (0.499832, 0.501082)
+
+
+@pytest.mark.parametrize("guard, sign", _GUARD_SIGN.items(),
+                         ids=list(_GUARD_SIGN))
+def test_every_guard_brackets_as_systemdef_states(guard, sign):
+    # ell = s x1^2, s the guard's sign (+1 for case_a), costs s / 2 from
+    # x0 = 1.  The bracket closes the horizon gap J(T) on the side the
+    # guard names: [J, J + tail] for ell >= 0, [J - tail, J] for ell <= 0,
+    # J ± tail for either sign
+    s = 1.0 if sign is None else sign
+    system = load_system(dict(guarded_decay("%r*x1^2" % s), guard=guard))
+    vb = min_value(system, [1.0], switch_dt=0.5, depth=8, rho=0.05)
+    j, tail = s * 0.5 * (1.0 - math.exp(-8.0)), 0.05 ** 2 / 2.0
+    below, above = (0.0 if sign == 1.0 else tail,
+                    0.0 if sign == -1.0 else tail)
+    assert not vb.truncated
+    assert vb.lower == pytest.approx(j - below, abs=1e-9)
+    assert vb.upper == pytest.approx(j + above, abs=1e-9)
+    assert vb.lower <= s * 0.5 <= vb.upper
+    field = solve_hjbe(system, Grid([-1.0], [1.0], [21]))
+    assert field.transform == "raw" and field.metadata["converged"]
 
 
 class TestFalsifier:
@@ -663,12 +685,12 @@ class TestSynthesis:
         assert info.value.defect > info.value.allowance
 
     def test_min_mode_raw_field(self):
-        cb = case_b_1d()
-        field = solve_hjbe(cb, Grid([-3], [3], [301]),
+        signed = case_a_1d()
+        field = solve_hjbe(signed, Grid([-3], [3], [301]),
                            SolverSettings(dt=0.05, tol=1e-8))
         assert field.metadata["converged"]
-        sched, rep = synthesize_epsilon_optimal(cb, field, [1.0], 0.2, 3,
-                                                switch_dt=0.5)
+        sched, rep = synthesize_epsilon_optimal(signed, field, [1.0], 0.2,
+                                                3, switch_dt=0.5)
         assert sched.total_duration == pytest.approx(3.0)
         assert rep["residual"] >= -0.2
 

@@ -15,6 +15,7 @@ import pytest
 
 from zubov import SystemDef
 from zubov.cli import main
+from zubov.systems import _GUARD_SIGN
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -98,6 +99,6 @@ def test_named_objects_exist():
 
 def test_guards_read_as_systemdef_defines_them():
     words = " ".join(section("Convergence guards").split())
-    for guard in ("nonneg_ell", "nonpos_ell", "case_a", "case_b"):
+    for guard in _GUARD_SIGN:
         assert "- `%s`:" % guard in words
     assert words in " ".join(SystemDef.__doc__.split())

@@ -829,12 +829,12 @@ class TestSolveHjbe:
         assert field.metadata["converged"]
         assert np.abs(field.values - field.grid.axes[0]).max() <= 1e-4
 
-    def test_case_b_scalar_value(self):
+    def test_discounted_scalar_value(self):
         # ell = h = g: J = 1 - exp(-∫g) and ∫g from x=1 is arctan(1)
         sys = scalar_decay(g="abs(x1)/(1 + x1^2)",
                            ell="abs(x1)/(1 + x1^2)",
                            h="abs(x1)/(1 + x1^2)",
-                           mode="minimize", guard="case_b")
+                           mode="minimize", guard="case_a")
         grid = Grid([-3.0], [3.0], [601])
         field = solve_hjbe(sys, grid, SolverSettings(dt=0.05))
         assert field.metadata["converged"]

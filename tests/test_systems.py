@@ -42,7 +42,7 @@ from zubov.systems import (
 )
 from zubov.trajectories import (ControlSchedule, RelaxedSchedule, chatter,
                                 integrate)
-from zubov.verify import check_lyapunov_decrease, dpp_defect, lipschitz_probe
+from zubov.verify import check_lyapunov_decrease, lipschitz_probe
 
 
 # --- control spaces ---------------------------------------------------------
@@ -749,6 +749,12 @@ class TestLoadSystem:
         with pytest.raises(ConfigError):
             load_system({"f": ["-x1"], "g": "x1^2"})
 
+    @pytest.mark.parametrize("name", [{"a": [1]}, ["cb"], 3, None])
+    def test_non_string_name_is_a_problem(self, name):
+        with pytest.raises(ValidationError) as err:
+            load_system(_config(name=name))
+        assert err.value.problems == ["'name' must be a string"]
+
     def test_boolean_dimension_rejected(self):
         with pytest.raises(ConfigError, match="'n'"):
             load_system(_config(n=True))
@@ -870,17 +876,12 @@ _NUMBER_RULE = {
         _LIFT3, _flat_field().grid, seed=v)),
     "defect_allowances-eps": ("eps", None, lambda v: defect_allowances(v, 3)),
     "defect_allowances-m": ("m", 1, lambda v: defect_allowances(0.1, v)),
-    "dpp_defect-t": ("t", None, lambda v: dpp_defect(
-        _LIFT3, _flat_field(), np.zeros(2), v, 0.25)),
     "decrease-samples": ("samples", 1, lambda v: check_lyapunov_decrease(
         _LIFT3, _flat_field(), samples=v)),
     "decrease-seed": ("seed", 0, lambda v: check_lyapunov_decrease(
         _LIFT3, _flat_field(), seed=v)),
     "lipschitz-delta": ("delta", None, lambda v: lipschitz_probe(
         "lift2d", [[0.1, 0.1]], delta=v)),
-    "lipschitz-kruzhkov_scale": ("kruzhkov_scale", None, lambda v:
-                                 lipschitz_probe("lift2d", [[0.1, 0.1]],
-                                                 kruzhkov_scale=v)),
     "ControlSchedule-duration": ("duration", None, lambda v: ControlSchedule(
         [(v, [0.0])])),
     "RelaxedSchedule-duration": ("duration", None, _relaxed),
@@ -944,13 +945,28 @@ def test_drifting_origin_rejected_in_maximize_mode():
 @pytest.mark.parametrize("keywords, message", [
     (dict(mode="max"), "mode must be 'maximize' or 'minimize'"),
     (dict(guard="nonneg"), "unknown convergence guard 'nonneg'"),
+    (dict(guard=["x"]), "unknown convergence guard ['x']"),
+    (dict(guard={}), "unknown convergence guard {}"),
+    (dict(guard="case_b"), "unknown convergence guard 'case_b'"),
     (dict(mode="minimize", guard="nonneg_ell"),
      "minimize mode needs a running cost 'ell'"),
-], ids=["mode", "guard", "minimize-without-ell"])
+    (dict(mode="minimize"), "minimize mode needs a convergence guard: one "
+     "of nonneg_ell / nonpos_ell / case_a"),
+], ids=["mode", "guard", "guard-list", "guard-dict", "guard-case_b",
+        "minimize-without-ell", "minimize-without-guard"])
 def test_system_keywords_out_of_range_are_refused(keywords, message):
     with pytest.raises(ConfigError) as err:
         SystemDef("d", 1, ControlSpace.none(), _decay_rates, **keywords)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("guard", ["nonneg", ["x"], {}, "case_b"])
+def test_unknown_guard_in_a_config_names_it(guard):
+    # a list or a dict cannot be a key of the guard table, and is refused
+    # by the same message as an unknown name
+    with pytest.raises(ValidationError) as err:
+        load_system(_config(guard=guard))
+    assert err.value.problems == ["unknown convergence guard %r" % (guard,)]
 
 
 def test_declared_growth_is_spot_checked():
@@ -986,7 +1002,7 @@ def _guarded(ell=None, h=None, guard="nonneg_ell", envelope=True):
 @pytest.mark.parametrize("ell, h, guard, message", [
     (10.0, None, "case_a", r"\|ell\(.*\)\| = 9\.7\d* > 0\.97"),
     (1.0, None, "nonpos_ell", "wrong sign for the nonpos_ell guard"),
-    (1.0, -1.0, "case_b", r"h\(.*\) = -0\.97\d* < 0"),
+    (1.0, -1.0, "case_a", r"h\(.*\) = -0\.97\d* < 0"),
 ], ids=["outside-envelope-signed", "positive-ell", "negative-h"])
 def test_guarded_ell_and_h_are_spot_checked(ell, h, guard, message):
     # the tails min_value adds assume |ell| <= C_tilde |x|^lambda, the

@@ -19,10 +19,8 @@ from zubov.systems import (ConfigError, Grid, ValueField, builtin,
 from zubov.trajectories import integrate
 from zubov.verify import (VerificationReport, check_boundary_blowup,
                           check_fixed_point, check_lyapunov_decrease,
-                          dpp_defect, lipschitz_probe, residual_stats,
-                          sandwich_check)
+                          lipschitz_probe, residual_stats, sandwich_check)
 from zubov import verify
-from zubov.oracle import BudgetError
 
 
 def boundary_ring(counts):
@@ -291,71 +289,6 @@ class TestResidualStats:
         assert rep.stats["max"] <= 0.1
 
 
-def node_point(grid, offsets):
-    idx = tuple(grid.origin_index[k] + offsets[k] for k in range(grid.n_axes))
-    return idx, np.array([grid.axes[k][idx[k]] for k in range(grid.n_axes)])
-
-
-class TestDppDefect:
-
-    def test_origin_is_exact(self, lift2d_system, lift2d_field):
-        d = dpp_defect(lift2d_system, lift2d_field, np.zeros(2), 0.5, 0.25)
-        assert abs(d) <= 1e-12
-
-    def test_solved_field_consistent(self, lift2d_system, lift2d_field):
-        _, x = node_point(lift2d_field.grid, (42, 42))  # near (0.5, 0.5)
-        d = dpp_defect(lift2d_system, lift2d_field, x, 0.5, 0.25)
-        assert abs(d) <= 0.02
-
-    def test_inflated_node_is_flagged(self, lift2d_system, lift2d_field):
-        idx, x = node_point(lift2d_field.grid, (42, 42))
-        vals = lift2d_field.values.copy()
-        vals[idx] += 0.1
-        d = dpp_defect(lift2d_system, lift2d_field.with_values(vals),
-                       x, 0.5, 0.25)
-        assert d >= 0.05
-
-    def test_budget_guard(self, lift2d_system, lift2d_field):
-        with pytest.raises(BudgetError):
-            dpp_defect(lift2d_system, lift2d_field, np.zeros(2), 10.0, 0.25)
-
-    def test_horizon_must_divide(self, lift2d_system, lift2d_field):
-        with pytest.raises(ConfigError, match="multiple"):
-            dpp_defect(lift2d_system, lift2d_field, np.zeros(2), 0.5, 0.3)
-
-    @pytest.mark.parametrize("switch_dt", [0.0, -0.25, math.inf, math.nan])
-    def test_switch_dt_must_be_positive_and_finite(self, lift2d_system,
-                                                   lift2d_field, switch_dt):
-        with pytest.raises(ConfigError, match="switch_dt must be positive"):
-            dpp_defect(lift2d_system, lift2d_field, np.zeros(2), 1.0,
-                       switch_dt)
-
-    @pytest.mark.parametrize("t", [0.0, -0.5, math.inf, math.nan])
-    def test_t_must_be_positive_and_finite(self, lift2d_system,
-                                           lift2d_field, t):
-        with pytest.raises(ConfigError, match="t must be positive"):
-            dpp_defect(lift2d_system, lift2d_field, np.zeros(2), t, 0.25)
-
-    @pytest.mark.parametrize("t, switch_dt", [(1e300, 1e-10),
-                                              (1e308, 1e-300)])
-    def test_overflowing_depth_is_refused(self, lift2d_system, lift2d_field,
-                                          t, switch_dt):
-        # t / switch_dt overflows to inf, which round() cannot take
-        with pytest.raises(ConfigError, match="t / switch_dt overflows"):
-            dpp_defect(lift2d_system, lift2d_field, np.zeros(2), t,
-                       switch_dt)
-
-    def test_rejects_minimize_mode(self, lift2d_field):
-        fuller = builtin("fuller")
-        with pytest.raises(ConfigError, match="mode"):
-            dpp_defect(fuller, lift2d_field, np.zeros(2), 0.5, 0.25)
-
-    def test_rejects_exterior_points(self, lift2d_system, lift2d_field):
-        with pytest.raises(ConfigError, match="interior"):
-            dpp_defect(lift2d_system, lift2d_field,
-                       np.array([2.0, 0.0]), 0.5, 0.25)
-
-
 def draw_one_at_a_time(field, samples, rng):
     """The decrease check's sampler as it drew one point per call, the
     reference for the batched `verify._draw_sublevel`."""
@@ -605,10 +538,6 @@ class TestLipschitzProbe:
         got = lipschitz_probe("arctan1d", [[1.0]])[0]
         assert got == pytest.approx(0.22796906388299812, abs=1e-9)
 
-    def test_scale_doubles_into_the_exponent(self):
-        got = lipschitz_probe("arctan1d", [[1.0]], kruzhkov_scale=2.0)[0]
-        assert got == pytest.approx(0.20787957635076193, abs=1e-9)  # e^{-pi/2}
-
     def test_spike_heights_survive_the_transform(self):
         # slope at the spike peaks: 10^k e^{-V(10^k)}; the quotient sees the
         # triangle average, biased by delta/(2 width), so delta must shrink
@@ -643,5 +572,3 @@ class TestLipschitzProbe:
     def test_parameter_validation(self):
         with pytest.raises(ConfigError, match="delta"):
             lipschitz_probe("arctan1d", [[1.0]], delta=0.0)
-        with pytest.raises(ConfigError, match="scale"):
-            lipschitz_probe("arctan1d", [[1.0]], kruzhkov_scale=-1.0)

@@ -529,8 +529,7 @@ def _closed_form_gap(field, name, half):
     keep = np.max(np.abs(pts), axis=1) <= half + 1e-12
     w = closed_form_value(name, pts[keep] if grid.n_axes > 1
                           else pts[keep, 0])
-    # math.exp, not np.exp: numpy's vectorized exp can differ in the last bit
-    exact = 1.0 - np.array([math.exp(-v) for v in np.ravel(w).tolist()])
+    exact = 1.0 - np.exp(-np.ravel(w))
     gap = np.abs(field.values.reshape(-1)[keep] - exact)
     return float(np.max(gap, initial=0.0))
 

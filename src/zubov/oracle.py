@@ -302,7 +302,8 @@ def falsify_quasistability(system, region, budget=256, *, seed=7):
     g <= 1e-9, ||x|| >= 1e-3), keeping the lexicographically largest
     (state, control) hit so reruns agree.  Phase two integrates `budget`
     random schedules of 16 equal segments over a horizon of 40 (RK4
-    sub-step 0.05) and accepts any with ∫g < 1e-3 ending at norm >= 1e-2.
+    sub-step 0.05) from uniform starts on the region's box, and accepts
+    any with ∫g < 1e-3 ending at norm >= 1e-2.
     Returns None when both phases come up empty — which proves nothing.
     """
     if region.n_axes != system.n_state:
@@ -328,12 +329,9 @@ def falsify_quasistability(system, region, budget=256, *, seed=7):
                               float(np.linalg.norm(z[0, :n])), "stationary")
 
     rng = np.random.default_rng(seed)
-    x0s = np.empty((budget, n))
-    picks = np.empty((budget, _FALSIFY_SEGMENTS), int)
-    for i in range(budget):  # draws interleaved as one schedule at a time
-        x0s[i] = rng.uniform(region.lo, region.hi)
-        picks[i] = rng.integers(0, system.control.size,
-                                size=_FALSIFY_SEGMENTS)
+    x0s = rng.uniform(region.lo, region.hi, size=(budget, n))
+    picks = rng.integers(0, system.control.size,
+                         size=(budget, _FALSIFY_SEGMENTS))
     z, live, schedule = rollout(system, x0s, picks, _FALSIFY_HORIZON,
                                 _FALSIFY_DT)
     for i in np.flatnonzero(live & (z[:, n] < 1e-3)):

@@ -743,12 +743,32 @@ def _reals(value):
         isinstance(v, numbers.Real) and not isinstance(v, bool) for v in value)
 
 
+def _key_problems(doc, what, keys, need=()):
+    """The problems with the keys of `doc`, the JSON object named `what`
+    whose keys are `keys`: it is not an object, or holds a key outside
+    `keys`, or lacks one of `need`.  Empty when there are none."""
+    listed = ", ".join(keys)
+    if not isinstance(doc, dict):
+        return ["%s must be an object with keys %s" % (what, listed)]
+    unknown = [repr(k) for k in doc if k not in keys]
+    missing = [repr(k) for k in need if k not in doc]
+    return ["%s %s key(s) %s (its keys: %s)"
+            % (what, verb, ", ".join(names), listed)
+            for verb, names in (("has unknown", unknown), ("lacks", missing))
+            if names]
+
+
 def _control_from_config(doc):
     """The control table's menu; ConfigError when the table is malformed."""
     if doc is None:
         return ControlSpace.none()
     if not isinstance(doc, dict):
         raise ConfigError("control must be an object")
+    found = _key_problems(doc, "control", ("points", "box"))
+    if found:
+        raise ConfigError(found[0])
+    if "points" in doc and "box" in doc:
+        raise ConfigError("control holds both 'points' and 'box'; give one")
     if "points" in doc:
         pts = doc["points"]
         if not isinstance(pts, list) or not pts or not all(
@@ -758,9 +778,12 @@ def _control_from_config(doc):
         return ControlSpace(pts)
     if "box" in doc:
         box = doc["box"]
+        found = _key_problems(box, "control.box", ("lo", "hi", "counts"))
+        if found:
+            raise ConfigError(found[0])
         try:
             lo, hi, counts = box["lo"], box["hi"], box["counts"]
-        except (KeyError, TypeError) as err:
+        except KeyError as err:
             raise ConfigError("control.box needs lo/hi/counts (%s)"
                               % err) from None
         if not (_reals(lo) and _reals(hi)):
@@ -779,8 +802,10 @@ def load_system(config):
     follow `expressions`' grammar, in x1..xN and a1..aM.  ``control`` is
     {"box": {"lo": [...], "hi": [...], "counts": [...]}}, a lattice of
     counts[j] even samples on axis j (at most MAX_CONTROLS, refused before
-    any is built), or {"points": [[...], ...]}; either way the menu is its
-    points and its box their hull.  No control means none.  Control
+    any is built), or {"points": [[...], ...]}, never both; either way the
+    menu is its points and its box their hull.  No control means none.  A
+    key outside these, at the top level or in any table, is refused, so a
+    misspelled ``guard`` or ``h`` is not silently dropped.  Control
     values and envelope constants must be finite, so JSON's Infinity is
     refused: an infinite sigma would zero the oracle's tail and certify a
     false bracket.  f and g compile together into one rates function, and
@@ -792,7 +817,9 @@ def load_system(config):
     """
     if not isinstance(config, dict):
         raise ConfigError("system config must be a JSON object")
-    problems = []
+    problems = _key_problems(config, "system config", (
+        "n", "f", "g", "name", "control", "ell", "h", "mode", "guard", "ules",
+        "growth"))
     n = _whole(config.get("n"), "system config 'n'", 1)
     try:
         control = _control_from_config(config.get("control"))
@@ -836,9 +863,13 @@ def load_system(config):
                             ("growth", Growth, ("C_tilde", "lambda"))):
         if key not in config:
             continue
+        found = _key_problems(config[key], key + " block", names, names)
+        problems += found
+        if found:
+            continue
         try:
             blocks[key] = cls(*[config[key][name] for name in names])
-        except (KeyError, TypeError, ConfigError) as err:
+        except ConfigError as err:
             problems.append("%s block: %s" % (key, err))
     ules, growth = blocks.get("ules"), blocks.get("growth")
 

@@ -107,8 +107,8 @@ def check_fixed_point(system, field, dt=0.05, tol=1e-6):
     witnesses = ()
     if not passed:
         node = np.unravel_index(worst, grid.counts)
-        witnesses = ({"node": tuple(int(i) for i in node),
-                      "x": grid.node_coords()[node],
+        x = np.array([ax[i] for ax, i in zip(grid.axes, node)])
+        witnesses = ({"node": tuple(int(i) for i in node), "x": x,
                       "value": float(field.values[node]),
                       "defect": float(defect[worst])},)
     return VerificationReport("fixed_point", bool(passed), stats, witnesses)
@@ -208,15 +208,10 @@ def residual_stats(system, field, mask=None):
 def _draw_sublevel(field, samples, rng):
     """``samples`` uniform points of the box, each farther than the
     carve-out (10 cells) from the origin and below the 1 - _EPS level set,
-    and how many points were drawn for them.
-
-    They are the points, and rng ends in the state, of drawing one point
-    at a time and keeping those that pass, with at most 1000 draws per
-    sample (else ConfigError).  The draws come in batches, each one
-    ``rng.uniform`` call and one `interpolate` call: a batch is as large
-    as all the draws before it, and at least the count still missing.
-    When a batch holds the last sample, rng goes back to its state before
-    the batch and draws again only up to that point.
+    and the ``draws`` up to the last one kept: the first such points of
+    rng's stream, with at most 1000 draws per sample (else ConfigError).
+    Each batch is one ``rng.uniform`` and one `interpolate` call, as large
+    as all the draws before it and at least the count still missing.
     """
     grid = field.grid
     carve = 10.0 * float(np.max(grid.dx))
@@ -226,17 +221,13 @@ def _draw_sublevel(field, samples, rng):
             raise ConfigError("cannot draw enough samples from the "
                               "sublevel region")
         size = min(limit - draws, max(samples - found, draws))
-        state = rng.bit_generator.state
         pts = rng.uniform(grid.lo, grid.hi, size=(size, grid.n_axes))
-        # a 1-D norm per row, as for a point drawn alone
-        far = np.array([np.linalg.norm(x) for x in pts]) > carve
+        far = np.linalg.norm(pts, axis=1) > carve
         hit = np.flatnonzero(far & (interpolate(field, pts) < 1.0 - _EPS))
         hit = hit[:samples - found]
         found += len(hit)
         if found == samples:
             size = int(hit[-1]) + 1
-            rng.bit_generator.state = state
-            rng.uniform(grid.lo, grid.hi, size=(size, grid.n_axes))
         kept.append(pts[hit])
         draws += size
     return np.concatenate(kept), draws
@@ -247,10 +238,9 @@ def check_lyapunov_decrease(system, field, samples=200, seed=0):
 
     Each sample starts below the 1 - _EPS level set, away from the origin,
     and runs _DECREASE_SEGMENTS random segments over _DECREASE_T.  The
-    starts are drawn uniformly from the box in batches (`_draw_sublevel`),
-    which keep the points and RNG state of drawing one point at a time;
-    the stats record the ``draws`` it took.  The allowed increase is twice
-    the local interpolation error estimate (cell diameter times the
+    starts are uniform on the box (`_draw_sublevel`), and the stats record
+    the ``draws`` they took.  The allowed increase is twice the local
+    interpolation error estimate (cell diameter times the
     finite-difference gradient) plus an absolute floor, _DECREASE_SLACK: on
     stretches where the exact value is constant the gradient estimate
     vanishes, yet the discrete field still wobbles a few 1e-6 along
@@ -268,8 +258,8 @@ def check_lyapunov_decrease(system, field, samples=200, seed=0):
     x0, draws = _draw_sublevel(field, samples, rng)
 
     n = grid.n_axes
-    picks = np.array([rng.integers(0, system.control.size,
-                                   size=_DECREASE_SEGMENTS) for _ in x0])
+    picks = rng.integers(0, system.control.size,
+                         size=(len(x0), _DECREASE_SEGMENTS))
     z, live, schedule = rollout(system, x0, picks, _DECREASE_T, _INT_DT)
     if not live.all():
         raise TrajectoryError("a sampled schedule reached a non-finite state")
@@ -278,9 +268,7 @@ def check_lyapunov_decrease(system, field, samples=200, seed=0):
     grad = np.stack([interpolate(field, x0 + step)
                      - interpolate(field, x0 - step)
                      for step in np.diag(grid.dx)], axis=1) / (2.0 * grid.dx)
-    # a 1-D norm per row: norm(grad, axis=1) rounds differently
-    tol = _DECREASE_SLACK + 2.0 * cell * np.array([np.linalg.norm(g)
-                                                   for g in grad])
+    tol = _DECREASE_SLACK + 2.0 * cell * np.linalg.norm(grad, axis=1)
     bad = (v1 >= v0 + tol) | ((cost > 4.0 * tol) & (v1 >= v0))
     witnesses = [{"x": x0[i], "schedule": schedule(i),
                   "v_before": float(v0[i]), "v_after": float(v1[i]),

@@ -427,7 +427,28 @@ def test_malformed_input_exits_1_without_a_traceback(tmp_path, case):
 @pytest.mark.parametrize("command, system, problem", [
     ("solve", dict(name={"a": [1]}), "'name' must be a string"),
     ("hjbe", dict(ell="x1^2", mode="minimize", guard="case_b"),
-     "unknown convergence guard 'case_b'")], ids=["name", "guard"])
+     "unknown convergence guard 'case_b'"),
+    ("solve", dict(gaurd="nonneg_ell"),
+     "system config has unknown key(s) 'gaurd'"),
+    ("solve", dict(ules={"C": 1, "sigma": 1, "r": 1, "extra": 5}),
+     "ules block has unknown key(s) 'extra'"),
+    ("solve", dict(growth={"C_tilde": 1, "lambda": 2, "lam": 2}),
+     "growth block has unknown key(s) 'lam'"),
+    ("solve", dict(ules={"C": 1, "r": 1}),
+     "ules block lacks key(s) 'sigma' (its keys: C, sigma, r)"),
+    ("solve", dict(ules=[1, 2, 3]),
+     "ules block must be an object with keys C, sigma, r"),
+    ("solve", dict(control={"pts": [[0.0]]}),
+     "control has unknown key(s) 'pts'"),
+    ("solve", dict(control={"box": {"lo": [-1.0], "hi": [1.0],
+                                    "counts": [3], "step": 1.0}}),
+     "control.box has unknown key(s) 'step'"),
+    ("solve", dict(control={"points": [[0.0]], "box": {
+        "lo": [-1.0], "hi": [1.0], "counts": [3]}}),
+     "control holds both 'points' and 'box'")],
+    ids=["name", "guard", "unknown-key", "ules-extra", "growth-extra",
+         "ules-missing", "ules-list", "control-extra", "box-extra",
+         "control-both"])
 def test_config_problem_is_named(tmp_path, capsys, command, system, problem):
     path = tmp_path / "c.json"
     path.write_text(json.dumps(_inline(**system)))

@@ -678,6 +678,46 @@ class TestLoadSystem:
         assert err.value.problems == [problem]
         assert str(err.value) == "system validation failed:\n  - " + problem
 
+    _TOP = "n, f, g, name, control, ell, h, mode, guard, ules, growth"
+
+    @pytest.mark.parametrize("patch, problems", [
+        (dict(gaurd="nonneg_ell", elll="x1"),
+         ["system config has unknown key(s) 'gaurd', 'elll' (its keys: "
+          + _TOP + ")"]),
+        (dict(H="x1^2"),
+         ["system config has unknown key(s) 'H' (its keys: " + _TOP + ")"]),
+        (dict(ules={"C": 1, "sigma": 1, "r": 1, "extra": 5}),
+         ["ules block has unknown key(s) 'extra' (its keys: C, sigma, r)"]),
+        (dict(growth={"C_tilde": 1, "lambda": 2, "lam": 2}),
+         ["growth block has unknown key(s) 'lam' (its keys: C_tilde, "
+          "lambda)"]),
+        (dict(ules={"C": 1, "r": 1}),
+         ["ules block lacks key(s) 'sigma' (its keys: C, sigma, r)"]),
+        (dict(ules=[1, 2, 3]),
+         ["ules block must be an object with keys C, sigma, r"]),
+        (dict(growth=None),
+         ["growth block must be an object with keys C_tilde, lambda"]),
+        (dict(control={"pts": [[0.0]]}),
+         ["control has unknown key(s) 'pts' (its keys: points, box)"]),
+        (dict(control={"points": [[0.0]], "box": {
+            "lo": [-1.0], "hi": [1.0], "counts": [3]}}),
+         ["control holds both 'points' and 'box'; give one"]),
+        (dict(control={"box": {"lo": [-1.0], "hi": [1.0], "counts": [3],
+                               "step": 1.0}}),
+         ["control.box has unknown key(s) 'step' (its keys: lo, hi, "
+          "counts)"]),
+        (dict(control={"box": [-1.0, 1.0, 3]}),
+         ["control.box must be an object with keys lo, hi, counts"]),
+    ], ids=["top-level", "capital-h", "ules-extra", "growth-extra",
+            "ules-missing", "ules-list", "growth-null", "control-extra",
+            "control-both", "box-extra", "box-list"])
+    def test_keys_outside_the_schema_are_named(self, patch, problems):
+        # a misspelled key was once dropped in silence: a guard, ell or h
+        # that the solve never saw
+        with pytest.raises(ValidationError) as err:
+            load_system(_config(**patch))
+        assert err.value.problems == problems
+
     def test_problems_are_aggregated(self):
         with pytest.raises(ValidationError) as err:
             load_system(_config(f=["x1 +"], g="sin(x1"))

@@ -73,9 +73,9 @@ from .systems import (
     BUILTINS,
     ConfigError,
     Grid,
-    ValidationError,
     _decoded,
     _is_whole,
+    _open_new,
     builtin,
     closed_form_value,
     load_field,
@@ -305,8 +305,8 @@ def _write_metadata(cfg, command, result):
         "result": _jsonable(result),
     }
     os.makedirs(cfg["out"], exist_ok=True)
-    with open(os.path.join(cfg["out"], "metadata.json"), "w",
-              encoding="utf-8") as fh:
+    with _open_new(os.path.join(cfg["out"], "metadata.json"), "w",
+                   encoding="utf-8") as fh:
         json.dump(blob, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -651,7 +651,7 @@ def main(argv=None):
     except TrajectoryError as exc:
         print("trajectory error: %s" % exc, file=sys.stderr)
         return 1
-    except (ConfigError, ValidationError) as exc:
+    except ConfigError as exc:  # ValidationError too
         print("config error: %s" % exc, file=sys.stderr)
         return 1
     except json.JSONDecodeError as exc:

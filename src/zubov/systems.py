@@ -52,7 +52,7 @@ class ConfigError(ValueError):
     """Bad configuration document or constructor arguments."""
 
 
-class ValidationError(ValueError):
+class ValidationError(ConfigError):
     """One or more system invariants failed at load time."""
 
     def __init__(self, problems):
@@ -264,6 +264,19 @@ def _grid_header(grid):
             + ["%.17g" % v for v in grid.lo] + ["%.17g" % v for v in grid.hi])
 
 
+def _open_new(path, mode="wb", **kw):
+    """Open ``path`` for writing as a new file, the one way an artifact is
+    written: whatever is there is unlinked, not truncated, so a hard link
+    or an open reader keeps the old bytes, a symlink is replaced, not
+    followed, and a rewrite costs no more than a first write.  Only a
+    missing file is ignored: a directory at ``path`` raises OSError."""
+    try:
+        os.unlink(path)
+    except FileNotFoundError:
+        pass
+    return open(path, mode, **kw)
+
+
 def _write_csv(path, head, columns, formats):
     """Write the header tokens, then row i of the columns, the k-th entry in
     %-format formats[k], a bounded chunk of rows at a time: the body never
@@ -273,7 +286,7 @@ def _write_csv(path, head, columns, formats):
 
     row, chunk = ",".join(formats) + "\n", 4096
     digest = hashlib.sha256()
-    with open(path, "wb") as fh:
+    with _open_new(path) as fh:
         def write(text):
             data = text.encode()
             digest.update(data)
@@ -406,7 +419,8 @@ def save_field(field, path):
                         ["%s"] * (2 * n) + ["%.17g"])
     twin = _twin_path(path)
     if twin is not None:
-        np.savez(twin, values=field.values, sha256=np.array(digest))
+        with _open_new(twin) as fh:
+            np.savez(fh, values=field.values, sha256=np.array(digest))
     return digest
 
 
@@ -820,7 +834,13 @@ def load_system(config):
     problems = _key_problems(config, "system config", (
         "n", "f", "g", "name", "control", "ell", "h", "mode", "guard", "ules",
         "growth"))
-    n = _whole(config.get("n"), "system config 'n'", 1)
+    f_src = config.get("f")
+    try:
+        n = _whole(config.get("n"), "system config 'n'", 1)
+    except ConfigError as err:
+        problems.append(str(err))
+        # stand in f's length, or 1, so the rest is still checked
+        n = len(f_src) if isinstance(f_src, list) and f_src else 1
     try:
         control = _control_from_config(config.get("control"))
     except ConfigError as err:
@@ -828,7 +848,6 @@ def load_system(config):
         control = ControlSpace.none()
     m = control.m
 
-    f_src = config.get("f")
     if not isinstance(f_src, list) or len(f_src) != n:
         problems.append("'f' must be a list of %d expression strings" % n)
         f_src = ["0.0"] * n
@@ -884,6 +903,8 @@ def load_system(config):
         return SystemDef(name, n, control, rates,
                          ell=costs.get("ell"), h=costs.get("h"), mode=mode,
                          ules=ules, growth=growth, guard=guard)
+    except ValidationError:
+        raise
     except ConfigError as err:
         raise ValidationError([str(err)]) from None
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import time
@@ -445,10 +446,12 @@ def test_malformed_input_exits_1_without_a_traceback(tmp_path, case):
      "control.box has unknown key(s) 'step'"),
     ("solve", dict(control={"points": [[0.0]], "box": {
         "lo": [-1.0], "hi": [1.0], "counts": [3]}}),
-     "control holds both 'points' and 'box'")],
+     "control holds both 'points' and 'box'"),
+    # a bad n hides no other problem
+    ("solve", dict(n=None, N=1), "system config has unknown key(s) 'N'")],
     ids=["name", "guard", "unknown-key", "ules-extra", "growth-extra",
          "ules-missing", "ules-list", "control-extra", "box-extra",
-         "control-both"])
+         "control-both", "dimension-and-key"])
 def test_config_problem_is_named(tmp_path, capsys, command, system, problem):
     path = tmp_path / "c.json"
     path.write_text(json.dumps(_inline(**system)))
@@ -1210,3 +1213,57 @@ class TestDemo:
                      "--out", str(again)]) == 0
         assert (first / "demo.csv").read_bytes() == \
             (again / "demo.csv").read_bytes()
+
+
+class TestNewFiles:
+    """Every artifact is written as a new file: whatever is at its path is
+    unlinked first, so a rerun into the same --out writes what a fresh
+    --out gets."""
+
+    ARTIFACTS = ("field.csv", "field.npz", "mask.csv", "contour.csv",
+                 "schedule.csv", "bounds.csv")
+
+    @staticmethod
+    def pipeline(out, points_file):
+        field = str(out / "field.csv")
+        for argv in (["solve", "--nodes", "101", "--dt", "0.1"],
+                     ["doa", field],
+                     ["synthesize", "--epsilon", "0.05", field, "0.5,0.5",
+                      "4"],
+                     ["oracle", "--controls", "3", "--depth", "4",
+                      "--rho", "0.2", str(points_file)]):
+            assert main([argv[0], "--builtin", "lift2d", "--out", str(out),
+                         *argv[1:]]) == 0
+
+    def test_rerun_into_the_same_out_is_bytewise_fresh(self, tmp_path,
+                                                       points_file):
+        fresh, again = tmp_path / "fresh", tmp_path / "again"
+        self.pipeline(fresh, points_file)
+        self.pipeline(again, points_file)
+        links = tmp_path / "links"
+        links.mkdir()
+        for name in self.ARTIFACTS + ("metadata.json",):
+            os.link(again / name, links / name)
+        self.pipeline(again, points_file)
+        for name in self.ARTIFACTS:
+            assert (again / name).read_bytes() == (fresh / name).read_bytes()
+        for name in self.ARTIFACTS + ("metadata.json",):
+            assert not os.path.samefile(again / name, links / name), name
+
+    @pytest.mark.parametrize("command, artifact", [
+        ("solve", "field.csv"), ("solve", "field.npz"),
+        ("solve", "metadata.json"), ("doa", "mask.csv")])
+    def test_directory_at_an_artifact_exits_1(self, run_dir, tmp_path,
+                                              command, artifact):
+        out = tmp_path / "out"
+        (out / artifact).mkdir(parents=True)
+        argv = {"solve": ["solve", "--nodes", "41"],
+                "doa": ["doa", str(run_dir / "field.csv")]}[command]
+        proc = subprocess.run(
+            [sys.executable, "-m", "zubov.cli", argv[0], "--builtin",
+             "lift2d", "--out", str(out), *argv[1:]],
+            capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("cannot read or write")
+        assert "Traceback" not in proc.stderr
+        assert (out / artifact).is_dir()

@@ -550,6 +550,9 @@ class TestFieldTwin:
         twin = path.parent / "field.npz"
         whole = twin.read_bytes()
         for size in range(len(whole)):
+            # a new file each time: truncating one in place is slow on
+            # some file systems, and the bytes read back are the same
+            twin.unlink()
             twin.write_bytes(whole[:size])
             assert np.array_equal(load_field(path).values, field.values), size
 
@@ -582,6 +585,22 @@ class TestFieldTwin:
         with pytest.raises(ConfigError, match="non-finite value nan at "
                                               "node 1,2"):
             load_field(nan_csv)
+
+    def test_rewrite_is_a_new_file(self, saved, tmp_path):
+        # hard links to the old field.csv and field.npz keep their bytes:
+        # a second save unlinks both and writes new files
+        field, path = saved
+        twin = path.parent / "field.npz"
+        old = {p: p.read_bytes() for p in (path, twin)}
+        links = {p: tmp_path / ("link-" + p.name) for p in old}
+        for p, link in links.items():
+            os.link(p, link)
+        save_field(field.with_values(field.values / 2), path)
+        for p, link in links.items():
+            assert link.read_bytes() == old[p]
+            assert p.read_bytes() != old[p]
+            assert not os.path.samefile(p, link)
+        assert np.array_equal(load_field(path).values, field.values / 2)
 
     def test_digest_is_the_sha256_of_the_bytes(self, saved):
         field, path = saved
@@ -794,6 +813,15 @@ class TestLoadSystem:
         with pytest.raises(ValidationError) as err:
             load_system(_config(name=name))
         assert err.value.problems == ["'name' must be a string"]
+
+    def test_bad_dimension_hides_no_other_problem(self):
+        # a missing n and an unknown key are reported together
+        with pytest.raises(ValidationError) as err:
+            load_system({"N": 1, "f": ["-x1"], "g": "x1^2"})
+        assert err.value.problems == [
+            "system config has unknown key(s) 'N' (its keys: n, f, g, name, "
+            "control, ell, h, mode, guard, ules, growth)",
+            "system config 'n' must be a whole number, at least 1, got None"]
 
     def test_boolean_dimension_rejected(self):
         with pytest.raises(ConfigError, match="'n'"):

@@ -234,6 +234,10 @@ def _make_system(cfg):
             overrides["controls"] = cfg["controls"]
         return builtin(cfg["builtin"], **overrides)
     if cfg["system"] is not None:
+        if cfg["controls"] is not None:
+            raise ConfigError("controls resamples only a builtin's control "
+                              "menu; an inline system gives its own in its "
+                              "\"control\" table")
         return load_system(cfg["system"])
     raise ConfigError("no system given: pass --builtin NAME or a config "
                       "file with a \"system\" table")

@@ -36,18 +36,14 @@ point, where a greedy policy's sweeps can overshoot it, or diverge on an
 undiscounted system.
 
 The build (`_assemble`) computes the feet and stencils of 2**14 nodes at
-a time, for every control in turn (`_chunk_rows`), so its temporaries
-stay a few MB at any grid size and each chunk's nodes are decoded once.
+a time, for every control in turn, so its temporaries stay a few MB at
+any grid size and each chunk's nodes are decoded once.
 The nodes, and so a chunk's augmented state, are column-major, so every
 column its RK4 step reads and writes is contiguous.  Each chunk's
 stencils go straight into the operator's arrays.  The offset is
 allocated by the first chunk with a nonzero entry, so an all-zero offset
 (every Kružkov row) is a zero-stride view that takes no memory, and a
-sweep skips adding it.  The fixed-point check's `apply_zubov` gives T u
-without an operator, one chunk at a time: the same chunk loop writes
-each control's stencils into chunk-sized buffers, which the kernel
-applies to the chunk's rows at once.  None of this changes a bit of any
-field.
+sweep skips adding it.  None of this changes a bit of any field.
 
 Both solves take y_a, the foot of node x_i under control a, and the step
 integrals by integrating `trajectories.start`'s state at the nodes over
@@ -334,38 +330,19 @@ def _index_type(system, grid, n_controls):
     return np.int32 if n_nodes * width < 2 ** 31 else np.int64
 
 
-def _chunk_rows(grid, rows, controls, into):
-    """Every control's stencils, ``_FEET_CHUNK`` nodes at a time.
+def _assemble(system, grid, rows, opt, cap, controls):
+    """The BellmanOperator of ``controls``, built ``_FEET_CHUNK`` nodes at a
+    time.
 
     ``rows(a, nodes)`` returns ``(feet, scale, cost)`` for control a: row i
     reads ``cost[i] + scale[i] * I[x](feet[i])``, where I[x] is 0 at a foot
     outside the box (module docstring).  Such a row becomes a zero row: its
-    foot moves to its node and its scale to 0.  For each chunk of nodes
-    lo..hi-1, decoded once, and each control k in turn, the rows' stencils,
-    the weights times the row's scale, are written into the ``(first, w)``
-    buffers that ``into(k, lo, hi)`` returns; then ``(k, lo, hi, cost)`` is
-    yielded.  Node coordinates exist for one chunk and feet for one control
-    at a time, so the temporaries grow with neither the grid nor the
-    control count.
-    """
-    for lo in range(0, grid.n_nodes, _FEET_CHUNK):
-        hi = min(lo + _FEET_CHUNK, grid.n_nodes)
-        nodes = _chunk_nodes(grid, lo, hi)
-        for k, a in enumerate(controls):
-            feet, scale, cost = rows(a, nodes)
-            outside = ~_inside(grid, feet)
-            feet[outside], scale[outside] = nodes[outside], 0.0
-            _stencil(grid, feet, scale, *into(k, lo, hi))
-            del feet, scale, outside  # before the next control's feet
-            yield k, lo, hi, cost
-            del cost
-
-
-def _assemble(system, grid, rows, opt, cap, controls):
-    """The BellmanOperator of ``controls`` (``rows`` as in `_chunk_rows`).
-
-    Each chunk's stencils go straight into the operator's arrays, so the
-    build's temporaries die before the operator's sweep buffers exist.
+    foot moves to its node and its scale to 0.  For each chunk of nodes,
+    decoded once, and each control in turn, the rows' stencils, the weights
+    times the row's scale, go straight into the operator's arrays.  Node
+    coordinates exist for one chunk and feet for one control at a time, so
+    the build's temporaries grow with neither the grid nor the control
+    count, and die before the operator's sweep buffers exist.
     """
     itype = _index_type(system, grid, len(controls))
     first = np.empty((len(controls), grid.n_nodes), dtype=itype)
@@ -374,13 +351,21 @@ def _assemble(system, grid, rows, opt, cap, controls):
     # allocated by the first nonzero chunk: calloc can hand back pages an
     # earlier solve freed, which it must then zero, and so make resident
     offset = None
-    for k, lo, hi, cost in _chunk_rows(
-            grid, rows, controls,
-            lambda k, lo, hi: (first[k, lo:hi], weights[k, :, lo:hi])):
-        if np.any(cost):
-            if offset is None:
-                offset = np.zeros(first.shape)
-            offset[k, lo:hi] = cost
+    for lo in range(0, grid.n_nodes, _FEET_CHUNK):
+        hi = min(lo + _FEET_CHUNK, grid.n_nodes)
+        nodes = _chunk_nodes(grid, lo, hi)
+        for k, a in enumerate(controls):
+            feet, scale, cost = rows(a, nodes)
+            outside = ~_inside(grid, feet)
+            feet[outside], scale[outside] = nodes[outside], 0.0
+            _stencil(grid, feet, scale, first[k, lo:hi],
+                     weights[k, :, lo:hi])
+            del feet, scale, outside  # before the next control's feet
+            if np.any(cost):
+                if offset is None:
+                    offset = np.zeros(first.shape)
+                offset[k, lo:hi] = cost
+            del cost
     if offset is None:
         offset = np.broadcast_to(0.0, first.shape)
     return BellmanOperator(first, weights, corners, offset, opt, cap)
@@ -422,40 +407,6 @@ def zubov_operator(system, grid, dt):
     """The Kružkov operator on the complement u = 1 - v (module docstring)."""
     return _assemble(system, grid, _zubov_rows(system, dt), np.minimum, 1.0,
                      system.control.points)
-
-
-def apply_zubov(system, grid, dt, u):
-    """``zubov_operator(system, grid, dt)(u)``, bit for bit, one chunk at a
-    time.
-
-    Each control's stencils of a chunk (`_chunk_rows`) go into chunk-sized
-    buffers and are applied at once to the chunk's rows (`_corner_sums`);
-    the running minimum over the controls and the cap at 1 are the
-    operator's, and a Kružkov row has no offset.  No operator is built:
-    besides u and T u, one chunk's buffers are alive.  Like the build of
-    one control's operator, it refuses a grid too big before it reads u.
-    """
-    rows = _zubov_rows(system, dt)
-    itype = _index_type(system, grid, 1)
-    n, m = grid.n_nodes, min(_FEET_CHUNK, grid.n_nodes)
-    first, w = np.empty(m, dtype=itype), np.empty((2 ** grid.n_axes, m))
-    indptr, row = np.arange(m + 1, dtype=itype), np.empty(m)
-    corners = _corners(grid)  # after them: a grid too big fails first
-    u = np.ascontiguousarray(u, dtype=float)
-    if u.shape != (n,):  # the kernel does not check
-        raise ValueError("operator wants %d node values, got shape %s"
-                         % (n, u.shape))
-    out, matvec = np.empty(n), _csr_matvec()
-    for k, lo, hi, _ in _chunk_rows(
-            grid, rows, system.control.points,
-            lambda k, lo, hi: (first[:hi - lo], w[:, :hi - lo])):
-        chunk = out[lo:hi]
-        # control 0 writes the chunk's output, each later one the buffer
-        dst = chunk if k == 0 else row[:hi - lo]
-        _corner_sums(matvec, indptr, first, w[:, :hi - lo], corners, u, dst)
-        if k:
-            np.minimum(chunk, dst, out=chunk)
-    return np.minimum(out, 1.0, out=out)
 
 
 def hjbe_operator(system, grid, dt):

@@ -381,14 +381,41 @@ def _finite_float(token):
     return value
 
 
+def _flag(token):
+    if token not in ("0", "1"):
+        raise ValueError("a flag is 0 or 1")
+    return token == "1"
+
+
 # the run record a field CSV header carries, key -> parser: a solve's dt,
 # tol and convergence, a transform's exterior_value and older files'
 # rk4_feet; flags are written 0/1, floats like the grid tokens
-_FLAG = {"0": False, "1": True}.__getitem__
 _RECORD = {"dt": lambda token: _positive(float(token), "dt"),
            "tol": lambda token: _positive(float(token), "tol"),
-           "rk4_feet": _FLAG, "exterior_value": _finite_float,
-           "converged": _FLAG}
+           "rk4_feet": _flag, "exterior_value": _finite_float,
+           "converged": _flag}
+
+
+def _read_record(tokens):
+    """The metadata a field header's record ``tokens`` hold; ValueError
+    naming the first token that is not key=value, names no _RECORD key,
+    holds a value its key's parser refuses or repeats a key."""
+    metadata = {}
+    for token in tokens:
+        key, eq, value = token.partition("=")
+        try:
+            if not eq:
+                raise ValueError("not a key=value pair")
+            if key not in _RECORD:
+                raise ValueError("unknown record key (known: %s)"
+                                 % ", ".join(_RECORD))
+            parsed = _RECORD[key](value)
+            if key in metadata:
+                raise ValueError("the key repeats")
+            metadata[key] = parsed
+        except ValueError as err:
+            raise ValueError("%r: %s" % (token, err)) from None
+    return metadata
 
 
 def save_field(field, path):
@@ -411,7 +438,7 @@ def save_field(field, path):
     zipfile's fixed timestamp, so the same field writes the same bytes."""
     grid = field.grid
     n = grid.n_axes
-    record = ["%s=%s" % (key, ("%d" if kind is _FLAG else "%.17g")
+    record = ["%s=%s" % (key, ("%d" if kind is _flag else "%.17g")
                          % field.metadata[key])
               for key, kind in _RECORD.items() if key in field.metadata]
     digest = _write_csv(path, _grid_header(grid) + [field.transform] + record,
@@ -463,11 +490,12 @@ def load_field(path):
     digest and values come from the one read.
 
     A header token that is not one of the record's key=value pairs, a
-    repeated key, a dt or tol that is not positive and finite, an
-    exterior_value that is not finite, or a non-finite box bound is a
-    malformed header: ConfigError.  With dt=0 the feet would be the
-    nodes, and any field would pass the fixed-point check.  A CSV without
-    a record (older, or written by hand) loads with empty metadata."""
+    repeated key, a flag other than 0 or 1, a dt or tol that is not
+    positive and finite, an exterior_value that is not finite, or a
+    non-finite box bound is a malformed header: ConfigError, which names
+    a bad record token.  With dt=0 the feet would be the nodes, and any
+    field would pass the fixed-point check.  A CSV without a record
+    (older, or written by hand) loads with empty metadata."""
     import hashlib  # lazily: ``import zubov`` does not need it
 
     with open(path, "rb") as fh:
@@ -480,11 +508,8 @@ def load_field(path):
         grid, tail, values = twin
     try:
         transform, *record = tail
-        metadata = {key: _RECORD[key](value) for key, value in
-                    (token.split("=", 1) for token in record)}
-        if len(metadata) != len(record):
-            raise ValueError("a key repeats")
-    except (KeyError, ValueError) as err:
+        metadata = _read_record(record)
+    except ValueError as err:
         raise ConfigError("malformed field header %s: %s"
                           % (",".join(tail), err)) from None
     n = grid.n_axes

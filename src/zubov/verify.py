@@ -9,8 +9,8 @@ name), monotone decrease along random integrated schedules, one-sided
 comparison against constructed sub/super candidates, growth toward the
 domain boundary, and slope probes.
 The fixed-point re-check is the one exception: it applies the solver's own
-Bellman operator once, one chunk of nodes at a time rather than as the
-full operator, so it measures the distance to the discrete fixed point.
+Bellman operator once, so it measures the distance to the discrete fixed
+point.
 
 Every check returns a VerificationReport; failures carry replayable
 witnesses (node indices, sample points and the exact schedule used), never
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .oracle import _INT_DT
-from .solver import apply_zubov, interpolate, inverse_transform
+from .solver import interpolate, inverse_transform, zubov_operator
 from .systems import ConfigError, _positive, _whole, closed_form_value
 from .trajectories import TrajectoryError, rollout
 
@@ -74,8 +74,6 @@ def check_fixed_point(system, field, dt=0.05, tol=1e-6):
     """Apply the field's own Bellman operator once; fail where |T v - v|
     exceeds 10 tol.  An edited or swapped node sticks out by about the size
     of the edit, which residual statistics and sampled trajectories miss.
-    T v is computed one chunk of nodes at a time (`solver.apply_zubov`),
-    bit for bit the full operator's, which is never built.
     dt and tol come from the field's run record (load_field reads it from
     the CSV header); the arguments stand in for what it does not record.
     Each argument and each recorded value must be positive and finite, as
@@ -97,7 +95,7 @@ def check_fixed_point(system, field, dt=0.05, tol=1e-6):
     dt = _positive(meta.get("dt", dt), "dt")
     threshold = 10.0 * _positive(meta.get("tol", tol), "tol")
     u = 1.0 - field.values.reshape(-1)  # the operator acts on 1 - v
-    moved = apply_zubov(system, grid, dt, u)
+    moved = zubov_operator(system, grid, dt)(u)
     moved[np.ravel_multi_index(grid.origin_index, grid.counts)] = 1.0
     defect = np.abs(moved - u)
     worst = int(np.argmax(defect))

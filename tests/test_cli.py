@@ -402,6 +402,8 @@ _MALFORMED = {
     # a guard name the code no longer knows
     "guard-case_b": ("c.json", _inline(ell="x1^2", mode="minimize",
                                        guard="case_b"), "hjbe"),
+    # a builtin's menu override on an inline system, once ignored in silence
+    "controls-inline": ("c.json", dict(_inline(), controls=3), "solve"),
 }
 
 
@@ -912,6 +914,25 @@ class TestRunRecord:
         assert rc == 1
         err = capsys.readouterr().err
         assert "config error" in err and "malformed field header" in err
+
+    @pytest.mark.parametrize("token, problem", [
+        ("foo=1", "unknown record key"), ("dtx", "not a key=value pair"),
+        ("converged=2", "a flag is 0 or 1")])
+    def test_bad_record_token_is_named(self, run_dir, tmp_path, capsys,
+                                       token, problem):
+        # once Python's own text: ": 'foo'", "not enough values to unpack"
+        lines = (run_dir / "field.csv").read_text().splitlines()
+        lines[0] += "," + token
+        path = tmp_path / "field.csv"
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        rc = main(["verify", "--config", self.fixed_point_only(tmp_path),
+                   "--builtin", "lift2d", "--nodes", "101",
+                   "--out", str(tmp_path / "check"), str(path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: malformed field header")
+        assert "%r: %s" % (token, problem) in err
 
     def test_bare_field_verifies_and_synthesizes(self, run_dir, tmp_path):
         bare = tmp_path / "bare"

@@ -295,11 +295,20 @@ def test_chunk_boundaries_are_invisible(monkeypatch, case, chunk):
     system = builtin(name) if isinstance(name, str) else load_system(name)
     settings = SolverSettings(**patch)
     raw = system.mode == "minimize"
-    arrays = []
+    chunk_nodes, arrays = solver._chunk_nodes, []
+
+    def spy(grid, lo, hi):
+        decoded.append(lo)
+        return chunk_nodes(grid, lo, hi)
+
+    monkeypatch.setattr(solver, "_chunk_nodes", spy)
     for size in (grid.n_nodes, chunk):  # one chunk, then many
         monkeypatch.setattr(solver, "_FEET_CHUNK", size)
+        decoded = []
         op = (hjbe_operator if raw else zubov_operator)(
             system, grid, settings.dt)
+        # each chunk's nodes are decoded once, not once per control
+        assert decoded == list(range(0, grid.n_nodes, size))
         arrays.append((op.first, op.weights, op.offset))
     for whole, chunked in zip(*arrays):
         assert whole.dtype == chunked.dtype
@@ -355,82 +364,6 @@ def test_build_chunk_transients_stay_flat(monkeypatch):
     assert 0 < beyond[1] <= 1.25 * beyond[0]
 
 
-# --- matrix-free application ------------------------------------------------
-
-LIFT2D_JSON = {
-    "name": "lift2d-json", "n": 2,
-    "f": ["-x1 + a1*x1^2", "-x2 + a1*x2^2"], "g": "x1^2 + x2^2",
-    "control": {"box": {"lo": [-1.0], "hi": [1.0], "counts": [5]}},
-}
-
-
-@pytest.mark.parametrize("name,grid,dt", [
-    ("lift2d", LIFT41, 0.05), ("ex1", Grid([-2.0], [2.0], [801]), 0.05),
-    (LIFT2D_JSON, LIFT41, 0.05), ("lift2d", LIFT41, 0.4),
-    (LIFT2D_JSON, LIFT41, 0.4)],
-    ids=["lift2d", "ex1", "lift2d-json", "lift2d-dt0.4", "lift2d-json-dt0.4"])
-def test_apply_zubov_is_the_operators_product(monkeypatch, name, grid, dt):
-    # at dt 0.4 each foot takes four sub-steps, in both
-    system = builtin(name) if isinstance(name, str) else load_system(name)
-    # above 1 in places, so that the cap bites
-    u = np.random.default_rng(4).uniform(0.0, 1.3, grid.n_nodes)
-    op = zubov_operator(system, grid, dt)
-    want = op(u)
-    assert (want == 1.0).any()
-    if name == "lift2d":
-        assert (op.weights == 0.0).all(axis=1).any()  # feet outside the box
-    for chunk in (grid.n_nodes, 100):  # one chunk, then many
-        monkeypatch.setattr(solver, "_FEET_CHUNK", chunk)
-        assert solver.apply_zubov(system, grid, dt, u).tobytes() \
-            == want.tobytes()
-
-
-def lift2d_with(name, controls):
-    """lift2d, builtin or compiled from LIFT2D_JSON, with ``controls``
-    samples of its control box."""
-    if isinstance(name, str):
-        return builtin(name, controls=controls)
-    return load_system(dict(LIFT2D_JSON, control={"box": {
-        "lo": [-1.0], "hi": [1.0], "counts": [controls]}}))
-
-
-@pytest.mark.parametrize("name", ["lift2d", LIFT2D_JSON],
-                         ids=["lift2d", "lift2d-json"])
-def test_apply_zubov_streams_one_chunk_at_a_time(monkeypatch, name):
-    import tracemalloc
-
-    grid = Grid([-1.2, -1.2], [1.2, 1.2], [201, 201])
-    u = np.ones(grid.n_nodes)
-    chunk_nodes, calls = solver._chunk_nodes, []
-
-    def refuse(self, *args, **kwargs):
-        raise AssertionError("apply_zubov built a BellmanOperator")
-
-    def spy(grid, lo, hi):
-        calls.append(lo)
-        return chunk_nodes(grid, lo, hi)
-
-    monkeypatch.setattr(solver.BellmanOperator, "__init__", refuse)
-    monkeypatch.setattr(solver, "_chunk_nodes", spy)
-    monkeypatch.setattr(solver, "_FEET_CHUNK", 1000)
-    solver.apply_zubov(lift2d_with(name, 21), grid, 0.05, u)
-    # each chunk's nodes are decoded once, not once per control
-    assert calls == list(range(0, grid.n_nodes, 1000))
-    monkeypatch.undo()
-    peaks = []
-    for count in (5, 21):
-        system = lift2d_with(name, count)
-        solver.apply_zubov(system, grid, 0.05, u)  # warm caches
-        tracemalloc.start()
-        try:
-            solver.apply_zubov(system, grid, 0.05, u)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    # T u and one chunk's buffers, whatever the control count
-    assert peaks[1] <= 1.05 * peaks[0]
-
-
 def test_operator_too_big_for_an_array_is_refused_before_it_is_built():
     # 3^39 nodes fit int64, but their 2^39-corner weights fit no array: once
     # np.full's "array is too big" from inside the solve
@@ -440,9 +373,7 @@ def test_operator_too_big_for_an_array_is_refused_before_it_is_built():
     need = 8 * 2 ** 39 * 3 ** 39
     for call in (lambda: solve_zubov(system, grid),
                  lambda: zubov_operator(system, grid, 0.05),
-                 lambda: hjbe_operator(system, grid, 0.05),
-                 # refused before it reads u
-                 lambda: solver.apply_zubov(system, grid, 0.05, None)):
+                 lambda: hjbe_operator(system, grid, 0.05)):
         with pytest.raises(ConfigError, match=r"the operator's weights would "
                            r"need %d bytes \(1 controls x %d corners x %d "
                            r"nodes x 8\)" % (need, 2 ** 39, 3 ** 39)):
@@ -512,8 +443,7 @@ def test_dt_past_max_substeps_is_refused_before_the_build():
     for call in (lambda: solve_zubov(system, grid, SolverSettings(dt=dt)),
                  lambda: solve_hjbe(system, grid, SolverSettings(dt=dt)),
                  lambda: zubov_operator(system, grid, dt),
-                 lambda: hjbe_operator(system, grid, dt),
-                 lambda: solver.apply_zubov(system, grid, dt, None)):
+                 lambda: hjbe_operator(system, grid, dt)):
         with pytest.raises(ConfigError, match=r"takes 1e\+08 RK4 sub-steps;"
                            r" at most %d" % MAX_SUBSTEPS):
             call()

@@ -90,8 +90,8 @@ class TestFixedPoint:
 
     def test_defect_and_witness_are_the_operators(self, lift2d_system,
                                                   lift2d_field):
-        # the check applies T without building it; the built operator,
-        # origin pinned as in a sweep, gives the same defect and witness
+        # the field's operator, origin pinned as in a sweep, gives the
+        # check's defect and witness
         vals = lift2d_field.values.copy()
         vals[30, 170] -= 0.003
         field, grid = lift2d_field.with_values(vals), lift2d_field.grid
@@ -104,23 +104,9 @@ class TestFixedPoint:
         assert rep.witnesses[0]["node"] == np.unravel_index(
             np.argmax(defect), grid.counts)
 
-    def test_allocates_no_operator(self, lift2d_system, lift2d_field):
-        import tracemalloc
-
-        grid = lift2d_field.grid
-        op_bytes = zubov_operator(lift2d_system, grid, 0.05).nbytes
-        tracemalloc.start()
-        try:
-            check_fixed_point(lift2d_system, lift2d_field)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < op_bytes
-
-    def test_peak_is_a_fraction_of_the_operator(self, lift2d_system,
-                                                 lift2d_field):
-        # one control's operator at a time: about 1/K of the full one's
-        # bytes at 201², plus N-long vectors
+    def test_peak_is_about_one_operator(self, lift2d_system, lift2d_field):
+        # the check builds the field's operator once and applies it: its
+        # peak is that operator's bytes plus a few N-long vectors
         import tracemalloc
 
         op_bytes = zubov_operator(lift2d_system, lift2d_field.grid,
@@ -132,7 +118,7 @@ class TestFixedPoint:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < op_bytes / 4
+        assert peak <= 1.2 * op_bytes
 
     @pytest.mark.parametrize("bad", [
         {"dt": 0.0}, {"dt": -0.05}, {"dt": math.nan}, {"dt": math.inf},
